@@ -58,7 +58,7 @@ grep -q 'DEADLOCK' /tmp/congestion_sweep_smoke.out \
     && { echo "congestion sweep smoke: deadlock reported"; cat /tmp/congestion_sweep_smoke.out; exit 1; }
 echo "congestion sweep smoke: ok"
 
-echo "==> recovery smoke (serve -> submit -> SIGKILL -> restart -> recovered job visible)"
+echo "==> recovery smoke (serve -> upload + schedule -> submit -> SIGKILL -> restart -> recovered job visible, table restored from its spill file)"
 SMOKE_DIR=$(mktemp -d /tmp/commsched-recovery-smoke.XXXXXX)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 ./target/release/commsched serve --addr 127.0.0.1:0 --workers 1 \
@@ -74,6 +74,16 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$ADDR" ] || { echo "recovery smoke: first server never came up"; cat "$SMOKE_DIR/serve1.log"; exit 1; }
+# Register a topology and schedule on it to completion: its distance
+# table is then cached and spilled to <state-dir>/tables/.
+./target/release/commsched topology --kind ring --switches 8 --hosts 1 \
+    --save "$SMOKE_DIR/ring8.topo" >/dev/null \
+    || { echo "recovery smoke: could not write a topology file"; exit 1; }
+./target/release/commsched schedule --server "$ADDR" --kind file --input "$SMOKE_DIR/ring8.topo" \
+    --clusters 2 >"$SMOKE_DIR/schedule.out" \
+    || { echo "recovery smoke: schedule on an uploaded topology failed"; cat "$SMOKE_DIR/schedule.out"; exit 1; }
+ls "$SMOKE_DIR/state/tables"/*.tbl >/dev/null 2>&1 \
+    || { echo "recovery smoke: no spill file after a table build"; ls -la "$SMOKE_DIR/state" "$SMOKE_DIR/state/tables"; exit 1; }
 ./target/release/commsched submit --server "$ADDR" --kind ring --switches 4 --hosts 1 --clusters 2 | grep -q '^job ' \
     || { echo "recovery smoke: submit failed"; exit 1; }
 kill -9 "$SERVE_PID"
@@ -93,8 +103,15 @@ done
 [ -n "$ADDR" ] || { echo "recovery smoke: restarted server never came up"; cat "$SMOKE_DIR/serve2.log"; exit 1; }
 grep -q '^recovered from ' "$SMOKE_DIR/serve2.log" \
     || { echo "recovery smoke: no recovery line"; cat "$SMOKE_DIR/serve2.log"; exit 1; }
+RESTORED=$(sed -n 's/^recovered from .* \([0-9][0-9]*\) cached tables.*/\1/p' "$SMOKE_DIR/serve2.log")
+[ "${RESTORED:-0}" -ge 1 ] \
+    || { echo "recovery smoke: restored tables = ${RESTORED:-none}, want >= 1"; cat "$SMOKE_DIR/serve2.log"; exit 1; }
+[ -z "$(find "$SMOKE_DIR/state/tables" -name '*.tmp')" ] \
+    || { echo "recovery smoke: stray tmp file under tables/"; ls -la "$SMOKE_DIR/state/tables"; exit 1; }
 ./target/release/commsched status --server "$ADDR" --job 1 | grep -Eq 'queued|running|done' \
     || { echo "recovery smoke: job 1 not recovered"; exit 1; }
+./target/release/commsched status --server "$ADDR" --job 2 | grep -Eq 'queued|running|done' \
+    || { echo "recovery smoke: job 2 not recovered"; exit 1; }
 kill -9 "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 echo "recovery smoke: ok"
@@ -219,5 +236,17 @@ done
 kill -9 "$STANDBY_PID" 2>/dev/null || true
 wait "$STANDBY_PID" 2>/dev/null || true
 echo "cluster failover smoke: ok"
+
+echo "==> benchmark harness unit tests (the pinned surface still compiles)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark smoke (large_cold through the real daemon)"
+if [ "$(nproc)" -ge 2 ]; then
+    benchmark/run.sh --smoke --only large_cold --out "$SMOKE_DIR/bench" >"$SMOKE_DIR/bench.log" 2>&1 \
+        || { echo "benchmark smoke: run failed"; tail -40 "$SMOKE_DIR/bench.log"; exit 1; }
+    echo "benchmark smoke: ok"
+else
+    echo "benchmark smoke: skipped (nproc = $(nproc); the harness refuses to run on fewer than two cores)"
+fi
 
 echo "==> ci.sh: all green"

@@ -195,7 +195,10 @@ fn follow_once(
         return Ok(FollowExit::PrimaryDead);
     };
     if nonce != stored_nonce {
-        // New stream incarnation: our WAL positions mean nothing.
+        // New stream incarnation: our WAL positions mean nothing. Table
+        // spill files (a state directory that once served) can stay:
+        // they are named by content, and recovery at promotion drops
+        // those the new history does not register.
         persist
             .with_wal(|wal| wal.truncate())
             .map_err(|e| format!("truncate follower wal: {e}"))?;

@@ -8,7 +8,10 @@
 //! first record. From then on every appended WAL record lands in the
 //! log (still under the WAL lock, hence in authoritative commit order)
 //! and is pushed to each connected follower by a per-follower streamer
-//! thread.
+//! thread. Distance tables are not WAL records (they spill to files,
+//! see `commsched_service::persist::tables`), so neither the seed nor
+//! the stream carries one: the log grows by small records only, and a
+//! promoted follower rebuilds a table on first use.
 //!
 //! Wire protocol (one TCP connection per follower, on the hub's
 //! dedicated replication port):

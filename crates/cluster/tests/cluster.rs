@@ -157,6 +157,19 @@ fn sync_replication_promotes_with_every_acked_job_visible() {
     for id in &acked {
         assert_eq!(client.wait(*id, Duration::from_millis(10)).unwrap(), "done");
     }
+    // One real job, so the primary caches (and spills) a table for the
+    // uploaded topology. Tables are rebuildable: they do not replicate.
+    let schedule = format!("SCHEDULE topo=fp:{topo_fp:016x} clusters=2 seed=3");
+    let fg_of = |client: &mut Client, job: u64| -> String {
+        let state = client.wait(job, Duration::from_millis(20)).unwrap();
+        let lines = client.result(job);
+        assert_eq!(state, "done", "schedule job ended {state}: {lines:?}");
+        let fg = lines.unwrap().into_iter().find(|l| l.starts_with("fg "));
+        fg.expect("fg line")
+    };
+    let job = client.submit_raw(&schedule).unwrap();
+    let fg_on_primary = fg_of(&mut client, job);
+    assert_eq!(client.stat_u64("table_spills").unwrap(), Some(1));
 
     // Sync mode: by the time those acks returned, the follower had
     // applied the records behind them. Finish records written after
@@ -198,18 +211,13 @@ fn sync_replication_promotes_with_every_acked_job_visible() {
         let state = client.wait(*id, Duration::from_millis(10)).unwrap();
         assert_eq!(state, "done", "job {id} lost in failover");
     }
-    let job = client
-        .submit_raw(&format!(
-            "SCHEDULE topo=fp:{topo_fp:016x} clusters=2 seed=3"
-        ))
-        .unwrap();
-    let state = client.wait(job, Duration::from_millis(20)).unwrap();
-    assert_eq!(
-        state,
-        "done",
-        "replicated topology must schedule after promotion: {:?}",
-        client.result(job)
-    );
+    // The table cached on the dead primary was never shipped (nothing
+    // to restore here); the promoted node rebuilds it on first use —
+    // one miss, the same mapping.
+    assert_eq!(client.stat_u64("table_restores").unwrap(), Some(0));
+    let job = client.submit_raw(&schedule).unwrap();
+    assert_eq!(fg_of(&mut client, job), fg_on_primary);
+    assert_eq!(client.stat_u64("cache_misses").unwrap(), Some(1));
 
     promoted.shutdown();
     let _ = std::fs::remove_dir_all(&dir_primary);

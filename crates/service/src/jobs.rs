@@ -359,17 +359,18 @@ impl ServiceCore {
 
     /// Open (or create) a state directory and rebuild a core from it:
     /// load the snapshot, replay the WAL on top (dropping a torn tail),
-    /// restore the registry, epoch chains, jobs, and cached tables, and
-    /// requeue every job that was accepted but unfinished at crash
-    /// time. Jobs whose fingerprint was faulted over mid-flight are
-    /// retargeted through the recovered epoch chain, exactly as a live
-    /// fault would have moved them. Finishes with an immediate
-    /// compacting snapshot so the next startup replays less.
+    /// read the table spill files (dropping damaged ones), restore the
+    /// registry, epoch chains, jobs, and cached tables, and requeue
+    /// every job that was accepted but unfinished at crash time. Jobs
+    /// whose fingerprint was faulted over mid-flight are retargeted
+    /// through the recovered epoch chain, exactly as a live fault would
+    /// have moved them. Finishes with an immediate compacting snapshot
+    /// so the next startup replays less.
     ///
     /// # Errors
     /// [`PersistError::Io`] on filesystem failures;
     /// [`PersistError::Corrupt`] when the snapshot is torn or an intact
-    /// record does not parse (recovery refuses to guess at state).
+    /// log record does not parse (recovery refuses to guess at state).
     pub fn recover(
         config: ServiceCoreConfig,
         options: PersistOptions,
@@ -389,6 +390,9 @@ impl ServiceCore {
         for record in &replayed.records {
             recovered.apply(record).map_err(PersistError::Corrupt)?;
         }
+        // Table files go through the same interpreter, after whatever
+        // `cache` records an older daemon left in the log.
+        let mut rejected = persistence.tables().load_into(&mut recovered);
 
         let core = Self::with_persistence(config, Some(persistence));
         for fp in &recovered.topo_order {
@@ -444,10 +448,12 @@ impl ServiceCore {
         // doubles exactly), so post-restart faults still take the
         // incremental-repair path instead of a full rebuild.
         for ((fp, spec, tspec), table, approx) in recovered.tables {
-            let Some(topo) = core.registry.get(fp) else {
+            // No job can name a fingerprint a fault has superseded.
+            if recovered.successor.contains_key(&fp) {
                 continue;
-            };
-            let Ok(routing) = build_routing(&topo, spec) else {
+            }
+            let Some(Ok(routing)) = core.registry.get(fp).map(|t| build_routing(&t, spec)) else {
+                rejected += 1;
                 continue;
             };
             core.cache.insert_ready(
@@ -460,6 +466,11 @@ impl ServiceCore {
             );
             report.restored_tables += 1;
         }
+        core.stats
+            .note_table_recovery(report.restored_tables as u64, rejected);
+        // One file per restored table and nothing else, before the
+        // snapshot below drops the bodies of in-log `cache` records.
+        core.spill_tables();
         // Re-derive the capacity ledger from the recovered unfinished
         // jobs: placement is deterministic (least-committed switch,
         // lowest index first) and jobs replay in ascending id order, so
@@ -508,10 +519,11 @@ impl ServiceCore {
         self.stats.set_wal_bytes(p.wal_bytes());
     }
 
-    /// Serialize the whole durable state as snapshot records. Called
-    /// with the WAL lock held by the snapshot machinery; takes the
-    /// registry, epoch, queue, and cache locks internally (allowed:
-    /// WAL-before-state order).
+    /// Serialize the whole durable state as snapshot records: the
+    /// small authoritative ones only — cached tables are rebuildable
+    /// and live in the spill store. Called with the WAL lock held by
+    /// the snapshot machinery; takes the registry, epoch, and queue
+    /// locks internally (allowed: WAL-before-state order).
     fn snapshot_records(&self) -> Vec<String> {
         let mut records = Vec::new();
         for topo in self.registry.topologies() {
@@ -551,16 +563,18 @@ impl ServiceCore {
                 }
             }
         }
-        for ((fp, spec, tspec), value) in self.cache.ready_entries() {
-            records.push(pstate::record_cache(
-                fp,
-                spec,
-                tspec,
-                &value.table,
-                value.approx.as_ref(),
-            ));
-        }
         records
+    }
+
+    /// Make `<state-dir>/tables/` equal to the cache: a file for every
+    /// cached table, none for an evicted or invalidated one. Takes no
+    /// WAL lock and runs under the fsync class of unacknowledged
+    /// records: a lost spill costs a rebuild after the next restart.
+    fn spill_tables(&self) {
+        let Some(p) = &self.persist else { return };
+        let done = p.tables().sync(&self.cache, p.should_sync(false));
+        self.stats
+            .note_table_spill(done.spilled, done.bytes, done.errors, done.nanos);
     }
 
     /// Write a compacting snapshot now and truncate the WAL. The
@@ -1337,7 +1351,7 @@ impl ServiceCore {
         let threads = self.config.table_threads;
         // The flag is set inside the closure, which only the winning
         // builder runs — threads served from the cache (or by waiting on
-        // a concurrent build) must not re-log the entry.
+        // a concurrent build) must not spill the entry again.
         let mut built = false;
         let built_flag = &mut built;
         let value = self.cache.get_or_build(key, move || {
@@ -1368,13 +1382,7 @@ impl ServiceCore {
             })
         })?;
         if built {
-            // ack=false: losing a cache record costs a rebuild on the
-            // next startup, never correctness.
-            self.log_record(
-                &pstate::record_cache(key.0, key.1, key.2, &value.table, value.approx.as_ref()),
-                false,
-            );
-            self.maybe_snapshot();
+            self.spill_tables();
         }
         Ok(value)
     }
@@ -1383,21 +1391,21 @@ impl ServiceCore {
     /// incrementally repairing the stale table instead of re-solving the
     /// whole network, reusing the core's cross-epoch memo. Returns the
     /// repair report (`None` when a concurrent request built the entry
-    /// first and the closure never ran) alongside the resident entry.
+    /// first and the closure never ran).
     fn refresh_entry(
         &self,
         old_topo: &Arc<Topology>,
         next: &TopologyEpoch,
         spec: RoutingSpec,
         stale: &Arc<RoutedTable>,
-    ) -> Result<(Option<RepairReport>, Arc<RoutedTable>), String> {
+    ) -> Result<Option<RepairReport>, String> {
         let topo = Arc::clone(&next.topology);
         let old_topo = Arc::clone(old_topo);
         let threads = self.config.table_threads;
         let mut report = None;
         let report_slot = &mut report;
         let key = (next.fingerprint, spec, TableSpec::Exact);
-        let value = self.cache.get_or_build(key, move || {
+        self.cache.get_or_build(key, move || {
             let routing = build_routing(&topo, spec)?;
             let mut memo = self.repair_memo.lock().expect("repair memo lock");
             let (table, rep) = repair_table(
@@ -1420,7 +1428,7 @@ impl ServiceCore {
                 approx: None,
             })
         })?;
-        Ok((report, value))
+        Ok(report)
     }
 
     /// Apply one fault event to a topology: bump its epoch, register the
@@ -1477,31 +1485,23 @@ impl ServiceCore {
                 continue;
             }
             match self.refresh_entry(&old, &next, *spec, stale) {
-                Ok((Some(rep), value)) => {
+                Ok(Some(rep)) => {
                     refreshed += 1;
-                    self.log_record(
-                        &pstate::record_cache(
-                            next.fingerprint,
-                            *spec,
-                            TableSpec::Exact,
-                            &value.table,
-                            None,
-                        ),
-                        false,
-                    );
                     repair_lines.push(format!(
                         "repair {spec} pairs {}/{} wall_ms {:.3} max_delta {:.6e}",
                         rep.pairs_recomputed, rep.pairs_total, rep.wall_ms, rep.max_delta
                     ));
                 }
-                Ok((None, _)) => {
-                    // A concurrent builder made the entry (and logged it).
+                Ok(None) => {
+                    // A concurrent builder made the entry (and spilled it).
                     refreshed += 1;
                     repair_lines.push(format!("repair {spec} shared"));
                 }
                 Err(e) => repair_lines.push(format!("repair {spec} skipped: {e}")),
             }
         }
+        // The repaired tables get their files; the stale fingerprint's go.
+        self.spill_tables();
         // Still-queued jobs naming the stale fingerprint follow it to the
         // successor; running jobs keep their (already resolved) tables.
         let requeued = {

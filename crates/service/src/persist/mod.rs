@@ -1,5 +1,5 @@
-//! Durable service state: write-ahead log, compacting snapshots, and
-//! crash recovery.
+//! Durable service state: write-ahead log, compacting snapshots, the
+//! table spill store, and crash recovery.
 //!
 //! Layout under the state directory:
 //!
@@ -8,22 +8,28 @@
 //! * `snapshot` — a compacted image: the same framed records ending
 //!   with an `end` marker, written atomically (tmp file + fsync +
 //!   rename + directory fsync);
-//! * `snapshot.tmp` — scratch for the atomic snapshot write.
+//! * `snapshot.tmp` — scratch for the atomic snapshot write;
+//! * `tables/` — one file per cached distance table (see [`tables`]).
+//!   Tables are rebuildable, so the log and the snapshot carry only the
+//!   small authoritative records.
 //!
 //! Recovery loads the snapshot (if any), replays the WAL on top of it,
-//! and truncates the WAL once a fresh snapshot captures the merged
-//! state. A torn WAL tail — the expected residue of a crash
-//! mid-append — is dropped silently; a torn *snapshot* is an error,
-//! because snapshots are written atomically and a damaged one means
-//! something other than a crash-during-append went wrong.
+//! feeds the table files to the same interpreter, and truncates the WAL
+//! once a fresh snapshot captures the merged state. A torn WAL tail —
+//! the expected residue of a crash mid-append — is dropped silently, as
+//! is a damaged table file; a torn *snapshot* is an error, because
+//! snapshots are written atomically and a damaged one means something
+//! other than a crash-during-append went wrong.
 //!
 //! Lock order: the WAL mutex is acquired *before* any core state lock,
 //! everywhere. Appends therefore never run while the queue lock is
 //! held, and [`Persistence::snapshot_with`] can hold the WAL mutex
 //! across capture → write → truncate, so no record can land between
 //! the captured image and the truncation that makes it authoritative.
+//! Table spill I/O takes the store's own lock and never the WAL's.
 
 pub mod state;
+pub mod tables;
 pub mod wal;
 
 pub use state::{RecoveredJob, RecoveredState};
@@ -65,12 +71,12 @@ pub const SNAPSHOT_TMP_FILE: &str = "snapshot.tmp";
 /// When appended records are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// Every record is synced, including cache tables.
+    /// Every record is synced, and so is every table spill file.
     Always,
     /// Records that back an acknowledgement (job accept/finish/cancel,
-    /// topology registration, fault) are synced; cache records are not,
-    /// because losing one costs a table rebuild, never correctness.
-    /// The default.
+    /// topology registration, fault) are synced; table spill files are
+    /// not, because losing one costs a table rebuild, never
+    /// correctness. The default.
     #[default]
     OnAck,
     /// Nothing is synced explicitly; a crash can lose the OS write-back
@@ -171,22 +177,31 @@ pub struct RecoveryReport {
 pub struct Persistence {
     options: PersistOptions,
     wal: Mutex<wal::WalWriter>,
+    tables: tables::TableStore,
     auto_snapshotting: AtomicBool,
 }
 
 impl Persistence {
-    /// Open (creating if needed) the state directory and its WAL.
+    /// Open (creating if needed) the state directory, its WAL and its
+    /// table spill directory.
     ///
     /// # Errors
     /// Propagates filesystem failures.
     pub fn open(options: PersistOptions) -> Result<Self, PersistError> {
         std::fs::create_dir_all(&options.state_dir)?;
         let wal = wal::WalWriter::open(&options.state_dir.join(WAL_FILE))?;
+        let tables = tables::TableStore::open(&options.state_dir)?;
         Ok(Self {
             options,
             wal: Mutex::new(wal),
+            tables,
             auto_snapshotting: AtomicBool::new(false),
         })
+    }
+
+    /// The table spill store under this state directory.
+    pub fn tables(&self) -> &tables::TableStore {
+        &self.tables
     }
 
     /// The state directory this instance writes under.
@@ -286,16 +301,7 @@ impl Persistence {
         records.push("end".to_string());
         let mut image = Vec::new();
         for record in &records {
-            let payload = record.as_bytes();
-            let len = u32::try_from(payload.len()).map_err(|_| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "snapshot record too large",
-                )
-            })?;
-            image.extend_from_slice(&len.to_le_bytes());
-            image.extend_from_slice(&wal::fnv1a(payload).to_le_bytes());
-            image.extend_from_slice(payload);
+            wal::encode_frame(&mut image, record.as_bytes())?;
         }
         let tmp = self.options.state_dir.join(SNAPSHOT_TMP_FILE);
         {

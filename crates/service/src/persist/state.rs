@@ -1,11 +1,12 @@
 //! The durable record grammar and its replay accumulator.
 //!
-//! One grammar serves both halves of persistence: the WAL appends these
-//! records as state changes happen, and a snapshot is nothing but the
-//! same records re-emitted from live state (ending with an `end`
-//! marker). Recovery therefore needs exactly one interpreter —
+//! One grammar serves every part of persistence: the WAL appends these
+//! records as state changes happen, a snapshot is nothing but the same
+//! records re-emitted from live state (ending with an `end` marker),
+//! and each file of the table spill store ([`super::tables`]) holds one
+//! `cache` record. Recovery therefore needs exactly one interpreter —
 //! [`RecoveredState`] — fed first with the snapshot's records, then
-//! with the WAL's.
+//! with the WAL's, then with the table files.
 //!
 //! Records are UTF-8 text: a head line of whitespace-separated words,
 //! optionally followed by a `\n` and a free-form body (topology text,
@@ -24,7 +25,7 @@
 //! | `fault <old> <new> <index>` | epoch bump `<old>` → `<new>` |
 //! | `succ <old> <new>` | a successor edge (snapshot only) |
 //! | `epoch <fp> <index>` | an epoch index (snapshot only) |
-//! | `cache <fp> <spec> [<tablespec>]` + body | a built table, in distance text format |
+//! | `cache <fp> <spec> [<tablespec>]` + body | a built table, in distance text format (one per spill file; in a log only when written by an older daemon) |
 //! | `end` | snapshot terminator |
 //!
 //! Replay is idempotent: applying a record twice (snapshot + a WAL that
@@ -177,6 +178,13 @@ impl RecoveredState {
         self.jobs.get_mut(&id)
     }
 
+    /// Install one table: the last record for a key wins and defines
+    /// recency.
+    pub(super) fn push_table(&mut self, entry: RecoveredTable) {
+        self.tables.retain(|(k, _, _)| *k != entry.0);
+        self.tables.push(entry);
+    }
+
     /// Apply one record payload.
     ///
     /// Replay is idempotent and last-writer-wins per job/table/epoch
@@ -276,17 +284,14 @@ impl RecoveredState {
                 let key = (fp(f)?, parse_routing_spec(spec)?, TableSpec::Exact);
                 let (table, _) =
                     table_from_text_with_report(body).map_err(|e| format!("bad table: {e}"))?;
-                // Last record wins and defines recency.
-                self.tables.retain(|(k, _, _)| *k != key);
-                self.tables.push((key, table, None));
+                self.push_table((key, table, None));
             }
             ["cache", f, spec, tspec] => {
                 let tspec: TableSpec = tspec.parse()?;
                 let key = (fp(f)?, parse_routing_spec(spec)?, tspec);
                 let (table, report) =
                     table_from_text_with_report(body).map_err(|e| format!("bad table: {e}"))?;
-                self.tables.retain(|(k, _, _)| *k != key);
-                self.tables.push((key, table, report));
+                self.push_table((key, table, report));
             }
             ["end"] => self.ended = true,
             _ => return Err(format!("unknown record '{head}'")),

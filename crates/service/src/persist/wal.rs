@@ -45,6 +45,19 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Append one framed record (`[len][fnv1a][payload]`) to `out`.
+///
+/// # Errors
+/// `InvalidInput` when the payload does not fit the 32-bit length.
+pub fn encode_frame(out: &mut Vec<u8>, payload: &[u8]) -> std::io::Result<()> {
+    let len = u32::try_from(payload.len())
+        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "record too large"))?;
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
 /// An open WAL file positioned for appending.
 pub struct WalWriter {
     file: File,
@@ -104,12 +117,7 @@ impl WalWriter {
         let mut frame = Vec::new();
         let mut written: Vec<&'a [u8]> = Vec::new();
         for payload in payloads {
-            let len = u32::try_from(payload.len()).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, "wal record too large")
-            })?;
-            frame.extend_from_slice(&len.to_le_bytes());
-            frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
-            frame.extend_from_slice(payload);
+            encode_frame(&mut frame, payload)?;
             written.push(payload);
         }
         if frame.is_empty() {
@@ -233,9 +241,7 @@ mod tests {
 
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        out.extend_from_slice(payload);
+        encode_frame(&mut out, payload).unwrap();
         out
     }
 

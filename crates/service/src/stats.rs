@@ -28,6 +28,17 @@ pub struct ServiceStats {
     wal_bytes: Gauge,
     /// Wall time of the most recent compacting snapshot.
     snapshot_nanos: Gauge,
+    /// Distance tables written to the spill directory.
+    table_spills: Counter,
+    /// Bytes of table files written.
+    table_spill_bytes: Counter,
+    /// Wall time of the most recent spill (encode + write).
+    table_spill_nanos: Gauge,
+    /// Tables restored from spill files (or legacy log records) at
+    /// startup instead of being rebuilt.
+    table_restores: Counter,
+    /// Spill writes that failed plus table files rejected at recovery.
+    table_spill_errors: Counter,
     /// Coarsening levels of the most recent multilevel job.
     ml_levels: Gauge,
     /// Refinement swaps applied across all multilevel jobs.
@@ -85,6 +96,26 @@ impl ServiceStats {
             "service_snapshot_nanos",
             "Wall time of the most recent compacting snapshot, in nanoseconds",
         );
+        let table_spills = registry.counter(
+            "service_table_spills_total",
+            "Distance tables written to the spill directory",
+        );
+        let table_spill_bytes = registry.counter(
+            "service_table_spill_bytes_total",
+            "Bytes of distance-table spill files written",
+        );
+        let table_spill_nanos = registry.gauge(
+            "service_table_spill_nanos",
+            "Wall time of the most recent table spill (encode + write), in nanoseconds",
+        );
+        let table_restores = registry.counter(
+            "service_table_restores_total",
+            "Distance tables restored at startup instead of rebuilt",
+        );
+        let table_spill_errors = registry.counter(
+            "service_table_spill_errors_total",
+            "Table spill writes that failed plus spill files rejected at recovery",
+        );
         let ml_levels = registry.gauge(
             "service_ml_levels",
             "Coarsening levels of the most recent multilevel mapping job",
@@ -117,6 +148,11 @@ impl ServiceStats {
             recovered,
             wal_bytes,
             snapshot_nanos,
+            table_spills,
+            table_spill_bytes,
+            table_spill_nanos,
+            table_restores,
+            table_spill_errors,
             ml_levels,
             ml_refine_moves,
             approx_err_max_micros,
@@ -229,6 +265,40 @@ impl ServiceStats {
         u64::try_from(self.snapshot_nanos.get()).unwrap_or(0)
     }
 
+    /// Count one spill pass: tables and bytes written, failures, and
+    /// (when anything was written) how long the pass took.
+    pub fn note_table_spill(&self, tables: u64, bytes: u64, errors: u64, nanos: u64) {
+        self.table_spills.add(tables);
+        self.table_spill_bytes.add(bytes);
+        self.table_spill_errors.add(errors);
+        if tables > 0 {
+            self.table_spill_nanos
+                .set(i64::try_from(nanos).unwrap_or(i64::MAX));
+        }
+    }
+
+    /// Count what recovery made of the spill store: tables restored
+    /// without a rebuild and table files (or records) it rejected.
+    pub fn note_table_recovery(&self, restored: u64, rejected: u64) {
+        self.table_restores.add(restored);
+        self.table_spill_errors.add(rejected);
+    }
+
+    /// Distance tables written to the spill directory.
+    pub fn table_spills(&self) -> u64 {
+        self.table_spills.get()
+    }
+
+    /// Tables restored at startup instead of rebuilt.
+    pub fn table_restores(&self) -> u64 {
+        self.table_restores.get()
+    }
+
+    /// Failed spill writes plus table files rejected at recovery.
+    pub fn table_spill_errors(&self) -> u64 {
+        self.table_spill_errors.get()
+    }
+
     /// Record the shape of a finished multilevel mapping job.
     pub fn note_multilevel(&self, levels: u64, refine_moves: u64) {
         self.ml_levels
@@ -273,6 +343,11 @@ impl ServiceStats {
             format!("jobs_recovered {}", self.recovered()),
             format!("wal_bytes {}", self.wal_bytes()),
             format!("snapshot_nanos {}", self.snapshot_nanos()),
+            format!("table_spills {}", self.table_spills()),
+            format!("table_spill_bytes {}", self.table_spill_bytes.get()),
+            format!("table_spill_nanos {}", self.table_spill_nanos.get()),
+            format!("table_restores {}", self.table_restores()),
+            format!("table_spill_errors {}", self.table_spill_errors()),
             format!("ml_levels {}", self.ml_levels()),
             format!("ml_refine_moves {}", self.ml_refine_moves()),
             format!(
@@ -322,6 +397,9 @@ mod tests {
         s.note_recovered(3);
         s.set_wal_bytes(4096);
         s.set_snapshot_nanos(1_500_000);
+        s.note_table_spill(2, 4096, 1, 7_000);
+        s.note_table_spill(0, 0, 0, 9_000); // nothing written: "last" stays
+        s.note_table_recovery(3, 2);
         s.note_multilevel(3, 17);
         s.note_multilevel(2, 5);
         s.note_approx_err_max(0.04);
@@ -336,6 +414,12 @@ mod tests {
         assert_eq!(s.recovered(), 3);
         assert_eq!(s.wal_bytes(), 4096);
         assert_eq!(s.snapshot_nanos(), 1_500_000);
+        assert_eq!(s.table_spills(), 2);
+        assert_eq!(s.table_restores(), 3);
+        assert_eq!(s.table_spill_errors(), 3);
+        let lines = s.report_lines();
+        assert!(lines.contains(&"table_spill_bytes 4096".to_string()));
+        assert!(lines.contains(&"table_spill_nanos 7000".to_string()));
         assert_eq!(s.ml_levels(), 2);
         assert_eq!(s.ml_refine_moves(), 22);
         assert_eq!(s.approx_err_max_micros(), 40_000);
@@ -357,6 +441,11 @@ mod tests {
             "jobs_recovered",
             "wal_bytes",
             "snapshot_nanos",
+            "table_spills",
+            "table_spill_bytes",
+            "table_spill_nanos",
+            "table_restores",
+            "table_spill_errors",
             "ml_levels",
             "ml_refine_moves",
             "approx_table_err_max_micros",

@@ -90,6 +90,13 @@ fn metrics_agree_with_stats_after_jobs_run() {
             "approx_table_err_max_micros",
             "service_approx_table_err_max_micros",
         ),
+        ("wal_bytes", "service_wal_bytes"),
+        ("snapshot_nanos", "service_snapshot_nanos"),
+        ("table_spills", "service_table_spills_total"),
+        ("table_spill_bytes", "service_table_spill_bytes_total"),
+        ("table_spill_nanos", "service_table_spill_nanos"),
+        ("table_restores", "service_table_restores_total"),
+        ("table_spill_errors", "service_table_spill_errors_total"),
     ] {
         let from_stats: f64 = stats[stat_key].parse().expect("numeric stat");
         assert_eq!(

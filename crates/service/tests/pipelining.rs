@@ -1,8 +1,9 @@
 //! End-to-end tests of the event-loop front end: deep request
 //! pipelining with in-order replies, the binary framed protocol and
 //! batched submits, coexistence of both protocols on one daemon, the
-//! shutdown drain (no queued reply is ever lost), and the client's
-//! batch-submit fallback against servers predating `CAPS`.
+//! shutdown drain (no queued reply is ever lost), the client's
+//! batch-submit fallback against servers predating `CAPS`, and
+//! multi-line uploads that leave in one write.
 
 use commsched_net::frame::{self, BatchOutcome, FrameDecoder};
 use commsched_service::{Client, Server, ServerConfig, ServiceCoreConfig};
@@ -241,6 +242,27 @@ fn client_submit_batch_uses_binary_path() {
     assert!(results[1].is_err());
     assert!(results[2].is_ok());
     assert!(results[0].as_ref().unwrap() < results[2].as_ref().unwrap());
+    handle.shutdown();
+}
+
+/// A topology upload is one request on the wire. Sent line by line on a
+/// socket with Nagle's algorithm on, each upload waited ~40 ms for the
+/// server's delayed ACK: sixteen of them took over 600 ms.
+#[test]
+fn topology_uploads_do_not_stall_on_delayed_acks() {
+    let handle = spawn_server(16);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let topo = commsched_topology::designed::ring(16, 1);
+    let started = std::time::Instant::now();
+    for _ in 0..16 {
+        let fp = client.add_topology(&topo).expect("upload");
+        assert_eq!(fp, topo.fingerprint());
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(200),
+        "16 uploads took {took:?}"
+    );
     handle.shutdown();
 }
 

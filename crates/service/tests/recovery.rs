@@ -8,11 +8,21 @@
 //! finished job may run again, and every restored distance table must
 //! be bit-identical to the one the crashed core computed. With the WAL
 //! intact, nothing is lost at all.
+//!
+//! Distance tables live outside the log, one spill file each under
+//! `tables/`: the second half of this file damages those files every
+//! way a crash or an operator can, and checks that the cost is a
+//! rebuild, never an error, and that the directory stays as small as
+//! the cache.
 
 use commsched_distance::table_to_text;
 use commsched_dynamics::FaultEvent;
 use commsched_service::cache::{RoutingSpec, TableSpec};
-use commsched_service::persist::WAL_FILE;
+use commsched_service::persist::state::{record_cache, record_topo};
+use commsched_service::persist::tables::{file_name, TABLES_DIR};
+use commsched_service::persist::wal::{encode_frame, WalWriter, FRAME_HEADER_BYTES};
+use commsched_service::persist::{ReplicationSink, WalTap, SNAPSHOT_FILE, WAL_FILE};
+use commsched_service::protocol::format_fingerprint;
 use commsched_service::{
     Client, JobKind, JobSpec, JobState, PersistOptions, Server, ServiceCore, ServiceCoreConfig,
     TopoRef,
@@ -21,7 +31,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -58,6 +68,33 @@ fn drain_with_worker(core: &Arc<ServiceCore>) {
     };
     core.drain();
     worker.join().expect("worker");
+}
+
+/// Names of the files under `dir/tables/`, sorted.
+fn table_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir.join(TABLES_DIR))
+        .expect("tables dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8")
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// The spill-file names of everything `core` has cached, sorted.
+fn cached_file_names(core: &ServiceCore) -> Vec<String> {
+    let mut names: Vec<String> = core
+        .cache
+        .ready_entries()
+        .into_iter()
+        .map(|(key, _)| file_name(key))
+        .collect();
+    names.sort();
+    names
 }
 
 /// Everything observable about a finished workload, captured before the
@@ -152,15 +189,19 @@ fn run_workload(dir: &Path, seed: u64) -> GroundTruth {
     // `core` drops here without any shutdown hook: the crash.
 }
 
-/// Copy `src`'s snapshot + WAL into a scratch directory, truncating the
-/// WAL to `wal_len` bytes.
+/// Copy `src`'s snapshot, WAL and table files into a scratch directory,
+/// truncating the WAL to `wal_len` bytes.
 fn crashed_copy(src: &Path, dst: &Path, wal_len: u64) -> std::io::Result<()> {
     let _ = std::fs::remove_dir_all(dst);
-    std::fs::create_dir_all(dst)?;
-    for name in ["snapshot", WAL_FILE] {
+    std::fs::create_dir_all(dst.join(TABLES_DIR))?;
+    for name in [SNAPSHOT_FILE, WAL_FILE] {
         if src.join(name).exists() {
             std::fs::copy(src.join(name), dst.join(name))?;
         }
+    }
+    for name in table_files(src) {
+        let name = Path::new(TABLES_DIR).join(name);
+        std::fs::copy(src.join(&name), dst.join(&name))?;
     }
     let wal = std::fs::OpenOptions::new()
         .write(true)
@@ -209,10 +250,13 @@ fn check_recovery(dir: &Path, truth: &GroundTruth, wal_len: u64) {
                 "table {key:?} at wal_len {wal_len}"
             );
         }
-        // Keys absent from the crash-time snapshot can legitimately
-        // restore (e.g. a pre-fault entry whose record precedes the
-        // truncation point); their bits have no ground truth here.
+        // A table restores from its spill file whenever the WAL prefix
+        // still registers its topology; every file on disk belongs to a
+        // crash-time entry, so each restored key has ground truth.
+        assert!(truth.tables.contains_key(&key), "invented table {key:?}");
     }
+    assert_eq!(report.restored_tables, core.cache.len());
+    assert_eq!(table_files(dir), cached_file_names(&core));
 
     // Re-running the recovered queue executes each requeued job exactly
     // once and leaves every recovered-finished job untouched.
@@ -262,7 +306,7 @@ fn truncated_wal_recovery_never_invents_or_repeats_work() {
 
         // With the WAL intact, recovery is lossless: every acked job is
         // present in its exact final state and every crash-time table
-        // restores.
+        // restores from its spill file.
         crashed_copy(&base, &scratch, wal_len).expect("copy state dir");
         let (core, report) = durable_core(&scratch);
         assert_eq!(report.recovered_jobs, 0, "all jobs finished before crash");
@@ -306,6 +350,12 @@ fn snapshot_request_compacts_and_state_survives_server_restart() {
             client.wait(job, Duration::from_millis(10)).expect("wait"),
             "done"
         );
+        // The job's table went to its spill file, and both views of the
+        // registry say so.
+        assert_eq!(client.stat_u64("table_spills").expect("stats"), Some(1));
+        assert!(client.stat_u64("table_spill_bytes").expect("stats") > Some(0));
+        let metrics = client.metrics().expect("metrics");
+        assert!(metrics.contains(&"service_table_spills_total 1".to_string()));
         let ack = client.snapshot().expect("snapshot");
         assert!(
             ack.starts_with("snapshot "),
@@ -329,6 +379,11 @@ fn snapshot_request_compacts_and_state_survives_server_restart() {
         let handle = Server::bind_with_core("127.0.0.1:0", 1, core).expect("bind");
         let mut client = Client::connect(handle.addr()).expect("connect");
         assert_eq!(client.status(1).expect("status"), "done");
+        assert_eq!(client.stat_u64("table_restores").expect("stats"), Some(1));
+        assert_eq!(client.stat_u64("table_spills").expect("stats"), Some(0));
+        let metrics = client.metrics().expect("metrics");
+        assert!(metrics.contains(&"service_table_restores_total 1".to_string()));
+        assert!(metrics.contains(&"service_table_spill_errors_total 0".to_string()));
         let lines = client.result(1).expect("recovered result");
         assert!(
             lines.iter().any(|l| l.starts_with("partition ")),
@@ -345,5 +400,329 @@ fn snapshot_request_compacts_and_state_survives_server_restart() {
         client.shutdown().expect("shutdown");
         handle.join();
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn schedule_on(fp: u64, clusters: usize, seed: u64) -> JobSpec {
+    JobSpec {
+        topo: TopoRef::Registered(fp),
+        kind: JobKind::Schedule { clusters, seed },
+        ..JobSpec::default()
+    }
+}
+
+/// A crashed state directory with three cached tables (rings of 6, 8
+/// and 10 switches), and what the crashed core held.
+fn three_table_state(dir: &Path) -> (Vec<u64>, GroundTruth) {
+    let (core, _) = durable_core(dir);
+    let mut fps = Vec::new();
+    let mut max_id = 0;
+    for switches in [6, 8, 10] {
+        let (fp, _) = core.register_topology(commsched_topology::designed::ring(switches, 1));
+        max_id = core.submit(schedule_on(fp, 2, 1)).expect("submit");
+        fps.push(fp);
+    }
+    drain_with_worker(&core);
+    let truth = capture(&core, max_id);
+    assert_eq!(truth.tables.len(), 3);
+    assert_eq!(table_files(dir), cached_file_names(&core));
+    assert_eq!(core.stats.table_spills(), 3);
+    (fps, truth)
+}
+
+#[test]
+fn damaged_spill_files_cost_a_rebuild_never_an_error() {
+    let base = temp_dir("spill");
+    let scratch = temp_dir("spill-scratch");
+    let (fps, truth) = three_table_state(&base);
+    let wal_len = std::fs::metadata(base.join(WAL_FILE)).expect("wal").len();
+    let victim_key = (fps[1], RoutingSpec::UpDown { root: 0 }, TableSpec::Exact);
+    let victim = Path::new(TABLES_DIR).join(file_name(victim_key));
+    let intact = std::fs::read(base.join(&victim)).expect("victim file");
+    let mut rng = StdRng::seed_from_u64(0x5b111);
+
+    // Each case: a file under the copy and its new content (`None`
+    // deletes it), how many files recovery must then reject, and whether
+    // the victim's table must survive.
+    type Case = (&'static str, PathBuf, Option<Vec<u8>>, u64, bool);
+    let mut cases: Vec<Case> = Vec::new();
+    for _ in 0..4 {
+        let cut = rng.gen_range(0..intact.len());
+        let bytes = intact[..cut].to_vec();
+        cases.push(("truncated", victim.clone(), Some(bytes), 1, false));
+    }
+    for _ in 0..4 {
+        let mut bytes = intact.clone();
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] ^= 1 << rng.gen_range(0..8_u32);
+        cases.push(("flipped bit", victim.clone(), Some(bytes), 1, false));
+    }
+    cases.push(("deleted", victim.clone(), None, 0, false));
+    let half = intact[..intact.len() / 2].to_vec();
+    let tmp = victim.with_extension("tbl.tmp");
+    cases.push(("stray tmp", tmp, Some(half), 0, true));
+    {
+        // A well-formed table filed under a fingerprint nobody registered.
+        let orphan_key = (0xdead_beef_u64, victim_key.1, victim_key.2);
+        let record = std::str::from_utf8(&intact[FRAME_HEADER_BYTES as usize..])
+            .expect("utf-8 record")
+            .replacen(
+                &format_fingerprint(victim_key.0),
+                &format_fingerprint(orphan_key.0),
+                1,
+            );
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, record.as_bytes()).unwrap();
+        let orphan = Path::new(TABLES_DIR).join(file_name(orphan_key));
+        cases.push(("unregistered fingerprint", orphan, Some(frame), 1, true));
+    }
+
+    for (what, file, content, rejected, victim_survives) in cases {
+        crashed_copy(&base, &scratch, wal_len).expect("copy state dir");
+        match content {
+            Some(bytes) => std::fs::write(scratch.join(&file), bytes).expect("damage file"),
+            None => std::fs::remove_file(scratch.join(&file)).expect("delete file"),
+        }
+        let (core, report) = durable_core(&scratch);
+        let restored: HashMap<_, _> = core
+            .cache
+            .ready_entries()
+            .into_iter()
+            .map(|(key, value)| (key, table_to_text(&value.table)))
+            .collect();
+        assert_eq!(
+            restored.contains_key(&victim_key),
+            victim_survives,
+            "{what}"
+        );
+        for (key, text) in &restored {
+            assert_eq!(
+                Some(text),
+                truth.tables.get(key),
+                "{what}: {key:?} not bit-exact"
+            );
+        }
+        let expected = if victim_survives { 3 } else { 2 };
+        assert_eq!(report.restored_tables, expected, "{what}: {report:?}");
+        assert_eq!(core.stats.table_restores(), expected as u64, "{what}");
+        assert_eq!(core.stats.table_spill_errors(), rejected, "{what}");
+        // Whatever was wrong with the directory is gone after recovery.
+        assert_eq!(table_files(&scratch), cached_file_names(&core), "{what}");
+
+        // The lost table rebuilds on first use (exactly one miss), bit
+        // for bit, and gets its file back.
+        core.submit(schedule_on(victim_key.0, 2, 9))
+            .expect("submit");
+        drain_with_worker(&core);
+        assert_eq!(core.stats.completed(), 1, "{what}");
+        assert_eq!(core.cache.misses(), u64::from(!victim_survives), "{what}");
+        let rebuilt = core
+            .cache
+            .ready_entries()
+            .into_iter()
+            .find(|(key, _)| *key == victim_key)
+            .expect("victim cached after its job");
+        assert_eq!(
+            table_to_text(&rebuilt.1.table),
+            truth.tables[&victim_key],
+            "{what}"
+        );
+        assert_eq!(table_files(&scratch).len(), 3, "{what}");
+        assert_eq!(
+            std::fs::read(scratch.join(&victim)).unwrap(),
+            intact,
+            "{what}"
+        );
+    }
+
+    // Restored tables are the crashed core's, bit for bit, so a fault
+    // after the restart repairs incrementally instead of rebuilding.
+    crashed_copy(&base, &scratch, wal_len).expect("copy state dir");
+    let (core, _) = durable_core(&scratch);
+    let lines = core
+        .fault(
+            TopoRef::Registered(victim_key.0),
+            &FaultEvent::LinkDown { a: 0, b: 1 },
+        )
+        .expect("fault");
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.starts_with("repair updown:0 pairs ")),
+        "post-restart fault must take the repair path: {lines:?}"
+    );
+    assert_eq!(core.cache.misses(), 1, "the repair is the only build");
+    let _ = std::fs::remove_dir_all(&base);
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+#[test]
+fn spill_directory_never_outgrows_the_cache() {
+    let dir = temp_dir("bounded");
+    let cap = 4;
+    let (core, _) = ServiceCore::recover(
+        ServiceCoreConfig {
+            cache_capacity: cap,
+            ..small_config()
+        },
+        PersistOptions::new(&dir),
+    )
+    .expect("recover");
+    let core = Arc::new(core);
+    // 3 x cap cold builds, raced by two workers.
+    for k in 0..3 * cap {
+        let ring = TopoRef::Ring {
+            switches: 4 + 2 * k,
+            hosts: 1,
+        };
+        core.submit(JobSpec {
+            topo: ring,
+            kind: JobKind::Schedule {
+                clusters: 2,
+                seed: 1,
+            },
+            ..JobSpec::default()
+        })
+        .expect("submit");
+    }
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || core.worker_loop())
+        })
+        .collect();
+    // Quiescent once every job is done; then fault a cached topology.
+    while core.stats.completed() < 3 * cap as u64 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(core.cache.misses(), 3 * cap as u64);
+    let (stale_fp, ..) = core.cache.ready_entries()[0].0;
+    core.fault(
+        TopoRef::Registered(stale_fp),
+        &FaultEvent::LinkDown { a: 0, b: 1 },
+    )
+    .expect("fault");
+    core.drain();
+    for w in workers {
+        w.join().expect("worker");
+    }
+
+    let files = table_files(&dir);
+    assert_eq!(files, cached_file_names(&core), "directory != cache");
+    assert_eq!(files.len(), cap);
+    assert!(
+        files.iter().all(|f| f.ends_with(".tbl")),
+        "files: {files:?}"
+    );
+    let stale = format_fingerprint(stale_fp);
+    assert!(
+        !files.iter().any(|f| f.starts_with(&stale)),
+        "stale {stale} still has a file: {files:?}"
+    );
+    assert_eq!(core.stats.table_spill_errors(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Collects every record a replication sink is handed.
+#[derive(Default)]
+struct Recorder(Mutex<Vec<String>>);
+
+impl WalTap for Recorder {
+    fn record(&self, payload: &[u8]) {
+        let text = String::from_utf8(payload.to_vec()).expect("utf-8 record");
+        self.0.lock().unwrap().push(text);
+    }
+}
+
+impl ReplicationSink for Recorder {
+    fn barrier(&self) {}
+}
+
+#[test]
+fn snapshots_and_the_replication_stream_carry_no_table_bodies() {
+    let dir = temp_dir("small-snapshot");
+    let (core, _) = durable_core(&dir);
+    // Eight N=128 tables: 1.7 MB of table text that used to ride in
+    // every snapshot.
+    for seed in 0..8_u64 {
+        let topo = commsched_topology::random_regular(
+            commsched_topology::RandomTopologyConfig::paper(128),
+            &mut StdRng::seed_from_u64(seed),
+        )
+        .expect("random topology");
+        let (fp, _) = core.register_topology(topo);
+        let id = core
+            .submit(JobSpec {
+                strategy: commsched_search::MapStrategy::Multilevel,
+                ..schedule_on(fp, 8, seed)
+            })
+            .expect("submit");
+        assert!(id > 0);
+    }
+    drain_with_worker(&core);
+    assert_eq!(core.stats.completed(), 8);
+    assert_eq!(core.cache.len(), 8);
+    assert_eq!(table_files(&dir).len(), 8);
+
+    // The replication seed is exactly `snapshot_records()`, and the
+    // tap then sees every appended record.
+    let sink = Arc::new(Recorder::default());
+    core.set_replication(Arc::clone(&sink) as Arc<dyn ReplicationSink>)
+        .expect("set replication");
+    let bytes = core.snapshot_now().expect("snapshot");
+    assert!(bytes < 64 * 1024, "snapshot image is {bytes} bytes");
+    let on_disk = core
+        .persistence()
+        .expect("durable core")
+        .load_snapshot()
+        .expect("load snapshot")
+        .expect("snapshot exists");
+    let seeded = sink.0.lock().unwrap().clone();
+    assert!(seeded.iter().any(|r| r.starts_with("topo")));
+    for record in seeded.iter().chain(&on_disk) {
+        assert!(!record.starts_with("cache"), "table body in a log record");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn legacy_in_log_cache_records_are_spilled_then_dropped() {
+    let dir = temp_dir("legacy");
+    // A state directory as an older daemon left it: the table rides in
+    // the WAL, and there is no tables/ directory at all.
+    let topo = commsched_topology::designed::ring(6, 1);
+    let fp = topo.fingerprint();
+    let routing = commsched_routing::UpDownRouting::new(&topo, 0).expect("routing");
+    let table = commsched_distance::equivalent_distance_table(&topo, &routing).expect("table");
+    let key = (fp, RoutingSpec::UpDown { root: 0 }, TableSpec::Exact);
+    std::fs::create_dir_all(&dir).unwrap();
+    {
+        let mut wal = WalWriter::open(&dir.join(WAL_FILE)).expect("open wal");
+        wal.append(record_topo(&topo).as_bytes(), true).unwrap();
+        let record = record_cache(fp, key.1, key.2, &table, None);
+        wal.append(record.as_bytes(), false).unwrap();
+    }
+    let (core, report) = durable_core(&dir);
+    assert_eq!(report.restored_tables, 1, "report: {report:?}");
+    assert_eq!(table_files(&dir), vec![file_name(key)]);
+    let snapshot = core
+        .persistence()
+        .expect("durable core")
+        .load_snapshot()
+        .expect("load snapshot")
+        .expect("post-recovery snapshot");
+    assert!(!snapshot.iter().any(|r| r.starts_with("cache")));
+    drop(core);
+
+    // The next start restores the same bits from the file alone.
+    let (core, report) = durable_core(&dir);
+    assert_eq!(report.restored_tables, 1, "report: {report:?}");
+    assert_eq!(
+        core.stats.table_spills(),
+        0,
+        "an intact file is not rewritten"
+    );
+    let (_, restored) = &core.cache.ready_entries()[0];
+    assert_eq!(table_to_text(&restored.table), table_to_text(&table));
     let _ = std::fs::remove_dir_all(&dir);
 }
