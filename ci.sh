@@ -6,6 +6,41 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# Poll <log> (up to 30 s) for a line containing <pattern>; print the
+# rest of that line.
+wait_for_log() {
+    for _ in $(seq 1 300); do
+        rest=$(sed -n "s/^.*$2//p" "$1" | head -n 1)
+        if [ -n "$rest" ]; then
+            echo "$rest"
+            return 0
+        fi
+        sleep 0.1
+    done
+    return 1
+}
+
+# Wait until the daemon writing <log> has printed its client address
+# after <pattern> (default: `serve`'s line) and answers `metrics` there;
+# print the address.
+wait_for_daemon() {
+    addr=$(wait_for_log "$1" "${2:-commsched-service listening on }") || return 1
+    for _ in $(seq 1 300); do
+        if ./target/release/commsched metrics --server "$addr" >/dev/null 2>&1; then
+            echo "$addr"
+            return 0
+        fi
+        sleep 0.1
+    done
+    return 1
+}
+
+# SIGKILL a background daemon (already gone is fine) and reap it.
+stop_daemon() {
+    kill -9 "$1" 2>/dev/null || true
+    wait "$1" 2>/dev/null || true
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -64,16 +99,8 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 ./target/release/commsched serve --addr 127.0.0.1:0 --workers 1 \
     --state-dir "$SMOKE_DIR/state" >"$SMOKE_DIR/serve1.log" 2>&1 &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^commsched-service listening on //p' "$SMOKE_DIR/serve1.log")
-    if [ -n "$ADDR" ] && ./target/release/commsched metrics --server "$ADDR" >/dev/null 2>&1; then
-        break
-    fi
-    ADDR=""
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "recovery smoke: first server never came up"; cat "$SMOKE_DIR/serve1.log"; exit 1; }
+ADDR=$(wait_for_daemon "$SMOKE_DIR/serve1.log") \
+    || { echo "recovery smoke: first server never came up"; cat "$SMOKE_DIR/serve1.log"; exit 1; }
 # Register a topology and schedule on it to completion: its distance
 # table is then cached and spilled to <state-dir>/tables/.
 ./target/release/commsched topology --kind ring --switches 8 --hosts 1 \
@@ -86,21 +113,12 @@ ls "$SMOKE_DIR/state/tables"/*.tbl >/dev/null 2>&1 \
     || { echo "recovery smoke: no spill file after a table build"; ls -la "$SMOKE_DIR/state" "$SMOKE_DIR/state/tables"; exit 1; }
 ./target/release/commsched submit --server "$ADDR" --kind ring --switches 4 --hosts 1 --clusters 2 | grep -q '^job ' \
     || { echo "recovery smoke: submit failed"; exit 1; }
-kill -9 "$SERVE_PID"
-wait "$SERVE_PID" 2>/dev/null || true
+stop_daemon "$SERVE_PID"
 ./target/release/commsched serve --addr 127.0.0.1:0 --workers 1 \
     --state-dir "$SMOKE_DIR/state" >"$SMOKE_DIR/serve2.log" 2>&1 &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^commsched-service listening on //p' "$SMOKE_DIR/serve2.log")
-    if [ -n "$ADDR" ] && ./target/release/commsched metrics --server "$ADDR" >/dev/null 2>&1; then
-        break
-    fi
-    ADDR=""
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "recovery smoke: restarted server never came up"; cat "$SMOKE_DIR/serve2.log"; exit 1; }
+ADDR=$(wait_for_daemon "$SMOKE_DIR/serve2.log") \
+    || { echo "recovery smoke: restarted server never came up"; cat "$SMOKE_DIR/serve2.log"; exit 1; }
 grep -q '^recovered from ' "$SMOKE_DIR/serve2.log" \
     || { echo "recovery smoke: no recovery line"; cat "$SMOKE_DIR/serve2.log"; exit 1; }
 RESTORED=$(sed -n 's/^recovered from .* \([0-9][0-9]*\) cached tables.*/\1/p' "$SMOKE_DIR/serve2.log")
@@ -112,24 +130,15 @@ RESTORED=$(sed -n 's/^recovered from .* \([0-9][0-9]*\) cached tables.*/\1/p' "$
     || { echo "recovery smoke: job 1 not recovered"; exit 1; }
 ./target/release/commsched status --server "$ADDR" --job 2 | grep -Eq 'queued|running|done' \
     || { echo "recovery smoke: job 2 not recovered"; exit 1; }
-kill -9 "$SERVE_PID" 2>/dev/null || true
-wait "$SERVE_PID" 2>/dev/null || true
+stop_daemon "$SERVE_PID"
 echo "recovery smoke: ok"
 
 echo "==> loadgen smoke (serve -> closed-loop binary batch load -> clean report)"
 ./target/release/commsched serve --addr 127.0.0.1:0 --workers 2 --no-persist \
     --queue-cap 100000 >"$SMOKE_DIR/serve3.log" 2>&1 &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^commsched-service listening on //p' "$SMOKE_DIR/serve3.log")
-    if [ -n "$ADDR" ] && ./target/release/commsched metrics --server "$ADDR" >/dev/null 2>&1; then
-        break
-    fi
-    ADDR=""
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "loadgen smoke: server never came up"; cat "$SMOKE_DIR/serve3.log"; exit 1; }
+ADDR=$(wait_for_daemon "$SMOKE_DIR/serve3.log") \
+    || { echo "loadgen smoke: server never came up"; cat "$SMOKE_DIR/serve3.log"; exit 1; }
 ./target/release/commsched loadgen --server "$ADDR" --connections 32 --rate 0 \
     --max-in-flight 4 --batch 16 --mode binary --duration 1 \
     --out "$SMOKE_DIR/loadgen.json" >/dev/null \
@@ -140,24 +149,15 @@ grep -q '"in_flight_lost":0,' "$SMOKE_DIR/loadgen.json" \
     || { echo "loadgen smoke: lost in-flight requests"; cat "$SMOKE_DIR/loadgen.json"; exit 1; }
 grep -q '"jobs_acked":0,' "$SMOKE_DIR/loadgen.json" \
     && { echo "loadgen smoke: nothing acknowledged"; cat "$SMOKE_DIR/loadgen.json"; exit 1; }
-kill -9 "$SERVE_PID" 2>/dev/null || true
-wait "$SERVE_PID" 2>/dev/null || true
+stop_daemon "$SERVE_PID"
 echo "loadgen smoke: ok"
 
 echo "==> scenario smoke (20s Poisson closed loop vs live daemon: zero misses at low rate, mirror acked)"
 ./target/release/commsched serve --addr 127.0.0.1:0 --workers 2 --no-persist \
     --queue-cap 100000 >"$SMOKE_DIR/serve4.log" 2>&1 &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/^commsched-service listening on //p' "$SMOKE_DIR/serve4.log")
-    if [ -n "$ADDR" ] && ./target/release/commsched metrics --server "$ADDR" >/dev/null 2>&1; then
-        break
-    fi
-    ADDR=""
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "scenario smoke: server never came up"; cat "$SMOKE_DIR/serve4.log"; exit 1; }
+ADDR=$(wait_for_daemon "$SMOKE_DIR/serve4.log") \
+    || { echo "scenario smoke: server never came up"; cat "$SMOKE_DIR/serve4.log"; exit 1; }
 ./target/release/commsched scenario --arrivals poisson:20 --duration 20 --seed 7 \
     --migration threshold:0.1 --server "$ADDR" >"$SMOKE_DIR/scenario.out" \
     || { echo "scenario smoke: run failed"; cat "$SMOKE_DIR/scenario.out"; exit 1; }
@@ -167,8 +167,7 @@ grep -q '^slo deadline .* miss=0 ' "$SMOKE_DIR/scenario.out" \
     || { echo "scenario smoke: deadline misses at low rate"; cat "$SMOKE_DIR/scenario.out"; exit 1; }
 grep -q '^daemon mirror: ' "$SMOKE_DIR/scenario.out" \
     || { echo "scenario smoke: no daemon mirror line"; cat "$SMOKE_DIR/scenario.out"; exit 1; }
-kill -9 "$SERVE_PID" 2>/dev/null || true
-wait "$SERVE_PID" 2>/dev/null || true
+stop_daemon "$SERVE_PID"
 echo "scenario smoke: ok"
 
 echo "==> cluster failover smoke (primary + standby -> submit -> SIGKILL primary -> promoted node serves)"
@@ -177,64 +176,38 @@ echo "==> cluster failover smoke (primary + standby -> submit -> SIGKILL primary
 ./target/release/commsched serve --addr 127.0.0.1:0 --workers 1 --no-persist \
     >"$SMOKE_DIR/reserve.log" 2>&1 &
 RESERVE_PID=$!
-CLUSTER_ADDR=""
-for _ in $(seq 1 100); do
-    CLUSTER_ADDR=$(sed -n 's/^commsched-service listening on //p' "$SMOKE_DIR/reserve.log")
-    [ -n "$CLUSTER_ADDR" ] && break
-    sleep 0.1
-done
-kill -9 "$RESERVE_PID" 2>/dev/null || true
-wait "$RESERVE_PID" 2>/dev/null || true
+CLUSTER_ADDR=$(wait_for_daemon "$SMOKE_DIR/reserve.log") || CLUSTER_ADDR=""
+stop_daemon "$RESERVE_PID"
 [ -n "$CLUSTER_ADDR" ] || { echo "cluster smoke: could not reserve a port"; exit 1; }
 ./target/release/commsched cluster --node-id 0 --members "0=$CLUSTER_ADDR" \
     --state-dir "$SMOKE_DIR/cluster-primary" --repl sync --repl-listen 127.0.0.1:0 \
     >"$SMOKE_DIR/cluster1.log" 2>&1 &
 PRIMARY_PID=$!
-REPL_ADDR=""
-for _ in $(seq 1 100); do
-    REPL_ADDR=$(sed -n 's/^replication listening on //p' "$SMOKE_DIR/cluster1.log")
-    if [ -n "$REPL_ADDR" ] && grep -q 'primary listening on ' "$SMOKE_DIR/cluster1.log" \
-        && ./target/release/commsched metrics --server "$CLUSTER_ADDR" >/dev/null 2>&1; then
-        break
-    fi
-    REPL_ADDR=""
-    sleep 0.1
-done
-[ -n "$REPL_ADDR" ] || { echo "cluster smoke: primary never came up"; cat "$SMOKE_DIR/cluster1.log"; exit 1; }
+# The replication line is printed before the `primary listening on` one.
+wait_for_daemon "$SMOKE_DIR/cluster1.log" 'primary listening on ' >/dev/null \
+    && REPL_ADDR=$(sed -n 's/^replication listening on //p' "$SMOKE_DIR/cluster1.log") \
+    && [ -n "$REPL_ADDR" ] \
+    || { echo "cluster smoke: primary never came up"; cat "$SMOKE_DIR/cluster1.log"; exit 1; }
 ./target/release/commsched cluster --node-id 0 --members "0=$CLUSTER_ADDR" \
     --state-dir "$SMOKE_DIR/cluster-standby" --repl sync --follow "$REPL_ADDR" \
     >"$SMOKE_DIR/cluster2.log" 2>&1 &
 STANDBY_PID=$!
-for _ in $(seq 1 100); do
-    grep -q ' following ' "$SMOKE_DIR/cluster2.log" && break
-    sleep 0.1
-done
-grep -q ' following ' "$SMOKE_DIR/cluster2.log" \
+wait_for_log "$SMOKE_DIR/cluster2.log" ' following ' >/dev/null \
     || { echo "cluster smoke: standby never started following"; cat "$SMOKE_DIR/cluster2.log"; exit 1; }
 for _ in 1 2 3; do
     ./target/release/commsched submit --server "$CLUSTER_ADDR" --kind ring --switches 4 --hosts 1 --clusters 2 | grep -q '^job ' \
         || { echo "cluster smoke: submit to primary failed"; exit 1; }
 done
-kill -9 "$PRIMARY_PID"
-wait "$PRIMARY_PID" 2>/dev/null || true
-PROMOTED=""
-for _ in $(seq 1 300); do
-    if grep -q 'promoted, listening on ' "$SMOKE_DIR/cluster2.log" \
-        && ./target/release/commsched metrics --server "$CLUSTER_ADDR" >/dev/null 2>&1; then
-        PROMOTED=yes
-        break
-    fi
-    sleep 0.1
-done
-[ -n "$PROMOTED" ] || { echo "cluster smoke: standby never promoted"; cat "$SMOKE_DIR/cluster2.log"; exit 1; }
+stop_daemon "$PRIMARY_PID"
+wait_for_daemon "$SMOKE_DIR/cluster2.log" 'promoted, listening on ' >/dev/null \
+    || { echo "cluster smoke: standby never promoted"; cat "$SMOKE_DIR/cluster2.log"; exit 1; }
 # Acked-means-replicated: every job submitted to the dead primary must
 # be visible on the promoted node.
 for JOB in 1 2 3; do
     ./target/release/commsched status --server "$CLUSTER_ADDR" --job "$JOB" | grep -Eq 'queued|running|done' \
         || { echo "cluster smoke: job $JOB lost in failover"; exit 1; }
 done
-kill -9 "$STANDBY_PID" 2>/dev/null || true
-wait "$STANDBY_PID" 2>/dev/null || true
+stop_daemon "$STANDBY_PID"
 echo "cluster failover smoke: ok"
 
 echo "==> benchmark harness unit tests (the pinned surface still compiles)"

@@ -490,7 +490,7 @@ fn net_daemon(fsync: FsyncPolicy, tag: &str) -> (ServerHandle, std::path::PathBu
         ..NetConfig::default()
     };
     let handle =
-        Server::bind_with_core_config("127.0.0.1:0", 2, net, Arc::new(core)).expect("bind daemon");
+        Server::bind_with_core("127.0.0.1:0", 2, net, Arc::new(core), None).expect("bind daemon");
     (handle, dir)
 }
 

@@ -322,7 +322,7 @@ fn start_as(
 
     let deadline = Instant::now() + Duration::from_secs(10);
     let handle = loop {
-        match Server::bind_with_hooks(
+        match Server::bind_with_core(
             client_addr,
             config.workers,
             config.net,

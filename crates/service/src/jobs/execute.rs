@@ -1,0 +1,374 @@
+//! Running one job: the routing + distance table it needs (cached,
+//! built, or repaired after a fault), the search, and the optional
+//! simulation sweep.
+
+use super::ServiceCore;
+use crate::cache::{RoutedTable, RoutingSpec, TableSpec};
+use crate::protocol::{JobKind, JobSpec};
+use commsched_core::{quality, ProcessMapping, Workload};
+use commsched_distance::{equivalent_distance_table_with_report, SolverKind, TableOptions};
+use commsched_dynamics::{repair_table, RepairReport, TopologyEpoch};
+use commsched_netsim::{paper_sweep, SimConfig, SweepConfig};
+use commsched_routing::{Routing, ShortestPathRouting, UpDownRouting};
+use commsched_search::{
+    multilevel_map, parallel_multi_seed, MapStrategy, MultilevelParams, TabuParams, TabuSearch,
+};
+use commsched_topology::Topology;
+use std::sync::Arc;
+
+/// Build the routing implementation a [`RoutingSpec`] names, for
+/// `topo`. Shared by cache builds, fault repairs, and recovery's
+/// bit-exact cache restoration.
+pub(super) fn build_routing(
+    topo: &Topology,
+    spec: RoutingSpec,
+) -> Result<Box<dyn Routing>, String> {
+    Ok(match spec {
+        RoutingSpec::UpDown { root } => {
+            Box::new(UpDownRouting::new(topo, root).map_err(|e| e.to_string())?)
+        }
+        RoutingSpec::ShortestPath => {
+            Box::new(ShortestPathRouting::new(topo).map_err(|e| e.to_string())?)
+        }
+    })
+}
+
+impl ServiceCore {
+    /// The cached routing + distance table for a topology, under the
+    /// given solver spec (exact, or the certified approximation).
+    fn routed_table(
+        &self,
+        topo: &Arc<Topology>,
+        routing: RoutingSpec,
+        tspec: TableSpec,
+    ) -> Result<Arc<RoutedTable>, String> {
+        let key = (topo.fingerprint(), routing, tspec);
+        let topo_for_build = Arc::clone(topo);
+        let threads = self.config.table_threads;
+        // The flag is set inside the closure, which only the winning
+        // builder runs — threads served from the cache (or by waiting on
+        // a concurrent build) must not spill the entry again.
+        let mut built = false;
+        let built_flag = &mut built;
+        let value = self.cache.get_or_build(key, move || {
+            let routing_impl = build_routing(&topo_for_build, routing)?;
+            let options = match tspec {
+                TableSpec::Exact => TableOptions {
+                    threads,
+                    ..TableOptions::default()
+                },
+                TableSpec::Approx { eps_micros } => TableOptions {
+                    solver: SolverKind::Approximate,
+                    approx_eps_micros: eps_micros,
+                    threads,
+                    ..TableOptions::default()
+                },
+            };
+            let (table, approx) = equivalent_distance_table_with_report(
+                &topo_for_build,
+                routing_impl.as_ref(),
+                options,
+            )
+            .map_err(|e| e.to_string())?;
+            *built_flag = true;
+            Ok(RoutedTable {
+                routing: routing_impl,
+                table: table.into_shared(),
+                approx,
+            })
+        })?;
+        if built {
+            self.spill_tables();
+        }
+        Ok(value)
+    }
+
+    /// Rebuild the invalidated `(new fingerprint, spec)` cache entry by
+    /// incrementally repairing the stale table instead of re-solving the
+    /// whole network, reusing the core's cross-epoch memo. Returns the
+    /// repair report (`None` when a concurrent request built the entry
+    /// first and the closure never ran).
+    pub(super) fn refresh_entry(
+        &self,
+        old_topo: &Arc<Topology>,
+        next: &TopologyEpoch,
+        spec: RoutingSpec,
+        stale: &Arc<RoutedTable>,
+    ) -> Result<Option<RepairReport>, String> {
+        let topo = Arc::clone(&next.topology);
+        let old_topo = Arc::clone(old_topo);
+        let threads = self.config.table_threads;
+        let mut report = None;
+        let report_slot = &mut report;
+        let key = (next.fingerprint, spec, TableSpec::Exact);
+        self.cache.get_or_build(key, move || {
+            let routing = build_routing(&topo, spec)?;
+            let mut memo = self.repair_memo.lock().expect("repair memo lock");
+            let (table, rep) = repair_table(
+                &stale.table,
+                &old_topo,
+                stale.routing.as_ref(),
+                &topo,
+                routing.as_ref(),
+                TableOptions {
+                    threads,
+                    ..TableOptions::default()
+                },
+                &mut memo,
+            )
+            .map_err(|e| e.to_string())?;
+            *report_slot = Some(rep);
+            Ok(RoutedTable {
+                routing,
+                table: table.into_shared(),
+                approx: None,
+            })
+        })?;
+        Ok(report)
+    }
+
+    /// Run one job to completion, returning the `RESULT` payload lines.
+    pub(super) fn execute(&self, spec: JobSpec) -> Result<Vec<String>, String> {
+        let (clusters, seed) = match spec.kind {
+            // NOOP completes without resolving anything: it exists so
+            // load generators measure the protocol/queue/WAL path, not
+            // the solver.
+            JobKind::Noop => return Ok(vec!["noop".to_string()]),
+            JobKind::Schedule { clusters, seed } | JobKind::Sweep { clusters, seed, .. } => {
+                (clusters, seed)
+            }
+        };
+        let topo = self.resolve_topology(spec.topo)?;
+        let tspec = TableSpec::from_eps_micros(spec.approx_eps_micros);
+        let routed = self.routed_table(&topo, spec.routing, tspec)?;
+        if let Some(rep) = &routed.approx {
+            self.stats.note_approx_err_max(rep.err_max);
+        }
+        let workload = Workload::balanced(&topo, clusters).map_err(|e| e.to_string())?;
+        let sizes = workload.switch_demands(topo.hosts_per_switch());
+        let (winning_seed, result, ml) = match spec.strategy {
+            MapStrategy::Flat => {
+                let mapper = TabuSearch::new(TabuParams::scaled(topo.num_switches()));
+                let (winning_seed, result) = parallel_multi_seed(
+                    &mapper,
+                    &routed.table,
+                    &sizes,
+                    seed,
+                    self.config.search_seeds,
+                    self.config.search_threads,
+                );
+                (winning_seed, result, None)
+            }
+            MapStrategy::Multilevel => {
+                let params = MultilevelParams {
+                    threads: self.config.search_threads,
+                    ..MultilevelParams::default()
+                };
+                let (result, stats) = multilevel_map(&routed.table, &sizes, seed, &params);
+                self.stats
+                    .note_multilevel(stats.levels as u64, stats.refine_moves);
+                (seed, result, Some(stats))
+            }
+        };
+        let q = quality(&result.partition, &routed.table);
+        let assignment: Vec<String> = result
+            .partition
+            .assignment()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let mut lines = vec![
+            format!("topology {:016x}", topo.fingerprint()),
+            format!("clusters {}", result.partition.num_clusters()),
+            format!("partition {}", assignment.join(" ")),
+            format!("fg {:.9}", q.fg),
+            format!("dg {:.9}", q.dg),
+            format!("cc {:.9}", q.cc),
+            format!("winning_seed {winning_seed}"),
+            format!("strategy {}", spec.strategy),
+        ];
+        if let Some(stats) = ml {
+            lines.push(format!("ml_levels {}", stats.levels));
+            lines.push(format!("ml_coarse_n {}", stats.coarse_n));
+            lines.push(format!("ml_refine_moves {}", stats.refine_moves));
+        }
+        if let Some(rep) = &routed.approx {
+            lines.push(format!("approx_eps {:.6}", rep.eps));
+            lines.push(format!("approx_err_max {:.9e}", rep.err_max));
+            lines.push(format!(
+                "approx_pairs {} escalated {}",
+                rep.pairs_approximated, rep.pairs_escalated
+            ));
+        }
+        if let JobKind::Sweep { points, .. } = spec.kind {
+            let mapping = ProcessMapping::place(&topo, &workload, &result.partition)
+                .map_err(|e| e.to_string())?;
+            // Short windows keep sweep jobs interactive; the figures
+            // binaries remain the place for publication-length runs.
+            let sim = SimConfig {
+                warmup_cycles: 500,
+                measure_cycles: 3_000,
+                seed: 0xC0FFEE,
+                ..Default::default()
+            };
+            let sweep_cfg = SweepConfig {
+                points,
+                ..Default::default()
+            };
+            let (sweep, sat) = paper_sweep(
+                &topo,
+                routed.routing.as_ref(),
+                mapping.host_clusters(),
+                sim,
+                sweep_cfg,
+            )
+            .map_err(|e| e.to_string())?;
+            lines.push(format!("saturation {sat:.6}"));
+            for p in &sweep.points {
+                // `-` stands in for the average when a point delivered
+                // nothing: a literal NaN on the wire would poison any
+                // client that parses the column numerically.
+                let latency = p
+                    .stats
+                    .network_latency()
+                    .map_or_else(|| "-".to_string(), |l| format!("{l:.2}"));
+                lines.push(format!(
+                    "point {:.6} {:.6} {latency}",
+                    p.rate, p.stats.accepted_flits_per_switch_cycle
+                ));
+            }
+        }
+        Ok(lines)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::{small_core, tiny_spec};
+    use super::*;
+    use crate::jobs::JobState;
+    use crate::protocol::TopoRef;
+
+    #[test]
+    fn failed_job_reports_error() {
+        let core = small_core(4);
+        // 4 switches cannot host 3 equal clusters of hosts: workload
+        // construction fails inside the worker.
+        let bad = JobSpec {
+            kind: JobKind::Schedule {
+                clusters: 3,
+                seed: 1,
+            },
+            ..tiny_spec(1)
+        };
+        let id = core.submit(bad).unwrap();
+        let worker = {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || core.worker_loop())
+        };
+        core.drain();
+        worker.join().unwrap();
+        assert_eq!(core.status(id), Some(JobState::Failed));
+        assert!(core.result_lines(id).unwrap_err().starts_with("job-failed"));
+        assert_eq!(core.stats.failed(), 1);
+    }
+
+    #[test]
+    fn repeated_jobs_hit_the_cache() {
+        let core = small_core(8);
+        for seed in 0..3 {
+            core.submit(tiny_spec(seed)).unwrap();
+        }
+        let worker = {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || core.worker_loop())
+        };
+        core.drain();
+        worker.join().unwrap();
+        assert_eq!(core.cache.misses(), 1);
+        assert_eq!(core.cache.hits(), 2);
+        // All three used the same registered topology.
+        assert_eq!(core.registry.len(), 1);
+    }
+
+    #[test]
+    fn unknown_fingerprint_fails_cleanly() {
+        let core = small_core(4);
+        let id = core
+            .submit(JobSpec {
+                topo: TopoRef::Registered(0xbad),
+                ..tiny_spec(0)
+            })
+            .unwrap();
+        let worker = {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || core.worker_loop())
+        };
+        core.drain();
+        worker.join().unwrap();
+        assert_eq!(core.status(id), Some(JobState::Failed));
+        assert!(core
+            .result_lines(id)
+            .unwrap_err()
+            .contains("unknown-topology"));
+    }
+
+    #[test]
+    fn sweep_job_produces_points() {
+        let core = small_core(4);
+        let id = core
+            .submit(JobSpec {
+                kind: JobKind::Sweep {
+                    clusters: 2,
+                    seed: 1,
+                    points: 3,
+                },
+                ..tiny_spec(1)
+            })
+            .unwrap();
+        let worker = {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || core.worker_loop())
+        };
+        core.drain();
+        worker.join().unwrap();
+        let lines = core.result_lines(id).unwrap();
+        assert!(lines.iter().any(|l| l.starts_with("saturation ")));
+        assert_eq!(lines.iter().filter(|l| l.starts_with("point ")).count(), 3);
+    }
+
+    #[test]
+    fn invalid_ring_spec_fails_cleanly_without_panicking() {
+        let core = small_core(4);
+        // A 2-switch ring used to trip `designed::ring`'s assert inside
+        // the worker and ride out through the catch_unwind backstop as a
+        // `worker-panic`. Shape validation now rejects it as a plain
+        // typed error before anything can panic; the backstop stays as
+        // defense in depth but must not fire here.
+        let bad = core
+            .submit(JobSpec {
+                topo: TopoRef::Ring {
+                    switches: 2,
+                    hosts: 1,
+                },
+                ..tiny_spec(1)
+            })
+            .unwrap();
+        let good = core.submit(tiny_spec(2)).unwrap();
+        let worker = {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || core.worker_loop())
+        };
+        core.drain();
+        worker.join().unwrap();
+        assert_eq!(core.status(bad), Some(JobState::Failed));
+        let err = core.result_lines(bad).unwrap_err();
+        assert!(!err.contains("worker-panic"), "error was: {err}");
+        assert!(err.contains("ring needs at least 3"), "error was: {err}");
+        assert_eq!(core.status(good), Some(JobState::Done));
+        assert_eq!(core.stats.panicked(), 0);
+        assert_eq!(core.stats.failed(), 1);
+        assert_eq!(core.stats.completed(), 1);
+        assert!(core.stats_lines().iter().any(|l| l == "jobs_panicked 0"));
+    }
+}

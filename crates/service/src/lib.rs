@@ -11,20 +11,24 @@
 //!   [`commsched_topology::io`] text format and dedupes them by their
 //!   content [`commsched_topology::Topology::fingerprint`];
 //! * [`cache::DistanceCache`] — an LRU over routing + distance tables
-//!   keyed by `(fingerprint, routing)`, with single-flight semantics so
-//!   concurrent identical requests trigger exactly one resistive solve;
-//! * [`jobs`] — a bounded job queue and worker pool with job-id
-//!   issuance, status polling, cancellation of queued jobs, queue-full
-//!   backpressure, and a graceful drain that finishes every accepted job;
+//!   keyed by `(fingerprint, routing, table-spec)`, with single-flight
+//!   semantics so concurrent identical requests trigger exactly one
+//!   resistive solve;
+//! * [`jobs`] — a bounded job queue and worker pool with one admission
+//!   path (`submit` is a batch of one), job-id issuance, status polling,
+//!   cancellation of queued jobs, queue-full backpressure, and a
+//!   graceful drain that finishes every accepted job;
 //! * [`persist`] — durable state: a checksummed write-ahead log of
-//!   state changes, periodic compacting snapshots, and startup
-//!   recovery that requeues in-flight jobs and restores cached tables
-//!   bit-exactly (`commsched serve --state-dir`);
+//!   state changes, periodic compacting snapshots, one spill file per
+//!   cached table, and startup recovery that requeues in-flight jobs
+//!   and restores cached tables bit-exactly (`commsched serve
+//!   --state-dir`);
 //! * [`stats::ServiceStats`] — counters and latency histograms exposed
 //!   over the `STATS` request;
-//! * [`server`]/[`client`] — a hand-rolled line-based TCP protocol
-//!   (documented in `docs/protocol.md` and [`protocol`]) binding the
-//!   pieces together.
+//! * [`server`]/[`client`] — the TCP front end: one event-loop thread
+//!   (`commsched_net`) serving two codecs, newline-delimited text and
+//!   length-prefixed binary frames, through one request dispatcher
+//!   (grammar in `docs/protocol.md` and [`protocol`]).
 //!
 //! The `commsched` binary front-ends this crate as `commsched serve`,
 //! `commsched submit` and `commsched status`.

@@ -691,7 +691,8 @@ mod tests {
             queue_capacity: 4096,
             ..Default::default()
         };
-        Server::bind_with_core("127.0.0.1:0", 1, Arc::new(ServiceCore::new(core)))
+        let core = Arc::new(ServiceCore::new(core));
+        Server::bind_with_core("127.0.0.1:0", 1, Default::default(), core, None)
             .expect("bind ephemeral")
     }
 

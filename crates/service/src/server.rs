@@ -87,48 +87,18 @@ impl Server {
     /// # Errors
     /// Propagates the bind failure.
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> std::io::Result<ServerHandle> {
-        Self::bind_with_core_config(
-            addr,
-            config.workers,
-            config.net,
-            Arc::new(ServiceCore::new(config.core)),
-        )
+        let core = Arc::new(ServiceCore::new(config.core));
+        Self::bind_with_core(addr, config.workers, config.net, core, None)
     }
 
     /// Bind with an externally constructed core — e.g. one recovered
-    /// from a state directory by [`ServiceCore::recover`] — and default
-    /// event-loop limits.
+    /// from a state directory by [`ServiceCore::recover`] — explicit
+    /// event-loop limits and, on a cluster node, the routing hooks
+    /// consulted before every request is served.
     ///
     /// # Errors
     /// Propagates the bind failure.
     pub fn bind_with_core<A: ToSocketAddrs>(
-        addr: A,
-        workers: usize,
-        core: Arc<ServiceCore>,
-    ) -> std::io::Result<ServerHandle> {
-        Self::bind_with_core_config(addr, workers, NetConfig::default(), core)
-    }
-
-    /// Bind with an externally constructed core and explicit event-loop
-    /// limits.
-    ///
-    /// # Errors
-    /// Propagates the bind failure.
-    pub fn bind_with_core_config<A: ToSocketAddrs>(
-        addr: A,
-        workers: usize,
-        net: NetConfig,
-        core: Arc<ServiceCore>,
-    ) -> std::io::Result<ServerHandle> {
-        Self::bind_with_hooks(addr, workers, net, core, None)
-    }
-
-    /// Bind a cluster node: like [`Self::bind_with_core_config`] plus
-    /// the routing hooks consulted before every request is served.
-    ///
-    /// # Errors
-    /// Propagates the bind failure.
-    pub fn bind_with_hooks<A: ToSocketAddrs>(
         addr: A,
         workers: usize,
         net: NetConfig,
@@ -153,6 +123,7 @@ impl Server {
                     core: Arc::clone(&core),
                     stop: Arc::clone(&stop),
                     hooks,
+                    max_upload_bytes: net.max_frame_payload,
                 };
                 // Poller failures are unrecoverable for the front end;
                 // mark the daemon stopped so handles don't hang.
@@ -243,6 +214,9 @@ struct ServiceHandler {
     core: Arc<ServiceCore>,
     stop: Arc<AtomicBool>,
     hooks: Option<Arc<dyn ClusterHooks>>,
+    /// Cap on the text one line-mode `ADDTOPO` may accumulate: the
+    /// frame payload limit that already bounds a binary upload.
+    max_upload_bytes: usize,
 }
 
 impl ServiceHandler {
@@ -419,6 +393,14 @@ impl Handler for ServiceHandler {
     fn on_line(&mut self, conn: &mut ConnState, line: &str, out: &mut Vec<u8>) -> Action {
         // Mid-upload lines are raw topology text, not requests.
         if let Some(upload) = &mut conn.upload {
+            // The announced line count is the client's word; without a
+            // byte cap it would let one connection grow the daemon's
+            // memory without bound.
+            if upload.text.len() + line.len() + 1 > self.max_upload_bytes {
+                conn.upload = None;
+                queue_lines(out, &["ERR topology-too-large".to_string()]);
+                return Action::Close;
+            }
             upload.text.push_str(line);
             upload.text.push('\n');
             upload.remaining -= 1;

@@ -101,7 +101,8 @@ fn capacity_rejection_is_typed_on_the_wire() {
     let dir = temp_dir("wire");
     let (core, _) = durable_core(&dir);
     let fp = core.register_topology(capped_topology()).0;
-    let handle = Server::bind_with_core("127.0.0.1:0", 1, Arc::new(core)).expect("bind");
+    let handle = Server::bind_with_core("127.0.0.1:0", 1, Default::default(), Arc::new(core), None)
+        .expect("bind");
     let mut client = Client::connect(handle.addr()).expect("connect");
     // A demand no single switch can hold is rejected however idle the
     // network is; the error reaches the client with the `capacity:` tag.

@@ -266,6 +266,49 @@ fn topology_uploads_do_not_stall_on_delayed_acks() {
     handle.shutdown();
 }
 
+/// Line-mode `ADDTOPO <n>` used to trust `n`: a client announcing
+/// `usize::MAX` lines and trickling text grew the daemon's memory
+/// without bound. The accumulated upload now obeys the same
+/// `max_frame_payload` that caps a binary upload.
+#[test]
+fn oversized_line_mode_upload_is_refused_and_closed() {
+    let net = commsched_net::NetConfig {
+        max_frame_payload: 4096,
+        ..Default::default()
+    };
+    let handle = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            net,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut wire = format!("ADDTOPO {}\n", usize::MAX).into_bytes();
+    // Five 1000-byte lines: the fifth crosses the 4096-byte cap.
+    for _ in 0..5 {
+        wire.extend_from_slice(&[b'#'; 1000]);
+        wire.push(b'\n');
+    }
+    stream.write_all(&wire).expect("write");
+    let mut reply = String::new();
+    // `read_to_string` returning proves the server closed the socket.
+    stream.read_to_string(&mut reply).expect("read to close");
+    assert_eq!(reply, "ERR topology-too-large\n");
+    // An upload within the limit still registers.
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let topo = commsched_topology::designed::ring(16, 1);
+    assert_eq!(
+        client.add_topology(&topo).expect("upload"),
+        topo.fingerprint()
+    );
+    handle.shutdown();
+}
+
 /// Against a server that predates `CAPS` (answers `ERR`), the client
 /// transparently falls back to per-line submits on the existing
 /// connection.

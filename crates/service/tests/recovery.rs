@@ -341,7 +341,8 @@ fn snapshot_request_compacts_and_state_survives_server_restart() {
     // compacts the WAL into the snapshot file.
     {
         let (core, _) = durable_core(&dir);
-        let handle = Server::bind_with_core("127.0.0.1:0", 1, core).expect("bind");
+        let handle =
+            Server::bind_with_core("127.0.0.1:0", 1, Default::default(), core, None).expect("bind");
         let mut client = Client::connect(handle.addr()).expect("connect");
         let job = client
             .submit_raw("SCHEDULE topo=ring:4:1 clusters=2 seed=7")
@@ -376,7 +377,8 @@ fn snapshot_request_compacts_and_state_survives_server_restart() {
     {
         let (core, report) = durable_core(&dir);
         assert!(report.snapshot_records > 0, "report: {report:?}");
-        let handle = Server::bind_with_core("127.0.0.1:0", 1, core).expect("bind");
+        let handle =
+            Server::bind_with_core("127.0.0.1:0", 1, Default::default(), core, None).expect("bind");
         let mut client = Client::connect(handle.addr()).expect("connect");
         assert_eq!(client.status(1).expect("status"), "done");
         assert_eq!(client.stat_u64("table_restores").expect("stats"), Some(1));

@@ -1,81 +1,77 @@
 //! Online scheduling: applications arrive and depart over time.
 //!
 //! The paper's §6 leaves "the integration of the proposed scheduling
-//! technique with process scheduling" to future work; `DynamicScheduler`
-//! is that integration. This example plays an arrival/departure trace on
-//! the campus network and prints each placement decision, the cost the
-//! application gets, and machine utilization — showing how the
-//! communication criterion keeps arriving applications on well-connected
-//! switch groups without migrating running ones.
+//! technique with process scheduling" to future work; the scenario
+//! engine (`commsched-scenarios`) is that integration. This example
+//! replays a small hand-written arrival trace on the paper's 24-switch
+//! network (96 workstations) and prints the engine's event log: where
+//! each application is admitted, how the warm-started remap re-places
+//! it by the communication criterion, a departure, the reuse of the
+//! freed switches, a request that has to queue until room appears, and
+//! one that can never fit and is rejected.
 //!
 //! Run: `cargo run --release --example dynamic_arrivals`
 
 use commsched::topology::designed;
-use commsched::{DynamicScheduler, RoutingKind, Scheduler};
+use commsched_scenarios::{run_scenario, JobArrival, MigrationPolicy, ScenarioConfig};
+
+/// An application of `tasks` processes talking in a ring, arriving at
+/// `t_ms` and needing `run_ms` of communication-free service.
+fn app(t_ms: u64, tasks: usize, run_ms: u64) -> JobArrival {
+    JobArrival {
+        t_us: t_ms * 1000,
+        mem: vec![1 << 20; tasks],
+        edges: (0..tasks).map(|a| (a, (a + 1) % tasks, 1 << 16)).collect(),
+        base_us: run_ms * 1000,
+        deadline_us: None,
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let topology = designed::paper_24_switch();
-    let scheduler = Scheduler::new(topology, RoutingKind::UpDown { root: 0 })?;
-    let mut online = DynamicScheduler::new(scheduler);
-
-    println!("event                      placement                cost   utilization");
-    let mut ids = Vec::new();
-
-    // Morning: three medium applications arrive.
-    for name in ["render-farm", "cfd-solver", "db-analytics"] {
-        let p = online.admit(name, 24)?;
-        let cost = online.app_cost(p.id)?;
-        println!(
-            "+ {name:<22} {:<24} {cost:>6.1}   {:>4.0}%",
-            format!("{:?}", p.switches),
-            online.utilization() * 100.0
-        );
-        ids.push(p.id);
-    }
-
-    // A small interactive job squeezes into the remaining ring.
-    let small = online.admit("notebook", 8)?;
-    println!(
-        "+ {:<22} {:<24} {:>6.1}   {:>4.0}%",
-        "notebook",
-        format!("{:?}", small.switches),
-        online.app_cost(small.id)?,
-        online.utilization() * 100.0
-    );
-
-    // Midday: the CFD solver finishes; a large ML job arrives and reuses
-    // the freed switches.
-    online.release(ids[1])?;
-    println!(
-        "- {:<22} {:<24} {:>6}   {:>4.0}%",
+    let names = [
+        "render-farm",
         "cfd-solver",
-        "(released)",
-        "",
-        online.utilization() * 100.0
-    );
-    let ml = online.admit("ml-training", 24)?;
-    println!(
-        "+ {:<22} {:<24} {:>6.1}   {:>4.0}%",
+        "db-analytics",
+        "notebook",
         "ml-training",
-        format!("{:?}", ml.switches),
-        online.app_cost(ml.id)?,
-        online.utilization() * 100.0
+        "too-wide",
+        "too-big",
+    ];
+    let trace = [
+        // Morning: three medium applications (24 processes = 6 switches).
+        app(0, 24, 400),
+        app(1, 24, 100), // the CFD solver finishes first
+        app(2, 24, 400),
+        // A small interactive job squeezes into the remaining ring.
+        app(3, 8, 400),
+        // Midday: a large ML job arrives after the CFD solver left and
+        // reuses the freed switches.
+        app(200, 24, 100),
+        // 12 switches while only 4 are idle: waits in the FIFO queue.
+        app(201, 48, 50),
+        // 25 switches on a 24-switch machine: rejected outright.
+        app(202, 100, 50),
+    ];
+    let mut config = ScenarioConfig::new(designed::paper_24_switch());
+    config.migration = MigrationPolicy::Threshold(1.0);
+    let report = run_scenario(&config, &trace)?;
+
+    for event in &report.events {
+        // `<t_us> <kind> job=<i> ...`: show the application's name.
+        let named = event
+            .split(' ')
+            .map(|word| match word.strip_prefix("job=") {
+                Some(i) => i.parse().map_or(word, |i: usize| names[i]),
+                None => word,
+            });
+        println!("{}", named.collect::<Vec<_>>().join(" "));
+    }
+    println!("\n{report}");
+    assert_eq!(
+        report.rejected, 1,
+        "only the 100-process request is refused"
     );
-
-    // An oversized request is rejected cleanly.
-    match online.admit("too-big", 48) {
-        Err(e) => println!("x {:<22} rejected: {e}", "too-big"),
-        Ok(_) => unreachable!("capacity check must fire"),
-    }
-
-    println!("\nfinal placements:");
-    for p in online.placements() {
-        println!(
-            "  {:<14} switches {:?} (cost {:.1})",
-            p.name,
-            p.switches,
-            online.app_cost(p.id)?
-        );
-    }
+    assert_eq!(report.queued, 1, "the 48-process request waits its turn");
+    assert_eq!(report.completed, 6);
     Ok(())
 }

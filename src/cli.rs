@@ -1161,11 +1161,12 @@ fn run_inner(cmd: &Command) -> Result<String, String> {
                         ""
                     }
                 );
-                Server::bind_with_core_config(
+                Server::bind_with_core(
                     addr.as_str(),
                     *workers,
                     net,
                     std::sync::Arc::new(core),
+                    None,
                 )
                 .map_err(|e| e.to_string())?
             };

@@ -49,11 +49,9 @@
 //! ```
 
 pub mod cli;
-pub mod dynamic;
 pub mod estimate;
 pub mod scheduler;
 
-pub use dynamic::{AppId, DynamicError, DynamicScheduler, Placement};
 pub use scheduler::{RoutingKind, ScheduleError, ScheduleOutcome, Scheduler, SchedulerOptions};
 
 pub use commsched_core as core;
