@@ -11,13 +11,13 @@
 //!
 //! Usage: `ablations [tenure|routing|simparams|seeds|metric|heuristics|all]` (default all).
 
-use commsched_bench::{Testbed, SEARCH_SEED};
+use commsched_bench::{
+    AStarSearch, AgglomerativeClustering, GeneticSearch, GeneticSimulatedAnnealing, KernighanLin,
+    RandomSampling, SimulatedAnnealing, SteepestDescent, Testbed, SEARCH_SEED,
+};
 use commsched_core::{quality, Partition};
 use commsched_distance::hop_distance_table;
-use commsched_search::{
-    AStarSearch, AgglomerativeClustering, GeneticSearch, GeneticSimulatedAnnealing, KernighanLin,
-    Mapper, RandomSampling, SimulatedAnnealing, SteepestDescent, TabuParams, TabuSearch,
-};
+use commsched_search::{Mapper, TabuParams, TabuSearch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -1,8 +1,8 @@
 //! Quick probe of the A* search cost on both testbeds (not a paper figure;
 //! kept as a diagnostic for the heuristic-comparison ablation).
 fn main() {
-    use commsched_bench::Testbed;
-    use commsched_search::{AStarSearch, Mapper};
+    use commsched_bench::{AStarSearch, Testbed};
+    use commsched_search::Mapper;
     use rand::SeedableRng;
     for t in [Testbed::paper_16(), Testbed::paper_24()] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);

@@ -8,10 +8,10 @@
 //! Usage: `verify_optimality [max_switches]` (default 16; the 16-switch
 //! case enumerates 2 627 625 groupings — run in release).
 
-use commsched_bench::SEARCH_SEED;
+use commsched_bench::{AStarSearch, SEARCH_SEED};
 use commsched_distance::equivalent_distance_table_parallel;
 use commsched_routing::UpDownRouting;
-use commsched_search::{AStarSearch, ExhaustiveSearch, Mapper, TabuParams, TabuSearch};
+use commsched_search::{ExhaustiveSearch, Mapper, TabuParams, TabuSearch};
 use commsched_topology::{random_regular, RandomTopologyConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

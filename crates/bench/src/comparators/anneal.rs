@@ -4,9 +4,9 @@
 //! accepted when it improves `F_G` and accepted with probability
 //! `exp(-Δ/T)` otherwise, with geometric cooling of the temperature `T`.
 
-use crate::{check_sizes, Mapper, SearchResult};
 use commsched_core::{Partition, SwapEvaluator};
 use commsched_distance::DistanceTable;
+use commsched_search::{check_sizes, Mapper, SearchResult};
 use rand::{Rng, RngCore};
 
 /// Annealing schedule parameters.
@@ -104,7 +104,7 @@ impl Mapper for SimulatedAnnealing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{dumbbell_table, dumbbell_truth};
+    use crate::comparators::testutil::{dumbbell_table, dumbbell_truth};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

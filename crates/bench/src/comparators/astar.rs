@@ -15,9 +15,9 @@
 //! caps memory/time; when exhausted the best goal found so far is returned
 //! (flagged in [`SearchResult::evaluations`] semantics as usual).
 
-use crate::{check_sizes, Mapper, SearchResult};
 use commsched_core::Partition;
 use commsched_distance::DistanceTable;
+use commsched_search::{check_sizes, Mapper, SearchResult};
 use rand::RngCore;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -227,8 +227,8 @@ impl Mapper for AStarSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{dumbbell_table, dumbbell_truth};
-    use crate::ExhaustiveSearch;
+    use crate::comparators::testutil::{dumbbell_table, dumbbell_truth};
+    use commsched_search::ExhaustiveSearch;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -14,9 +14,9 @@
 //! requested cluster count; then repair sizes by greedily moving the
 //! cheapest switches from oversized to undersized clusters.
 
-use crate::{check_sizes, Mapper, SearchResult};
 use commsched_core::{similarity_fg, Partition};
 use commsched_distance::DistanceTable;
+use commsched_search::{check_sizes, Mapper, SearchResult};
 use commsched_topology::SwitchId;
 use rand::RngCore;
 
@@ -134,8 +134,8 @@ impl Mapper for AgglomerativeClustering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{dumbbell_table, dumbbell_truth, rings_table};
-    use crate::TabuSearch;
+    use crate::comparators::testutil::{dumbbell_table, dumbbell_truth, rings_table};
+    use commsched_search::{TabuParams, TabuSearch};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -167,8 +167,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let agg = AgglomerativeClustering.search(&table, &[6, 6, 6, 6], &mut rng);
         let mut rng = StdRng::seed_from_u64(0);
-        let tabu =
-            TabuSearch::new(crate::TabuParams::scaled(24)).search(&table, &[6, 6, 6, 6], &mut rng);
+        let tabu = TabuSearch::new(TabuParams::scaled(24)).search(&table, &[6, 6, 6, 6], &mut rng);
         assert!(
             agg.fg >= tabu.fg - 1e-9,
             "agglomerative {} vs tabu {}",

@@ -5,9 +5,9 @@
 //! "random mapping" baseline dressed as a search: draw `samples` random
 //! partitions, keep the best.
 
-use crate::{check_sizes, Mapper, SearchResult};
 use commsched_core::{Partition, SwapEvaluator};
 use commsched_distance::DistanceTable;
+use commsched_search::{check_sizes, Mapper, SearchResult};
 use rand::RngCore;
 
 /// Multi-start steepest descent: from each random start, apply the best
@@ -121,7 +121,7 @@ impl Mapper for RandomSampling {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{dumbbell_table, dumbbell_truth};
+    use crate::comparators::testutil::{dumbbell_table, dumbbell_truth};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

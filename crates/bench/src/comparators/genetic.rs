@@ -10,9 +10,9 @@
 //! sizes; crossover is uniform with a size-repair pass; mutation is a
 //! random cross-cluster swap.
 
-use crate::{check_sizes, pool, Mapper, SearchResult};
 use commsched_core::{similarity_fg, Partition, SwapEvaluator};
 use commsched_distance::DistanceTable;
+use commsched_search::{check_sizes, pool, Mapper, SearchResult};
 use rand::{Rng, RngCore};
 
 /// Parameters shared by [`GeneticSearch`] and [`GeneticSimulatedAnnealing`].
@@ -273,7 +273,7 @@ impl Mapper for GeneticSimulatedAnnealing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{dumbbell_table, dumbbell_truth};
+    use crate::comparators::testutil::{dumbbell_table, dumbbell_truth};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

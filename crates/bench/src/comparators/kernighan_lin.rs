@@ -11,9 +11,9 @@
 //! Multi-way partitions are handled by sweeping all cluster pairs until a
 //! full sweep yields no improvement (or the pass budget is exhausted).
 
-use crate::{check_sizes, Mapper, SearchResult};
-use commsched_core::{Partition, SwapEvaluator, SwapObjective};
+use commsched_core::{Partition, SwapEvaluator};
 use commsched_distance::DistanceTable;
+use commsched_search::{check_sizes, Mapper, SearchResult};
 use commsched_topology::SwitchId;
 use rand::RngCore;
 
@@ -58,7 +58,7 @@ fn kl_pass(eval: &mut SwapEvaluator<'_>, ca: usize, cb: usize, evaluations: &mut
                 if b_locked || eval.partition().cluster_of(b) != cb {
                     continue;
                 }
-                let d = eval.delta(a, b);
+                let d = eval.delta_fg(a, b);
                 *evaluations += 1;
                 if best.is_none_or(|(bd, _, _)| d < bd) {
                     best = Some((d, a, b));
@@ -66,7 +66,7 @@ fn kl_pass(eval: &mut SwapEvaluator<'_>, ca: usize, cb: usize, evaluations: &mut
             }
         }
         let Some((d, a, b)) = best else { break };
-        eval.apply(a, b);
+        eval.apply_swap(a, b);
         locked[a] = true;
         locked[b] = true;
         seq.push((a, b));
@@ -79,7 +79,7 @@ fn kl_pass(eval: &mut SwapEvaluator<'_>, ca: usize, cb: usize, evaluations: &mut
 
     // Rewind to the best prefix (swaps are involutions).
     for &(a, b) in seq[best_len..].iter().rev() {
-        eval.apply(a, b);
+        eval.apply_swap(a, b);
     }
     -best_cum
 }
@@ -113,7 +113,7 @@ impl Mapper for KernighanLin {
                     break;
                 }
             }
-            let fg = eval.value();
+            let fg = eval.fg();
             if best.as_ref().is_none_or(|(f, _)| fg < *f) {
                 best = Some((fg, eval.into_partition()));
             }
@@ -130,7 +130,7 @@ impl Mapper for KernighanLin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{dumbbell_table, dumbbell_truth, rings_table};
+    use crate::comparators::testutil::{dumbbell_table, dumbbell_truth, rings_table};
     use commsched_core::similarity_fg;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -182,7 +182,7 @@ mod tests {
             let mut evals = 0;
             let gain = kl_pass(&mut eval, 0, 1, &mut evals);
             assert!(gain >= -1e-12);
-            assert!(eval.value() <= before + 1e-12);
+            assert!(eval.fg() <= before + 1e-12);
         }
     }
 

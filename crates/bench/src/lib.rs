@@ -6,9 +6,16 @@
 //! evaluation (§5); `verify_optimality` reproduces the §4.2 claim that the
 //! tabu minimum matches the exhaustive optimum on small networks, and
 //! `ablations` sweeps the design choices the paper leaves open. This
-//! library holds the experiment fixtures (the paper-scale networks) and the
+//! library holds the experiment fixtures (the paper-scale networks), the
 //! common measurement plumbing so binaries and criterion benches agree on
-//! the setup.
+//! the setup, and the [`comparators`] the tabu search is measured against.
+
+pub mod comparators;
+
+pub use comparators::{
+    AStarSearch, AgglomerativeClustering, GeneticParams, GeneticSearch, GeneticSimulatedAnnealing,
+    KernighanLin, RandomSampling, SimulatedAnnealing, SimulatedAnnealingParams, SteepestDescent,
+};
 
 use commsched_core::{quality, Partition, ProcessMapping, Quality, Workload};
 use commsched_distance::{equivalent_distance_table_parallel, DistanceTable};

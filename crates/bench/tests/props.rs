@@ -2,14 +2,14 @@
 //! partition of the requested shape with an exactly consistent objective
 //! value, and exact methods agree with each other.
 
+use commsched_bench::{
+    AStarSearch, AgglomerativeClustering, GeneticSearch, GeneticSimulatedAnnealing, KernighanLin,
+    RandomSampling, SimulatedAnnealing, SteepestDescent,
+};
 use commsched_core::similarity_fg;
 use commsched_distance::{equivalent_distance_table, DistanceTable};
 use commsched_routing::UpDownRouting;
-use commsched_search::{
-    AStarSearch, AgglomerativeClustering, ExhaustiveSearch, GeneticSearch,
-    GeneticSimulatedAnnealing, KernighanLin, Mapper, RandomSampling, SimulatedAnnealing,
-    SteepestDescent, TabuSearch,
-};
+use commsched_search::{ExhaustiveSearch, Mapper, TabuSearch};
 use commsched_topology::{random_regular, RandomTopologyConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -1,11 +1,11 @@
 //! Primary-side WAL replication: the hub every follower streams from.
 //!
 //! The hub is installed into a durable [`commsched_service::ServiceCore`]
-//! via [`ServiceCore::set_replication`], which seeds it with the
-//! current durable state (snapshot-style records) and hooks it into the
-//! WAL as a tap — both inside one WAL critical section, so the hub's
-//! in-memory log is a gapless copy of the commit stream from the very
-//! first record. From then on every appended WAL record lands in the
+//! via [`commsched_service::ServiceCore::set_replication`], which seeds
+//! it with the current durable state (snapshot-style records) and hooks
+//! it into the WAL as a tap — both inside one WAL critical section, so
+//! the hub's in-memory log is a gapless copy of the commit stream from
+//! the very first record. From then on every appended WAL record lands in the
 //! log (still under the WAL lock, hence in authoritative commit order)
 //! and is pushed to each connected follower by a per-follower streamer
 //! thread. Distance tables are not WAL records (they spill to files,

@@ -14,59 +14,56 @@
 //! cached once.
 
 use crate::partition::Partition;
-use crate::quality::intra_square_sum;
 use commsched_distance::DistanceTable;
 use commsched_topology::SwitchId;
 
-/// An objective that a swap-based local search can optimize: a value, an
-/// O(1)-ish delta for a candidate cross-cluster swap, and an in-place
-/// apply. Implemented by [`SwapEvaluator`] (the paper's `F_G`) and
-/// [`crate::weighted::WeightedSwapEvaluator`] (per-application traffic
-/// weights).
-pub trait SwapObjective {
-    /// Current objective value (lower is better).
-    fn value(&self) -> f64;
-
-    /// Objective change if switches `a` and `b` (in different clusters)
-    /// swapped assignments.
-    fn delta(&self, a: SwitchId, b: SwitchId) -> f64;
-
-    /// Apply the swap of `a` and `b`.
-    fn apply(&mut self, a: SwitchId, b: SwitchId);
-
-    /// The working partition.
-    fn partition(&self) -> &Partition;
-
-    /// Consume the objective, returning the working partition.
-    fn into_partition(self) -> Partition
-    where
-        Self: Sized;
-}
-
-/// Incremental `F_G` evaluator over a working partition.
+/// Incremental `F_G` evaluator over a working partition, with one traffic
+/// weight per cluster: the value is [`crate::weighted_similarity_fg`],
+/// which at unit weights ([`SwapEvaluator::new`]) is the paper's
+/// [`crate::similarity_fg`] — and the unit-weight arithmetic is exact
+/// (`1.0 · x`), so that case pays nothing for the general one.
 #[derive(Debug, Clone)]
 pub struct SwapEvaluator<'t> {
     table: &'t DistanceTable,
     partition: Partition,
+    /// Traffic weight of each cluster.
+    weights: Vec<f64>,
     /// `sums[v * M + c] = Σ_{u ∈ cluster c} T²(v, u)`.
     sums: Vec<f64>,
-    /// Current numerator of Eq. 2 (sum of squared intracluster distances).
+    /// Current numerator `Σ_c w_c · F_{A_c}` of Eq. 2.
     intra_sum: f64,
-    /// Constant denominator: `intra_pairs × mean_square`.
+    /// Constant denominator: `Σ_c w_c · pairs_c × mean_square`.
     norm: f64,
 }
 
 impl<'t> SwapEvaluator<'t> {
-    /// Build the evaluator for `partition` over `table`.
+    /// Build the paper's (unit-weight) evaluator for `partition` over
+    /// `table`.
     ///
     /// # Panics
     /// Panics if the partition and table sizes disagree.
     pub fn new(partition: Partition, table: &'t DistanceTable) -> Self {
+        let weights = vec![1.0; partition.num_clusters()];
+        Self::with_weights(partition, table, weights)
+    }
+
+    /// Build the evaluator with one traffic weight per cluster (the
+    /// paper's future-work setting of unequal communication requirements).
+    ///
+    /// # Panics
+    /// Panics on size mismatches or non-positive weights.
+    pub fn with_weights(partition: Partition, table: &'t DistanceTable, weights: Vec<f64>) -> Self {
         assert_eq!(
             partition.num_switches(),
             table.n(),
             "partition/table size mismatch"
         );
+        assert_eq!(
+            weights.len(),
+            partition.num_clusters(),
+            "one weight per cluster"
+        );
+        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
         let n = partition.num_switches();
         let m = partition.num_clusters();
         let mut sums = vec![0.0; n * m];
@@ -77,14 +74,29 @@ impl<'t> SwapEvaluator<'t> {
                 }
             }
         }
-        let intra_sum = intra_square_sum(&partition, table);
-        let norm = partition.intra_pairs() as f64 * table.mean_square();
+        // `intra_square_sum`'s (i < j) order: unit weights reproduce it
+        // bit for bit.
+        let mut intra_sum = 0.0;
+        for i in 0..n {
+            let ci = partition.cluster_of(i);
+            for j in (i + 1)..n {
+                if partition.cluster_of(j) == ci {
+                    intra_sum += weights[ci] * table.get_sq(i, j);
+                }
+            }
+        }
+        let sizes = partition.sizes();
+        let weighted_pairs = sizes.iter().zip(&weights);
+        let pairs: f64 = weighted_pairs
+            .map(|(&size, &w)| w * (size * (size - 1) / 2) as f64)
+            .sum();
         Self {
             table,
             partition,
+            weights,
             sums,
             intra_sum,
-            norm,
+            norm: pairs * table.mean_square(),
         }
     }
 
@@ -98,7 +110,7 @@ impl<'t> SwapEvaluator<'t> {
         self.partition
     }
 
-    /// Current `F_G` value (Eq. 2).
+    /// Current (weighted) `F_G` value (Eq. 2).
     pub fn fg(&self) -> f64 {
         if self.norm == 0.0 {
             0.0
@@ -118,11 +130,20 @@ impl<'t> SwapEvaluator<'t> {
         let ca = self.partition.cluster_of(a);
         let cb = self.partition.cluster_of(b);
         debug_assert_ne!(ca, cb, "swap within a cluster");
+        let (wa, wb) = (self.weights[ca], self.weights[cb]);
         let t_ab = self.table.get_sq(a, b);
-        self.sum(a, cb) + self.sum(b, ca) - self.sum(a, ca) - self.sum(b, cb) - 2.0 * t_ab
+        wb * self.sum(a, cb) + wa * self.sum(b, ca)
+            - wa * self.sum(a, ca)
+            - wb * self.sum(b, cb)
+            - (wa + wb) * t_ab
     }
 
     /// Change in `F_G` if `a` and `b` swapped (O(1)).
+    ///
+    /// `#[inline]`: the tabu scan calls this for every cross-cluster pair
+    /// of every iteration from another crate; with the weights it is past
+    /// the size rustc inlines across crates unasked.
+    #[inline]
     pub fn delta_fg(&self, a: SwitchId, b: SwitchId) -> f64 {
         if self.norm == 0.0 {
             0.0
@@ -147,28 +168,6 @@ impl<'t> SwapEvaluator<'t> {
             self.sums[v * m + cb] += ta - tb;
         }
         self.partition.swap(a, b);
-    }
-}
-
-impl SwapObjective for SwapEvaluator<'_> {
-    fn value(&self) -> f64 {
-        self.fg()
-    }
-
-    fn delta(&self, a: SwitchId, b: SwitchId) -> f64 {
-        self.delta_fg(a, b)
-    }
-
-    fn apply(&mut self, a: SwitchId, b: SwitchId) {
-        self.apply_swap(a, b);
-    }
-
-    fn partition(&self) -> &Partition {
-        SwapEvaluator::partition(self)
-    }
-
-    fn into_partition(self) -> Partition {
-        SwapEvaluator::into_partition(self)
     }
 }
 

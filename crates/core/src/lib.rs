@@ -10,8 +10,9 @@
 //!   [`dissimilarity_dg`] (Eq. 5), and the [`clustering_coefficient`]
 //!   `Cc = D_G / F_G` that measures the intracluster/intercluster
 //!   bandwidth relationship of a mapping;
-//! * [`SwapEvaluator`] — O(1) evaluation of `F_G` changes under the
-//!   pairwise swaps the tabu search explores;
+//! * [`SwapEvaluator`] — O(1) evaluation of (optionally per-cluster
+//!   weighted) `F_G` changes under the pairwise swaps the tabu search
+//!   explores;
 //! * [`Workload`] / [`ProcessMapping`] — the process-level view and the
 //!   paper's divisibility assumptions, checked;
 //! * [`weighted`] — the future-work generalizations (per-application
@@ -40,11 +41,11 @@ pub mod partition;
 pub mod quality;
 pub mod weighted;
 
-pub use eval::{SwapEvaluator, SwapObjective};
+pub use eval::SwapEvaluator;
 pub use mapping::{LogicalCluster, ProcessMapping, Workload, WorkloadError};
 pub use partition::{ClusterId, Partition, PartitionError};
 pub use quality::{
     cluster_dissimilarity, cluster_similarity, clustering_coefficient, dissimilarity_dg,
     intra_square_sum, quality, similarity_fg, Quality,
 };
-pub use weighted::{traffic_cost, weighted_similarity_fg, CommMatrix, WeightedSwapEvaluator};
+pub use weighted::{traffic_cost, weighted_similarity_fg, CommMatrix};

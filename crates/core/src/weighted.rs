@@ -15,7 +15,6 @@
 //! Both reduce exactly to the paper's functions for uniform weights; tests
 //! pin that equivalence.
 
-use crate::eval::SwapObjective;
 use crate::mapping::ProcessMapping;
 use crate::partition::Partition;
 use crate::quality::cluster_similarity;
@@ -124,131 +123,10 @@ pub fn traffic_cost(mapping: &ProcessMapping, comm: &CommMatrix, table: &Distanc
     acc
 }
 
-/// Incremental evaluator for [`weighted_similarity_fg`] under pairwise
-/// swaps — the weighted analogue of [`crate::SwapEvaluator`], implementing
-/// [`SwapObjective`] so the tabu search can optimize application-weighted
-/// mappings (the paper's future-work setting of unequal communication
-/// requirements).
-#[derive(Debug, Clone)]
-pub struct WeightedSwapEvaluator<'t> {
-    table: &'t DistanceTable,
-    partition: Partition,
-    weights: Vec<f64>,
-    /// `sums[v * M + c] = Σ_{u ∈ cluster c} T²(v, u)`.
-    sums: Vec<f64>,
-    /// Current weighted numerator `Σ_c w_c · IntraSum_c`.
-    numerator: f64,
-    /// Constant denominator `Σ_c w_c · pairs_c × mean_square`.
-    norm: f64,
-}
-
-impl<'t> WeightedSwapEvaluator<'t> {
-    /// Build the evaluator.
-    ///
-    /// # Panics
-    /// Panics on size mismatches or non-positive weights.
-    pub fn new(partition: Partition, table: &'t DistanceTable, weights: Vec<f64>) -> Self {
-        assert_eq!(
-            partition.num_switches(),
-            table.n(),
-            "partition/table size mismatch"
-        );
-        assert_eq!(
-            weights.len(),
-            partition.num_clusters(),
-            "one weight per cluster"
-        );
-        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
-        let n = partition.num_switches();
-        let m = partition.num_clusters();
-        let mut sums = vec![0.0; n * m];
-        for v in 0..n {
-            for u in 0..n {
-                if u != v {
-                    sums[v * m + partition.cluster_of(u)] += table.get_sq(v, u);
-                }
-            }
-        }
-        let clusters = partition.clusters();
-        let numerator: f64 = clusters
-            .iter()
-            .zip(&weights)
-            .map(|(members, &w)| w * cluster_similarity(members, table))
-            .sum();
-        let norm: f64 = clusters
-            .iter()
-            .zip(&weights)
-            .map(|(members, &w)| w * (members.len() * (members.len() - 1) / 2) as f64)
-            .sum::<f64>()
-            * table.mean_square();
-        Self {
-            table,
-            partition,
-            weights,
-            sums,
-            numerator,
-            norm,
-        }
-    }
-
-    #[inline]
-    fn sum(&self, v: usize, cluster: usize) -> f64 {
-        self.sums[v * self.partition.num_clusters() + cluster]
-    }
-
-    fn delta_numerator(&self, a: usize, b: usize) -> f64 {
-        let ca = self.partition.cluster_of(a);
-        let cb = self.partition.cluster_of(b);
-        debug_assert_ne!(ca, cb, "swap within a cluster");
-        let t_ab = self.table.get_sq(a, b);
-        self.weights[ca] * (self.sum(b, ca) - t_ab - self.sum(a, ca))
-            + self.weights[cb] * (self.sum(a, cb) - t_ab - self.sum(b, cb))
-    }
-}
-
-impl SwapObjective for WeightedSwapEvaluator<'_> {
-    fn value(&self) -> f64 {
-        if self.norm == 0.0 {
-            0.0
-        } else {
-            self.numerator / self.norm
-        }
-    }
-
-    fn delta(&self, a: usize, b: usize) -> f64 {
-        if self.norm == 0.0 {
-            0.0
-        } else {
-            self.delta_numerator(a, b) / self.norm
-        }
-    }
-
-    fn apply(&mut self, a: usize, b: usize) {
-        let ca = self.partition.cluster_of(a);
-        let cb = self.partition.cluster_of(b);
-        self.numerator += self.delta_numerator(a, b);
-        let m = self.partition.num_clusters();
-        for v in 0..self.partition.num_switches() {
-            let ta = self.table.get_sq(v, a);
-            let tb = self.table.get_sq(v, b);
-            self.sums[v * m + ca] += tb - ta;
-            self.sums[v * m + cb] += ta - tb;
-        }
-        self.partition.swap(a, b);
-    }
-
-    fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    fn into_partition(self) -> Partition {
-        self.partition
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::SwapEvaluator;
     use crate::mapping::Workload;
     use crate::quality::{intra_square_sum, similarity_fg};
     use commsched_distance::equivalent_distance_table;
@@ -336,8 +214,8 @@ mod tests {
     fn weighted_evaluator_matches_direct() {
         let (table, p, _) = setup();
         let weights = vec![5.0, 1.0, 2.0, 1.0];
-        let eval = WeightedSwapEvaluator::new(p.clone(), &table, weights.clone());
-        assert_close(eval.value(), weighted_similarity_fg(&p, &table, &weights));
+        let eval = SwapEvaluator::with_weights(p.clone(), &table, weights.clone());
+        assert_close(eval.fg(), weighted_similarity_fg(&p, &table, &weights));
         for a in 0..8 {
             for b in (a + 1)..8 {
                 if p.cluster_of(a) == p.cluster_of(b) {
@@ -347,7 +225,7 @@ mod tests {
                 q.swap(a, b);
                 let direct = weighted_similarity_fg(&q, &table, &weights)
                     - weighted_similarity_fg(&p, &table, &weights);
-                assert_close(eval.delta(a, b), direct);
+                assert_close(eval.delta_fg(a, b), direct);
             }
         }
     }
@@ -356,31 +234,30 @@ mod tests {
     fn weighted_evaluator_apply_consistent() {
         let (table, p, _) = setup();
         let weights = vec![3.0, 1.0, 1.0, 2.0];
-        let mut eval = WeightedSwapEvaluator::new(p, &table, weights.clone());
+        let mut eval = SwapEvaluator::with_weights(p, &table, weights.clone());
         for (a, b) in [(0usize, 2usize), (1, 7), (3, 5), (0, 2)] {
             if eval.partition().cluster_of(a) == eval.partition().cluster_of(b) {
                 continue;
             }
-            eval.apply(a, b);
+            eval.apply_swap(a, b);
             let direct = weighted_similarity_fg(eval.partition(), &table, &weights);
-            assert_close(eval.value(), direct);
+            assert_close(eval.fg(), direct);
         }
     }
 
     #[test]
     fn weighted_evaluator_uniform_matches_unweighted() {
-        use crate::eval::SwapEvaluator;
         let (table, p, _) = setup();
-        let w = WeightedSwapEvaluator::new(p.clone(), &table, vec![2.0; 4]);
+        let w = SwapEvaluator::with_weights(p.clone(), &table, vec![2.0; 4]);
         let u = SwapEvaluator::new(p, &table);
-        assert_close(w.value(), u.fg());
-        assert_close(w.delta(0, 2), u.delta_fg(0, 2));
+        assert_close(w.fg(), u.fg());
+        assert_close(w.delta_fg(0, 2), u.delta_fg(0, 2));
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn weighted_evaluator_rejects_zero_weight() {
         let (table, p, _) = setup();
-        let _ = WeightedSwapEvaluator::new(p, &table, vec![1.0, 0.0, 1.0, 1.0]);
+        let _ = SwapEvaluator::with_weights(p, &table, vec![1.0, 0.0, 1.0, 1.0]);
     }
 }

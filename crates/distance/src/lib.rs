@@ -49,6 +49,6 @@ pub use sparse::SpdFactor;
 pub use table::{
     eps_to_micros, equivalent_distance_table, equivalent_distance_table_parallel,
     equivalent_distance_table_with, equivalent_distance_table_with_report, hop_distance_table,
-    ApproxReport, DistanceTable, SharedDistanceTable, TableError, TableOptions,
+    ApproxReport, DistanceTable, SharedDistanceTable, TableError, TableOptions, TableSpec,
     DEFAULT_APPROX_EPS_MICROS,
 };

@@ -567,7 +567,7 @@ impl PreparedNetwork {
 /// With [`SolverKind::DenseGaussian`] it delegates to the oracle
 /// unchanged; with [`SolverKind::SparseCholesky`] it reuses the buffers
 /// in `ws`, collapses degree-≤2 nodes by the exact resistor laws, and
-/// only factors an irreducible core (see [`Workspace::solve_compacted`]).
+/// only factors an irreducible core (see `Workspace::solve_compacted`).
 /// The two paths agree to well below 1e-9 on every connected pair and
 /// report the same error surface.
 ///

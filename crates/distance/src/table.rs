@@ -287,6 +287,80 @@ impl TableOptions {
     }
 }
 
+/// How a table's equivalent distances are solved, as a hashable value:
+/// the table half of a cache key. An approximate table is a *different
+/// artifact* than the exact one — a job asking for `approx-eps=0.05`
+/// must never be served an entry built at a different eps (or vice
+/// versa), so the eps budget is part of the value. Spelled `exact` /
+/// `approx:<micros>` in logs and spill-file names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum TableSpec {
+    /// Exact envelope-LDLᵀ solve of every pair (the oracle).
+    #[default]
+    Exact,
+    /// Certified-interval approximation with the given relative-error
+    /// budget in micro-units (`eps = eps_micros / 1e6`).
+    Approx {
+        /// Error budget × 1e6 (kept integral so the key stays `Eq`).
+        eps_micros: u32,
+    },
+}
+
+impl TableSpec {
+    /// The spec an `approx-eps` parameter selects: 0 keeps the exact
+    /// solver, anything else the certified approximation.
+    pub fn from_eps_micros(eps_micros: u32) -> Self {
+        if eps_micros == 0 {
+            TableSpec::Exact
+        } else {
+            TableSpec::Approx { eps_micros }
+        }
+    }
+
+    /// The builder options that produce this spec's table on `threads`
+    /// workers.
+    pub fn options(self, threads: usize) -> TableOptions {
+        match self {
+            TableSpec::Exact => TableOptions {
+                threads,
+                ..TableOptions::default()
+            },
+            TableSpec::Approx { eps_micros } => TableOptions {
+                solver: SolverKind::Approximate,
+                approx_eps_micros: eps_micros,
+                threads,
+                ..TableOptions::default()
+            },
+        }
+    }
+}
+
+impl std::fmt::Display for TableSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TableSpec::Exact => write!(f, "exact"),
+            TableSpec::Approx { eps_micros } => write!(f, "approx:{eps_micros}"),
+        }
+    }
+}
+
+impl std::str::FromStr for TableSpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        if s == "exact" {
+            return Ok(TableSpec::Exact);
+        }
+        if let Some(micros) = s.strip_prefix("approx:") {
+            return micros
+                .parse()
+                .map(|eps_micros| TableSpec::Approx { eps_micros })
+                .map_err(|_| format!("bad eps in table spec '{s}'"));
+        }
+        Err(format!("unknown table spec '{s}'"))
+    }
+}
+
 /// Default approximation budget: 5% relative error.
 pub const DEFAULT_APPROX_EPS_MICROS: u32 = 50_000;
 
@@ -1441,6 +1515,18 @@ mod tests {
         let opts = TableOptions::approximate(0.05);
         assert_eq!(opts.solver, SolverKind::Approximate);
         assert!((opts.approx_eps() - 0.05).abs() < 1e-12);
+        // A table spec maps to exactly those options (plus the thread
+        // count) and round-trips through its log spelling.
+        let spec = TableSpec::from_eps_micros(50_000);
+        assert_eq!(spec, TableSpec::Approx { eps_micros: 50_000 });
+        assert_eq!(spec.options(1), opts);
+        assert_eq!(TableSpec::from_eps_micros(0), TableSpec::Exact);
+        let exact = TableSpec::Exact.options(3);
+        assert_eq!((exact.solver, exact.threads), (SolverKind::default(), 3));
+        for spec in [spec, TableSpec::Exact] {
+            assert_eq!(spec.to_string().parse(), Ok(spec));
+        }
+        assert!("approx:x".parse::<TableSpec>().is_err());
     }
 
     #[test]

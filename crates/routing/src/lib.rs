@@ -39,7 +39,7 @@ pub use paths::enumerate_minimal_routes;
 pub use shortest::ShortestPathRouting;
 pub use updown::UpDownRouting;
 
-use commsched_topology::SwitchId;
+use commsched_topology::{SwitchId, Topology};
 
 /// Per-message routing state carried by the simulator.
 ///
@@ -90,6 +90,67 @@ impl std::fmt::Display for RoutingError {
 }
 
 impl std::error::Error for RoutingError {}
+
+/// Which routing algorithm to model: the value form of a router —
+/// hashable, so it can key a table cache, and spelled
+/// `updown:<root>` / `shortest` wherever it is written down (wire
+/// protocol, WAL, spill-file names).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RoutingSpec {
+    /// Autonet-style up*/down* routing rooted at `root` (the paper's
+    /// setting).
+    UpDown {
+        /// Root of the spanning tree.
+        root: SwitchId,
+    },
+    /// Unconstrained shortest-path routing.
+    ShortestPath,
+}
+
+impl Default for RoutingSpec {
+    fn default() -> Self {
+        RoutingSpec::UpDown { root: 0 }
+    }
+}
+
+impl RoutingSpec {
+    /// Build the router this spec names over `topology`.
+    ///
+    /// # Errors
+    /// See [`RoutingError`].
+    pub fn build(self, topology: &Topology) -> Result<Box<dyn Routing>, RoutingError> {
+        Ok(match self {
+            RoutingSpec::UpDown { root } => Box::new(UpDownRouting::new(topology, root)?),
+            RoutingSpec::ShortestPath => Box::new(ShortestPathRouting::new(topology)?),
+        })
+    }
+}
+
+impl std::fmt::Display for RoutingSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RoutingSpec::UpDown { root } => write!(f, "updown:{root}"),
+            RoutingSpec::ShortestPath => write!(f, "shortest"),
+        }
+    }
+}
+
+impl std::str::FromStr for RoutingSpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        if s == "shortest" {
+            return Ok(RoutingSpec::ShortestPath);
+        }
+        if let Some(root) = s.strip_prefix("updown:") {
+            return root
+                .parse()
+                .map(|root| RoutingSpec::UpDown { root })
+                .map_err(|_| format!("bad routing root in '{s}'"));
+        }
+        Err(format!("unknown routing '{s}'"))
+    }
+}
 
 /// Object-safe interface shared by all routing algorithms.
 pub trait Routing: Send + Sync {
@@ -157,4 +218,23 @@ pub trait Routing: Send + Sync {
 
     /// Human-readable algorithm name (for reports).
     fn name(&self) -> &'static str;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use commsched_topology::designed;
+
+    #[test]
+    fn routing_spec_round_trips_and_builds() {
+        for spec in [RoutingSpec::UpDown { root: 9 }, RoutingSpec::ShortestPath] {
+            assert_eq!(spec.to_string().parse(), Ok(spec));
+        }
+        assert!("left".parse::<RoutingSpec>().is_err());
+        assert!("updown:x".parse::<RoutingSpec>().is_err());
+        let ring = designed::ring(6, 1);
+        let built = RoutingSpec::default().build(&ring).unwrap();
+        assert_eq!(built.name(), "up*/down*");
+        assert!(RoutingSpec::UpDown { root: 6 }.build(&ring).is_err());
+    }
 }

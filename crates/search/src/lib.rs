@@ -1,63 +1,45 @@
 #![warn(missing_docs)]
 
-//! Heuristic search methods for the mapping problem (§4.2 and §2).
+//! The mapping search of the serving path (§4.2).
 //!
 //! The mapping of processes to processors is NP-complete; the paper
 //! minimizes the global similarity function `F_G` with a **tabu search**
-//! variant ([`tabu::TabuSearch`]) and reports that it matched or beat the
-//! other heuristics it tried at lower cost. This crate implements:
+//! variant ([`tabu::TabuSearch`]). This crate is what the `Scheduler`
+//! facade and the daemon run — both through the one entry point
+//! [`map_partition`]:
 //!
 //! * [`tabu`] — the paper's method: best-improving cross-cluster swap;
 //!   at a local minimum take the least-worsening swap and forbid the
 //!   inverse for `h` iterations; stop a seed when the same local minimum is
 //!   reached three times or the iteration budget is spent; restart from
 //!   multiple random seeds (10 in the paper);
-//! * [`exhaustive`] — exact enumeration of balanced partitions (feasible up
-//!   to 16 switches, as in the paper's optimality check);
-//! * [`astar`] — A* tree search with an admissible completion bound (§2);
-//! * [`clustering`] — classical agglomerative clustering, the baseline §3
-//!   argues cannot work on the non-metric table;
-//! * [`anneal`] — simulated annealing (§2);
-//! * [`genetic`] — a genetic algorithm and genetic simulated annealing
-//!   (§2);
-//! * [`kernighan_lin`] — Kernighan–Lin pass-based refinement, the classic
-//!   graph-partitioning comparator;
-//! * [`descent`] — steepest descent and random sampling baselines;
+//! * [`multilevel`] / [`coarsen`] — coarsen → map → refine, for networks
+//!   too large for the flat search;
 //! * [`parallel`] — a deterministic multi-threaded multi-seed driver;
 //! * [`pool`] — the scoped work-stealing pool behind every parallel
-//!   driver in the crate (tabu restarts, multi-seed runs, genetic
-//!   fitness evaluation);
+//!   driver (tabu restarts, multi-seed runs, refinement scans);
+//! * [`exhaustive`] — exact enumeration of balanced partitions (feasible up
+//!   to 16 switches), the optimality oracle the tests compare against;
 //! * [`compute`] — computation-side baselines (OLB, min-min, max-min) for
 //!   the future-work combined scheduling experiments.
 //!
-//! All methods implement the [`Mapper`] trait: given a distance table and
-//! cluster sizes, produce the lowest-`F_G` partition they can find.
+//! The comparators the paper measures tabu against (A*, annealing,
+//! genetic, Kernighan–Lin, clustering, descent) live in `commsched-bench`,
+//! next to the figures that use them. All methods implement the
+//! [`Mapper`] trait: given a distance table and cluster sizes, produce the
+//! lowest-`F_G` partition they can find.
 
-pub mod anneal;
-pub mod astar;
-pub mod clustering;
 pub mod coarsen;
 pub mod compute;
-pub mod descent;
 pub mod exhaustive;
-pub mod genetic;
-pub mod kernighan_lin;
 pub mod multilevel;
 pub mod parallel;
 pub mod pool;
 pub mod tabu;
 
-pub use anneal::{SimulatedAnnealing, SimulatedAnnealingParams};
-pub use astar::AStarSearch;
-pub use clustering::AgglomerativeClustering;
 pub use coarsen::{build_hierarchy, can_coarsen, coarsen_level, CoarseLevel, Hierarchy};
-pub use descent::{RandomSampling, SteepestDescent};
 pub use exhaustive::{enumerate_partitions, ExhaustiveSearch};
-pub use genetic::{GeneticParams, GeneticSearch, GeneticSimulatedAnnealing};
-pub use kernighan_lin::KernighanLin;
-pub use multilevel::{
-    multilevel_map, MapStrategy, MultilevelMapper, MultilevelParams, MultilevelStats,
-};
+pub use multilevel::{multilevel_map, MapStrategy, MultilevelParams, MultilevelStats};
 pub use parallel::parallel_multi_seed;
 pub use pool::{resolve_threads, run_indexed};
 pub use tabu::{TabuParams, TabuSearch, TabuTrace, TraceEvent};
@@ -91,6 +73,57 @@ pub trait Mapper: Send + Sync {
     /// contains zeros; validate with [`check_sizes`] first when unsure.
     fn search(&self, table: &DistanceTable, sizes: &[usize], rng: &mut dyn RngCore)
         -> SearchResult;
+}
+
+/// Everything besides the table, the cluster sizes and the seed that
+/// decides how a mapping is searched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MapPlan {
+    /// The paper's flat tabu search or the multilevel pipeline.
+    pub strategy: MapStrategy,
+    /// Flat only: parameters of each tabu run.
+    pub tabu: TabuParams,
+    /// Flat only: independent tabu runs (RNG seeds `seed..seed + seeds`);
+    /// the best one wins.
+    pub seeds: usize,
+    /// Worker threads of either pipeline (results do not depend on it).
+    pub threads: usize,
+    /// Multilevel only: coarsen until the graph fits this many nodes.
+    pub max_coarse_n: usize,
+}
+
+/// The one place a `(table, sizes, seed, plan)` becomes a partition: the
+/// `Scheduler` facade and the daemon's job body both call this, so the
+/// same request maps the same way through either. Returns the winning
+/// RNG seed, the result, and the multilevel statistics when that
+/// pipeline ran.
+///
+/// # Panics
+/// Panics if `sizes` is not a valid cluster-size vector for `table.n()`
+/// or `plan.seeds == 0` under the flat strategy.
+pub fn map_partition(
+    table: &DistanceTable,
+    sizes: &[usize],
+    seed: u64,
+    plan: &MapPlan,
+) -> (u64, SearchResult, Option<MultilevelStats>) {
+    match plan.strategy {
+        MapStrategy::Flat => {
+            let mapper = TabuSearch::new(plan.tabu.clone());
+            let (winning_seed, result) =
+                parallel_multi_seed(&mapper, table, sizes, seed, plan.seeds, plan.threads);
+            (winning_seed, result, None)
+        }
+        MapStrategy::Multilevel => {
+            let params = MultilevelParams {
+                max_coarse_n: plan.max_coarse_n,
+                threads: plan.threads,
+                ..MultilevelParams::default()
+            };
+            let (result, stats) = multilevel_map(table, sizes, seed, &params);
+            (seed, result, Some(stats))
+        }
+    }
 }
 
 /// Validate that `sizes` is a plausible cluster-size vector for `n`

@@ -35,7 +35,7 @@ use commsched_core::{Partition, SwapEvaluator};
 use commsched_distance::DistanceTable;
 use commsched_telemetry as telemetry;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use std::sync::OnceLock;
 
 /// Which mapping pipeline a caller wants: the paper's flat search or the
@@ -323,30 +323,6 @@ fn nearest_candidates(table: &DistanceTable, k: usize, threads: usize) -> Vec<Ve
     })
 }
 
-/// [`Mapper`] adapter: draws one seed from the caller's RNG and runs the
-/// pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct MultilevelMapper {
-    /// Pipeline tuning.
-    pub params: MultilevelParams,
-}
-
-impl Mapper for MultilevelMapper {
-    fn name(&self) -> &'static str {
-        "multilevel"
-    }
-
-    fn search(
-        &self,
-        table: &DistanceTable,
-        sizes: &[usize],
-        rng: &mut dyn RngCore,
-    ) -> SearchResult {
-        let seed = rng.next_u64();
-        multilevel_map(table, sizes, seed, &self.params).0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,18 +398,6 @@ mod tests {
             assert_eq!(run.0.fg.to_bits(), baseline.0.fg.to_bits());
             assert_eq!(run.1, baseline.1);
         }
-    }
-
-    #[test]
-    fn mapper_adapter_is_deterministic() {
-        let table = dumbbell_table();
-        let mapper = MultilevelMapper {
-            params: small_params(4, 0),
-        };
-        let a = mapper.search(&table, &[4, 4], &mut StdRng::seed_from_u64(5));
-        let b = mapper.search(&table, &[4, 4], &mut StdRng::seed_from_u64(5));
-        assert_eq!(mapper.name(), "multilevel");
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! regenerate Figure 1.
 
 use crate::{check_sizes, Mapper, SearchResult};
-use commsched_core::{Partition, SwapEvaluator, SwapObjective, WeightedSwapEvaluator};
+use commsched_core::{Partition, SwapEvaluator};
 use commsched_distance::DistanceTable;
 use commsched_telemetry as telemetry;
 use commsched_topology::SwitchId;
@@ -185,13 +185,20 @@ impl TabuSearch {
         sizes: &[usize],
         rng: &mut dyn RngCore,
     ) -> (SearchResult, TabuTrace) {
-        self.search_objective(table.n(), sizes, rng, |start| {
-            SwapEvaluator::new(start, table)
-        })
+        self.search_weighted(table, sizes, &vec![1.0; sizes.len()], rng)
     }
 
     /// Run the search against the weighted similarity function (per-
-    /// application traffic weights — the paper's future-work setting).
+    /// application traffic weights — the paper's future-work setting;
+    /// unit weights are the paper's `F_G`).
+    ///
+    /// The restarts run on the crate's scoped worker pool
+    /// ([`crate::pool::run_indexed`]; `params.threads` workers, 0 = one
+    /// per CPU). All starting partitions are drawn from `rng` up front —
+    /// the same stream a serial loop would consume — and each seed records
+    /// a private trace that is merged by seed index with cumulative
+    /// iteration offsets, so the result and trace are identical for every
+    /// thread count.
     ///
     /// # Panics
     /// Panics on invalid sizes, a weight-count mismatch, or non-positive
@@ -203,35 +210,7 @@ impl TabuSearch {
         weights: &[f64],
         rng: &mut dyn RngCore,
     ) -> (SearchResult, TabuTrace) {
-        self.search_objective(table.n(), sizes, rng, |start| {
-            WeightedSwapEvaluator::new(start, table, weights.to_vec())
-        })
-    }
-
-    /// Generic driver: run the multi-seed tabu protocol against any
-    /// [`SwapObjective`], built per seed from a random starting partition.
-    ///
-    /// The restarts run on the crate's scoped worker pool
-    /// ([`crate::pool::run_indexed`]; `params.threads` workers, 0 = one
-    /// per CPU). All starting partitions are drawn from `rng` up front —
-    /// the same stream a serial loop would consume — and each seed records
-    /// a private trace that is merged by seed index with cumulative
-    /// iteration offsets, so the result and trace are identical for every
-    /// thread count.
-    ///
-    /// # Panics
-    /// Panics if `sizes` is not a valid cluster-size vector for `n`.
-    pub fn search_objective<O, F>(
-        &self,
-        n: usize,
-        sizes: &[usize],
-        rng: &mut dyn RngCore,
-        make_objective: F,
-    ) -> (SearchResult, TabuTrace)
-    where
-        O: SwapObjective + Send,
-        F: Fn(Partition) -> O + Sync,
-    {
+        let n = table.n();
         assert!(
             check_sizes(n, sizes),
             "invalid cluster sizes {sizes:?} for {n} switches"
@@ -267,7 +246,7 @@ impl TabuSearch {
                 let mut trace = TabuTrace::default();
                 let mut local_iter = 0usize;
                 let (seed_best, seed_evals) = self.run_seed(
-                    make_objective(starts[seed_idx].clone()),
+                    SwapEvaluator::with_weights(starts[seed_idx].clone(), table, weights.to_vec()),
                     seed_idx,
                     &mut local_iter,
                     &mut trace,
@@ -324,9 +303,9 @@ impl TabuSearch {
 
     /// Run one seed; returns the best local minimum `(value, partition)`
     /// and the evaluation count.
-    fn run_seed<O: SwapObjective>(
+    fn run_seed(
         &self,
-        mut eval: O,
+        mut eval: SwapEvaluator<'_>,
         seed_idx: usize,
         global_iter: &mut usize,
         trace: &mut TabuTrace,
@@ -336,7 +315,7 @@ impl TabuSearch {
         trace.events.push(TraceEvent {
             iteration: *global_iter,
             seed: seed_idx,
-            fg: eval.value(),
+            fg: eval.fg(),
             is_seed_start: true,
         });
 
@@ -344,7 +323,7 @@ impl TabuSearch {
         let mut tabu: HashMap<(SwitchId, SwitchId), usize> = HashMap::new();
         // Local minima seen this seed: (value, hit count).
         let mut minima: Vec<(f64, usize)> = Vec::new();
-        let mut seed_best: (f64, Partition) = (eval.value(), eval.partition().clone());
+        let mut seed_best: (f64, Partition) = (eval.fg(), eval.partition().clone());
         let mut iterations = 0usize;
 
         let n = eval.partition().num_switches();
@@ -357,7 +336,7 @@ impl TabuSearch {
                     if eval.partition().cluster_of(a) == eval.partition().cluster_of(b) {
                         continue;
                     }
-                    let delta = eval.delta(a, b);
+                    let delta = eval.delta_fg(a, b);
                     evaluations += 1;
                     if best_any.is_none_or(|(d, _, _)| delta < d) {
                         best_any = Some((delta, a, b));
@@ -376,7 +355,7 @@ impl TabuSearch {
             let at_local_min = best_delta_any >= -EPS;
             if at_local_min {
                 // Record this local minimum.
-                let fg = eval.value();
+                let fg = eval.fg();
                 if fg < seed_best.0 {
                     seed_best = (fg, eval.partition().clone());
                 }
@@ -401,7 +380,7 @@ impl TabuSearch {
                 let Some((_, a, b)) = best_allowed else {
                     break; // everything tabu: give up this seed
                 };
-                eval.apply(a, b);
+                eval.apply_swap(a, b);
                 tabu.insert((a, b), iterations + 1 + self.params.tenure);
             } else {
                 // Greedy improving move. Improving moves respect the tabu
@@ -413,7 +392,7 @@ impl TabuSearch {
                     .filter(|&(d, _, _)| d < -EPS)
                     .or(best_any)
                     .expect("best_any is Some here");
-                eval.apply(a, b);
+                eval.apply_swap(a, b);
             }
 
             iterations += 1;
@@ -421,12 +400,12 @@ impl TabuSearch {
             trace.events.push(TraceEvent {
                 iteration: *global_iter,
                 seed: seed_idx,
-                fg: eval.value(),
+                fg: eval.fg(),
                 is_seed_start: false,
             });
             // Hard stop even if still descending: the budget is the budget.
             if iterations >= self.params.max_iterations + self.params.tenure * 4 {
-                let fg = eval.value();
+                let fg = eval.fg();
                 if fg < seed_best.0 {
                     seed_best = (fg, eval.partition().clone());
                 }
@@ -434,7 +413,7 @@ impl TabuSearch {
             }
         }
         // Account for the final state.
-        let fg = eval.value();
+        let fg = eval.fg();
         if fg < seed_best.0 {
             seed_best = (fg, eval.into_partition());
         }
@@ -704,8 +683,7 @@ mod tests {
         let params = TabuParams::default().warm_start(dumbbell_truth());
         let mut rng = StdRng::seed_from_u64(1);
         // The warm partition is (4, 4); asking for (2, 6) must panic.
-        let _ = TabuSearch::new(params)
-            .search_objective(8, &[2, 6], &mut rng, |p| SwapEvaluator::new(p, &table));
+        let _ = TabuSearch::new(params).search_traced(&table, &[2, 6], &mut rng);
     }
 
     #[test]

@@ -2,95 +2,19 @@
 //!
 //! Building a table of equivalent distances is the expensive step of a
 //! scheduling request (one linear solve per switch). The cache keys the
-//! finished `(routing, table)` pair by `(topology fingerprint, routing
-//! spec)`. Concurrent requests for the same key are *single-flighted*:
-//! the first computes while the rest block on a condvar and then share
-//! the result — they count as hits, because they obtained the table
-//! without solving.
+//! finished `(routing, table)` pair by `(topology fingerprint,
+//! [`RoutingSpec`], [`TableSpec`])`. Concurrent requests for the same key
+//! are *single-flighted*: the first computes while the rest block on a
+//! condvar and then share the result — they count as hits, because they
+//! obtained the table without solving.
 
+pub use commsched_distance::TableSpec;
 use commsched_distance::{ApproxReport, SharedDistanceTable};
 use commsched_routing::Routing;
+pub use commsched_routing::RoutingSpec;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// The routing half of a cache key (the scheduler's routing choices,
-/// hashable so they can key the cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RoutingSpec {
-    /// Up*/down* routing rooted at `root` (the paper's setting).
-    UpDown {
-        /// Root of the spanning tree.
-        root: usize,
-    },
-    /// Unconstrained shortest-path routing.
-    ShortestPath,
-}
-
-impl std::fmt::Display for RoutingSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RoutingSpec::UpDown { root } => write!(f, "updown:{root}"),
-            RoutingSpec::ShortestPath => write!(f, "shortest"),
-        }
-    }
-}
-
-/// The table half of a cache key: how the equivalent distances were
-/// solved. An approximate table is a *different artifact* than the exact
-/// one — a job asking for `approx-eps=0.05` must never be served an
-/// entry built at a different eps (or vice versa), so the eps budget is
-/// part of the key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TableSpec {
-    /// Exact envelope-LDLᵀ solve of every pair (the oracle).
-    #[default]
-    Exact,
-    /// Certified-interval approximation with the given relative-error
-    /// budget in micro-units (`eps = eps_micros / 1e6`).
-    Approx {
-        /// Error budget × 1e6 (kept integral so the key stays `Eq`).
-        eps_micros: u32,
-    },
-}
-
-impl TableSpec {
-    /// The spec a job's `approx-eps` parameter selects: 0 keeps the
-    /// exact solver, anything else the certified approximation.
-    pub fn from_eps_micros(eps_micros: u32) -> Self {
-        if eps_micros == 0 {
-            TableSpec::Exact
-        } else {
-            TableSpec::Approx { eps_micros }
-        }
-    }
-}
-
-impl std::fmt::Display for TableSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TableSpec::Exact => write!(f, "exact"),
-            TableSpec::Approx { eps_micros } => write!(f, "approx:{eps_micros}"),
-        }
-    }
-}
-
-impl std::str::FromStr for TableSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s == "exact" {
-            return Ok(TableSpec::Exact);
-        }
-        if let Some(micros) = s.strip_prefix("approx:") {
-            return micros
-                .parse()
-                .map(|eps_micros| TableSpec::Approx { eps_micros })
-                .map_err(|_| format!("bad eps in table spec '{s}'"));
-        }
-        Err(format!("unknown table spec '{s}'"))
-    }
-}
 
 /// A routing and its table of equivalent distances, built once and
 /// shared by every job that schedules on the same network.

@@ -6,32 +6,12 @@ use super::ServiceCore;
 use crate::cache::{RoutedTable, RoutingSpec, TableSpec};
 use crate::protocol::{JobKind, JobSpec};
 use commsched_core::{quality, ProcessMapping, Workload};
-use commsched_distance::{equivalent_distance_table_with_report, SolverKind, TableOptions};
+use commsched_distance::equivalent_distance_table_with_report;
 use commsched_dynamics::{repair_table, RepairReport, TopologyEpoch};
 use commsched_netsim::{paper_sweep, SimConfig, SweepConfig};
-use commsched_routing::{Routing, ShortestPathRouting, UpDownRouting};
-use commsched_search::{
-    multilevel_map, parallel_multi_seed, MapStrategy, MultilevelParams, TabuParams, TabuSearch,
-};
+use commsched_search::{map_partition, MapPlan, MultilevelParams, TabuParams};
 use commsched_topology::Topology;
 use std::sync::Arc;
-
-/// Build the routing implementation a [`RoutingSpec`] names, for
-/// `topo`. Shared by cache builds, fault repairs, and recovery's
-/// bit-exact cache restoration.
-pub(super) fn build_routing(
-    topo: &Topology,
-    spec: RoutingSpec,
-) -> Result<Box<dyn Routing>, String> {
-    Ok(match spec {
-        RoutingSpec::UpDown { root } => {
-            Box::new(UpDownRouting::new(topo, root).map_err(|e| e.to_string())?)
-        }
-        RoutingSpec::ShortestPath => {
-            Box::new(ShortestPathRouting::new(topo).map_err(|e| e.to_string())?)
-        }
-    })
-}
 
 impl ServiceCore {
     /// The cached routing + distance table for a topology, under the
@@ -51,23 +31,11 @@ impl ServiceCore {
         let mut built = false;
         let built_flag = &mut built;
         let value = self.cache.get_or_build(key, move || {
-            let routing_impl = build_routing(&topo_for_build, routing)?;
-            let options = match tspec {
-                TableSpec::Exact => TableOptions {
-                    threads,
-                    ..TableOptions::default()
-                },
-                TableSpec::Approx { eps_micros } => TableOptions {
-                    solver: SolverKind::Approximate,
-                    approx_eps_micros: eps_micros,
-                    threads,
-                    ..TableOptions::default()
-                },
-            };
+            let routing_impl = routing.build(&topo_for_build).map_err(|e| e.to_string())?;
             let (table, approx) = equivalent_distance_table_with_report(
                 &topo_for_build,
                 routing_impl.as_ref(),
-                options,
+                tspec.options(threads),
             )
             .map_err(|e| e.to_string())?;
             *built_flag = true;
@@ -102,7 +70,7 @@ impl ServiceCore {
         let report_slot = &mut report;
         let key = (next.fingerprint, spec, TableSpec::Exact);
         self.cache.get_or_build(key, move || {
-            let routing = build_routing(&topo, spec)?;
+            let routing = spec.build(&topo).map_err(|e| e.to_string())?;
             let mut memo = self.repair_memo.lock().expect("repair memo lock");
             let (table, rep) = repair_table(
                 &stale.table,
@@ -110,10 +78,7 @@ impl ServiceCore {
                 stale.routing.as_ref(),
                 &topo,
                 routing.as_ref(),
-                TableOptions {
-                    threads,
-                    ..TableOptions::default()
-                },
+                TableSpec::Exact.options(threads),
                 &mut memo,
             )
             .map_err(|e| e.to_string())?;
@@ -146,30 +111,18 @@ impl ServiceCore {
         }
         let workload = Workload::balanced(&topo, clusters).map_err(|e| e.to_string())?;
         let sizes = workload.switch_demands(topo.hosts_per_switch());
-        let (winning_seed, result, ml) = match spec.strategy {
-            MapStrategy::Flat => {
-                let mapper = TabuSearch::new(TabuParams::scaled(topo.num_switches()));
-                let (winning_seed, result) = parallel_multi_seed(
-                    &mapper,
-                    &routed.table,
-                    &sizes,
-                    seed,
-                    self.config.search_seeds,
-                    self.config.search_threads,
-                );
-                (winning_seed, result, None)
-            }
-            MapStrategy::Multilevel => {
-                let params = MultilevelParams {
-                    threads: self.config.search_threads,
-                    ..MultilevelParams::default()
-                };
-                let (result, stats) = multilevel_map(&routed.table, &sizes, seed, &params);
-                self.stats
-                    .note_multilevel(stats.levels as u64, stats.refine_moves);
-                (seed, result, Some(stats))
-            }
+        let plan = MapPlan {
+            strategy: spec.strategy,
+            tabu: TabuParams::scaled(topo.num_switches()),
+            seeds: self.config.search_seeds,
+            threads: self.config.search_threads,
+            max_coarse_n: MultilevelParams::default().max_coarse_n,
         };
+        let (winning_seed, result, ml) = map_partition(&routed.table, &sizes, seed, &plan);
+        if let Some(stats) = &ml {
+            self.stats
+                .note_multilevel(stats.levels as u64, stats.refine_moves);
+        }
         let q = quality(&result.partition, &routed.table);
         let assignment: Vec<String> = result
             .partition

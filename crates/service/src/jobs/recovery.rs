@@ -1,7 +1,6 @@
 //! Startup recovery of a durable core, and its inverse: the snapshot
 //! records that re-emit live state in the grammar recovery reads.
 
-use super::execute::build_routing;
 use super::{JobId, JobRecord, JobState, ServiceCore, ServiceCoreConfig};
 use crate::cache::RoutedTable;
 use crate::persist::{state as pstate, PersistError, PersistOptions, Persistence, RecoveryReport};
@@ -105,7 +104,7 @@ impl ServiceCore {
             if recovered.successor.contains_key(&fp) {
                 continue;
             }
-            let Some(Ok(routing)) = core.registry.get(fp).map(|t| build_routing(&t, spec)) else {
+            let Some(Ok(routing)) = core.registry.get(fp).map(|t| spec.build(&t)) else {
                 rejected += 1;
                 continue;
             };

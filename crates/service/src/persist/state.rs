@@ -34,8 +34,7 @@
 use crate::cache::{RoutingSpec, TableSpec};
 use crate::jobs::{JobId, JobState};
 use crate::protocol::{
-    format_fingerprint, format_job_spec, parse_fingerprint, parse_job_spec, parse_routing_spec,
-    JobSpec,
+    format_fingerprint, format_job_spec, parse_fingerprint, parse_job_spec, JobSpec,
 };
 use commsched_distance::{
     table_from_text_with_report, table_to_text_with_report, ApproxReport, DistanceTable,
@@ -281,14 +280,14 @@ impl RecoveredState {
             // Two-word spelling = records written before approximate
             // tables existed; those are always exact.
             ["cache", f, spec] | ["cache", f, spec, "exact"] => {
-                let key = (fp(f)?, parse_routing_spec(spec)?, TableSpec::Exact);
+                let key = (fp(f)?, spec.parse()?, TableSpec::Exact);
                 let (table, _) =
                     table_from_text_with_report(body).map_err(|e| format!("bad table: {e}"))?;
                 self.push_table((key, table, None));
             }
             ["cache", f, spec, tspec] => {
                 let tspec: TableSpec = tspec.parse()?;
-                let key = (fp(f)?, parse_routing_spec(spec)?, tspec);
+                let key = (fp(f)?, spec.parse()?, tspec);
                 let (table, report) =
                     table_from_text_with_report(body).map_err(|e| format!("bad table: {e}"))?;
                 self.push_table((key, table, report));

@@ -156,6 +156,63 @@ pub enum Request {
     Quit,
 }
 
+/// Most switches a builtin `topo=ring:…|random:…` spelling may ask the
+/// daemon to generate: the largest network this repository measures. An
+/// *uploaded* network is bounded by the frame-payload cap instead.
+pub const MAX_WIRE_SWITCHES: usize = 4096;
+/// Most workstations per switch (and most inter-switch links per switch)
+/// a builtin spelling may ask for.
+pub const MAX_WIRE_FANOUT: usize = 64;
+/// Most simulation points one `SWEEP` may ask for (each is a full run).
+pub const MAX_WIRE_POINTS: usize = 64;
+
+fn within(what: &str, value: usize, max: usize) -> Result<(), String> {
+    if value > max {
+        return Err(format!("limit-exceeded: {what} {value} > {max}"));
+    }
+    Ok(())
+}
+
+impl TopoRef {
+    /// Refuse a builtin spelling whose generated network a client sized
+    /// freely (`ring:10^9:1` would allocate the network, then an N² table,
+    /// inside a worker). Applied where requests enter from the wire, not
+    /// in [`parse_job_spec`]: a record an older daemon logged must still
+    /// recover.
+    ///
+    /// # Errors
+    /// `limit-exceeded: <what> <value> > <max>`.
+    pub fn check_wire_limits(&self) -> Result<(), String> {
+        let (switches, degree, hosts) = match *self {
+            TopoRef::Registered(_) | TopoRef::Paper24 => return Ok(()),
+            TopoRef::Ring { switches, hosts } => (switches, 2, hosts),
+            TopoRef::Random {
+                switches,
+                degree,
+                hosts,
+                ..
+            } => (switches, degree, hosts),
+        };
+        within("switches", switches, MAX_WIRE_SWITCHES)?;
+        within("degree", degree, MAX_WIRE_FANOUT)?;
+        within("hosts", hosts, MAX_WIRE_FANOUT)
+    }
+}
+
+impl JobSpec {
+    /// [`TopoRef::check_wire_limits`] plus the `points=` cap of a sweep.
+    ///
+    /// # Errors
+    /// `limit-exceeded: <what> <value> > <max>`.
+    pub fn check_wire_limits(&self) -> Result<(), String> {
+        self.topo.check_wire_limits()?;
+        match self.kind {
+            JobKind::Sweep { points, .. } => within("points", points, MAX_WIRE_POINTS),
+            JobKind::Schedule { .. } | JobKind::Noop => Ok(()),
+        }
+    }
+}
+
 /// Render a fingerprint the way the protocol spells it (16 hex digits).
 pub fn format_fingerprint(fp: u64) -> String {
     format!("{fp:016x}")
@@ -213,20 +270,6 @@ fn parse_topo_ref(value: &str) -> Result<TopoRef, String> {
     }
 }
 
-fn parse_routing(value: &str) -> Result<crate::cache::RoutingSpec, String> {
-    use crate::cache::RoutingSpec;
-    if value == "shortest" {
-        return Ok(RoutingSpec::ShortestPath);
-    }
-    if let Some(root) = value.strip_prefix("updown:") {
-        return root
-            .parse()
-            .map(|root| RoutingSpec::UpDown { root })
-            .map_err(|_| format!("bad routing root in '{value}'"));
-    }
-    Err(format!("unknown routing '{value}'"))
-}
-
 fn parse_approx_eps(value: &str) -> Result<u32, String> {
     let eps: f64 = value
         .parse()
@@ -262,7 +305,7 @@ fn parse_submit(words: &[&str]) -> Result<JobSpec, String> {
         };
         match key {
             "topo" => topo = Some(parse_topo_ref(value)?),
-            "routing" => routing = parse_routing(value)?,
+            "routing" => routing = value.parse()?,
             "strategy" => strategy = value.parse()?,
             "approx-eps" => approx_eps_micros = parse_approx_eps(value)?,
             "clusters" => {
@@ -371,17 +414,6 @@ pub fn parse_job_spec(text: &str) -> Result<JobSpec, String> {
     parse_submit(&words)
 }
 
-/// Parse a routing spec as the protocol (and [`RoutingSpec`]'s
-/// `Display`) spells it: `shortest` or `updown:<root>`.
-///
-/// # Errors
-/// Returns a human-readable message on malformed input.
-///
-/// [`RoutingSpec`]: crate::cache::RoutingSpec
-pub fn parse_routing_spec(value: &str) -> Result<crate::cache::RoutingSpec, String> {
-    parse_routing(value)
-}
-
 /// Parse the `<a>:<b>[:<slowdown>]` endpoint syntax of FAULT events.
 fn parse_endpoints(value: &str, with_slowdown: bool) -> Result<(usize, usize, u32), String> {
     let parts: Vec<&str> = value.split(':').collect();
@@ -437,8 +469,10 @@ fn parse_fault(words: &[&str]) -> Result<Request, String> {
             other => return Err(format!("unknown key '{other}'")),
         }
     }
+    let topo = topo.ok_or("FAULT needs topo=...")?;
+    topo.check_wire_limits()?;
     Ok(Request::Fault {
-        topo: topo.ok_or("FAULT needs topo=...")?,
+        topo,
         event: event.ok_or("FAULT needs kill=a:b, restore=a:b[:slowdown], or switch=s")?,
     })
 }
@@ -459,7 +493,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             .parse()
             .map(|lines| Request::AddTopo { lines })
             .map_err(|_| format!("bad line count '{n}'")),
-        ["SUBMIT", rest @ ..] => parse_submit(rest).map(Request::Submit),
+        ["SUBMIT", rest @ ..] => {
+            let spec = parse_submit(rest)?;
+            spec.check_wire_limits()?;
+            Ok(Request::Submit(spec))
+        }
         ["FAULT", rest @ ..] => parse_fault(rest),
         ["STATUS", id] => Ok(Request::Status { job: job_id(id)? }),
         ["RESULT", id] => Ok(Request::Result { job: job_id(id)? }),
@@ -745,14 +783,6 @@ mod tests {
                 Ok(Request::Submit(spec))
             );
         }
-        assert_eq!(
-            parse_routing_spec(&RoutingSpec::UpDown { root: 9 }.to_string()),
-            Ok(RoutingSpec::UpDown { root: 9 })
-        );
-        assert_eq!(
-            parse_routing_spec(&RoutingSpec::ShortestPath.to_string()),
-            Ok(RoutingSpec::ShortestPath)
-        );
     }
 
     #[test]
@@ -803,6 +833,31 @@ mod tests {
         assert_eq!(err, "bad deadline-ms '-1'");
         let err = parse_request("SUBMIT NOOP mem=lots").unwrap_err();
         assert_eq!(err, "bad mem 'lots'");
+    }
+
+    #[test]
+    fn oversize_wire_values_are_refused_but_still_parse_from_the_log() {
+        for (line, what) in [
+            ("SUBMIT SCHEDULE topo=ring:1000000000:1", "switches"),
+            ("SUBMIT SCHEDULE topo=ring:8:65", "hosts"),
+            ("SUBMIT NOOP topo=random:4097:3:1:7", "switches"),
+            ("SUBMIT SCHEDULE topo=random:64:65:1:7", "degree"),
+            ("SUBMIT SWEEP topo=paper24 points=65", "points"),
+            ("FAULT topo=ring:4097:1 kill=0:1", "switches"),
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert!(
+                err.starts_with(&format!("limit-exceeded: {what} ")),
+                "{line}: {err}"
+            );
+        }
+        // At the caps everything is accepted.
+        parse_request("SUBMIT SWEEP topo=random:4096:64:64:7 points=64").unwrap();
+        parse_request("FAULT topo=ring:4096:64 kill=0:1").unwrap();
+        // An `accept` record an older daemon logged must still recover:
+        // the log-side parser applies no caps.
+        let logged = parse_job_spec("SWEEP topo=ring:5000:1 points=100").unwrap();
+        assert!(logged.check_wire_limits().is_err());
     }
 
     #[test]

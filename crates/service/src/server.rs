@@ -461,6 +461,7 @@ impl Handler for ServiceHandler {
                         .iter()
                         .map(|s| {
                             let spec = protocol::parse_job_spec(s)?;
+                            spec.check_wire_limits()?;
                             if let Some(hooks) = &self.hooks {
                                 if let RouteDecision::Moved { shard, addr } =
                                     hooks.route(&Request::Submit(spec))

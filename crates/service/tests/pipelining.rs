@@ -142,6 +142,68 @@ fn binary_pipelining_and_batch_acks() {
     handle.shutdown();
 }
 
+/// Oversize `points=` / builtin-topology values are refused with a typed
+/// error on every wire path — line `SUBMIT`/`FAULT`, `OP_REQ`,
+/// `OP_SUBMIT_BATCH` — before anything is enqueued.
+#[test]
+fn oversize_values_are_refused_at_every_wire_entry() {
+    let handle = spawn_server(64);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for refused in [
+        client.submit_raw("SCHEDULE topo=ring:1000000000:1").err(),
+        client.submit_raw("SWEEP topo=paper24 points=100000").err(),
+        client
+            .fault_raw("topo=random:100000:3:1:1 kill=0:1")
+            .map(|_| 0)
+            .err(),
+    ] {
+        let err = refused.expect("must be refused").to_string();
+        assert!(err.starts_with("server: limit-exceeded: "), "got: {err}");
+    }
+
+    let mut bin = TcpStream::connect(handle.addr()).expect("binary connect");
+    let mut wire = frame::MAGIC.to_vec();
+    wire.extend_from_slice(&frame::encode_frame(
+        frame::OP_REQ,
+        b"SUBMIT SWEEP topo=paper24 points=65",
+    ));
+    wire.extend_from_slice(&frame::encode_frame(
+        frame::OP_SUBMIT_BATCH,
+        &frame::encode_submit_batch(&[
+            "NOOP".to_string(),
+            "SCHEDULE topo=random:5000:3:1:1".to_string(),
+        ]),
+    ));
+    bin.write_all(&wire).expect("write");
+    let mut dec = FrameDecoder::new_after_preamble(frame::DEFAULT_MAX_FRAME_PAYLOAD);
+    let mut frames = Vec::new();
+    let mut buf = [0u8; 4096];
+    while frames.len() < 2 {
+        let n = bin.read(&mut buf).expect("read");
+        assert!(n > 0, "server closed early");
+        dec.extend(&buf[..n]);
+        while let Some(f) = dec.next_frame().expect("clean frames") {
+            frames.push(f);
+        }
+    }
+    assert_eq!(frames[0].opcode, frame::OP_ERR);
+    assert!(frames[0]
+        .payload
+        .starts_with(b"ERR limit-exceeded: points 65 > 64"));
+    let acks = frame::decode_batch_ack(&frames[1].payload).expect("ack");
+    assert!(matches!(acks[0], BatchOutcome::Ok(_)), "{acks:?}");
+    assert!(
+        matches!(&acks[1], BatchOutcome::Err(e) if e.starts_with("limit-exceeded: switches")),
+        "{acks:?}"
+    );
+
+    // Only the batch's NOOP was ever admitted.
+    let stats = client.stats().expect("stats");
+    let submitted = stats.iter().find(|(k, _)| k == "jobs_submitted");
+    assert_eq!(submitted.map(|(_, v)| v.as_str()), Some("1"));
+    handle.shutdown();
+}
+
 /// One daemon serves a line client and a binary client concurrently;
 /// jobs submitted on either protocol are visible to both.
 #[test]

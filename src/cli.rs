@@ -660,7 +660,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             dump_trace: flags.get("dump-trace").cloned(),
         }),
         "submit" => {
-            let (strategy, _, approx_eps_micros) = parse_scale_flags(&flags)?;
+            let (strategy, max_coarse_n, approx_eps_micros) = parse_scale_flags(&flags)?;
+            if max_coarse_n != SchedulerOptions::default().max_coarse_n {
+                return Err(
+                    "--max-coarse-n is local-only: the daemon always uses its default".into(),
+                );
+            }
             Ok(Command::Submit {
                 server: server.ok_or("submit needs --server <host:port>")?,
                 kind: match get("type", "schedule").as_str() {
@@ -901,6 +906,13 @@ fn run_inner(cmd: &Command) -> Result<String, String> {
             if let Some(server) = server {
                 if weights.is_some() {
                     return Err("--weights is not supported with --server".into());
+                }
+                // No wire key carries it: accepting the flag would silently
+                // drop it.
+                if *max_coarse_n != SchedulerOptions::default().max_coarse_n {
+                    return Err(
+                        "--max-coarse-n is local-only: the daemon always uses its default".into(),
+                    );
                 }
                 let extra = remote_scale_args(*strategy, *approx_eps_micros);
                 let lines = run_remote_job(
@@ -1638,6 +1650,7 @@ mod tests {
         assert!(parse(&argv("submit --kind paper24")).is_err());
         assert!(parse(&argv("status --server h:1")).is_err());
         assert!(parse(&argv("submit --server h:1 --type dance")).is_err());
+        assert!(parse(&argv("submit --server h:1 --max-coarse-n 8")).is_err());
         assert!(parse(&argv("metrics")).is_err());
     }
 
@@ -1967,6 +1980,21 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("--weights"));
+        // So is a non-default coarsening bound: the daemon has no wire
+        // key for it, so the CLI refuses rather than drop it.
+        let err = run(&Command::Schedule {
+            topology: TopologySpec::Paper24,
+            clusters: 4,
+            seed: 1,
+            weights: None,
+            server: Some(addr.clone()),
+            trace_out: None,
+            strategy: MapStrategy::Multilevel,
+            max_coarse_n: 8,
+            approx_eps_micros: 0,
+        })
+        .unwrap_err();
+        assert!(err.contains("--max-coarse-n is local-only"), "got: {err}");
         // The metrics subcommand round-trips the daemon's Prometheus dump
         // (the schedule job above ran, so job counters are non-zero).
         let metrics = run(&Command::Metrics {

@@ -19,10 +19,10 @@
 //! | Module (re-export) | Crate | Implements |
 //! |---|---|---|
 //! | [`topology`] | `commsched-topology` | switch graphs, random irregular and designed topologies (§5.1) |
-//! | [`routing`] | `commsched-routing` | up*/down* and shortest-path routing (§2) |
+//! | [`routing`] | `commsched-routing` | up*/down* and shortest-path routing (§2); `RoutingSpec` (= [`RoutingKind`]) names and builds one |
 //! | [`distance`] | `commsched-distance` | table of equivalent distances — resistive model (§3) |
 //! | [`core`] | `commsched-core` | partitions, quality functions `F_G`, `D_G`, `Cc` (§4.1) |
-//! | [`search`] | `commsched-search` | tabu search + comparison heuristics (§4.2) |
+//! | [`search`] | `commsched-search` | tabu search, multilevel pipeline, the one `map_partition` entry point (§4.2); the comparison heuristics live in `commsched-bench` |
 //! | [`dynamics`] | `commsched-dynamics` | fault injection, incremental table repair, warm remapping |
 //! | [`netsim`] | `commsched-netsim` | flit-level wormhole simulator (§5) |
 //! | [`stats`] | `commsched-stats` | correlation/statistics for the evaluation (§5.2) |

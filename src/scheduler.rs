@@ -8,34 +8,18 @@
 
 use commsched_core::{quality, Partition, ProcessMapping, Quality, Workload, WorkloadError};
 use commsched_distance::{
-    equivalent_distance_table_with_report, ApproxReport, DistanceTable, SolverKind, TableError,
-    TableOptions,
+    equivalent_distance_table_with_report, ApproxReport, DistanceTable, TableError, TableSpec,
 };
-use commsched_routing::{Routing, RoutingError, ShortestPathRouting, UpDownRouting};
+use commsched_routing::{Routing, RoutingError};
 use commsched_search::{
-    multilevel_map, parallel_multi_seed, MapStrategy, MultilevelParams, MultilevelStats,
-    TabuParams, TabuSearch,
+    map_partition, MapPlan, MapStrategy, MultilevelParams, MultilevelStats, TabuParams, TabuSearch,
 };
-use commsched_topology::{SwitchId, Topology};
+use commsched_topology::Topology;
 
-/// Which routing algorithm the scheduler models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingKind {
-    /// Autonet-style up*/down* routing rooted at the given switch (the
-    /// paper's setting).
-    UpDown {
-        /// Root of the spanning tree.
-        root: SwitchId,
-    },
-    /// Unconstrained shortest-path routing.
-    ShortestPath,
-}
-
-impl Default for RoutingKind {
-    fn default() -> Self {
-        RoutingKind::UpDown { root: 0 }
-    }
-}
+/// Which routing algorithm the scheduler models (default: up*/down*
+/// rooted at switch 0, the paper's setting). The same enum the daemon's
+/// job specs carry.
+pub use commsched_routing::RoutingSpec as RoutingKind;
 
 /// Scale knobs: which mapping strategy runs and whether the distance
 /// table is built with the certified-interval approximate solver.
@@ -134,9 +118,7 @@ pub struct Scheduler {
     table: DistanceTable,
     approx: Option<ApproxReport>,
     options: SchedulerOptions,
-    tabu: TabuParams,
-    threads: usize,
-    search_seeds: usize,
+    plan: MapPlan,
 }
 
 impl Scheduler {
@@ -159,49 +141,40 @@ impl Scheduler {
         routing_kind: RoutingKind,
         options: SchedulerOptions,
     ) -> Result<Self, ScheduleError> {
-        let routing: Box<dyn Routing> = match routing_kind {
-            RoutingKind::UpDown { root } => Box::new(UpDownRouting::new(&topology, root)?),
-            RoutingKind::ShortestPath => Box::new(ShortestPathRouting::new(&topology)?),
-        };
+        let routing = routing_kind.build(&topology)?;
         let threads = std::thread::available_parallelism().map_or(4, usize::from);
-        let table_options = if options.approx_eps_micros > 0 {
-            TableOptions {
-                solver: SolverKind::Approximate,
-                approx_eps_micros: options.approx_eps_micros,
-                threads,
-                ..TableOptions::default()
-            }
-        } else {
-            TableOptions {
-                threads,
-                ..TableOptions::default()
-            }
+        let (table, approx) = equivalent_distance_table_with_report(
+            &topology,
+            routing.as_ref(),
+            TableSpec::from_eps_micros(options.approx_eps_micros).options(threads),
+        )?;
+        let plan = MapPlan {
+            strategy: options.strategy,
+            tabu: TabuParams::scaled(topology.num_switches()),
+            seeds: 10,
+            threads,
+            max_coarse_n: options.max_coarse_n,
         };
-        let (table, approx) =
-            equivalent_distance_table_with_report(&topology, routing.as_ref(), table_options)?;
-        let tabu = TabuParams::scaled(topology.num_switches());
         Ok(Self {
             topology,
             routing,
             table,
             approx,
             options,
-            tabu,
-            threads,
-            search_seeds: 10,
+            plan,
         })
     }
 
     /// Override the tabu parameters (paper defaults: 10 seeds, 20
     /// iterations, 3 local-minimum repeats).
     pub fn with_tabu_params(mut self, params: TabuParams) -> Self {
-        self.tabu = params;
+        self.plan.tabu = params;
         self
     }
 
     /// Set the number of independent search restarts run in parallel.
     pub fn with_search_seeds(mut self, seeds: usize) -> Self {
-        self.search_seeds = seeds.max(1);
+        self.plan.seeds = seeds.max(1);
         self
     }
 
@@ -250,33 +223,22 @@ impl Scheduler {
     ) -> Result<ScheduleOutcome, ScheduleError> {
         workload.validate(&self.topology)?;
         let sizes = workload.switch_demands(self.topology.hosts_per_switch());
-        let (winning_seed, result, ml) = match self.options.strategy {
-            MapStrategy::Flat => {
-                let mapper = TabuSearch::new(self.tabu.clone());
-                let (winning_seed, result) = parallel_multi_seed(
-                    &mapper,
-                    &self.table,
-                    &sizes,
-                    seed,
-                    self.search_seeds,
-                    self.threads,
-                );
-                (winning_seed, result, None)
-            }
-            MapStrategy::Multilevel => {
-                let params = MultilevelParams {
-                    max_coarse_n: self.options.max_coarse_n,
-                    threads: self.threads,
-                    ..MultilevelParams::default()
-                };
-                let (result, stats) = multilevel_map(&self.table, &sizes, seed, &params);
-                (seed, result, Some(stats))
-            }
-        };
-        let mapping = ProcessMapping::place(&self.topology, workload, &result.partition)?;
+        let (winning_seed, result, ml) = map_partition(&self.table, &sizes, seed, &self.plan);
+        self.outcome(workload, result.partition, winning_seed, ml)
+    }
+
+    /// Realize `partition` as a process mapping and report its quality.
+    fn outcome(
+        &self,
+        workload: &Workload,
+        partition: Partition,
+        winning_seed: u64,
+        ml: Option<MultilevelStats>,
+    ) -> Result<ScheduleOutcome, ScheduleError> {
+        let mapping = ProcessMapping::place(&self.topology, workload, &partition)?;
         Ok(ScheduleOutcome {
-            quality: self.evaluate(&result.partition),
-            partition: result.partition,
+            quality: self.evaluate(&partition),
+            partition,
             mapping,
             winning_seed,
             ml,
@@ -308,20 +270,13 @@ impl Scheduler {
         }
         let sizes = workload.switch_demands(self.topology.hosts_per_switch());
         let mut rng = StdRng::seed_from_u64(seed);
-        let (result, _) = TabuSearch::new(self.tabu.clone()).search_weighted(
+        let (result, _) = TabuSearch::new(self.plan.tabu.clone()).search_weighted(
             &self.table,
             &sizes,
             weights,
             &mut rng,
         );
-        let mapping = ProcessMapping::place(&self.topology, workload, &result.partition)?;
-        Ok(ScheduleOutcome {
-            quality: self.evaluate(&result.partition),
-            partition: result.partition,
-            mapping,
-            winning_seed: seed,
-            ml: None,
-        })
+        self.outcome(workload, result.partition, seed, None)
     }
 
     /// The paper's baseline: place `workload` on a uniformly random
@@ -341,14 +296,7 @@ impl Scheduler {
         let mut rng = StdRng::seed_from_u64(seed);
         let partition = Partition::random(self.topology.num_switches(), &sizes, &mut rng)
             .expect("validated workload sizes");
-        let mapping = ProcessMapping::place(&self.topology, workload, &partition)?;
-        Ok(ScheduleOutcome {
-            quality: self.evaluate(&partition),
-            partition,
-            mapping,
-            winning_seed: seed,
-            ml: None,
-        })
+        self.outcome(workload, partition, seed, None)
     }
 }
 

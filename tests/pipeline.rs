@@ -2,10 +2,13 @@
 //! search → quality, across topology families.
 
 use commsched::core::{quality, Partition, Workload};
+use commsched::search::MapStrategy;
+use commsched::service::{JobKind, JobSpec, ServiceCore, ServiceCoreConfig, TopoRef};
 use commsched::topology::{designed, random_regular, RandomTopologyConfig};
-use commsched::{RoutingKind, Scheduler};
+use commsched::{RoutingKind, Scheduler, SchedulerOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 #[test]
 fn scheduler_pipeline_on_random_networks() {
@@ -93,5 +96,73 @@ fn workload_validation_round_trip() {
             outcome.mapping.cluster_of_host(h),
             outcome.partition.cluster_of(h / 4)
         );
+    }
+}
+
+/// The facade and the daemon are two callers of one pipeline: the same
+/// `(topology, routing, clusters, seed, strategy)` must produce the same
+/// partition and the same `fg` (to the 9 digits a `RESULT` prints)
+/// through `Scheduler` and through an in-process `ServiceCore` job.
+#[test]
+fn facade_and_daemon_map_identically() {
+    let core = Arc::new(ServiceCore::new(ServiceCoreConfig {
+        search_seeds: 3,
+        ..ServiceCoreConfig::default()
+    }));
+    let (clusters, seed) = (4, 11);
+    // 264 switches is past the multilevel default `max_coarse_n`, so that
+    // case really coarsens (the daemon has no knob to lower the bound).
+    let cases = [
+        (32, RoutingKind::UpDown { root: 0 }, MapStrategy::Flat),
+        (32, RoutingKind::ShortestPath, MapStrategy::Flat),
+        (
+            264,
+            RoutingKind::UpDown { root: 3 },
+            MapStrategy::Multilevel,
+        ),
+    ]
+    .map(|(n, routing, strategy)| {
+        let mut rng = StdRng::seed_from_u64(5);
+        let topo = random_regular(RandomTopologyConfig::paper(n), &mut rng).unwrap();
+        let spec = JobSpec {
+            topo: TopoRef::Registered(core.register_topology(topo.clone()).0),
+            routing,
+            strategy,
+            kind: JobKind::Schedule { clusters, seed },
+            ..JobSpec::default()
+        };
+        (topo, routing, strategy, core.submit(spec).unwrap())
+    });
+    let worker = {
+        let core = Arc::clone(&core);
+        std::thread::spawn(move || core.worker_loop())
+    };
+    core.drain();
+    worker.join().unwrap();
+    for (topo, routing, strategy, id) in cases {
+        let options = SchedulerOptions {
+            strategy,
+            ..SchedulerOptions::default()
+        };
+        let sched = Scheduler::with_options(topo, routing, options)
+            .unwrap()
+            .with_search_seeds(3);
+        let wl = Workload::balanced(sched.topology(), clusters).unwrap();
+        let local = sched.schedule(&wl, seed).unwrap();
+        let assignment = local.partition.assignment();
+        let assignment: Vec<String> = assignment.iter().map(ToString::to_string).collect();
+        let lines = core.result_lines(id).unwrap();
+        let mut want = vec![
+            format!("partition {}", assignment.join(" ")),
+            format!("fg {:.9}", local.quality.fg),
+            format!("winning_seed {}", local.winning_seed),
+        ];
+        if let Some(ml) = local.ml {
+            assert!(ml.levels > 0, "the multilevel case must coarsen");
+            want.push(format!("ml_refine_moves {}", ml.refine_moves));
+        }
+        for line in &want {
+            assert!(lines.contains(line), "{strategy}: no '{line}' in {lines:?}");
+        }
     }
 }
