@@ -41,6 +41,14 @@ stop_daemon() {
     wait "$1" 2>/dev/null || true
 }
 
+# A loadgen JSON report is clean: no errors, nothing lost in flight,
+# something acknowledged.
+check_loadgen_report() {
+    grep -q '"errors":0,' "$1" && grep -q '"in_flight_lost":0,' "$1" \
+        && ! grep -q '"jobs_acked":0,' "$1" \
+        || { echo "loadgen smoke: report is not clean"; cat "$1"; exit 1; }
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -61,12 +69,6 @@ cargo test -q --workspace
 
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
-
-echo "==> perfbase --smoke (perf sanity: sparse == dense, tabu determinism, dynamics repair >= 3x rebuild, net front-end sweep, multilevel scale gate, scenario warm-remap >= 3x cold + thread-count bit-identity, congestion-regime OP-vs-random sign + off-mode purity)"
-./target/release/perfbase --smoke --out /tmp/perfbase_smoke.json --out-dynamics /tmp/perfbase_smoke_pr4.json --out-service /tmp/perfbase_smoke_pr5.json --out-net /tmp/perfbase_smoke_pr6.json --out-scale /tmp/perfbase_smoke_pr7.json --out-scenarios /tmp/perfbase_smoke_pr9.json --out-netsim /tmp/perfbase_smoke_pr10.json
-
-echo "==> perfbase --smoke --only-cluster (shard scaling gates: >= 1.7x at 2, >= 3x at 4; sync replication row)"
-./target/release/perfbase --smoke --only-cluster --out-cluster /tmp/perfbase_smoke_pr8.json
 
 echo "==> multilevel smoke (N=1024 coarsen->map->refine on an approximate table under a wall budget)"
 ML_START=$(date +%s)
@@ -136,22 +138,31 @@ RESTORED=$(sed -n 's/^recovered from .* \([0-9][0-9]*\) cached tables.*/\1/p' "$
 stop_daemon "$SERVE_PID"
 echo "recovery smoke: ok"
 
-echo "==> loadgen smoke (serve -> closed-loop binary batch load -> clean report)"
-./target/release/commsched serve --addr 127.0.0.1:0 --workers 2 --no-persist \
-    --queue-cap 100000 >"$SMOKE_DIR/serve3.log" 2>&1 &
+echo "==> loadgen smoke (serve under a 1024-descriptor soft limit -> paced binary batch load, then 10 000 connections -> clean reports)"
+# The daemon starts under the common 1024 soft limit and must raise it
+# itself to honour --max-conns. The first run is paced so that its total
+# (20 000 jobs) stays under --queue-cap however slowly the workers drain.
+HARD_NOFILE=$(ulimit -H -n)
+( ulimit -S -n 1024; exec ./target/release/commsched serve --addr 127.0.0.1:0 --workers 2 \
+    --no-persist --queue-cap 100000 --max-conns 12000 ) >"$SMOKE_DIR/serve3.log" 2>&1 &
 SERVE_PID=$!
 ADDR=$(wait_for_daemon "$SMOKE_DIR/serve3.log") \
     || { echo "loadgen smoke: server never came up"; cat "$SMOKE_DIR/serve3.log"; exit 1; }
-./target/release/commsched loadgen --server "$ADDR" --connections 32 --rate 0 \
-    --max-in-flight 4 --batch 16 --mode binary --duration 1 \
+./target/release/commsched loadgen --server "$ADDR" --connections 32 --rate 20000 \
+    --batch 16 --mode binary --duration 1 \
     --out "$SMOKE_DIR/loadgen.json" >/dev/null \
     || { echo "loadgen smoke: run failed"; exit 1; }
-grep -q '"errors":0,' "$SMOKE_DIR/loadgen.json" \
-    || { echo "loadgen smoke: errors in report"; cat "$SMOKE_DIR/loadgen.json"; exit 1; }
-grep -q '"in_flight_lost":0,' "$SMOKE_DIR/loadgen.json" \
-    || { echo "loadgen smoke: lost in-flight requests"; cat "$SMOKE_DIR/loadgen.json"; exit 1; }
-grep -q '"jobs_acked":0,' "$SMOKE_DIR/loadgen.json" \
-    && { echo "loadgen smoke: nothing acknowledged"; cat "$SMOKE_DIR/loadgen.json"; exit 1; }
+check_loadgen_report "$SMOKE_DIR/loadgen.json"
+if [ "$HARD_NOFILE" = unlimited ] || [ "$HARD_NOFILE" -ge 12064 ]; then
+    ./target/release/commsched loadgen --server "$ADDR" --connections 10000 --rate 2000 \
+        --mode line --duration 1 --out "$SMOKE_DIR/sustain.json" >/dev/null \
+        || { echo "loadgen smoke: 10 000-connection run failed"; exit 1; }
+    check_loadgen_report "$SMOKE_DIR/sustain.json"
+    grep -q '"connections":10000,' "$SMOKE_DIR/sustain.json" \
+        || { echo "loadgen smoke: not every connection was held"; cat "$SMOKE_DIR/sustain.json"; exit 1; }
+else
+    echo "loadgen smoke: 10 000-connection run skipped (hard descriptor limit $HARD_NOFILE)"
+fi
 stop_daemon "$SERVE_PID"
 echo "loadgen smoke: ok"
 

@@ -87,14 +87,17 @@ fn fig3_op_beats_random() {
 /// uncontrolled network the paper simulates. Flow control compresses the
 /// gap (it throttles exactly the hotspots random mappings create), so
 /// the per-regime margin is looser than `fig3_op_beats_random`'s, but
-/// the sign must never flip and no regime may deadlock.
+/// the sign must never flip and no regime may deadlock. And flow control
+/// must not tax an uncongested network: at offered load 0.1 the ECN+AIMD
+/// windows accept within 10 % of what the open loop accepts.
 #[test]
 fn fig3_sign_holds_under_every_congestion_regime() {
     let t = Testbed::paper_16();
     let (op, q_op, _) = t.tabu_mapping();
     let (rnd, q_r) = t.random_mapping(1);
     assert!(q_op.cc > q_r.cc);
-    let rates = [0.2, 0.5];
+    let rates = [0.1, 0.2, 0.5];
+    let (mut off, mut aimd) = (f64::NAN, f64::NAN);
     for (name, cfg) in regime_configs(quick(&t)) {
         let s_op = sweep(&t.topology, &t.routing, &t.host_clusters(&op), cfg, &rates).unwrap();
         let s_r = sweep(&t.topology, &t.routing, &t.host_clusters(&rnd), cfg, &rates).unwrap();
@@ -107,7 +110,18 @@ fn fig3_sign_holds_under_every_congestion_regime() {
             s_op.throughput(),
             s_r.throughput()
         );
+        let accepted_low = s_op.points[0].stats.accepted_flits_per_switch_cycle;
+        match name {
+            "off" => off = accepted_low,
+            "ecn-aimd" => aimd = accepted_low,
+            _ => {}
+        }
     }
+    eprintln!("accepted at 0.1: off {off:.6}, ecn-aimd {aimd:.6}");
+    assert!(
+        (aimd - off).abs() <= 0.10 * off,
+        "ECN+AIMD accepted {aimd} vs open loop {off} at offered load 0.1"
+    );
 }
 
 /// Figure 4: the technique identifies the four physical rings, and the

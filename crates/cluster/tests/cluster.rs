@@ -5,6 +5,7 @@
 use commsched_cluster::{
     follow_and_promote, ClusterConfig, FollowerProgress, HashRing, Member, ReplMode, DEFAULT_VNODES,
 };
+use commsched_service::loadgen::{self, LoadgenConfig, WireMode};
 use commsched_service::{Client, RetryPolicy};
 use commsched_topology::designed;
 use std::net::TcpListener;
@@ -106,6 +107,26 @@ fn requests_route_to_the_owning_shard_and_clients_follow() {
     let moved = c0.stat_u64("cluster_moved").unwrap().unwrap_or(0);
     assert!(moved >= 2, "node 0 issued {moved} redirects");
 
+    // NOOPs name no topology, so they never bounce: both shards take a
+    // concurrent paced burst and end it clean.
+    let burst = &LoadgenConfig {
+        connections: 2,
+        batch: 8,
+        duration: Duration::from_millis(300),
+        mode: WireMode::Binary,
+        max_in_flight: 64,
+        ..LoadgenConfig::default()
+    };
+    let reports = std::thread::scope(|s| {
+        let runs = [&addr0, &addr1].map(|addr| s.spawn(move || loadgen::run(addr, burst)));
+        runs.map(|run| run.join().expect("loadgen thread").expect("loadgen run"))
+    });
+    for (shard, r) in reports.iter().enumerate() {
+        assert_eq!(r.errors, 0, "shard {shard}: {}", r.to_json());
+        assert_eq!(r.in_flight_lost, 0, "shard {shard}: {}", r.to_json());
+        assert!(r.jobs_acked > 0, "shard {shard} acked nothing");
+    }
+
     node0.shutdown();
     node1.shutdown();
     let _ = std::fs::remove_dir_all(&dir0);
@@ -170,6 +191,21 @@ fn sync_replication_promotes_with_every_acked_job_visible() {
     let job = client.submit_raw(&schedule).unwrap();
     let fg_on_primary = fg_of(&mut client, job);
     assert_eq!(client.stat_u64("table_spills").unwrap(), Some(1));
+    // Every ack above waited on the replication barrier, and METRICS
+    // shows the latency histogram of those waits.
+    let metrics = client.metrics().unwrap();
+    let barrier_waits = metrics
+        .iter()
+        .find_map(|l| l.strip_prefix("cluster_repl_barrier_us_count "))
+        .map(|v| v.parse::<usize>().unwrap());
+    assert!(
+        metrics
+            .iter()
+            .any(|l| l.starts_with("cluster_repl_barrier_us_bucket"))
+            && barrier_waits >= Some(acked.len()),
+        "barrier histogram missing or short: {barrier_waits:?} waits for {} acks",
+        acked.len()
+    );
 
     // Sync mode: by the time those acks returned, the follower had
     // applied the records behind them. Finish records written after

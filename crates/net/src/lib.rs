@@ -213,6 +213,9 @@ const LISTENER_TOKEN: usize = 0;
 /// Poll tick: bounds stop-flag latency and paces the idle scan.
 const TICK: Duration = Duration::from_millis(25);
 const READ_CHUNK: usize = 64 * 1024;
+/// Descriptors the process needs besides client sockets: the listener,
+/// the poller, stdio, the WAL, snapshot and spill files, replication.
+const FD_HEADROOM: u64 = 64;
 
 /// Outcome of one [`serve`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,6 +232,11 @@ pub enum ServeExit {
 /// [`NetConfig::drain_grace`]) before the sockets close — pipelined
 /// requests whose replies were already queued are never lost.
 ///
+/// The soft `RLIMIT_NOFILE` is first raised (best-effort) to cover
+/// [`NetConfig::max_connections`]: under the common 1024 default,
+/// `accept()` would otherwise fail with `EMFILE` long before the cap
+/// and the clients beyond it would hang instead of being told `busy`.
+///
 /// # Errors
 /// Only setup/poller failures are fatal; per-connection I/O errors
 /// close that connection and the loop continues.
@@ -240,6 +248,7 @@ pub fn serve<H: Handler>(
     stop: &AtomicBool,
 ) -> io::Result<ServeExit> {
     listener.set_nonblocking(true)?;
+    let _ = sys::raise_nofile_limit(config.max_connections as u64 + FD_HEADROOM);
     let mut poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
 

@@ -49,15 +49,22 @@ proptest! {
     }
 }
 
-/// The exact acceptance-style configuration: fixed seed, migration on,
-/// thread counts {1, 2, 7} — spelled out (not property-sampled) so a
-/// regression names this invariant directly.
+/// The exact acceptance-style configuration: the 2 s skewed churn trace
+/// at 80 jobs/s, fixed seed, migration on, a cold reference search at
+/// every remap point, thread counts {1, 2, 7} — spelled out (not
+/// property-sampled) so a regression names this invariant directly.
+/// Warm-started remaps must stay cheap in counted work: the cold
+/// searches at the same decision points spend at least 3× the tabu
+/// iterations.
 #[test]
 fn fixed_seed_report_is_bit_identical_for_threads_1_2_7() {
-    let trace = poisson_trace(50.0, 2_000_000, 7, &WorkloadShape::skewed(24, 1));
-    let mut cfg = ScenarioConfig::new(designed::paper_24_switch());
+    let topo = designed::paper_24_switch();
+    let shape = WorkloadShape::skewed(topo.num_switches(), topo.hosts_per_switch());
+    let trace = poisson_trace(80.0, 2_000_000, 7, &shape);
+    let mut cfg = ScenarioConfig::new(topo);
     cfg.seed = 7;
     cfg.migration = MigrationPolicy::Threshold(0.1);
+    cfg.compare_cold = true;
     let mut digests = Vec::new();
     for threads in [1usize, 2, 7] {
         cfg.threads = threads;
@@ -67,4 +74,16 @@ fn fixed_seed_report_is_bit_identical_for_threads_1_2_7() {
     }
     assert_eq!(digests[0], digests[1]);
     assert_eq!(digests[0], digests[2]);
+    let r = &digests[0].2;
+    eprintln!(
+        "{} remaps: warm {} it vs cold {} it",
+        r.remaps, r.remap_iterations, r.cold_iterations
+    );
+    assert!(r.remaps > 0, "churn trace produced no remap points");
+    assert!(
+        r.cold_iterations >= 3 * r.remap_iterations,
+        "cold spent {} iterations vs warm {} (< 3x)",
+        r.cold_iterations,
+        r.remap_iterations
+    );
 }

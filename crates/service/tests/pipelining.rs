@@ -2,11 +2,15 @@
 //! pipelining with in-order replies, the binary framed protocol and
 //! batched submits, coexistence of both protocols on one daemon, the
 //! shutdown drain (no queued reply is ever lost), the client's
-//! batch-submit fallback against servers predating `CAPS`, and
-//! multi-line uploads that leave in one write.
+//! batch-submit fallback against servers predating `CAPS`,
+//! multi-line uploads that leave in one write, and the load generator
+//! ending clean in every protocol × batch × fsync cell.
 
 use commsched_net::frame::{self, BatchOutcome, FrameDecoder};
-use commsched_service::{Client, Server, ServerConfig, ServiceCoreConfig};
+use commsched_service::loadgen::{self, LoadgenConfig, WireMode};
+use commsched_service::{
+    Client, FsyncPolicy, PersistOptions, Server, ServerConfig, ServiceCore, ServiceCoreConfig,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
@@ -408,4 +412,58 @@ fn client_submit_batch_falls_back_on_old_servers() {
     assert_eq!(results[2], Ok(102));
     drop(client);
     server.join().expect("fake server");
+}
+
+/// Every cell of protocol × batch × fsync policy, each against a fresh
+/// durable daemon (a shared one would carry earlier cells' jobs),
+/// closed-loop on one connection: every job sent is acknowledged, none
+/// errors, none is lost in flight. Counts only — how fast a cell runs
+/// is `benchmark/`'s business.
+#[test]
+fn loadgen_ends_clean_in_every_protocol_batch_fsync_cell() {
+    for fsync in [FsyncPolicy::Never, FsyncPolicy::OnAck] {
+        for (mode, batch) in [
+            (WireMode::Line, 1),
+            (WireMode::Line, 64),
+            (WireMode::Binary, 1),
+            (WireMode::Binary, 64),
+        ] {
+            let cell = format!("{mode:?} batch={batch} fsync={fsync:?}");
+            let dir = std::env::temp_dir()
+                .join(format!("commsched-loadgen-{}-{cell}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            // A deep queue: acks can outrun two workers' NOOP drain.
+            let config = ServiceCoreConfig {
+                queue_capacity: 1_000_000,
+                ..ServiceCoreConfig::default()
+            };
+            let options = PersistOptions::new(&dir)
+                .fsync(fsync)
+                .snapshot_wal_bytes(u64::MAX);
+            let (core, _) = ServiceCore::recover(config, options).expect("recover");
+            let handle =
+                Server::bind_with_core("127.0.0.1:0", 2, Default::default(), core.into(), None)
+                    .expect("bind daemon");
+            let report = loadgen::run(
+                handle.addr(),
+                &LoadgenConfig {
+                    connections: 1,
+                    rate: 0.0,
+                    batch,
+                    duration: Duration::from_millis(200),
+                    mode,
+                    max_in_flight: 32,
+                    ..LoadgenConfig::default()
+                },
+            )
+            .expect("loadgen run");
+            handle.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+            eprintln!("{cell}: {} jobs acked", report.jobs_acked);
+            assert_eq!(report.errors, 0, "{cell}: {}", report.to_json());
+            assert_eq!(report.in_flight_lost, 0, "{cell}: {}", report.to_json());
+            assert!(report.jobs_acked > 0, "{cell}: {}", report.to_json());
+            assert_eq!(report.jobs_acked, report.jobs_sent, "{cell}");
+        }
+    }
 }
