@@ -227,10 +227,15 @@ echo "cluster failover smoke: ok"
 echo "==> benchmark harness unit tests (the pinned surface still compiles)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark smoke (large_cold through the real daemon)"
+echo "==> benchmark smoke (large_cold and sweep_sim through the real daemon; all four pinned simulator digests must match)"
 if [ "$(nproc)" -ge 2 ]; then
-    benchmark/run.sh --smoke --only large_cold --out "$SMOKE_DIR/bench" >"$SMOKE_DIR/bench.log" 2>&1 \
-        || { echo "benchmark smoke: run failed"; tail -40 "$SMOKE_DIR/bench.log"; exit 1; }
+    for W in large_cold sweep_sim; do
+        benchmark/run.sh --smoke --only "$W" --out "$SMOKE_DIR/bench-$W" >"$SMOKE_DIR/bench-$W.log" 2>&1 \
+            || { echo "benchmark smoke: $W run failed"; tail -40 "$SMOKE_DIR/bench-$W.log"; exit 1; }
+    done
+    grep -A1 '"netsim.digest_match": {' "$SMOKE_DIR/bench-sweep_sim/result.json" | grep -q '"value": 1,$' \
+        || { echo "benchmark smoke: netsim.digest_match is not 1 — the simulator's statistics moved"; \
+             grep -A6 '"netsim_digests"' "$SMOKE_DIR/bench-sweep_sim/result.json"; exit 1; }
     echo "benchmark smoke: ok"
 else
     echo "benchmark smoke: skipped (nproc = $(nproc); the harness refuses to run on fewer than two cores)"

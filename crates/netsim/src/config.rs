@@ -128,6 +128,9 @@ impl SimConfig {
         if self.measure_cycles == 0 {
             return Err("measure_cycles must be positive");
         }
+        if self.deadlock_threshold == 0 {
+            return Err("deadlock_threshold must be positive");
+        }
         if self.virtual_channels == 0 {
             return Err("virtual_channels must be positive");
         }
@@ -214,6 +217,16 @@ mod tests {
         }
         .validate()
         .is_err());
+        // A zero threshold would fire the watchdog in the first cycle in
+        // which nothing happens to move, on a perfectly healthy network.
+        let lying_watchdog = SimConfig {
+            deadlock_threshold: 0,
+            ..Default::default()
+        };
+        assert_eq!(
+            lying_watchdog.validate(),
+            Err("deadlock_threshold must be positive")
+        );
     }
 
     #[test]

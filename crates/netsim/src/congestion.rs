@@ -58,12 +58,14 @@ impl CongestionMode {
         self.uses_ecn()
     }
 
-    /// Build the per-source controller for this mode.
-    pub fn controller(self) -> Box<dyn CongestionControl> {
+    /// Build one source's window controller; `None` for the modes whose
+    /// sources stay open-loop (exactly those without
+    /// [`CongestionMode::uses_window`]).
+    pub fn controller(self) -> Option<Box<dyn CongestionControl>> {
         match self {
-            CongestionMode::Off | CongestionMode::Pfc => Box::new(Unlimited),
-            CongestionMode::EcnAimd => Box::new(Aimd::new()),
-            CongestionMode::EcnDctcp => Box::new(Dctcp::new()),
+            CongestionMode::Off | CongestionMode::Pfc => None,
+            CongestionMode::EcnAimd => Some(Box::new(Aimd::new())),
+            CongestionMode::EcnDctcp => Some(Box::new(Dctcp::new())),
         }
     }
 
@@ -119,25 +121,6 @@ pub trait CongestionControl: std::fmt::Debug + Send {
 
     /// Messages this source may currently have in flight (≥ 1).
     fn window(&self) -> u32;
-
-    /// Controller name (for reports).
-    fn name(&self) -> &'static str;
-}
-
-/// Open-loop controller: the window never binds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Unlimited;
-
-impl CongestionControl for Unlimited {
-    fn on_ack(&mut self, _marked: bool) {}
-
-    fn window(&self) -> u32 {
-        u32::MAX
-    }
-
-    fn name(&self) -> &'static str {
-        "unlimited"
-    }
 }
 
 /// Messages in flight a fresh window-based controller allows.
@@ -179,10 +162,6 @@ impl CongestionControl for Aimd {
 
     fn window(&self) -> u32 {
         self.w as u32
-    }
-
-    fn name(&self) -> &'static str {
-        "aimd"
     }
 }
 
@@ -247,10 +226,6 @@ impl CongestionControl for Dctcp {
     fn window(&self) -> u32 {
         self.w as u32
     }
-
-    fn name(&self) -> &'static str {
-        "dctcp"
-    }
 }
 
 /// One point of the congestion-regime comparison axis: a regime is a
@@ -304,17 +279,10 @@ mod tests {
             assert!(m.uses_window());
             assert!(!m.uses_pfc());
         }
-    }
-
-    #[test]
-    fn unlimited_never_binds() {
-        let mut c = CongestionMode::Off.controller();
-        assert_eq!(c.window(), u32::MAX);
-        for _ in 0..100 {
-            c.on_ack(true);
+        // A controller exists exactly where a window is used.
+        for m in CongestionMode::ALL {
+            assert_eq!(m.controller().is_some(), m.uses_window(), "{m}");
         }
-        assert_eq!(c.window(), u32::MAX);
-        assert_eq!(c.name(), "unlimited");
     }
 
     #[test]
@@ -369,8 +337,8 @@ mod tests {
     fn controllers_are_deterministic() {
         let acks = [false, true, false, false, true, false, true, true, false];
         for mode in [CongestionMode::EcnAimd, CongestionMode::EcnDctcp] {
-            let mut a = mode.controller();
-            let mut b = mode.controller();
+            let mut a = mode.controller().unwrap();
+            let mut b = mode.controller().unwrap();
             for &m in &acks {
                 a.on_ack(m);
                 b.on_ack(m);

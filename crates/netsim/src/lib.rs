@@ -48,9 +48,9 @@ pub mod sweep;
 pub mod traffic;
 
 pub use config::{SelectionPolicy, SimConfig};
-pub use congestion::{regime_configs, Aimd, CongestionControl, CongestionMode, Dctcp, Unlimited};
+pub use congestion::{regime_configs, Aimd, CongestionControl, CongestionMode, Dctcp};
 pub use engine::{simulate, SimError, Simulator, StallReport};
-pub use stats::{BatchedStats, SimStats};
+pub use stats::SimStats;
 pub use sweep::{
     find_saturation_rate, paper_sweep, regime_sweeps, sweep, sweep_rates, LoadSweep, SweepConfig,
     SweepPoint,

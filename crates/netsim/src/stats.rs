@@ -76,58 +76,6 @@ impl SimStats {
     }
 }
 
-/// Batch-means estimate with a 95 % confidence interval.
-///
-/// The measurement window is split into independent batches; the mean over
-/// batch means and the Student-t half-width quantify the stochastic
-/// uncertainty of the point estimates in [`SimStats`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchedStats {
-    /// Number of batches.
-    pub batches: usize,
-    /// Mean accepted traffic (flits/switch/cycle) over batches.
-    pub accepted_mean: f64,
-    /// 95 % half-width of the accepted-traffic mean.
-    pub accepted_half_width: f64,
-    /// Mean network latency (cycles) over batches (NaN if a batch
-    /// delivered nothing).
-    pub latency_mean: f64,
-    /// 95 % half-width of the latency mean.
-    pub latency_half_width: f64,
-    /// Whether any batch hit the deadlock watchdog.
-    pub deadlocked: bool,
-}
-
-/// Two-sided 95 % Student-t critical value for `df` degrees of freedom
-/// (clamped to the asymptotic 1.96 beyond the table).
-pub fn t_critical_95(df: usize) -> f64 {
-    const TABLE: [f64; 30] = [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-        2.052, 2.048, 2.045, 2.042,
-    ];
-    match df {
-        0 => f64::INFINITY,
-        d if d <= TABLE.len() => TABLE[d - 1],
-        _ => 1.96,
-    }
-}
-
-/// Mean and 95 % half-width of a sample of batch means.
-pub fn mean_and_half_width(samples: &[f64]) -> (f64, f64) {
-    let n = samples.len();
-    if n == 0 {
-        return (f64::NAN, f64::NAN);
-    }
-    let mean = samples.iter().sum::<f64>() / n as f64;
-    if n == 1 {
-        return (mean, f64::INFINITY);
-    }
-    let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
-    let half = t_critical_95(n - 1) * (var / n as f64).sqrt();
-    (mean, half)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,33 +125,5 @@ mod tests {
         };
         assert_eq!(empty.network_latency(), None);
         assert_eq!(empty.total_latency(), None);
-    }
-
-    #[test]
-    fn t_table_sane() {
-        assert!(t_critical_95(0).is_infinite());
-        assert!((t_critical_95(1) - 12.706).abs() < 1e-9);
-        assert!((t_critical_95(30) - 2.042).abs() < 1e-9);
-        assert!((t_critical_95(1000) - 1.96).abs() < 1e-9);
-        // Monotone decreasing.
-        for df in 1..35 {
-            assert!(t_critical_95(df + 1) <= t_critical_95(df));
-        }
-    }
-
-    #[test]
-    fn mean_half_width_basic() {
-        let (m, h) = mean_and_half_width(&[1.0, 2.0, 3.0]);
-        assert!((m - 2.0).abs() < 1e-12);
-        // s = 1, half = 4.303 / sqrt(3).
-        assert!((h - 4.303 / 3.0f64.sqrt()).abs() < 1e-9);
-        let (m1, h1) = mean_and_half_width(&[5.0]);
-        assert_eq!(m1, 5.0);
-        assert!(h1.is_infinite());
-        let (m0, _) = mean_and_half_width(&[]);
-        assert!(m0.is_nan());
-        // Constant samples: zero width.
-        let (_, hc) = mean_and_half_width(&[2.0, 2.0, 2.0, 2.0]);
-        assert_eq!(hc, 0.0);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::config::SimConfig;
 use crate::congestion::regime_configs;
-use crate::engine::{simulate, SimError, Simulator};
+use crate::engine::{simulate, Phase, SimError, Simulator};
 use crate::stats::SimStats;
 use crate::traffic::TrafficPattern;
 use commsched_routing::Routing;
@@ -119,40 +119,35 @@ pub fn find_saturation_rate(
     let saturated = |rate: f64| -> Result<bool, SimError> {
         let pattern = TrafficPattern::new(host_clusters.to_vec());
         let mut sim = Simulator::new(topo, routing, pattern, base.with_rate(rate))?;
-        if sim.advance(base.warmup_cycles) {
+        let (_, stuck) = sim.window(Phase::Warmup, |sim| sim.advance(base.warmup_cycles));
+        if stuck {
             return Ok(true);
         }
-        let gen0 = sim.generated_messages();
-        let flits0 = sim.delivered_flits();
-        if sim.advance(base.measure_cycles) {
-            return Ok(true);
-        }
-        let generated = sim.generated_messages() - gen0;
         // Flits still in flight when the window closes were *accepted*
         // by the network, just not delivered yet; counting them as lost
-        // biases short runs toward declaring saturation early. Give the
-        // tail a short grace drain (just long enough for a message that
-        // was mid-injection at window close to finish streaming — far
-        // too short for a saturated source-queue backlog to clear, so
-        // the threshold shift is a couple of percent at most), then
-        // credit the flits occupying network resources. What remains
-        // uncredited is exactly the traffic stuck in source queues —
-        // the genuine saturation signal.
-        if sim.drain(2 * base.msg_len as u64) {
+        // biases short runs toward declaring saturation early. So the
+        // measurement window ends with a short grace drain (just long
+        // enough for a message that was mid-injection at window close to
+        // finish streaming — far too short for a saturated source-queue
+        // backlog to clear, so the threshold shift is a couple of percent
+        // at most; nothing is generated while it lasts), and the flits
+        // occupying network resources afterwards are credited too. What
+        // remains uncredited is exactly the traffic stuck in source
+        // queues — the genuine saturation signal.
+        let grace = 2 * base.msg_len as u64;
+        let (window, stuck) = sim.window(Phase::Measure, |sim| {
+            sim.advance(base.measure_cycles) || sim.drain(grace)
+        });
+        if stuck {
             return Ok(true);
         }
-        let in_network = sim
-            .host_injected_flits()
-            .iter()
-            .sum::<u64>()
-            .saturating_sub(sim.delivered_flits());
         // Compare accepted traffic against the *realized* offered traffic
         // (generated flits), not the nominal rate: the Bernoulli generator
         // matches the nominal rate only in expectation, and on small
         // networks at low rates that sampling noise would turn the
         // nominal-rate test into a coin flip.
-        let generated_flits = (generated * base.msg_len as u64) as f64;
-        let delivered = (sim.delivered_flits() - flits0 + in_network) as f64;
+        let generated_flits = (window.generated * base.msg_len as u64) as f64;
+        let delivered = (window.delivered_flits + sim.flits_in_network()) as f64;
         Ok(delivered < threshold * generated_flits)
     };
     // Bracket.
@@ -333,6 +328,42 @@ mod tests {
             "latency should not shrink with load"
         );
         assert!(sw.throughput() > 0.0);
+    }
+
+    /// `(netsim_runs_total, warm-up + measurement cycles)` as the daemon's
+    /// `METRICS` shows them.
+    fn simulated() -> (u64, u64) {
+        let text = commsched_telemetry::global().render_prometheus();
+        let read = |name: &str| -> u64 {
+            text.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or(0)
+        };
+        let cycles = read("netsim_warmup_cycles_total") + read("netsim_measure_cycles_total");
+        (read("netsim_runs_total"), cycles)
+    }
+
+    #[test]
+    fn paper_sweep_counts_every_simulator_it_advanced() {
+        let topo = designed::ring(4, 2);
+        let routing = UpDownRouting::new(&topo, 0).unwrap();
+        let clusters: Vec<usize> = (0..8).map(|h| h / 4).collect();
+        let (runs0, cycles0) = simulated();
+        paper_sweep(
+            &topo,
+            &routing,
+            &clusters,
+            quick_cfg(),
+            SweepConfig::default(),
+        )
+        .unwrap();
+        let (runs, cycles) = simulated();
+        // The saturation search probes at least seven rates (one to
+        // bracket, six to bisect) before the nine points run, each a full
+        // warm-up and measurement. Other tests share the registry, so
+        // these are floors, not equalities.
+        assert!(runs - runs0 >= 7 + 9, "{} runs counted", runs - runs0);
+        assert!(cycles - cycles0 >= (7 + 9) * (300 + 1_500));
     }
 
     #[test]
