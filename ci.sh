@@ -70,37 +70,39 @@ cargo test -q --workspace
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
+# Every smoke below writes under one private directory, removed on exit.
+SMOKE_DIR=$(mktemp -d /tmp/commsched-smoke.XXXXXX)
+trap 'rm -rf "$SMOKE_DIR"' EXIT
+
 echo "==> multilevel smoke (N=1024 coarsen->map->refine on an approximate table under a wall budget)"
 ML_START=$(date +%s)
 ./target/release/commsched schedule --kind random --switches 1024 --hosts 4 --degree 3 \
-    --clusters 4 --seed 42 --strategy multilevel --approx-eps 0.05 >/tmp/ml_smoke.out \
-    || { echo "multilevel smoke: schedule failed"; cat /tmp/ml_smoke.out; exit 1; }
+    --clusters 4 --seed 42 --strategy multilevel --approx-eps 0.05 >"$SMOKE_DIR/ml_smoke.out" \
+    || { echo "multilevel smoke: schedule failed"; cat "$SMOKE_DIR/ml_smoke.out"; exit 1; }
 ML_ELAPSED=$(( $(date +%s) - ML_START ))
-grep -q '^strategy: multilevel' /tmp/ml_smoke.out \
-    || { echo "multilevel smoke: no multilevel telemetry line"; cat /tmp/ml_smoke.out; exit 1; }
-grep -q '^approx table: eps = 0.05' /tmp/ml_smoke.out \
-    || { echo "multilevel smoke: no approx-table report line"; cat /tmp/ml_smoke.out; exit 1; }
+grep -q '^strategy: multilevel' "$SMOKE_DIR/ml_smoke.out" \
+    || { echo "multilevel smoke: no multilevel telemetry line"; cat "$SMOKE_DIR/ml_smoke.out"; exit 1; }
+grep -q '^approx table: eps = 0.05' "$SMOKE_DIR/ml_smoke.out" \
+    || { echo "multilevel smoke: no approx-table report line"; cat "$SMOKE_DIR/ml_smoke.out"; exit 1; }
 [ "$ML_ELAPSED" -le 120 ] \
     || { echo "multilevel smoke: N=1024 took ${ML_ELAPSED}s (> 120s budget)"; exit 1; }
 echo "multilevel smoke: ok (${ML_ELAPSED}s)"
 
 echo "==> congestion sweep smoke (S1..S9 sweep under ECN+AIMD with adaptive misrouting)"
 ./target/release/commsched sweep --kind ring --switches 8 --hosts 2 --clusters 2 \
-    --congestion ecn-aimd --vcs 2 --misroute >/tmp/congestion_sweep_smoke.out \
-    || { echo "congestion sweep smoke: run failed"; cat /tmp/congestion_sweep_smoke.out; exit 1; }
-grep -q '^regime: ecn-aimd+misroute' /tmp/congestion_sweep_smoke.out \
-    || { echo "congestion sweep smoke: no regime line"; cat /tmp/congestion_sweep_smoke.out; exit 1; }
-grep -q '^S1' /tmp/congestion_sweep_smoke.out \
-    || { echo "congestion sweep smoke: no sweep points"; cat /tmp/congestion_sweep_smoke.out; exit 1; }
-grep -q 'NaN' /tmp/congestion_sweep_smoke.out \
-    && { echo "congestion sweep smoke: NaN leaked into output"; cat /tmp/congestion_sweep_smoke.out; exit 1; }
-grep -q 'DEADLOCK' /tmp/congestion_sweep_smoke.out \
-    && { echo "congestion sweep smoke: deadlock reported"; cat /tmp/congestion_sweep_smoke.out; exit 1; }
+    --congestion ecn-aimd --vcs 2 --misroute >"$SMOKE_DIR/congestion_sweep_smoke.out" \
+    || { echo "congestion sweep smoke: run failed"; cat "$SMOKE_DIR/congestion_sweep_smoke.out"; exit 1; }
+grep -q '^regime: ecn-aimd+misroute' "$SMOKE_DIR/congestion_sweep_smoke.out" \
+    || { echo "congestion sweep smoke: no regime line"; cat "$SMOKE_DIR/congestion_sweep_smoke.out"; exit 1; }
+grep -q '^S1' "$SMOKE_DIR/congestion_sweep_smoke.out" \
+    || { echo "congestion sweep smoke: no sweep points"; cat "$SMOKE_DIR/congestion_sweep_smoke.out"; exit 1; }
+grep -q 'NaN' "$SMOKE_DIR/congestion_sweep_smoke.out" \
+    && { echo "congestion sweep smoke: NaN leaked into output"; cat "$SMOKE_DIR/congestion_sweep_smoke.out"; exit 1; }
+grep -q 'DEADLOCK' "$SMOKE_DIR/congestion_sweep_smoke.out" \
+    && { echo "congestion sweep smoke: deadlock reported"; cat "$SMOKE_DIR/congestion_sweep_smoke.out"; exit 1; }
 echo "congestion sweep smoke: ok"
 
 echo "==> recovery smoke (serve -> upload + schedule -> submit -> SIGKILL -> restart -> recovered job visible, table restored from its spill file)"
-SMOKE_DIR=$(mktemp -d /tmp/commsched-recovery-smoke.XXXXXX)
-trap 'rm -rf "$SMOKE_DIR"' EXIT
 ./target/release/commsched serve --addr 127.0.0.1:0 --workers 1 \
     --state-dir "$SMOKE_DIR/state" >"$SMOKE_DIR/serve1.log" 2>&1 &
 SERVE_PID=$!

@@ -67,7 +67,7 @@ pub fn parse_members(s: &str) -> Result<Vec<Member>, String> {
 }
 
 /// Everything needed to start one cluster node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// The shard this node serves (primary) or stands by for
     /// (follower). Must appear in `members`.

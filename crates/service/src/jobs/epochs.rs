@@ -7,9 +7,7 @@ use crate::cache::TableSpec;
 use crate::persist::state as pstate;
 use crate::protocol::{format_fingerprint, TopoRef};
 use commsched_dynamics::{FaultEvent, TopologyEpoch};
-use commsched_topology::{designed, random_regular, RandomTopologyConfig, Topology};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use commsched_topology::Topology;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -46,42 +44,10 @@ impl ServiceCore {
     /// typed `stale-epoch` error naming the current fingerprint, so
     /// clients can resubmit against the live network.
     pub(super) fn resolve_topology(&self, topo: TopoRef) -> Result<Arc<Topology>, String> {
-        let built = match topo {
-            TopoRef::Registered(fp) => {
-                let current = self.current_epoch_of(fp);
-                if current != fp {
-                    return Err(format!(
-                        "stale-epoch: {} superseded by {}",
-                        format_fingerprint(fp),
-                        format_fingerprint(current)
-                    ));
-                }
-                return self
-                    .registry
-                    .get(fp)
-                    .ok_or_else(|| format!("unknown-topology {fp:016x}"));
-            }
-            TopoRef::Paper24 => designed::paper_24_switch(),
-            TopoRef::Ring { switches, hosts } => {
-                designed::try_ring(switches, hosts).map_err(|e| e.to_string())?
-            }
-            TopoRef::Random {
-                switches,
-                degree,
-                hosts,
-                seed,
-            } => {
-                let cfg = RandomTopologyConfig {
-                    switches,
-                    degree,
-                    hosts_per_switch: hosts,
-                    max_attempts: 10_000,
-                };
-                let mut rng = StdRng::seed_from_u64(seed);
-                random_regular(cfg, &mut rng).map_err(|e| e.to_string())?
-            }
+        let fp = match topo {
+            TopoRef::Registered(fp) => fp,
+            builtin => self.register_logged(Arc::new(builtin.build()?)).0,
         };
-        let (fp, _) = self.register_logged(Arc::new(built));
         // A builtin spelling names the epoch-0 network; once a fault has
         // superseded it, jobs and further faults through that spelling get
         // the same typed failure as a stale fingerprint reference.
@@ -93,7 +59,9 @@ impl ServiceCore {
                 format_fingerprint(current)
             ));
         }
-        self.registry.get(fp).ok_or_else(|| "registry race".into())
+        self.registry
+            .get(fp)
+            .ok_or_else(|| format!("unknown-topology {fp:016x}"))
     }
 
     /// Register a topology uploaded through the wire (`ADDTOPO`),
@@ -241,6 +209,30 @@ mod tests {
     use crate::jobs::JobState;
     use crate::protocol::{JobKind, JobSpec};
     use commsched_search::MapStrategy;
+    use commsched_topology::designed;
+
+    #[test]
+    fn builtin_spellings_resolve_to_the_network_the_shared_builder_makes() {
+        // Guards the call site: the daemon registers exactly what
+        // `TopoRef::build` (also under the CLI's local runs) constructs.
+        let core = small_core(4);
+        for topo in [
+            TopoRef::Ring {
+                switches: 6,
+                hosts: 2,
+            },
+            TopoRef::Random {
+                switches: 16,
+                degree: 3,
+                hosts: 4,
+                seed: 2000,
+            },
+        ] {
+            let resolved = core.resolve_topology(topo).unwrap();
+            assert_eq!(resolved.fingerprint(), topo.build().unwrap().fingerprint());
+        }
+        assert!(TopoRef::Registered(7).build().is_err());
+    }
 
     #[test]
     fn fault_bumps_epoch_invalidates_cache_and_requeues() {

@@ -85,7 +85,7 @@ pub enum FsyncPolicy {
 }
 
 /// Where and how service state is persisted.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistOptions {
     state_dir: PathBuf,
     fsync: FsyncPolicy,

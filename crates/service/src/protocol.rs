@@ -7,6 +7,9 @@
 //! `docs/protocol.md`; this module keeps parsing separate from socket
 //! handling so it is unit-testable.
 
+use commsched_topology::{designed, random_regular, RandomTopologyConfig, Topology};
+use rand::{rngs::StdRng, SeedableRng};
+
 /// How a job names its network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopoRef {
@@ -174,6 +177,35 @@ fn within(what: &str, value: usize, max: usize) -> Result<(), String> {
 }
 
 impl TopoRef {
+    /// Build the network a builtin spelling names: the one constructor
+    /// site under the daemon's topology resolution and the CLI's local runs.
+    ///
+    /// # Errors
+    /// The shape is infeasible, or `self` is a fingerprint (that names a
+    /// daemon's registry entry, not a constructor).
+    pub fn build(&self) -> Result<Topology, String> {
+        match *self {
+            TopoRef::Registered(fp) => Err(format!("unknown-topology {}", format_fingerprint(fp))),
+            TopoRef::Paper24 => Ok(designed::paper_24_switch()),
+            TopoRef::Ring { switches, hosts } => {
+                designed::try_ring(switches, hosts).map_err(|e| e.to_string())
+            }
+            TopoRef::Random {
+                switches,
+                degree,
+                hosts,
+                seed,
+            } => {
+                let cfg = RandomTopologyConfig {
+                    degree,
+                    hosts_per_switch: hosts,
+                    ..RandomTopologyConfig::paper(switches)
+                };
+                random_regular(cfg, &mut StdRng::seed_from_u64(seed)).map_err(|e| e.to_string())
+            }
+        }
+    }
+
     /// Refuse a builtin spelling whose generated network a client sized
     /// freely (`ring:10^9:1` would allocate the network, then an N² table,
     /// inside a worker). Applied where requests enter from the wire, not
@@ -367,6 +399,12 @@ pub fn format_topo_ref(topo: &TopoRef) -> String {
             seed,
         } => format!("random:{switches}:{degree}:{hosts}:{seed}"),
     }
+}
+
+/// Render the argument words of a `FAULT` request from its network and
+/// event word (`kill=a:b`, `restore=a:b[:slowdown]` or `switch=s`).
+pub fn format_fault(topo: &TopoRef, event: &str) -> String {
+    format!("topo={} {event}", format_topo_ref(topo))
 }
 
 /// Render a [`JobSpec`] as the argument words of a `SUBMIT` request,
@@ -617,6 +655,14 @@ mod tests {
                 topo: TopoRef::Paper24,
                 event: FaultEvent::LinkDown { a: 0, b: 1 },
             })
+        );
+        let ring = TopoRef::Ring {
+            switches: 8,
+            hosts: 4,
+        };
+        assert_eq!(
+            format_fault(&ring, "restore=2:3"),
+            "topo=ring:8:4 restore=2:3"
         );
         assert_eq!(
             parse_request("FAULT topo=ring:8:4 restore=2:3"),

@@ -106,3 +106,17 @@ fn schedule_rejects_bad_weights() {
     assert!(!ok);
     assert!(stderr.contains("one weight per cluster"), "{stderr}");
 }
+
+#[test]
+fn misspelled_flag_is_refused_with_its_subcommands_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_commsched"))
+        .args(["schedule", "--kind", "paper24", "--clusers", "8"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--clusers"), "{stderr}");
+    assert!(stderr.contains("commsched schedule"), "{stderr}");
+    assert!(!stderr.contains("commsched cluster"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing was scheduled first");
+}
