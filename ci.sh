@@ -61,6 +61,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo build --release"
 cargo build --release
 
+# The daemon ships a release build, and the simulator's lockstep
+# references (debug_assertions) are compiled out exactly there: outside
+# the benchmark smoke's four base-router pins nothing else checks the
+# Duato, misroute, PFC, ECN and kill/restore digests with optimisations on.
+echo "==> golden simulator digests, release build"
+cargo test --release --offline -q -p commsched-netsim --test golden
+
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 

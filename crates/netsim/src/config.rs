@@ -2,18 +2,6 @@
 
 use crate::congestion::CongestionMode;
 
-/// How a header chooses among the free minimal-route output channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionPolicy {
-    /// First candidate in next-hop order (deterministic routing).
-    Deterministic,
-    /// Prefer the candidate whose downstream buffer is emptiest; ties break
-    /// toward the lowest switch id (partially adaptive routing, the usual
-    /// choice for up*/down* networks).
-    #[default]
-    Adaptive,
-}
-
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -29,8 +17,6 @@ pub struct SimConfig {
     pub warmup_cycles: u64,
     /// Measured cycles.
     pub measure_cycles: u64,
-    /// Output-selection policy.
-    pub selection: SelectionPolicy,
     /// RNG seed (message generation and destination sampling).
     pub seed: u64,
     /// Extension (future work): fraction of traffic sent outside the own
@@ -79,7 +65,6 @@ impl Default for SimConfig {
             injection_rate: 0.1,
             warmup_cycles: 2_000,
             measure_cycles: 8_000,
-            selection: SelectionPolicy::default(),
             seed: 0xC0FFEE,
             intercluster_fraction: 0.0,
             deadlock_threshold: 20_000,

@@ -1,9 +1,8 @@
 //! Allocation: which waiting header is served first, and which free
 //! candidate output it takes.
 
-use super::route::{Candidate, Class};
+use super::route::Class;
 use super::{MsgId, PhysId, Simulator, VcId};
-use crate::config::SelectionPolicy;
 use commsched_topology::SwitchId;
 use std::ops::Range;
 
@@ -19,45 +18,69 @@ impl Simulator<'_> {
     }
 
     /// Phase 2: injection-VC claiming by source-queue heads, then
-    /// output-VC allocation for buffered headers, rotating priority
-    /// across each switch's inputs.
+    /// output-VC allocation for the buffered headers of every woken
+    /// switch.
     pub(super) fn allocate(&mut self) {
         self.claim_injection_vcs();
-        for s in 0..self.topo.num_switches() {
-            let k = self.inputs[s].len();
-            if k == 0 {
-                continue;
-            }
-            let start = (self.cycle as usize) % k;
-            for i in 0..k {
-                let phys_in = self.inputs[s][(start + i) % k];
-                for v in 0..self.vcs_per_phys {
-                    let ic = self.vc_id(phys_in, v);
-                    if self.vcs[ic].fwd.is_some() {
-                        continue;
-                    }
-                    let Some(buf) = self.vcs[ic].buf else {
-                        continue;
-                    };
-                    if buf.lo != 0 {
-                        continue; // header has already moved on
-                    }
-                    self.route_header(s, ic, buf.msg);
-                }
+        // CORRECTNESS: a skipped switch visit grants nothing. What
+        // `free_vc` answers for a header waiting at `s` changes only when
+        // a VC of an output channel of `s` is released or a link at `s`
+        // is killed or restored, and a header's candidate set only when
+        // it is granted; each of those, and a header's arrival, sets
+        // `woken[s]` (one flag read per switch is all a quiet cycle costs).
+        // A pause or a slow link's duty cycle never enters `free_vc`.
+        for s in 0..self.visits.woken.len() {
+            if std::mem::take(&mut self.visits.woken[s]) {
+                self.serve_headers(s);
             }
         }
     }
 
-    /// Try to allocate an output VC for the header of `msg` buffered at
-    /// input VC `ic` of switch `s`: the first candidate class with a free
-    /// live VC wins, and granting it commits what the class implies.
-    fn route_header(&mut self, s: SwitchId, ic: VcId, msg: MsgId) {
-        let m = self.messages[msg as usize];
-        let granted = self.candidate_classes(s, &m, |class, candidates| {
-            let (out, descended) = self.pick(candidates)?;
-            Some((class, out, descended))
-        });
-        let Some((class, out, descended)) = granted else {
+    /// Try every header waiting at switch `s`, rotating priority across
+    /// the switch's inputs by cycle, then by VC index.
+    fn serve_headers(&mut self, s: SwitchId) {
+        if self.visits.waiting[s].is_empty() {
+            return;
+        }
+        let mut waiting = std::mem::take(&mut self.visits.waiting[s]);
+        #[cfg(test)]
+        {
+            self.work.switch_visits += 1;
+            self.work.headers_tried += waiting.len() as u64;
+        }
+        let inputs = &self.inputs[s];
+        let first = self.vc_id(inputs[self.cycle as usize % inputs.len()], 0);
+        let split = waiting.partition_point(|&ic| ic < first);
+        for i in (split..waiting.len()).chain(0..split) {
+            self.route_header(s, waiting[i]);
+        }
+        waiting.retain(|&ic| self.vcs[ic].fwd.is_none());
+        self.visits.waiting[s] = waiting;
+    }
+
+    /// The output the header of `msg`, waiting at switch `s`, would be
+    /// granted now (with its class and the phase bit it carries): the
+    /// first candidate, of the first class, with a free VC on a live
+    /// channel. A VC is released in the move that empties its buffer, so
+    /// free candidates do not differ in occupancy and there is nothing
+    /// further to choose by.
+    pub(super) fn grantable(&self, s: SwitchId, msg: MsgId) -> Option<(Class, VcId, bool)> {
+        let m = &self.messages[msg as usize];
+        self.candidate_classes(s, m, |class, candidates| {
+            for c in candidates {
+                if let Some(out) = self.free_vc(c.phys, c.vcs) {
+                    return Some((class, out, c.descended));
+                }
+            }
+            None
+        })
+    }
+
+    /// Try to allocate an output VC for the header buffered at input VC
+    /// `ic` of switch `s`; granting commits what the class implies.
+    fn route_header(&mut self, s: SwitchId, ic: VcId) {
+        let msg = self.vcs[ic].buf.expect("a waiting header is buffered").msg;
+        let Some((class, out, descended)) = self.grantable(s, msg) else {
             return;
         };
         let m = &mut self.messages[msg as usize];
@@ -73,30 +96,8 @@ impl Simulator<'_> {
             }
         }
         self.vcs[ic].fwd = Some(out);
-        self.vcs[out].owner = Some(msg);
+        self.claim(out, msg);
         self.vcs[out].feeder = Some(ic);
-    }
-
-    /// The output VC the selection policy takes among one class's
-    /// candidates (with the phase bit it carries), `None` if every
-    /// candidate is busy or dead.
-    fn pick(&self, candidates: &mut dyn Iterator<Item = Candidate>) -> Option<(VcId, bool)> {
-        let mut best: Option<(VcId, bool, u32)> = None;
-        for c in candidates {
-            let Some(out) = self.free_vc(c.phys, c.vcs) else {
-                continue;
-            };
-            let occ = self.vcs[out].occupancy();
-            match self.cfg.selection {
-                SelectionPolicy::Deterministic => return Some((out, c.descended)),
-                SelectionPolicy::Adaptive => {
-                    if best.is_none_or(|(_, _, least)| occ < least) {
-                        best = Some((out, c.descended, occ));
-                    }
-                }
-            }
-        }
-        best.map(|(out, descended, _)| (out, descended))
     }
 }
 
@@ -104,7 +105,7 @@ impl Simulator<'_> {
 mod tests {
     use super::super::testutil::{assert_drains_conserved, updown};
     use super::super::{simulate, Simulator};
-    use crate::config::{SelectionPolicy, SimConfig};
+    use crate::config::SimConfig;
     use crate::traffic::TrafficPattern;
     use commsched_topology::designed;
     use rand::rngs::StdRng;
@@ -130,24 +131,6 @@ mod tests {
             sim.advance(2_000);
             assert_drains_conserved(&mut sim, 8_000, &format!("vcs={vcs} adaptive={adaptive}"));
         }
-    }
-
-    #[test]
-    fn deterministic_policy_also_works() {
-        let topo = designed::ring(6, 2);
-        let routing = updown(&topo);
-        let clusters: Vec<usize> = (0..12).map(|h| h / 6).collect();
-        let cfg = SimConfig {
-            injection_rate: 0.2,
-            warmup_cycles: 300,
-            measure_cycles: 2_000,
-            selection: SelectionPolicy::Deterministic,
-            seed: 11,
-            ..Default::default()
-        };
-        let stats = simulate(&topo, &routing, &clusters, cfg).unwrap();
-        assert!(stats.delivered_messages > 0);
-        assert!(!stats.deadlocked);
     }
 
     #[test]

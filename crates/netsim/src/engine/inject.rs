@@ -5,18 +5,26 @@ use super::{Message, MsgId, Simulator};
 use rand::Rng;
 
 impl Simulator<'_> {
-    /// Phase 1: Bernoulli message generation at every workstation.
+    /// Set the offered load and, with it, who draws in `generate`: the
+    /// hosts with somebody to send to and a positive probability. Both
+    /// are functions of the pattern and the rate, not of the cycle.
+    pub(super) fn set_injection_rate(&mut self, rate: f64) {
+        self.cfg.injection_rate = rate;
+        let base = rate / self.cfg.msg_len as f64;
+        let anywhere = self.cfg.intercluster_fraction != 0.0;
+        self.sources = (0..self.pattern.num_hosts())
+            .filter(|&host| anywhere || self.pattern.has_peer(host))
+            .map(|host| (host, (base * self.pattern.rate_multiplier(host)).min(1.0)))
+            .filter(|&(_, p)| p > 0.0)
+            .collect();
+    }
+
+    /// Phase 1: Bernoulli message generation — one draw per source per
+    /// cycle, in host order (the RNG stream fixes both).
     pub(super) fn generate(&mut self) {
-        let base = self.cfg.injection_rate / self.cfg.msg_len as f64;
-        if base <= 0.0 {
-            return;
-        }
-        for host in 0..self.pattern.num_hosts() {
-            if !self.pattern.has_peer(host) && self.cfg.intercluster_fraction == 0.0 {
-                continue;
-            }
-            let p = (base * self.pattern.rate_multiplier(host)).min(1.0);
-            if p <= 0.0 || self.rng.gen::<f64>() >= p {
+        for i in 0..self.sources.len() {
+            let (host, p) = self.sources[i];
+            if self.rng.gen::<f64>() >= p {
                 continue;
             }
             let Some(dst) =
@@ -27,33 +35,40 @@ impl Simulator<'_> {
             };
             let id = self.messages.len() as MsgId;
             self.messages.push(Message::new(host, dst, self.cycle));
+            if self.queues[host].is_empty() {
+                self.visits.awaiting_vc.push(host);
+            }
             self.queues[host].push_back(id);
+            self.visits.queued += 1;
+            self.visits.grown.push(host);
             self.totals.generated += 1;
         }
     }
 
     /// Phase 2, first half: source queues claim an injection VC for
     /// their head message — unless the source's congestion window is
-    /// exhausted.
+    /// exhausted. Only a host with a head message and no VC can.
     pub(super) fn claim_injection_vcs(&mut self) {
-        for host in 0..self.queues.len() {
-            if self.inject_vc[host].is_some() {
-                continue;
-            }
-            if let Some(&msg) = self.queues[host].front() {
-                if self.windowed && self.in_flight_msgs[host] >= self.controllers[host].window() {
-                    continue;
-                }
-                let phys = self.inject_base + host;
-                if let Some(vc) = self.free_vc(phys, 0..self.vcs_per_phys) {
-                    self.vcs[vc].owner = Some(msg);
-                    self.inject_vc[host] = Some(vc);
-                    if self.windowed {
-                        self.in_flight_msgs[host] += 1;
-                    }
-                }
-            }
+        let mut awaiting = std::mem::take(&mut self.visits.awaiting_vc);
+        awaiting.retain(|&host| !self.claim_injection_vc(host));
+        self.visits.awaiting_vc = awaiting;
+    }
+
+    /// Whether `host`'s head message got an injection VC.
+    fn claim_injection_vc(&mut self, host: usize) -> bool {
+        if self.windowed && self.in_flight_msgs[host] >= self.controllers[host].window() {
+            return false;
         }
+        let msg = *self.queues[host].front().expect("awaits a VC for its head");
+        let Some(vc) = self.free_vc(self.inject_base + host, 0..self.vcs_per_phys) else {
+            return false;
+        };
+        self.claim(vc, msg);
+        self.inject_vc[host] = Some(vc);
+        if self.windowed {
+            self.in_flight_msgs[host] += 1;
+        }
+        true
     }
 }
 

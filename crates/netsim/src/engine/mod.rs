@@ -42,14 +42,20 @@
 //! 2. *Allocation*: source queues claim an injection VC; headers at the
 //!    front of a VC buffer request an output VC, and free VCs are granted
 //!    in rotating-priority order across inputs.
-//! 3. *Transfer*: a monotone fixed point computes the optimistic set of VC
-//!    moves (a full buffer may still accept a flit if it drains in the
-//!    same cycle), then physical-link exclusivity is enforced by a
-//!    shrinking revocation pass (round-robin winner per physical channel,
-//!    cascading space re-checks).
+//! 3. *Transfer*: over the owned VCs only, the optimistic set of moves
+//!    (a full buffer may still accept a flit if it drains in the same
+//!    cycle: its answer is its onward VC's, so each worm's chain is
+//!    followed to its end once), then physical-link exclusivity
+//!    (round-robin winner per physical channel, revocations cascading up
+//!    the chains that relied on them), then the moves are applied in
+//!    ascending VC id.
 //!
 //! A watchdog aborts and flags the run if no flit moves for a configurable
 //! number of cycles while messages are in flight.
+//!
+//! No phase loops over the network: each runs over a worklist kept where
+//! the state it stands for is written (`visit.rs`; docs/SIMULATOR.md
+//! § "What a cycle visits" names the invariants).
 //!
 //! ## Module map
 //!
@@ -61,6 +67,7 @@ mod inject;
 mod route;
 mod stall;
 mod transfer;
+mod visit;
 mod window;
 
 pub use stall::StallReport;
@@ -204,7 +211,8 @@ impl ChannelKind {
 struct VirtualChannel {
     /// Flits currently in the downstream buffer (all of one message).
     buf: Option<Buf>,
-    /// Message that has claimed this VC (allocation → tail departure).
+    /// Message that has claimed this VC (allocation → tail departure);
+    /// written by `Simulator::claim` / `release` only.
     owner: Option<MsgId>,
     /// For VCs ending at a switch: the onward VC allocated to the
     /// buffered message.
@@ -259,11 +267,14 @@ pub struct Simulator<'a> {
     rng: StdRng,
     phys: Vec<PhysChannel>,
     vcs: Vec<VirtualChannel>,
-    /// Input physical channels of each switch.
+    /// Input physical channels of each switch, in ascending id.
     inputs: Vec<Vec<PhysId>>,
     inject_base: PhysId,
     deliver_base: PhysId,
     messages: Vec<Message>,
+    /// Hosts that draw in `generate`, in host order, each with its
+    /// per-cycle probability at the current `cfg.injection_rate`.
+    sources: Vec<(usize, f64)>,
     /// Pending messages per host (head is streaming).
     queues: Vec<VecDeque<MsgId>>,
     /// Next flit index of the streaming (head) message per host.
@@ -277,8 +288,12 @@ pub struct Simulator<'a> {
     max_queue: usize,
     /// Flits forwarded per physical channel (cumulative; diagnostics).
     channel_flits: Vec<u64>,
-    // Scratch for the transfer fixed point.
-    will_send: Vec<bool>,
+    /// What the per-cycle loops run over instead of the network.
+    visits: visit::Visits,
+    // Scratch for transfer: this cycle's verdict per VC (undecided
+    // between cycles) and the owned VCs it examines.
+    verdict: Vec<Option<bool>>,
+    scan: Vec<VcId>,
     // Congestion layer. The three flags cache `cfg.congestion`'s feature
     // set; with all of them false the per-cycle loops take no new
     // branches with side effects, keeping `Off` runs bit-identical to
@@ -293,6 +308,8 @@ pub struct Simulator<'a> {
     in_flight_msgs: Vec<u32>,
     /// Currently paused VCs (PFC bookkeeping for pause-cycle totals).
     paused_now: u32,
+    #[cfg(test)]
+    work: testutil::Work,
 }
 
 impl<'a> Simulator<'a> {
@@ -348,12 +365,16 @@ impl<'a> Simulator<'a> {
             }
         }
 
+        // CORRECTNESS: allocation serves a switch's waiting headers by VC
+        // id, rotated — that is input order only while `inputs` ascends.
+        debug_assert!(inputs.iter().all(|list| list.is_sorted()));
+
         let v = cfg.virtual_channels;
         let rng = StdRng::seed_from_u64(cfg.seed);
         let controllers: Vec<_> = (0..num_hosts)
             .filter_map(|_| cfg.congestion.controller())
             .collect();
-        Ok(Self {
+        let mut sim = Self {
             pfc: cfg.congestion.uses_pfc(),
             ecn: cfg.congestion.uses_ecn(),
             windowed: cfg.congestion.uses_window(),
@@ -367,7 +388,14 @@ impl<'a> Simulator<'a> {
             cfg,
             vcs_per_phys: v,
             rng,
-            will_send: vec![false; phys.len() * v],
+            visits: visit::Visits {
+                owned: visit::VcSet::new(phys.len() * v),
+                waiting: vec![Vec::new(); topo.num_switches()],
+                woken: vec![false; topo.num_switches()],
+                ..Default::default()
+            },
+            verdict: vec![None; phys.len() * v],
+            scan: Vec::new(),
             vcs: vec![VirtualChannel::default(); phys.len() * v],
             channel_flits: vec![0; phys.len()],
             phys,
@@ -375,6 +403,7 @@ impl<'a> Simulator<'a> {
             inject_base,
             deliver_base,
             messages: Vec::new(),
+            sources: Vec::new(),
             queues: vec![VecDeque::new(); num_hosts],
             next_flit: vec![0; num_hosts],
             inject_vc: vec![None; num_hosts],
@@ -382,7 +411,11 @@ impl<'a> Simulator<'a> {
             last_progress: 0,
             totals: Counters::default(),
             max_queue: 0,
-        })
+            #[cfg(test)]
+            work: testutil::Work::default(),
+        };
+        sim.set_injection_rate(cfg.injection_rate);
+        Ok(sim)
     }
 
     fn switch_of_host(&self, host: usize) -> SwitchId {
@@ -471,6 +504,9 @@ impl<'a> Simulator<'a> {
             .ok_or(SimError::NoSuchLink { a, b })?;
         self.phys[2 * link].dead = dead;
         self.phys[2 * link + 1].dead = dead;
+        // A link event changes what the headers at its two ends may claim.
+        self.visits.woken[a] = true;
+        self.visits.woken[b] = true;
         Ok(())
     }
 
@@ -513,23 +549,31 @@ impl<'a> Simulator<'a> {
             } else {
                 self.last_progress = self.cycle;
             }
-            self.max_queue = self.max_queue.max(self.longest_queue());
+            // CORRECTNESS: an unpushed queue cannot set a new maximum — it
+            // is no longer than when `max_queue` last sampled it. Read at
+            // cycle end, so a push and a pop in one cycle net out.
+            for host in self.visits.grown.drain(..) {
+                self.max_queue = self.max_queue.max(self.queues[host].len());
+            }
             if self.pfc {
                 self.totals.pfc_pause_cycles += u64::from(self.paused_now);
             }
+            #[cfg(debug_assertions)]
+            self.assert_visits_match_full_scans();
             self.cycle += 1;
         }
         false
     }
 
-    /// Length of the longest source queue right now.
+    /// Length of the longest source queue right now (a full scan: once
+    /// per `run`, never per cycle).
     fn longest_queue(&self) -> usize {
         self.queues.iter().map(VecDeque::len).max().unwrap_or(0)
     }
 
     /// Whether any message is queued or occupying network resources.
     pub fn in_flight(&self) -> bool {
-        self.queues.iter().any(|q| !q.is_empty()) || self.vcs.iter().any(|c| c.owner.is_some())
+        self.visits.queued > 0 || !self.visits.owned.is_empty()
     }
 
     /// Stop generating new traffic and advance until the network is
@@ -543,7 +587,7 @@ impl<'a> Simulator<'a> {
     /// while a saturated one still holds a backlog when a (small) cap
     /// runs out.
     pub fn drain(&mut self, max_cycles: u64) -> bool {
-        self.cfg.injection_rate = 0.0;
+        self.set_injection_rate(0.0);
         let mut left = max_cycles;
         while left > 0 && self.in_flight() {
             let step = left.min(64);
@@ -578,6 +622,21 @@ mod testutil {
     use super::Simulator;
     use commsched_routing::UpDownRouting;
     use commsched_topology::{designed, Topology};
+
+    /// Counted work of the per-cycle loops, for the tests that pin each
+    /// loop to what can change rather than to the size of the network.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Work {
+        /// VCs `transfer` examined.
+        pub vcs_examined: u64,
+        /// VCs that had an owner when `transfer` began, by full scan,
+        /// summed over cycles.
+        pub owned_vc_cycles: u64,
+        /// Headers `allocate` asked the router about.
+        pub headers_tried: u64,
+        /// Switches `allocate` visited that had a header waiting.
+        pub switch_visits: u64,
+    }
 
     pub fn updown(topo: &Topology) -> UpDownRouting {
         UpDownRouting::new(topo, 0).unwrap()

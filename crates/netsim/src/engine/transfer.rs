@@ -3,9 +3,14 @@
 
 use super::{Buf, ChannelKind, Simulator, VcId};
 
+/// The verdict of a VC that moves a flit into its buffer this cycle
+/// (`Some(false)`: it does not; `None`: not examined — every VC between
+/// cycles).
+pub(super) const SENDS: Option<bool> = Some(true);
+
 impl Simulator<'_> {
     /// Whether VC `id` has a flit available to send this cycle.
-    fn has_source(&self, id: VcId) -> bool {
+    pub(super) fn has_source(&self, id: VcId) -> bool {
         let phys = id / self.vcs_per_phys;
         match self.phys[phys].kind {
             ChannelKind::Inject { host } => {
@@ -19,201 +24,255 @@ impl Simulator<'_> {
         }
     }
 
-    /// Phase 3: move flits. Returns whether any flit moved.
-    pub(super) fn transfer(&mut self) -> bool {
-        // Monotone increasing fixed point on `will_send`, ignoring
-        // physical-link exclusivity.
-        for w in &mut self.will_send {
-            *w = false;
+    /// Whether VC `id` moves a flit this cycle, physical-link exclusivity
+    /// aside — or `Err(onward)` for a full buffer that passes every other
+    /// test: credit-style, it accepts a flit iff its head departs in the
+    /// same cycle, so its answer is its onward VC's.
+    fn sends_or_defers(&self, id: VcId) -> Result<bool, VcId> {
+        let ch = &self.phys[id / self.vcs_per_phys];
+        // A slowed-down link only transfers on its duty cycles; a dead
+        // link never does (its flits stall where they are).
+        if !self.has_source(id) || ch.dead || !self.cycle.is_multiple_of(ch.period) {
+            return Ok(false);
         }
-        let cap = self.cfg.buffer_flits as u32;
-        let total_vcs = self.vcs.len();
-        loop {
-            let mut changed = false;
-            for id in 0..total_vcs {
-                if self.will_send[id] || !self.has_source(id) {
-                    continue;
-                }
-                let phys = id / self.vcs_per_phys;
-                // A slowed-down link only transfers on its duty cycles; a
-                // dead link never does (its flits stall where they are).
-                if self.phys[phys].dead || !self.cycle.is_multiple_of(self.phys[phys].period) {
-                    continue;
-                }
-                let has_space = match self.phys[phys].kind {
-                    ChannelKind::Deliver { .. } => true,
-                    // A paused (XOFF) buffer accepts nothing, even if it
-                    // would drain this cycle — pause wins until XON.
-                    _ => {
-                        (!self.pfc || !self.vcs[id].paused)
-                            && (self.vcs[id].occupancy() < cap
-                                || self.vcs[id].fwd.is_some_and(|f| self.will_send[f]))
-                    }
-                };
-                if has_space {
-                    self.will_send[id] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
+        if matches!(ch.kind, ChannelKind::Deliver { .. }) {
+            return Ok(true);
         }
+        let vc = &self.vcs[id];
+        // A paused (XOFF) buffer accepts nothing, even if it would drain
+        // this cycle — pause wins until XON.
+        if self.pfc && vc.paused {
+            return Ok(false);
+        }
+        if vc.occupancy() < self.cfg.buffer_flits as u32 {
+            return Ok(true);
+        }
+        vc.fwd.map_or(Ok(false), Err)
+    }
 
-        // Physical exclusivity: keep at most one winning VC per physical
-        // channel (round-robin preference), then re-check space conditions
-        // that relied on revoked drains; iterate to a (shrinking) fixpoint.
-        if self.vcs_per_phys > 1 {
-            // Initial arbitration.
-            for (p, ch) in self.phys.iter_mut().enumerate() {
-                let base = p * self.vcs_per_phys;
-                let winners: Vec<usize> = (0..self.vcs_per_phys)
-                    .filter(|&v| self.will_send[base + v])
-                    .collect();
-                if winners.len() <= 1 {
-                    continue;
-                }
-                // Pick the first winner at or after the rr pointer.
-                let keep = *winners.iter().find(|&&v| v >= ch.rr).unwrap_or(&winners[0]);
-                for &v in &winners {
-                    if v != keep {
-                        self.will_send[base + v] = false;
-                    }
-                }
-                ch.rr = (keep + 1) % self.vcs_per_phys;
+    /// Give `id`, and every undecided VC its answer hangs on, a verdict.
+    fn decide(&mut self, id: VcId) {
+        // CORRECTNESS: an onward chain is one worm. Every VC reached over
+        // `fwd` is owned by the message buffered here and was free when
+        // granted, so the chain ends without closing on itself, and the
+        // end's answer is every deferring VC's: the least fixed point the
+        // engine used to sweep to.
+        let (mut end, mut hops) = (id, 0);
+        let sends = loop {
+            if let Some(decided) = self.verdict[end] {
+                break decided;
             }
-            // Cascade: revoke sends whose full buffers no longer drain.
-            loop {
-                let mut changed = false;
-                for id in 0..total_vcs {
-                    if !self.will_send[id] {
-                        continue;
-                    }
-                    let phys = id / self.vcs_per_phys;
-                    if matches!(self.phys[phys].kind, ChannelKind::Deliver { .. }) {
-                        continue;
-                    }
-                    let ok = self.vcs[id].occupancy() < cap
-                        || self.vcs[id].fwd.is_some_and(|f| self.will_send[f]);
-                    if !ok {
-                        self.will_send[id] = false;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
+            #[cfg(test)]
+            {
+                self.work.vcs_examined += 1;
             }
+            match self.sends_or_defers(end) {
+                Ok(sends) => break sends,
+                Err(onward) => end = onward,
+            }
+            hops += 1;
+            debug_assert!(hops < self.vcs.len(), "a worm's chain closed on itself");
+        };
+        let mut at = id;
+        while at != end {
+            self.verdict[at] = Some(sends);
+            at = self.vcs[at].fwd.expect("deferred to its onward VC");
         }
+        self.verdict[end] = Some(sends);
+    }
 
-        // Apply the moves.
-        let len = self.cfg.msg_len as u32;
-        let mut moved = false;
-        for id in 0..total_vcs {
-            if !self.will_send[id] {
+    /// Physical exclusivity: keep at most one sending VC per physical
+    /// channel (round-robin preference), then revoke the sends that
+    /// relied on a revoked drain.
+    fn arbitrate(&mut self, scan: &[VcId]) {
+        let v = self.vcs_per_phys;
+        for contenders in scan.chunk_by(|a, b| a / v == b / v) {
+            let (ch, verdict) = (&mut self.phys[contenders[0] / v], &mut self.verdict);
+            let ready = || {
+                contenders
+                    .iter()
+                    .copied()
+                    .filter(|&id| verdict[id] == SENDS)
+            };
+            if ready().nth(1).is_none() {
                 continue;
             }
-            moved = true;
-            let phys = id / self.vcs_per_phys;
-            self.channel_flits[phys] += 1;
-            // Pop the flit from the VC's source.
-            let (msg, idx) = match self.phys[phys].kind {
-                ChannelKind::Inject { host } => {
-                    let msg = self.vcs[id].owner.expect("inject source checked");
-                    let idx = self.next_flit[host];
-                    self.next_flit[host] += 1;
-                    if idx == 0 {
-                        self.messages[msg as usize].inject_cycle = self.cycle;
-                    }
-                    if idx + 1 == len {
-                        self.queues[host].pop_front();
-                        self.next_flit[host] = 0;
-                        self.inject_vc[host] = None;
-                    }
-                    (msg, idx)
-                }
-                _ => {
-                    let ic = self.vcs[id].feeder.expect("feeder checked");
-                    let buf = self.vcs[ic].buf.as_mut().expect("source checked");
-                    let msg = buf.msg;
-                    let idx = buf.lo;
-                    buf.lo += 1;
-                    if buf.lo == buf.hi {
-                        self.vcs[ic].buf = None;
-                    }
-                    if idx + 1 == len {
-                        // Tail left the feeder: release it.
-                        self.vcs[ic].owner = None;
-                        self.vcs[ic].fwd = None;
-                        self.vcs[id].feeder = None;
-                    }
-                    // XON: the drain may release the feeder's pause.
-                    if self.pfc
-                        && self.vcs[ic].paused
-                        && self.vcs[ic].occupancy() <= self.cfg.pfc_xon as u32
-                    {
-                        self.vcs[ic].paused = false;
-                        self.paused_now -= 1;
-                    }
-                    (msg, idx)
-                }
-            };
-            // Push it into the VC's downstream buffer / sink.
-            match self.phys[phys].kind {
-                ChannelKind::Deliver { .. } => {
-                    self.totals.delivered_flits += 1;
-                    if idx + 1 == len {
-                        self.vcs[id].owner = None;
-                        let m = self.messages[msg as usize];
-                        self.totals.delivered_msgs += 1;
-                        let now = self.cycle + 1; // tail consumed at cycle end
-                        self.totals.sum_net_latency += (now - m.inject_cycle) as f64;
-                        self.totals.sum_total_latency += (now - m.gen_cycle) as f64;
-                        // Instant ack: delivery echoes the ECN bit to the
-                        // source and frees one window slot.
-                        if self.windowed {
-                            self.in_flight_msgs[m.src_host] -= 1;
-                            self.controllers[m.src_host].on_ack(m.marked);
-                        }
-                    }
-                }
-                _ => {
-                    match self.vcs[id].buf.as_mut() {
-                        Some(buf) => {
-                            debug_assert_eq!(buf.msg, msg, "buffer holds one message");
-                            debug_assert_eq!(buf.hi, idx, "flits arrive in order");
-                            buf.hi += 1;
-                        }
-                        None => {
-                            self.vcs[id].buf = Some(Buf {
-                                msg,
-                                lo: idx,
-                                hi: idx + 1,
-                            });
-                        }
-                    }
-                    if self.pfc || self.ecn {
-                        let occ = self.vcs[id].occupancy();
-                        // XOFF: the buffer filled to the pause threshold.
-                        if self.pfc && !self.vcs[id].paused && occ >= self.cfg.pfc_xoff as u32 {
-                            self.vcs[id].paused = true;
-                            self.totals.pfc_pauses += 1;
-                            self.paused_now += 1;
-                        }
-                        // ECN: the flit met a congested queue; mark its
-                        // message once (the CE bit is idempotent).
-                        if self.ecn
-                            && occ >= self.cfg.ecn_threshold as u32
-                            && !self.messages[msg as usize].marked
-                        {
-                            self.messages[msg as usize].marked = true;
-                            self.totals.ecn_marks += 1;
-                        }
-                    }
+            // The first ready VC at or after the rr pointer, else the first.
+            let keep = ready()
+                .find(|id| id % v >= ch.rr)
+                .or_else(|| ready().next());
+            let keep = keep.expect("two are ready");
+            ch.rr = (keep % v + 1) % v;
+            for &id in contenders {
+                if id != keep && verdict[id] == SENDS {
+                    verdict[id] = Some(false);
                 }
             }
         }
+        // Cascade: a full buffer's send leaned on its onward VC's alone,
+        // so each revocation travels up its own worm, feeder by feeder.
+        let cap = self.cfg.buffer_flits as u32;
+        for &id in scan {
+            let mut at = id;
+            while self.verdict[at] != SENDS {
+                match self.vcs[at].feeder {
+                    Some(up) if self.verdict[up] == SENDS && self.vcs[up].occupancy() >= cap => {
+                        self.verdict[up] = Some(false);
+                        at = up;
+                    }
+                    _ => break,
+                }
+            }
+        }
+    }
+
+    /// Phase 3: move flits. Returns whether any flit moved.
+    pub(super) fn transfer(&mut self) -> bool {
+        // CORRECTNESS: has a source ⇒ owned (`has_source` needs `owner`
+        // on an injection VC and `feeder` elsewhere, which is set with
+        // `owner` and cleared before it), so the owned VCs are the only
+        // ones that can move a flit.
+        let mut scan = std::mem::take(&mut self.scan);
+        scan.clear();
+        scan.extend(self.visits.owned.iter());
+        #[cfg(test)]
+        {
+            self.work.owned_vc_cycles +=
+                self.vcs.iter().filter(|c| c.owner.is_some()).count() as u64;
+        }
+        for &id in &scan {
+            if self.verdict[id].is_none() {
+                self.decide(id);
+            }
+        }
+        #[cfg(debug_assertions)]
+        let rr_before = self.phys.iter().map(|ch| ch.rr).collect();
+        if self.vcs_per_phys > 1 {
+            self.arbitrate(&scan);
+        }
+        #[cfg(debug_assertions)]
+        self.assert_moves_match_full_sweep(rr_before);
+
+        // Apply the moves, in ascending VC id: the order is observable.
+        // The occupancy PFC and ECN see at an enqueue depends on whether
+        // the onward VC's pop came before it, and the latency sums are
+        // floating-point sums in delivery order.
+        let mut moved = false;
+        for &id in &scan {
+            if self.verdict[id].take() == SENDS {
+                self.move_flit(id);
+                moved = true;
+            }
+        }
+        self.scan = scan;
         moved
+    }
+
+    /// Move one flit into VC `id`: pop it from the VC's source, push it
+    /// into the VC's downstream buffer or sink.
+    fn move_flit(&mut self, id: VcId) {
+        let len = self.cfg.msg_len as u32;
+        let phys = id / self.vcs_per_phys;
+        self.channel_flits[phys] += 1;
+        let (msg, idx) = match self.phys[phys].kind {
+            ChannelKind::Inject { host } => {
+                let msg = self.vcs[id].owner.expect("inject source checked");
+                let idx = self.next_flit[host];
+                self.next_flit[host] += 1;
+                if idx == 0 {
+                    self.messages[msg as usize].inject_cycle = self.cycle;
+                }
+                if idx + 1 == len {
+                    self.queues[host].pop_front();
+                    self.visits.queued -= 1;
+                    self.next_flit[host] = 0;
+                    self.inject_vc[host] = None;
+                    if !self.queues[host].is_empty() {
+                        self.visits.awaiting_vc.push(host);
+                    }
+                }
+                (msg, idx)
+            }
+            _ => {
+                let ic = self.vcs[id].feeder.expect("feeder checked");
+                let buf = self.vcs[ic].buf.as_mut().expect("source checked");
+                let msg = buf.msg;
+                let idx = buf.lo;
+                buf.lo += 1;
+                if buf.lo == buf.hi {
+                    self.vcs[ic].buf = None;
+                }
+                if idx + 1 == len {
+                    // Tail left the feeder: release it.
+                    self.release(ic);
+                    self.vcs[ic].fwd = None;
+                    self.vcs[id].feeder = None;
+                }
+                // XON: the drain may release the feeder's pause.
+                if self.pfc
+                    && self.vcs[ic].paused
+                    && self.vcs[ic].occupancy() <= self.cfg.pfc_xon as u32
+                {
+                    self.vcs[ic].paused = false;
+                    self.paused_now -= 1;
+                }
+                (msg, idx)
+            }
+        };
+        if let ChannelKind::Deliver { .. } = self.phys[phys].kind {
+            self.totals.delivered_flits += 1;
+            if idx + 1 == len {
+                self.release(id);
+                let m = self.messages[msg as usize];
+                self.totals.delivered_msgs += 1;
+                let now = self.cycle + 1; // tail consumed at cycle end
+                self.totals.sum_net_latency += (now - m.inject_cycle) as f64;
+                self.totals.sum_total_latency += (now - m.gen_cycle) as f64;
+                // Instant ack: delivery echoes the ECN bit to the
+                // source and frees one window slot.
+                if self.windowed {
+                    self.in_flight_msgs[m.src_host] -= 1;
+                    self.controllers[m.src_host].on_ack(m.marked);
+                }
+            }
+            return;
+        }
+        match self.vcs[id].buf.as_mut() {
+            Some(buf) => {
+                debug_assert_eq!(buf.msg, msg, "buffer holds one message");
+                debug_assert_eq!(buf.hi, idx, "flits arrive in order");
+                buf.hi += 1;
+            }
+            None => {
+                self.vcs[id].buf = Some(Buf {
+                    msg,
+                    lo: idx,
+                    hi: idx + 1,
+                });
+            }
+        }
+        if idx == 0 {
+            let s = self.phys[phys].kind.input_of(self.topo.hosts_per_switch());
+            self.header_arrived(s.expect("a delivered flit returned above"), id);
+        }
+        if self.pfc || self.ecn {
+            let occ = self.vcs[id].occupancy();
+            // XOFF: the buffer filled to the pause threshold.
+            if self.pfc && !self.vcs[id].paused && occ >= self.cfg.pfc_xoff as u32 {
+                self.vcs[id].paused = true;
+                self.totals.pfc_pauses += 1;
+                self.paused_now += 1;
+            }
+            // ECN: the flit met a congested queue; mark its
+            // message once (the CE bit is idempotent).
+            if self.ecn
+                && occ >= self.cfg.ecn_threshold as u32
+                && !self.messages[msg as usize].marked
+            {
+                self.messages[msg as usize].marked = true;
+                self.totals.ecn_marks += 1;
+            }
+        }
     }
 }
 

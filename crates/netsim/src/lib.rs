@@ -47,7 +47,7 @@ pub mod stats;
 pub mod sweep;
 pub mod traffic;
 
-pub use config::{SelectionPolicy, SimConfig};
+pub use config::SimConfig;
 pub use congestion::{regime_configs, Aimd, CongestionControl, CongestionMode, Dctcp};
 pub use engine::{simulate, SimError, Simulator, StallReport};
 pub use stats::SimStats;

@@ -1,7 +1,7 @@
 //! Property tests for the flit-level simulator: conservation, latency
 //! bounds, and determinism over random configurations.
 
-use commsched_netsim::{CongestionMode, SelectionPolicy, SimConfig, Simulator, TrafficPattern};
+use commsched_netsim::{CongestionMode, SimConfig, Simulator, TrafficPattern};
 use commsched_routing::{Routing, UpDownRouting};
 use commsched_topology::{random_regular, RandomTopologyConfig, Topology};
 use proptest::prelude::*;
@@ -48,7 +48,7 @@ proptest! {
 
     /// Flit conservation: after injection stops and the network drains,
     /// every generated message has been delivered — no flit is lost or
-    /// duplicated, for any topology seed, load, policy, message length,
+    /// duplicated, for any topology seed, load, message length,
     /// buffer depth and VC count, with and without the Duato protocol.
     #[test]
     fn conservation_under_random_configs(
@@ -56,7 +56,6 @@ proptest! {
         sim_seed in any::<u64>(),
         rate in 0.02f64..0.6,
         msg_len in 2usize..24,
-        adaptive in any::<bool>(),
         buffer in 1usize..6,
         virtual_channels in 1usize..=3,
         fully_adaptive in any::<bool>(),
@@ -69,11 +68,6 @@ proptest! {
             injection_rate: rate,
             warmup_cycles: 0,
             measure_cycles: 1_000,
-            selection: if adaptive {
-                SelectionPolicy::Adaptive
-            } else {
-                SelectionPolicy::Deterministic
-            },
             seed: sim_seed,
             virtual_channels,
             fully_adaptive,
