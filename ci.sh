@@ -68,6 +68,13 @@ cargo build --release
 echo "==> golden simulator digests, release build"
 cargo test --release --offline -q -p commsched-netsim --test golden
 
+# Same for the tabu search: its lockstep reference (the full scan,
+# recomputed every iteration in debug builds) is compiled out of the
+# build the daemon ships, where only the recorded trajectories can tell
+# that the memoised scan still applies the swaps the full one would.
+echo "==> golden search trajectories, release build"
+cargo test --release --offline -q -p commsched-search --test golden
+
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 
@@ -236,9 +243,9 @@ echo "cluster failover smoke: ok"
 echo "==> benchmark harness unit tests (the pinned surface still compiles)"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark smoke (large_cold and sweep_sim through the real daemon; all four pinned simulator digests must match)"
+echo "==> benchmark smoke (large_warm, large_cold and sweep_sim through the real daemon: every result balanced, its F_G recomputed, better than random; all four pinned simulator digests must match)"
 if [ "$(nproc)" -ge 2 ]; then
-    for W in large_cold sweep_sim; do
+    for W in large_warm large_cold sweep_sim; do
         benchmark/run.sh --smoke --only "$W" --out "$SMOKE_DIR/bench-$W" >"$SMOKE_DIR/bench-$W.log" 2>&1 \
             || { echo "benchmark smoke: $W run failed"; tail -40 "$SMOKE_DIR/bench-$W.log"; exit 1; }
     done

@@ -1,13 +1,25 @@
 //! Incremental evaluation of `F_G` under pairwise swaps.
 //!
-//! The tabu search evaluates every cross-cluster swap at every iteration —
-//! `O(N²)` candidate moves. Recomputing Eq. 2 from scratch per move costs
+//! The tabu search applies, every iteration, the best of all cross-cluster
+//! swaps — `O(N²)` candidates. Recomputing Eq. 2 per candidate costs
 //! `O(N²)` each, which the search cannot afford. [`SwapEvaluator`] caches,
 //! for every switch `v` and cluster `c`, the partial sum
 //! `S(v, c) = Σ_{u ∈ c} T²(v, u)`, so that
 //!
-//! * the `F_G` change of a candidate swap is `O(1)`,
-//! * applying a swap updates the cache in `O(N)`.
+//! * the `F_G` change of a candidate swap is `O(1)`
+//!   ([`SwapEvaluator::delta_fg`], the definition),
+//! * applying a swap updates the cache in `O(N)` — it writes columns
+//!   `c(a)` and `c(b)` of `S` and nothing else, which is what lets a caller
+//!   keep the bests of every other cluster pair,
+//! * the best swaps of one cluster pair come from one block scan
+//!   ([`SwapEvaluator::best_swaps_between`]): the same numerators, bit for
+//!   bit, at a few loads and flops each — per pair `w_p + w_q` is a
+//!   constant, per row `w_q · S(u, q)` is, the products `w_c · S(v, c)` are
+//!   cached, the members of a cluster are a list, and the division by the
+//!   norm is paid only by a candidate within rounding reach of the best
+//!   allowed one so far. Ties go to the lowest `(delta_fg, a, b)` — what a
+//!   scan in `(a, b)` order with a strict `<` keeps — so the answer does
+//!   not depend on the order candidates are visited in.
 //!
 //! Since swaps never change cluster *sizes*, the normalization of Eq. 2
 //! (intracluster pair count × quadratic average distance) is constant and
@@ -16,6 +28,41 @@
 use crate::partition::Partition;
 use commsched_distance::DistanceTable;
 use commsched_topology::SwitchId;
+use std::hint::select_unpredictable;
+
+/// A scored candidate swap `(delta_fg, a, b)`, `a < b`.
+type ScoredSwap = (f64, SwitchId, SwitchId);
+
+/// The best swaps of a set of candidates, as
+/// [`SwapEvaluator::best_swaps_between`] finds them for one cluster pair;
+/// a swap is `(delta_fg, a, b)` with `a < b`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlockBest {
+    /// The lowest `(delta_fg, a, b)` of all.
+    pub any: (f64, SwitchId, SwitchId),
+    /// The lowest among the swaps not tabu; `None` if all were.
+    pub allowed: Option<(f64, SwitchId, SwitchId)>,
+}
+
+/// The tie rule: whether `x` beats `y` — the lower `(delta_fg, a, b)`.
+fn beats(x: ScoredSwap, y: ScoredSwap) -> bool {
+    x.0 < y.0 || (x.0 == y.0 && (x.1, x.2) < (y.1, y.2))
+}
+
+impl BlockBest {
+    /// The bests of two disjoint candidate sets as those of their union.
+    #[must_use]
+    pub fn merged(self, other: BlockBest) -> BlockBest {
+        let winner = |x: ScoredSwap, y: ScoredSwap| if beats(y, x) { y } else { x };
+        BlockBest {
+            any: winner(self.any, other.any),
+            allowed: match (self.allowed, other.allowed) {
+                (Some(x), Some(y)) => Some(winner(x, y)),
+                (x, y) => x.or(y),
+            },
+        }
+    }
+}
 
 /// Incremental `F_G` evaluator over a working partition, with one traffic
 /// weight per cluster: the value is [`crate::weighted_similarity_fg`],
@@ -28,8 +75,16 @@ pub struct SwapEvaluator<'t> {
     partition: Partition,
     /// Traffic weight of each cluster.
     weights: Vec<f64>,
-    /// `sums[v * M + c] = Σ_{u ∈ cluster c} T²(v, u)`.
+    /// `sums[c * N + v] = S(v, c)`: one contiguous column per cluster.
     sums: Vec<f64>,
+    /// `weighted[c * N + v] = w_c · S(v, c)`, the products every numerator
+    /// is made of.
+    weighted: Vec<f64>,
+    /// The switches grouped by cluster, in no particular order: cluster
+    /// `c` is `members[first[c]..first[c + 1]]`, and `members[slot[v]] == v`.
+    members: Vec<SwitchId>,
+    first: Vec<usize>,
+    slot: Vec<usize>,
     /// Current numerator `Σ_c w_c · F_{A_c}` of Eq. 2.
     intra_sum: f64,
     /// Constant denominator: `Σ_c w_c · pairs_c × mean_square`.
@@ -70,7 +125,7 @@ impl<'t> SwapEvaluator<'t> {
         for v in 0..n {
             for u in 0..n {
                 if u != v {
-                    sums[v * m + partition.cluster_of(u)] += table.get_sq(v, u);
+                    sums[partition.cluster_of(u) * n + v] += table.get_sq(v, u);
                 }
             }
         }
@@ -86,15 +141,30 @@ impl<'t> SwapEvaluator<'t> {
             }
         }
         let sizes = partition.sizes();
+        let mut first = vec![0; m + 1];
+        for c in 0..m {
+            first[c + 1] = first[c] + sizes[c];
+        }
+        let (mut members, mut slot, mut next) = (vec![0; n], vec![0; n], first.clone());
+        for v in 0..n {
+            slot[v] = next[partition.cluster_of(v)];
+            members[slot[v]] = v;
+            next[partition.cluster_of(v)] += 1;
+        }
         let weighted_pairs = sizes.iter().zip(&weights);
         let pairs: f64 = weighted_pairs
             .map(|(&size, &w)| w * (size * (size - 1) / 2) as f64)
             .sum();
+        let weighted = (0..n * m).map(|i| weights[i / n] * sums[i]).collect();
         Self {
             table,
             partition,
             weights,
             sums,
+            weighted,
+            members,
+            first,
+            slot,
             intra_sum,
             norm: pairs * table.mean_square(),
         }
@@ -112,16 +182,14 @@ impl<'t> SwapEvaluator<'t> {
 
     /// Current (weighted) `F_G` value (Eq. 2).
     pub fn fg(&self) -> f64 {
-        if self.norm == 0.0 {
-            0.0
-        } else {
-            self.intra_sum / self.norm
-        }
+        self.normalized(self.intra_sum)
     }
 
+    /// `w_c · S(·, c)` of `cluster`, indexed by switch.
     #[inline]
-    fn sum(&self, v: SwitchId, cluster: usize) -> f64 {
-        self.sums[v * self.partition.num_clusters() + cluster]
+    fn column(&self, cluster: usize) -> &[f64] {
+        let n = self.partition.num_switches();
+        &self.weighted[cluster * n..(cluster + 1) * n]
     }
 
     /// Change in the Eq.-2 numerator if switches `a` and `b` (in different
@@ -130,12 +198,11 @@ impl<'t> SwapEvaluator<'t> {
         let ca = self.partition.cluster_of(a);
         let cb = self.partition.cluster_of(b);
         debug_assert_ne!(ca, cb, "swap within a cluster");
-        let (wa, wb) = (self.weights[ca], self.weights[cb]);
-        let t_ab = self.table.get_sq(a, b);
-        wb * self.sum(a, cb) + wa * self.sum(b, ca)
-            - wa * self.sum(a, ca)
-            - wb * self.sum(b, cb)
-            - (wa + wb) * t_ab
+        let (own_a, own_b) = (self.column(ca), self.column(cb));
+        own_b[a] + own_a[b]
+            - own_a[a]
+            - own_b[b]
+            - (self.weights[ca] + self.weights[cb]) * self.table.get_sq(a, b)
     }
 
     /// Change in `F_G` if `a` and `b` swapped (O(1)).
@@ -145,10 +212,85 @@ impl<'t> SwapEvaluator<'t> {
     /// the size rustc inlines across crates unasked.
     #[inline]
     pub fn delta_fg(&self, a: SwitchId, b: SwitchId) -> f64 {
+        self.normalized(self.delta_intra(a, b))
+    }
+
+    /// An Eq.-2 numerator, or a change of it, over the constant norm.
+    #[inline]
+    fn normalized(&self, intra: f64) -> f64 {
         if self.norm == 0.0 {
             0.0
         } else {
-            self.delta_intra(a, b) / self.norm
+            intra / self.norm
+        }
+    }
+
+    /// The switches of `cluster`.
+    fn members(&self, cluster: usize) -> &[SwitchId] {
+        &self.members[self.first[cluster]..self.first[cluster + 1]]
+    }
+
+    /// The best swaps between clusters `p` and `q`: over every candidate
+    /// `(a, b)`, `a < b`, one switch in each, the lowest
+    /// `(delta_fg(a, b), a, b)` of all and of those `is_tabu(a, b)` does
+    /// not refuse — what a scan in ascending `(a, b)` order with a strict
+    /// `<` keeps, whatever order this one visits them in. `is_tabu` is
+    /// asked only of a swap that would otherwise be the allowed best.
+    ///
+    /// # Panics
+    /// Panics if `p == q` or either is not a cluster.
+    pub fn best_swaps_between(
+        &self,
+        p: usize,
+        q: usize,
+        mut is_tabu: impl FnMut(SwitchId, SwitchId) -> bool,
+    ) -> BlockBest {
+        assert_ne!(p, q, "swap within a cluster");
+        let w_both = self.weights[p] + self.weights[q];
+        let (col_p, col_q, in_q) = (self.column(p), self.column(q), self.members(q));
+        let mut any: Option<ScoredSwap> = None;
+        let mut allowed: Option<ScoredSwap> = None;
+        // No numerator above this can end at or below `allowed`'s delta.
+        let mut cutoff = f64::INFINITY;
+        for &u in self.members(p) {
+            // One length for the three slices: one bounds check a candidate.
+            let row = &self.table.row(u)[..col_p.len()];
+            let (gain_u, own_u) = (col_q[u], col_p[u]);
+            for &v in in_q {
+                // CORRECTNESS: bit for bit what `delta_intra` computes — `+`
+                // commutes exactly, the table is symmetric (every
+                // constructor mirrors its upper half), and the lower
+                // switch's own term is subtracted first, as there. Which
+                // one that is is a coin toss: select, do not branch.
+                let (ou, ov) = (own_u.to_bits(), col_q[v].to_bits());
+                let first = f64::from_bits(select_unpredictable(v < u, ov, ou));
+                let second = f64::from_bits(select_unpredictable(v < u, ou, ov));
+                let num = gain_u + col_p[v] - first - second - w_both * (row[v] * row[v]);
+                if num > cutoff {
+                    continue;
+                }
+                let cand = (self.normalized(num), u.min(v), u.max(v));
+                if any.is_none_or(|best| beats(cand, best)) {
+                    any = Some(cand);
+                }
+                if allowed.is_none_or(|best| beats(cand, best)) && !is_tabu(cand.1, cand.2) {
+                    allowed = Some(cand);
+                    // CORRECTNESS: a skipped swap cannot tie after the
+                    // division. Its quotient is more than
+                    // 1e-12 · (|allowed's| + 1) greater before rounding, and
+                    // the two roundings move them by at most 2⁻⁵³ of their
+                    // sizes (2⁻¹⁰⁷⁵ if subnormal): it stays strictly greater
+                    // and loses whatever its `(a, b)`. With `norm == 0`
+                    // every delta is 0, all tie, none is skipped.
+                    if self.norm > 0.0 {
+                        cutoff = num + 1e-12 * (num.abs() + self.norm);
+                    }
+                }
+            }
+        }
+        BlockBest {
+            any: any.expect("a cluster has at least one switch"),
+            allowed,
         }
     }
 
@@ -158,16 +300,19 @@ impl<'t> SwapEvaluator<'t> {
         let cb = self.partition.cluster_of(b);
         debug_assert_ne!(ca, cb, "swap within a cluster");
         self.intra_sum += self.delta_intra(a, b);
-        let m = self.partition.num_clusters();
         let n = self.partition.num_switches();
         for v in 0..n {
             let ta = self.table.get_sq(v, a);
             let tb = self.table.get_sq(v, b);
             // Cluster ca loses a, gains b; cluster cb loses b, gains a.
-            self.sums[v * m + ca] += tb - ta;
-            self.sums[v * m + cb] += ta - tb;
+            self.sums[ca * n + v] += tb - ta;
+            self.sums[cb * n + v] += ta - tb;
+            self.weighted[ca * n + v] = self.weights[ca] * self.sums[ca * n + v];
+            self.weighted[cb * n + v] = self.weights[cb] * self.sums[cb * n + v];
         }
         self.partition.swap(a, b);
+        self.members.swap(self.slot[a], self.slot[b]);
+        self.slot.swap(a, b);
     }
 }
 
@@ -267,6 +412,88 @@ mod tests {
         let out = eval.into_partition();
         assert_ne!(out, p);
         assert_eq!(out.sizes(), p.sizes());
+    }
+
+    /// The swaps between clusters `p < q`, in `(a, b)` order.
+    fn swaps_between(eval: &SwapEvaluator<'_>, (p, q): (usize, usize)) -> Vec<(usize, usize)> {
+        let cluster = |v| eval.partition().cluster_of(v);
+        (0..24)
+            .flat_map(|a| (a + 1..24).map(move |b| (a, b)))
+            .filter(|&(a, b)| (cluster(a).min(cluster(b)), cluster(a).max(cluster(b))) == (p, q))
+            .collect()
+    }
+
+    #[test]
+    fn block_scan_is_the_ordered_scan_bit_for_bit() {
+        // The designed network is symmetric: exact ties abound, and the
+        // lowest (a, b) must win each. Unequal sizes and weights make both
+        // operand orders of the numerator matter.
+        let (table, _) = setup();
+        let mut rng = StdRng::seed_from_u64(8);
+        let p = Partition::random(24, &[4, 8, 12], &mut rng).unwrap();
+        let mut eval = SwapEvaluator::with_weights(p, &table, vec![20.0, 0.5, 3.0]);
+        let tabu_rules: [&dyn Fn(usize, usize) -> bool; 3] =
+            [&|_, _| false, &|a, b| (a + b) % 3 == 1, &|_, _| true];
+        let mut tied_bests = 0;
+        for round in 0..60 {
+            for (p, q) in [(0, 1), (0, 2), (1, 2)] {
+                let swaps = swaps_between(&eval, (p, q));
+                for is_tabu in tabu_rules {
+                    // What the block scan stands for: every swap in (a, b)
+                    // order through `delta_fg`, strict `<`.
+                    let (mut any, mut allowed): (Option<ScoredSwap>, Option<ScoredSwap>) =
+                        (None, None);
+                    for &(a, b) in &swaps {
+                        let delta = eval.delta_fg(a, b);
+                        if any.is_none_or(|(d, _, _)| delta < d) {
+                            any = Some((delta, a, b));
+                        }
+                        if !is_tabu(a, b) && allowed.is_none_or(|(d, _, _)| delta < d) {
+                            allowed = Some((delta, a, b));
+                        }
+                    }
+                    // Either orientation of the pair is the same set of swaps.
+                    for (r, s) in [(p, q), (q, p)] {
+                        let found = eval.best_swaps_between(r, s, is_tabu);
+                        assert_eq!(Some(found.any), any, "round {round}, pair {r}/{s}");
+                        assert_eq!(found.allowed, allowed, "round {round}, pair {r}/{s}");
+                    }
+                }
+                let best = eval.best_swaps_between(p, q, |_, _| false).any.0;
+                let at_best = swaps.iter().filter(|&&(a, b)| eval.delta_fg(a, b) == best);
+                tied_bests += usize::from(at_best.count() > 1);
+            }
+            let (_, a, b) = eval.best_swaps_between(round % 2, 2, |_, _| false).any;
+            eval.apply_swap(a, b);
+        }
+        assert!(
+            tied_bests > 0,
+            "no tied best in 180 scans: the tie rule went untested"
+        );
+    }
+
+    #[test]
+    fn merged_bests_are_the_bests_of_the_union() {
+        let x = BlockBest {
+            any: (-1.0, 2, 9),
+            allowed: None,
+        };
+        let y = BlockBest {
+            any: (-1.0, 2, 7),
+            allowed: Some((0.5, 3, 4)),
+        };
+        let both = BlockBest {
+            any: (-1.0, 2, 7),
+            allowed: Some((0.5, 3, 4)),
+        };
+        assert_eq!(x.merged(y), both);
+        assert_eq!(y.merged(x), both);
+        let z = BlockBest {
+            any: (-2.0, 5, 6),
+            allowed: Some((0.5, 1, 8)),
+        };
+        assert_eq!(y.merged(z).any, (-2.0, 5, 6));
+        assert_eq!(y.merged(z).allowed, Some((0.5, 1, 8)));
     }
 
     #[test]

@@ -55,8 +55,9 @@ pub struct SearchResult {
     pub partition: Partition,
     /// Its `F_G` value (the minimized target function).
     pub fg: f64,
-    /// Number of objective/delta evaluations spent (cost proxy for the
-    /// heuristic-comparison ablation).
+    /// Work spent, in the method's own unit (cost proxy for the
+    /// heuristic-comparison ablation): for the tabu search, candidate swaps
+    /// scored — a cluster pair whose bests are still known is not rescanned.
     pub evaluations: u64,
 }
 
@@ -163,6 +164,17 @@ pub(crate) mod testutil {
     /// Table for the paper's designed 24-switch network.
     pub fn rings_table() -> DistanceTable {
         let topo = designed::paper_24_switch();
+        let routing = commsched_routing::UpDownRouting::new(&topo, 0).unwrap();
+        equivalent_distance_table(&topo, &routing).unwrap()
+    }
+
+    /// `n` switches of degree three under up*/down* routing (the §5.1
+    /// class; the network `tests/golden.rs` uses for the same `n`).
+    pub fn random_table(n: usize) -> DistanceTable {
+        use commsched_topology::{random_regular, RandomTopologyConfig};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9_000 + n as u64);
+        let topo = random_regular(RandomTopologyConfig::paper(n), &mut rng).unwrap();
         let routing = commsched_routing::UpDownRouting::new(&topo, 0).unwrap();
         equivalent_distance_table(&topo, &routing).unwrap()
     }

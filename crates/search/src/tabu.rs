@@ -9,17 +9,33 @@
 //! search repeats from `seeds` random starting points and keeps the best
 //! local minimum seen.
 //!
+//! "The best swap" is the minimum over all `O(N²)` cross-cluster pairs,
+//! every iteration — but an applied swap between clusters p and q changes
+//! the delta of a pair `(u, v)` only if one of them sits in p or q. So
+//! `run_seed` keeps, per unordered cluster pair, the best swap of all and
+//! the best not tabu ([`BlockBest`], found by one block scan of
+//! [`SwapEvaluator::best_swaps_between`]); an iteration's bests are the
+//! lowest `(delta, a, b)` over the pairs — the swap a scan in `(a, b)` order
+//! with a strict `<` would keep — and a pair is rescanned only after it was
+//! dropped, by one of two rules: (i) the last swap touched one of its
+//! clusters (2M − 3 of the M(M − 1)/2 pairs), or (ii) a tabu entry whose
+//! switches sit in it expired this iteration. The tabu list is its live
+//! entries, at most `tenure + 1`. Debug builds recompute the full scan
+//! every iteration and assert the same bests (`reference_scan`).
+//!
 //! The per-iteration `F(P_i)` trace is recorded so the harness can
 //! regenerate Figure 1.
 
 use crate::{check_sizes, Mapper, SearchResult};
-use commsched_core::{Partition, SwapEvaluator};
+use commsched_core::{BlockBest, Partition, SwapEvaluator};
 use commsched_distance::DistanceTable;
 use commsched_telemetry as telemetry;
 use commsched_topology::SwitchId;
 use rand::RngCore;
-use std::collections::HashMap;
 use std::sync::OnceLock;
+
+/// A forbidden swap `(a, b, until)`, `a < b`: tabu while `iterations < until`.
+type TabuEntry = (SwitchId, SwitchId, usize);
 
 /// Telemetry handles for the tabu driver, resolved once per process.
 struct TabuMetrics {
@@ -40,7 +56,7 @@ fn tabu_metrics() -> &'static TabuMetrics {
             ),
             evaluations: r.counter(
                 "tabu_evaluations_total",
-                "Candidate swap evaluations (delta computations)",
+                "Candidate swaps scored by the tabu scans",
             ),
         }
     })
@@ -201,8 +217,8 @@ impl TabuSearch {
     /// thread count.
     ///
     /// # Panics
-    /// Panics on invalid sizes, a weight-count mismatch, or non-positive
-    /// weights.
+    /// Panics on invalid sizes, a weight-count mismatch, non-positive
+    /// weights, or `params.seeds == 0` with no warm start (nothing to run).
     pub fn search_weighted(
         &self,
         table: &DistanceTable,
@@ -214,6 +230,10 @@ impl TabuSearch {
         assert!(
             check_sizes(n, sizes),
             "invalid cluster sizes {sizes:?} for {n} switches"
+        );
+        assert!(
+            self.params.seeds > 0 || self.params.warm_start.is_some(),
+            "TabuParams::seeds is 0 and there is no warm start: no restart to run"
         );
         let _span = telemetry::Span::enter("tabu.search");
         // The seed runs themselves consume no randomness, so drawing every
@@ -290,7 +310,7 @@ impl TabuSearch {
             }
         }
 
-        let (fg, partition) = best.expect("at least one seed");
+        let (fg, partition) = best.expect("at least one restart ran");
         (
             SearchResult {
                 partition,
@@ -319,41 +339,61 @@ impl TabuSearch {
             is_seed_start: true,
         });
 
-        // Tabu list: forbidden swap -> first iteration it is allowed again.
-        let mut tabu: HashMap<(SwitchId, SwitchId), usize> = HashMap::new();
+        // The tabu list as its live entries: an escape adds one, `until`
+        // grows with `iterations`, so at most `tenure + 1` are ever live.
+        let mut tabu: Vec<TabuEntry> = Vec::new();
+        #[cfg(debug_assertions)]
+        let mut ever_tabu: Vec<TabuEntry> = Vec::new();
         // Local minima seen this seed: (value, hit count).
         let mut minima: Vec<(f64, usize)> = Vec::new();
         let mut seed_best: (f64, Partition) = (eval.fg(), eval.partition().clone());
         let mut iterations = 0usize;
 
-        let n = eval.partition().num_switches();
+        let m = eval.partition().num_clusters();
+        let sizes = eval.partition().sizes();
+        // The memo: `memo[slot(r, s)]` holds the bests of cluster pair
+        // {r, s}, `None` once dropped (a diagonal cell is never read).
+        let slot = |r: usize, s: usize| r.min(s) * m + r.max(s);
+        let mut memo: Vec<Option<BlockBest>> = vec![None; m * m];
         loop {
-            // Scan all cross-cluster swaps.
-            let mut best_any: Option<(f64, SwitchId, SwitchId)> = None;
-            let mut best_allowed: Option<(f64, SwitchId, SwitchId)> = None;
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    if eval.partition().cluster_of(a) == eval.partition().cluster_of(b) {
-                        continue;
-                    }
-                    let delta = eval.delta_fg(a, b);
-                    evaluations += 1;
-                    if best_any.is_none_or(|(d, _, _)| delta < d) {
-                        best_any = Some((delta, a, b));
-                    }
-                    let is_tabu = tabu.get(&(a, b)).is_some_and(|&until| iterations < until);
-                    if !is_tabu && best_allowed.is_none_or(|(d, _, _)| delta < d) {
-                        best_allowed = Some((delta, a, b));
-                    }
+            #[cfg(test)]
+            let (scored_before, live_before) = (evaluations, tabu.len());
+            // CORRECTNESS (rule ii): an entry that expires now makes its
+            // swap allowed again, and the pair its switches sit in may have
+            // chosen its cached `allowed` around it: drop that pair.
+            tabu.retain(|&(a, b, until)| {
+                if iterations >= until {
+                    let clusters = eval.partition();
+                    memo[slot(clusters.cluster_of(a), clusters.cluster_of(b))] = None;
+                }
+                iterations < until
+            });
+            let mut best: Option<BlockBest> = None;
+            for r in 0..m {
+                for s in (r + 1)..m {
+                    let found = *memo[slot(r, s)].get_or_insert_with(|| {
+                        evaluations += (sizes[r] * sizes[s]) as u64;
+                        let is_tabu = |a, b| tabu.iter().any(|&(ta, tb, _)| (ta, tb) == (a, b));
+                        eval.best_swaps_between(r, s, is_tabu)
+                    });
+                    best = Some(best.map_or(found, |b| b.merged(found)));
                 }
             }
-            let Some((best_delta_any, _, _)) = best_any else {
+            #[cfg(test)]
+            tests::note_scan(iterations, evaluations - scored_before, live_before);
+            #[cfg(debug_assertions)]
+            assert_eq!(best, reference_scan(&eval, &ever_tabu, iterations));
+            let Some(BlockBest {
+                any: best_any,
+                allowed: best_allowed,
+            }) = best
+            else {
                 // Degenerate: a single cluster, nothing to swap.
                 break;
             };
 
-            let at_local_min = best_delta_any >= -EPS;
-            if at_local_min {
+            let at_local_min = best_any.0 >= -EPS;
+            let (a, b) = if at_local_min {
                 // Record this local minimum.
                 let fg = eval.fg();
                 if fg < seed_best.0 {
@@ -380,8 +420,10 @@ impl TabuSearch {
                 let Some((_, a, b)) = best_allowed else {
                     break; // everything tabu: give up this seed
                 };
-                eval.apply_swap(a, b);
-                tabu.insert((a, b), iterations + 1 + self.params.tenure);
+                tabu.push((a, b, iterations + 1 + self.params.tenure));
+                #[cfg(debug_assertions)]
+                ever_tabu.push((a, b, iterations + 1 + self.params.tenure));
+                (a, b)
             } else {
                 // Greedy improving move. Improving moves respect the tabu
                 // list too; if the list blocks every improving move, fall
@@ -390,9 +432,19 @@ impl TabuSearch {
                 // can never re-enter a visited local minimum cycle).
                 let (_, a, b) = best_allowed
                     .filter(|&(d, _, _)| d < -EPS)
-                    .or(best_any)
-                    .expect("best_any is Some here");
-                eval.apply_swap(a, b);
+                    .unwrap_or(best_any);
+                (a, b)
+            };
+            // CORRECTNESS (rule i): the swap writes columns p and q of `S`
+            // and nothing else, so `delta(u, v)` moved iff u or v sits in p
+            // or q: every pair with p or q in it is dropped, and any other
+            // pair's cached bests are what a rescan would return. A tabu
+            // entry just added is `(a, b)` itself, in the dropped {p, q}.
+            let clusters = eval.partition();
+            let (p, q) = (clusters.cluster_of(a), clusters.cluster_of(b));
+            eval.apply_swap(a, b);
+            for c in 0..m {
+                (memo[slot(c, p)], memo[slot(c, q)]) = (None, None);
             }
 
             iterations += 1;
@@ -421,6 +473,36 @@ impl TabuSearch {
     }
 }
 
+/// The scan `run_seed` replaced — every cross-cluster pair through
+/// `delta_fg`, in `(a, b)` order, strict `<`, against every tabu entry ever
+/// made — kept as the definition its memo is checked against in debug
+/// builds, every iteration.
+#[cfg(debug_assertions)]
+fn reference_scan(
+    eval: &SwapEvaluator<'_>,
+    ever_tabu: &[TabuEntry],
+    iterations: usize,
+) -> Option<BlockBest> {
+    let clusters = eval.partition();
+    let (mut any, mut allowed) = (None::<(f64, SwitchId, SwitchId)>, None);
+    for a in 0..clusters.num_switches() {
+        for b in (a + 1)..clusters.num_switches() {
+            if clusters.cluster_of(a) == clusters.cluster_of(b) {
+                continue;
+            }
+            let delta = eval.delta_fg(a, b);
+            if any.is_none_or(|(d, _, _)| delta < d) {
+                any = Some((delta, a, b));
+            }
+            let is_tabu = |&(ta, tb, until)| (ta, tb) == (a, b) && iterations < until;
+            if !ever_tabu.iter().any(is_tabu) && allowed.is_none_or(|(d, _, _)| delta < d) {
+                allowed = Some((delta, a, b));
+            }
+        }
+    }
+    any.map(|any| BlockBest { any, allowed })
+}
+
 impl Mapper for TabuSearch {
     fn name(&self) -> &'static str {
         "tabu"
@@ -446,10 +528,127 @@ pub fn tabu_map(table: &DistanceTable, sizes: &[usize], seed: u64) -> SearchResu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{dumbbell_table, dumbbell_truth, rings_table};
+    use crate::testutil::{dumbbell_table, dumbbell_truth, random_table, rings_table};
     use commsched_core::similarity_fg;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// `(iteration of its seed, candidates scored, tabu entries live
+        /// before it)` of every scan this thread ran (`threads: 1` runs
+        /// the restarts inline, on the test's thread).
+        static SCANS: RefCell<Vec<(usize, u64, usize)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn note_scan(iteration: usize, scored: u64, live_tabu: usize) {
+        SCANS.with(|s| s.borrow_mut().push((iteration, scored, live_tabu)));
+    }
+
+    /// Run `params` (on this thread) and return what its scans logged.
+    fn logged_search(
+        table: &DistanceTable,
+        sizes: &[usize],
+        params: TabuParams,
+        rng_seed: u64,
+    ) -> (SearchResult, TabuTrace, Vec<(usize, u64, usize)>) {
+        assert_eq!(params.threads, 1, "the scan log is per thread");
+        SCANS.with(|s| s.borrow_mut().clear());
+        let mut rng = StdRng::seed_from_u64(rng_seed);
+        let (res, trace) = TabuSearch::new(params).search_traced(table, sizes, &mut rng);
+        (res, trace, SCANS.with(|s| s.borrow().clone()))
+    }
+
+    #[test]
+    fn a_scan_rescores_only_the_cluster_pairs_the_last_swap_touched() {
+        // The benchmark's `large_warm` shape: N = 96, eight clusters of 12.
+        let (n, m, s) = (96u64, 8u64, 12u64);
+        let params = TabuParams {
+            threads: 1,
+            ..TabuParams::scaled(96)
+        };
+        let restarts = params.seeds as u64;
+        let (res, trace, scans) = logged_search(&random_table(96), &[12; 8], params, 96);
+        let all_pairs = (n * n - n * s) / 2;
+        assert_eq!(all_pairs, 4032);
+        let iterations = trace.events.iter().filter(|e| !e.is_seed_start).count() as u64;
+        assert_eq!(
+            scans.iter().map(|&(_, scored, _)| scored).sum::<u64>(),
+            res.evaluations
+        );
+        // The full scan of every iteration (and a last one per restart)
+        // would score `(iterations + restarts) × 4032`.
+        assert!(
+            res.evaluations * 100 <= 55 * (iterations + restarts) * all_pairs,
+            "{} candidates scored in {iterations} iterations of {restarts} restarts",
+            res.evaluations
+        );
+        for &(iteration, scored, live_tabu) in &scans {
+            if iteration == 0 {
+                assert_eq!(scored, all_pairs, "a restart's first scan is a full one");
+            } else {
+                // Rule (i) drops the 2M − 3 pairs of the two touched
+                // clusters, rule (ii) one per entry that expires.
+                assert!(
+                    scored <= (2 * m - 3 + live_tabu as u64) * s * s,
+                    "iteration {iteration}: {scored} scored with {live_tabu} tabu entries live"
+                );
+            }
+        }
+        assert!(
+            scans.iter().any(|&(_, _, live_tabu)| live_tabu > 0),
+            "no escape: rule (ii) idle"
+        );
+    }
+
+    #[test]
+    fn two_clusters_have_nothing_to_memo_and_lose_nothing() {
+        // One cluster pair, dropped by every swap: every scan is the full
+        // one, as before the memo.
+        let params = TabuParams {
+            threads: 1,
+            ..TabuParams::scaled(32)
+        };
+        let (res, _, scans) = logged_search(&random_table(32), &[16, 16], params, 32);
+        assert!(scans.iter().all(|&(_, scored, _)| scored == 16 * 16));
+        assert_eq!(res.evaluations, scans.len() as u64 * 16 * 16);
+    }
+
+    #[test]
+    fn the_tabu_list_holds_its_live_entries_only() {
+        // The `uphill_moves_are_tabu_guarded` set-up: escapes happen again
+        // and again over 40 iterations.
+        let params = TabuParams {
+            seeds: 2,
+            max_iterations: 40,
+            local_min_repeats: 3,
+            tenure: 4,
+            threads: 1,
+            warm_start: None,
+        };
+        let (_, trace, scans) = logged_search(&rings_table(), &[6, 6, 6, 6], params, 13);
+        let most = scans.iter().map(|&(_, _, live)| live).max().unwrap();
+        assert!((1..=4 + 1).contains(&most), "{most} tabu entries at once");
+        let uphill = trace
+            .events
+            .windows(2)
+            .filter(|w| !w[1].is_seed_start && w[1].fg > w[0].fg);
+        assert!(
+            uphill.count() > most,
+            "too few escapes for any entry to have expired"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "TabuParams::seeds is 0")]
+    fn zero_seeds_without_a_warm_start_panics_up_front() {
+        let params = TabuParams {
+            seeds: 0,
+            ..TabuParams::default()
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        let _ = TabuSearch::new(params).search(&dumbbell_table(), &[4, 4], &mut rng);
+    }
 
     #[test]
     fn finds_dumbbell_clusters() {

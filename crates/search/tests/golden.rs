@@ -1,0 +1,317 @@
+//! Golden trajectories of fixed-seed searches: the refactoring oracle for
+//! the tabu scan. Every case hashes (FNV-1a 64) a text holding every
+//! [`TraceEvent`] of the run (`iteration`, `seed`, `fg.to_bits()`,
+//! `is_seed_start`), the final assignment and the final `fg.to_bits()` —
+//! so one swap chosen differently at any iteration of any restart, or one
+//! bit of one `F_G`, shows up as a mismatch. `evaluations` is *not*
+//! hashed: it counts the candidates a scan scores, which a faster scan
+//! changes by design.
+//!
+//! The table was recorded on the brute-force double loop of PR 19's
+//! `run_seed` (EXPERIMENTS.md "PR 20" has the parent commit), before the
+//! block scan, the cluster-pair memo and the live-entry tabu list
+//! replaced it. Regenerate a line only when the search is *meant* to
+//! take a different trajectory. In a debug build every iteration of every
+//! case also runs the lockstep reference inside `run_seed`; `ci.sh` runs
+//! this file in release too, where the digests are the only check.
+
+use commsched_core::Partition;
+use commsched_distance::{equivalent_distance_table, DistanceTable};
+use commsched_routing::{ShortestPathRouting, UpDownRouting};
+use commsched_search::{
+    multilevel_map, MultilevelParams, SearchResult, TabuParams, TabuSearch, TabuTrace,
+};
+use commsched_topology::{designed, random_regular, RandomTopologyConfig, TopologyBuilder};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::fmt::Write;
+
+/// `(case, fnv1a-64 of its trajectory text)`.
+const GOLDEN: [(&str, &str); 21] = [
+    ("paper24-paper", "1ccc333e94e377e8"),
+    ("paper24-scaled", "359f2c4109220574"),
+    ("dumbbell-2x4", "1d0060a958b85a14"),
+    ("random16x4", "2ec222bce394689d"),
+    ("random40x5", "71789010d072cc66"),
+    ("random64x16", "e9f2b1a6b8b307cc"),
+    ("random96x8", "22f253a376fd2c28"),
+    // M = 2: the memo has one slot and every swap drops it.
+    ("random32x2", "12183b190273a923"),
+    ("paper24-unequal-4-8-12", "0d7c7088efd1f527"),
+    ("paper24-weights-20-1-1-1", "4a5b93d76fb84aa9"),
+    ("random40-unequal-weighted", "8f29f5dafb5033b6"),
+    ("paper24-warm-start", "c04af1bac2d862f7"),
+    ("single-cluster", "480da95e6e34fbe7"),
+    // Escapes that go on long after the first: tabu entries expire in
+    // cluster pairs the last swap did not touch.
+    ("random40x5-tenure0", "57b737bffd1d2758"),
+    ("random40x5-tenure4", "eaa2ccee0ede4f5d"),
+    ("random40x5-tenure12", "a582253903595a63"),
+    ("random64x16-tenure4", "0b13ff8db9cd393e"),
+    ("random64x16-tenure12", "8fde5392ffce65a8"),
+    // Equal by construction: the restarts merge in seed order.
+    ("random40x5-threads1", "0d2ca78683b0edc8"),
+    ("random40x5-threads2", "0d2ca78683b0edc8"),
+    ("multilevel-128-coarse32", "7ced083c342e6208"),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Compare each `(case, text)` with its table line; report every
+/// mismatch of the batch at once (that is also how the table is
+/// recorded).
+fn check_all(runs: &[(&str, String)]) {
+    let mut moved = String::new();
+    for (case, text) in runs {
+        let want = GOLDEN
+            .iter()
+            .find(|(name, _)| name == case)
+            .unwrap_or_else(|| panic!("{case} has no line in GOLDEN"))
+            .1;
+        let got = format!("{:016x}", fnv1a(text.as_bytes()));
+        if got != want {
+            let lines = text.lines().count();
+            let tail = text.lines().last().unwrap_or_default();
+            writeln!(
+                moved,
+                "(\"{case}\", \"{got}\"), // recorded {want}; {lines} lines, ends: {tail}"
+            )
+            .unwrap();
+        }
+    }
+    assert!(moved.is_empty(), "trajectories moved:\n{moved}");
+}
+
+/// The text a tabu run is hashed as.
+fn trajectory(res: &SearchResult, trace: &TabuTrace) -> String {
+    let mut text = String::new();
+    for e in &trace.events {
+        writeln!(
+            text,
+            "{} {} {:016x} {}",
+            e.iteration,
+            e.seed,
+            e.fg.to_bits(),
+            e.is_seed_start
+        )
+        .unwrap();
+    }
+    writeln!(
+        text,
+        "{:?} {:016x}",
+        res.partition.assignment(),
+        res.fg.to_bits()
+    )
+    .unwrap();
+    text
+}
+
+fn run(table: &DistanceTable, sizes: &[usize], params: TabuParams, rng_seed: u64) -> String {
+    run_weighted(table, sizes, &vec![1.0; sizes.len()], params, rng_seed)
+}
+
+fn run_weighted(
+    table: &DistanceTable,
+    sizes: &[usize],
+    weights: &[f64],
+    params: TabuParams,
+    rng_seed: u64,
+) -> String {
+    let mut rng = StdRng::seed_from_u64(rng_seed);
+    let (res, trace) = TabuSearch::new(params).search_weighted(table, sizes, weights, &mut rng);
+    trajectory(&res, &trace)
+}
+
+/// One worker thread unless a case says otherwise.
+fn serial(params: TabuParams) -> TabuParams {
+    TabuParams {
+        threads: 1,
+        ..params
+    }
+}
+
+fn paper24() -> DistanceTable {
+    let topo = designed::paper_24_switch();
+    let routing = UpDownRouting::new(&topo, 0).unwrap();
+    equivalent_distance_table(&topo, &routing).unwrap()
+}
+
+/// Two 4-cycles joined by one link.
+fn dumbbell() -> DistanceTable {
+    let topo = TopologyBuilder::new(8, 1)
+        .links([
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 0),
+            (4, 5),
+            (5, 6),
+            (6, 7),
+            (7, 4),
+            (3, 4),
+        ])
+        .build()
+        .unwrap();
+    let routing = ShortestPathRouting::new(&topo).unwrap();
+    equivalent_distance_table(&topo, &routing).unwrap()
+}
+
+/// The §5.1 class: `n` switches of degree three under up*/down* routing.
+fn random_table(n: usize) -> DistanceTable {
+    let mut rng = StdRng::seed_from_u64(9_000 + n as u64);
+    let topo = random_regular(RandomTopologyConfig::paper(n), &mut rng).unwrap();
+    let routing = UpDownRouting::new(&topo, 0).unwrap();
+    equivalent_distance_table(&topo, &routing).unwrap()
+}
+
+#[test]
+fn designed_networks() {
+    let rings = paper24();
+    let sizes = [6, 6, 6, 6];
+    check_all(&[
+        (
+            "paper24-paper",
+            run(&rings, &sizes, serial(TabuParams::paper()), 2),
+        ),
+        (
+            "paper24-scaled",
+            run(&rings, &sizes, serial(TabuParams::scaled(24)), 42),
+        ),
+        (
+            "dumbbell-2x4",
+            run(&dumbbell(), &[4, 4], serial(TabuParams::paper()), 1),
+        ),
+        (
+            "single-cluster",
+            run(&dumbbell(), &[8], serial(TabuParams::paper()), 1),
+        ),
+    ]);
+}
+
+#[test]
+fn random_networks_balanced() {
+    let runs: Vec<(&str, String)> = [
+        ("random16x4", 16usize, 4usize),
+        ("random40x5", 40, 5),
+        ("random64x16", 64, 16),
+        ("random96x8", 96, 8),
+        ("random32x2", 32, 2),
+    ]
+    .into_iter()
+    .map(|(case, n, m)| {
+        let text = run(
+            &random_table(n),
+            &vec![n / m; m],
+            serial(TabuParams::scaled(n)),
+            n as u64,
+        );
+        (case, text)
+    })
+    .collect();
+    check_all(&runs);
+}
+
+#[test]
+fn unequal_sizes_weights_and_warm_start() {
+    let rings = paper24();
+    let scaled = serial(TabuParams::scaled(24));
+    // Round-robin: every ring split four ways, far from any minimum.
+    let warm = Partition::new((0..24).map(|s| s % 4).collect(), 4).unwrap();
+    let warm_params = TabuParams {
+        seeds: 3,
+        ..scaled.clone()
+    }
+    .warm_start(warm);
+    check_all(&[
+        (
+            "paper24-unequal-4-8-12",
+            run(&rings, &[4, 8, 12], scaled.clone(), 5),
+        ),
+        (
+            "paper24-weights-20-1-1-1",
+            run_weighted(&rings, &[6, 6, 6, 6], &[20.0, 1.0, 1.0, 1.0], scaled, 3),
+        ),
+        (
+            "random40-unequal-weighted",
+            run_weighted(
+                &random_table(40),
+                &[4, 6, 8, 10, 12],
+                &[3.0, 0.5, 1.0, 2.0, 7.0],
+                serial(TabuParams::scaled(40)),
+                11,
+            ),
+        ),
+        (
+            "paper24-warm-start",
+            run(&rings, &[6, 6, 6, 6], warm_params, 23),
+        ),
+    ]);
+}
+
+/// A seed that never stops on a repeated minimum: it escapes, descends
+/// and escapes again until the budget ends, so the tabu list fills to
+/// its tenure and entries expire iterations after their swap.
+fn long_escapes(tenure: usize) -> TabuParams {
+    TabuParams {
+        seeds: 3,
+        max_iterations: 80,
+        local_min_repeats: usize::MAX,
+        tenure,
+        threads: 1,
+        warm_start: None,
+    }
+}
+
+#[test]
+fn tenures_with_entries_expiring_late() {
+    let t40 = random_table(40);
+    let t64 = random_table(64);
+    let s40 = [8; 5];
+    let s64 = [4; 16];
+    check_all(&[
+        ("random40x5-tenure0", run(&t40, &s40, long_escapes(0), 40)),
+        ("random40x5-tenure4", run(&t40, &s40, long_escapes(4), 40)),
+        ("random40x5-tenure12", run(&t40, &s40, long_escapes(12), 40)),
+        ("random64x16-tenure4", run(&t64, &s64, long_escapes(4), 64)),
+        (
+            "random64x16-tenure12",
+            run(&t64, &s64, long_escapes(12), 64),
+        ),
+    ]);
+}
+
+#[test]
+fn thread_counts() {
+    let table = random_table(40);
+    let with_threads = |threads| {
+        let params = TabuParams {
+            threads,
+            ..TabuParams::paper()
+        };
+        run(&table, &[8; 5], params, 17)
+    };
+    check_all(&[
+        ("random40x5-threads1", with_threads(1)),
+        ("random40x5-threads2", with_threads(2)),
+    ]);
+}
+
+#[test]
+fn multilevel_pipeline() {
+    let params = MultilevelParams {
+        max_coarse_n: 32,
+        threads: 1,
+        ..MultilevelParams::default()
+    };
+    let (res, stats) = multilevel_map(&random_table(128), &[32; 4], 42, &params);
+    let text = format!(
+        "{stats:?}\n{:?} {:016x}\n",
+        res.partition.assignment(),
+        res.fg.to_bits()
+    );
+    check_all(&[("multilevel-128-coarse32", text)]);
+}
