@@ -58,6 +58,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (intra-doc links must resolve: module moves are where they rot)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+# The north star's "2 000-line files are a smell", made mechanical: no
+# source file of the workspace may pass 1 000 lines.
+echo "==> size guard (no *.rs under src/ or crates/**/src/ over 1000 lines)"
+BIG=$(find src crates -name '*.rs' \( -path 'src/*' -o -path '*/src/*' \) -exec wc -l {} + \
+    | awk '$2 != "total" && $1 > 1000')
+[ -z "$BIG" ] || { echo "size guard: over 1000 lines:"; echo "$BIG"; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -74,6 +81,12 @@ cargo test --release --offline -q -p commsched-netsim --test golden
 # that the memoised scan still applies the swaps the full one would.
 echo "==> golden search trajectories, release build"
 cargo test --release --offline -q -p commsched-search --test golden
+
+# And for the distance table: `PairSink`'s unsynchronised stores and the
+# monomorphised per-pair solver are what the shipped build runs, and the
+# recorded bits are what every `F_G` of every job is a sum over.
+echo "==> golden distance-table bits, release build"
+cargo test --release --offline -q -p commsched-distance --test golden
 
 echo "==> cargo build --release --examples"
 cargo build --release --examples

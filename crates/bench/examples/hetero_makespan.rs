@@ -8,16 +8,14 @@
 //! ETC matrix, and then shows the combined objective that blends makespan
 //! with the communication criterion.
 //!
-//! Run: `cargo run --release --example hetero_makespan`
+//! Run: `cargo run --release -p commsched-bench --example hetero_makespan`
 
-use commsched::core::Workload;
-use commsched::search::compute::{combined_cost, max_min, min_min, olb, uda, EtcMatrix};
-use commsched::topology::designed;
-use commsched::{RoutingKind, Scheduler};
+use commsched_bench::comparators::compute::{combined_cost, max_min, min_min, olb, uda, EtcMatrix};
+use commsched_bench::Testbed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
     // 32 independent tasks on 8 heterogeneous machines: consistent-style
     // ETC (machines have speed factors, tasks have sizes) plus noise.
     let tasks = 32;
@@ -49,11 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Combined view: a communication-heavy workload on the campus network,
     // scoring placements by alpha-blended makespan + F_G.
-    let topology = designed::paper_24_switch();
-    let scheduler = Scheduler::new(topology, RoutingKind::UpDown { root: 0 })?;
-    let workload = Workload::balanced(scheduler.topology(), 4)?;
-    let comm = scheduler.schedule(&workload, 1)?;
-    let rand_place = scheduler.random_mapping(&workload, 2)?;
+    let campus = Testbed::paper_24();
+    let (comm, _, _) = campus.tabu_mapping();
+    let (rand_place, _) = campus.random_mapping(2);
 
     let reference = min_min(&etc).makespan();
     println!("\ncombined objective alpha*makespan + (1-alpha)*F_G:");
@@ -61,23 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for alpha in [0.0, 0.25, 0.5, 0.75, 1.0] {
         // Both placements run the same computation schedule here; the
         // communication term is what separates them.
-        let a = combined_cost(
-            reference,
-            reference,
-            &comm.partition,
-            scheduler.table(),
-            alpha,
-        );
-        let b = combined_cost(
-            reference,
-            reference,
-            &rand_place.partition,
-            scheduler.table(),
-            alpha,
-        );
+        let a = combined_cost(reference, reference, &comm, &campus.table, alpha);
+        let b = combined_cost(reference, reference, &rand_place, &campus.table, alpha);
         println!("  {alpha:<5} {a:>10.4} {b:>10.4}");
     }
     println!("\nat alpha < 1 (communication matters) the aware placement wins;");
     println!("at alpha = 1 (pure compute) they tie — pick the strategy by the bottleneck.");
-    Ok(())
 }

@@ -255,9 +255,9 @@ mod tests {
 
     #[test]
     fn combined_cost_interpolates() {
-        use crate::testutil::dumbbell_table;
+        use crate::comparators::testutil::{dumbbell_table, dumbbell_truth};
         let table = dumbbell_table();
-        let p = crate::testutil::dumbbell_truth();
+        let p = dumbbell_truth();
         let comm_only = combined_cost(10.0, 10.0, &p, &table, 0.0);
         let comp_only = combined_cost(10.0, 10.0, &p, &table, 1.0);
         let blend = combined_cost(10.0, 10.0, &p, &table, 0.5);

@@ -36,7 +36,8 @@ pub enum TableParseError {
         /// 1-based line number.
         line: usize,
     },
-    /// The parsed matrix is not symmetric with a zero diagonal.
+    /// The parsed matrix is not symmetric with a zero diagonal, or holds
+    /// a negative entry.
     NotADistanceTable,
 }
 
@@ -50,7 +51,10 @@ impl std::fmt::Display for TableParseError {
             }
             TableParseError::BadEntry { line } => write!(f, "line {line}: bad entry"),
             TableParseError::NotADistanceTable => {
-                write!(f, "matrix is not symmetric with zero diagonal")
+                write!(
+                    f,
+                    "matrix is not symmetric, non-negative, with zero diagonal"
+                )
             }
         }
     }
@@ -186,13 +190,14 @@ pub fn table_from_text_with_report(
             });
         }
     }
-    // Validate symmetry + zero diagonal before constructing.
+    // Validate symmetry, sign and the zero diagonal before constructing:
+    // `get_sq` would square a negative entry into a plausible cost.
     for (i, row) in rows.iter().enumerate() {
         if row[i] != 0.0 {
             return Err(TableParseError::NotADistanceTable);
         }
         for (j, &v) in row.iter().enumerate() {
-            if (v - rows[j][i]).abs() > 1e-12 {
+            if v < 0.0 || (v - rows[j][i]).abs() > 1e-12 {
                 return Err(TableParseError::NotADistanceTable);
             }
         }
@@ -285,6 +290,11 @@ mod tests {
         // Non-zero diagonal.
         assert_eq!(
             table_from_text("n 2\nrow 1 2\nrow 2 0\n").unwrap_err(),
+            TableParseError::NotADistanceTable
+        );
+        // Negative entry (symmetric, finite).
+        assert_eq!(
+            table_from_text("n 2\nrow 0 -1\nrow -1 0\n").unwrap_err(),
             TableParseError::NotADistanceTable
         );
         // Non-finite entry.

@@ -43,7 +43,7 @@ pub use linalg::{solve, LinalgError, Matrix};
 pub use repair::{repair_distance_table, route_key, RepairMemo, RepairOutcome, RouteKey};
 pub use resistance::{
     effective_resistance, effective_resistance_weighted, effective_resistance_weighted_in,
-    PreparedNetwork, ResistanceError, SolverKind, Workspace,
+    ResistanceError, SolverKind, Workspace,
 };
 pub use sparse::SpdFactor;
 pub use table::{

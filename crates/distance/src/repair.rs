@@ -7,8 +7,10 @@
 //! *only* on its own route sub-network. [`repair_distance_table`] exploits
 //! that: the caller supplies the affected pairs (computed by comparing
 //! route link sets across epochs, see `commsched-dynamics`), the repair
-//! re-solves exactly those pairs through the sparse LDLᵀ path and copies
-//! every other entry forward from the previous table.
+//! re-solves exactly those pairs — through the build's own per-pair
+//! solver and row fan-out, with one step of its own: where the compacted
+//! circuit comes from (`WireCircuits`) — and copies every other entry
+//! forward from the previous table.
 //!
 //! Two properties make the result trustworthy:
 //!
@@ -28,16 +30,14 @@
 //! [`RepairMemo`] alive across faults to amortize compaction over a
 //! whole fault schedule.
 
-use crate::resistance::SolverKind;
-use crate::resistance::Workspace;
+use crate::resistance::{SolverKind, Workspace};
 use crate::table::{
-    pair_resistance, try_series_path, CompactCircuit, DistanceTable, PathScan, TableError,
-    TableOptions,
+    check_sizes, fan_out, CircuitSource, CompactCircuit, DistanceTable, FirstFailure, PairSolver,
+    PairTally, TableError, TableOptions,
 };
 use commsched_routing::Routing;
 use commsched_topology::{LinkId, SwitchId, Topology};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A route link set canonicalized to survive link-id renumbering:
 /// `(a, b, slowdown)` triples with `a < b`, sorted lexicographically.
@@ -104,6 +104,45 @@ impl RepairMemo {
     }
 }
 
+/// The repair's circuits: looked up in the cross-epoch memo, then among
+/// the ones this worker compacted during the current repair.
+struct WireCircuits<'m> {
+    shared: &'m HashMap<RouteKey, CompactCircuit>,
+    fresh: HashMap<RouteKey, CompactCircuit>,
+}
+
+impl CircuitSource for WireCircuits<'_> {
+    // CORRECTNESS: the circuit is compacted from the canonical sorted
+    // wire list, never from route order, so it is a pure function of the
+    // key: a hit restores byte for byte what a miss would build, on any
+    // worker and in any epoch. The key must be wires because the memo
+    // outlives the topology — removing a link renumbers link ids, so the
+    // build's link-id key would alias different wires across epochs.
+    // This may not be merged into the build's `LinkOrderCircuits`: its
+    // edge order is what every recorded table bit was produced with.
+    fn load(
+        &mut self,
+        topo: &Topology,
+        links: &[LinkId],
+        memoize: bool,
+        ws: &mut Workspace,
+    ) -> bool {
+        let key = route_key(topo, links);
+        let kept = memoize.then(|| self.shared.get(&key).or_else(|| self.fresh.get(&key)));
+        if let Some(c) = kept.flatten() {
+            c.restore(ws);
+            return true;
+        }
+        let edges: Vec<(SwitchId, SwitchId, f64)> =
+            key.iter().map(|&(a, b, s)| (a, b, f64::from(s))).collect();
+        ws.compact(&edges);
+        if memoize {
+            self.fresh.insert(key, CompactCircuit::capture(ws));
+        }
+        false
+    }
+}
+
 /// What one incremental repair did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairOutcome {
@@ -157,6 +196,8 @@ fn group_rows(
 /// old value). Results are bit-identical across `options.threads` values
 /// and across memo states, and agree with a from-scratch rebuild to
 /// solver precision (copied pairs exactly, recomputed pairs to ~1e-12).
+/// `options.memoize` gates both reading and feeding `memo`. Under
+/// [`SolverKind::Approximate`] options a repaired pair is solved exactly.
 ///
 /// # Errors
 /// See [`TableError`]; size mismatches between `prev`, `topo` and
@@ -169,163 +210,76 @@ pub fn repair_distance_table(
     options: TableOptions,
     memo: &mut RepairMemo,
 ) -> Result<RepairOutcome, TableError> {
+    check_sizes(topo, routing)?;
     let n = topo.num_switches();
-    if routing.num_switches() != n {
-        return Err(TableError::SizeMismatch {
-            topology: n,
-            routing: routing.num_switches(),
-        });
-    }
     if prev.n() != n {
         return Err(TableError::RepairSize {
             prev: prev.n(),
             topology: n,
         });
     }
+    // A repaired pair is exact: the approximate report covers whole
+    // builds, and a handful of patched pairs has none to carry it.
+    let options = match options.solver {
+        SolverKind::Approximate => TableOptions {
+            solver: SolverKind::SparseCholesky,
+            ..options
+        },
+        _ => options,
+    };
     let rows = group_rows(affected, n)?;
     let pairs_recomputed: usize = rows.iter().map(|(_, js)| js.len()).sum();
-    let mut table = prev.clone();
 
-    type Failure = ((SwitchId, SwitchId), TableError);
-    // One worker's output: solved entries, fresh memo insertions, hit/miss
-    // tallies, and its lexicographically-first failure.
-    type WorkerOut = (
-        Vec<(SwitchId, SwitchId, f64)>,
-        HashMap<RouteKey, CompactCircuit>,
-        (u64, u64),
-        Option<Failure>,
+    let shared = &memo.map;
+    let workers = fan_out(
+        rows.len(),
+        options.threads,
+        || {
+            let circuits = WireCircuits {
+                shared,
+                fresh: HashMap::new(),
+            };
+            let solver = PairSolver::new(topo, routing, options, circuits);
+            (solver, Vec::new(), FirstFailure::default())
+        },
+        |(solver, solved, failure), k| {
+            let (i, ref js) = rows[k];
+            solver.begin_row(i);
+            for &j in js {
+                match solver.solve(i, j) {
+                    Ok(d) => solved.push((i, j, d)),
+                    Err(e) => failure.note((i, j), e),
+                }
+            }
+        },
     );
 
-    let threads = if options.solver == SolverKind::DenseGaussian {
-        1
-    } else {
-        resolve_threads(options.threads, rows.len())
-    };
-    let shared = &memo.map;
-    let rows_ref = &rows;
-    let cursor = AtomicUsize::new(0);
-    let worker = || -> WorkerOut {
-        let mut ws = Workspace::new();
-        let mut scan = PathScan::default();
-        let mut row_links: Vec<Vec<LinkId>> = Vec::new();
-        let mut out: Vec<(SwitchId, SwitchId, f64)> = Vec::new();
-        let mut fresh: HashMap<RouteKey, CompactCircuit> = HashMap::new();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut first_err: Option<Failure> = None;
-        let note = |err: &mut Option<Failure>, pair: (SwitchId, SwitchId), e: TableError| {
-            if err.as_ref().is_none_or(|&(p, _)| pair < p) {
-                *err = Some((pair, e));
-            }
-        };
-        loop {
-            let k = cursor.fetch_add(1, Ordering::Relaxed);
-            if k >= rows_ref.len() {
-                break;
-            }
-            let (i, ref js) = rows_ref[k];
-            if options.solver == SolverKind::DenseGaussian {
-                for &j in js {
-                    match pair_resistance(topo, routing, i, j) {
-                        Ok(d) => out.push((i, j, d)),
-                        Err(e) => note(&mut first_err, (i, j), e),
-                    }
-                }
-                continue;
-            }
-            routing.minimal_route_links_row(i, &mut row_links);
-            for &j in js {
-                // Same fast path as the full build: a series path needs
-                // no circuit at all. Link order matches the rebuild's, so
-                // the sum is bit-identical to a from-scratch build.
-                if let Some(r) = try_series_path(topo, &mut scan, &row_links[j], i, j) {
-                    out.push((i, j, r));
-                    continue;
-                }
-                let wrap = |error| TableError::Resistance {
-                    src: i,
-                    dst: j,
-                    error,
-                };
-                // Compact from the canonical sorted edge list, not route
-                // order: the circuit becomes a pure function of the key,
-                // which is what makes memo hits (and cross-epoch reuse)
-                // value-neutral down to the last bit.
-                let key = route_key(topo, &row_links[j]);
-                if let Some(c) = shared.get(&key).or_else(|| fresh.get(&key)) {
-                    hits += 1;
-                    ws.load_circuit(&c.nodes, &c.edges);
-                    match ws.solve_compacted(i, j) {
-                        Ok(d) => out.push((i, j, d)),
-                        Err(e) => note(&mut first_err, (i, j), wrap(e)),
-                    }
-                    continue;
-                }
-                misses += 1;
-                let edges: Vec<(SwitchId, SwitchId, f64)> =
-                    key.iter().map(|&(a, b, s)| (a, b, f64::from(s))).collect();
-                ws.compact(&edges);
-                if options.memoize {
-                    let (nodes, circuit_edges) = ws.circuit();
-                    fresh.insert(
-                        key,
-                        CompactCircuit {
-                            nodes: nodes.to_vec(),
-                            edges: circuit_edges.to_vec(),
-                        },
-                    );
-                }
-                match ws.solve_compacted(i, j) {
-                    Ok(d) => out.push((i, j, d)),
-                    Err(e) => note(&mut first_err, (i, j), wrap(e)),
-                }
-            }
-        }
-        (out, fresh, (hits, misses), first_err)
-    };
-
-    let results: Vec<WorkerOut> = if threads == 1 {
-        vec![worker()]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("repair worker panicked"))
-                .collect()
-        })
-    };
-
-    let mut fail: Option<Failure> = None;
+    let mut table = prev.clone();
+    let mut failure = FirstFailure::default();
+    let mut tally = PairTally::default();
     let mut max_delta = 0.0f64;
-    let mut inserts: Vec<HashMap<RouteKey, CompactCircuit>> = Vec::new();
-    for (entries, fresh, (hits, misses), err) in results {
-        if let Some((pair, e)) = err {
-            if fail.as_ref().is_none_or(|&(p, _)| pair < p) {
-                fail = Some((pair, e));
-            }
-        }
-        memo.hits += hits;
-        memo.misses += misses;
-        inserts.push(fresh);
-        for (i, j, d) in entries {
+    let mut inserts = Vec::new();
+    for (solver, solved, worker_failure) in workers {
+        failure.merge(worker_failure);
+        tally.merge(&solver.tally);
+        inserts.push(solver.circuits.fresh);
+        for (i, j, d) in solved {
             max_delta = max_delta.max((d - prev.get(i, j)).abs());
             table.set_pair(i, j, d);
         }
     }
-    if let Some((_, e)) = fail {
-        return Err(e);
-    }
+    memo.hits += tally.memo_hits;
+    memo.misses += tally.memo_misses;
+    tally.flush();
+    failure.into_result()?;
     // Merge fresh circuits under the cap. Which entries survive when the
     // cap bites is load-order dependent, but a memo entry never changes a
     // value, so this cannot affect results.
-    for fresh in inserts {
-        for (key, circuit) in fresh {
-            if memo.map.len() >= REPAIR_MEMO_CAP {
-                break;
-            }
-            memo.map.entry(key).or_insert(circuit);
+    for (key, circuit) in inserts.into_iter().flatten() {
+        if memo.map.len() >= REPAIR_MEMO_CAP {
+            break;
         }
+        memo.map.entry(key).or_insert(circuit);
     }
     Ok(RepairOutcome {
         table,
@@ -333,15 +287,6 @@ pub fn repair_distance_table(
         pairs_recomputed,
         max_delta,
     })
-}
-
-fn resolve_threads(threads: usize, units: usize) -> usize {
-    let t = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        threads
-    };
-    t.clamp(1, units.max(1))
 }
 
 #[cfg(test)]
@@ -481,6 +426,32 @@ mod tests {
             }
         }
         assert!(baseline_memo.hits() > 0, "warm memo should have hit");
+    }
+
+    #[test]
+    fn memoize_off_neither_reads_nor_feeds_the_memo() {
+        let t = designed::paper_24_switch();
+        let r = UpDownRouting::new(&t, 0).unwrap();
+        let prev = equivalent_distance_table(&t, &r).unwrap();
+        let link0 = t.link(0);
+        let t2 = drop_link(&t, link0.a, link0.b);
+        let r2 = UpDownRouting::new(&t2, 0).unwrap();
+        let affected = changed_pairs(&t, &r, &t2, &r2);
+        let mut memo = RepairMemo::new();
+        let mut repair = |memoize| {
+            let options = TableOptions {
+                memoize,
+                ..Default::default()
+            };
+            repair_distance_table(&prev, &t2, &r2, &affected, options, &mut memo).unwrap();
+            (memo.hits(), memo.misses(), memo.len())
+        };
+        let (hits, misses, kept) = repair(true);
+        assert!(kept > 0, "the fault leaves non-series pairs to memoize");
+        let solved = hits + misses;
+        // The build's rule: `memoize` gates the lookup and the insert.
+        assert_eq!(repair(false), (hits, misses + solved, kept));
+        assert_eq!(repair(true), (hits + solved, misses + solved, kept));
     }
 
     #[test]

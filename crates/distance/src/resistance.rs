@@ -437,130 +437,6 @@ fn remove_neighbor(list: &mut Vec<(usize, f64)>, v: usize) {
     }
 }
 
-/// A resistor network compacted and factorized once, queryable for any
-/// terminal pair.
-///
-/// The reduced Laplacian is grounded at the network's *largest* node id
-/// (a fixed choice independent of the queried pair), factorized with
-/// the sparse LDLᵀ path, and each query solves `L_red x = e_a - e_b`
-/// and reads `x_a - x_b`. Because the factorization depends only on the
-/// edge set, pairs whose minimal-route link sets are identical can
-/// share one `PreparedNetwork` — the memoization the table builder
-/// exploits.
-#[derive(Debug)]
-pub struct PreparedNetwork {
-    nodes: Vec<SwitchId>,
-    factor: SpdFactor,
-}
-
-impl PreparedNetwork {
-    /// Build and factor the network (allocating a throwaway workspace).
-    ///
-    /// # Errors
-    /// See [`PreparedNetwork::build_in`].
-    pub fn build(edges: &[(SwitchId, SwitchId, f64)]) -> Result<Self, ResistanceError> {
-        Self::build_in(&mut Workspace::new(), edges)
-    }
-
-    /// Build and factor the network using `ws` for scratch.
-    ///
-    /// # Errors
-    /// [`ResistanceError::Solver`] when the grounded minor is not
-    /// positive definite — for a resistor network this means the edge
-    /// set is disconnected.
-    ///
-    /// # Panics
-    /// Debug-asserts that every resistance is strictly positive.
-    pub fn build_in(
-        ws: &mut Workspace,
-        edges: &[(SwitchId, SwitchId, f64)],
-    ) -> Result<Self, ResistanceError> {
-        debug_assert!(
-            edges.iter().all(|&(_, _, r)| r > 0.0),
-            "resistances must be positive"
-        );
-        ws.compact(edges);
-        Self::assemble(ws)
-    }
-
-    /// Factor the already-compacted workspace contents.
-    fn assemble(ws: &mut Workspace) -> Result<Self, ResistanceError> {
-        let m = ws.nodes.len().saturating_sub(1);
-        ws.diag.clear();
-        ws.diag.resize(m, 0.0);
-        ws.offdiag.clear();
-        for &(u, v, r) in &ws.dedup {
-            let g = 1.0 / r;
-            if u < m {
-                ws.diag[u] += g;
-            }
-            if v < m {
-                ws.diag[v] += g;
-            }
-            if u < m && v < m {
-                ws.offdiag.push((u, v, -g));
-            }
-        }
-        let factor = SpdFactor::factor(&ws.diag, &ws.offdiag).map_err(ResistanceError::Solver)?;
-        Ok(Self {
-            nodes: ws.nodes.clone(),
-            factor,
-        })
-    }
-
-    /// The network's node ids, sorted ascending.
-    pub fn nodes(&self) -> &[SwitchId] {
-        &self.nodes
-    }
-
-    /// Effective resistance between `a` and `b`, reusing `ws` solver
-    /// buffers.
-    ///
-    /// # Errors
-    /// [`ResistanceError::TerminalNotInNetwork`] when a terminal is not
-    /// a node of this network.
-    pub fn resistance_in(
-        &self,
-        ws: &mut Workspace,
-        a: SwitchId,
-        b: SwitchId,
-    ) -> Result<f64, ResistanceError> {
-        if a == b {
-            return Ok(0.0);
-        }
-        let ia = self
-            .nodes
-            .binary_search(&a)
-            .map_err(|_| ResistanceError::TerminalNotInNetwork(a))?;
-        let ib = self
-            .nodes
-            .binary_search(&b)
-            .map_err(|_| ResistanceError::TerminalNotInNetwork(b))?;
-        let m = self.factor.dim();
-        ws.rhs.clear();
-        ws.rhs.resize(m, 0.0);
-        if ia < m {
-            ws.rhs[ia] = 1.0;
-        }
-        if ib < m {
-            ws.rhs[ib] = -1.0;
-        }
-        self.factor.solve_in_place(&mut ws.rhs, &mut ws.scratch);
-        let xa = if ia < m { ws.rhs[ia] } else { 0.0 };
-        let xb = if ib < m { ws.rhs[ib] } else { 0.0 };
-        Ok(xa - xb)
-    }
-
-    /// Convenience wrapper over [`PreparedNetwork::resistance_in`] with
-    /// throwaway buffers (bit-identical results).
-    ///
-    /// # Errors
-    /// See [`PreparedNetwork::resistance_in`].
-    pub fn resistance(&self, a: SwitchId, b: SwitchId) -> Result<f64, ResistanceError> {
-        self.resistance_in(&mut Workspace::new(), a, b)
-    }
-}
-
 /// Solver-selectable, workspace-reusing variant of
 /// [`effective_resistance_weighted`].
 ///
@@ -812,40 +688,6 @@ mod tests {
                 0.0,
             );
         }
-    }
-
-    #[test]
-    fn prepared_network_serves_all_pairs() {
-        // One factorization of the chain answers every terminal pair —
-        // the property the table builder's memoization relies on.
-        let edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)];
-        let prepared = PreparedNetwork::build(&edges).unwrap();
-        assert_eq!(prepared.nodes(), &[0, 1, 2, 3]);
-        let mut ws = Workspace::new();
-        for a in 0..4usize {
-            for b in 0..4usize {
-                let want = effective_resistance_weighted(&edges, a, b).unwrap();
-                let got = prepared.resistance_in(&mut ws, a, b).unwrap();
-                assert!((want - got).abs() < 1e-12, "({a},{b}): {want} != {got}");
-                // The allocating convenience gives bit-identical values.
-                assert_eq!(got.to_bits(), prepared.resistance(a, b).unwrap().to_bits());
-            }
-        }
-        assert_eq!(
-            prepared.resistance(0, 9).unwrap_err(),
-            ResistanceError::TerminalNotInNetwork(9)
-        );
-    }
-
-    #[test]
-    fn prepared_network_rejects_disconnected_edge_sets() {
-        // Grounding happens in one component, so the other component's
-        // Laplacian block is singular and the factorization refuses.
-        let split = [(0, 1, 1.0), (2, 3, 1.0)];
-        assert!(matches!(
-            PreparedNetwork::build(&split),
-            Err(ResistanceError::Solver(LinalgError::Singular))
-        ));
     }
 
     #[test]

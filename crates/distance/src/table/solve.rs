@@ -1,0 +1,416 @@
+//! Resolving one pair: the single place an equivalent distance is
+//! computed, under the full build and under the incremental repair.
+
+use super::approx::ApproxScratch;
+use super::spec::{TableError, TableOptions};
+use crate::resistance::{effective_resistance_weighted, SolverKind, Workspace};
+use commsched_routing::Routing;
+use commsched_topology::{LinkId, SwitchId, Topology};
+use std::collections::HashMap;
+
+/// Per-worker resolution tallies, merged after the fan-out and flushed
+/// to the `distance_*_total` cells once (not per pair), so the per-pair
+/// hot path never touches an atomic.
+#[derive(Default)]
+pub(crate) struct PairTally {
+    pub(crate) rows: u64,
+    pub(crate) pairs: u64,
+    pub(crate) series_path: u64,
+    pub(crate) memo_hits: u64,
+    pub(crate) memo_misses: u64,
+    pub(crate) dense_solves: u64,
+    pub(crate) approx_pairs: u64,
+    pub(crate) approx_escalations: u64,
+    /// Worst certified relative error among the approximated pairs (not
+    /// a counter; merged by max).
+    pub(crate) approx_err_max: f64,
+}
+
+impl PairTally {
+    pub(crate) fn merge(&mut self, other: &PairTally) {
+        self.rows += other.rows;
+        self.pairs += other.pairs;
+        self.series_path += other.series_path;
+        self.memo_hits += other.memo_hits;
+        self.memo_misses += other.memo_misses;
+        self.dense_solves += other.dense_solves;
+        self.approx_pairs += other.approx_pairs;
+        self.approx_escalations += other.approx_escalations;
+        self.approx_err_max = self.approx_err_max.max(other.approx_err_max);
+    }
+}
+
+/// Per-switch stamps for the single-scan series-path test.
+#[derive(Default)]
+struct PathScan {
+    stamp: Vec<u32>,
+    deg: Vec<u32>,
+    mark: u32,
+}
+
+/// One scan over `links`: if the route sub-network is a simple path with
+/// the terminals at its ends, its resistance is just the series sum of
+/// the link resistances — no circuit assembly or solve at all. Returns
+/// `None` for any other shape (including empty link sets).
+///
+/// The tree test `nodes == links + 1` is sound because a minimal-route
+/// union is always connected (every link lies on some `a`→`b` route, so
+/// every link reaches `a`); a connected graph with that edge count and
+/// maximum degree 2 is exactly a simple path. Most up*/down* route
+/// unions have this shape, which makes this the hot path of the build.
+fn try_series_path(
+    topo: &Topology,
+    scan: &mut PathScan,
+    links: &[LinkId],
+    a: SwitchId,
+    b: SwitchId,
+) -> Option<f64> {
+    if links.is_empty() {
+        return None;
+    }
+    let n = topo.num_switches();
+    if scan.stamp.len() < n {
+        scan.stamp.resize(n, 0);
+        scan.deg.resize(n, 0);
+    }
+    if scan.mark == u32::MAX {
+        scan.stamp[..n].fill(0);
+        scan.mark = 0;
+    }
+    scan.mark += 1;
+    let mark = scan.mark;
+    let mut nodes = 0usize;
+    let mut sum_r = 0.0f64;
+    let mut path_like = true;
+    for &l in links {
+        let link = topo.link(l);
+        // Heterogeneous link speeds: a slower link resists more.
+        sum_r += f64::from(topo.link_slowdown(l));
+        for end in [link.a, link.b] {
+            if scan.stamp[end] != mark {
+                scan.stamp[end] = mark;
+                scan.deg[end] = 0;
+                nodes += 1;
+            }
+            scan.deg[end] += 1;
+            if scan.deg[end] > 2 {
+                path_like = false;
+            }
+        }
+    }
+    let terminals_are_endpoints =
+        scan.stamp[a] == mark && scan.stamp[b] == mark && scan.deg[a] == 1 && scan.deg[b] == 1;
+    if path_like && nodes == links.len() + 1 && terminals_are_endpoints {
+        Some(sum_r)
+    } else {
+        None
+    }
+}
+
+/// A compacted resistor circuit as captured from [`Workspace::circuit`]:
+/// the memo value shared between pairs with identical route-link sets,
+/// in a build's memo and in the cross-epoch repair memo alike.
+pub(crate) struct CompactCircuit {
+    nodes: Vec<SwitchId>,
+    edges: Vec<(usize, usize, f64)>,
+}
+
+impl CompactCircuit {
+    /// Clone the circuit `ws` holds after a [`Workspace::compact`].
+    pub(crate) fn capture(ws: &Workspace) -> Self {
+        let (nodes, edges) = ws.circuit();
+        Self {
+            nodes: nodes.to_vec(),
+            edges: edges.to_vec(),
+        }
+    }
+
+    /// Put the circuit back into `ws`, byte for byte what compaction
+    /// would rebuild.
+    pub(crate) fn restore(&self, ws: &mut Workspace) {
+        ws.load_circuit(&self.nodes, &self.edges);
+    }
+}
+
+/// The one step the build and the repair must keep different: how a
+/// pair's route link set becomes the compacted circuit in the workspace.
+pub(crate) trait CircuitSource {
+    /// Leave the compacted circuit of `links` in `ws`, from a retained
+    /// copy when `memoize` allows and one exists, retaining a fresh one
+    /// when `memoize` allows. Returns whether a retained copy was used;
+    /// either way `ws` ends up byte-identical.
+    fn load(
+        &mut self,
+        topo: &Topology,
+        links: &[LinkId],
+        memoize: bool,
+        ws: &mut Workspace,
+    ) -> bool;
+}
+
+/// Per-worker cap on memoized circuits. Networks whose pairs all have
+/// distinct route sets would otherwise hold one circuit per pair; beyond
+/// the cap new sets are solved without being retained. Purely a memory
+/// bound — hit or miss, the computed values are identical.
+const MEMO_CAP: usize = 1024;
+
+/// The build's circuits: memoized per worker for the life of one build,
+/// keyed by the link-id list.
+#[derive(Default)]
+pub(super) struct LinkOrderCircuits {
+    memo: HashMap<Vec<LinkId>, CompactCircuit>,
+    edges: Vec<(SwitchId, SwitchId, f64)>,
+}
+
+impl CircuitSource for LinkOrderCircuits {
+    // CORRECTNESS: edges enter `compact` in link-id order (the order the
+    // router lists them in). `solve_compacted` eliminates nodes in
+    // adjacency order, which follows edge order, so another order moves
+    // low bits — and every recorded table bit (tests/golden.rs, every
+    // `fg_mean` of the benchmark) was produced with this one. Link ids
+    // are stable for the life of a build, which makes the id list a sound
+    // key here and nowhere longer-lived; this may not be merged into the
+    // repair's `WireCircuits`, whose canonical wire order is a different
+    // order.
+    fn load(
+        &mut self,
+        topo: &Topology,
+        links: &[LinkId],
+        memoize: bool,
+        ws: &mut Workspace,
+    ) -> bool {
+        if let Some(c) = memoize.then(|| self.memo.get(links)).flatten() {
+            c.restore(ws);
+            return true;
+        }
+        self.edges.clear();
+        self.edges
+            .extend(links.iter().map(|&l| link_resistor(topo, l)));
+        ws.compact(&self.edges);
+        if memoize && self.memo.len() < MEMO_CAP {
+            self.memo
+                .insert(links.to_vec(), CompactCircuit::capture(ws));
+        }
+        false
+    }
+}
+
+/// Link `l` as a resistor between its end switches. Heterogeneous link
+/// speeds: a slower link resists more.
+fn link_resistor(topo: &Topology, l: LinkId) -> (SwitchId, SwitchId, f64) {
+    let link = topo.link(l);
+    (link.a, link.b, f64::from(topo.link_slowdown(l)))
+}
+
+/// One worker's solver state: reusable scratch, its circuit source, and
+/// the current source row's batched link sets.
+pub(crate) struct PairSolver<'a, C> {
+    topo: &'a Topology,
+    routing: &'a dyn Routing,
+    options: TableOptions,
+    ws: Workspace,
+    scan: PathScan,
+    approx: ApproxScratch,
+    pub(crate) circuits: C,
+    row_links: Vec<Vec<LinkId>>,
+    pub(crate) tally: PairTally,
+}
+
+impl<'a, C: CircuitSource> PairSolver<'a, C> {
+    pub(crate) fn new(
+        topo: &'a Topology,
+        routing: &'a dyn Routing,
+        options: TableOptions,
+        circuits: C,
+    ) -> Self {
+        Self {
+            topo,
+            routing,
+            options,
+            ws: Workspace::new(),
+            scan: PathScan::default(),
+            approx: ApproxScratch::default(),
+            circuits,
+            row_links: Vec::new(),
+            tally: PairTally::default(),
+        }
+    }
+
+    /// Called once per claimed source row. The sparse path extracts the
+    /// minimal-route link sets for every destination in one batched pass
+    /// (a single forward BFS serves the whole row, into reused buffers);
+    /// the dense baseline keeps its original per-pair extraction.
+    pub(crate) fn begin_row(&mut self, i: SwitchId) {
+        if self.options.solver != SolverKind::DenseGaussian {
+            self.routing.minimal_route_links_row(i, &mut self.row_links);
+            self.tally.rows += 1;
+        }
+    }
+
+    /// The equivalent distance of `(i, j)`, `j > i`, in the row begun
+    /// last.
+    pub(crate) fn solve(&mut self, i: SwitchId, j: SwitchId) -> Result<f64, TableError> {
+        self.tally.pairs += 1;
+        if self.options.solver == SolverKind::DenseGaussian {
+            self.tally.dense_solves += 1;
+            return pair_resistance(self.topo, self.routing, i, j);
+        }
+        let links = &self.row_links[j];
+        // Simple-path sub-networks (the common case) are answered by one
+        // scan, bypassing the memo: the lookup would cost more than the
+        // sum. Memoization stays value-neutral — path pairs skip it in
+        // both modes.
+        if let Some(r) = try_series_path(self.topo, &mut self.scan, links, i, j) {
+            self.tally.series_path += 1;
+            return Ok(r);
+        }
+        if self.options.solver == SolverKind::Approximate {
+            let eps = self.options.approx_eps();
+            if let Some((lo, hi)) = self.approx.pair_bounds(self.topo, links, i, j, eps) {
+                // The exact value is inside [lo, hi]; the midpoint's true
+                // relative error is therefore at most (hi - lo) / (2 lo).
+                let err = (hi - lo) / (2.0 * lo);
+                if err <= eps {
+                    self.tally.approx_pairs += 1;
+                    self.tally.approx_err_max = self.tally.approx_err_max.max(err);
+                    return Ok(0.5 * (lo + hi));
+                }
+            }
+            // Interval too wide (or degenerate sub-network): run the
+            // exact path below, which keeps the reported bound honest.
+            self.tally.approx_escalations += 1;
+        }
+        let memoize = self.options.memoize;
+        if self.circuits.load(self.topo, links, memoize, &mut self.ws) {
+            self.tally.memo_hits += 1;
+        } else {
+            self.tally.memo_misses += 1;
+        }
+        self.ws
+            .solve_compacted(i, j)
+            .map_err(|error| TableError::Resistance {
+                src: i,
+                dst: j,
+                error,
+            })
+    }
+}
+
+/// The dense oracle's pair: its own route extraction, the dense solve.
+fn pair_resistance(
+    topo: &Topology,
+    routing: &dyn Routing,
+    i: SwitchId,
+    j: SwitchId,
+) -> Result<f64, TableError> {
+    let edges: Vec<(SwitchId, SwitchId, f64)> = routing
+        .minimal_route_links(i, j)
+        .iter()
+        .map(|&l| link_resistor(topo, l))
+        .collect();
+    effective_resistance_weighted(&edges, i, j).map_err(|error| TableError::Resistance {
+        src: i,
+        dst: j,
+        error,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::table::tests::assert_close;
+    use crate::table::{equivalent_distance_table, equivalent_distance_table_with, TableOptions};
+    use crate::SolverKind;
+    use commsched_routing::{Routing, ShortestPathRouting, UpDownRouting};
+    use commsched_topology::designed;
+
+    #[test]
+    fn line_distances_are_hop_counts() {
+        // A line has unique paths: equivalent distance == hop distance.
+        let t = designed::line(5, 1);
+        let r = ShortestPathRouting::new(&t).unwrap();
+        let table = equivalent_distance_table(&t, &r).unwrap();
+        for i in 0..5 {
+            for j in 0..5 {
+                assert_close(table.get(i, j), (i as f64 - j as f64).abs());
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_paths_reduce_distance() {
+        // Even ring antipodes: two parallel arcs halve the resistance.
+        let t = designed::ring(4, 1);
+        let r = ShortestPathRouting::new(&t).unwrap();
+        let table = equivalent_distance_table(&t, &r).unwrap();
+        // 0 <-> 2: two 2-hop arcs in parallel -> 1.
+        assert_close(table.get(0, 2), 1.0);
+        // Adjacent: single minimal path (the direct link) -> 1.
+        assert_close(table.get(0, 1), 1.0);
+    }
+
+    #[test]
+    fn updown_detour_is_costlier() {
+        let t = designed::ring(6, 1);
+        let ud = UpDownRouting::new(&t, 0).unwrap();
+        let sp = ShortestPathRouting::new(&t).unwrap();
+        let t_ud = equivalent_distance_table(&t, &ud).unwrap();
+        let t_sp = equivalent_distance_table(&t, &sp).unwrap();
+        // The forbidden turn forces 2->4 over the root: 4 series links.
+        assert_close(t_ud.get(2, 4), 4.0);
+        assert_close(t_sp.get(2, 4), 2.0);
+        // Routing constraints can only remove links, never add shorter ones.
+        for i in 0..6 {
+            for j in 0..6 {
+                assert!(t_ud.get(i, j) >= t_sp.get(i, j) - 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn resistance_bounded_by_route_distance() {
+        let t = designed::mesh(3, 3, 1);
+        let r = UpDownRouting::new(&t, 0).unwrap();
+        let table = equivalent_distance_table(&t, &r).unwrap();
+        for i in 0..9 {
+            for j in 0..9 {
+                if i != j {
+                    let d = f64::from(r.route_distance(i, j));
+                    assert!(table.get(i, j) <= d + 1e-9);
+                    assert!(table.get(i, j) > 0.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn solver_variants_agree() {
+        let t = designed::paper_24_switch();
+        let r = UpDownRouting::new(&t, 0).unwrap();
+        let default = equivalent_distance_table(&t, &r).unwrap();
+        let dense = equivalent_distance_table_with(
+            &t,
+            &r,
+            TableOptions {
+                solver: SolverKind::DenseGaussian,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        for i in 0..24 {
+            for j in 0..24 {
+                assert_close(default.get(i, j), dense.get(i, j));
+            }
+        }
+        // Memoization is a pure cache: switching it off is bit-identical.
+        let unmemoized = equivalent_distance_table_with(
+            &t,
+            &r,
+            TableOptions {
+                memoize: false,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(default, unmemoized);
+    }
+}

@@ -52,7 +52,6 @@ pub use congestion::{regime_configs, Aimd, CongestionControl, CongestionMode, Dc
 pub use engine::{simulate, SimError, Simulator, StallReport};
 pub use stats::SimStats;
 pub use sweep::{
-    find_saturation_rate, paper_sweep, regime_sweeps, sweep, sweep_rates, LoadSweep, SweepConfig,
-    SweepPoint,
+    find_saturation_rate, paper_sweep, sweep, sweep_rates, LoadSweep, SweepConfig, SweepPoint,
 };
 pub use traffic::{DestinationPolicy, TrafficPattern};

@@ -51,12 +51,6 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Whether the run accepted (nearly) all offered traffic: the
-    /// conventional "not saturated" test, accepted ≥ `threshold` × offered.
-    pub fn is_unsaturated(&self, threshold: f64) -> bool {
-        self.accepted_flits_per_host_cycle >= threshold * self.offered_flits_per_host_cycle
-    }
-
     /// Mean network latency, or `None` when the window delivered nothing
     /// (where `avg_network_latency` is `NaN`). Consumers that serialize
     /// or compare latencies must go through this accessor so NaN never
@@ -101,12 +95,6 @@ mod tests {
             stall_dead_link_flits: 0,
             stall_paused_flits: 0,
         }
-    }
-
-    #[test]
-    fn unsaturated_test() {
-        assert!(stats(0.1, 0.099).is_unsaturated(0.95));
-        assert!(!stats(0.1, 0.05).is_unsaturated(0.95));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! of Figures 3 and 5.
 
 use crate::config::SimConfig;
-use crate::congestion::regime_configs;
 use crate::engine::{simulate, Phase, SimError, Simulator};
 use crate::stats::SimStats;
 use crate::traffic::TrafficPattern;
@@ -193,27 +192,6 @@ pub fn paper_sweep(
     Ok((sw, sat))
 }
 
-/// The congestion axis: one load sweep per regime of
-/// [`crate::congestion::REGIMES`] (off / PFC / ECN+AIMD / ECN+DCTCP /
-/// adaptive misrouting), everything else held fixed — the grid on which
-/// the paper's OP-vs-random comparison is re-run under realistic
-/// backpressure.
-///
-/// # Errors
-/// See [`SimError`].
-pub fn regime_sweeps(
-    topo: &Topology,
-    routing: &dyn Routing,
-    host_clusters: &[usize],
-    base: SimConfig,
-    rates: &[f64],
-) -> Result<Vec<(&'static str, LoadSweep)>, SimError> {
-    regime_configs(base)
-        .into_iter()
-        .map(|(name, cfg)| Ok((name, sweep(topo, routing, host_clusters, cfg, rates)?)))
-        .collect()
-}
-
 /// Evenly spaced offered rates from `top/points` up to
 /// `overdrive × saturation` (the S1..S9 grid).
 pub fn sweep_rates(saturation: f64, points: usize, overdrive: f64) -> Vec<f64> {
@@ -364,30 +342,6 @@ mod tests {
         // these are floors, not equalities.
         assert!(runs - runs0 >= 7 + 9, "{} runs counted", runs - runs0);
         assert!(cycles - cycles0 >= (7 + 9) * (300 + 1_500));
-    }
-
-    #[test]
-    fn regime_sweeps_cover_every_regime() {
-        let topo = designed::ring(4, 2);
-        let routing = UpDownRouting::new(&topo, 0).unwrap();
-        let clusters: Vec<usize> = (0..8).map(|h| h / 4).collect();
-        let sweeps = regime_sweeps(&topo, &routing, &clusters, quick_cfg(), &[0.1, 0.4]).unwrap();
-        assert_eq!(sweeps.len(), crate::congestion::REGIMES.len());
-        for (name, sw) in &sweeps {
-            assert_eq!(sw.points.len(), 2, "{name}");
-            assert!(sw.throughput() > 0.0, "{name}: nothing delivered");
-            assert!(
-                sw.points.iter().all(|p| !p.stats.deadlocked),
-                "{name}: deadlock"
-            );
-        }
-        // The off regime matches a plain sweep bit for bit.
-        let plain = sweep(&topo, &routing, &clusters, quick_cfg(), &[0.1, 0.4]).unwrap();
-        let (name, off) = &sweeps[0];
-        assert_eq!(*name, "off");
-        for (a, b) in off.points.iter().zip(&plain.points) {
-            assert_eq!(a.stats, b.stats);
-        }
     }
 
     #[test]

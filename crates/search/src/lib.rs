@@ -19,18 +19,16 @@
 //! * [`pool`] — the scoped work-stealing pool behind every parallel
 //!   driver (tabu restarts, multi-seed runs, refinement scans);
 //! * [`exhaustive`] — exact enumeration of balanced partitions (feasible up
-//!   to 16 switches), the optimality oracle the tests compare against;
-//! * [`compute`] — computation-side baselines (OLB, min-min, max-min) for
-//!   the future-work combined scheduling experiments.
+//!   to 16 switches), the optimality oracle the tests compare against.
 //!
 //! The comparators the paper measures tabu against (A*, annealing,
-//! genetic, Kernighan–Lin, clustering, descent) live in `commsched-bench`,
-//! next to the figures that use them. All methods implement the
+//! genetic, Kernighan–Lin, clustering, descent) and the computation-side
+//! baselines (OLB, min-min, max-min) live in `commsched-bench`, next to
+//! the figures and the example that use them. All methods implement the
 //! [`Mapper`] trait: given a distance table and cluster sizes, produce the
 //! lowest-`F_G` partition they can find.
 
 pub mod coarsen;
-pub mod compute;
 pub mod exhaustive;
 pub mod multilevel;
 pub mod parallel;
