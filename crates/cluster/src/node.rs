@@ -18,7 +18,7 @@ use crate::hub::{ReplMode, ReplicationHub};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use commsched_net::NetConfig;
 use commsched_service::persist::PersistOptions;
-use commsched_service::protocol::{Request, TopoRef};
+use commsched_service::protocol::TopoRef;
 use commsched_service::{
     ClusterHooks, RecoveryReport, RouteDecision, Server, ServerHandle, ServiceCore,
     ServiceCoreConfig,
@@ -177,8 +177,10 @@ impl RingRouter {
             None => RouteDecision::Local,
         }
     }
+}
 
-    fn route_topo(&self, topo: TopoRef) -> RouteDecision {
+impl ClusterHooks for RingRouter {
+    fn route(&self, topo: TopoRef) -> RouteDecision {
         match topo {
             // Built-ins are constructible anywhere and pinned local so
             // single-node workloads (and NOOP load tests) never bounce.
@@ -187,20 +189,6 @@ impl RingRouter {
                 RouteDecision::Local
             }
         }
-    }
-}
-
-impl ClusterHooks for RingRouter {
-    fn route(&self, request: &Request) -> RouteDecision {
-        match request {
-            Request::Submit(spec) => self.route_topo(spec.topo),
-            Request::Fault { topo, .. } => self.route_topo(*topo),
-            _ => RouteDecision::Local,
-        }
-    }
-
-    fn route_fingerprint(&self, fp: u64) -> RouteDecision {
-        self.decide(fp)
     }
 
     fn cluster_lines(&self) -> Vec<String> {
@@ -398,7 +386,7 @@ mod tests {
         let registry = Registry::new();
         let router = RingRouter::new(members, 0, 64, "primary", ReplMode::Sync, &registry);
         assert_eq!(
-            router.route_topo(TopoRef::Paper24),
+            router.route(TopoRef::Paper24),
             RouteDecision::Local,
             "builtins must never bounce"
         );
@@ -406,7 +394,7 @@ mod tests {
         // owned by shard 1 must carry shard 1's address.
         let mut saw_moved = false;
         for fp in 0..256u64 {
-            match router.route_fingerprint(fp) {
+            match router.route(TopoRef::Registered(fp)) {
                 RouteDecision::Local => {}
                 RouteDecision::Moved { shard, addr } => {
                     assert_eq!(shard, 1);

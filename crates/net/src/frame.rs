@@ -37,10 +37,11 @@ pub const OP_REQ: u8 = 0x01;
 /// Request: batched submit. Payload: `count:u32 (len:u32 spec)*` where
 /// each spec is a job-spec string as accepted by `SUBMIT`.
 pub const OP_SUBMIT_BATCH: u8 = 0x02;
-/// Response: success. Payload is the text after `OK ` on the line
-/// protocol; block responses join their lines with `\n`.
+/// Response: success. Payload is the reply text of the line protocol,
+/// `OK …`; block responses join their lines with `\n`.
 pub const OP_OK: u8 = 0x81;
-/// Response: error. Payload is the text after `ERR `.
+/// Response: error. Payload is the reply text of the line protocol,
+/// `ERR …`.
 pub const OP_ERR: u8 = 0x82;
 /// Response: batch ack. Payload: `count:u32 entry*`; each entry is
 /// `0:u8 id:u64` for an accepted job or `1:u8 len:u32 msg` for a
@@ -56,7 +57,7 @@ pub const OP_MOVED: u8 = 0x84;
 /// Default cap on a frame payload (opcode excluded): 4 MiB.
 pub const DEFAULT_MAX_FRAME_PAYLOAD: usize = 4 << 20;
 
-/// Why a frame (or preamble) could not be decoded.
+/// Why a frame (or preamble, or line) could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// The 4-byte preamble did not match [`MAGIC`].
@@ -72,6 +73,11 @@ pub enum FrameError {
         /// Maximum allowed body length.
         max: usize,
     },
+    /// Text codec: more than the line cap arrived without a terminator.
+    LineTooLong {
+        /// Maximum allowed line length (terminator excluded).
+        max: usize,
+    },
 }
 
 impl fmt::Display for FrameError {
@@ -83,6 +89,7 @@ impl fmt::Display for FrameError {
             FrameError::TooLarge { len, max } => {
                 write!(f, "frame length {len} exceeds maximum {max}")
             }
+            FrameError::LineTooLong { max } => write!(f, "line exceeds maximum {max}"),
         }
     }
 }
@@ -100,14 +107,19 @@ pub struct Frame {
 
 /// Append one encoded frame (length prefix, opcode, payload) to `out`.
 pub fn encode_frame_into(out: &mut Vec<u8>, opcode: u8, payload: &[u8]) {
-    let len = 1 + payload.len();
-    out.extend_from_slice(
-        &u32::try_from(len)
-            .expect("frame length fits u32")
-            .to_le_bytes(),
-    );
+    encode_frame_with(out, opcode, |out| out.extend_from_slice(payload));
+}
+
+/// Append one frame whose payload `write` appends to `out` itself: the
+/// length prefix is filled in afterwards, so a payload assembled from
+/// pieces needs no buffer of its own.
+pub fn encode_frame_with(out: &mut Vec<u8>, opcode: u8, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
     out.push(opcode);
-    out.extend_from_slice(payload);
+    write(out);
+    let len = u32::try_from(out.len() - start - 4).expect("frame length fits u32");
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Encode one frame into a fresh buffer.

@@ -13,22 +13,29 @@
 //! * [`frame`] — the length-prefixed binary framing with its versioned
 //!   connect preamble, batched-submit payloads, and a torn-frame-safe
 //!   incremental decoder.
-//! * [`serve`] — the connection engine: accept, first-byte protocol
-//!   auto-detection (line vs binary), pipelined request parsing,
-//!   backpressure-aware write queues, idle timeouts, a max-connection
-//!   cap with typed `busy` rejection, and a deterministic drain that
-//!   flushes every pending write buffer before closing.
+//! * [`codec`] — [`Decoder`]: bytes to [`Message`]s in either codec
+//!   (lines or frames, picked by the peer's first byte), the one reader
+//!   under this loop, the service's client and its load generator.
+//! * [`serve`] — the connection engine: accept, decode, one
+//!   [`Handler::on_message`] call per message, backpressure-aware write
+//!   queues, idle timeouts, a max-connection cap with typed `busy`
+//!   rejection, and a deterministic drain that flushes every pending
+//!   write buffer before closing. What the loop itself refuses (a
+//!   framing error, an over-long line, an idle peer) it answers
+//!   `ERR <token>` in the connection's codec and closes.
 //!
 //! Protocol semantics stay out of this crate: a [`Handler`] maps
-//! decoded lines/frames to reply bytes, so the service wires in its
-//! existing dispatcher and `ServiceCore` (queue, WAL, workers, cache)
+//! decoded messages to reply bytes, so the service wires in its
+//! request dispatcher and `ServiceCore` (queue, WAL, workers, cache)
 //! unchanged.
 
+pub mod codec;
 pub mod frame;
 pub mod poller;
 pub mod sys;
 
-use crate::frame::{FrameDecoder, FrameError};
+pub use crate::codec::{Decoder, Message};
+use crate::frame::FrameError;
 use crate::poller::{Event, Interest, Poller};
 use commsched_telemetry::{Counter, Gauge, Histo, Registry};
 use std::collections::VecDeque;
@@ -136,10 +143,10 @@ pub enum Action {
 
 /// Protocol logic plugged into the event loop.
 ///
-/// Callbacks run on the loop thread; replies are appended to `out` as
-/// raw wire bytes (newline-terminated lines for line-mode connections,
-/// encoded frames for binary ones — the callback that fired tells you
-/// which mode the connection is in).
+/// Callbacks run on the loop thread; a reply is appended to `out` as
+/// raw wire bytes in the codec the request arrived in (a
+/// newline-terminated line for a [`Message::Line`], an encoded frame for
+/// a [`Message::Frame`]).
 pub trait Handler {
     /// Per-connection protocol state.
     type Conn;
@@ -147,17 +154,9 @@ pub trait Handler {
     /// A connection was accepted (token identifies it in later calls).
     fn on_open(&mut self, token: usize) -> Self::Conn;
 
-    /// One complete line-protocol line arrived (terminator stripped).
-    fn on_line(&mut self, conn: &mut Self::Conn, line: &str, out: &mut Vec<u8>) -> Action;
-
-    /// One complete binary frame arrived.
-    fn on_frame(
-        &mut self,
-        conn: &mut Self::Conn,
-        opcode: u8,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Action;
+    /// One complete message arrived: a line of the text codec or a frame
+    /// of the binary one.
+    fn on_message(&mut self, conn: &mut Self::Conn, message: Message, out: &mut Vec<u8>) -> Action;
 
     /// The connection closed (any path: peer EOF, error, idle, drain).
     fn on_close(&mut self, conn: Self::Conn) {
@@ -172,19 +171,10 @@ pub trait Handler {
     }
 }
 
-enum Mode {
-    /// No bytes seen yet; the first byte picks line vs binary.
-    Detect,
-    /// Newline-delimited text; `buf` holds the current partial line.
-    Line { buf: Vec<u8> },
-    /// Length-prefixed frames behind the versioned preamble.
-    Binary { dec: FrameDecoder },
-}
-
 struct Conn<C> {
     stream: TcpStream,
-    user: Option<C>,
-    mode: Mode,
+    user: C,
+    decoder: Decoder,
     /// Outgoing bytes: `wbuf[wpos..]` is pending.
     wbuf: Vec<u8>,
     wpos: usize,
@@ -207,11 +197,46 @@ impl<C> Conn<C> {
         }
         self.wbuf.extend_from_slice(bytes);
     }
+
+    /// The loop's own farewell, in the connection's codec (line-form
+    /// while the peer has not spoken): queue it and stop reading.
+    fn refuse(&mut self, token: &str) {
+        if self.decoder.is_binary() {
+            let f = frame::encode_frame(frame::OP_ERR, token.as_bytes());
+            self.queue(&f);
+        } else {
+            self.queue(format!("ERR {token}\n").as_bytes());
+        }
+        self.closing = true;
+    }
+
+    /// Write as much pending output as the socket accepts. Returns
+    /// `false` when the connection died.
+    fn flush(&mut self, metrics: &NetMetrics) -> bool {
+        while self.pending() > 0 {
+            match self.stream.write(&self.wbuf[self.wpos..]) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    self.wpos += n;
+                    metrics.bytes_tx.add(n as u64);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            }
+        }
+        if self.wpos == self.wbuf.len() {
+            self.wbuf.clear();
+            self.wpos = 0;
+        }
+        true
+    }
 }
 
 const LISTENER_TOKEN: usize = 0;
 /// Poll tick: bounds stop-flag latency and paces the idle scan.
 const TICK: Duration = Duration::from_millis(25);
+const IDLE_SCAN: Duration = Duration::from_millis(250);
 const READ_CHUNK: usize = 64 * 1024;
 /// Descriptors the process needs besides client sockets: the listener,
 /// the poller, stdio, the WAL, snapshot and spill files, replication.
@@ -251,477 +276,289 @@ pub fn serve<H: Handler>(
     let _ = sys::raise_nofile_limit(config.max_connections as u64 + FD_HEADROOM);
     let mut poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-
-    let mut slab: Vec<Option<Conn<H::Conn>>> = Vec::new();
-    let mut free: VecDeque<usize> = VecDeque::new();
-    let mut open = 0usize;
+    let mut lp = Loop {
+        listener,
+        poller,
+        handler,
+        config,
+        metrics,
+        slab: Vec::new(),
+        free: VecDeque::new(),
+        open: 0,
+        read_buf: vec![0u8; READ_CHUNK],
+        out: Vec::new(),
+        drain_deadline: None,
+        exit: ServeExit::Stopped,
+    };
     let mut events: Vec<Event> = Vec::new();
-    let mut read_buf = vec![0u8; READ_CHUNK];
-    let mut out_scratch: Vec<u8> = Vec::new();
-    let mut next_idle_scan = Instant::now() + Duration::from_millis(250);
-    let mut exit = ServeExit::Stopped;
-    let mut draining = false;
-    let mut drain_deadline = Instant::now();
+    let mut next_idle_scan = Instant::now() + IDLE_SCAN;
 
-    'outer: loop {
-        poller.wait(&mut events, Some(TICK))?;
+    loop {
+        lp.poller.wait(&mut events, Some(TICK))?;
         let now = Instant::now();
-
-        if !draining && stop.load(Ordering::SeqCst) {
-            draining = true;
-            drain_deadline = now + config.drain_grace;
-            begin_drain(&mut poller, &listener, &mut slab);
+        if lp.drain_deadline.is_none() && stop.load(Ordering::SeqCst) {
+            lp.begin_drain(now);
         }
-
         for ev in events.iter().copied() {
-            if ev.token == LISTENER_TOKEN {
-                if !draining {
-                    accept_ready(
-                        &listener,
-                        &mut poller,
-                        &mut slab,
-                        &mut free,
-                        &mut open,
-                        handler,
-                        config,
-                        metrics,
-                    );
-                }
-                continue;
-            }
-            let idx = ev.token - 1;
-            if slab.get(idx).is_none_or(Option::is_none) {
-                continue; // closed earlier this batch
-            }
-
-            let mut dead = ev.hangup && slab[idx].as_ref().is_some_and(|c| c.pending() == 0);
-            if !dead && ev.writable {
-                dead = !flush_writes(slab[idx].as_mut().expect("live conn"), metrics);
-            }
-            if !dead && ev.readable {
-                dead = !handle_readable(
-                    idx,
-                    &mut slab,
-                    handler,
-                    config,
-                    metrics,
-                    &mut read_buf,
-                    &mut out_scratch,
-                    &mut draining,
-                    &mut drain_deadline,
-                    &mut exit,
-                );
-            }
-            if dead {
-                close_conn(
-                    idx,
-                    &mut slab,
-                    &mut free,
-                    &mut open,
-                    &mut poller,
-                    handler,
-                    metrics,
-                );
-            } else if let Some(conn) = slab[idx].as_mut() {
-                if conn.closing && conn.pending() == 0 {
-                    close_conn(
-                        idx,
-                        &mut slab,
-                        &mut free,
-                        &mut open,
-                        &mut poller,
-                        handler,
-                        metrics,
-                    );
-                } else {
-                    update_interest(ev.token, conn, config, &mut poller);
-                }
-            }
-            if draining && !slab_draining_started(&slab) {
-                // entered drain mid-batch (Shutdown): freeze remaining conns
-                begin_drain(&mut poller, &listener, &mut slab);
+            if ev.token != LISTENER_TOKEN {
+                lp.handle_event(ev);
+            } else if lp.drain_deadline.is_none() {
+                lp.accept_ready();
             }
         }
-
-        if draining {
+        if let Some(deadline) = lp.drain_deadline {
             // Close everything that has nothing left to say; leave when
             // the slab is empty or the grace period runs out.
-            for idx in 0..slab.len() {
-                let done = slab[idx].as_ref().is_some_and(|c| c.pending() == 0);
-                if done {
-                    close_conn(
-                        idx,
-                        &mut slab,
-                        &mut free,
-                        &mut open,
-                        &mut poller,
-                        handler,
-                        metrics,
-                    );
-                }
-            }
-            if open == 0 || now >= drain_deadline {
-                break 'outer;
-            }
-            continue;
-        }
-
-        if now >= next_idle_scan {
-            next_idle_scan = now + Duration::from_millis(250);
-            if let Some(idle) = config.idle_timeout {
-                for idx in 0..slab.len() {
-                    let expired = slab[idx]
-                        .as_ref()
-                        .is_some_and(|c| !c.closing && now.duration_since(c.last_activity) > idle);
-                    if expired {
-                        let conn = slab[idx].as_mut().expect("live conn");
-                        queue_error(conn, "idle-timeout");
-                        conn.closing = true;
-                        metrics.idle_closed.inc();
-                        if !flush_writes(conn, metrics) || conn.pending() == 0 {
-                            close_conn(
-                                idx,
-                                &mut slab,
-                                &mut free,
-                                &mut open,
-                                &mut poller,
-                                handler,
-                                metrics,
-                            );
-                        } else {
-                            update_interest(idx + 1, conn, config, &mut poller);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Final close of any connection that outlived the grace period.
-    for idx in 0..slab.len() {
-        if slab[idx].is_some() {
-            close_conn(
-                idx,
-                &mut slab,
-                &mut free,
-                &mut open,
-                &mut poller,
-                handler,
-                metrics,
-            );
-        }
-    }
-    Ok(exit)
-}
-
-/// Whether drain freezing already ran (every live conn is closing).
-fn slab_draining_started<C>(slab: &[Option<Conn<C>>]) -> bool {
-    slab.iter().flatten().all(|c| c.closing)
-}
-
-/// Stop accepting and freeze every connection into flush-and-close.
-fn begin_drain<C>(poller: &mut Poller, listener: &TcpListener, slab: &mut [Option<Conn<C>>]) {
-    poller.deregister(listener.as_raw_fd());
-    for (idx, slot) in slab.iter_mut().enumerate() {
-        if let Some(conn) = slot {
-            conn.closing = true;
-            let interest = Interest::WRITE;
-            if conn.cur_interest != interest {
-                conn.cur_interest = interest;
-                let _ = poller.reregister(conn.stream.as_raw_fd(), idx + 1, interest);
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn accept_ready<H: Handler>(
-    listener: &TcpListener,
-    poller: &mut Poller,
-    slab: &mut Vec<Option<Conn<H::Conn>>>,
-    free: &mut VecDeque<usize>,
-    open: &mut usize,
-    handler: &mut H,
-    config: &NetConfig,
-    metrics: &NetMetrics,
-) {
-    loop {
-        let (mut stream, _peer) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return, // transient (EMFILE etc.): retry on next tick
-        };
-        if *open >= config.max_connections {
-            // Typed rejection, best-effort: the socket buffer of a
-            // fresh connection always has room for one short line.
-            let _ = stream.write_all(handler.busy_reply());
-            metrics.busy_rejections.inc();
-            continue;
-        }
-        if stream.set_nonblocking(true).is_err() {
-            continue;
-        }
-        let _ = stream.set_nodelay(true);
-        let idx = free.pop_front().unwrap_or_else(|| {
-            slab.push(None);
-            slab.len() - 1
-        });
-        let token = idx + 1;
-        if poller
-            .register(stream.as_raw_fd(), token, Interest::READ)
-            .is_err()
-        {
-            free.push_back(idx);
-            continue;
-        }
-        let user = handler.on_open(token);
-        slab[idx] = Some(Conn {
-            stream,
-            user: Some(user),
-            mode: Mode::Detect,
-            wbuf: Vec::new(),
-            wpos: 0,
-            closing: false,
-            cur_interest: Interest::READ,
-            last_activity: Instant::now(),
-        });
-        *open += 1;
-        metrics.connections_open.add(1);
-    }
-}
-
-/// Write as much pending output as the socket accepts. Returns `false`
-/// when the connection died.
-fn flush_writes<C>(conn: &mut Conn<C>, metrics: &NetMetrics) -> bool {
-    while conn.pending() > 0 {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => return false,
-            Ok(n) => {
-                conn.wpos += n;
-                metrics.bytes_tx.add(n as u64);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-    if conn.wpos == conn.wbuf.len() {
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    }
-    true
-}
-
-/// Queue a protocol-appropriate error reply.
-fn queue_error<C>(conn: &mut Conn<C>, msg: &str) {
-    match conn.mode {
-        Mode::Binary { .. } => {
-            let f = frame::encode_frame(frame::OP_ERR, msg.as_bytes());
-            conn.queue(&f);
-        }
-        _ => conn.queue(format!("ERR {msg}\n").as_bytes()),
-    }
-}
-
-/// Read and process everything the socket has. Returns `false` when
-/// the connection died and must be closed by the caller.
-#[allow(clippy::too_many_arguments)]
-fn handle_readable<H: Handler>(
-    idx: usize,
-    slab: &mut [Option<Conn<H::Conn>>],
-    handler: &mut H,
-    config: &NetConfig,
-    metrics: &NetMetrics,
-    read_buf: &mut [u8],
-    out_scratch: &mut Vec<u8>,
-    draining: &mut bool,
-    drain_deadline: &mut Instant,
-    exit: &mut ServeExit,
-) -> bool {
-    let conn = slab[idx].as_mut().expect("live conn");
-    if conn.closing {
-        return true;
-    }
-    let mut requests_this_event = 0u64;
-    let mut saw_eof = false;
-    loop {
-        let n = match conn.stream.read(read_buf) {
-            Ok(0) => {
-                saw_eof = true;
+            lp.close_where(|c| c.pending() == 0);
+            if lp.open == 0 || now >= deadline {
                 break;
             }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        };
-        conn.last_activity = Instant::now();
-        metrics.bytes_rx.add(n as u64);
-        let chunk = &read_buf[..n];
-
-        if matches!(conn.mode, Mode::Detect) {
-            conn.mode = if chunk[0] == frame::MAGIC_BYTE {
-                Mode::Binary {
-                    dec: FrameDecoder::new(config.max_frame_payload),
-                }
-            } else {
-                Mode::Line { buf: Vec::new() }
-            };
-        }
-
-        // Detach the mode so the parse loops can queue replies and flip
-        // flags on `conn` while holding the decoder.
-        let mut mode = std::mem::replace(&mut conn.mode, Mode::Detect);
-        match &mut mode {
-            Mode::Detect => unreachable!("mode decided above"),
-            Mode::Line { buf } => {
-                buf.extend_from_slice(chunk);
-                let mut consumed = 0usize;
-                while let Some(nl) = buf[consumed..].iter().position(|&b| b == b'\n') {
-                    let mut line_end = consumed + nl;
-                    if line_end > consumed && buf[line_end - 1] == b'\r' {
-                        line_end -= 1;
-                    }
-                    let line = String::from_utf8_lossy(&buf[consumed..line_end]).into_owned();
-                    consumed += nl + 1;
-                    metrics.frames_rx.inc();
-                    requests_this_event += 1;
-                    out_scratch.clear();
-                    let mut user = conn.user.take().expect("conn user state");
-                    let action = handler.on_line(&mut user, &line, out_scratch);
-                    conn.user = Some(user);
-                    if !out_scratch.is_empty() {
-                        metrics.frames_tx.inc();
-                        conn.queue(out_scratch);
-                    }
-                    match action {
-                        Action::Continue => {}
-                        Action::Close => {
-                            conn.closing = true;
-                            break;
-                        }
-                        Action::Shutdown => {
-                            conn.closing = true;
-                            *draining = true;
-                            *drain_deadline = Instant::now() + config.drain_grace;
-                            *exit = ServeExit::Shutdown;
-                            break;
-                        }
-                    }
-                }
-                buf.drain(..consumed);
-                if buf.len() > config.max_line_bytes {
-                    queue_error(conn, "line-too-long");
-                    conn.closing = true;
-                }
-            }
-            Mode::Binary { dec } => {
-                dec.extend(chunk);
-                loop {
-                    match dec.next_frame() {
-                        Ok(None) => break,
-                        Ok(Some(f)) => {
-                            metrics.frames_rx.inc();
-                            requests_this_event += 1;
-                            out_scratch.clear();
-                            let mut user = conn.user.take().expect("conn user state");
-                            let action =
-                                handler.on_frame(&mut user, f.opcode, &f.payload, out_scratch);
-                            conn.user = Some(user);
-                            if !out_scratch.is_empty() {
-                                metrics.frames_tx.inc();
-                                conn.queue(out_scratch);
-                            }
-                            match action {
-                                Action::Continue => {}
-                                Action::Close => {
-                                    conn.closing = true;
-                                    break;
-                                }
-                                Action::Shutdown => {
-                                    conn.closing = true;
-                                    *draining = true;
-                                    *drain_deadline = Instant::now() + config.drain_grace;
-                                    *exit = ServeExit::Shutdown;
-                                    break;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            let reply = frame::encode_frame(
-                                frame::OP_ERR,
-                                frame_error_token(&e).as_bytes(),
-                            );
-                            conn.queue(&reply);
-                            conn.closing = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        conn.mode = mode;
-
-        if conn.closing || conn.pending() > config.write_buffer_limit {
-            break;
+        } else if now >= next_idle_scan {
+            next_idle_scan = now + IDLE_SCAN;
+            lp.idle_scan(now);
         }
     }
-    if requests_this_event > 0 {
-        metrics.pipeline_depth.record(requests_this_event);
-    }
-    // Opportunistic flush: most replies fit the socket buffer, so the
-    // common case never waits for a writable event.
-    if !flush_writes(conn, metrics) {
-        return false;
-    }
-    if saw_eof {
-        if conn.pending() == 0 {
-            return false;
-        }
-        conn.closing = true;
-    }
-    true
+    // Whatever outlived the grace period.
+    lp.close_where(|_| true);
+    Ok(lp.exit)
 }
 
-/// Short, stable token for a framing error (`ERR <token>` on the wire).
-fn frame_error_token(e: &FrameError) -> String {
+/// Everything one [`serve`] run owns.
+struct Loop<'a, H: Handler> {
+    listener: TcpListener,
+    poller: Poller,
+    handler: &'a mut H,
+    config: &'a NetConfig,
+    metrics: &'a NetMetrics,
+    /// Connection `idx` has poller token `idx + 1`.
+    slab: Vec<Option<Conn<H::Conn>>>,
+    free: VecDeque<usize>,
+    open: usize,
+    read_buf: Vec<u8>,
+    /// Scratch the handler writes one reply into.
+    out: Vec<u8>,
+    /// Set once draining began: when to stop waiting for laggards.
+    drain_deadline: Option<Instant>,
+    exit: ServeExit,
+}
+
+impl<H: Handler> Loop<'_, H> {
+    /// Stop accepting and freeze every connection into flush-and-close.
+    fn begin_drain(&mut self, now: Instant) {
+        self.drain_deadline = Some(now + self.config.drain_grace);
+        self.poller.deregister(self.listener.as_raw_fd());
+        for (idx, conn) in self.slab.iter_mut().enumerate() {
+            if let Some(conn) = conn {
+                conn.closing = true;
+                if conn.cur_interest != Interest::WRITE {
+                    conn.cur_interest = Interest::WRITE;
+                    let _ =
+                        self.poller
+                            .reregister(conn.stream.as_raw_fd(), idx + 1, Interest::WRITE);
+                }
+            }
+        }
+    }
+
+    fn accept_ready(&mut self) {
+        loop {
+            let (mut stream, _peer) = match self.listener.accept() {
+                Ok(pair) => pair,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return, // transient (EMFILE etc.): retry on next tick
+            };
+            if self.open >= self.config.max_connections {
+                // Typed rejection, best-effort: the socket buffer of a
+                // fresh connection always has room for one short line.
+                let _ = stream.write_all(self.handler.busy_reply());
+                self.metrics.busy_rejections.inc();
+                continue;
+            }
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let idx = self.free.pop_front().unwrap_or_else(|| {
+                self.slab.push(None);
+                self.slab.len() - 1
+            });
+            let token = idx + 1;
+            if self
+                .poller
+                .register(stream.as_raw_fd(), token, Interest::READ)
+                .is_err()
+            {
+                self.free.push_back(idx);
+                continue;
+            }
+            self.slab[idx] = Some(Conn {
+                stream,
+                user: self.handler.on_open(token),
+                decoder: Decoder::detect(self.config.max_line_bytes, self.config.max_frame_payload),
+                wbuf: Vec::new(),
+                wpos: 0,
+                closing: false,
+                cur_interest: Interest::READ,
+                last_activity: Instant::now(),
+            });
+            self.open += 1;
+            self.metrics.connections_open.add(1);
+        }
+    }
+
+    /// One readiness event of a client connection.
+    fn handle_event(&mut self, ev: Event) {
+        let idx = ev.token - 1;
+        let Some(Some(conn)) = self.slab.get_mut(idx) else {
+            return; // closed earlier this batch
+        };
+        let mut alive = !(ev.hangup && conn.pending() == 0);
+        if alive && ev.writable {
+            alive = conn.flush(self.metrics);
+        }
+        if alive && ev.readable {
+            alive = self.handle_readable(idx);
+        }
+        self.settle(idx, alive);
+    }
+
+    /// Read and process everything the socket has. Returns `false` when
+    /// the connection died and must be closed by the caller.
+    fn handle_readable(&mut self, idx: usize) -> bool {
+        let conn = self.slab[idx].as_mut().expect("live conn");
+        if conn.closing {
+            return true;
+        }
+        let mut requests_this_event = 0u64;
+        let mut saw_eof = false;
+        let mut shutdown = false;
+        loop {
+            let n = match conn.stream.read(&mut self.read_buf) {
+                Ok(0) => {
+                    saw_eof = true;
+                    break;
+                }
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            };
+            conn.last_activity = Instant::now();
+            self.metrics.bytes_rx.add(n as u64);
+            conn.decoder.extend(&self.read_buf[..n]);
+            while !conn.closing {
+                let message = match conn.decoder.next_message() {
+                    Ok(None) => break,
+                    Ok(Some(message)) => message,
+                    Err(e) => {
+                        conn.refuse(&refusal_token(&e));
+                        break;
+                    }
+                };
+                self.metrics.frames_rx.inc();
+                requests_this_event += 1;
+                self.out.clear();
+                let action = self
+                    .handler
+                    .on_message(&mut conn.user, message, &mut self.out);
+                if !self.out.is_empty() {
+                    self.metrics.frames_tx.inc();
+                    conn.queue(&self.out);
+                }
+                conn.closing = action != Action::Continue;
+                shutdown = action == Action::Shutdown;
+            }
+            if conn.closing || conn.pending() > self.config.write_buffer_limit {
+                break;
+            }
+        }
+        if requests_this_event > 0 {
+            self.metrics.pipeline_depth.record(requests_this_event);
+        }
+        // Opportunistic flush: most replies fit the socket buffer, so the
+        // common case never waits for a writable event.
+        let mut alive = conn.flush(self.metrics);
+        if alive && saw_eof {
+            alive = conn.pending() > 0;
+            conn.closing = true;
+        }
+        if shutdown {
+            self.exit = ServeExit::Shutdown;
+            self.begin_drain(Instant::now());
+        }
+        alive
+    }
+
+    /// After an event or a farewell: close a connection that died or has
+    /// said everything, otherwise wait for what it still needs.
+    fn settle(&mut self, idx: usize, alive: bool) {
+        let Some(conn) = self.slab[idx].as_mut() else {
+            return;
+        };
+        if !alive || (conn.closing && conn.pending() == 0) {
+            self.close(idx);
+            return;
+        }
+        let interest = Interest {
+            readable: !conn.closing && conn.pending() <= self.config.write_buffer_limit,
+            writable: conn.pending() > 0,
+        };
+        if interest != conn.cur_interest {
+            conn.cur_interest = interest;
+            let _ = self
+                .poller
+                .reregister(conn.stream.as_raw_fd(), idx + 1, interest);
+        }
+    }
+
+    fn close(&mut self, idx: usize) {
+        if let Some(conn) = self.slab[idx].take() {
+            self.poller.deregister(conn.stream.as_raw_fd());
+            self.handler.on_close(conn.user);
+            self.free.push_back(idx);
+            self.open -= 1;
+            self.metrics.connections_open.add(-1);
+        }
+    }
+
+    fn close_where(&mut self, done: impl Fn(&Conn<H::Conn>) -> bool) {
+        for idx in 0..self.slab.len() {
+            if self.slab[idx].as_ref().is_some_and(&done) {
+                self.close(idx);
+            }
+        }
+    }
+
+    /// Say goodbye to every connection silent for longer than the idle
+    /// timeout.
+    fn idle_scan(&mut self, now: Instant) {
+        let Some(idle) = self.config.idle_timeout else {
+            return;
+        };
+        for idx in 0..self.slab.len() {
+            let Some(conn) = self.slab[idx].as_mut() else {
+                continue;
+            };
+            if conn.closing || now.duration_since(conn.last_activity) <= idle {
+                continue;
+            }
+            conn.refuse("idle-timeout");
+            self.metrics.idle_closed.inc();
+            let alive = conn.flush(self.metrics);
+            self.settle(idx, alive);
+        }
+    }
+}
+
+/// Short, stable token for a decoding error (`ERR <token>` on the wire).
+fn refusal_token(e: &FrameError) -> String {
     match e {
         FrameError::BadMagic(_) => "bad-magic".to_string(),
         FrameError::BadVersion(v) => format!("bad-version {v}"),
         FrameError::EmptyFrame => "empty-frame".to_string(),
         FrameError::TooLarge { len, max } => format!("frame-too-large {len} max {max}"),
-    }
-}
-
-fn update_interest<C>(token: usize, conn: &mut Conn<C>, config: &NetConfig, poller: &mut Poller) {
-    let interest = Interest {
-        readable: !conn.closing && conn.pending() <= config.write_buffer_limit,
-        writable: conn.pending() > 0,
-    };
-    if interest != conn.cur_interest {
-        conn.cur_interest = interest;
-        let _ = poller.reregister(conn.stream.as_raw_fd(), token, interest);
-    }
-}
-
-fn close_conn<H: Handler>(
-    idx: usize,
-    slab: &mut [Option<Conn<H::Conn>>],
-    free: &mut VecDeque<usize>,
-    open: &mut usize,
-    poller: &mut Poller,
-    handler: &mut H,
-    metrics: &NetMetrics,
-) {
-    if let Some(conn) = slab[idx].take() {
-        poller.deregister(conn.stream.as_raw_fd());
-        if let Some(user) = conn.user {
-            handler.on_close(user);
-        }
-        free.push_back(idx);
-        *open -= 1;
-        metrics.connections_open.add(-1);
+        FrameError::LineTooLong { .. } => "line-too-long".to_string(),
     }
 }
 
@@ -742,37 +579,28 @@ mod tests {
 
         fn on_open(&mut self, _token: usize) {}
 
-        fn on_line(&mut self, _c: &mut (), line: &str, out: &mut Vec<u8>) -> Action {
-            match line {
-                "QUIT" => {
-                    out.extend_from_slice(b"OK bye\n");
-                    Action::Close
+        fn on_message(&mut self, _c: &mut (), message: Message, out: &mut Vec<u8>) -> Action {
+            match message {
+                Message::Line(line) => {
+                    let (reply, action) = match line.as_str() {
+                        "QUIT" => ("OK bye".to_string(), Action::Close),
+                        "SHUTDOWN" => ("OK drained".to_string(), Action::Shutdown),
+                        other => (format!("OK {other}"), Action::Continue),
+                    };
+                    out.extend_from_slice(reply.as_bytes());
+                    out.push(b'\n');
+                    action
                 }
-                "SHUTDOWN" => {
-                    out.extend_from_slice(b"OK drained\n");
-                    Action::Shutdown
-                }
-                other => {
-                    out.extend_from_slice(format!("OK {other}\n").as_bytes());
+                Message::Frame(f) => {
+                    assert_eq!(f.opcode, frame::OP_REQ);
+                    if f.payload == b"SHUTDOWN" {
+                        frame::encode_frame_into(out, frame::OP_OK, b"drained");
+                        return Action::Shutdown;
+                    }
+                    frame::encode_frame_into(out, frame::OP_OK, &f.payload);
                     Action::Continue
                 }
             }
-        }
-
-        fn on_frame(
-            &mut self,
-            _c: &mut (),
-            opcode: u8,
-            payload: &[u8],
-            out: &mut Vec<u8>,
-        ) -> Action {
-            assert_eq!(opcode, frame::OP_REQ);
-            if payload == b"SHUTDOWN" {
-                frame::encode_frame_into(out, frame::OP_OK, b"drained");
-                return Action::Shutdown;
-            }
-            frame::encode_frame_into(out, frame::OP_OK, payload);
-            Action::Continue
         }
     }
 
@@ -825,14 +653,14 @@ mod tests {
             ));
         }
         c.write_all(&wire).unwrap();
-        let mut dec = FrameDecoder::new_after_preamble(1 << 20);
+        let mut dec = Decoder::frames(1 << 20);
         let mut got = 0;
         let mut buf = [0u8; 4096];
         while got < 50 {
             let n = c.read(&mut buf).unwrap();
             assert!(n > 0, "server closed early");
             dec.extend(&buf[..n]);
-            while let Some(f) = dec.next_frame().unwrap() {
+            while let Some(Message::Frame(f)) = dec.next_message().unwrap() {
                 assert_eq!(f.opcode, frame::OP_OK);
                 assert_eq!(f.payload, format!("f{got}").into_bytes());
                 got += 1;
@@ -929,13 +757,13 @@ mod tests {
         let mut wire = frame::MAGIC.to_vec();
         wire.extend_from_slice(&1_000_000u32.to_le_bytes());
         c.write_all(&wire).unwrap();
-        let mut dec = FrameDecoder::new_after_preamble(1 << 20);
+        let mut dec = Decoder::frames(1 << 20);
         let mut buf = [0u8; 4096];
         let err = loop {
             let n = c.read(&mut buf).unwrap();
             assert!(n > 0, "closed without an error frame");
             dec.extend(&buf[..n]);
-            if let Some(f) = dec.next_frame().unwrap() {
+            if let Some(Message::Frame(f)) = dec.next_message().unwrap() {
                 break f;
             }
         };

@@ -1,11 +1,14 @@
 //! A small blocking client for the line protocol, shared by the CLI's
-//! `submit`/`status` subcommands and the integration tests.
+//! `submit`/`status` subcommands and the integration tests. Replies are
+//! read through the event loop's [`Decoder`] and understood through
+//! [`Reply`], like the daemon's own side of the wire.
 
 use crate::jobs::JobId;
-use crate::protocol;
-use commsched_net::frame::{self, BatchOutcome, FrameDecoder};
+use crate::protocol::{self, Reply};
+use commsched_net::frame::{self, BatchOutcome};
+use commsched_net::{Decoder, Message};
 use commsched_topology::Topology;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -102,10 +105,58 @@ impl RetryPolicy {
 /// the client declares the cluster's routing inconsistent.
 const MAX_REDIRECT_HOPS: u32 = 4;
 
+/// A socket and the decoder of what comes back on it.
+struct Wire {
+    stream: TcpStream,
+    decoder: Decoder,
+    read_buf: Vec<u8>,
+}
+
+impl Wire {
+    /// A line-codec connection. A reply line is bounded by what the
+    /// server would put in one frame.
+    fn lines(stream: TcpStream) -> Self {
+        Self::new(stream, Decoder::line(frame::DEFAULT_MAX_FRAME_PAYLOAD))
+    }
+
+    fn new(stream: TcpStream, decoder: Decoder) -> Self {
+        Self {
+            stream,
+            decoder,
+            read_buf: vec![0u8; 16 * 1024],
+        }
+    }
+
+    /// Block until one whole message has arrived.
+    fn read_message(&mut self) -> Result<Message, ClientError> {
+        loop {
+            if let Some(message) = self
+                .decoder
+                .next_message()
+                .map_err(|e| ClientError::Protocol(e.to_string()))?
+            {
+                return Ok(message);
+            }
+            let n = match self.stream.read(&mut self.read_buf) {
+                Ok(0) => return Err(ClientError::Protocol("connection closed".into())),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            self.decoder.extend(&self.read_buf[..n]);
+        }
+    }
+
+    /// Block until one whole reply (its first line, in the line codec)
+    /// has arrived.
+    fn read_reply(&mut self) -> Result<Reply, ClientError> {
+        Reply::from_message(&self.read_message()?).map_err(ClientError::Protocol)
+    }
+}
+
 /// One connection to a running daemon.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    wire: Wire,
     /// Address of the server currently connected, for reconnects after
     /// a retryable failure (the `MOVED` target replaces it on redirect).
     addr: String,
@@ -161,16 +212,16 @@ impl Client {
     /// # Errors
     /// Propagates connection failures.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
-        let stream = Self::dial(addr)?;
-        let addr = stream.peer_addr()?.to_string();
-        let writer = stream.try_clone()?;
+        Self::over(Self::dial(addr)?, RetryPolicy::none(), 0)
+    }
+
+    fn over(stream: TcpStream, retry: RetryPolicy, retries: u64) -> Result<Self, ClientError> {
         Ok(Self {
-            reader: BufReader::new(stream),
-            writer,
-            addr,
-            retry: RetryPolicy::none(),
+            addr: stream.peer_addr()?.to_string(),
+            wire: Wire::lines(stream),
+            retry,
             redirects: 0,
-            retries: 0,
+            retries,
         })
     }
 
@@ -184,16 +235,7 @@ impl Client {
     pub fn connect_with_retry(addr: &str, policy: RetryPolicy) -> Result<Self, ClientError> {
         let mut retries = 0;
         let stream = Self::open_stream(addr, &policy, &mut retries)?;
-        let resolved = stream.peer_addr()?.to_string();
-        let writer = stream.try_clone()?;
-        Ok(Self {
-            reader: BufReader::new(stream),
-            writer,
-            addr: resolved,
-            retry: policy,
-            redirects: 0,
-            retries,
-        })
+        Self::over(stream, policy, retries)
     }
 
     /// Replace the retry policy (e.g. to make an existing client
@@ -258,8 +300,7 @@ impl Client {
         let policy = self.retry;
         let stream = Self::open_stream(addr, &policy, &mut self.retries)?;
         self.addr = stream.peer_addr()?.to_string();
-        self.writer = stream.try_clone()?;
-        self.reader = BufReader::new(stream);
+        self.wire = Wire::lines(stream);
         Ok(())
     }
 
@@ -268,22 +309,44 @@ impl Client {
     /// connection) or nothing is listening yet (refused).
     fn retryable(e: &ClientError) -> bool {
         match e {
-            ClientError::Server(m) => m.starts_with("busy"),
+            ClientError::Server(m) => protocol::is_busy(m),
             ClientError::Io(e) => e.kind() == io::ErrorKind::ConnectionRefused,
             _ => false,
         }
     }
 
-    /// Send one request line and read its first reply line, following
-    /// `MOVED` redirects transparently and retrying retryable failures
-    /// under the client's [`RetryPolicy`]. Every single-line verb and
-    /// every block verb's header goes through here.
-    fn transact(&mut self, line: &str) -> Result<String, ClientError> {
+    /// What a reply that is not the awaited success means to the caller.
+    fn refusal(reply: Reply) -> ClientError {
+        match reply {
+            Reply::Err(reason) => ClientError::Server(reason),
+            Reply::Moved { shard, addr } => ClientError::Moved { shard, addr },
+            other => ClientError::Protocol(format!("unexpected reply {other:?}")),
+        }
+    }
+
+    /// Send one request and read its first reply line, following `MOVED`
+    /// redirects transparently and retrying retryable failures under the
+    /// client's [`RetryPolicy`]. Every verb goes through here, block
+    /// verbs for their header. `request` is the request's text without
+    /// the final newline — for an upload its head line and body, which
+    /// leave in one write: sent line by line, every upload would stall
+    /// on the server's delayed ACK.
+    fn transact(&mut self, request: &str) -> Result<String, ClientError> {
+        let mut wire = Vec::with_capacity(request.len() + 1);
+        wire.extend_from_slice(request.as_bytes());
+        wire.push(b'\n');
         let mut hops = 0u32;
         let mut attempt = 0u32;
         loop {
-            match self.send(line).and_then(|()| self.expect_ok()) {
-                Ok(v) => return Ok(v),
+            let outcome = write_full(&mut self.wire.stream, &wire)
+                .map_err(ClientError::from)
+                .and_then(|()| self.wire.read_reply())
+                .and_then(|reply| match reply {
+                    Reply::Ok(text) => Ok(text),
+                    other => Err(Self::refusal(other)),
+                });
+            match outcome {
+                Ok(text) => return Ok(text),
                 Err(ClientError::Moved { shard, addr }) => {
                     hops += 1;
                     if hops > MAX_REDIRECT_HOPS {
@@ -306,45 +369,13 @@ impl Client {
         }
     }
 
-    fn send(&mut self, line: &str) -> Result<(), ClientError> {
-        let mut wire = Vec::with_capacity(line.len() + 1);
-        wire.extend_from_slice(line.as_bytes());
-        wire.push(b'\n');
-        write_full(&mut self.writer, &wire)?;
-        Ok(())
-    }
-
-    fn read_line(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Protocol("connection closed".into()));
-        }
-        Ok(line.trim_end().to_string())
-    }
-
-    /// One `OK`-prefixed reply: returns the payload after `OK `, or the
-    /// server's error.
-    fn expect_ok(&mut self) -> Result<String, ClientError> {
-        let line = self.read_line()?;
-        if let Some(rest) = line.strip_prefix("OK") {
-            Ok(rest.trim_start().to_string())
-        } else if let Some(rest) = line.strip_prefix("ERR") {
-            Err(ClientError::Server(rest.trim_start().to_string()))
-        } else if line.starts_with("MOVED") {
-            match protocol::parse_moved(&line) {
-                Some((shard, addr)) => Err(ClientError::Moved { shard, addr }),
-                None => Err(ClientError::Protocol(format!("bad redirect '{line}'"))),
-            }
-        } else {
-            Err(ClientError::Protocol(format!("unexpected reply '{line}'")))
-        }
-    }
-
     /// Read the body of a multi-line response up to the `.` terminator.
     fn read_block(&mut self) -> Result<Vec<String>, ClientError> {
         let mut lines = Vec::new();
         loop {
-            let line = self.read_line()?;
+            let Message::Line(line) = self.wire.read_message()? else {
+                return Err(ClientError::Protocol("frame on a line connection".into()));
+            };
             if line == "." {
                 return Ok(lines);
             }
@@ -363,38 +394,20 @@ impl Client {
     /// Upload a topology; returns its fingerprint. In a cluster the
     /// first node may answer `MOVED` after seeing the whole upload (the
     /// fingerprint decides the owner); the client re-uploads to the
-    /// owner transparently.
+    /// owner transparently, and waits out `busy` like any other verb.
     ///
     /// # Errors
     /// See [`ClientError`].
     pub fn add_topology(&mut self, topo: &Topology) -> Result<u64, ClientError> {
         let text = commsched_topology::to_text(topo);
-        // Header and body leave in one write: sent line by line, every
-        // upload would stall on the server's delayed ACK.
-        let mut wire = format!("ADDTOPO {}\n", text.lines().count());
+        let mut request = format!("ADDTOPO {}", text.lines().count());
         for line in text.lines() {
-            wire.push_str(line);
-            wire.push('\n');
+            request.push('\n');
+            request.push_str(line);
         }
-        let mut hops = 0u32;
-        loop {
-            write_full(&mut self.writer, wire.as_bytes())?;
-            match self.expect_ok() {
-                Ok(fp) => {
-                    return protocol::parse_fingerprint(&fp)
-                        .ok_or_else(|| ClientError::Protocol(format!("bad fingerprint '{fp}'")))
-                }
-                Err(ClientError::Moved { shard, addr }) => {
-                    hops += 1;
-                    if hops > MAX_REDIRECT_HOPS {
-                        return Err(ClientError::Moved { shard, addr });
-                    }
-                    self.redirects += 1;
-                    self.reconnect(&addr)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let fp = self.transact(&request)?;
+        protocol::parse_fingerprint(&fp)
+            .ok_or_else(|| ClientError::Protocol(format!("bad fingerprint '{fp}'")))
     }
 
     /// Submit a raw `SUBMIT` argument string, e.g.
@@ -591,55 +604,35 @@ impl Client {
         &mut self,
         specs: &[String],
     ) -> Result<Vec<Result<JobId, String>>, ClientError> {
-        let addr = self.writer.peer_addr()?;
-        let mut stream = TcpStream::connect(addr)?;
+        let addr = self.wire.stream.peer_addr()?;
+        let mut batch = Wire::new(
+            TcpStream::connect(addr)?,
+            Decoder::frames(frame::DEFAULT_MAX_FRAME_PAYLOAD),
+        );
         let mut wire = frame::MAGIC.to_vec();
         frame::encode_frame_into(
             &mut wire,
             frame::OP_SUBMIT_BATCH,
             &frame::encode_submit_batch(specs),
         );
-        write_full(&mut stream, &wire)?;
-        let mut dec = FrameDecoder::new_after_preamble(frame::DEFAULT_MAX_FRAME_PAYLOAD);
-        let mut buf = [0u8; 16 * 1024];
-        let reply = loop {
-            if let Some(f) = dec
-                .next_frame()
-                .map_err(|e| ClientError::Protocol(e.to_string()))?
-            {
-                break f;
-            }
-            let n = stream.read(&mut buf)?;
-            if n == 0 {
-                return Err(ClientError::Protocol("connection closed".into()));
-            }
-            dec.extend(&buf[..n]);
+        write_full(&mut batch.stream, &wire)?;
+        let outcomes = match batch.read_reply()? {
+            Reply::BatchAck(outcomes) => outcomes,
+            other => return Err(Self::refusal(other)),
         };
-        match reply.opcode {
-            frame::OP_BATCH_ACK => {
-                let outcomes =
-                    frame::decode_batch_ack(&reply.payload).map_err(ClientError::Protocol)?;
-                if outcomes.len() != specs.len() {
-                    return Err(ClientError::Protocol(format!(
-                        "batch ack has {} entries for {} specs",
-                        outcomes.len(),
-                        specs.len()
-                    )));
-                }
-                Ok(outcomes
-                    .into_iter()
-                    .map(|o| match o {
-                        BatchOutcome::Ok(id) => Ok(id),
-                        BatchOutcome::Err(e) => Err(e),
-                    })
-                    .collect())
-            }
-            frame::OP_ERR => Err(ClientError::Server(
-                String::from_utf8_lossy(&reply.payload).into_owned(),
-            )),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected reply opcode {other:#04x}"
-            ))),
+        if outcomes.len() != specs.len() {
+            return Err(ClientError::Protocol(format!(
+                "batch ack has {} entries for {} specs",
+                outcomes.len(),
+                specs.len()
+            )));
         }
+        Ok(outcomes
+            .into_iter()
+            .map(|o| match o {
+                BatchOutcome::Ok(id) => Ok(id),
+                BatchOutcome::Err(e) => Err(e),
+            })
+            .collect())
     }
 }

@@ -16,9 +16,11 @@
 //! per job; `binary` sends the framed protocol — `OP_REQ` at batch 1,
 //! `OP_SUBMIT_BATCH` carrying the whole batch in one frame otherwise.
 
-use commsched_net::frame::{self, FrameDecoder};
+use crate::protocol::{is_busy, parse_moved_entry, Reply};
+use commsched_net::frame::{self, BatchOutcome};
 use commsched_net::poller::{Event, Interest, Poller};
 use commsched_net::sys::raise_nofile_limit;
+use commsched_net::{Decoder, NetConfig};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -205,38 +207,58 @@ impl ErrCounts {
     }
 }
 
-/// Classify a line-protocol error reply.
-fn classify_line(line: &[u8]) -> ErrClass {
-    if line.starts_with(b"MOVED") {
+/// The class of a refusal reason: a reply's, or a batch entry's.
+fn classify(reason: &str) -> ErrClass {
+    if parse_moved_entry(reason).is_some() {
         ErrClass::Moved
-    } else if line.starts_with(b"ERR busy") {
+    } else if is_busy(reason) {
         ErrClass::Busy
     } else {
         ErrClass::Other
     }
 }
 
-/// Classify a batch-ack per-spec rejection or binary `OP_ERR` payload.
-fn classify_msg(msg: &str) -> ErrClass {
-    if msg.starts_with("moved") {
-        ErrClass::Moved
-    } else if msg.starts_with("busy") {
-        ErrClass::Busy
-    } else {
-        ErrClass::Other
-    }
+/// Everything the run counts as acknowledgements arrive.
+struct Tally {
+    jobs_acked: u64,
+    errors: ErrCounts,
+    /// One latency sample per acknowledged request, microseconds.
+    samples_us: Vec<u64>,
+    last_ack_at: Instant,
 }
 
-/// Decoder state for one generator connection.
-enum RxState {
-    /// Partial line bytes.
-    Line(Vec<u8>),
-    Binary(FrameDecoder),
+impl Tally {
+    /// Record one reply against the oldest unacknowledged request of its
+    /// connection (`entry`: when it was sent, how many jobs it carried).
+    /// A batch ack counts per outcome; any other reply speaks for every
+    /// job of the request; a reply that did not decode is a refusal.
+    fn ack(&mut self, entry: Option<(Instant, u64)>, reply: Result<Reply, String>) {
+        let Some((sent_at, jobs)) = entry else {
+            return; // unsolicited reply (e.g. server error broadcast)
+        };
+        let now = Instant::now();
+        self.last_ack_at = now;
+        self.samples_us
+            .push(now.duration_since(sent_at).as_micros() as u64);
+        match reply {
+            Ok(Reply::Ok(_) | Reply::Block { .. }) => self.jobs_acked += jobs,
+            Ok(Reply::Moved { .. }) => self.errors.count(ErrClass::Moved, jobs),
+            Ok(Reply::Err(reason)) | Err(reason) => self.errors.count(classify(&reason), jobs),
+            Ok(Reply::BatchAck(outcomes)) => {
+                for outcome in &outcomes {
+                    match outcome {
+                        BatchOutcome::Ok(_) => self.jobs_acked += 1,
+                        BatchOutcome::Err(reason) => self.errors.count(classify(reason), 1),
+                    }
+                }
+            }
+        }
+    }
 }
 
 struct GenConn {
     stream: TcpStream,
-    rx: RxState,
+    decoder: Decoder,
     /// Outgoing bytes not yet accepted by the socket.
     wbuf: Vec<u8>,
     wpos: usize,
@@ -283,20 +305,21 @@ pub fn run<A: ToSocketAddrs>(addr: A, config: &LoadgenConfig) -> Result<LoadgenR
         poller
             .register(stream.as_raw_fd(), i, Interest::READ)
             .map_err(|e| format!("register: {e}"))?;
-        let (rx, wbuf) = match config.mode {
-            WireMode::Line => (RxState::Line(Vec::new()), Vec::new()),
+        let (decoder, wbuf) = match config.mode {
+            WireMode::Line => (
+                Decoder::line(NetConfig::default().max_line_bytes),
+                Vec::new(),
+            ),
             // The preamble makes the first byte the magic, flipping the
             // server into binary mode.
             WireMode::Binary => (
-                RxState::Binary(FrameDecoder::new_after_preamble(
-                    frame::DEFAULT_MAX_FRAME_PAYLOAD,
-                )),
+                Decoder::frames(frame::DEFAULT_MAX_FRAME_PAYLOAD),
                 frame::MAGIC.to_vec(),
             ),
         };
         conns.push(Some(GenConn {
             stream,
-            rx,
+            decoder,
             wbuf,
             wpos: 0,
             in_flight: VecDeque::new(),
@@ -343,10 +366,12 @@ pub fn run<A: ToSocketAddrs>(addr: A, config: &LoadgenConfig) -> Result<LoadgenR
     let mut next_send = start;
     let mut rr = 0usize; // round-robin cursor
     let mut jobs_sent = 0u64;
-    let mut jobs_acked = 0u64;
-    let mut errors = ErrCounts::default();
-    let mut last_ack_at = start;
-    let mut samples_us: Vec<u64> = Vec::new();
+    let mut tally = Tally {
+        jobs_acked: 0,
+        errors: ErrCounts::default(),
+        samples_us: Vec::new(),
+        last_ack_at: start,
+    };
     let mut events: Vec<Event> = Vec::new();
     let mut read_buf = vec![0u8; 64 * 1024];
 
@@ -390,7 +415,7 @@ pub fn run<A: ToSocketAddrs>(addr: A, config: &LoadgenConfig) -> Result<LoadgenR
                 conn.wbuf.extend_from_slice(&request);
                 jobs_sent += batch as u64;
                 if !flush_conn(conn) {
-                    drop_conn(&mut conns, idx, &mut poller, &mut errors);
+                    drop_conn(&mut conns, idx, &mut poller, &mut tally.errors);
                 }
                 if interval.is_zero() {
                     // Unpaced: one request per live connection per
@@ -426,17 +451,10 @@ pub fn run<A: ToSocketAddrs>(addr: A, config: &LoadgenConfig) -> Result<LoadgenR
             }
             if !dead && (ev.readable || ev.hangup) {
                 let conn = conns[idx].as_mut().expect("live conn");
-                dead = !drain_reads(
-                    conn,
-                    &mut read_buf,
-                    &mut jobs_acked,
-                    &mut errors,
-                    &mut samples_us,
-                    &mut last_ack_at,
-                );
+                dead = !drain_reads(conn, &mut read_buf, &mut tally);
             }
             if dead {
-                drop_conn(&mut conns, idx, &mut poller, &mut errors);
+                drop_conn(&mut conns, idx, &mut poller, &mut tally.errors);
             } else {
                 let conn = conns[idx].as_mut().expect("live conn");
                 let interest = Interest {
@@ -459,6 +477,7 @@ pub fn run<A: ToSocketAddrs>(addr: A, config: &LoadgenConfig) -> Result<LoadgenR
         .flatten()
         .map(|c| c.in_flight.iter().map(|&(_, jobs)| jobs).sum::<u64>())
         .sum();
+    let (jobs_acked, errors, mut samples_us) = (tally.jobs_acked, tally.errors, tally.samples_us);
     samples_us.sort_unstable();
     let pct = |q: f64| -> f64 {
         if samples_us.is_empty() {
@@ -467,7 +486,10 @@ pub fn run<A: ToSocketAddrs>(addr: A, config: &LoadgenConfig) -> Result<LoadgenR
         let pos = (q * (samples_us.len() - 1) as f64).round() as usize;
         samples_us[pos] as f64 / 1000.0
     };
-    let elapsed = last_ack_at.saturating_duration_since(start).as_secs_f64();
+    let elapsed = tally
+        .last_ack_at
+        .saturating_duration_since(start)
+        .as_secs_f64();
     Ok(LoadgenReport {
         connections,
         jobs_sent,
@@ -509,14 +531,7 @@ fn flush_conn(conn: &mut GenConn) -> bool {
 
 /// Read everything available, matching acknowledgements to in-flight
 /// timestamps. `false` means the connection died.
-fn drain_reads(
-    conn: &mut GenConn,
-    read_buf: &mut [u8],
-    jobs_acked: &mut u64,
-    errors: &mut ErrCounts,
-    samples_us: &mut Vec<u64>,
-    last_ack_at: &mut Instant,
-) -> bool {
+fn drain_reads(conn: &mut GenConn, read_buf: &mut [u8], tally: &mut Tally) -> bool {
     loop {
         let n = match conn.stream.read(read_buf) {
             Ok(0) => return false,
@@ -525,139 +540,16 @@ fn drain_reads(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return false,
         };
-        let chunk = &read_buf[..n];
-        match &mut conn.rx {
-            RxState::Line(buf) => {
-                buf.extend_from_slice(chunk);
-                let mut consumed = 0usize;
-                while let Some(nl) = buf[consumed..].iter().position(|&b| b == b'\n') {
-                    let line = &buf[consumed..consumed + nl];
-                    let ok = line.starts_with(b"OK");
-                    let class = classify_line(line);
-                    consumed += nl + 1;
-                    ack_one(
-                        conn_in_flight(&mut conn.in_flight),
-                        ok,
-                        0,
-                        class,
-                        jobs_acked,
-                        errors,
-                        samples_us,
-                        last_ack_at,
-                    );
+        conn.decoder.extend(&read_buf[..n]);
+        loop {
+            match conn.decoder.next_message() {
+                Ok(None) => break,
+                Ok(Some(message)) => {
+                    tally.ack(conn.in_flight.pop_front(), Reply::from_message(&message));
                 }
-                buf.drain(..consumed);
-            }
-            RxState::Binary(dec) => {
-                dec.extend(chunk);
-                loop {
-                    match dec.next_frame() {
-                        Ok(None) => break,
-                        Ok(Some(f)) => match f.opcode {
-                            frame::OP_BATCH_ACK => {
-                                let oks = match frame::decode_batch_ack(&f.payload) {
-                                    Ok(outcomes) => {
-                                        let mut oks = 0u64;
-                                        for o in &outcomes {
-                                            match o {
-                                                frame::BatchOutcome::Ok(_) => oks += 1,
-                                                frame::BatchOutcome::Err(msg) => {
-                                                    errors.count(classify_msg(msg), 1);
-                                                }
-                                            }
-                                        }
-                                        oks
-                                    }
-                                    Err(_) => 0,
-                                };
-                                ack_one(
-                                    conn_in_flight(&mut conn.in_flight),
-                                    true,
-                                    oks,
-                                    ErrClass::Other,
-                                    jobs_acked,
-                                    errors,
-                                    samples_us,
-                                    last_ack_at,
-                                );
-                            }
-                            frame::OP_OK => ack_one(
-                                conn_in_flight(&mut conn.in_flight),
-                                true,
-                                0,
-                                ErrClass::Other,
-                                jobs_acked,
-                                errors,
-                                samples_us,
-                                last_ack_at,
-                            ),
-                            frame::OP_MOVED => ack_one(
-                                conn_in_flight(&mut conn.in_flight),
-                                false,
-                                0,
-                                ErrClass::Moved,
-                                jobs_acked,
-                                errors,
-                                samples_us,
-                                last_ack_at,
-                            ),
-                            frame::OP_ERR => ack_one(
-                                conn_in_flight(&mut conn.in_flight),
-                                false,
-                                0,
-                                classify_msg(&String::from_utf8_lossy(&f.payload)),
-                                jobs_acked,
-                                errors,
-                                samples_us,
-                                last_ack_at,
-                            ),
-                            _ => ack_one(
-                                conn_in_flight(&mut conn.in_flight),
-                                false,
-                                0,
-                                ErrClass::Other,
-                                jobs_acked,
-                                errors,
-                                samples_us,
-                                last_ack_at,
-                            ),
-                        },
-                        Err(_) => return false,
-                    }
-                }
+                Err(_) => return false,
             }
         }
-    }
-}
-
-fn conn_in_flight(q: &mut VecDeque<(Instant, u64)>) -> Option<(Instant, u64)> {
-    q.pop_front()
-}
-
-/// Record one acknowledgement. `ok_override` replaces the job count
-/// from the in-flight entry when nonzero (batch acks carry their own
-/// per-job outcome counts); `class` is the error class when `!ok`.
-#[allow(clippy::too_many_arguments)]
-fn ack_one(
-    entry: Option<(Instant, u64)>,
-    ok: bool,
-    ok_override: u64,
-    class: ErrClass,
-    jobs_acked: &mut u64,
-    errors: &mut ErrCounts,
-    samples_us: &mut Vec<u64>,
-    last_ack_at: &mut Instant,
-) {
-    let Some((sent_at, jobs)) = entry else {
-        return; // unsolicited reply (e.g. server error broadcast)
-    };
-    let now = Instant::now();
-    *last_ack_at = now;
-    samples_us.push(now.duration_since(sent_at).as_micros() as u64);
-    if ok {
-        *jobs_acked += if ok_override > 0 { ok_override } else { jobs };
-    } else {
-        errors.count(class, jobs);
     }
 }
 
@@ -743,6 +635,64 @@ mod tests {
         assert!(report.jobs_acked >= 16);
         assert_eq!(report.jobs_acked, report.jobs_sent);
         handle.shutdown();
+    }
+
+    /// One request of `jobs` jobs in flight, answered by `reply`.
+    fn tally_of(jobs: u64, reply: Result<Reply, String>) -> Tally {
+        let now = Instant::now();
+        let mut tally = Tally {
+            jobs_acked: 0,
+            errors: ErrCounts::default(),
+            samples_us: Vec::new(),
+            last_ack_at: now,
+        };
+        tally.ack(Some((now, jobs)), reply);
+        tally
+    }
+
+    #[test]
+    fn a_batch_ack_counts_per_outcome() {
+        // Every entry rejected: nothing is acknowledged.
+        let refused = Reply::BatchAck(vec![
+            BatchOutcome::Err("queue-full".to_string()),
+            BatchOutcome::Err("moved 1 127.0.0.1:7480".to_string()),
+            BatchOutcome::Err("busy max-connections".to_string()),
+        ]);
+        let t = tally_of(3, Ok(refused));
+        assert_eq!(t.jobs_acked, 0);
+        assert_eq!(
+            (t.errors.total, t.errors.moved, t.errors.busy, t.errors.io),
+            (3, 1, 1, 0)
+        );
+        assert_eq!(t.samples_us.len(), 1, "one latency sample per request");
+        // Mixed: each job is counted once, on the side it fell.
+        let mixed = Reply::BatchAck(vec![
+            BatchOutcome::Ok(7),
+            BatchOutcome::Err("queue-full".to_string()),
+        ]);
+        let t = tally_of(2, Ok(mixed));
+        assert_eq!((t.jobs_acked, t.errors.total), (1, 1));
+        // An ack that did not decode refuses the whole request.
+        let t = tally_of(16, Err("ack entry 3: truncated id".to_string()));
+        assert_eq!((t.jobs_acked, t.errors.total), (0, 16));
+    }
+
+    #[test]
+    fn other_replies_speak_for_the_whole_request() {
+        let t = tally_of(1, Ok(Reply::Ok("17".to_string())));
+        assert_eq!((t.jobs_acked, t.errors.total), (1, 0));
+        let moved = Reply::Moved {
+            shard: 1,
+            addr: "127.0.0.1:7480".to_string(),
+        };
+        let t = tally_of(4, Ok(moved));
+        assert_eq!((t.jobs_acked, t.errors.total, t.errors.moved), (0, 4, 4));
+        let t = tally_of(1, Ok(Reply::Err("busy max-connections".to_string())));
+        assert_eq!((t.errors.total, t.errors.busy), (1, 1));
+        // A reply nobody is waiting for is not counted at all.
+        let mut t = tally_of(1, Ok(Reply::Ok("1".to_string())));
+        t.ack(None, Ok(Reply::Err("late".to_string())));
+        assert_eq!((t.jobs_acked, t.errors.total), (1, 0));
     }
 
     #[test]

@@ -1,123 +1,31 @@
-//! The wire protocol: line-oriented requests and their parser.
-//!
-//! One request per `\n`-terminated line of UTF-8 text (`ADDTOPO` is
-//! followed by a counted block of raw topology-format lines). Responses
-//! start with `OK` or `ERR`; multi-line responses (`RESULT`, `STATS`) end
-//! with a line containing a single `.`. The full grammar is documented in
-//! `docs/protocol.md`; this module keeps parsing separate from socket
-//! handling so it is unit-testable.
+//! What a connection can ask for: [`Request`], its line grammar
+//! ([`parse_request`]), and the [`Assembler`] that turns a connection's
+//! messages — lines or frames — into whole requests.
 
-use commsched_topology::{designed, random_regular, RandomTopologyConfig, Topology};
-use rand::{rngs::StdRng, SeedableRng};
+use super::spec::parse_topo_ref;
+use super::{format_topo_ref, JobSpec, TopoRef};
+use commsched_net::frame::{decode_submit_batch, OP_REQ, OP_SUBMIT_BATCH};
+use commsched_net::Message;
 
-/// How a job names its network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TopoRef {
-    /// A topology previously uploaded with `ADDTOPO`, by fingerprint.
-    Registered(u64),
-    /// The paper's designed 24-switch network (four rings of six).
-    Paper24,
-    /// `ring:<switches>:<hosts_per_switch>`.
-    Ring {
-        /// Switch count.
-        switches: usize,
-        /// Workstations per switch.
-        hosts: usize,
-    },
-    /// `random:<switches>:<degree>:<hosts_per_switch>:<seed>`.
-    Random {
-        /// Switch count.
-        switches: usize,
-        /// Inter-switch degree.
-        degree: usize,
-        /// Workstations per switch.
-        hosts: usize,
-        /// Generator seed.
-        seed: u64,
-    },
-}
-
-/// What a job computes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum JobKind {
-    /// Tabu-search a balanced workload; report partition and quality.
-    Schedule {
-        /// Number of equal applications.
-        clusters: usize,
-        /// Search seed.
-        seed: u64,
-    },
-    /// Schedule, then run the paper's S1..S9 load sweep on the mapping.
-    Sweep {
-        /// Number of equal applications.
-        clusters: usize,
-        /// Search seed.
-        seed: u64,
-        /// Simulation points.
-        points: usize,
-    },
-    /// Do nothing and complete immediately. Exists so load generators
-    /// can exercise the protocol/queue/WAL path without the cost of a
-    /// schedule; `topo=` defaults to `paper24` and is never resolved.
-    Noop,
-}
-
-/// A fully parsed job request.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobSpec {
-    /// The network to work on.
-    pub topo: TopoRef,
-    /// Up*/down* root (the only routing parameter the protocol exposes;
-    /// `shortest` selects shortest-path routing instead).
-    pub routing: crate::cache::RoutingSpec,
-    /// Mapping pipeline: the paper's flat tabu (`strategy=flat`, the
-    /// default) or the coarsen→map→refine pipeline
-    /// (`strategy=multilevel`).
-    pub strategy: commsched_search::MapStrategy,
-    /// Distance-table error budget from `approx-eps=<float>`, stored ×1e6
-    /// (0 = exact solver, the default).
-    pub approx_eps_micros: u32,
-    /// Soft completion deadline in milliseconds from acceptance, from
-    /// `deadline-ms=<u64>`; `None` (the default) means no deadline. The
-    /// service reports attainment, it does not kill late jobs.
-    pub deadline_ms: Option<u64>,
-    /// Aggregate memory demand in bytes, from `mem=<u64>`. Admission
-    /// charges it against the topology's per-switch memory capacities;
-    /// 0 (the default) bypasses capacity accounting entirely.
-    pub mem: u64,
-    /// The computation.
-    pub kind: JobKind,
-}
-
-impl Default for JobSpec {
-    /// The spec `SUBMIT NOOP` parses to: every key at its documented
-    /// default. Construction sites override the fields they care about.
-    fn default() -> Self {
-        Self {
-            topo: TopoRef::Paper24,
-            routing: crate::cache::RoutingSpec::UpDown { root: 0 },
-            strategy: commsched_search::MapStrategy::Flat,
-            approx_eps_micros: 0,
-            deadline_ms: None,
-            mem: 0,
-            kind: JobKind::Noop,
-        }
-    }
-}
-
-/// One parsed request line.
+/// What a connection asked for, in full: every variant carries all it
+/// needs to be answered, however many messages it took to arrive.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Liveness check.
     Ping,
     /// Upload a topology: `ADDTOPO <nlines>` followed by `nlines` raw
-    /// lines of the `commsched_topology::io` text format.
+    /// lines of the `commsched_topology::io` text format (line codec),
+    /// or by the rest of the frame (binary codec).
     AddTopo {
-        /// Number of raw lines that follow.
-        lines: usize,
+        /// The uploaded text, not yet parsed.
+        text: String,
     },
     /// Enqueue a job.
     Submit(JobSpec),
+    /// Enqueue many jobs under one acknowledgement (`OP_SUBMIT_BATCH`):
+    /// per entry the spec that passed [`JobSpec::from_wire`], or why it
+    /// did not.
+    SubmitBatch(Vec<Result<JobSpec, String>>),
     /// Query a job's state.
     Status {
         /// Job id.
@@ -159,245 +67,18 @@ pub enum Request {
     Quit,
 }
 
-/// Most switches a builtin `topo=ring:…|random:…` spelling may ask the
-/// daemon to generate: the largest network this repository measures. An
-/// *uploaded* network is bounded by the frame-payload cap instead.
-pub const MAX_WIRE_SWITCHES: usize = 4096;
-/// Most workstations per switch (and most inter-switch links per switch)
-/// a builtin spelling may ask for.
-pub const MAX_WIRE_FANOUT: usize = 64;
-/// Most simulation points one `SWEEP` may ask for (each is a full run).
-pub const MAX_WIRE_POINTS: usize = 64;
-
-fn within(what: &str, value: usize, max: usize) -> Result<(), String> {
-    if value > max {
-        return Err(format!("limit-exceeded: {what} {value} > {max}"));
-    }
-    Ok(())
-}
-
-impl TopoRef {
-    /// Build the network a builtin spelling names: the one constructor
-    /// site under the daemon's topology resolution and the CLI's local runs.
-    ///
-    /// # Errors
-    /// The shape is infeasible, or `self` is a fingerprint (that names a
-    /// daemon's registry entry, not a constructor).
-    pub fn build(&self) -> Result<Topology, String> {
-        match *self {
-            TopoRef::Registered(fp) => Err(format!("unknown-topology {}", format_fingerprint(fp))),
-            TopoRef::Paper24 => Ok(designed::paper_24_switch()),
-            TopoRef::Ring { switches, hosts } => {
-                designed::try_ring(switches, hosts).map_err(|e| e.to_string())
-            }
-            TopoRef::Random {
-                switches,
-                degree,
-                hosts,
-                seed,
-            } => {
-                let cfg = RandomTopologyConfig {
-                    degree,
-                    hosts_per_switch: hosts,
-                    ..RandomTopologyConfig::paper(switches)
-                };
-                random_regular(cfg, &mut StdRng::seed_from_u64(seed)).map_err(|e| e.to_string())
-            }
+impl Request {
+    /// The topology key that decides which shard of a cluster serves
+    /// this request; `None` for node-local requests (job ids are
+    /// shard-local, so clients query the shard that acked). An upload's
+    /// key exists only once its text is parsed and a batch has one per
+    /// entry: the dispatcher routes those itself.
+    pub fn routed_by(&self) -> Option<TopoRef> {
+        match self {
+            Request::Submit(spec) => Some(spec.topo),
+            Request::Fault { topo, .. } => Some(*topo),
+            _ => None,
         }
-    }
-
-    /// Refuse a builtin spelling whose generated network a client sized
-    /// freely (`ring:10^9:1` would allocate the network, then an N² table,
-    /// inside a worker). Applied where requests enter from the wire, not
-    /// in [`parse_job_spec`]: a record an older daemon logged must still
-    /// recover.
-    ///
-    /// # Errors
-    /// `limit-exceeded: <what> <value> > <max>`.
-    pub fn check_wire_limits(&self) -> Result<(), String> {
-        let (switches, degree, hosts) = match *self {
-            TopoRef::Registered(_) | TopoRef::Paper24 => return Ok(()),
-            TopoRef::Ring { switches, hosts } => (switches, 2, hosts),
-            TopoRef::Random {
-                switches,
-                degree,
-                hosts,
-                ..
-            } => (switches, degree, hosts),
-        };
-        within("switches", switches, MAX_WIRE_SWITCHES)?;
-        within("degree", degree, MAX_WIRE_FANOUT)?;
-        within("hosts", hosts, MAX_WIRE_FANOUT)
-    }
-}
-
-impl JobSpec {
-    /// [`TopoRef::check_wire_limits`] plus the `points=` cap of a sweep.
-    ///
-    /// # Errors
-    /// `limit-exceeded: <what> <value> > <max>`.
-    pub fn check_wire_limits(&self) -> Result<(), String> {
-        self.topo.check_wire_limits()?;
-        match self.kind {
-            JobKind::Sweep { points, .. } => within("points", points, MAX_WIRE_POINTS),
-            JobKind::Schedule { .. } | JobKind::Noop => Ok(()),
-        }
-    }
-}
-
-/// Render a fingerprint the way the protocol spells it (16 hex digits).
-pub fn format_fingerprint(fp: u64) -> String {
-    format!("{fp:016x}")
-}
-
-/// Parse a protocol-spelled fingerprint.
-pub fn parse_fingerprint(s: &str) -> Option<u64> {
-    (s.len() == 16)
-        .then(|| u64::from_str_radix(s, 16).ok())
-        .flatten()
-}
-
-/// Render a cluster redirect reply line: `MOVED <shard> <addr>`.
-pub fn format_moved(shard: u32, addr: &str) -> String {
-    format!("MOVED {shard} {addr}")
-}
-
-/// Parse the payload of a `MOVED` reply (the words after the `MOVED`
-/// keyword, or a whole `MOVED <shard> <addr>` line). Returns the owning
-/// shard and the address to retry against.
-pub fn parse_moved(text: &str) -> Option<(u32, String)> {
-    let rest = text.strip_prefix("MOVED").unwrap_or(text);
-    let mut words = rest.split_whitespace();
-    let shard = words.next()?.parse().ok()?;
-    let addr = words.next()?.to_string();
-    words.next().is_none().then_some((shard, addr))
-}
-
-fn parse_topo_ref(value: &str) -> Result<TopoRef, String> {
-    let mut parts = value.split(':');
-    let head = parts.next().unwrap_or_default();
-    let rest: Vec<&str> = parts.collect();
-    let num = |s: &str, what: &str| -> Result<usize, String> {
-        s.parse()
-            .map_err(|_| format!("bad {what} in topo '{value}'"))
-    };
-    match (head, rest.as_slice()) {
-        ("paper24", []) => Ok(TopoRef::Paper24),
-        ("fp", [hex]) => parse_fingerprint(hex)
-            .map(TopoRef::Registered)
-            .ok_or_else(|| format!("bad fingerprint '{hex}'")),
-        ("ring", [s, h]) => Ok(TopoRef::Ring {
-            switches: num(s, "switches")?,
-            hosts: num(h, "hosts")?,
-        }),
-        ("random", [s, d, h, seed]) => Ok(TopoRef::Random {
-            switches: num(s, "switches")?,
-            degree: num(d, "degree")?,
-            hosts: num(h, "hosts")?,
-            seed: seed
-                .parse()
-                .map_err(|_| format!("bad seed in topo '{value}'"))?,
-        }),
-        _ => Err(format!("unknown topo '{value}'")),
-    }
-}
-
-fn parse_approx_eps(value: &str) -> Result<u32, String> {
-    let eps: f64 = value
-        .parse()
-        .map_err(|_| format!("bad approx-eps '{value}'"))?;
-    if !eps.is_finite() || eps < 0.0 {
-        return Err(format!("bad approx-eps '{value}'"));
-    }
-    Ok(commsched_distance::eps_to_micros(eps))
-}
-
-fn format_approx_eps(micros: u32) -> String {
-    // micros/1e6 is exact in f64 and Rust prints the shortest digits
-    // that round-trip, so parse(format(x)) == x.
-    format!("{}", f64::from(micros) / 1e6)
-}
-
-fn parse_submit(words: &[&str]) -> Result<JobSpec, String> {
-    let Some((&kind_word, kv)) = words.split_first() else {
-        return Err("SUBMIT needs a job type".into());
-    };
-    let mut topo = None;
-    let mut routing = crate::cache::RoutingSpec::UpDown { root: 0 };
-    let mut strategy = commsched_search::MapStrategy::Flat;
-    let mut approx_eps_micros = 0u32;
-    let mut clusters = 4usize;
-    let mut seed = 42u64;
-    let mut points = 9usize;
-    let mut deadline_ms: Option<u64> = None;
-    let mut mem = 0u64;
-    for &word in kv {
-        let Some((key, value)) = word.split_once('=') else {
-            return Err(format!("expected key=value, got '{word}'"));
-        };
-        match key {
-            "topo" => topo = Some(parse_topo_ref(value)?),
-            "routing" => routing = value.parse()?,
-            "strategy" => strategy = value.parse()?,
-            "approx-eps" => approx_eps_micros = parse_approx_eps(value)?,
-            "clusters" => {
-                clusters = value
-                    .parse()
-                    .map_err(|_| format!("bad clusters '{value}'"))?;
-            }
-            "seed" => seed = value.parse().map_err(|_| format!("bad seed '{value}'"))?,
-            "points" => points = value.parse().map_err(|_| format!("bad points '{value}'"))?,
-            "deadline-ms" => {
-                deadline_ms = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad deadline-ms '{value}'"))?,
-                );
-            }
-            "mem" => mem = value.parse().map_err(|_| format!("bad mem '{value}'"))?,
-            other => return Err(format!("unknown key '{other}'")),
-        }
-    }
-    let kind = match kind_word {
-        "SCHEDULE" => JobKind::Schedule { clusters, seed },
-        "SWEEP" => JobKind::Sweep {
-            clusters,
-            seed,
-            points,
-        },
-        "NOOP" => JobKind::Noop,
-        other => return Err(format!("unknown job type '{other}'")),
-    };
-    // NOOP never touches its topology, so the reference may be omitted.
-    let topo = match (topo, &kind) {
-        (Some(t), _) => t,
-        (None, JobKind::Noop) => TopoRef::Paper24,
-        (None, _) => return Err("SUBMIT needs topo=...".into()),
-    };
-    Ok(JobSpec {
-        topo,
-        routing,
-        strategy,
-        approx_eps_micros,
-        deadline_ms,
-        mem,
-        kind,
-    })
-}
-
-/// Render a [`TopoRef`] the way `SUBMIT`'s `topo=` argument spells it
-/// ([`parse_job_spec`] round-trips it).
-pub fn format_topo_ref(topo: &TopoRef) -> String {
-    match topo {
-        TopoRef::Registered(fp) => format!("fp:{}", format_fingerprint(*fp)),
-        TopoRef::Paper24 => "paper24".to_string(),
-        TopoRef::Ring { switches, hosts } => format!("ring:{switches}:{hosts}"),
-        TopoRef::Random {
-            switches,
-            degree,
-            hosts,
-            seed,
-        } => format!("random:{switches}:{degree}:{hosts}:{seed}"),
     }
 }
 
@@ -405,51 +86,6 @@ pub fn format_topo_ref(topo: &TopoRef) -> String {
 /// event word (`kill=a:b`, `restore=a:b[:slowdown]` or `switch=s`).
 pub fn format_fault(topo: &TopoRef, event: &str) -> String {
     format!("topo={} {event}", format_topo_ref(topo))
-}
-
-/// Render a [`JobSpec`] as the argument words of a `SUBMIT` request,
-/// every parameter spelled explicitly. The WAL persists jobs in this
-/// spelling, so a state directory stays readable with the protocol
-/// docs in hand.
-pub fn format_job_spec(spec: &JobSpec) -> String {
-    let topo = format_topo_ref(&spec.topo);
-    let routing = spec.routing;
-    let strategy = spec.strategy;
-    let eps = format_approx_eps(spec.approx_eps_micros);
-    let mut out = match spec.kind {
-        JobKind::Schedule { clusters, seed } => format!(
-            "SCHEDULE topo={topo} routing={routing} strategy={strategy} approx-eps={eps} \
-             clusters={clusters} seed={seed}"
-        ),
-        JobKind::Sweep {
-            clusters,
-            seed,
-            points,
-        } => format!(
-            "SWEEP topo={topo} routing={routing} strategy={strategy} approx-eps={eps} \
-             clusters={clusters} seed={seed} points={points}"
-        ),
-        JobKind::Noop => format!("NOOP topo={topo} routing={routing}"),
-    };
-    // Spelled only when set so existing WAL records and tooling that
-    // compare spellings byte-for-byte keep their pre-deadline shape.
-    if let Some(ms) = spec.deadline_ms {
-        out.push_str(&format!(" deadline-ms={ms}"));
-    }
-    if spec.mem != 0 {
-        out.push_str(&format!(" mem={}", spec.mem));
-    }
-    out
-}
-
-/// Parse the argument words of a `SUBMIT` request (the job-spec half of
-/// the line, without the `SUBMIT` verb). Inverse of [`format_job_spec`].
-///
-/// # Errors
-/// Returns a human-readable message on malformed input.
-pub fn parse_job_spec(text: &str) -> Result<JobSpec, String> {
-    let words: Vec<&str> = text.split_whitespace().collect();
-    parse_submit(&words)
 }
 
 /// Parse the `<a>:<b>[:<slowdown>]` endpoint syntax of FAULT events.
@@ -515,39 +151,153 @@ fn parse_fault(words: &[&str]) -> Result<Request, String> {
     })
 }
 
-/// Parse one request line.
+/// What a request's first line amounts to.
+#[derive(Debug, Clone, PartialEq)]
+enum Head {
+    /// The whole request.
+    Whole(Request),
+    /// `ADDTOPO <lines>`: the body is still to come.
+    Upload { lines: usize },
+}
+
+fn parse_head(line: &str) -> Result<Head, String> {
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let job_id =
+        |s: &str| -> Result<u64, String> { s.parse().map_err(|_| format!("bad job id '{s}'")) };
+    let request = match words.as_slice() {
+        [] => return Err("empty request".into()),
+        ["ADDTOPO", n] => {
+            return n
+                .parse()
+                .map(|lines| Head::Upload { lines })
+                .map_err(|_| format!("bad line count '{n}'"))
+        }
+        ["PING"] => Request::Ping,
+        ["SUBMIT", rest @ ..] => Request::Submit(JobSpec::from_wire(rest)?),
+        ["FAULT", rest @ ..] => parse_fault(rest)?,
+        ["STATUS", id] => Request::Status { job: job_id(id)? },
+        ["RESULT", id] => Request::Result { job: job_id(id)? },
+        ["CANCEL", id] => Request::Cancel { job: job_id(id)? },
+        ["CAPS"] => Request::Caps,
+        ["CLUSTER"] => Request::Cluster,
+        ["STATS"] => Request::Stats,
+        ["METRICS"] => Request::Metrics,
+        ["SNAPSHOT"] => Request::Snapshot,
+        ["SHUTDOWN"] => Request::Shutdown,
+        ["QUIT"] => Request::Quit,
+        [verb, ..] => return Err(format!("unknown request '{verb}'")),
+    };
+    Ok(Head::Whole(request))
+}
+
+/// Parse one whole request text: a request line, and for `ADDTOPO` the
+/// topology text behind it (`\n`-separated; the announced line count is
+/// advisory here, the text's end delimits it). This is what an `OP_REQ`
+/// frame carries; a line-codec connection, whose uploads span messages,
+/// goes through an [`Assembler`].
 ///
 /// # Errors
 /// Returns a human-readable message (sent back as `ERR ...`) on
 /// malformed input.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let words: Vec<&str> = line.split_whitespace().collect();
-    let job_id =
-        |s: &str| -> Result<u64, String> { s.parse().map_err(|_| format!("bad job id '{s}'")) };
-    match words.as_slice() {
-        [] => Err("empty request".into()),
-        ["PING"] => Ok(Request::Ping),
-        ["ADDTOPO", n] => n
-            .parse()
-            .map(|lines| Request::AddTopo { lines })
-            .map_err(|_| format!("bad line count '{n}'")),
-        ["SUBMIT", rest @ ..] => {
-            let spec = parse_submit(rest)?;
-            spec.check_wire_limits()?;
-            Ok(Request::Submit(spec))
+pub fn parse_request(text: &str) -> Result<Request, String> {
+    let (head, body) = text.split_once('\n').unwrap_or((text, ""));
+    Ok(match parse_head(head)? {
+        Head::Whole(request) => request,
+        Head::Upload { .. } => Request::AddTopo {
+            text: body.to_string(),
+        },
+    })
+}
+
+/// What [`Assembler::feed`] made of one message.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Fed {
+    /// Part of an upload; nothing to answer yet.
+    More,
+    /// A complete request.
+    Request(Request),
+    /// Not a request: the reason, to be answered `ERR <reason>`. The
+    /// connection stays usable.
+    Refused(String),
+    /// An upload outgrew its byte cap. What follows on the stream can no
+    /// longer be told apart from requests: answer and close.
+    Overflow,
+}
+
+/// In-flight line-codec `ADDTOPO`: the head line announced `remaining`
+/// raw topology lines still to come.
+#[derive(Debug)]
+struct Upload {
+    remaining: usize,
+    text: String,
+}
+
+/// Per-connection assembly of messages into [`Request`]s. The only
+/// state a connection has between messages is a line-codec upload in
+/// progress and the bytes it has accumulated.
+#[derive(Debug, Default)]
+pub struct Assembler {
+    upload: Option<Upload>,
+}
+
+impl Assembler {
+    /// Take the connection's next message. `max_upload` caps the text one
+    /// line-codec upload may accumulate (a frame is capped by the
+    /// decoder): the announced line count is the client's word, and
+    /// without a byte cap it would let one connection grow the daemon's
+    /// memory without bound.
+    pub fn feed(&mut self, message: Message, max_upload: usize) -> Fed {
+        let parsed = match message {
+            Message::Line(line) => match self.upload.take() {
+                Some(upload) => return self.feed_upload(upload, &line, max_upload),
+                None => match parse_head(&line) {
+                    Ok(Head::Upload { lines }) if lines > 0 => {
+                        self.upload = Some(Upload {
+                            remaining: lines,
+                            text: String::new(),
+                        });
+                        return Fed::More;
+                    }
+                    Ok(Head::Upload { .. }) => Ok(Request::AddTopo {
+                        text: String::new(),
+                    }),
+                    Ok(Head::Whole(request)) => Ok(request),
+                    Err(e) => Err(e),
+                },
+            },
+            Message::Frame(frame) => match frame.opcode {
+                OP_REQ => parse_request(&String::from_utf8_lossy(&frame.payload)),
+                OP_SUBMIT_BATCH => decode_submit_batch(&frame.payload)
+                    .map(|specs| {
+                        let entries = specs
+                            .iter()
+                            .map(|s| JobSpec::from_wire(&s.split_whitespace().collect::<Vec<_>>()));
+                        Request::SubmitBatch(entries.collect())
+                    })
+                    .map_err(|e| format!("bad-batch {e}")),
+                other => Err(format!("unknown-opcode {other:#04x}")),
+            },
+        };
+        match parsed {
+            Ok(request) => Fed::Request(request),
+            Err(reason) => Fed::Refused(reason),
         }
-        ["FAULT", rest @ ..] => parse_fault(rest),
-        ["STATUS", id] => Ok(Request::Status { job: job_id(id)? }),
-        ["RESULT", id] => Ok(Request::Result { job: job_id(id)? }),
-        ["CANCEL", id] => Ok(Request::Cancel { job: job_id(id)? }),
-        ["CAPS"] => Ok(Request::Caps),
-        ["CLUSTER"] => Ok(Request::Cluster),
-        ["STATS"] => Ok(Request::Stats),
-        ["METRICS"] => Ok(Request::Metrics),
-        ["SNAPSHOT"] => Ok(Request::Snapshot),
-        ["SHUTDOWN"] => Ok(Request::Shutdown),
-        ["QUIT"] => Ok(Request::Quit),
-        [verb, ..] => Err(format!("unknown request '{verb}'")),
+    }
+
+    /// A line while an upload is in progress: raw topology text, not a
+    /// request.
+    fn feed_upload(&mut self, mut upload: Upload, line: &str, max_upload: usize) -> Fed {
+        if upload.text.len() + line.len() + 1 > max_upload {
+            return Fed::Overflow;
+        }
+        upload.text.push_str(line);
+        upload.text.push('\n');
+        upload.remaining -= 1;
+        if upload.remaining == 0 {
+            return Fed::Request(Request::AddTopo { text: upload.text });
+        }
+        self.upload = Some(upload);
+        Fed::More
     }
 }
 
@@ -555,6 +305,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 mod tests {
     use super::*;
     use crate::cache::RoutingSpec;
+    use crate::protocol::*;
     use commsched_search::MapStrategy;
 
     #[test]
@@ -567,9 +318,20 @@ mod tests {
         assert_eq!(parse_request("STATUS 17"), Ok(Request::Status { job: 17 }));
         assert_eq!(parse_request("RESULT 3"), Ok(Request::Result { job: 3 }));
         assert_eq!(parse_request("CANCEL 8"), Ok(Request::Cancel { job: 8 }));
+        // The announced count matters to a line-codec upload only; a
+        // whole request text carries its body behind the head line.
+        assert_eq!(parse_head("ADDTOPO 12"), Ok(Head::Upload { lines: 12 }));
         assert_eq!(
             parse_request("ADDTOPO 12"),
-            Ok(Request::AddTopo { lines: 12 })
+            Ok(Request::AddTopo {
+                text: String::new()
+            })
+        );
+        assert_eq!(
+            parse_request("ADDTOPO 2\nswitches 4\nlink 0 1"),
+            Ok(Request::AddTopo {
+                text: "switches 4\nlink 0 1".to_string()
+            })
         );
     }
 

@@ -1,18 +1,19 @@
 //! The TCP front end: a single event-loop thread multiplexing every
-//! connection (see `commsched_net`), replacing the original
-//! thread-per-connection design.
+//! connection (see `commsched_net`), and the one request path behind it.
 //!
-//! The loop speaks both wire protocols: the newline-delimited text
-//! protocol (unchanged — existing clients work unmodified) and the
-//! length-prefixed binary framing for pipelined and batched submits.
-//! Protocol dispatch is shared between the two: a binary `OP_REQ`
-//! frame carries exactly one line-protocol request (with `ADDTOPO`
-//! payload lines inline after the first line), and its reply frame
-//! carries the same text the line protocol would have produced.
+//! The loop speaks both wire codecs — newline-delimited text and
+//! length-prefixed binary frames for pipelined and batched submits — and
+//! a request takes the same four steps whichever carried it: the loop's
+//! `Decoder` makes messages of bytes, the connection's
+//! [`Assembler`] makes a [`Request`] of messages (an `OP_REQ` frame
+//! carries one whole request text, a line-codec upload spans lines),
+//! `ServiceHandler::apply` answers it with a [`Reply`], and
+//! [`Reply::encode`] spells that in the codec the request arrived in.
 
 use crate::jobs::{ServiceCore, ServiceCoreConfig};
-use crate::protocol::{self, Request};
-use commsched_net::{frame, Action, Handler, NetConfig};
+use crate::protocol::{self, Assembler, Fed, JobSpec, Reply, Request, TopoRef};
+use commsched_net::frame::{self, BatchOutcome};
+use commsched_net::{Action, Handler, Message, NetConfig};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,14 +37,12 @@ pub enum RouteDecision {
 /// has none of this (every decision is [`RouteDecision::Local`]); a
 /// cluster node installs hooks that consult its hash ring.
 pub trait ClusterHooks: Send + Sync {
-    /// Route one parsed request by the topology key it names. Requests
-    /// without a routable key (PING, STATS, STATUS, ...) are `Local` —
-    /// job ids are shard-local, so clients query the shard that acked.
-    fn route(&self, request: &Request) -> RouteDecision;
-
-    /// Route an uploaded topology by its fingerprint (the `ADDTOPO`
-    /// path, where the key only exists after parsing the upload).
-    fn route_fingerprint(&self, fp: u64) -> RouteDecision;
+    /// Which node serves the topology key a request names: the key of
+    /// [`Request::routed_by`], an upload's `Registered(fingerprint)` once
+    /// its text is parsed, a batch's keys entry by entry. Requests
+    /// without a key (PING, STATS, STATUS, ...) are never routed — job
+    /// ids are shard-local, so clients query the shard that acked.
+    fn route(&self, topo: TopoRef) -> RouteDecision;
 
     /// Body lines of the `CLUSTER` response: node id, role, and the
     /// member table.
@@ -196,20 +195,9 @@ impl ServerHandle {
     }
 }
 
-/// In-flight `ADDTOPO` upload: the request line announced `remaining`
-/// raw topology lines still to come on this connection.
-struct TopoUpload {
-    remaining: usize,
-    text: String,
-}
-
-/// Per-connection protocol state for the event loop.
-pub struct ConnState {
-    upload: Option<TopoUpload>,
-}
-
-/// The service's [`Handler`]: maps decoded lines/frames to replies by
-/// calling into the shared [`ServiceCore`].
+/// The service's [`Handler`]: a connection's messages are assembled into
+/// [`Request`]s, each is applied to the shared [`ServiceCore`], and the
+/// [`Reply`] is encoded in the codec the request arrived in.
 struct ServiceHandler {
     core: Arc<ServiceCore>,
     stop: Arc<AtomicBool>,
@@ -220,46 +208,40 @@ struct ServiceHandler {
 }
 
 impl ServiceHandler {
-    /// Register an uploaded topology, producing the reply line. On a
-    /// cluster node the upload is routed by its fingerprint first:
-    /// uploads belong to the owning shard, so any node accepts the
-    /// bytes but only the owner registers them.
-    fn finish_topo(&self, text: &str) -> String {
-        match commsched_topology::from_text(text) {
-            Ok(topo) => {
-                if let Some(hooks) = &self.hooks {
-                    if let RouteDecision::Moved { shard, addr } =
-                        hooks.route_fingerprint(topo.fingerprint())
-                    {
-                        return protocol::format_moved(shard, &addr);
-                    }
-                }
-                let (fp, _) = self.core.register_topology(topo);
-                format!("OK {}", protocol::format_fingerprint(fp))
-            }
-            Err(e) => format!("ERR {e}"),
+    /// The redirect for a key another shard owns; `None` when this node
+    /// serves it (always, on a standalone daemon).
+    fn moved(&self, topo: TopoRef) -> Option<(u32, String)> {
+        match self.hooks.as_ref()?.route(topo) {
+            RouteDecision::Local => None,
+            RouteDecision::Moved { shard, addr } => Some((shard, addr)),
         }
     }
 
-    /// Execute one parsed request (everything except `ADDTOPO` and
-    /// `QUIT`, which the callers handle because they interact with the
-    /// connection itself). Returns the reply lines and the connection
-    /// action.
-    fn apply(&self, request: Request) -> (Vec<String>, Action) {
+    /// Answer one request: the reply (none for `QUIT`) and what becomes
+    /// of the connection.
+    fn apply(&self, request: Request) -> (Option<Reply>, Action) {
         let core = &self.core;
-        let reply = |s: String| (vec![s], Action::Continue);
         // Cluster routing first: a request whose topology key another
         // shard owns is answered `MOVED <shard> <addr>` without
         // touching this core at all.
-        if let Some(hooks) = &self.hooks {
-            if let RouteDecision::Moved { shard, addr } = hooks.route(&request) {
-                return reply(protocol::format_moved(shard, &addr));
-            }
+        if let Some((shard, addr)) = request.routed_by().and_then(|topo| self.moved(topo)) {
+            return (Some(Reply::Moved { shard, addr }), Action::Continue);
         }
-        match request {
-            Request::Ping => reply("OK pong".to_string()),
-            Request::Caps => reply(format!(
-                "OK caps proto=line+binary version={} batch-submit=1 pipeline=1{}",
+        let ok = |result: Result<String, String>| match result {
+            Ok(text) => Reply::Ok(text),
+            Err(reason) => Reply::Err(reason),
+        };
+        let block = |head: &str, lines: Result<Vec<String>, String>| match lines {
+            Ok(lines) => Reply::Block {
+                head: head.to_string(),
+                lines,
+            },
+            Err(reason) => Reply::Err(reason),
+        };
+        let reply = match request {
+            Request::Ping => Reply::Ok("pong".to_string()),
+            Request::Caps => Reply::Ok(format!(
+                "caps proto=line+binary version={} batch-submit=1 pipeline=1{}",
                 frame::PROTO_VERSION,
                 if self.hooks.is_some() {
                     " cluster=1"
@@ -268,46 +250,45 @@ impl ServiceHandler {
                 }
             )),
             Request::Cluster => match &self.hooks {
-                Some(hooks) => (block("OK cluster", hooks.cluster_lines()), Action::Continue),
-                None => reply("OK standalone".to_string()),
+                Some(hooks) => block("cluster", Ok(hooks.cluster_lines())),
+                None => Reply::Ok("standalone".to_string()),
             },
-            Request::Submit(spec) => match core.submit(spec) {
-                Ok(id) => reply(format!("OK {id}")),
-                Err(e) => reply(format!("ERR {e}")),
+            // Uploads belong to the owning shard: any node accepts the
+            // bytes, but the key exists only once they are parsed, and
+            // only the owner registers them.
+            Request::AddTopo { text } => match commsched_topology::from_text(&text) {
+                Ok(topo) => match self.moved(TopoRef::Registered(topo.fingerprint())) {
+                    Some((shard, addr)) => Reply::Moved { shard, addr },
+                    None => Reply::Ok(protocol::format_fingerprint(core.register_topology(topo).0)),
+                },
+                Err(e) => Reply::Err(e.to_string()),
             },
-            Request::Status { job } => match core.status(job) {
-                Some(state) => reply(format!("OK {state}")),
-                None => reply("ERR unknown-job".to_string()),
-            },
-            Request::Result { job } => match core.result_lines(job) {
-                Ok(lines) => (block("OK result", lines), Action::Continue),
-                Err(e) => reply(format!("ERR {e}")),
-            },
-            Request::Cancel { job } => match core.cancel(job) {
-                Ok(()) => reply("OK cancelled".to_string()),
-                Err(e) => reply(format!("ERR {e}")),
-            },
-            Request::Fault { topo, event } => match core.fault(topo, &event) {
-                Ok(lines) => (block("OK fault", lines), Action::Continue),
-                Err(e) => reply(format!("ERR {e}")),
-            },
+            Request::Submit(spec) => ok(core
+                .submit(spec)
+                .map(|id| id.to_string())
+                .map_err(|e| e.to_string())),
+            Request::SubmitBatch(entries) => Reply::BatchAck(self.submit_batch(entries)),
+            Request::Status { job } => ok(core
+                .status(job)
+                .map(|state| state.to_string())
+                .ok_or_else(|| "unknown-job".to_string())),
+            Request::Result { job } => block("result", core.result_lines(job)),
+            Request::Cancel { job } => ok(core.cancel(job).map(|()| "cancelled".to_string())),
+            Request::Fault { topo, event } => block("fault", core.fault(topo, &event)),
             Request::Stats => {
                 let mut lines = core.stats_lines();
                 if let Some(hooks) = &self.hooks {
                     lines.extend(hooks.stats_lines());
                 }
-                (block("OK stats", lines), Action::Continue)
+                block("stats", Ok(lines))
             }
-            Request::Snapshot => match core.snapshot_now() {
-                Ok(bytes) => reply(format!("OK snapshot {bytes}")),
-                Err(e) => reply(format!("ERR {e}")),
-            },
-            Request::Metrics => (
-                block(
-                    "OK metrics",
-                    core.metrics_text().lines().map(str::to_string).collect(),
-                ),
-                Action::Continue,
+            Request::Snapshot => ok(core
+                .snapshot_now()
+                .map(|bytes| format!("snapshot {bytes}"))
+                .map_err(|e| e.to_string())),
+            Request::Metrics => block(
+                "metrics",
+                Ok(core.metrics_text().lines().map(str::to_string).collect()),
             ),
             Request::Shutdown => {
                 // Drain first so the acknowledgement means "all accepted
@@ -315,202 +296,65 @@ impl ServiceHandler {
                 // still flushes every queued reply before closing).
                 core.drain();
                 self.stop.store(true, Ordering::SeqCst);
-                (
-                    vec![format!("OK drained {}", core.stats.completed())],
-                    Action::Shutdown,
-                )
+                let farewell = Reply::Ok(format!("drained {}", core.stats.completed()));
+                return (Some(farewell), Action::Shutdown);
             }
-            Request::AddTopo { .. } | Request::Quit => {
-                unreachable!("handled by the connection callbacks")
-            }
-        }
+            Request::Quit => return (None, Action::Close),
+        };
+        (Some(reply), Action::Continue)
     }
 
-    /// Run one line-protocol request to completion, producing reply
-    /// lines. Used for binary `OP_REQ` frames, which carry `ADDTOPO`
-    /// payload lines inline after the first line.
-    fn run_text_request(&self, text: &str) -> (Vec<String>, Action) {
-        let mut lines = text.split('\n');
-        let first = lines.next().unwrap_or_default();
-        match protocol::parse_request(first) {
-            Err(e) => (vec![format!("ERR {e}")], Action::Continue),
-            Ok(Request::Quit) => (Vec::new(), Action::Close),
-            Ok(Request::AddTopo { lines: _ }) => {
-                // Frame-delimited: the rest of the payload is the
-                // topology text (the declared count is advisory here).
-                let rest: Vec<&str> = lines.collect();
-                (vec![self.finish_topo(&rest.join("\n"))], Action::Continue)
-            }
-            Ok(req) => self.apply(req),
-        }
+    /// Admit a batch: entries that did not parse keep their reason, an
+    /// entry whose key another shard owns is answered with its redirect
+    /// and never enqueued, and the rest reach the core's
+    /// single-WAL-section batch path together.
+    fn submit_batch(&self, entries: Vec<Result<JobSpec, String>>) -> Vec<BatchOutcome> {
+        let entries: Vec<Result<JobSpec, String>> = entries
+            .into_iter()
+            .map(|entry| {
+                let spec = entry?;
+                match self.moved(spec.topo) {
+                    Some((shard, addr)) => Err(protocol::format_moved_entry(shard, &addr)),
+                    None => Ok(spec),
+                }
+            })
+            .collect();
+        let valid: Vec<JobSpec> = entries.iter().flatten().copied().collect();
+        let mut submitted = self.core.submit_batch(&valid).into_iter();
+        entries
+            .into_iter()
+            .map(|entry| match entry {
+                Err(reason) => BatchOutcome::Err(reason),
+                Ok(_) => match submitted.next().expect("one result per valid spec") {
+                    Ok(id) => BatchOutcome::Ok(id),
+                    Err(e) => BatchOutcome::Err(e.to_string()),
+                },
+            })
+            .collect()
     }
-}
-
-/// `head`, then the payload lines, then the `.` terminator.
-fn block(head: &str, lines: Vec<String>) -> Vec<String> {
-    let mut out = Vec::with_capacity(lines.len() + 2);
-    out.push(head.to_string());
-    out.extend(lines);
-    out.push(".".to_string());
-    out
-}
-
-/// Append reply lines to a line-mode connection's output.
-fn queue_lines(out: &mut Vec<u8>, lines: &[String]) {
-    for l in lines {
-        out.extend_from_slice(l.as_bytes());
-        out.push(b'\n');
-    }
-}
-
-/// Encode reply lines as one binary frame: `OP_ERR` when the reply
-/// opens with `ERR`, `OP_MOVED` for a cluster redirect (payload is the
-/// `<shard> <addr>` tail), `OP_OK` otherwise; the payload is the reply
-/// text joined with `\n` (no trailing newline).
-fn queue_frame(out: &mut Vec<u8>, lines: &[String]) {
-    if lines.is_empty() {
-        return;
-    }
-    if let Some(rest) = lines[0].strip_prefix("MOVED ") {
-        frame::encode_frame_into(out, frame::OP_MOVED, rest.as_bytes());
-        return;
-    }
-    let opcode = if lines[0].starts_with("ERR") {
-        frame::OP_ERR
-    } else {
-        frame::OP_OK
-    };
-    frame::encode_frame_into(out, opcode, lines.join("\n").as_bytes());
 }
 
 impl Handler for ServiceHandler {
-    type Conn = ConnState;
+    type Conn = Assembler;
 
-    fn on_open(&mut self, _token: usize) -> ConnState {
-        ConnState { upload: None }
+    fn on_open(&mut self, _token: usize) -> Assembler {
+        Assembler::default()
     }
 
-    fn on_line(&mut self, conn: &mut ConnState, line: &str, out: &mut Vec<u8>) -> Action {
-        // Mid-upload lines are raw topology text, not requests.
-        if let Some(upload) = &mut conn.upload {
-            // The announced line count is the client's word; without a
-            // byte cap it would let one connection grow the daemon's
-            // memory without bound.
-            if upload.text.len() + line.len() + 1 > self.max_upload_bytes {
-                conn.upload = None;
-                queue_lines(out, &["ERR topology-too-large".to_string()]);
-                return Action::Close;
-            }
-            upload.text.push_str(line);
-            upload.text.push('\n');
-            upload.remaining -= 1;
-            if upload.remaining == 0 {
-                let upload = conn.upload.take().expect("upload in progress");
-                queue_lines(out, &[self.finish_topo(&upload.text)]);
-            }
-            return Action::Continue;
+    fn on_message(&mut self, conn: &mut Assembler, message: Message, out: &mut Vec<u8>) -> Action {
+        let binary = matches!(message, Message::Frame(_));
+        let (reply, action) = match conn.feed(message, self.max_upload_bytes) {
+            Fed::More => return Action::Continue,
+            Fed::Request(request) => self.apply(request),
+            Fed::Refused(reason) => (Some(Reply::Err(reason)), Action::Continue),
+            Fed::Overflow => (
+                Some(Reply::Err("topology-too-large".to_string())),
+                Action::Close,
+            ),
+        };
+        if let Some(reply) = reply {
+            reply.encode(binary, out);
         }
-        match protocol::parse_request(line) {
-            Err(e) => {
-                queue_lines(out, &[format!("ERR {e}")]);
-                Action::Continue
-            }
-            Ok(Request::Quit) => Action::Close,
-            Ok(Request::AddTopo { lines }) => {
-                if lines == 0 {
-                    queue_lines(out, &[self.finish_topo("")]);
-                } else {
-                    conn.upload = Some(TopoUpload {
-                        remaining: lines,
-                        text: String::new(),
-                    });
-                }
-                Action::Continue
-            }
-            Ok(req) => {
-                let (reply, action) = self.apply(req);
-                queue_lines(out, &reply);
-                action
-            }
-        }
-    }
-
-    fn on_frame(
-        &mut self,
-        conn: &mut ConnState,
-        opcode: u8,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Action {
-        match opcode {
-            frame::OP_REQ => {
-                let _ = conn;
-                let text = String::from_utf8_lossy(payload);
-                let (reply, action) = self.run_text_request(&text);
-                queue_frame(out, &reply);
-                action
-            }
-            frame::OP_SUBMIT_BATCH => match frame::decode_submit_batch(payload) {
-                Ok(specs) => {
-                    // Parse every spec first; only well-formed ones
-                    // reach the core's single-WAL-section batch path.
-                    // On a cluster node each spec also routes by its
-                    // topology key: misrouted entries come back as
-                    // `moved <shard> <addr>` outcomes, never enqueued.
-                    let parsed: Vec<Result<protocol::JobSpec, String>> = specs
-                        .iter()
-                        .map(|s| {
-                            let spec = protocol::parse_job_spec(s)?;
-                            spec.check_wire_limits()?;
-                            if let Some(hooks) = &self.hooks {
-                                if let RouteDecision::Moved { shard, addr } =
-                                    hooks.route(&Request::Submit(spec))
-                                {
-                                    return Err(format!("moved {shard} {addr}"));
-                                }
-                            }
-                            Ok(spec)
-                        })
-                        .collect();
-                    let valid: Vec<protocol::JobSpec> = parsed
-                        .iter()
-                        .filter_map(|r| r.as_ref().ok().copied())
-                        .collect();
-                    let mut submitted = self.core.submit_batch(&valid).into_iter();
-                    let outcomes: Vec<frame::BatchOutcome> = parsed
-                        .into_iter()
-                        .map(|r| match r {
-                            Err(e) => frame::BatchOutcome::Err(e),
-                            Ok(_) => match submitted.next().expect("one result per valid spec") {
-                                Ok(id) => frame::BatchOutcome::Ok(id),
-                                Err(e) => frame::BatchOutcome::Err(e.to_string()),
-                            },
-                        })
-                        .collect();
-                    frame::encode_frame_into(
-                        out,
-                        frame::OP_BATCH_ACK,
-                        &frame::encode_batch_ack(&outcomes),
-                    );
-                    Action::Continue
-                }
-                Err(e) => {
-                    frame::encode_frame_into(
-                        out,
-                        frame::OP_ERR,
-                        format!("ERR bad-batch {e}").as_bytes(),
-                    );
-                    Action::Continue
-                }
-            },
-            other => {
-                frame::encode_frame_into(
-                    out,
-                    frame::OP_ERR,
-                    format!("ERR unknown-opcode {other:#04x}").as_bytes(),
-                );
-                Action::Continue
-            }
-        }
+        action
     }
 }

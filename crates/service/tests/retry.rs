@@ -56,6 +56,54 @@ fn busy_shedding_is_retried_on_a_fresh_connection() {
     server.join().expect("server thread");
 }
 
+/// An upload is as patient as any other verb: shed twice, the third
+/// connection gets the whole upload again and answers it.
+#[test]
+fn a_shed_upload_is_retried_whole_on_a_fresh_connection() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    const SHED: usize = 2;
+    let topo = commsched_topology::designed::try_ring(4, 1).expect("ring");
+    let text = commsched_topology::to_text(&topo);
+    let fingerprint = format!("{:016x}", topo.fingerprint());
+
+    let server = {
+        let (text, fingerprint) = (text.clone(), fingerprint.clone());
+        std::thread::spawn(move || {
+            for _ in 0..SHED {
+                let (mut stream, _) = listener.accept().expect("accept");
+                let _ = read_request(&stream);
+                stream
+                    .write_all(b"ERR busy max-connections\n")
+                    .expect("shed");
+            }
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut head = String::new();
+            reader.read_line(&mut head).expect("head");
+            assert_eq!(head, format!("ADDTOPO {}\n", text.lines().count()));
+            let mut body = String::new();
+            for _ in 0..text.lines().count() {
+                reader.read_line(&mut body).expect("body line");
+            }
+            assert_eq!(body, text, "the retried upload carries its body again");
+            stream
+                .write_all(format!("OK {fingerprint}\n").as_bytes())
+                .expect("ack");
+            let _ = read_request(&stream);
+        })
+    };
+
+    let mut client = Client::connect_with_retry(&addr, fast_policy()).expect("connect");
+    let fp = client
+        .add_topology(&topo)
+        .expect("upload should survive busy shedding");
+    assert_eq!(format!("{fp:016x}"), fingerprint);
+    assert_eq!(client.retries_used(), SHED as u64);
+    drop(client);
+    server.join().expect("server thread");
+}
+
 #[test]
 fn refused_connections_are_retried_until_the_listener_appears() {
     // Reserve a port, release it, and only start listening after a

@@ -24,8 +24,8 @@ use commsched_net::frame;
 use commsched_net::NetConfig;
 use commsched_service::server::ServerHandle;
 use commsched_service::{
-    ClusterHooks, JobState, Request, RouteDecision, RoutingSpec, Server, ServiceCore,
-    ServiceCoreConfig, TableSpec,
+    ClusterHooks, JobState, RouteDecision, RoutingSpec, Server, ServiceCore, ServiceCoreConfig,
+    TableSpec, TopoRef,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -69,14 +69,7 @@ fn elsewhere() -> RouteDecision {
 }
 
 impl ClusterHooks for OwnsNothing {
-    fn route(&self, request: &Request) -> RouteDecision {
-        match request {
-            Request::Submit(_) | Request::Fault { .. } => elsewhere(),
-            _ => RouteDecision::Local,
-        }
-    }
-
-    fn route_fingerprint(&self, _fp: u64) -> RouteDecision {
+    fn route(&self, _topo: TopoRef) -> RouteDecision {
         elsewhere()
     }
 
