@@ -198,14 +198,17 @@ impl<C> Conn<C> {
         self.wbuf.extend_from_slice(bytes);
     }
 
-    /// The loop's own farewell, in the connection's codec (line-form
-    /// while the peer has not spoken): queue it and stop reading.
+    /// The loop's own farewell, `ERR <token>` in the connection's codec
+    /// (line-form while the peer has not spoken): queue it and stop
+    /// reading.
     fn refuse(&mut self, token: &str) {
+        let text = format!("ERR {token}");
         if self.decoder.is_binary() {
-            let f = frame::encode_frame(frame::OP_ERR, token.as_bytes());
+            let f = frame::encode_frame(frame::OP_ERR, text.as_bytes());
             self.queue(&f);
         } else {
-            self.queue(format!("ERR {token}\n").as_bytes());
+            self.queue(text.as_bytes());
+            self.queue(b"\n");
         }
         self.closing = true;
     }
@@ -769,7 +772,7 @@ mod tests {
         };
         assert_eq!(err.opcode, frame::OP_ERR);
         let msg = String::from_utf8(err.payload).unwrap();
-        assert!(msg.starts_with("frame-too-large"), "got: {msg}");
+        assert!(msg.starts_with("ERR frame-too-large"), "got: {msg}");
         srv.stop.store(true, Ordering::SeqCst);
         srv.join.join().unwrap();
     }

@@ -1387,16 +1387,16 @@ const LOOP_REFUSALS: &str = r#"
 > PING
 < [ok] OK pong
 > frame of 1000000 bytes
-< [err] frame-too-large 1000000 max 4097
+< [err] ERR frame-too-large 1000000 max 4097
 < (closed)
 > frame of 0 bytes
-< [err] empty-frame
+< [err] ERR empty-frame
 < (closed)
 > preamble c5 'x' 's' 1
-< [err] bad-magic
+< [err] ERR bad-magic
 < (closed)
 > preamble c5 'c' 's' 9
-< [err] bad-version 9
+< [err] ERR bad-version 9
 < (closed)
 > PING
 < OK pong
@@ -1414,6 +1414,6 @@ const LOOP_REFUSALS: &str = r#"
 > PING
 < [ok] OK pong
 > (silence)
-< [err] idle-timeout
+< [err] ERR idle-timeout
 < (closed)
 "#;
