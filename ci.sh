@@ -88,6 +88,13 @@ cargo test --release --offline -q -p commsched-search --test golden
 echo "==> golden distance-table bits, release build"
 cargo test --release --offline -q -p commsched-distance --test golden
 
+# And for the front end: the daemon that ships is the release build, and
+# the recorded transcript (every verb and refusal over both codecs, the
+# loop's own refusals, the routed requests) is what says its reply bytes
+# are the ones the docs and every client were written against.
+echo "==> recorded wire transcript, release build"
+cargo test --release --offline -q -p commsched-service --test transcript
+
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 

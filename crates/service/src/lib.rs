@@ -27,8 +27,13 @@
 //!   over the `STATS` request;
 //! * [`server`]/[`client`] — the TCP front end: one event-loop thread
 //!   (`commsched_net`) serving two codecs, newline-delimited text and
-//!   length-prefixed binary frames, through one request dispatcher
-//!   (grammar in `docs/protocol.md` and [`protocol`]).
+//!   length-prefixed binary frames. A request is decoded
+//!   (`commsched_net::Decoder`), assembled ([`protocol::Assembler`]),
+//!   answered (`server`'s one total `apply` over [`Request`]) and
+//!   encoded ([`protocol::Reply`]) once each, whichever codec carried
+//!   it; the client and [`loadgen`] read replies through the same
+//!   `Decoder` and `Reply` (grammar in `docs/protocol.md` and
+//!   [`protocol`]).
 //!
 //! The `commsched` binary front-ends this crate as `commsched serve`,
 //! `commsched submit` and `commsched status`.

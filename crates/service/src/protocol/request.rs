@@ -248,23 +248,7 @@ impl Assembler {
     /// memory without bound.
     pub fn feed(&mut self, message: Message, max_upload: usize) -> Fed {
         let parsed = match message {
-            Message::Line(line) => match self.upload.take() {
-                Some(upload) => return self.feed_upload(upload, &line, max_upload),
-                None => match parse_head(&line) {
-                    Ok(Head::Upload { lines }) if lines > 0 => {
-                        self.upload = Some(Upload {
-                            remaining: lines,
-                            text: String::new(),
-                        });
-                        return Fed::More;
-                    }
-                    Ok(Head::Upload { .. }) => Ok(Request::AddTopo {
-                        text: String::new(),
-                    }),
-                    Ok(Head::Whole(request)) => Ok(request),
-                    Err(e) => Err(e),
-                },
-            },
+            Message::Line(line) => return self.feed_line(&line, max_upload),
             Message::Frame(frame) => match frame.opcode {
                 OP_REQ => parse_request(&String::from_utf8_lossy(&frame.payload)),
                 OP_SUBMIT_BATCH => decode_submit_batch(&frame.payload)
@@ -278,21 +262,31 @@ impl Assembler {
                 other => Err(format!("unknown-opcode {other:#04x}")),
             },
         };
-        match parsed {
-            Ok(request) => Fed::Request(request),
-            Err(reason) => Fed::Refused(reason),
-        }
+        parsed.map_or_else(Fed::Refused, Fed::Request)
     }
 
-    /// A line while an upload is in progress: raw topology text, not a
-    /// request.
-    fn feed_upload(&mut self, mut upload: Upload, line: &str, max_upload: usize) -> Fed {
-        if upload.text.len() + line.len() + 1 > max_upload {
-            return Fed::Overflow;
-        }
-        upload.text.push_str(line);
-        upload.text.push('\n');
-        upload.remaining -= 1;
+    /// A line is a request's head, or — while an upload is in progress —
+    /// raw topology text, whatever it looks like.
+    fn feed_line(&mut self, line: &str, max_upload: usize) -> Fed {
+        let upload = match self.upload.take() {
+            Some(mut upload) => {
+                if upload.text.len() + line.len() + 1 > max_upload {
+                    return Fed::Overflow;
+                }
+                upload.text.push_str(line);
+                upload.text.push('\n');
+                upload.remaining -= 1;
+                upload
+            }
+            None => match parse_head(line) {
+                Ok(Head::Whole(request)) => return Fed::Request(request),
+                Err(reason) => return Fed::Refused(reason),
+                Ok(Head::Upload { lines }) => Upload {
+                    remaining: lines,
+                    text: String::new(),
+                },
+            },
+        };
         if upload.remaining == 0 {
             return Fed::Request(Request::AddTopo { text: upload.text });
         }
