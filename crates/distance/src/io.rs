@@ -1,7 +1,8 @@
-//! Plain-text serialization of distance tables.
+//! Serialization of distance tables: a text format and a binary one.
 //!
-//! Tables are expensive to recompute for large networks; this format lets
-//! tools cache them:
+//! Tables are expensive to recompute for large networks. The text format
+//! is the one tools import and export, and the oracle the binary format
+//! is tested against:
 //!
 //! ```text
 //! # commsched distance-table v1
@@ -10,6 +11,21 @@
 //! row 1.0 0.0 1.0 2.0
 //! ...
 //! ```
+//!
+//! The binary format is what the service's table spill files hold: the
+//! table's bits, with no float formatting or parsing on either side.
+//! All integers little-endian:
+//!
+//! ```text
+//! n           u64
+//! report tag  u8      0 = no report, 1 = an ApproxReport follows
+//! [report]    eps_micros u32, err_max f64 bits, pairs_approximated u64,
+//!             pairs_escalated u64                     (tag 1 only)
+//! triangle    n(n-1)/2 x f64 bits: T[i][j] for i < j, row-major
+//! ```
+//!
+//! Both decoders take bytes from outside the program and answer every
+//! violated invariant with its own [`TableParseError`] variant.
 
 use crate::table::{ApproxReport, DistanceTable};
 use std::fmt::Write as _;
@@ -39,6 +55,45 @@ pub enum TableParseError {
     /// The parsed matrix is not symmetric with a zero diagonal, or holds
     /// a negative entry.
     NotADistanceTable,
+    /// Binary: the bytes end before `n` and the report tag do.
+    TruncatedHeader {
+        /// Bytes supplied.
+        found: usize,
+    },
+    /// Binary: the report tag is neither 0 nor 1.
+    BadReportTag {
+        /// The tag byte.
+        tag: u8,
+    },
+    /// Binary: `n` is so large that its triangle has no byte length.
+    SizeOverflow {
+        /// The claimed switch count.
+        n: u64,
+    },
+    /// Binary: the byte length is not the one `n` and the report tag
+    /// determine.
+    LengthMismatch {
+        /// Header + report + `8 * n(n-1)/2`.
+        expected: usize,
+        /// Bytes supplied.
+        found: usize,
+    },
+    /// Binary: the report's `err_max` is not a finite non-negative number.
+    BadErrMax,
+    /// Binary: a triangle entry is NaN or infinite.
+    NonFiniteEntry {
+        /// Row of the entry.
+        i: usize,
+        /// Column of the entry (`i < j`).
+        j: usize,
+    },
+    /// Binary: a triangle entry is below zero.
+    NegativeEntry {
+        /// Row of the entry.
+        i: usize,
+        /// Column of the entry (`i < j`).
+        j: usize,
+    },
 }
 
 impl std::fmt::Display for TableParseError {
@@ -56,6 +111,19 @@ impl std::fmt::Display for TableParseError {
                     "matrix is not symmetric, non-negative, with zero diagonal"
                 )
             }
+            TableParseError::TruncatedHeader { found } => {
+                write!(f, "{found} bytes end inside the {HEADER_BYTES}-byte header")
+            }
+            TableParseError::BadReportTag { tag } => write!(f, "report tag {tag} is not 0 or 1"),
+            TableParseError::SizeOverflow { n } => {
+                write!(f, "no table of {n} switches fits the address space")
+            }
+            TableParseError::LengthMismatch { expected, found } => {
+                write!(f, "expected {expected} bytes, found {found}")
+            }
+            TableParseError::BadErrMax => write!(f, "err_max is not finite and non-negative"),
+            TableParseError::NonFiniteEntry { i, j } => write!(f, "entry ({i}, {j}) is not finite"),
+            TableParseError::NegativeEntry { i, j } => write!(f, "entry ({i}, {j}) is negative"),
         }
     }
 }
@@ -205,6 +273,133 @@ pub fn table_from_text_with_report(
     Ok((DistanceTable::from_fn(n, |i, j| rows[i][j]), report))
 }
 
+/// Bytes before the report: `n` and the report tag.
+const HEADER_BYTES: usize = 8 + 1;
+/// Bytes of an encoded [`ApproxReport`].
+const REPORT_BYTES: usize = 4 + 8 + 8 + 8;
+
+/// Byte length of the strict upper triangle of an `n`-switch table, when
+/// one exists.
+fn triangle_bytes(n: u64) -> Option<usize> {
+    let n = usize::try_from(n).ok()?;
+    let pairs = n.checked_mul(n.saturating_sub(1))? / 2;
+    pairs.checked_mul(8)
+}
+
+/// Serialize a table plus its optional approximation report to the
+/// binary format (see the module docs). The inverse of
+/// [`table_from_bytes_with_report`], bit for bit.
+pub fn table_to_bytes_with_report(table: &DistanceTable, report: Option<&ApproxReport>) -> Vec<u8> {
+    let n = table.n();
+    let report_bytes = if report.is_some() { REPORT_BYTES } else { 0 };
+    let mut out = Vec::with_capacity(HEADER_BYTES + report_bytes + n * n.saturating_sub(1) * 4);
+    out.extend_from_slice(&(n as u64).to_le_bytes());
+    out.push(u8::from(report.is_some()));
+    if let Some(r) = report {
+        out.extend_from_slice(&crate::table::eps_to_micros(r.eps).to_le_bytes());
+        out.extend_from_slice(&r.err_max.to_bits().to_le_bytes());
+        out.extend_from_slice(&r.pairs_approximated.to_le_bytes());
+        out.extend_from_slice(&r.pairs_escalated.to_le_bytes());
+    }
+    // CORRECTNESS: a `DistanceTable` is symmetric with a `+0.0` diagonal
+    // by construction — the build mirrors the upper triangle it solved,
+    // `from_fn` and `set_pair` write both halves, and nothing ever writes
+    // `(i, i)` — so the strict upper triangle is the whole table.
+    for i in 0..n {
+        for &v in &table.row(i)[i + 1..] {
+            // CORRECTNESS: `from_bits(to_bits(v)) == v` bit for bit for
+            // every finite `v`, and a table holds nothing else.
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+    out
+}
+
+/// The `N`-byte little-endian field at the front of `bytes`, and the rest.
+fn take<const N: usize>(bytes: &[u8]) -> ([u8; N], &[u8]) {
+    let (field, rest) = bytes.split_at(N);
+    (field.try_into().expect("split_at(N) yields N bytes"), rest)
+}
+
+/// Parse the binary format, returning the table and the approximation
+/// report when the bytes carry one. Accepts exactly what
+/// [`table_to_bytes_with_report`] produces from a table the text parser
+/// would accept: finite, non-negative entries (`-0.0` is not below zero
+/// and keeps its sign, as in the text format).
+///
+/// The bytes come from outside the program. Nothing is allocated before
+/// the length check, and the table allocated after it (`8 n^2` bytes) is
+/// `2 * bytes.len() + 8 n` at most.
+///
+/// # Errors
+/// See [`TableParseError`]: one variant per violated invariant.
+pub fn table_from_bytes_with_report(
+    bytes: &[u8],
+) -> Result<(DistanceTable, Option<ApproxReport>), TableParseError> {
+    let found = bytes.len();
+    if found < HEADER_BYTES {
+        return Err(TableParseError::TruncatedHeader { found });
+    }
+    let (n_field, rest) = take::<8>(bytes);
+    let n = u64::from_le_bytes(n_field);
+    let (report_bytes, body) = match rest[0] {
+        0 => (0, &rest[1..]),
+        1 => (REPORT_BYTES, &rest[1..]),
+        tag => return Err(TableParseError::BadReportTag { tag }),
+    };
+    // CORRECTNESS: `n` is whatever the bytes say. Its triangle's length
+    // is computed in checked arithmetic and must equal the bytes actually
+    // supplied before anything is sized by `n`.
+    let expected = triangle_bytes(n)
+        .and_then(|t| t.checked_add(HEADER_BYTES + report_bytes))
+        .ok_or(TableParseError::SizeOverflow { n })?;
+    if found != expected {
+        return Err(TableParseError::LengthMismatch { expected, found });
+    }
+    let n = usize::try_from(n).expect("triangle_bytes proved that n fits");
+    let (report, triangle) = body.split_at(report_bytes);
+    let report = if report.is_empty() {
+        None
+    } else {
+        let (eps_micros, report) = take::<4>(report);
+        let (err_max, report) = take::<8>(report);
+        let (pairs_approximated, report) = take::<8>(report);
+        let (pairs_escalated, _) = take::<8>(report);
+        let err_max = f64::from_bits(u64::from_le_bytes(err_max));
+        if !err_max.is_finite() || err_max < 0.0 {
+            return Err(TableParseError::BadErrMax);
+        }
+        Some(ApproxReport {
+            eps: f64::from(u32::from_le_bytes(eps_micros)) / 1e6,
+            err_max,
+            pairs_approximated: u64::from_le_bytes(pairs_approximated),
+            pairs_escalated: u64::from_le_bytes(pairs_escalated),
+        })
+    };
+    let entry = |chunk: &[u8]| {
+        f64::from_bits(u64::from_le_bytes(
+            chunk.try_into().expect("chunks_exact(8) yields 8 bytes"),
+        ))
+    };
+    // Validate before constructing: `get_sq` would square a negative
+    // entry into a plausible cost.
+    let mut entries = triangle.chunks_exact(8).map(entry);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let v = entries.next().expect("length checked above");
+            if !v.is_finite() {
+                return Err(TableParseError::NonFiniteEntry { i, j });
+            }
+            if v < 0.0 {
+                return Err(TableParseError::NegativeEntry { i, j });
+            }
+        }
+    }
+    let mut entries = triangle.chunks_exact(8).map(entry);
+    let table = DistanceTable::from_fn(n, |_, _| entries.next().expect("length checked above"));
+    Ok((table, report))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,5 +497,154 @@ mod tests {
             table_from_text("n 2\nrow 0 inf\nrow inf 0\n").unwrap_err(),
             TableParseError::BadEntry { .. }
         ));
+    }
+
+    fn paper24_table() -> DistanceTable {
+        let topo = designed::paper_24_switch();
+        let routing = UpDownRouting::new(&topo, 0).unwrap();
+        equivalent_distance_table(&topo, &routing).unwrap()
+    }
+
+    #[test]
+    fn binary_round_trip_is_exact_and_half_the_text() {
+        let table = paper24_table();
+        let report = ApproxReport {
+            eps: 0.05,
+            err_max: 0.031_25,
+            pairs_approximated: 200,
+            pairs_escalated: 76,
+        };
+        for report in [None, Some(report)] {
+            let bytes = table_to_bytes_with_report(&table, report.as_ref());
+            let header = HEADER_BYTES + if report.is_some() { REPORT_BYTES } else { 0 };
+            assert_eq!(bytes.len(), header + 8 * (24 * 23 / 2));
+            let (back, back_report) = table_from_bytes_with_report(&bytes).unwrap();
+            assert_eq!(back, table);
+            assert_eq!(back_report, report);
+            // The text format is the oracle: same table, same report.
+            let text = table_to_text_with_report(&table, report.as_ref());
+            assert_eq!(
+                table_from_text_with_report(&text).unwrap(),
+                (back, back_report)
+            );
+        }
+        // The smallest tables have an empty triangle.
+        for n in [0, 1] {
+            let empty = DistanceTable::from_fn(n, |_, _| unreachable!());
+            let bytes = table_to_bytes_with_report(&empty, None);
+            assert_eq!(bytes.len(), HEADER_BYTES);
+            assert_eq!(table_from_bytes_with_report(&bytes).unwrap(), (empty, None));
+        }
+    }
+
+    /// `n = 2`, no report, `T[0][1]` with the given bits.
+    fn pair_bytes(bits: u64) -> Vec<u8> {
+        let mut bytes = 2u64.to_le_bytes().to_vec();
+        bytes.push(0);
+        bytes.extend_from_slice(&bits.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn binary_entries_are_checked_like_text_entries() {
+        let decode = |bits: u64| table_from_bytes_with_report(&pair_bytes(bits));
+        // `-0.0` is not below zero: accepted with its sign, as the text
+        // parser does ("-0e0" is what the text encoder prints for it).
+        let (t, _) = decode((-0.0f64).to_bits()).unwrap();
+        assert_eq!(t.get(0, 1).to_bits(), (-0.0f64).to_bits());
+        let text = table_from_text(&table_to_text(&t)).unwrap();
+        assert_eq!(text.get(1, 0).to_bits(), (-0.0f64).to_bits());
+        // The diagonal is not stored: it is `+0.0`, whatever the bytes.
+        assert_eq!(t.get(0, 0).to_bits(), 0);
+        assert_eq!(t.get(1, 0).to_bits(), t.get(0, 1).to_bits());
+        for ok in [f64::MAX, f64::MIN_POSITIVE, f64::from_bits(1)] {
+            assert_eq!(
+                decode(ok.to_bits()).unwrap().0.get(0, 1).to_bits(),
+                ok.to_bits()
+            );
+        }
+        assert_eq!(
+            decode((-1.0f64).to_bits()).unwrap_err(),
+            TableParseError::NegativeEntry { i: 0, j: 1 }
+        );
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(
+                decode(bad.to_bits()).unwrap_err(),
+                TableParseError::NonFiniteEntry { i: 0, j: 1 }
+            );
+        }
+    }
+
+    #[test]
+    fn binary_lengths_are_proved_before_they_are_believed() {
+        use TableParseError::{
+            BadErrMax, BadReportTag, LengthMismatch, SizeOverflow, TruncatedHeader,
+        };
+        let decode = |bytes: &[u8]| table_from_bytes_with_report(bytes).unwrap_err();
+        let good = pair_bytes(1.5f64.to_bits());
+        for cut in 0..HEADER_BYTES {
+            assert_eq!(decode(&good[..cut]), TruncatedHeader { found: cut });
+        }
+        for cut in HEADER_BYTES..good.len() {
+            let expected = good.len();
+            assert_eq!(
+                decode(&good[..cut]),
+                LengthMismatch {
+                    expected,
+                    found: cut
+                }
+            );
+        }
+        let mut long = good.clone();
+        long.push(0);
+        assert_eq!(
+            decode(&long),
+            LengthMismatch {
+                expected: 17,
+                found: 18
+            }
+        );
+        let mut tagged = good.clone();
+        tagged[8] = 2;
+        assert_eq!(decode(&tagged), BadReportTag { tag: 2 });
+        // A claimed report moves the expected length.
+        tagged[8] = 1;
+        assert_eq!(
+            decode(&tagged),
+            LengthMismatch {
+                expected: 17 + REPORT_BYTES,
+                found: 17
+            }
+        );
+        // Hostile sizes: nothing is allocated for them.
+        let mut hostile = good.clone();
+        hostile[..8].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        assert_eq!(decode(&hostile), SizeOverflow { n: 1 << 32 });
+        hostile[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode(&hostile), SizeOverflow { n: u64::MAX });
+        hostile[..8].copy_from_slice(&(1u64 << 20).to_le_bytes());
+        let expected = HEADER_BYTES + 8 * ((1usize << 20) * ((1 << 20) - 1) / 2);
+        assert_eq!(
+            decode(&hostile),
+            LengthMismatch {
+                expected,
+                found: 17
+            }
+        );
+        // A report whose err_max is negative, infinite or NaN.
+        let report = ApproxReport {
+            eps: 0.05,
+            err_max: 0.0,
+            pairs_approximated: 1,
+            pairs_escalated: 0,
+        };
+        let table = DistanceTable::from_fn(2, |_, _| 1.5);
+        let with_report = table_to_bytes_with_report(&table, Some(&report));
+        for bad in [-1.0, f64::INFINITY, f64::NAN] {
+            let mut bytes = with_report.clone();
+            bytes[HEADER_BYTES + 4..HEADER_BYTES + 12]
+                .copy_from_slice(&bad.to_bits().to_le_bytes());
+            assert_eq!(decode(&bytes), BadErrMax);
+        }
     }
 }

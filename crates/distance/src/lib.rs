@@ -36,8 +36,8 @@ pub mod sparse;
 pub mod table;
 
 pub use io::{
-    table_from_text, table_from_text_with_report, table_to_text, table_to_text_with_report,
-    TableParseError,
+    table_from_bytes_with_report, table_from_text, table_from_text_with_report,
+    table_to_bytes_with_report, table_to_text, table_to_text_with_report, TableParseError,
 };
 pub use linalg::{solve, LinalgError, Matrix};
 pub use repair::{repair_distance_table, route_key, RepairMemo, RepairOutcome, RouteKey};

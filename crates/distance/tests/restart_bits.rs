@@ -20,7 +20,8 @@
 //! adding it to [`CODECS`], never by editing a digest.
 
 use commsched_distance::{
-    equivalent_distance_table_with_report, table_from_text_with_report, table_to_text_with_report,
+    equivalent_distance_table_with_report, table_from_bytes_with_report,
+    table_from_text_with_report, table_to_bytes_with_report, table_to_text_with_report,
     ApproxReport, DistanceTable, TableOptions,
 };
 use commsched_routing::{Routing, ShortestPathRouting, UpDownRouting};
@@ -58,13 +59,20 @@ type Codec = fn(&DistanceTable, Option<&ApproxReport>) -> (DistanceTable, Option
 
 /// Every codec a table may be restored through. Each must reproduce
 /// every line of [`GOLDEN`].
-const CODECS: [(&str, Codec); 1] = [("text", text_round_trip)];
+const CODECS: [(&str, Codec); 2] = [("text", text_round_trip), ("binary", binary_round_trip)];
 
 fn text_round_trip(
     table: &DistanceTable,
     report: Option<&ApproxReport>,
 ) -> (DistanceTable, Option<ApproxReport>) {
     table_from_text_with_report(&table_to_text_with_report(table, report)).expect("text parses")
+}
+
+fn binary_round_trip(
+    table: &DistanceTable,
+    report: Option<&ApproxReport>,
+) -> (DistanceTable, Option<ApproxReport>) {
+    table_from_bytes_with_report(&table_to_bytes_with_report(table, report)).expect("bytes parse")
 }
 
 /// FNV-1a 64 over the little-endian bytes of every word fed to it.

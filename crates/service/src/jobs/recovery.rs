@@ -11,7 +11,8 @@ use std::time::Instant;
 impl ServiceCore {
     /// Open (or create) a state directory and rebuild a core from it:
     /// load the snapshot, replay the WAL on top (dropping a torn tail),
-    /// read the table spill files (dropping damaged ones), restore the
+    /// read the table spill files (dropping damaged ones and ones in an
+    /// older format), restore the
     /// registry, epoch chains, jobs, and cached tables, and requeue
     /// every job that was accepted but unfinished at crash time. Jobs
     /// whose fingerprint was faulted over mid-flight are retargeted
@@ -42,9 +43,11 @@ impl ServiceCore {
         for record in &replayed.records {
             recovered.apply(record).map_err(PersistError::Corrupt)?;
         }
-        // Table files go through the same interpreter, after whatever
-        // `cache` records an older daemon left in the log.
+        // Tables come from the spill store alone. A `cache` record an
+        // older daemon left in the log was skipped above and counts with
+        // the files that could not be read: each costs one rebuild.
         let mut rejected = persistence.tables().load_into(&mut recovered);
+        rejected += recovered.skipped_cache_records;
 
         let core = Self::with_persistence(config, Some(persistence));
         for fp in &recovered.topo_order {
@@ -96,8 +99,8 @@ impl ServiceCore {
             }
         }
         core.stats.note_recovered(report.recovered_jobs as u64);
-        // Restored tables are bit-exact (the text format round-trips
-        // doubles exactly), so post-restart faults still take the
+        // Restored tables are bit-exact (a spill file holds the table's
+        // `f64::to_bits`), so post-restart faults still take the
         // incremental-repair path instead of a full rebuild.
         for ((fp, spec, tspec), table, approx) in recovered.tables {
             // No job can name a fingerprint a fault has superseded.
@@ -120,8 +123,8 @@ impl ServiceCore {
         }
         core.stats
             .note_table_recovery(report.restored_tables as u64, rejected);
-        // One file per restored table and nothing else, before the
-        // snapshot below drops the bodies of in-log `cache` records.
+        // One file per restored table and nothing else: whatever was
+        // rejected above is deleted here.
         core.spill_tables();
         // Re-derive the capacity ledger from the recovered unfinished
         // jobs: placement is deterministic (least-committed switch,

@@ -1,16 +1,17 @@
 //! The durable record grammar and its replay accumulator.
 //!
-//! One grammar serves every part of persistence: the WAL appends these
-//! records as state changes happen, a snapshot is nothing but the same
-//! records re-emitted from live state (ending with an `end` marker),
-//! and each file of the table spill store ([`super::tables`]) holds one
-//! `cache` record. Recovery therefore needs exactly one interpreter —
+//! One grammar serves the log and the snapshot: the WAL appends these
+//! records as state changes happen, and a snapshot is nothing but the
+//! same records re-emitted from live state (ending with an `end`
+//! marker). Recovery therefore needs exactly one interpreter for them —
 //! [`RecoveredState`] — fed first with the snapshot's records, then
-//! with the WAL's, then with the table files.
+//! with the WAL's. Cached distance tables are derived state and live
+//! outside both, one `cache` record per file of the table spill store
+//! ([`super::tables`], which reads them itself).
 //!
-//! Records are UTF-8 text: a head line of whitespace-separated words,
-//! optionally followed by a `\n` and a free-form body (topology text,
-//! result lines, a serialized distance table). Job specs are spelled
+//! Log and snapshot records are UTF-8 text: a head line of
+//! whitespace-separated words, optionally followed by a `\n` and a
+//! free-form body (topology text, result lines). Job specs are spelled
 //! exactly like the wire protocol's `SUBMIT` arguments, so a WAL is
 //! readable with `docs/protocol.md` in hand.
 //!
@@ -25,7 +26,7 @@
 //! | `fault <old> <new> <index>` | epoch bump `<old>` → `<new>` |
 //! | `succ <old> <new>` | a successor edge (snapshot only) |
 //! | `epoch <fp> <index>` | an epoch index (snapshot only) |
-//! | `cache <fp> <spec> [<tablespec>]` + body | a built table, in distance text format (one per spill file; in a log only when written by an older daemon) |
+//! | `cache <fp> <spec> <tablespec>` + body | a built table, in distance binary format: the one record of a spill file, never logged. (A text-bodied `cache` record in the log or snapshot of a daemon from before the spill store is skipped; its table rebuilds on first use.) |
 //! | `end` | snapshot terminator |
 //!
 //! Replay is idempotent: applying a record twice (snapshot + a WAL that
@@ -36,9 +37,7 @@ use crate::jobs::{JobId, JobState};
 use crate::protocol::{
     format_fingerprint, format_job_spec, parse_fingerprint, parse_job_spec, JobSpec,
 };
-use commsched_distance::{
-    table_from_text_with_report, table_to_text_with_report, ApproxReport, DistanceTable,
-};
+use commsched_distance::{table_to_bytes_with_report, ApproxReport, DistanceTable};
 use commsched_topology::Topology;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -101,22 +100,32 @@ pub fn record_next(next_id: JobId) -> String {
     format!("next {next_id}")
 }
 
-/// `cache <fp> <spec> <tablespec>` + the table's full-precision text
-/// serialization (the existing `distance::io` format, which round-trips
-/// bit-exactly; approximate tables carry their certified error report
-/// in the body's `approx` directive).
+/// The one record of a table spill file: the head line `cache <fp>
+/// <spec> <tablespec>\n`, which is UTF-8, then the table in the binary
+/// format of `commsched_distance::io`, which is not.
+pub struct CacheRecord(Vec<u8>);
+
+impl CacheRecord {
+    /// The record's bytes, ready to be framed.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+/// `cache <fp> <spec> <tablespec>` + the table's bits (the upper
+/// triangle as `f64::to_bits`, so what a restart restores is what was
+/// built, with no float formatting or parsing on either side;
+/// approximate tables carry their certified error report in the body).
 pub fn record_cache(
     fp: u64,
     spec: RoutingSpec,
     table_spec: TableSpec,
     table: &DistanceTable,
     report: Option<&ApproxReport>,
-) -> String {
-    format!(
-        "cache {} {spec} {table_spec}\n{}",
-        format_fingerprint(fp),
-        table_to_text_with_report(table, report)
-    )
+) -> CacheRecord {
+    let mut out = format!("cache {} {spec} {table_spec}\n", format_fingerprint(fp)).into_bytes();
+    out.extend_from_slice(&table_to_bytes_with_report(table, report));
+    CacheRecord(out)
 }
 
 /// One recovered cache entry: the `(fingerprint, routing, table-spec)`
@@ -159,10 +168,14 @@ pub struct RecoveredState {
     pub successor: HashMap<u64, u64>,
     /// Epoch index per fingerprint.
     pub index: HashMap<u64, u64>,
-    /// Cached tables in recency order (oldest first); later records for
-    /// the same key replace earlier ones and move to the back. The
-    /// report is present for approximate tables.
+    /// Cached tables in recency order (oldest first), as the spill
+    /// store read them (`TableStore::load_into`; no record of the log
+    /// or the snapshot adds one). The report is present for approximate
+    /// tables.
     pub tables: Vec<RecoveredTable>,
+    /// `cache` records met in the log or the snapshot and skipped: an
+    /// older daemon's in-log tables, which rebuild on first use.
+    pub skipped_cache_records: u64,
     /// Whether an `end` marker was seen (snapshot completeness check).
     pub ended: bool,
 }
@@ -177,18 +190,11 @@ impl RecoveredState {
         self.jobs.get_mut(&id)
     }
 
-    /// Install one table: the last record for a key wins and defines
-    /// recency.
-    pub(super) fn push_table(&mut self, entry: RecoveredTable) {
-        self.tables.retain(|(k, _, _)| *k != entry.0);
-        self.tables.push(entry);
-    }
-
     /// Apply one record payload.
     ///
-    /// Replay is idempotent and last-writer-wins per job/table/epoch
-    /// entry. `finish`/`cancel` records for an id with no surviving
-    /// `accept` are ignored (nothing to resurrect without a spec).
+    /// Replay is idempotent and last-writer-wins per job/epoch entry.
+    /// `finish`/`cancel` records for an id with no surviving `accept`
+    /// are ignored (nothing to resurrect without a spec).
     ///
     /// # Errors
     /// A record that frames correctly but does not parse: unlike a torn
@@ -277,21 +283,9 @@ impl RecoveredState {
                 let index: u64 = index.parse().map_err(|_| format!("bad epoch '{index}'"))?;
                 self.index.insert(f, index);
             }
-            // Two-word spelling = records written before approximate
-            // tables existed; those are always exact.
-            ["cache", f, spec] | ["cache", f, spec, "exact"] => {
-                let key = (fp(f)?, spec.parse()?, TableSpec::Exact);
-                let (table, _) =
-                    table_from_text_with_report(body).map_err(|e| format!("bad table: {e}"))?;
-                self.push_table((key, table, None));
-            }
-            ["cache", f, spec, tspec] => {
-                let tspec: TableSpec = tspec.parse()?;
-                let key = (fp(f)?, spec.parse()?, tspec);
-                let (table, report) =
-                    table_from_text_with_report(body).map_err(|e| format!("bad table: {e}"))?;
-                self.push_table((key, table, report));
-            }
+            // Derived state an older daemon logged: counted, not read —
+            // an old state directory must still start.
+            ["cache", ..] => self.skipped_cache_records += 1,
             ["end"] => self.ended = true,
             _ => return Err(format!("unknown record '{head}'")),
         }
@@ -303,8 +297,6 @@ impl RecoveredState {
 mod tests {
     use super::*;
     use crate::protocol::{JobKind, TopoRef};
-    use commsched_distance::equivalent_distance_table;
-    use commsched_routing::UpDownRouting;
     use commsched_search::MapStrategy;
     use commsched_topology::designed;
 
@@ -352,98 +344,30 @@ mod tests {
     }
 
     #[test]
-    fn topology_and_cache_records_round_trip_bit_exactly() {
+    fn topology_records_round_trip() {
         let topo = designed::ring(5, 2);
         let fp = topo.fingerprint();
-        let routing = UpDownRouting::new(&topo, 0).unwrap();
-        let table = equivalent_distance_table(&topo, &routing).unwrap();
         let mut s = RecoveredState::default();
         s.apply(&record_topo(&topo)).unwrap();
-        s.apply(&record_cache(
-            fp,
-            RoutingSpec::UpDown { root: 0 },
-            TableSpec::Exact,
-            &table,
-            None,
-        ))
-        .unwrap();
+        s.apply(&record_topo(&topo)).unwrap();
         assert_eq!(s.topologies[&fp].fingerprint(), fp);
         assert_eq!(s.topo_order, vec![fp]);
-        let ((key, spec_got, tspec_got), got) = {
-            let ((k, sp, ts), t, _) = &s.tables[0];
-            ((*k, *sp, *ts), t)
-        };
-        assert_eq!(key, fp);
-        assert_eq!(spec_got, RoutingSpec::UpDown { root: 0 });
-        assert_eq!(tspec_got, TableSpec::Exact);
-        for i in 0..topo.num_switches() {
-            for j in 0..topo.num_switches() {
-                assert!(
-                    got.get(i, j).to_bits() == table.get(i, j).to_bits(),
-                    "table not bit-exact at ({i},{j})"
-                );
-            }
-        }
-        // A later record for the same key replaces and re-ranks it.
-        s.apply(&record_cache(
-            fp,
-            RoutingSpec::UpDown { root: 0 },
-            TableSpec::Exact,
-            &table,
-            None,
-        ))
-        .unwrap();
-        assert_eq!(s.tables.len(), 1);
     }
 
     #[test]
-    fn cache_records_carry_table_specs() {
-        let topo = designed::ring(5, 2);
-        let fp = topo.fingerprint();
-        let routing = UpDownRouting::new(&topo, 0).unwrap();
-        let table = equivalent_distance_table(&topo, &routing).unwrap();
-        let report = commsched_distance::ApproxReport {
-            eps: 0.05,
-            err_max: 0.01,
-            pairs_approximated: 6,
-            pairs_escalated: 4,
-        };
+    fn in_log_cache_records_are_skipped_and_counted() {
         let mut s = RecoveredState::default();
-        // An approximate entry and an exact entry for the same
-        // fingerprint+routing are distinct keys.
-        s.apply(&record_cache(
-            fp,
-            RoutingSpec::UpDown { root: 0 },
-            TableSpec::Approx { eps_micros: 50_000 },
-            &table,
-            Some(&report),
-        ))
-        .unwrap();
-        s.apply(&record_cache(
-            fp,
-            RoutingSpec::UpDown { root: 0 },
-            TableSpec::Exact,
-            &table,
-            None,
-        ))
-        .unwrap();
-        assert_eq!(s.tables.len(), 2);
-        let (key, _, rep) = &s.tables[0];
-        assert_eq!(key.2, TableSpec::Approx { eps_micros: 50_000 });
-        assert_eq!(*rep, Some(report));
-        assert_eq!(s.tables[1].2, None);
-        // Legacy two-word records (written before table specs existed)
-        // replay as exact entries.
-        let legacy = format!(
-            "cache {} updown:0\n{}",
-            crate::protocol::format_fingerprint(fp),
-            commsched_distance::table_to_text(&table)
-        );
-        s.apply(&legacy).unwrap();
-        assert_eq!(s.tables.len(), 2, "legacy record replaced the exact key");
-        assert!(s
-            .apply("cache 0000000000000001 updown:0 fuzzy\nn 1")
-            .is_err());
+        // Whatever an older daemon logged under `cache` — the two-word
+        // spelling, a table spec, a body that no longer parses — is
+        // derived state: never an error, never a table.
+        s.apply("cache 0000000000000001 updown:0\nn 1\nrow 0\n")
+            .unwrap();
+        s.apply("cache 0000000000000001 updown:0 approx:50000\nn 1\nrow 0\n")
+            .unwrap();
+        s.apply("cache 0000000000000001 left fuzzy\nnot a table")
+            .unwrap();
+        assert_eq!(s.skipped_cache_records, 3);
+        assert!(s.tables.is_empty());
     }
 
     #[test]
@@ -473,7 +397,6 @@ mod tests {
         assert!(s.apply("accept notanid SCHEDULE topo=paper24").is_err());
         assert!(s.apply("accept 1 DANCE topo=paper24").is_err());
         assert!(s.apply("fault 123 456 1").is_err()); // short fingerprints
-        assert!(s.apply("cache 0000000000000001 left\nn 1").is_err());
         assert!(s.apply("topo\nnot a topology").is_err());
         // `end` flips the completeness flag.
         assert!(!s.ended);

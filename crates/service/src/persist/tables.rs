@@ -4,21 +4,38 @@
 //! of (topology, routing, solver spec) — so it stays out of the WAL and
 //! the snapshot. Each cached table lives in `<state-dir>/tables/` under
 //! a name derived from its cache key, holding exactly one `cache`
-//! record (see [`super::state`]) in the WAL frame (see [`super::wal`]).
+//! record ([`super::state::record_cache`]) in the WAL frame (see
+//! [`super::wal`]): a UTF-8 head line naming the key, then the table's
+//! bits in the binary format of `commsched_distance::io` — `n`, the
+//! optional approximation report, and the upper triangle as
+//! `f64::to_bits`, so a restored table is the built one bit for bit and
+//! neither side formats or parses a float. It is the one frame whose
+//! payload is not all text, and this module reads it itself
+//! ([`load_file`]), not through the log's interpreter.
+//!
 //! Files are written tmp + rename, so a reader sees a whole file or
-//! none; whatever else a crash leaves behind — a stray tmp file, a file
-//! whose bytes never reached the disk — fails the frame check and costs
-//! a rebuild, never an error.
+//! none; whatever else is found there — a stray tmp file, a file whose
+//! bytes never reached the disk, a file in the text format of an older
+//! daemon, bytes an operator put there — fails a check and costs a
+//! rebuild, never an error: the file is bytes from outside the program,
+//! and every length in it is proved against the bytes present before
+//! anything is sized by it.
+//!
+//! Writes happen off the job's critical path: a worker spills after it
+//! has settled the job that built a table, so the directory may lag the
+//! cache by the spills in flight — the window the fsync class of a
+//! spill (`ack = false`) allows anyway.
 //!
 //! The store keeps the directory equal to the cache: [`TableStore::sync`]
 //! writes a file for every cached table that has none and deletes every
 //! file whose key the cache no longer holds (LRU eviction, `FAULT`
 //! invalidation), so the directory never outgrows the cache capacity.
 
-use super::state::{record_cache, RecoveredState};
+use super::state::{record_cache, RecoveredState, RecoveredTable};
 use super::wal;
 use crate::cache::{DistanceCache, RoutedTable, RoutingSpec, TableSpec};
-use crate::protocol::format_fingerprint;
+use crate::protocol::{format_fingerprint, parse_fingerprint};
+use commsched_distance::table_from_bytes_with_report;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
@@ -81,10 +98,10 @@ impl TableStore {
 
     /// Write `payload` (a `cache` record) under `name`: tmp file,
     /// optional fsync, rename. Returns the bytes written.
-    fn put(&self, name: &str, payload: &str, fsync: bool) -> std::io::Result<u64> {
+    fn put(&self, name: &str, payload: &[u8], fsync: bool) -> std::io::Result<u64> {
         let tmp = self.dir.join(format!("{name}.tmp"));
         let mut frame = Vec::with_capacity(wal::FRAME_HEADER_BYTES as usize + payload.len());
-        wal::encode_frame(&mut frame, payload.as_bytes())?;
+        wal::encode_frame(&mut frame, payload)?;
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&frame)?;
@@ -103,8 +120,8 @@ impl TableStore {
     /// Make the directory equal to `cache`: delete every file whose key
     /// is not a ready cache entry (evicted, invalidated, or crash
     /// residue such as a stray tmp file), then write a file for every
-    /// ready entry that has none — just built, restored from an older
-    /// daemon's in-log record, or left over from a write that failed. A
+    /// ready entry that has none — just built, or left over from a
+    /// write that failed. A
     /// file is never rewritten: its name determines its table. `fsync`
     /// forces the new files to stable storage.
     pub fn sync(&self, cache: &DistanceCache, fsync: bool) -> SyncReport {
@@ -132,7 +149,7 @@ impl TableStore {
         }
         for (name, ((fp, routing, tspec), value)) in missing {
             let record = record_cache(fp, routing, tspec, &value.table, value.approx.as_ref());
-            match self.put(&name, &record, fsync) {
+            match self.put(&name, record.as_bytes(), fsync) {
                 Ok(bytes) => {
                     report.spilled += 1;
                     report.bytes += bytes;
@@ -144,11 +161,9 @@ impl TableStore {
         report
     }
 
-    /// Feed every intact table file to `state` (the one interpreter the
-    /// WAL and snapshot use), oldest file first so replay order defines
-    /// recency as it does in a log. Returns how many files were
-    /// rejected: not exactly one intact frame, not a `cache` record,
-    /// unparsable, or stored under a name that is not its key's. A
+    /// Add the table of every intact file to `state.tables`, oldest file
+    /// first so that order defines recency as replay order does in a
+    /// log. Returns how many files were rejected (see [`load_file`]). A
     /// rejected file is left for [`Self::sync`] to delete.
     pub fn load_into(&self, state: &mut RecoveredState) -> u64 {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
@@ -168,37 +183,44 @@ impl TableStore {
         files.sort();
         let mut rejected = 0;
         for (_, path) in files {
-            if load_file(&path, state).is_none() {
-                rejected += 1;
+            match load_file(&path) {
+                Some(entry) => state.tables.push(entry),
+                None => rejected += 1,
             }
         }
         rejected
     }
 }
 
-/// Apply one table file to `state`; `None` when the file is rejected
-/// (and `state` is unchanged).
-fn load_file(path: &Path, state: &mut RecoveredState) -> Option<()> {
+/// The table one spill file holds; `None` when the file is rejected:
+/// not exactly one intact frame, no `cache <fp> <routing> <tspec>` head
+/// line, stored under a name that is not its key's (distinct names are
+/// distinct keys, so no two files restore the same entry), or a body
+/// the binary table decoder refuses.
+fn load_file(path: &Path) -> Option<RecoveredTable> {
     let data = std::fs::read(path).ok()?;
-    let replayed = wal::replay_bytes(&data);
-    let [payload] = replayed.records.as_slice() else {
+    let payload = wal::decode_frame(&data)?;
+    if wal::FRAME_HEADER_BYTES as usize + payload.len() != data.len() {
+        return None;
+    }
+    let head_len = payload.iter().position(|&b| b == b'\n')?;
+    let head = std::str::from_utf8(&payload[..head_len]).ok()?;
+    let words: Vec<&str> = head.split_whitespace().collect();
+    let ["cache", fp, routing, tspec] = words.as_slice() else {
         return None;
     };
-    if replayed.torn_tail {
-        return None;
-    }
-    // Parsed on the side: only a table may come out of a table file,
-    // whatever record it holds.
-    let mut parsed = RecoveredState::default();
-    parsed.apply(payload).ok()?;
-    let entry = parsed.tables.pop()?;
+    let key: TableKey = (
+        parse_fingerprint(fp)?,
+        routing.parse().ok()?,
+        tspec.parse().ok()?,
+    );
     // A record filed under another key's name would dodge that key's
     // deletion, so it does not count.
-    if path.file_name()?.to_str()? != file_name(entry.0) {
+    if path.file_name()?.to_str()? != file_name(key) {
         return None;
     }
-    state.push_table(entry);
-    Some(())
+    let (table, report) = table_from_bytes_with_report(&payload[head_len + 1..]).ok()?;
+    Some((key, table, report))
 }
 
 #[cfg(test)]
@@ -234,6 +256,15 @@ mod tests {
             cache.insert_ready(key(fp), Arc::new(value));
         }
         cache
+    }
+
+    /// Frame `payload` and write it as the file of `key` under `dir`.
+    fn write_file(dir: &Path, key: TableKey, payload: &[u8]) -> PathBuf {
+        let mut frame = Vec::new();
+        wal::encode_frame(&mut frame, payload).unwrap();
+        let path = dir.join(file_name(key));
+        std::fs::write(&path, &frame).unwrap();
+        path
     }
 
     fn names(dir: &Path) -> Vec<String> {
@@ -305,14 +336,11 @@ mod tests {
         let bytes = std::fs::read(path(3)).unwrap();
         std::fs::write(path(3), &bytes[..bytes.len() - 7]).unwrap();
         std::fs::rename(path(4), path(5)).unwrap();
-        // A well-framed record of another kind must not be interpreted.
-        let mut frame = Vec::new();
-        wal::encode_frame(&mut frame, b"next 99").unwrap();
-        std::fs::write(path(6), &frame).unwrap();
+        // A well-framed record of another kind is not a table.
+        write_file(&tables, key(6), b"next 99");
 
         let mut state = RecoveredState::default();
         assert_eq!(store.load_into(&mut state), 4);
-        assert_eq!(state.next_id, 0, "a non-cache record was applied");
         assert_eq!(state.tables.len(), 1);
         let (got_key, table, _) = &state.tables[0];
         assert_eq!(*got_key, key(1));
@@ -325,6 +353,88 @@ mod tests {
                 );
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_file_restores_its_table_spec_and_report_bit_exactly() {
+        let dir = temp_dir("file");
+        std::fs::create_dir_all(&dir).unwrap();
+        let topo = designed::ring(5, 2);
+        let routing = UpDownRouting::new(&topo, 0).unwrap();
+        let table = equivalent_distance_table(&topo, &routing).unwrap();
+        let report = commsched_distance::ApproxReport {
+            eps: 0.05,
+            err_max: 0.01,
+            pairs_approximated: 6,
+            pairs_escalated: 4,
+        };
+        // An approximate entry and an exact entry for the same
+        // fingerprint + routing are distinct keys, hence distinct files.
+        let fp = topo.fingerprint();
+        let approx_key = (
+            fp,
+            RoutingSpec::UpDown { root: 0 },
+            TableSpec::Approx { eps_micros: 50_000 },
+        );
+        for (key, report) in [(key(fp), None), (approx_key, Some(report))] {
+            let record = record_cache(key.0, key.1, key.2, &table, report.as_ref());
+            let path = write_file(&dir, key, record.as_bytes());
+            let (got_key, got, got_report) = load_file(&path).expect("intact file");
+            assert_eq!(got_key, key);
+            assert_eq!(got_report, report);
+            for i in 0..topo.num_switches() {
+                for j in 0..topo.num_switches() {
+                    assert_eq!(got.get(i, j).to_bits(), table.get(i, j).to_bits());
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn files_a_log_reader_would_have_taken_are_rejected() {
+        let dir = temp_dir("old");
+        std::fs::create_dir_all(&dir).unwrap();
+        let topo = designed::ring(5, 2);
+        let routing = UpDownRouting::new(&topo, 0).unwrap();
+        let table = equivalent_distance_table(&topo, &routing).unwrap();
+        let k = key(topo.fingerprint());
+        let head = format!("cache {} updown:0 exact\n", format_fingerprint(k.0));
+        let body = commsched_distance::table_to_bytes_with_report(&table, None);
+        let with_head = |head: &str| [head.as_bytes(), &body[..]].concat();
+        assert!(load_file(&write_file(&dir, k, &with_head(&head))).is_some());
+
+        // The text body of a daemon from before the binary format.
+        let text = format!("{head}# commsched distance-table v1\nn 1\nrow 0.00000000000000000e0\n");
+        assert!(load_file(&write_file(&dir, k, text.as_bytes())).is_none());
+        // Head lines: the two-word legacy spelling, an unknown table
+        // spec, an unknown routing, a short fingerprint, a fifth word,
+        // another verb, no line end at all.
+        let fp = format_fingerprint(k.0);
+        for head in [
+            format!("cache {fp} updown:0\n"),
+            format!("cache {fp} updown:0 fuzzy\n"),
+            format!("cache {fp} left exact\n"),
+            "cache 1 updown:0 exact\n".to_string(),
+            format!("cache {fp} updown:0 exact extra\n"),
+            format!("table {fp} updown:0 exact\n"),
+            format!("cache {fp} updown:0 exact"),
+        ] {
+            assert!(
+                load_file(&write_file(&dir, k, &with_head(&head))).is_none(),
+                "accepted head {head:?}"
+            );
+        }
+        // A head line that is not UTF-8.
+        let mut latin1 = with_head(&head);
+        latin1[3] = 0xe9;
+        assert!(load_file(&write_file(&dir, k, &latin1)).is_none());
+        // Two frames, or bytes after the frame.
+        let mut doubled = std::fs::read(write_file(&dir, k, &with_head(&head))).unwrap();
+        doubled.extend_from_slice(&doubled.clone());
+        std::fs::write(dir.join(file_name(k)), &doubled).unwrap();
+        assert!(load_file(&dir.join(file_name(k))).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

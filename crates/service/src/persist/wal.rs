@@ -1,8 +1,10 @@
 //! Write-ahead-log framing: length-prefixed, checksummed records.
 //!
 //! Each record is `[u32 LE payload length][u64 LE FNV-1a of payload]
-//! [payload bytes]`. The payload is UTF-8 text (see
-//! [`super::state`] for the grammar). Replay reads records until the
+//! [payload bytes]`. A log or snapshot payload is UTF-8 text (see
+//! [`super::state`] for the grammar); a table spill file is one frame
+//! whose payload is mostly binary (see [`super::tables`]) and is read
+//! with [`decode_frame`] alone. Replay reads records until the
 //! file ends or a record fails its frame check — a torn tail (partial
 //! header, short payload, checksum mismatch) terminates replay cleanly
 //! at the last intact record rather than erroring, because a crash
@@ -191,6 +193,21 @@ pub fn replay(path: &Path) -> std::io::Result<Replay> {
     Ok(replay_bytes(&data))
 }
 
+/// The payload of the frame at the front of `data`, when one is there
+/// whole: a full header, a length within [`MAX_PAYLOAD_BYTES`] and
+/// within `data`, and a matching checksum. Every reader of framed bytes
+/// goes through this check.
+pub fn decode_frame(data: &[u8]) -> Option<&[u8]> {
+    let body = data.get(FRAME_HEADER_BYTES as usize..)?;
+    let len = u32::from_le_bytes(data[0..4].try_into().expect("4 bytes"));
+    let checksum = u64::from_le_bytes(data[4..12].try_into().expect("8 bytes"));
+    if len > MAX_PAYLOAD_BYTES {
+        return None;
+    }
+    let payload = body.get(..len as usize)?;
+    (fnv1a(payload) == checksum).then_some(payload)
+}
+
 /// Replay from an in-memory image (the file-reading half split out so
 /// torn-write handling is testable without a filesystem).
 pub fn replay_bytes(data: &[u8]) -> Replay {
@@ -198,40 +215,16 @@ pub fn replay_bytes(data: &[u8]) -> Replay {
     let mut offset = 0usize;
     loop {
         let rest = &data[offset..];
-        if rest.len() < FRAME_HEADER_BYTES as usize {
+        let text = decode_frame(rest).and_then(|payload| std::str::from_utf8(payload).ok());
+        let Some(text) = text else {
             return Replay {
                 records,
                 valid_bytes: offset as u64,
                 torn_tail: !rest.is_empty(),
             };
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-        let checksum = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes"));
-        let body = &rest[FRAME_HEADER_BYTES as usize..];
-        if len > MAX_PAYLOAD_BYTES || body.len() < len as usize {
-            return Replay {
-                records,
-                valid_bytes: offset as u64,
-                torn_tail: true,
-            };
-        }
-        let payload = &body[..len as usize];
-        if fnv1a(payload) != checksum {
-            return Replay {
-                records,
-                valid_bytes: offset as u64,
-                torn_tail: true,
-            };
-        }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            return Replay {
-                records,
-                valid_bytes: offset as u64,
-                torn_tail: true,
-            };
         };
         records.push(text.to_string());
-        offset += FRAME_HEADER_BYTES as usize + len as usize;
+        offset += FRAME_HEADER_BYTES as usize + text.len();
     }
 }
 

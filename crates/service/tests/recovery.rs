@@ -18,7 +18,7 @@
 use commsched_distance::table_to_text;
 use commsched_dynamics::FaultEvent;
 use commsched_service::cache::{RoutingSpec, TableSpec};
-use commsched_service::persist::state::{record_cache, record_topo};
+use commsched_service::persist::state::record_topo;
 use commsched_service::persist::tables::{file_name, TABLES_DIR};
 use commsched_service::persist::wal::{encode_frame, WalWriter, FRAME_HEADER_BYTES};
 use commsched_service::persist::{ReplicationSink, WalTap, SNAPSHOT_FILE, WAL_FILE};
@@ -464,19 +464,34 @@ fn damaged_spill_files_cost_a_rebuild_never_an_error() {
     let tmp = victim.with_extension("tbl.tmp");
     cases.push(("stray tmp", tmp, Some(half), 0, true));
     {
-        // A well-formed table filed under a fingerprint nobody registered.
+        // A well-formed table filed under a fingerprint nobody registered:
+        // the victim's payload with the fingerprint of its head line (the
+        // only text in it) replaced.
         let orphan_key = (0xdead_beef_u64, victim_key.1, victim_key.2);
-        let record = std::str::from_utf8(&intact[FRAME_HEADER_BYTES as usize..])
-            .expect("utf-8 record")
-            .replacen(
-                &format_fingerprint(victim_key.0),
-                &format_fingerprint(orphan_key.0),
-                1,
-            );
+        let payload = &intact[FRAME_HEADER_BYTES as usize..];
+        let head = format!("cache {} ", format_fingerprint(victim_key.0));
+        assert!(payload.starts_with(head.as_bytes()));
+        let mut record = format!("cache {} ", format_fingerprint(orphan_key.0)).into_bytes();
+        record.extend_from_slice(&payload[head.len()..]);
         let mut frame = Vec::new();
-        encode_frame(&mut frame, record.as_bytes()).unwrap();
+        encode_frame(&mut frame, &record).unwrap();
         let orphan = Path::new(TABLES_DIR).join(file_name(orphan_key));
         cases.push(("unregistered fingerprint", orphan, Some(frame), 1, true));
+    }
+
+    {
+        // The victim's file as a daemon from before the binary format
+        // wrote it: the same head line, the table as text.
+        let text = &truth.tables[&victim_key];
+        let record = format!(
+            "cache {} {} {}\n{text}",
+            format_fingerprint(victim_key.0),
+            victim_key.1,
+            victim_key.2
+        );
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, record.as_bytes()).unwrap();
+        cases.push(("text-era file", victim.clone(), Some(frame), 1, false));
     }
 
     for (what, file, content, rejected, victim_survives) in cases {
@@ -688,10 +703,11 @@ fn snapshots_and_the_replication_stream_carry_no_table_bodies() {
 }
 
 #[test]
-fn legacy_in_log_cache_records_are_spilled_then_dropped() {
+fn legacy_in_log_cache_records_are_skipped_and_rebuilt() {
     let dir = temp_dir("legacy");
-    // A state directory as an older daemon left it: the table rides in
-    // the WAL, and there is no tables/ directory at all.
+    // A state directory as a daemon from before the spill store left it:
+    // the table rides in the WAL as text, and there is no tables/
+    // directory at all.
     let topo = commsched_topology::designed::ring(6, 1);
     let fp = topo.fingerprint();
     let routing = commsched_routing::UpDownRouting::new(&topo, 0).expect("routing");
@@ -701,12 +717,21 @@ fn legacy_in_log_cache_records_are_spilled_then_dropped() {
     {
         let mut wal = WalWriter::open(&dir.join(WAL_FILE)).expect("open wal");
         wal.append(record_topo(&topo).as_bytes(), true).unwrap();
-        let record = record_cache(fp, key.1, key.2, &table, None);
+        let record = format!(
+            "cache {} updown:0 exact\n{}",
+            format_fingerprint(fp),
+            table_to_text(&table)
+        );
         wal.append(record.as_bytes(), false).unwrap();
     }
+    // The start succeeds; the record is derived state nobody reads.
     let (core, report) = durable_core(&dir);
-    assert_eq!(report.restored_tables, 1, "report: {report:?}");
-    assert_eq!(table_files(&dir), vec![file_name(key)]);
+    assert_eq!(report.wal_records, 2, "report: {report:?}");
+    assert_eq!(report.recovered_topologies, 1, "report: {report:?}");
+    assert_eq!(report.restored_tables, 0, "report: {report:?}");
+    assert_eq!(core.stats.table_spill_errors(), 1);
+    assert_eq!(core.cache.len(), 0);
+    assert!(table_files(&dir).is_empty());
     let snapshot = core
         .persistence()
         .expect("durable core")
@@ -714,11 +739,22 @@ fn legacy_in_log_cache_records_are_spilled_then_dropped() {
         .expect("load snapshot")
         .expect("post-recovery snapshot");
     assert!(!snapshot.iter().any(|r| r.starts_with("cache")));
+
+    // The first job that needs the table rebuilds it — one miss, the
+    // same bits — and the store gets its file.
+    core.submit(schedule_on(fp, 2, 1)).expect("submit");
+    drain_with_worker(&core);
+    assert_eq!(core.stats.completed(), 1);
+    assert_eq!(core.cache.misses(), 1);
+    let (_, rebuilt) = &core.cache.ready_entries()[0];
+    assert_eq!(table_to_text(&rebuilt.table), table_to_text(&table));
+    assert_eq!(table_files(&dir), vec![file_name(key)]);
     drop(core);
 
-    // The next start restores the same bits from the file alone.
+    // The next start restores those bits from the file alone.
     let (core, report) = durable_core(&dir);
     assert_eq!(report.restored_tables, 1, "report: {report:?}");
+    assert_eq!(core.stats.table_spill_errors(), 0);
     assert_eq!(
         core.stats.table_spills(),
         0,
