@@ -150,6 +150,12 @@ ADDR=$(wait_for_daemon "$SMOKE_DIR/serve1.log") \
 ./target/release/commsched schedule --server "$ADDR" --kind file --input "$SMOKE_DIR/ring8.topo" \
     --clusters 2 >"$SMOKE_DIR/schedule.out" \
     || { echo "recovery smoke: schedule on an uploaded topology failed"; cat "$SMOKE_DIR/schedule.out"; exit 1; }
+# The worker writes the file after it has settled the job, so the client
+# can be back first: give it a moment.
+for _ in $(seq 1 50); do
+    ls "$SMOKE_DIR/state/tables"/*.tbl >/dev/null 2>&1 && break
+    sleep 0.1
+done
 ls "$SMOKE_DIR/state/tables"/*.tbl >/dev/null 2>&1 \
     || { echo "recovery smoke: no spill file after a table build"; ls -la "$SMOKE_DIR/state" "$SMOKE_DIR/state/tables"; exit 1; }
 ./target/release/commsched submit --server "$ADDR" --kind ring --switches 4 --hosts 1 --clusters 2 | grep -q '^job ' \

@@ -190,7 +190,15 @@ fn sync_replication_promotes_with_every_acked_job_visible() {
     };
     let job = client.submit_raw(&schedule).unwrap();
     let fg_on_primary = fg_of(&mut client, job);
-    assert_eq!(client.stat_u64("table_spills").unwrap(), Some(1));
+    // The spill follows the job's settle, so `done` may be seen first.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while client.stat_u64("table_spills").unwrap() != Some(1) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the table never spilled"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // Every ack above waited on the replication barrier, and METRICS
     // shows the latency histogram of those waits.
     let metrics = client.metrics().unwrap();

@@ -15,7 +15,10 @@ use std::sync::Arc;
 
 impl ServiceCore {
     /// The cached routing + distance table for a topology, under the
-    /// given solver spec (exact, or the certified approximation).
+    /// given solver spec (exact, or the certified approximation). A
+    /// build is only noted here: the table's spill file is written by
+    /// the worker after the job has settled, not between the build and
+    /// the search.
     fn routed_table(
         &self,
         topo: &Arc<Topology>,
@@ -27,7 +30,7 @@ impl ServiceCore {
         let threads = self.config.table_threads;
         // The flag is set inside the closure, which only the winning
         // builder runs — threads served from the cache (or by waiting on
-        // a concurrent build) must not spill the entry again.
+        // a concurrent build) have nothing to spill.
         let mut built = false;
         let built_flag = &mut built;
         let value = self.cache.get_or_build(key, move || {
@@ -46,7 +49,7 @@ impl ServiceCore {
             })
         })?;
         if built {
-            self.spill_tables();
+            self.note_table_built();
         }
         Ok(value)
     }

@@ -29,6 +29,7 @@ use capacity::CapacityLedger;
 use commsched_distance::RepairMemo;
 use epochs::EpochState;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -185,6 +186,10 @@ pub struct ServiceCore {
     done_cv: Condvar,
     /// Durable state (WAL + snapshots), absent for in-memory-only cores.
     persist: Option<Persistence>,
+    /// A job built a table that has no spill file yet. Set by the
+    /// worker that built it, taken by the next worker to settle a job
+    /// (see [`Self::spill_if_due`]).
+    spill_due: AtomicBool,
     /// Replication sink (cluster primaries): observes every WAL record
     /// via the tap and gates acknowledgements at [`Self::repl_barrier`].
     repl: OnceLock<Arc<dyn ReplicationSink>>,
@@ -217,6 +222,7 @@ impl ServiceCore {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             persist,
+            spill_due: AtomicBool::new(false),
             repl: OnceLock::new(),
         }
     }
@@ -304,11 +310,36 @@ impl ServiceCore {
     /// cached table, none for an evicted or invalidated one. Takes no
     /// WAL lock and runs under the fsync class of unacknowledged
     /// records: a lost spill costs a rebuild after the next restart.
+    /// `FAULT` and recovery call it where they change the cache; a job
+    /// that builds a table leaves it to [`Self::spill_if_due`]. With
+    /// [`Self::logged`] this is one of the two write paths to the state
+    /// directory.
     fn spill_tables(&self) {
         let Some(p) = &self.persist else { return };
         let done = p.tables().sync(&self.cache, p.should_sync(false));
         self.stats
             .note_table_spill(done.spilled, done.bytes, done.errors, done.nanos);
+    }
+
+    /// Note that a job built a table: the next [`Self::spill_if_due`]
+    /// writes its file.
+    fn note_table_built(&self) {
+        // Release, paired with the Acquire in `spill_if_due`: whoever
+        // takes the flag locks the cache after this builder's insert.
+        self.spill_due.store(true, Ordering::Release);
+    }
+
+    /// Spill if a table was built since the last spill. A worker calls
+    /// this once its job is settled, with no lock held: a table's file
+    /// is derived state under the `ack = false` fsync class, so the
+    /// client has its `RESULT` before the file exists, and `tables/`
+    /// lags the cache by the spills in flight. Every worker passes here
+    /// after every job, the one that built included, so the directory
+    /// equals the cache whenever the workers are idle or joined.
+    fn spill_if_due(&self) {
+        if self.spill_due.swap(false, Ordering::AcqRel) {
+            self.spill_tables();
+        }
     }
 
     /// Write a compacting snapshot now and truncate the WAL. The

@@ -261,6 +261,9 @@ impl ServiceCore {
                 ),
             };
             self.settle(id, outcome, panicked, wait_ms, run_ms);
+            // The outcome is logged and visible; what is left is
+            // housekeeping no client waits for.
+            self.spill_if_due();
             self.maybe_snapshot();
         }
     }

@@ -351,9 +351,17 @@ fn snapshot_request_compacts_and_state_survives_server_restart() {
             client.wait(job, Duration::from_millis(10)).expect("wait"),
             "done"
         );
-        // The job's table went to its spill file, and both views of the
+        // The job's table goes to its spill file once the job is settled
+        // — the client may see `done` first — and both views of the
         // registry say so.
-        assert_eq!(client.stat_u64("table_spills").expect("stats"), Some(1));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while client.stat_u64("table_spills").expect("stats") != Some(1) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the table never spilled"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert!(client.stat_u64("table_spill_bytes").expect("stats") > Some(0));
         let metrics = client.metrics().expect("metrics");
         assert!(metrics.contains(&"service_table_spills_total 1".to_string()));
@@ -637,6 +645,115 @@ fn spill_directory_never_outgrows_the_cache() {
         "stale {stale} still has a file: {files:?}"
     );
     assert_eq!(core.stats.table_spill_errors(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A replication sink that looks at the spill store at the instant each
+/// `finish` record is logged (it is called under the WAL lock, inside
+/// `settle`): `(job id, table_spills, files under tables/)`.
+struct SpillProbe {
+    dir: PathBuf,
+    core: std::sync::OnceLock<std::sync::Weak<ServiceCore>>,
+    at_finish: Mutex<Vec<(u64, u64, usize)>>,
+}
+
+impl WalTap for SpillProbe {
+    fn record(&self, payload: &[u8]) {
+        let text = std::str::from_utf8(payload).expect("utf-8 record");
+        let Some(rest) = text.strip_prefix("finish ") else {
+            return;
+        };
+        let id = rest.split_whitespace().next().unwrap().parse().unwrap();
+        let core = self.core.get().and_then(std::sync::Weak::upgrade).unwrap();
+        let seen = (id, core.stats.table_spills(), table_files(&self.dir).len());
+        self.at_finish.lock().unwrap().push(seen);
+    }
+}
+
+impl ReplicationSink for SpillProbe {
+    fn barrier(&self) {}
+}
+
+/// A durable core whose `finish` records are watched by a [`SpillProbe`].
+fn probed_core(dir: &Path) -> (Arc<ServiceCore>, Arc<SpillProbe>) {
+    let (core, _) = durable_core(dir);
+    let probe = Arc::new(SpillProbe {
+        dir: dir.to_path_buf(),
+        core: std::sync::OnceLock::new(),
+        at_finish: Mutex::new(Vec::new()),
+    });
+    probe.core.set(Arc::downgrade(&core)).unwrap();
+    core.set_replication(Arc::clone(&probe) as Arc<dyn ReplicationSink>)
+        .expect("set replication");
+    (core, probe)
+}
+
+#[test]
+fn a_cold_job_is_finished_before_its_table_is_spilled() {
+    let dir = temp_dir("spill-order");
+    let (core, probe) = probed_core(&dir);
+    let (fp, _) = core.register_topology(commsched_topology::designed::ring(6, 1));
+    // One worker, three jobs in order: cold, warm on the same table, and
+    // one that fails *after* building a table of its own (a 5-ring has
+    // no three equal clusters).
+    let cold = core.submit(schedule_on(fp, 2, 1)).expect("submit");
+    let warm = core.submit(schedule_on(fp, 2, 2)).expect("submit");
+    let (odd_fp, _) = core.register_topology(commsched_topology::designed::ring(5, 1));
+    let failing = core.submit(schedule_on(odd_fp, 3, 1)).expect("submit");
+    drain_with_worker(&core);
+    assert_eq!(core.status(cold), Some(JobState::Done));
+    assert_eq!(core.status(warm), Some(JobState::Done));
+    assert_eq!(core.status(failing), Some(JobState::Failed));
+    assert_eq!(core.cache.misses(), 2);
+
+    // When the cold job's outcome was logged nothing had been spilled;
+    // its one spill ran before the next job started; the warm job
+    // spilled nothing; the failing job's table was still unspilled when
+    // its failure was logged, and has its file now.
+    assert_eq!(
+        *probe.at_finish.lock().unwrap(),
+        vec![(cold, 0, 0), (warm, 1, 1), (failing, 1, 1)]
+    );
+    assert_eq!(core.stats.table_spills(), 2);
+    assert_eq!(core.stats.table_spill_errors(), 0);
+    assert_eq!(table_files(&dir), cached_file_names(&core));
+    assert_eq!(table_files(&dir).len(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn two_workers_building_two_tables_leave_the_directory_equal_to_the_cache() {
+    let dir = temp_dir("spill-two");
+    let (core, probe) = probed_core(&dir);
+    for switches in [6, 8] {
+        let (fp, _) = core.register_topology(commsched_topology::designed::ring(switches, 1));
+        core.submit(schedule_on(fp, 2, 1)).expect("submit");
+    }
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || core.worker_loop())
+        })
+        .collect();
+    core.drain();
+    for w in workers {
+        w.join().expect("worker");
+    }
+    // Whichever worker took whichever spill: a table is written once,
+    // never before some job's outcome was logged, and both are there
+    // once both workers are parked for good.
+    assert_eq!(core.stats.completed(), 2);
+    assert_eq!(core.stats.table_spills(), 2);
+    assert_eq!(core.stats.table_spill_errors(), 0);
+    assert_eq!(table_files(&dir), cached_file_names(&core));
+    assert_eq!(table_files(&dir).len(), 2);
+    let at_finish = probe.at_finish.lock().unwrap();
+    assert_eq!(at_finish.len(), 2);
+    assert_eq!(
+        (at_finish[0].1, at_finish[0].2),
+        (0, 0),
+        "a spill ran before any job had finished"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
