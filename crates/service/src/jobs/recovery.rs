@@ -46,7 +46,9 @@ impl ServiceCore {
         // Tables come from the spill store alone. A `cache` record an
         // older daemon left in the log was skipped above and counts with
         // the files that could not be read: each costs one rebuild.
+        let load_started = Instant::now();
         let mut rejected = persistence.tables().load_into(&mut recovered);
+        let load_nanos = u64::try_from(load_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         rejected += recovered.skipped_cache_records;
 
         let core = Self::with_persistence(config, Some(persistence));
@@ -122,7 +124,7 @@ impl ServiceCore {
             report.restored_tables += 1;
         }
         core.stats
-            .note_table_recovery(report.restored_tables as u64, rejected);
+            .note_table_recovery(report.restored_tables as u64, rejected, load_nanos);
         // One file per restored table and nothing else: whatever was
         // rejected above is deleted here.
         core.spill_tables();

@@ -34,8 +34,10 @@ pub struct ServiceStats {
     table_spill_bytes: Counter,
     /// Wall time of the most recent spill (encode + write).
     table_spill_nanos: Gauge,
-    /// Tables restored from spill files (or legacy log records) at
-    /// startup instead of being rebuilt.
+    /// Wall time recovery spent reading and decoding the spill files.
+    table_restore_nanos: Gauge,
+    /// Tables restored from spill files at startup instead of being
+    /// rebuilt.
     table_restores: Counter,
     /// Spill writes that failed plus table files rejected at recovery.
     table_spill_errors: Counter,
@@ -108,6 +110,10 @@ impl ServiceStats {
             "service_table_spill_nanos",
             "Wall time of the most recent table spill (encode + write), in nanoseconds",
         );
+        let table_restore_nanos = registry.gauge(
+            "service_table_restore_nanos",
+            "Wall time startup recovery spent reading and decoding table spill files, in nanoseconds",
+        );
         let table_restores = registry.counter(
             "service_table_restores_total",
             "Distance tables restored at startup instead of rebuilt",
@@ -151,6 +157,7 @@ impl ServiceStats {
             table_spills,
             table_spill_bytes,
             table_spill_nanos,
+            table_restore_nanos,
             table_restores,
             table_spill_errors,
             ml_levels,
@@ -278,10 +285,13 @@ impl ServiceStats {
     }
 
     /// Count what recovery made of the spill store: tables restored
-    /// without a rebuild and table files (or records) it rejected.
-    pub fn note_table_recovery(&self, restored: u64, rejected: u64) {
+    /// without a rebuild, table files (or legacy in-log records) it
+    /// rejected, and how long reading the files took.
+    pub fn note_table_recovery(&self, restored: u64, rejected: u64, load_nanos: u64) {
         self.table_restores.add(restored);
         self.table_spill_errors.add(rejected);
+        self.table_restore_nanos
+            .set(i64::try_from(load_nanos).unwrap_or(i64::MAX));
     }
 
     /// Distance tables written to the spill directory.
@@ -346,6 +356,7 @@ impl ServiceStats {
             format!("table_spills {}", self.table_spills()),
             format!("table_spill_bytes {}", self.table_spill_bytes.get()),
             format!("table_spill_nanos {}", self.table_spill_nanos.get()),
+            format!("table_restore_nanos {}", self.table_restore_nanos.get()),
             format!("table_restores {}", self.table_restores()),
             format!("table_spill_errors {}", self.table_spill_errors()),
             format!("ml_levels {}", self.ml_levels()),
@@ -399,7 +410,7 @@ mod tests {
         s.set_snapshot_nanos(1_500_000);
         s.note_table_spill(2, 4096, 1, 7_000);
         s.note_table_spill(0, 0, 0, 9_000); // nothing written: "last" stays
-        s.note_table_recovery(3, 2);
+        s.note_table_recovery(3, 2, 11_000);
         s.note_multilevel(3, 17);
         s.note_multilevel(2, 5);
         s.note_approx_err_max(0.04);
@@ -420,6 +431,7 @@ mod tests {
         let lines = s.report_lines();
         assert!(lines.contains(&"table_spill_bytes 4096".to_string()));
         assert!(lines.contains(&"table_spill_nanos 7000".to_string()));
+        assert!(lines.contains(&"table_restore_nanos 11000".to_string()));
         assert_eq!(s.ml_levels(), 2);
         assert_eq!(s.ml_refine_moves(), 22);
         assert_eq!(s.approx_err_max_micros(), 40_000);
@@ -444,6 +456,7 @@ mod tests {
             "table_spills",
             "table_spill_bytes",
             "table_spill_nanos",
+            "table_restore_nanos",
             "table_restores",
             "table_spill_errors",
             "ml_levels",

@@ -95,6 +95,7 @@ fn metrics_agree_with_stats_after_jobs_run() {
         ("table_spills", "service_table_spills_total"),
         ("table_spill_bytes", "service_table_spill_bytes_total"),
         ("table_spill_nanos", "service_table_spill_nanos"),
+        ("table_restore_nanos", "service_table_restore_nanos"),
         ("table_restores", "service_table_restores_total"),
         ("table_spill_errors", "service_table_spill_errors_total"),
     ] {

@@ -390,6 +390,7 @@ fn snapshot_request_compacts_and_state_survives_server_restart() {
         let mut client = Client::connect(handle.addr()).expect("connect");
         assert_eq!(client.status(1).expect("status"), "done");
         assert_eq!(client.stat_u64("table_restores").expect("stats"), Some(1));
+        assert!(client.stat_u64("table_restore_nanos").expect("stats") > Some(0));
         assert_eq!(client.stat_u64("table_spills").expect("stats"), Some(0));
         let metrics = client.metrics().expect("metrics");
         assert!(metrics.contains(&"service_table_restores_total 1".to_string()));

@@ -835,6 +835,7 @@ const LINE_VERBS: &str = r#"
 < table_spills
 < table_spill_bytes
 < table_spill_nanos
+< table_restore_nanos
 < table_restores
 < table_spill_errors
 < ml_levels
@@ -883,6 +884,7 @@ const LINE_VERBS: &str = r#"
 < service_ml_refine_moves_total
 < service_recovered_jobs_total
 < service_snapshot_nanos
+< service_table_restore_nanos
 < service_table_restores_total
 < service_table_spill_bytes_total
 < service_table_spill_errors_total
@@ -1121,6 +1123,7 @@ const BINARY_VERBS: &str = r#"
 < table_spills
 < table_spill_bytes
 < table_spill_nanos
+< table_restore_nanos
 < table_restores
 < table_spill_errors
 < ml_levels
@@ -1169,6 +1172,7 @@ const BINARY_VERBS: &str = r#"
 < service_ml_refine_moves_total
 < service_recovered_jobs_total
 < service_snapshot_nanos
+< service_table_restore_nanos
 < service_table_restores_total
 < service_table_spill_bytes_total
 < service_table_spill_errors_total
@@ -1226,6 +1230,7 @@ const LINE_ROUTED: &str = r#"
 < table_spills
 < table_spill_bytes
 < table_spill_nanos
+< table_restore_nanos
 < table_restores
 < table_spill_errors
 < ml_levels
@@ -1314,6 +1319,7 @@ const BINARY_ROUTED: &str = r#"
 < table_spills
 < table_spill_bytes
 < table_spill_nanos
+< table_restore_nanos
 < table_restores
 < table_spill_errors
 < ml_levels
