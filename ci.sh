@@ -88,6 +88,14 @@ cargo test --release --offline -q -p commsched-search --test golden
 echo "==> golden distance-table bits, release build"
 cargo test --release --offline -q -p commsched-distance --test golden
 
+# And for what a restart restores: the table spill files hold the
+# table's bits, and the release build is the one that encodes and decodes
+# them. The digests were recorded through the text codec the files used
+# to hold; the decoder proptest feeds the binary one mutated, truncated
+# and hostile-sized bytes under a counting allocator.
+echo "==> restored table bits and the binary table decoder, release build"
+cargo test --release --offline -q -p commsched-distance --test restart_bits --test table_bytes
+
 # And for the front end: the daemon that ships is the release build, and
 # the recorded transcript (every verb and refusal over both codecs, the
 # loop's own refusals, the routed requests) is what says its reply bytes
@@ -173,6 +181,14 @@ RESTORED=$(sed -n 's/^recovered from .* \([0-9][0-9]*\) cached tables.*/\1/p' "$
     || { echo "recovery smoke: restored tables = ${RESTORED:-none}, want >= 1"; cat "$SMOKE_DIR/serve2.log"; exit 1; }
 [ -z "$(find "$SMOKE_DIR/state/tables" -name '*.tmp')" ] \
     || { echo "recovery smoke: stray tmp file under tables/"; ls -la "$SMOKE_DIR/state/tables"; exit 1; }
+# The restarted daemon read its table from the file, and rejected none.
+./target/release/commsched metrics --server "$ADDR" >"$SMOKE_DIR/metrics2.out" \
+    || { echo "recovery smoke: metrics request failed"; exit 1; }
+RESTORES=$(sed -n 's/^service_table_restores_total \([0-9][0-9]*\)$/\1/p' "$SMOKE_DIR/metrics2.out")
+[ "${RESTORES:-0}" -ge 1 ] \
+    || { echo "recovery smoke: table_restores = ${RESTORES:-none}, want >= 1"; cat "$SMOKE_DIR/metrics2.out"; exit 1; }
+grep -q '^service_table_spill_errors_total 0$' "$SMOKE_DIR/metrics2.out" \
+    || { echo "recovery smoke: a table file was rejected"; grep table "$SMOKE_DIR/metrics2.out"; exit 1; }
 ./target/release/commsched status --server "$ADDR" --job 1 | grep -Eq 'queued|running|done' \
     || { echo "recovery smoke: job 1 not recovered"; exit 1; }
 ./target/release/commsched status --server "$ADDR" --job 2 | grep -Eq 'queued|running|done' \

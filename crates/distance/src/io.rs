@@ -292,7 +292,8 @@ fn triangle_bytes(n: u64) -> Option<usize> {
 pub fn table_to_bytes_with_report(table: &DistanceTable, report: Option<&ApproxReport>) -> Vec<u8> {
     let n = table.n();
     let report_bytes = if report.is_some() { REPORT_BYTES } else { 0 };
-    let mut out = Vec::with_capacity(HEADER_BYTES + report_bytes + n * n.saturating_sub(1) * 4);
+    let triangle = triangle_bytes(n as u64).expect("a table in memory has a triangle");
+    let mut out = Vec::with_capacity(HEADER_BYTES + report_bytes + triangle);
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.push(u8::from(report.is_some()));
     if let Some(r) = report {
@@ -342,9 +343,9 @@ pub fn table_from_bytes_with_report(
     }
     let (n_field, rest) = take::<8>(bytes);
     let n = u64::from_le_bytes(n_field);
-    let (report_bytes, body) = match rest[0] {
-        0 => (0, &rest[1..]),
-        1 => (REPORT_BYTES, &rest[1..]),
+    let report_bytes = match rest[0] {
+        0 => 0,
+        1 => REPORT_BYTES,
         tag => return Err(TableParseError::BadReportTag { tag }),
     };
     // CORRECTNESS: `n` is whatever the bytes say. Its triangle's length
@@ -357,7 +358,7 @@ pub fn table_from_bytes_with_report(
         return Err(TableParseError::LengthMismatch { expected, found });
     }
     let n = usize::try_from(n).expect("triangle_bytes proved that n fits");
-    let (report, triangle) = body.split_at(report_bytes);
+    let (report, triangle) = rest[1..].split_at(report_bytes);
     let report = if report.is_empty() {
         None
     } else {
@@ -506,7 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip_is_exact_and_half_the_text() {
+    fn binary_round_trip_is_exact_and_agrees_with_text() {
         let table = paper24_table();
         let report = ApproxReport {
             eps: 0.05,

@@ -14,8 +14,8 @@
 //!   small authoritative records.
 //!
 //! Recovery loads the snapshot (if any), replays the WAL on top of it,
-//! feeds the table files to the same interpreter, and truncates the WAL
-//! once a fresh snapshot captures the merged state. A torn WAL tail —
+//! reads the table files, and truncates the WAL once a fresh snapshot
+//! captures the merged state. A torn WAL tail —
 //! the expected residue of a crash mid-append — is dropped silently, as
 //! is a damaged table file; a torn *snapshot* is an error, because
 //! snapshots are written atomically and a damaged one means something
@@ -26,7 +26,9 @@
 //! held, and [`Persistence::snapshot_with`] can hold the WAL mutex
 //! across capture → write → truncate, so no record can land between
 //! the captured image and the truncation that makes it authoritative.
-//! Table spill I/O takes the store's own lock and never the WAL's.
+//! Table spill I/O takes the store's own lock and never the WAL's. The
+//! WAL critical section and the spill store's sync are the only two
+//! write paths to the state directory.
 
 pub mod state;
 pub mod tables;

@@ -11,7 +11,7 @@
 //! `f64::to_bits`, so a restored table is the built one bit for bit and
 //! neither side formats or parses a float. It is the one frame whose
 //! payload is not all text, and this module reads it itself
-//! ([`load_file`]), not through the log's interpreter.
+//! (`load_file`), not through the log's interpreter.
 //!
 //! Files are written tmp + rename, so a reader sees a whole file or
 //! none; whatever else is found there — a stray tmp file, a file whose
@@ -163,7 +163,7 @@ impl TableStore {
 
     /// Add the table of every intact file to `state.tables`, oldest file
     /// first so that order defines recency as replay order does in a
-    /// log. Returns how many files were rejected (see [`load_file`]). A
+    /// log. Returns how many files were rejected (see `load_file`). A
     /// rejected file is left for [`Self::sync`] to delete.
     pub fn load_into(&self, state: &mut RecoveredState) -> u64 {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {

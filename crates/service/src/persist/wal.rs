@@ -194,7 +194,7 @@ pub fn replay(path: &Path) -> std::io::Result<Replay> {
 }
 
 /// The payload of the frame at the front of `data`, when one is there
-/// whole: a full header, a length within [`MAX_PAYLOAD_BYTES`] and
+/// whole: a full header, a length within `MAX_PAYLOAD_BYTES` and
 /// within `data`, and a matching checksum. Every reader of framed bytes
 /// goes through this check.
 pub fn decode_frame(data: &[u8]) -> Option<&[u8]> {
