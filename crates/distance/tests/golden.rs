@@ -28,12 +28,11 @@ use commsched_distance::{
     DistanceTable, RepairMemo, SolverKind, TableOptions,
 };
 use commsched_routing::{Routing, ShortestPathRouting, UpDownRouting};
-use commsched_topology::{
-    designed, random_regular, RandomTopologyConfig, SwitchId, Topology, TopologyBuilder,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use commsched_topology::{designed, SwitchId, Topology};
 use std::fmt::Write;
+
+mod nets;
+use nets::{first_survivable_fault, random_net, slowdown_net};
 
 /// `(case, fnv1a-64 of its bits)`.
 const GOLDEN: [(&str, &str); 76] = [
@@ -346,13 +345,6 @@ fn repair_case(
     }
 }
 
-/// The net without the first link whose removal keeps it connected.
-fn first_survivable_fault(topo: &Topology) -> Topology {
-    (0..topo.num_links())
-        .find_map(|l| topo.without_link(l).ok())
-        .expect("some link is not a bridge")
-}
-
 /// Every case of one network: both routings × the three solvers, build
 /// and (up to `DENSE_AND_REPAIR_MAX_N`) repair.
 fn check_net(net: &str, topo: &Topology) {
@@ -394,39 +386,6 @@ fn check_net(net: &str, topo: &Topology) {
         }
     }
     check_all(&cases);
-}
-
-/// The §5.1 class: `n` switches of degree three.
-fn random_net(n: usize) -> Topology {
-    let mut rng = StdRng::seed_from_u64(21_000 + n as u64);
-    random_regular(RandomTopologyConfig::paper(n), &mut rng).unwrap()
-}
-
-/// A 4 × 3 mesh with two chords, its links listed in descending wire
-/// order (so link-id order is the reverse of the canonical wire order)
-/// and slowdowns from {1, 2, 3, 5, 10}.
-fn slowdown_net() -> Topology {
-    let (w, h) = (4usize, 3usize);
-    let mut wires = vec![(0, 5), (6, 11)];
-    for y in 0..h {
-        for x in 0..w {
-            let s = y * w + x;
-            if x + 1 < w {
-                wires.push((s, s + 1));
-            }
-            if y + 1 < h {
-                wires.push((s, s + w));
-            }
-        }
-    }
-    wires.sort_unstable();
-    wires.reverse();
-    let mut builder = TopologyBuilder::new(w * h, 1);
-    for (a, b) in wires {
-        let slowdown = [1, 2, 3, 5, 10][(a * 7 + b * 3) % 5];
-        builder = builder.link_with_slowdown(a, b, slowdown);
-    }
-    builder.build().unwrap()
 }
 
 #[test]

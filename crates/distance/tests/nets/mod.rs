@@ -1,0 +1,64 @@
+//! The seven networks of the golden files, shared by `golden.rs` (the
+//! table's bits) and `tallies.rs` (which path answered each pair).
+
+#![allow(dead_code)] // each of the two uses its part
+
+use commsched_topology::{
+    designed, random_regular, RandomTopologyConfig, Topology, TopologyBuilder,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The §5.1 class: `n` switches of degree three.
+pub fn random_net(n: usize) -> Topology {
+    let mut rng = StdRng::seed_from_u64(21_000 + n as u64);
+    random_regular(RandomTopologyConfig::paper(n), &mut rng).unwrap()
+}
+
+/// A 4 × 3 mesh with two chords, its links listed in descending wire
+/// order (so link-id order is the reverse of the canonical wire order)
+/// and slowdowns from {1, 2, 3, 5, 10}.
+pub fn slowdown_net() -> Topology {
+    let (w, h) = (4usize, 3usize);
+    let mut wires = vec![(0, 5), (6, 11)];
+    for y in 0..h {
+        for x in 0..w {
+            let s = y * w + x;
+            if x + 1 < w {
+                wires.push((s, s + 1));
+            }
+            if y + 1 < h {
+                wires.push((s, s + w));
+            }
+        }
+    }
+    wires.sort_unstable();
+    wires.reverse();
+    let mut builder = TopologyBuilder::new(w * h, 1);
+    for (a, b) in wires {
+        let slowdown = [1, 2, 3, 5, 10][(a * 7 + b * 3) % 5];
+        builder = builder.link_with_slowdown(a, b, slowdown);
+    }
+    builder.build().unwrap()
+}
+
+/// Every golden network by the name its cases carry. `random96` is the
+/// `large_warm` shape, `random320` the `large_cold` one.
+pub fn all() -> Vec<(&'static str, Topology)> {
+    vec![
+        ("paper24", designed::paper_24_switch()),
+        ("ring8", designed::ring(8, 1)),
+        ("slowdowns12", slowdown_net()),
+        ("random16", random_net(16)),
+        ("random64", random_net(64)),
+        ("random96", random_net(96)),
+        ("random320", random_net(320)),
+    ]
+}
+
+/// The net without the first link whose removal keeps it connected.
+pub fn first_survivable_fault(topo: &Topology) -> Topology {
+    (0..topo.num_links())
+        .find_map(|l| topo.without_link(l).ok())
+        .expect("some link is not a bridge")
+}

@@ -1,57 +1,193 @@
-//! What a repair adds to the `distance_*_total` cells. The registry is
-//! process-global, so this file holds exactly one test: alone in its
-//! process it can assert exact deltas where the unit tests, which share
-//! theirs with every concurrent build, can only assert floors.
+//! Which path answered each pair: what a build and a repair add to the
+//! `distance_*_total` cells. The registry is process-global, so this
+//! file holds exactly one test: alone in its process it can assert exact
+//! deltas where the unit tests, which share theirs with every concurrent
+//! build, can only assert floors.
+//!
+//! `golden.rs` pins the bits of the table; `BUILD_TALLIES` pins, for the
+//! same 40 build cases at `threads = 1`, how each pair came by its bits:
+//! `[pairs, series_path, memo_hits + memo_misses, approx_pairs,
+//! approx_escalations]`. A change to how the builder learns that a
+//! pair's route network is a series path must leave every row equal.
+//! Recorded on the commit EXPERIMENTS.md "PR 24" names as its parent; a
+//! mismatch prints the ready-to-paste rows.
 
 use commsched_distance::{
-    equivalent_distance_table, repair_distance_table, RepairMemo, TableOptions,
+    equivalent_distance_table, equivalent_distance_table_with, repair_distance_table, RepairMemo,
+    SolverKind, TableOptions,
 };
-use commsched_routing::UpDownRouting;
+use commsched_routing::{Routing, ShortestPathRouting, UpDownRouting};
 use commsched_telemetry as telemetry;
-use commsched_topology::designed;
+use commsched_topology::{designed, Topology};
+use std::fmt::Write;
 
-#[test]
-fn a_repair_tallies_its_pairs_and_is_not_a_build() {
-    let r = telemetry::global();
-    let cell = |name: &str| r.counter(name, "").get();
-    let cells = || {
+mod nets;
+
+/// `(case, [pairs, series_path, memo lookups, approx_pairs, approx_escalations])`.
+const BUILD_TALLIES: [(&str, [u64; 5]); 40] = [
+    ("paper24/updown/sparse", [276, 136, 140, 0, 0]),
+    ("paper24/updown/dense", [276, 0, 0, 0, 0]),
+    ("paper24/updown/approx", [276, 136, 136, 4, 136]),
+    ("paper24/shortest/sparse", [276, 148, 128, 0, 0]),
+    ("paper24/shortest/dense", [276, 0, 0, 0, 0]),
+    ("paper24/shortest/approx", [276, 148, 116, 12, 116]),
+    ("ring8/updown/sparse", [28, 27, 1, 0, 0]),
+    ("ring8/updown/dense", [28, 0, 0, 0, 0]),
+    ("ring8/updown/approx", [28, 27, 0, 1, 0]),
+    ("ring8/shortest/sparse", [28, 24, 4, 0, 0]),
+    ("ring8/shortest/dense", [28, 0, 0, 0, 0]),
+    ("ring8/shortest/approx", [28, 24, 0, 4, 0]),
+    ("slowdowns12/updown/sparse", [66, 57, 9, 0, 0]),
+    ("slowdowns12/updown/dense", [66, 0, 0, 0, 0]),
+    ("slowdowns12/updown/approx", [66, 57, 5, 4, 5]),
+    ("slowdowns12/shortest/sparse", [66, 39, 27, 0, 0]),
+    ("slowdowns12/shortest/dense", [66, 0, 0, 0, 0]),
+    ("slowdowns12/shortest/approx", [66, 39, 17, 10, 17]),
+    ("random16/updown/sparse", [120, 106, 14, 0, 0]),
+    ("random16/updown/dense", [120, 0, 0, 0, 0]),
+    ("random16/updown/approx", [120, 106, 8, 6, 8]),
+    ("random16/shortest/sparse", [120, 90, 30, 0, 0]),
+    ("random16/shortest/dense", [120, 0, 0, 0, 0]),
+    ("random16/shortest/approx", [120, 90, 10, 20, 10]),
+    ("random64/updown/sparse", [2016, 1632, 384, 0, 0]),
+    ("random64/updown/dense", [2016, 0, 0, 0, 0]),
+    ("random64/updown/approx", [2016, 1632, 343, 41, 343]),
+    ("random64/shortest/sparse", [2016, 1478, 538, 0, 0]),
+    ("random64/shortest/dense", [2016, 0, 0, 0, 0]),
+    ("random64/shortest/approx", [2016, 1478, 361, 177, 361]),
+    ("random96/updown/sparse", [4560, 4044, 516, 0, 0]),
+    ("random96/updown/dense", [4560, 0, 0, 0, 0]),
+    ("random96/updown/approx", [4560, 4044, 460, 56, 460]),
+    ("random96/shortest/sparse", [4560, 3352, 1208, 0, 0]),
+    ("random96/shortest/dense", [4560, 0, 0, 0, 0]),
+    ("random96/shortest/approx", [4560, 3352, 746, 462, 746]),
+    ("random320/updown/sparse", [51040, 43279, 7761, 0, 0]),
+    ("random320/updown/approx", [51040, 43279, 7434, 327, 7434]),
+    ("random320/shortest/sparse", [51040, 37208, 13832, 0, 0]),
+    (
+        "random320/shortest/approx",
+        [51040, 37208, 9333, 4499, 9333],
+    ),
+];
+
+const SOLVERS: [(&str, SolverKind); 3] = [
+    ("sparse", SolverKind::SparseCholesky),
+    ("dense", SolverKind::DenseGaussian),
+    ("approx", SolverKind::Approximate),
+];
+/// As in `golden.rs`: above this no dense case is recorded.
+const DENSE_MAX_N: usize = 96;
+
+fn cell(name: &str) -> u64 {
+    telemetry::global().counter(name, "").get()
+}
+
+/// What running `f` added to each of `names`' cells.
+fn deltas<const K: usize>(names: [&str; K], f: impl FnOnce()) -> [u64; K] {
+    let before = names.map(cell);
+    f();
+    let after = names.map(cell);
+    std::array::from_fn(|k| after[k] - before[k])
+}
+
+/// The tally row of every golden build case, in `golden.rs` order.
+fn build_tallies() -> Vec<(String, [u64; 5])> {
+    let mut rows = Vec::new();
+    for (net, topo) in nets::all() {
+        let routings: [(&str, Box<dyn Routing>); 2] = [
+            ("updown", Box::new(UpDownRouting::new(&topo, 0).unwrap())),
+            (
+                "shortest",
+                Box::new(ShortestPathRouting::new(&topo).unwrap()),
+            ),
+        ];
+        for (routing_name, routing) in &routings {
+            for (solver_name, solver) in SOLVERS {
+                if solver == SolverKind::DenseGaussian && topo.num_switches() > DENSE_MAX_N {
+                    continue;
+                }
+                let options = TableOptions {
+                    solver,
+                    threads: 1,
+                    ..TableOptions::approximate(0.05)
+                };
+                let [pairs, series, hits, misses, approx, escalated] = deltas(
+                    [
+                        "distance_pairs_total",
+                        "distance_series_path_total",
+                        "distance_memo_hits_total",
+                        "distance_memo_misses_total",
+                        "distance_approx_pairs_total",
+                        "distance_approx_escalations_total",
+                    ],
+                    || {
+                        equivalent_distance_table_with(&topo, &**routing, options).unwrap();
+                    },
+                );
+                rows.push((
+                    format!("{net}/{routing_name}/{solver_name}"),
+                    [pairs, series, hits + misses, approx, escalated],
+                ));
+            }
+        }
+    }
+    rows
+}
+
+fn repair_tallies_its_pairs_and_is_not_a_build(topo: &Topology) {
+    let routing = UpDownRouting::new(topo, 0).unwrap();
+    let prev = equivalent_distance_table(topo, &routing).unwrap();
+    assert_eq!(cell("distance_builds_total"), 1);
+    assert_eq!(cell("distance_pairs_total"), 276);
+
+    // Rows 0, 3 and 5; (3, 9) twice and once mirrored; one diagonal.
+    let affected = [(0, 7), (3, 9), (9, 3), (3, 9), (3, 20), (5, 5), (5, 6)];
+    let mut memo = RepairMemo::new();
+    let [pairs, rows, series, hits, misses] = deltas(
         [
             "distance_pairs_total",
             "distance_rows_total",
             "distance_series_path_total",
             "distance_memo_hits_total",
             "distance_memo_misses_total",
-        ]
-        .map(cell)
-    };
-
-    let topo = designed::paper_24_switch();
-    let routing = UpDownRouting::new(&topo, 0).unwrap();
-    let prev = equivalent_distance_table(&topo, &routing).unwrap();
-    assert_eq!(cell("distance_builds_total"), 1);
-    assert_eq!(cell("distance_pairs_total"), 276);
-
-    // Rows 0, 3 and 5; (3, 9) twice and once mirrored; one diagonal.
-    let affected = [(0, 7), (3, 9), (9, 3), (3, 9), (3, 20), (5, 5), (5, 6)];
-    let before = cells();
-    let mut memo = RepairMemo::new();
-    let out = repair_distance_table(
-        &prev,
-        &topo,
-        &routing,
-        &affected,
-        TableOptions::default(),
-        &mut memo,
-    )
-    .unwrap();
-    assert_eq!(out.pairs_recomputed, 4);
-    let after = cells();
-    let [pairs, rows, series, hits, misses] = std::array::from_fn(|k| after[k] - before[k]);
+        ],
+        || {
+            let out = repair_distance_table(
+                &prev,
+                topo,
+                &routing,
+                &affected,
+                TableOptions::default(),
+                &mut memo,
+            )
+            .unwrap();
+            assert_eq!(out.pairs_recomputed, 4);
+        },
+    );
     assert_eq!(pairs, 4, "every recomputed pair is tallied");
     assert_eq!(rows, 3, "one batched extraction per source row");
     assert_eq!(series + hits + misses, 4, "each pair took exactly one path");
     assert_eq!((hits, misses), (memo.hits(), memo.misses()));
     // A repair is not a build.
     assert_eq!(cell("distance_builds_total"), 1);
-    assert_eq!(r.histogram("distance_build_ms", "").count(), 1);
+    let build_ms = telemetry::global().histogram("distance_build_ms", "");
+    assert_eq!(build_ms.count(), 1);
+}
+
+#[test]
+fn builds_and_repairs_tally_which_path_answered_each_pair() {
+    // First, while the process has built nothing: the cells of one build
+    // and one repair are exactly theirs.
+    repair_tallies_its_pairs_and_is_not_a_build(&designed::paper_24_switch());
+
+    let mut moved = String::new();
+    let got = build_tallies();
+    for (name, row) in &got {
+        let want = BUILD_TALLIES.iter().find(|(n, _)| n == name);
+        if want.map(|(_, r)| r) != Some(row) {
+            writeln!(moved, "(\"{name}\", {row:?}), // recorded {want:?}").unwrap();
+        }
+    }
+    assert!(moved.is_empty(), "build tallies moved:\n{moved}");
+    assert_eq!(got.len(), BUILD_TALLIES.len());
 }
