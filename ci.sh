@@ -84,9 +84,14 @@ cargo test --release --offline -q -p commsched-search --test golden
 
 # And for the distance table: `PairSink`'s unsynchronised stores and the
 # monomorphised per-pair solver are what the shipped build runs, and the
-# recorded bits are what every `F_G` of every job is a sum over.
-echo "==> golden distance-table bits, release build"
-cargo test --release --offline -q -p commsched-distance --test golden
+# recorded bits are what every `F_G` of every job is a sum over. The row
+# scan's lockstep reference (the series-path test over every pair's link
+# list) is compiled out exactly there: the recorded tallies say that the
+# scan still answers the pairs that test answered, the routing property
+# test that it answers them with the cost of their one route.
+echo "==> golden distance-table bits, which path answered each pair, and the row steps against route enumeration, release build"
+cargo test --release --offline -q -p commsched-distance --test golden --test tallies
+cargo test --release --offline -q -p commsched-routing --test row
 
 # And for what a restart restores: the table spill files hold the
 # table's bits, and the release build is the one that encodes and decodes

@@ -159,7 +159,7 @@ pub struct RepairOutcome {
 
 /// Normalize `(i, j)` pairs to `i < j`, drop diagonals and duplicates,
 /// and group by source row (the row batch is what amortizes the per-row
-/// BFS of `minimal_route_links_row`).
+/// BFS of `Routing::scan_row`).
 fn group_rows(
     affected: &[(SwitchId, SwitchId)],
     n: usize,

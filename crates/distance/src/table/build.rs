@@ -22,6 +22,7 @@ struct BuildMetrics {
     rows: telemetry::Counter,
     pairs: telemetry::Counter,
     series_path: telemetry::Counter,
+    route_walks: telemetry::Counter,
     memo_hits: telemetry::Counter,
     memo_misses: telemetry::Counter,
     dense_solves: telemetry::Counter,
@@ -45,7 +46,7 @@ fn build_metrics() -> &'static BuildMetrics {
             ),
             rows: r.counter(
                 "distance_rows_total",
-                "Source rows whose route link sets were batch-extracted",
+                "Source rows scanned (one forward route search each)",
             ),
             pairs: r.counter(
                 "distance_pairs_total",
@@ -53,7 +54,11 @@ fn build_metrics() -> &'static BuildMetrics {
             ),
             series_path: r.counter(
                 "distance_series_path_total",
-                "Pairs answered by the series-path scan (no linear solve)",
+                "Pairs with one minimal route, answered by the row scan (no link set, no solve)",
+            ),
+            route_walks: r.counter(
+                "distance_route_walks_total",
+                "Pairs whose route link set was extracted",
             ),
             memo_hits: r.counter(
                 "distance_memo_hits_total",
@@ -92,6 +97,7 @@ impl PairTally {
         m.rows.add(self.rows);
         m.pairs.add(self.pairs);
         m.series_path.add(self.series_path);
+        m.route_walks.add(self.route_walks);
         m.memo_hits.add(self.memo_hits);
         m.memo_misses.add(self.memo_misses);
         m.dense_solves.add(self.dense_solves);
@@ -169,9 +175,10 @@ impl FirstFailure {
 ///
 /// Workers pull source rows off a shared atomic counter (work stealing),
 /// since per-row cost varies with both the row's pair count and the
-/// route sub-network sizes. A claimed row `i` extracts the link sets for
-/// every destination at once (one BFS per source instead of one scan per
-/// pair) and then solves the pairs `(i, j)` for `j > i`. The per-pair
+/// route sub-network sizes. A claimed row `i` is scanned once (one BFS
+/// per source, which answers every pair with a single minimal route) and
+/// then resolves the pairs `(i, j)` for `j > i`, extracting a link set
+/// only for the pairs it has to solve. The per-pair
 /// computation is deterministic and independent of which worker runs it,
 /// so the result is bit-identical across thread counts — and identical
 /// whether or not memoization is on.
@@ -188,25 +195,31 @@ pub fn equivalent_distance_table_with(
     equivalent_distance_table_with_report(topo, routing, options).map(|(table, _)| table)
 }
 
-/// Shared write target for the build workers: row `i`'s pairs `(i, j)`,
-/// `j > i`, are written only by the worker that claimed row `i`, so the
-/// unsynchronized stores never alias. Workers write straight into the
-/// final upper triangle — no per-worker `O(pairs)` scratch vectors, which
-/// at N = 4096 would be ~200 MB of transient entry triples.
+/// Shared write target for the build workers: the pair `{i, j}`, `j > i`,
+/// belongs to the worker that claimed row `i`, which writes both of its
+/// cells. Workers write straight into the final matrix — no per-worker
+/// `O(pairs)` scratch vectors, which at N = 4096 would be ~200 MB of
+/// transient entry triples, and no mirroring pass after the join.
 struct PairSink {
     ptr: *mut f64,
     n: usize,
 }
 
-// SAFETY: the pointer is only written through `set_upper`, whose contract
-// gives every cell to one worker; nothing reads it until the workers joined.
+// SAFETY: the pointer is only written through `set_pair`, whose contract
+// gives every cell to one worker — `(i, j)` and `(j, i)` are the cells of
+// one unordered pair, and no other pair has either; nothing reads it
+// until the workers joined.
 unsafe impl Sync for PairSink {}
 
 impl PairSink {
     /// # Safety
-    /// `(i, j)` must be claimed by exactly one worker for this build.
-    unsafe fn set_upper(&self, i: SwitchId, j: SwitchId, d: f64) {
-        unsafe { *self.ptr.add(i * self.n + j) = d };
+    /// The unordered pair `{i, j}` must be claimed by exactly one worker
+    /// for this build.
+    unsafe fn set_pair(&self, i: SwitchId, j: SwitchId, d: f64) {
+        unsafe {
+            *self.ptr.add(i * self.n + j) = d;
+            *self.ptr.add(j * self.n + i) = d;
+        }
     }
 }
 
@@ -244,8 +257,8 @@ pub fn equivalent_distance_table_with_report(
             for j in (i + 1)..n {
                 match solver.solve(i, j) {
                     // SAFETY: this worker claimed row i; no other worker
-                    // touches (i, j) for j > i.
-                    Ok(d) => unsafe { sink.set_upper(i, j, d) },
+                    // resolves a pair {i, j} with j > i.
+                    Ok(d) => unsafe { sink.set_pair(i, j, d) },
                     Err(e) => failure.note((i, j), e),
                 }
             }
@@ -256,12 +269,6 @@ pub fn equivalent_distance_table_with_report(
     for (solver, worker_failure) in workers {
         failure.merge(worker_failure);
         tally.merge(&solver.tally);
-    }
-    // Mirror the upper triangle (workers only wrote j > i).
-    for i in 0..n {
-        for j in (i + 1)..n {
-            data[j * n + i] = data[i * n + j];
-        }
     }
     tally.flush();
     let m = build_metrics();

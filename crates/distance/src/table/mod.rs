@@ -4,9 +4,13 @@
 //! (with `approx` certifying an interval for the approximate solver) and
 //! `build` fans the pairs of a whole table out over workers. The repair
 //! path (`crate::repair`) drives the same `solve` and the same fan-out.
+//! `reference` exists in debug builds only: the list-based series-path
+//! test every resolved pair is checked against.
 
 mod approx;
 mod build;
+#[cfg(debug_assertions)]
+mod reference;
 mod solve;
 mod spec;
 

@@ -4,7 +4,7 @@
 use super::approx::ApproxScratch;
 use super::spec::{TableError, TableOptions};
 use crate::resistance::{effective_resistance_weighted, SolverKind, Workspace};
-use commsched_routing::Routing;
+use commsched_routing::{RouteRow, Routing};
 use commsched_topology::{LinkId, SwitchId, Topology};
 use std::collections::HashMap;
 
@@ -16,6 +16,7 @@ pub(crate) struct PairTally {
     pub(crate) rows: u64,
     pub(crate) pairs: u64,
     pub(crate) series_path: u64,
+    pub(crate) route_walks: u64,
     pub(crate) memo_hits: u64,
     pub(crate) memo_misses: u64,
     pub(crate) dense_solves: u64,
@@ -31,79 +32,13 @@ impl PairTally {
         self.rows += other.rows;
         self.pairs += other.pairs;
         self.series_path += other.series_path;
+        self.route_walks += other.route_walks;
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
         self.dense_solves += other.dense_solves;
         self.approx_pairs += other.approx_pairs;
         self.approx_escalations += other.approx_escalations;
         self.approx_err_max = self.approx_err_max.max(other.approx_err_max);
-    }
-}
-
-/// Per-switch stamps for the single-scan series-path test.
-#[derive(Default)]
-struct PathScan {
-    stamp: Vec<u32>,
-    deg: Vec<u32>,
-    mark: u32,
-}
-
-/// One scan over `links`: if the route sub-network is a simple path with
-/// the terminals at its ends, its resistance is just the series sum of
-/// the link resistances — no circuit assembly or solve at all. Returns
-/// `None` for any other shape (including empty link sets).
-///
-/// The tree test `nodes == links + 1` is sound because a minimal-route
-/// union is always connected (every link lies on some `a`→`b` route, so
-/// every link reaches `a`); a connected graph with that edge count and
-/// maximum degree 2 is exactly a simple path. Most up*/down* route
-/// unions have this shape, which makes this the hot path of the build.
-fn try_series_path(
-    topo: &Topology,
-    scan: &mut PathScan,
-    links: &[LinkId],
-    a: SwitchId,
-    b: SwitchId,
-) -> Option<f64> {
-    if links.is_empty() {
-        return None;
-    }
-    let n = topo.num_switches();
-    if scan.stamp.len() < n {
-        scan.stamp.resize(n, 0);
-        scan.deg.resize(n, 0);
-    }
-    if scan.mark == u32::MAX {
-        scan.stamp[..n].fill(0);
-        scan.mark = 0;
-    }
-    scan.mark += 1;
-    let mark = scan.mark;
-    let mut nodes = 0usize;
-    let mut sum_r = 0.0f64;
-    let mut path_like = true;
-    for &l in links {
-        let link = topo.link(l);
-        // Heterogeneous link speeds: a slower link resists more.
-        sum_r += f64::from(topo.link_slowdown(l));
-        for end in [link.a, link.b] {
-            if scan.stamp[end] != mark {
-                scan.stamp[end] = mark;
-                scan.deg[end] = 0;
-                nodes += 1;
-            }
-            scan.deg[end] += 1;
-            if scan.deg[end] > 2 {
-                path_like = false;
-            }
-        }
-    }
-    let terminals_are_endpoints =
-        scan.stamp[a] == mark && scan.stamp[b] == mark && scan.deg[a] == 1 && scan.deg[b] == 1;
-    if path_like && nodes == links.len() + 1 && terminals_are_endpoints {
-        Some(sum_r)
-    } else {
-        None
     }
 }
 
@@ -202,17 +137,19 @@ fn link_resistor(topo: &Topology, l: LinkId) -> (SwitchId, SwitchId, f64) {
     (link.a, link.b, f64::from(topo.link_slowdown(l)))
 }
 
-/// One worker's solver state: reusable scratch, its circuit source, and
-/// the current source row's batched link sets.
+/// One worker's solver state: reusable scratch, its circuit source, the
+/// scan of the current source row and the link set of the current pair.
 pub(crate) struct PairSolver<'a, C> {
     topo: &'a Topology,
     routing: &'a dyn Routing,
     options: TableOptions,
     ws: Workspace,
-    scan: PathScan,
     approx: ApproxScratch,
     pub(crate) circuits: C,
-    row_links: Vec<Vec<LinkId>>,
+    row: RouteRow,
+    links: Vec<LinkId>,
+    #[cfg(debug_assertions)]
+    reference: super::reference::SeriesPathReference,
     pub(crate) tally: PairTally,
 }
 
@@ -228,21 +165,22 @@ impl<'a, C: CircuitSource> PairSolver<'a, C> {
             routing,
             options,
             ws: Workspace::new(),
-            scan: PathScan::default(),
             approx: ApproxScratch::default(),
             circuits,
-            row_links: Vec::new(),
+            row: RouteRow::new(),
+            links: Vec::new(),
+            #[cfg(debug_assertions)]
+            reference: Default::default(),
             tally: PairTally::default(),
         }
     }
 
-    /// Called once per claimed source row. The sparse path extracts the
-    /// minimal-route link sets for every destination in one batched pass
-    /// (a single forward BFS serves the whole row, into reused buffers);
-    /// the dense baseline keeps its original per-pair extraction.
+    /// Called once per claimed source row. The sparse path scans the row
+    /// (the one forward BFS that serves every destination, into reused
+    /// buffers); the dense baseline keeps its own per-pair extraction.
     pub(crate) fn begin_row(&mut self, i: SwitchId) {
         if self.options.solver != SolverKind::DenseGaussian {
-            self.routing.minimal_route_links_row(i, &mut self.row_links);
+            self.routing.scan_row(i, &mut self.row);
             self.tally.rows += 1;
         }
     }
@@ -253,17 +191,29 @@ impl<'a, C: CircuitSource> PairSolver<'a, C> {
         self.tally.pairs += 1;
         if self.options.solver == SolverKind::DenseGaussian {
             self.tally.dense_solves += 1;
+            self.tally.route_walks += 1;
             return pair_resistance(self.topo, self.routing, i, j);
         }
-        let links = &self.row_links[j];
-        // Simple-path sub-networks (the common case) are answered by one
-        // scan, bypassing the memo: the lookup would cost more than the
-        // sum. Memoization stays value-neutral — path pairs skip it in
-        // both modes.
-        if let Some(r) = try_series_path(self.topo, &mut self.scan, links, i, j) {
+        // A pair with one minimal route (the common case) has a simple
+        // path for a sub-network, whose resistance is the series sum the
+        // row scan carried: no link list, no circuit, no memo lookup.
+        // Memoization stays value-neutral — path pairs skip it in both
+        // modes.
+        let unique = self.row.unique_route_cost(j);
+        #[cfg(debug_assertions)]
+        self.reference
+            .check(self.topo, self.routing, &mut self.row, (i, j), unique);
+        if let Some(cost) = unique {
             self.tally.series_path += 1;
-            return Ok(r);
+            // CORRECTNESS: `cost` sums at most `2N` slowdowns of 32 bits,
+            // far below 2^53, and so does every partial sum of the same
+            // integers as `f64`s in any order: this conversion is exact
+            // and has the bits the link-id-order `f64` sum always had.
+            return Ok(cost as f64);
         }
+        self.routing.row_links(j, &mut self.row, &mut self.links);
+        self.tally.route_walks += 1;
+        let links = &self.links;
         if self.options.solver == SolverKind::Approximate {
             let eps = self.options.approx_eps();
             if let Some((lo, hi)) = self.approx.pair_bounds(self.topo, links, i, j, eps) {

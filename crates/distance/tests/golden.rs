@@ -24,15 +24,15 @@
 //! daemon's build runs.
 
 use commsched_distance::{
-    equivalent_distance_table_with_report, repair_distance_table, route_key, ApproxReport,
-    DistanceTable, RepairMemo, SolverKind, TableOptions,
+    equivalent_distance_table_with_report, repair_distance_table, ApproxReport, DistanceTable,
+    RepairMemo, SolverKind, TableOptions,
 };
 use commsched_routing::{Routing, ShortestPathRouting, UpDownRouting};
 use commsched_topology::{designed, SwitchId, Topology};
 use std::fmt::Write;
 
 mod nets;
-use nets::{first_survivable_fault, random_net, slowdown_net};
+use nets::{changed_pairs, first_survivable_fault, random_net, slowdown_net};
 
 /// `(case, fnv1a-64 of its bits)`.
 const GOLDEN: [(&str, &str); 76] = [
@@ -226,29 +226,6 @@ fn build_case(name: String, topo: &Topology, routing: &dyn Routing, solver: Solv
         ),
         name,
     }
-}
-
-/// Pairs whose minimal-route link sets differ, as physical wires,
-/// between two epochs.
-fn changed_pairs(
-    old_topo: &Topology,
-    old_r: &dyn Routing,
-    new_topo: &Topology,
-    new_r: &dyn Routing,
-) -> Vec<(SwitchId, SwitchId)> {
-    let n = old_topo.num_switches();
-    let (mut old_row, mut new_row) = (Vec::new(), Vec::new());
-    let mut out = Vec::new();
-    for i in 0..n {
-        old_r.minimal_route_links_row(i, &mut old_row);
-        new_r.minimal_route_links_row(i, &mut new_row);
-        for j in (i + 1)..n {
-            if route_key(old_topo, &old_row[j]) != route_key(new_topo, &new_row[j]) {
-                out.push((i, j));
-            }
-        }
-    }
-    out
 }
 
 /// What a cold and a warm repair round left behind, on one memo.

@@ -1,10 +1,13 @@
-//! The seven networks of the golden files, shared by `golden.rs` (the
-//! table's bits) and `tallies.rs` (which path answered each pair).
+//! The seven networks of the golden files and the fault their repair
+//! cases apply, shared by `golden.rs` (the table's bits) and `tallies.rs`
+//! (which path answered each pair).
 
 #![allow(dead_code)] // each of the two uses its part
 
+use commsched_distance::route_key;
+use commsched_routing::Routing;
 use commsched_topology::{
-    designed, random_regular, RandomTopologyConfig, Topology, TopologyBuilder,
+    designed, random_regular, RandomTopologyConfig, SwitchId, Topology, TopologyBuilder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,4 +64,27 @@ pub fn first_survivable_fault(topo: &Topology) -> Topology {
     (0..topo.num_links())
         .find_map(|l| topo.without_link(l).ok())
         .expect("some link is not a bridge")
+}
+
+/// Pairs whose minimal-route link sets differ, as physical wires,
+/// between two epochs.
+pub fn changed_pairs(
+    old_topo: &Topology,
+    old_r: &dyn Routing,
+    new_topo: &Topology,
+    new_r: &dyn Routing,
+) -> Vec<(SwitchId, SwitchId)> {
+    let n = old_topo.num_switches();
+    let (mut old_row, mut new_row) = (Vec::new(), Vec::new());
+    let mut out = Vec::new();
+    for i in 0..n {
+        old_r.minimal_route_links_row(i, &mut old_row);
+        new_r.minimal_route_links_row(i, &mut new_row);
+        for j in (i + 1)..n {
+            if route_key(old_topo, &old_row[j]) != route_key(new_topo, &new_row[j]) {
+                out.push((i, j));
+            }
+        }
+    }
+    out
 }

@@ -266,6 +266,17 @@ mod tests {
             Vec::new() // unused by the simulator
         }
 
+        fn scan_row(&self, _src: SwitchId, _row: &mut commsched_routing::RouteRow) {}
+
+        fn row_links(
+            &self,
+            _dst: SwitchId,
+            _row: &mut commsched_routing::RouteRow,
+            out: &mut Vec<commsched_topology::LinkId>,
+        ) {
+            out.clear() // unused by the simulator
+        }
+
         fn next_hops(&self, state: RouteState, dst: SwitchId) -> Vec<RouteState> {
             if state.node == dst {
                 return Vec::new();

@@ -15,6 +15,10 @@
 //! * [`Routing::route_distance`] — length of the shortest *legal* route,
 //! * [`Routing::minimal_route_links`] — the union of links over all minimal
 //!   legal routes (the resistor network of the distance model),
+//! * [`Routing::scan_row`] / [`Routing::row_links`] — the same per source
+//!   row over one [`RouteRow`]: one search answers the cost of every
+//!   destination with a single minimal route, and only the others have
+//!   their link set extracted,
 //! * [`Routing::next_hops`] — per-hop minimal-route choices for the
 //!   flit-level simulator (which tracks the up*/down* phase in
 //!   [`RouteState::descended`]).
@@ -32,14 +36,16 @@
 //! ```
 
 pub mod paths;
+mod row;
 pub mod shortest;
 pub mod updown;
 
 pub use paths::enumerate_minimal_routes;
+pub use row::RouteRow;
 pub use shortest::ShortestPathRouting;
 pub use updown::UpDownRouting;
 
-use commsched_topology::{SwitchId, Topology};
+use commsched_topology::{LinkId, SwitchId, Topology};
 
 /// Per-message routing state carried by the simulator.
 ///
@@ -163,32 +169,35 @@ pub trait Routing: Send + Sync {
 
     /// Ids of the links lying on at least one minimal route from `src` to
     /// `dst`, deduplicated and sorted. Empty when `src == dst`.
-    fn minimal_route_links(&self, src: SwitchId, dst: SwitchId) -> Vec<commsched_topology::LinkId>;
+    fn minimal_route_links(&self, src: SwitchId, dst: SwitchId) -> Vec<LinkId>;
 
-    /// Batched row extraction for the table builder: fill `out[dst]` with
+    /// First step of a source row: the one forward search from `src` that
+    /// serves every destination, left in `row`. Afterwards
+    /// [`RouteRow::unique_route_cost`] answers the destinations with one
+    /// minimal route (in the link slowdowns of the topology the router
+    /// was built for), and [`Routing::row_links`] extracts the link set
+    /// of any other.
+    fn scan_row(&self, src: SwitchId, row: &mut RouteRow);
+
+    /// Second step, one destination of the row `row` was scanned for by
+    /// this router: `minimal_route_links(src, dst)` into `out` (cleared
+    /// first, its allocation reused).
+    fn row_links(&self, dst: SwitchId, row: &mut RouteRow, out: &mut Vec<LinkId>);
+
+    /// Every link set of a row: fill `out[dst]` with
     /// `minimal_route_links(src, dst)` for every `dst > src` — the
-    /// unordered pairs a (symmetric) table build consumes. Entries at
-    /// `dst <= src` are cleared but not computed.
-    ///
-    /// `out` is resized to `num_switches()` and its inner vectors are
-    /// reused, so a caller sweeping all sources performs no per-pair
-    /// allocations. Routers that can share per-source work (e.g. one
-    /// forward BFS serving every destination) should override this; the
-    /// default just loops the per-pair method.
-    fn minimal_route_links_row(
-        &self,
-        src: SwitchId,
-        out: &mut Vec<Vec<commsched_topology::LinkId>>,
-    ) {
-        let n = self.num_switches();
-        if out.len() != n {
-            out.resize_with(n, Vec::new);
-        }
-        for links in out.iter_mut() {
+    /// unordered pairs of a (symmetric) table. Entries at `dst <= src`
+    /// are cleared but not computed. `out` is resized to
+    /// `num_switches()` and its inner vectors are reused.
+    fn minimal_route_links_row(&self, src: SwitchId, out: &mut Vec<Vec<LinkId>>) {
+        out.resize_with(self.num_switches(), Vec::new);
+        let mut row = RouteRow::new();
+        self.scan_row(src, &mut row);
+        for (dst, links) in out.iter_mut().enumerate() {
             links.clear();
-        }
-        for (dst, links) in out.iter_mut().enumerate().skip(src + 1) {
-            *links = self.minimal_route_links(src, dst);
+            if dst > src {
+                self.row_links(dst, &mut row, links);
+            }
         }
     }
 

@@ -5,7 +5,8 @@
 //! up*/down* constraint, and (b) for regular topologies where unconstrained
 //! minimal routing is the natural choice.
 
-use crate::{RouteState, Routing, RoutingError};
+use crate::row::{link_costs, StateGraph};
+use crate::{RouteRow, RouteState, Routing, RoutingError};
 use commsched_topology::{LinkId, SwitchId, Topology};
 
 /// Shortest-path router with precomputed all-pairs hop distances.
@@ -16,6 +17,8 @@ pub struct ShortestPathRouting {
     dist: Vec<Vec<u32>>,
     /// Adjacency copied from the topology: `(neighbour, link id)`.
     adj: Vec<Vec<(SwitchId, LinkId)>>,
+    /// Slowdown of each link of the routed topology.
+    link_cost: Vec<u32>,
 }
 
 impl ShortestPathRouting {
@@ -38,7 +41,19 @@ impl ShortestPathRouting {
             num_switches: n,
             dist,
             adj,
+            link_cost: link_costs(topo),
         })
+    }
+
+    /// One state per switch; every move is legal both ways, so the
+    /// adjacency is its own reverse.
+    fn state_graph(&self) -> StateGraph<'_> {
+        StateGraph {
+            per_switch: 1,
+            fwd: &self.adj,
+            rev: &self.adj,
+            link_cost: &self.link_cost,
+        }
     }
 }
 
@@ -73,6 +88,14 @@ impl Routing for ShortestPathRouting {
         links.sort_unstable();
         links.dedup();
         links
+    }
+
+    fn scan_row(&self, src: SwitchId, row: &mut RouteRow) {
+        row.scan(&self.state_graph(), src);
+    }
+
+    fn row_links(&self, dst: SwitchId, row: &mut RouteRow, out: &mut Vec<LinkId>) {
+        row.walk_back(&self.state_graph(), dst, out);
     }
 
     fn next_hops(&self, state: RouteState, dst: SwitchId) -> Vec<RouteState> {

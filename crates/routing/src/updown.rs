@@ -12,7 +12,8 @@
 //! shortest paths in that graph from `(src, false)` to either `(dst, *)`
 //! state.
 
-use crate::{RouteState, Routing, RoutingError};
+use crate::row::{link_costs, StateGraph};
+use crate::{RouteRow, RouteState, Routing, RoutingError};
 use commsched_topology::{LinkId, SwitchId, Topology};
 use std::collections::VecDeque;
 
@@ -36,15 +37,15 @@ fn state_of(id: usize) -> RouteState {
 #[derive(Debug, Clone)]
 pub struct UpDownRouting {
     num_switches: usize,
-    /// Link count of the routed topology (sizes the per-row link stamps).
-    num_links: usize,
+    /// Slowdown of each link of the routed topology.
+    link_cost: Vec<u32>,
     root: SwitchId,
     /// BFS level of each switch in the spanning tree.
     level: Vec<u32>,
     /// Forward state-graph adjacency: `fwd[state] = [(next_state, link)]`.
     fwd: Vec<Vec<(usize, LinkId)>>,
     /// Reverse state-graph adjacency: `rev[state] = [(prev_state, link)]`
-    /// (the backward walk of `minimal_route_links_row`).
+    /// (the backward walk of `row_links`).
     rev: Vec<Vec<(usize, LinkId)>>,
     /// `dist_to[dst][state]`: minimal legal hops from `state` to switch
     /// `dst` (any final phase); `u32::MAX` if unreachable.
@@ -113,7 +114,7 @@ impl UpDownRouting {
 
         Ok(Self {
             num_switches: n,
-            num_links: topo.num_links(),
+            link_cost: link_costs(topo),
             root,
             level,
             fwd,
@@ -211,6 +212,15 @@ impl UpDownRouting {
         Some(pairs)
     }
 
+    fn state_graph(&self) -> StateGraph<'_> {
+        StateGraph {
+            per_switch: 2,
+            fwd: &self.fwd,
+            rev: &self.rev,
+            link_cost: &self.link_cost,
+        }
+    }
+
     /// Mark in `through` (an `n × n` upper-triangle matrix) every ordered
     /// pair `(i, j)`, `i < j`, with a minimal route using the state-graph
     /// transition `s → t`: one reverse BFS gives the distance from every
@@ -305,69 +315,12 @@ impl Routing for UpDownRouting {
         links
     }
 
-    fn minimal_route_links_row(&self, src: SwitchId, out: &mut Vec<Vec<LinkId>>) {
-        let n = self.num_switches;
-        if out.len() != n {
-            out.resize_with(n, Vec::new);
-        }
-        for links in out.iter_mut() {
-            links.clear();
-        }
-        let start = sid(src, false);
+    fn scan_row(&self, src: SwitchId, row: &mut RouteRow) {
+        row.scan(&self.state_graph(), sid(src, false));
+    }
 
-        // One full forward BFS serves every destination of the row.
-        let mut dist_from = vec![u32::MAX; 2 * n];
-        dist_from[start] = 0;
-        let mut queue = VecDeque::from([start]);
-        while let Some(s) = queue.pop_front() {
-            for &(t, _) in &self.fwd[s] {
-                if dist_from[t] == u32::MAX {
-                    dist_from[t] = dist_from[s] + 1;
-                    queue.push_back(t);
-                }
-            }
-        }
-
-        // Per destination, walk the minimal-route DAG backward from the
-        // terminal states. A state `s` reached this way lies on a minimal
-        // route, and an incoming transition `p -> s` stays minimal exactly
-        // when `dist_from[p] + 1 == dist_from[s]` — so the walk touches
-        // only the handful of states actually on minimal routes, not the
-        // whole state graph. Links are deduplicated on the fly with a
-        // per-destination stamp (a link can be seen from both phases of a
-        // state), leaving only the final in-place sort.
-        let mut stamp = vec![0u32; 2 * n];
-        let mut link_seen = vec![0u32; self.num_links];
-        let mut stack: Vec<usize> = Vec::new();
-        for (dst, links) in out.iter_mut().enumerate().skip(src + 1) {
-            let total = self.dist_to[dst][start];
-            debug_assert_ne!(total, u32::MAX, "connected topology is fully routable");
-            let mark = dst as u32 + 1;
-            stack.clear();
-            for phase in [false, true] {
-                let t = sid(dst, phase);
-                if dist_from[t] == total {
-                    stamp[t] = mark;
-                    stack.push(t);
-                }
-            }
-            while let Some(s) = stack.pop() {
-                let ds = dist_from[s];
-                for &(p, link) in &self.rev[s] {
-                    if dist_from[p] != u32::MAX && dist_from[p] + 1 == ds {
-                        if link_seen[link] != mark {
-                            link_seen[link] = mark;
-                            links.push(link);
-                        }
-                        if stamp[p] != mark {
-                            stamp[p] = mark;
-                            stack.push(p);
-                        }
-                    }
-                }
-            }
-            links.sort_unstable();
-        }
+    fn row_links(&self, dst: SwitchId, row: &mut RouteRow, out: &mut Vec<LinkId>) {
+        row.walk_back(&self.state_graph(), dst, out);
     }
 
     fn as_updown(&self) -> Option<&UpDownRouting> {
@@ -496,36 +449,6 @@ mod tests {
         let mut expect = expect;
         expect.sort_unstable();
         assert_eq!(links, expect);
-    }
-
-    #[test]
-    fn batched_row_matches_per_pair_extraction() {
-        let topologies = [
-            designed::ring(6, 4),
-            designed::mesh(3, 3, 1),
-            designed::hypercube(4, 1),
-        ];
-        for t in &topologies {
-            let r = UpDownRouting::new(t, 0).unwrap();
-            // One shared buffer across every row, as the table builder
-            // uses it: stale entries must never leak between rows.
-            let mut row = Vec::new();
-            for src in 0..t.num_switches() {
-                r.minimal_route_links_row(src, &mut row);
-                assert_eq!(row.len(), t.num_switches());
-                for (dst, links) in row.iter().enumerate() {
-                    if dst <= src {
-                        assert!(links.is_empty(), "lower-triangle entry {src}->{dst}");
-                    } else {
-                        assert_eq!(
-                            *links,
-                            r.minimal_route_links(src, dst),
-                            "mismatch for {src}->{dst}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -122,6 +122,12 @@ fn metrics_agree_with_stats_after_jobs_run() {
     assert!(samples["distance_builds_total"] >= 2.0);
     assert!(samples["tabu_restarts_total"] >= 1.0);
     assert!(samples["distance_build_ms_count"] >= 2.0);
+    // A route link set was extracted for the pairs the row scan could not
+    // answer, and for no other.
+    assert_eq!(
+        samples["distance_route_walks_total"],
+        samples["distance_pairs_total"] - samples["distance_series_path_total"]
+    );
 
     // The event-loop front end exports its own family and STATS mirrors
     // it: this very connection is open, and everything above arrived as
