@@ -27,12 +27,15 @@ use commsched_distance::{
     equivalent_distance_table_with_report, repair_distance_table, ApproxReport, DistanceTable,
     RepairMemo, SolverKind, TableOptions,
 };
-use commsched_routing::{Routing, ShortestPathRouting, UpDownRouting};
+use commsched_routing::Routing;
 use commsched_topology::{designed, SwitchId, Topology};
 use std::fmt::Write;
 
 mod nets;
-use nets::{changed_pairs, first_survivable_fault, random_net, slowdown_net};
+use nets::{
+    changed_pairs, first_survivable_fault, random_net, routed, slowdown_net,
+    DENSE_AND_REPAIR_MAX_N, SOLVERS,
+};
 
 /// `(case, fnv1a-64 of its bits)`.
 const GOLDEN: [(&str, &str); 76] = [
@@ -115,14 +118,6 @@ const GOLDEN: [(&str, &str); 76] = [
 ];
 
 const THREADS: [usize; 3] = [1, 2, 7];
-const SOLVERS: [(&str, SolverKind); 3] = [
-    ("sparse", SolverKind::SparseCholesky),
-    ("dense", SolverKind::DenseGaussian),
-    ("approx", SolverKind::Approximate),
-];
-/// The dense oracle is cubic per pair; above this only the sparse and the
-/// approximate solver are recorded, and no repair.
-const DENSE_AND_REPAIR_MAX_N: usize = 96;
 
 /// FNV-1a 64 over the little-endian bytes of every word fed to it.
 struct Fnv(u64);
@@ -327,12 +322,6 @@ fn repair_case(
 fn check_net(net: &str, topo: &Topology) {
     let n = topo.num_switches();
     let faulted = first_survivable_fault(topo);
-    let routed = |t: &Topology| -> [(&str, Box<dyn Routing>); 2] {
-        [
-            ("updown", Box::new(UpDownRouting::new(t, 0).unwrap())),
-            ("shortest", Box::new(ShortestPathRouting::new(t).unwrap())),
-        ]
-    };
     let mut cases = Vec::new();
     for ((routing_name, routing), (_, faulted_routing)) in
         routed(topo).into_iter().zip(routed(&faulted))

@@ -4,13 +4,33 @@
 
 #![allow(dead_code)] // each of the two uses its part
 
-use commsched_distance::route_key;
-use commsched_routing::Routing;
+use commsched_distance::{route_key, SolverKind};
+use commsched_routing::{Routing, ShortestPathRouting, UpDownRouting};
 use commsched_topology::{
     designed, random_regular, RandomTopologyConfig, SwitchId, Topology, TopologyBuilder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+pub const SOLVERS: [(&str, SolverKind); 3] = [
+    ("sparse", SolverKind::SparseCholesky),
+    ("dense", SolverKind::DenseGaussian),
+    ("approx", SolverKind::Approximate),
+];
+/// The dense oracle is cubic per pair; above this only the sparse and the
+/// approximate solver are recorded, and no repair.
+pub const DENSE_AND_REPAIR_MAX_N: usize = 96;
+
+/// Both routers of every case over `topo`, by the name its cases carry.
+pub fn routed(topo: &Topology) -> [(&'static str, Box<dyn Routing>); 2] {
+    [
+        ("updown", Box::new(UpDownRouting::new(topo, 0).unwrap())),
+        (
+            "shortest",
+            Box::new(ShortestPathRouting::new(topo).unwrap()),
+        ),
+    ]
+}
 
 /// The §5.1 class: `n` switches of degree three.
 pub fn random_net(n: usize) -> Topology {

@@ -16,7 +16,7 @@ use commsched_distance::{
     equivalent_distance_table, equivalent_distance_table_with, repair_distance_table, RepairMemo,
     SolverKind, TableOptions,
 };
-use commsched_routing::{RouteRow, Routing, ShortestPathRouting, UpDownRouting};
+use commsched_routing::{RouteRow, Routing, UpDownRouting};
 use commsched_telemetry as telemetry;
 use commsched_topology::{designed, Topology};
 use std::fmt::Write;
@@ -70,14 +70,6 @@ const BUILD_TALLIES: [(&str, [u64; 5]); 40] = [
     ),
 ];
 
-const SOLVERS: [(&str, SolverKind); 3] = [
-    ("sparse", SolverKind::SparseCholesky),
-    ("dense", SolverKind::DenseGaussian),
-    ("approx", SolverKind::Approximate),
-];
-/// As in `golden.rs`: above this no dense case is recorded.
-const DENSE_MAX_N: usize = 96;
-
 fn cell(name: &str) -> u64 {
     telemetry::global().counter(name, "").get()
 }
@@ -94,16 +86,11 @@ fn deltas<const K: usize>(names: [&str; K], f: impl FnOnce()) -> [u64; K] {
 fn build_tallies() -> Vec<(String, [u64; 5])> {
     let mut rows = Vec::new();
     for (net, topo) in nets::all() {
-        let routings: [(&str, Box<dyn Routing>); 2] = [
-            ("updown", Box::new(UpDownRouting::new(&topo, 0).unwrap())),
-            (
-                "shortest",
-                Box::new(ShortestPathRouting::new(&topo).unwrap()),
-            ),
-        ];
-        for (routing_name, routing) in &routings {
-            for (solver_name, solver) in SOLVERS {
-                if solver == SolverKind::DenseGaussian && topo.num_switches() > DENSE_MAX_N {
+        for (routing_name, routing) in &nets::routed(&topo) {
+            for (solver_name, solver) in nets::SOLVERS {
+                if solver == SolverKind::DenseGaussian
+                    && topo.num_switches() > nets::DENSE_AND_REPAIR_MAX_N
+                {
                     continue;
                 }
                 let options = TableOptions {

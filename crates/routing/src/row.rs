@@ -93,6 +93,9 @@ impl RouteRow {
         self.dist_from.resize(states, u32::MAX);
         self.routes.resize(states, 0);
         self.cost.resize(states, 0);
+        // Stamps are never cleared: a walk's mark is one no walk had.
+        self.state_seen.resize(states, 0);
+        self.link_seen.resize(g.link_cost.len(), 0);
         self.queue.clear();
         self.dist_from[start] = 0;
         self.routes[start] = 1;
@@ -137,12 +140,6 @@ impl RouteRow {
             "row scanned by this router"
         );
         out.clear();
-        if self.state_seen.len() < g.rev.len() {
-            self.state_seen.resize(g.rev.len(), 0);
-        }
-        if self.link_seen.len() < g.link_cost.len() {
-            self.link_seen.resize(g.link_cost.len(), 0);
-        }
         if self.mark == u32::MAX {
             self.state_seen.fill(0);
             self.link_seen.fill(0);
