@@ -83,15 +83,18 @@ echo "==> golden search trajectories, release build"
 cargo test --release --offline -q -p commsched-search --test golden
 
 # And for the distance table: `PairSink`'s unsynchronised stores and the
-# monomorphised per-pair solver are what the shipped build runs, and the
-# recorded bits are what every `F_G` of every job is a sum over. The row
-# scan's lockstep reference (the series-path test over every pair's link
-# list) is compiled out exactly there: the recorded tallies say that the
-# scan still answers the pairs that test answered, the routing property
-# test that it answers them with the cost of their one route.
-echo "==> golden distance-table bits, which path answered each pair, and the row steps against route enumeration, release build"
+# per-pair solver are what the shipped build runs, and the recorded bits
+# are what every `F_G` of every job is a sum over. The row scan's lockstep
+# reference (the series-path test over every pair's link list) is
+# compiled out exactly there: the recorded tallies say that the scan
+# still answers the pairs that test answered, the routing property test
+# that it answers them with the cost of their one route. A repaired table
+# is a rebuild's bits, which the fault-chain property test holds the
+# shipped build to as well.
+echo "==> golden distance-table bits, which path answered each pair, the row steps against route enumeration, and repair == rebuild over fault chains, release build"
 cargo test --release --offline -q -p commsched-distance --test golden --test tallies
 cargo test --release --offline -q -p commsched-routing --test row
+cargo test --release --offline -q -p commsched-dynamics --test props
 
 # And for what a restart restores: the table spill files hold the
 # table's bits, and the release build is the one that encodes and decodes

@@ -176,17 +176,20 @@ fn ablate_sim_params(testbed: &Testbed) {
 }
 
 fn ablate_root(testbed: &Testbed) {
-    use commsched_distance::equivalent_distance_table_parallel;
+    use commsched_distance::{equivalent_distance_table_with, TableOptions};
     use commsched_netsim::simulate;
     use commsched_routing::UpDownRouting;
     println!("# ablation: up*/down* root choice (16-switch random network)");
     println!("# the root skews both the distance table and the traffic concentration");
     println!("# root  degree  OP_F_G      accepted(f/sw/cy at 0.5 f/host/cy)");
-    let threads = std::thread::available_parallelism().map_or(4, usize::from);
+    let options = TableOptions {
+        threads: std::thread::available_parallelism().map_or(4, usize::from),
+        ..Default::default()
+    };
     for root in [0usize, 5, 10, 15] {
         let routing = UpDownRouting::new(&testbed.topology, root).expect("connected testbed");
-        let table = equivalent_distance_table_parallel(&testbed.topology, &routing, threads)
-            .expect("routable");
+        let table =
+            equivalent_distance_table_with(&testbed.topology, &routing, options).expect("routable");
         let mut rng = StdRng::seed_from_u64(SEARCH_SEED);
         let res =
             TabuSearch::new(TabuParams::scaled(16)).search(&table, &testbed.sizes(), &mut rng);

@@ -9,7 +9,7 @@
 //! case enumerates 2 627 625 groupings — run in release).
 
 use commsched_bench::{AStarSearch, SEARCH_SEED};
-use commsched_distance::equivalent_distance_table_parallel;
+use commsched_distance::{equivalent_distance_table_with, TableOptions};
 use commsched_routing::UpDownRouting;
 use commsched_search::{ExhaustiveSearch, Mapper, TabuParams, TabuSearch};
 use commsched_topology::{random_regular, RandomTopologyConfig};
@@ -33,7 +33,11 @@ fn main() {
             .expect("random testbed network");
         let routing = UpDownRouting::new(&topo, 0).expect("connected");
         let threads = std::thread::available_parallelism().map_or(4, usize::from);
-        let table = equivalent_distance_table_parallel(&topo, &routing, threads).expect("routable");
+        let options = TableOptions {
+            threads,
+            ..Default::default()
+        };
+        let table = equivalent_distance_table_with(&topo, &routing, options).expect("routable");
         let sizes = vec![n / 4; 4];
 
         let mut rng = StdRng::seed_from_u64(SEARCH_SEED);

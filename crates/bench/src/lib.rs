@@ -18,7 +18,7 @@ pub use comparators::{
 };
 
 use commsched_core::{quality, Partition, ProcessMapping, Quality, Workload};
-use commsched_distance::{equivalent_distance_table_parallel, DistanceTable};
+use commsched_distance::{equivalent_distance_table_with, DistanceTable, TableOptions};
 use commsched_netsim::{paper_sweep, sweep, LoadSweep, SimConfig, SweepConfig};
 use commsched_routing::{Routing, UpDownRouting};
 use commsched_search::{TabuParams, TabuSearch, TabuTrace};
@@ -54,7 +54,11 @@ impl Testbed {
     fn build(name: &'static str, topology: Topology) -> Self {
         let routing = UpDownRouting::new(&topology, 0).expect("connected testbed network");
         let threads = std::thread::available_parallelism().map_or(4, usize::from);
-        let table = equivalent_distance_table_parallel(&topology, &routing, threads)
+        let options = TableOptions {
+            threads,
+            ..Default::default()
+        };
+        let table = equivalent_distance_table_with(&topology, &routing, options)
             .expect("routable testbed network");
         let workload = Workload::balanced(&topology, 4).expect("4 clusters fit the testbeds");
         Self {

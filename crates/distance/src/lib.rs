@@ -40,15 +40,14 @@ pub use io::{
     table_to_bytes_with_report, table_to_text, table_to_text_with_report, TableParseError,
 };
 pub use linalg::{solve, LinalgError, Matrix};
-pub use repair::{repair_distance_table, route_key, RepairMemo, RepairOutcome, RouteKey};
+pub use repair::{repair_distance_table, route_key, RepairOutcome, RouteKey};
 pub use resistance::{
     effective_resistance, effective_resistance_weighted, effective_resistance_weighted_in,
     ResistanceError, SolverKind, Workspace,
 };
 pub use sparse::SpdFactor;
 pub use table::{
-    eps_to_micros, equivalent_distance_table, equivalent_distance_table_parallel,
-    equivalent_distance_table_with, equivalent_distance_table_with_report, hop_distance_table,
-    ApproxReport, DistanceTable, SharedDistanceTable, TableError, TableOptions, TableSpec,
-    DEFAULT_APPROX_EPS_MICROS,
+    eps_to_micros, equivalent_distance_table, equivalent_distance_table_with,
+    equivalent_distance_table_with_report, hop_distance_table, ApproxReport, DistanceTable,
+    SharedDistanceTable, TableError, TableOptions, TableSpec, DEFAULT_APPROX_EPS_MICROS,
 };

@@ -7,37 +7,28 @@
 //! *only* on its own route sub-network. [`repair_distance_table`] exploits
 //! that: the caller supplies the affected pairs (computed by comparing
 //! route link sets across epochs, see `commsched-dynamics`), the repair
-//! re-solves exactly those pairs — through the build's own per-pair
-//! solver and row fan-out, with one step of its own: where the compacted
-//! circuit comes from (`WireCircuits`) — and copies every other entry
-//! forward from the previous table.
+//! re-solves exactly those pairs through the build's own per-pair solver
+//! and row fan-out, and copies every other entry forward from the
+//! previous table.
 //!
-//! Two properties make the result trustworthy:
+//! An exact repair is therefore **bit-identical to a rebuild** of the new
+//! topology: a re-solved pair runs the rebuild's code on the rebuild's
+//! input, and a copied pair's value was computed from the same wires in
+//! the same order as the rebuild would compute it (the `CORRECTNESS:`
+//! note at the copy says why).
 //!
-//! * **Copied pairs are bit-identical to a full rebuild.** A pair whose
-//!   route link set is the same set of physical links (endpoints +
-//!   slowdowns) in both epochs would be recomputed from the identical
-//!   edge list, so copying the old value *is* the rebuild value.
-//! * **Recomputed pairs are thread-count and memo independent.** The
-//!   repair path canonicalizes each route link set into a sorted
-//!   endpoint list ([`route_key`]) before circuit compaction, so the
-//!   compacted circuit is a pure function of the key: a [`RepairMemo`]
-//!   hit restores byte-for-byte what a miss would build, on any worker.
-//!
-//! The memo is keyed by endpoint pairs, **never** by `LinkId` — link ids
-//! are renumbered compactly when a topology is rebuilt without a link,
-//! so only endpoints are stable across epochs. Callers keep one
-//! [`RepairMemo`] alive across faults to amortize compaction over a
-//! whole fault schedule.
+//! Route sets are compared across epochs as wires ([`route_key`]),
+//! **never** by `LinkId` — link ids are renumbered compactly when a
+//! topology is rebuilt without a link, so only endpoints are stable
+//! across epochs.
 
-use crate::resistance::{SolverKind, Workspace};
+use crate::resistance::SolverKind;
 use crate::table::{
-    check_sizes, fan_out, CircuitSource, CompactCircuit, DistanceTable, FirstFailure, PairSolver,
-    PairTally, TableError, TableOptions,
+    check_sizes, fan_out, DistanceTable, FirstFailure, PairSolver, PairTally, TableError,
+    TableOptions,
 };
 use commsched_routing::Routing;
 use commsched_topology::{LinkId, SwitchId, Topology};
-use std::collections::HashMap;
 
 /// A route link set canonicalized to survive link-id renumbering:
 /// `(a, b, slowdown)` triples with `a < b`, sorted lexicographically.
@@ -57,90 +48,6 @@ pub fn route_key(topo: &Topology, links: &[LinkId]) -> RouteKey {
         .collect();
     key.sort_unstable();
     key
-}
-
-/// Cap on retained compacted circuits — the same memory bound as the
-/// per-build memo, but sized for a long-lived cache that persists across
-/// fault epochs.
-const REPAIR_MEMO_CAP: usize = 4096;
-
-/// A cross-epoch memo of compacted circuits keyed by [`RouteKey`].
-///
-/// Hits skip the node/edge compaction of the sparse solve; they never
-/// change computed values (the circuit is a pure function of the key).
-/// Keep one alive across successive repairs so route sub-networks that
-/// survive a fault are compacted once per schedule, not once per epoch.
-#[derive(Default)]
-pub struct RepairMemo {
-    map: HashMap<RouteKey, CompactCircuit>,
-    hits: u64,
-    misses: u64,
-}
-
-impl RepairMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of retained circuits.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the memo holds no circuits.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Lifetime hit count (solver-path pairs answered from the memo).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime miss count (solver-path pairs that ran compaction).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
-/// The repair's circuits: looked up in the cross-epoch memo, then among
-/// the ones this worker compacted during the current repair.
-struct WireCircuits<'m> {
-    shared: &'m HashMap<RouteKey, CompactCircuit>,
-    fresh: HashMap<RouteKey, CompactCircuit>,
-}
-
-impl CircuitSource for WireCircuits<'_> {
-    // CORRECTNESS: the circuit is compacted from the canonical sorted
-    // wire list, never from route order, so it is a pure function of the
-    // key: a hit restores byte for byte what a miss would build, on any
-    // worker and in any epoch. The key must be wires because the memo
-    // outlives the topology — removing a link renumbers link ids, so the
-    // build's link-id key would alias different wires across epochs.
-    // This may not be merged into the build's `LinkOrderCircuits`: its
-    // edge order is what every recorded table bit was produced with.
-    fn load(
-        &mut self,
-        topo: &Topology,
-        links: &[LinkId],
-        memoize: bool,
-        ws: &mut Workspace,
-    ) -> bool {
-        let key = route_key(topo, links);
-        let kept = memoize.then(|| self.shared.get(&key).or_else(|| self.fresh.get(&key)));
-        if let Some(c) = kept.flatten() {
-            c.restore(ws);
-            return true;
-        }
-        let edges: Vec<(SwitchId, SwitchId, f64)> =
-            key.iter().map(|&(a, b, s)| (a, b, f64::from(s))).collect();
-        ws.compact(&edges);
-        if memoize {
-            self.fresh.insert(key, CompactCircuit::capture(ws));
-        }
-        false
-    }
 }
 
 /// What one incremental repair did.
@@ -193,10 +100,10 @@ fn group_rows(
 /// The caller guarantees that every pair whose minimal-route link set
 /// changed (as physical wires — see [`route_key`]) is listed in
 /// `affected`; extra pairs are harmless (their recomputation returns the
-/// old value). Results are bit-identical across `options.threads` values
-/// and across memo states, and agree with a from-scratch rebuild to
-/// solver precision (copied pairs exactly, recomputed pairs to ~1e-12).
-/// `options.memoize` gates both reading and feeding `memo`. Under
+/// old value). When `prev` is a build (or such a repair) of the previous
+/// topology with the same exact solver, and `topo` lists the surviving
+/// links in their previous relative order, the result is bit-identical to
+/// a build of `topo`, for every `options.threads`. Under
 /// [`SolverKind::Approximate`] options a repaired pair is solved exactly.
 ///
 /// # Errors
@@ -208,7 +115,6 @@ pub fn repair_distance_table(
     routing: &dyn Routing,
     affected: &[(SwitchId, SwitchId)],
     options: TableOptions,
-    memo: &mut RepairMemo,
 ) -> Result<RepairOutcome, TableError> {
     check_sizes(topo, routing)?;
     let n = topo.num_switches();
@@ -230,16 +136,11 @@ pub fn repair_distance_table(
     let rows = group_rows(affected, n)?;
     let pairs_recomputed: usize = rows.iter().map(|(_, js)| js.len()).sum();
 
-    let shared = &memo.map;
     let workers = fan_out(
         rows.len(),
         options.threads,
         || {
-            let circuits = WireCircuits {
-                shared,
-                fresh: HashMap::new(),
-            };
-            let solver = PairSolver::new(topo, routing, options, circuits);
+            let solver = PairSolver::new(topo, routing, options);
             (solver, Vec::new(), FirstFailure::default())
         },
         |(solver, solved, failure), k| {
@@ -254,33 +155,27 @@ pub fn repair_distance_table(
         },
     );
 
+    // CORRECTNESS: a pair not in `affected` has the same route wires in
+    // both epochs, and `TopologyEpoch::apply` and `Topology::without_link`
+    // keep the surviving links in their relative id order, so its sorted
+    // link list names the same wires in the same order in both. Its old
+    // value was therefore solved from the very edge list a rebuild of
+    // `topo` would solve, and copying it is the rebuild's bits. A topology
+    // rebuilt with its surviving links reordered would break this.
     let mut table = prev.clone();
     let mut failure = FirstFailure::default();
     let mut tally = PairTally::default();
     let mut max_delta = 0.0f64;
-    let mut inserts = Vec::new();
     for (solver, solved, worker_failure) in workers {
         failure.merge(worker_failure);
         tally.merge(&solver.tally);
-        inserts.push(solver.circuits.fresh);
         for (i, j, d) in solved {
             max_delta = max_delta.max((d - prev.get(i, j)).abs());
             table.set_pair(i, j, d);
         }
     }
-    memo.hits += tally.memo_hits;
-    memo.misses += tally.memo_misses;
     tally.flush();
     failure.into_result()?;
-    // Merge fresh circuits under the cap. Which entries survive when the
-    // cap bites is load-order dependent, but a memo entry never changes a
-    // value, so this cannot affect results.
-    for (key, circuit) in inserts.into_iter().flatten() {
-        if memo.map.len() >= REPAIR_MEMO_CAP {
-            break;
-        }
-        memo.map.entry(key).or_insert(circuit);
-    }
     Ok(RepairOutcome {
         table,
         pairs_total: n * (n.saturating_sub(1)) / 2,
@@ -333,28 +228,12 @@ mod tests {
         out
     }
 
-    fn assert_tables_close(a: &DistanceTable, b: &DistanceTable, tol: f64) {
-        assert_eq!(a.n(), b.n());
-        for i in 0..a.n() {
-            for j in 0..a.n() {
-                assert!(
-                    (a.get(i, j) - b.get(i, j)).abs() < tol,
-                    "({i}, {j}): {} != {}",
-                    a.get(i, j),
-                    b.get(i, j)
-                );
-            }
-        }
-    }
-
     #[test]
     fn no_affected_pairs_copies_the_table() {
         let t = designed::ring(8, 1);
         let r = UpDownRouting::new(&t, 0).unwrap();
         let prev = equivalent_distance_table(&t, &r).unwrap();
-        let mut memo = RepairMemo::new();
-        let out =
-            repair_distance_table(&prev, &t, &r, &[], TableOptions::default(), &mut memo).unwrap();
+        let out = repair_distance_table(&prev, &t, &r, &[], TableOptions::default()).unwrap();
         assert_eq!(out.table, prev);
         assert_eq!(out.pairs_recomputed, 0);
         assert_eq!(out.max_delta, 0.0);
@@ -372,24 +251,16 @@ mod tests {
         let r2 = UpDownRouting::new(&t2, 0).unwrap();
         let affected = changed_pairs(&t, &r, &t2, &r2);
         assert!(!affected.is_empty());
-        let mut memo = RepairMemo::new();
-        let out = repair_distance_table(
-            &prev,
-            &t2,
-            &r2,
-            &affected,
-            TableOptions::default(),
-            &mut memo,
-        )
-        .unwrap();
+        let out =
+            repair_distance_table(&prev, &t2, &r2, &affected, TableOptions::default()).unwrap();
         let rebuilt = equivalent_distance_table(&t2, &r2).unwrap();
-        assert_tables_close(&out.table, &rebuilt, 1e-9);
+        assert_eq!(out.table, rebuilt);
         assert_eq!(out.pairs_recomputed, affected.len());
         assert!(out.max_delta > 0.0, "a failed link must move some distance");
     }
 
     #[test]
-    fn repair_is_bit_identical_across_threads_and_memo_state() {
+    fn repair_is_bit_identical_across_threads() {
         let t = designed::paper_24_switch();
         let r = UpDownRouting::new(&t, 0).unwrap();
         let prev = equivalent_distance_table(&t, &r).unwrap();
@@ -397,95 +268,35 @@ mod tests {
         let t2 = drop_link(&t, link0.a, link0.b);
         let r2 = UpDownRouting::new(&t2, 0).unwrap();
         let affected = changed_pairs(&t, &r, &t2, &r2);
-        let mut baseline_memo = RepairMemo::new();
-        let baseline = repair_distance_table(
-            &prev,
-            &t2,
-            &r2,
-            &affected,
-            TableOptions::default(),
-            &mut baseline_memo,
-        )
-        .unwrap();
-        for threads in [1usize, 2, 7] {
-            // A fresh memo and the already-warm one must agree bitwise.
-            for memo in [&mut RepairMemo::new(), &mut baseline_memo] {
-                let out = repair_distance_table(
-                    &prev,
-                    &t2,
-                    &r2,
-                    &affected,
-                    TableOptions {
-                        threads,
-                        ..Default::default()
-                    },
-                    memo,
-                )
-                .unwrap();
-                assert_eq!(out.table, baseline.table, "threads = {threads}");
-            }
-        }
-        assert!(baseline_memo.hits() > 0, "warm memo should have hit");
-    }
-
-    #[test]
-    fn memoize_off_neither_reads_nor_feeds_the_memo() {
-        let t = designed::paper_24_switch();
-        let r = UpDownRouting::new(&t, 0).unwrap();
-        let prev = equivalent_distance_table(&t, &r).unwrap();
-        let link0 = t.link(0);
-        let t2 = drop_link(&t, link0.a, link0.b);
-        let r2 = UpDownRouting::new(&t2, 0).unwrap();
-        let affected = changed_pairs(&t, &r, &t2, &r2);
-        let mut memo = RepairMemo::new();
-        let mut repair = |memoize| {
+        let repair = |threads| {
             let options = TableOptions {
-                memoize,
+                threads,
                 ..Default::default()
             };
-            repair_distance_table(&prev, &t2, &r2, &affected, options, &mut memo).unwrap();
-            (memo.hits(), memo.misses(), memo.len())
+            repair_distance_table(&prev, &t2, &r2, &affected, options).unwrap()
         };
-        let (hits, misses, kept) = repair(true);
-        assert!(kept > 0, "the fault leaves non-series pairs to memoize");
-        let solved = hits + misses;
-        // The build's rule: `memoize` gates the lookup and the insert.
-        assert_eq!(repair(false), (hits, misses + solved, kept));
-        assert_eq!(repair(true), (hits + solved, misses + solved, kept));
+        let serial = repair(1);
+        for threads in [2usize, 7] {
+            assert_eq!(repair(threads), serial, "threads = {threads}");
+        }
     }
 
     #[test]
     fn dense_solver_repair_agrees() {
         let t = designed::ring(8, 1);
         let r = UpDownRouting::new(&t, 0).unwrap();
-        let prev = equivalent_distance_table(&t, &r).unwrap();
+        let dense = TableOptions {
+            solver: SolverKind::DenseGaussian,
+            ..Default::default()
+        };
+        let prev = equivalent_distance_table_with(&t, &r, dense).unwrap();
         let link0 = t.link(2);
         let t2 = drop_link(&t, link0.a, link0.b);
         let r2 = UpDownRouting::new(&t2, 0).unwrap();
         let affected = changed_pairs(&t, &r, &t2, &r2);
-        let mut memo = RepairMemo::new();
-        let dense = repair_distance_table(
-            &prev,
-            &t2,
-            &r2,
-            &affected,
-            TableOptions {
-                solver: SolverKind::DenseGaussian,
-                ..Default::default()
-            },
-            &mut memo,
-        )
-        .unwrap();
-        let rebuilt = equivalent_distance_table_with(
-            &t2,
-            &r2,
-            TableOptions {
-                solver: SolverKind::DenseGaussian,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_tables_close(&dense.table, &rebuilt, 1e-9);
+        let repaired = repair_distance_table(&prev, &t2, &r2, &affected, dense).unwrap();
+        let rebuilt = equivalent_distance_table_with(&t2, &r2, dense).unwrap();
+        assert_eq!(repaired.table, rebuilt);
     }
 
     #[test]
@@ -493,22 +304,14 @@ mod tests {
         let t = designed::ring(6, 1);
         let r = UpDownRouting::new(&t, 0).unwrap();
         let prev = equivalent_distance_table(&t, &r).unwrap();
-        let mut memo = RepairMemo::new();
         assert!(matches!(
-            repair_distance_table(&prev, &t, &r, &[(0, 9)], TableOptions::default(), &mut memo),
+            repair_distance_table(&prev, &t, &r, &[(0, 9)], TableOptions::default()),
             Err(TableError::BadRepairPair { dst: 9, .. })
         ));
         let smaller = designed::ring(5, 1);
         let r5 = UpDownRouting::new(&smaller, 0).unwrap();
         assert!(matches!(
-            repair_distance_table(
-                &prev,
-                &smaller,
-                &r5,
-                &[],
-                TableOptions::default(),
-                &mut memo
-            ),
+            repair_distance_table(&prev, &smaller, &r5, &[], TableOptions::default()),
             Err(TableError::RepairSize {
                 prev: 6,
                 topology: 5
@@ -521,14 +324,12 @@ mod tests {
         let t = designed::ring(6, 1);
         let r = UpDownRouting::new(&t, 0).unwrap();
         let prev = equivalent_distance_table(&t, &r).unwrap();
-        let mut memo = RepairMemo::new();
         let out = repair_distance_table(
             &prev,
             &t,
             &r,
             &[(2, 4), (4, 2), (2, 4), (3, 3)],
             TableOptions::default(),
-            &mut memo,
         )
         .unwrap();
         assert_eq!(out.pairs_recomputed, 1);

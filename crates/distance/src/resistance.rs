@@ -227,24 +227,6 @@ impl Workspace {
         self.nodes.len()
     }
 
-    /// The compacted circuit currently held by the workspace, as produced
-    /// by [`Workspace::compact`]: sorted node ids and deduplicated edges
-    /// over compact indices. The table builder's memo stores clones of
-    /// this.
-    pub(crate) fn circuit(&self) -> (&[SwitchId], &[(usize, usize, f64)]) {
-        (&self.nodes, &self.dedup)
-    }
-
-    /// Restore a circuit previously captured with [`Workspace::circuit`]
-    /// — byte-for-byte what [`Workspace::compact`] would rebuild from the
-    /// same edge list, so a memo hit is bit-identical to a recomputation.
-    pub(crate) fn load_circuit(&mut self, nodes: &[SwitchId], edges: &[(usize, usize, f64)]) {
-        self.nodes.clear();
-        self.nodes.extend_from_slice(nodes);
-        self.dedup.clear();
-        self.dedup.extend_from_slice(edges);
-    }
-
     /// Solve the compacted circuit for terminals `a`, `b` (original
     /// switch ids).
     ///

@@ -1,7 +1,7 @@
 //! Building a whole table: the row fan-out, the shared write target,
 //! the telemetry cells and the public entry points.
 
-use super::solve::{LinkOrderCircuits, PairSolver, PairTally};
+use super::solve::{PairSolver, PairTally};
 use super::spec::{ApproxReport, TableError, TableOptions};
 use super::DistanceTable;
 use crate::resistance::SolverKind;
@@ -23,8 +23,6 @@ struct BuildMetrics {
     pairs: telemetry::Counter,
     series_path: telemetry::Counter,
     route_walks: telemetry::Counter,
-    memo_hits: telemetry::Counter,
-    memo_misses: telemetry::Counter,
     dense_solves: telemetry::Counter,
     approx_pairs: telemetry::Counter,
     approx_escalations: telemetry::Counter,
@@ -60,14 +58,6 @@ fn build_metrics() -> &'static BuildMetrics {
                 "distance_route_walks_total",
                 "Pairs whose route link set was extracted",
             ),
-            memo_hits: r.counter(
-                "distance_memo_hits_total",
-                "Pairs whose compacted circuit was found in a worker memo",
-            ),
-            memo_misses: r.counter(
-                "distance_memo_misses_total",
-                "Pairs that ran circuit compaction + LDL^T solve",
-            ),
             dense_solves: r.counter(
                 "distance_dense_solves_total",
                 "Pairs solved by the dense Gaussian baseline",
@@ -98,8 +88,6 @@ impl PairTally {
         m.pairs.add(self.pairs);
         m.series_path.add(self.series_path);
         m.route_walks.add(self.route_walks);
-        m.memo_hits.add(self.memo_hits);
-        m.memo_misses.add(self.memo_misses);
         m.dense_solves.add(self.dense_solves);
         m.approx_pairs.add(self.approx_pairs);
         m.approx_escalations.add(self.approx_escalations);
@@ -180,8 +168,7 @@ impl FirstFailure {
 /// then resolves the pairs `(i, j)` for `j > i`, extracting a link set
 /// only for the pairs it has to solve. The per-pair
 /// computation is deterministic and independent of which worker runs it,
-/// so the result is bit-identical across thread counts — and identical
-/// whether or not memoization is on.
+/// so the result is bit-identical across thread counts.
 ///
 /// # Errors
 /// See [`TableError`]. When several pairs fail, the error of the
@@ -248,9 +235,10 @@ pub fn equivalent_distance_table_with_report(
         n.saturating_sub(1),
         options.threads,
         || {
-            let circuits = LinkOrderCircuits::default();
-            let solver = PairSolver::new(topo, routing, options, circuits);
-            (solver, FirstFailure::default())
+            (
+                PairSolver::new(topo, routing, options),
+                FirstFailure::default(),
+            )
         },
         |(solver, failure), i| {
             solver.begin_row(i);
@@ -289,7 +277,7 @@ pub fn equivalent_distance_table_with_report(
 }
 
 /// Build the table of equivalent distances with the default options
-/// (sparse solver, memoization, one thread).
+/// (sparse solver, one thread).
 ///
 /// # Errors
 /// See [`TableError`].
@@ -298,27 +286,6 @@ pub fn equivalent_distance_table(
     routing: &dyn Routing,
 ) -> Result<DistanceTable, TableError> {
     equivalent_distance_table_with(topo, routing, TableOptions::default())
-}
-
-/// Parallel variant of [`equivalent_distance_table`]: `threads` workers
-/// pull source rows off a shared work-stealing queue. Produces
-/// bit-identical results to the serial build.
-///
-/// # Errors
-/// See [`TableError`].
-pub fn equivalent_distance_table_parallel(
-    topo: &Topology,
-    routing: &dyn Routing,
-    threads: usize,
-) -> Result<DistanceTable, TableError> {
-    equivalent_distance_table_with(
-        topo,
-        routing,
-        TableOptions {
-            threads: threads.max(1),
-            ..Default::default()
-        },
-    )
 }
 
 pub(crate) fn check_sizes(topo: &Topology, routing: &dyn Routing) -> Result<(), TableError> {
@@ -390,7 +357,11 @@ mod tests {
         let r = UpDownRouting::new(&t, 0).unwrap();
         let serial = equivalent_distance_table(&t, &r).unwrap();
         for threads in [1, 2, 7, 64] {
-            let par = equivalent_distance_table_parallel(&t, &r, threads).unwrap();
+            let options = TableOptions {
+                threads,
+                ..Default::default()
+            };
+            let par = equivalent_distance_table_with(&t, &r, options).unwrap();
             assert_eq!(serial, par, "threads = {threads}");
         }
     }

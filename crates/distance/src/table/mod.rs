@@ -3,7 +3,8 @@
 //! `spec` says what a table is asked to be, `solve` resolves one pair
 //! (with `approx` certifying an interval for the approximate solver) and
 //! `build` fans the pairs of a whole table out over workers. The repair
-//! path (`crate::repair`) drives the same `solve` and the same fan-out.
+//! path (`crate::repair`) drives the same `solve` and the same fan-out,
+//! so a repaired pair has the bits a rebuild gives it.
 //! `reference` exists in debug builds only: the list-based series-path
 //! test every resolved pair is checked against.
 
@@ -16,10 +17,10 @@ mod spec;
 
 pub(crate) use build::{check_sizes, fan_out, FirstFailure};
 pub use build::{
-    equivalent_distance_table, equivalent_distance_table_parallel, equivalent_distance_table_with,
+    equivalent_distance_table, equivalent_distance_table_with,
     equivalent_distance_table_with_report,
 };
-pub(crate) use solve::{CircuitSource, CompactCircuit, PairSolver, PairTally};
+pub(crate) use solve::{PairSolver, PairTally};
 pub use spec::{
     eps_to_micros, ApproxReport, TableError, TableOptions, TableSpec, DEFAULT_APPROX_EPS_MICROS,
 };

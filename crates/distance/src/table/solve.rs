@@ -6,7 +6,6 @@ use super::spec::{TableError, TableOptions};
 use crate::resistance::{effective_resistance_weighted, SolverKind, Workspace};
 use commsched_routing::{RouteRow, Routing};
 use commsched_topology::{LinkId, SwitchId, Topology};
-use std::collections::HashMap;
 
 /// Per-worker resolution tallies, merged after the fan-out and flushed
 /// to the `distance_*_total` cells once (not per pair), so the per-pair
@@ -17,8 +16,6 @@ pub(crate) struct PairTally {
     pub(crate) pairs: u64,
     pub(crate) series_path: u64,
     pub(crate) route_walks: u64,
-    pub(crate) memo_hits: u64,
-    pub(crate) memo_misses: u64,
     pub(crate) dense_solves: u64,
     pub(crate) approx_pairs: u64,
     pub(crate) approx_escalations: u64,
@@ -33,100 +30,10 @@ impl PairTally {
         self.pairs += other.pairs;
         self.series_path += other.series_path;
         self.route_walks += other.route_walks;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
         self.dense_solves += other.dense_solves;
         self.approx_pairs += other.approx_pairs;
         self.approx_escalations += other.approx_escalations;
         self.approx_err_max = self.approx_err_max.max(other.approx_err_max);
-    }
-}
-
-/// A compacted resistor circuit as captured from [`Workspace::circuit`]:
-/// the memo value shared between pairs with identical route-link sets,
-/// in a build's memo and in the cross-epoch repair memo alike.
-pub(crate) struct CompactCircuit {
-    nodes: Vec<SwitchId>,
-    edges: Vec<(usize, usize, f64)>,
-}
-
-impl CompactCircuit {
-    /// Clone the circuit `ws` holds after a [`Workspace::compact`].
-    pub(crate) fn capture(ws: &Workspace) -> Self {
-        let (nodes, edges) = ws.circuit();
-        Self {
-            nodes: nodes.to_vec(),
-            edges: edges.to_vec(),
-        }
-    }
-
-    /// Put the circuit back into `ws`, byte for byte what compaction
-    /// would rebuild.
-    pub(crate) fn restore(&self, ws: &mut Workspace) {
-        ws.load_circuit(&self.nodes, &self.edges);
-    }
-}
-
-/// The one step the build and the repair must keep different: how a
-/// pair's route link set becomes the compacted circuit in the workspace.
-pub(crate) trait CircuitSource {
-    /// Leave the compacted circuit of `links` in `ws`, from a retained
-    /// copy when `memoize` allows and one exists, retaining a fresh one
-    /// when `memoize` allows. Returns whether a retained copy was used;
-    /// either way `ws` ends up byte-identical.
-    fn load(
-        &mut self,
-        topo: &Topology,
-        links: &[LinkId],
-        memoize: bool,
-        ws: &mut Workspace,
-    ) -> bool;
-}
-
-/// Per-worker cap on memoized circuits. Networks whose pairs all have
-/// distinct route sets would otherwise hold one circuit per pair; beyond
-/// the cap new sets are solved without being retained. Purely a memory
-/// bound — hit or miss, the computed values are identical.
-const MEMO_CAP: usize = 1024;
-
-/// The build's circuits: memoized per worker for the life of one build,
-/// keyed by the link-id list.
-#[derive(Default)]
-pub(super) struct LinkOrderCircuits {
-    memo: HashMap<Vec<LinkId>, CompactCircuit>,
-    edges: Vec<(SwitchId, SwitchId, f64)>,
-}
-
-impl CircuitSource for LinkOrderCircuits {
-    // CORRECTNESS: edges enter `compact` in link-id order (the order the
-    // router lists them in). `solve_compacted` eliminates nodes in
-    // adjacency order, which follows edge order, so another order moves
-    // low bits — and every recorded table bit (tests/golden.rs, every
-    // `fg_mean` of the benchmark) was produced with this one. Link ids
-    // are stable for the life of a build, which makes the id list a sound
-    // key here and nowhere longer-lived; this may not be merged into the
-    // repair's `WireCircuits`, whose canonical wire order is a different
-    // order.
-    fn load(
-        &mut self,
-        topo: &Topology,
-        links: &[LinkId],
-        memoize: bool,
-        ws: &mut Workspace,
-    ) -> bool {
-        if let Some(c) = memoize.then(|| self.memo.get(links)).flatten() {
-            c.restore(ws);
-            return true;
-        }
-        self.edges.clear();
-        self.edges
-            .extend(links.iter().map(|&l| link_resistor(topo, l)));
-        ws.compact(&self.edges);
-        if memoize && self.memo.len() < MEMO_CAP {
-            self.memo
-                .insert(links.to_vec(), CompactCircuit::capture(ws));
-        }
-        false
     }
 }
 
@@ -137,38 +44,33 @@ fn link_resistor(topo: &Topology, l: LinkId) -> (SwitchId, SwitchId, f64) {
     (link.a, link.b, f64::from(topo.link_slowdown(l)))
 }
 
-/// One worker's solver state: reusable scratch, its circuit source, the
-/// scan of the current source row and the link set of the current pair.
-pub(crate) struct PairSolver<'a, C> {
+/// One worker's solver state: reusable scratch, the scan of the current
+/// source row and the link set of the current pair.
+pub(crate) struct PairSolver<'a> {
     topo: &'a Topology,
     routing: &'a dyn Routing,
     options: TableOptions,
     ws: Workspace,
     approx: ApproxScratch,
-    pub(crate) circuits: C,
     row: RouteRow,
     links: Vec<LinkId>,
+    edges: Vec<(SwitchId, SwitchId, f64)>,
     #[cfg(debug_assertions)]
     reference: super::reference::SeriesPathReference,
     pub(crate) tally: PairTally,
 }
 
-impl<'a, C: CircuitSource> PairSolver<'a, C> {
-    pub(crate) fn new(
-        topo: &'a Topology,
-        routing: &'a dyn Routing,
-        options: TableOptions,
-        circuits: C,
-    ) -> Self {
+impl<'a> PairSolver<'a> {
+    pub(crate) fn new(topo: &'a Topology, routing: &'a dyn Routing, options: TableOptions) -> Self {
         Self {
             topo,
             routing,
             options,
             ws: Workspace::new(),
             approx: ApproxScratch::default(),
-            circuits,
             row: RouteRow::new(),
             links: Vec::new(),
+            edges: Vec::new(),
             #[cfg(debug_assertions)]
             reference: Default::default(),
             tally: PairTally::default(),
@@ -196,9 +98,7 @@ impl<'a, C: CircuitSource> PairSolver<'a, C> {
         }
         // A pair with one minimal route (the common case) has a simple
         // path for a sub-network, whose resistance is the series sum the
-        // row scan carried: no link list, no circuit, no memo lookup.
-        // Memoization stays value-neutral — path pairs skip it in both
-        // modes.
+        // row scan carried: no link list, no circuit.
         let unique = self.row.unique_route_cost(j);
         #[cfg(debug_assertions)]
         self.reference
@@ -230,12 +130,17 @@ impl<'a, C: CircuitSource> PairSolver<'a, C> {
             // exact path below, which keeps the reported bound honest.
             self.tally.approx_escalations += 1;
         }
-        let memoize = self.options.memoize;
-        if self.circuits.load(self.topo, links, memoize, &mut self.ws) {
-            self.tally.memo_hits += 1;
-        } else {
-            self.tally.memo_misses += 1;
-        }
+        // CORRECTNESS: edges enter `compact` in link-id order (the order
+        // the router lists them in). `solve_compacted` eliminates nodes in
+        // adjacency order, which follows edge order, so another order
+        // moves low bits — and every recorded table bit (tests/golden.rs,
+        // every `fg_mean` of the benchmark) was produced with this one. A
+        // repair solves its pairs here too, which is what makes a repaired
+        // table a rebuild's bits.
+        self.edges.clear();
+        self.edges
+            .extend(links.iter().map(|&l| link_resistor(self.topo, l)));
+        self.ws.compact(&self.edges);
         self.ws
             .solve_compacted(i, j)
             .map_err(|error| TableError::Resistance {
@@ -351,16 +256,5 @@ mod tests {
                 assert_close(default.get(i, j), dense.get(i, j));
             }
         }
-        // Memoization is a pure cache: switching it off is bit-identical.
-        let unmemoized = equivalent_distance_table_with(
-            &t,
-            &r,
-            TableOptions {
-                memoize: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(default, unmemoized);
     }
 }

@@ -76,11 +76,6 @@ pub struct TableOptions {
     /// Worker threads pulling source rows off the shared queue (0 = one
     /// per available CPU). Results are bit-identical for every count.
     pub threads: usize,
-    /// Share the compacted circuit between pairs whose minimal-route
-    /// link sets hash identically (sparse solver only). Never changes
-    /// results — a hit restores byte-for-byte what compaction would
-    /// rebuild — only how often the node/edge compaction reruns.
-    pub memoize: bool,
     /// Relative-error budget of [`SolverKind::Approximate`] in millionths
     /// (`50_000` = 5%). Kept integral so `TableOptions` stays `Eq` and
     /// can key the service cache. Ignored by the exact solvers.
@@ -92,7 +87,6 @@ impl Default for TableOptions {
         Self {
             solver: SolverKind::default(),
             threads: 1,
-            memoize: true,
             approx_eps_micros: DEFAULT_APPROX_EPS_MICROS,
         }
     }
@@ -157,7 +151,6 @@ impl TableSpec {
                 solver: SolverKind::Approximate,
                 approx_eps_micros: eps_micros,
                 threads,
-                ..TableOptions::default()
             },
         }
     }

@@ -1,9 +1,8 @@
 //! Property tests for the resistance model and the linear solver.
 
 use commsched_distance::{
-    effective_resistance, equivalent_distance_table, equivalent_distance_table_parallel,
-    equivalent_distance_table_with, equivalent_distance_table_with_report, solve, Matrix,
-    SolverKind, TableOptions,
+    effective_resistance, equivalent_distance_table, equivalent_distance_table_with,
+    equivalent_distance_table_with_report, solve, Matrix, SolverKind, TableOptions,
 };
 use commsched_routing::{ShortestPathRouting, UpDownRouting};
 use commsched_topology::{random_regular, RandomTopologyConfig, Topology, TopologyBuilder};
@@ -167,7 +166,8 @@ proptest! {
         let routing = UpDownRouting::new(&topo, 0).unwrap();
         let serial = equivalent_distance_table(&topo, &routing).unwrap();
         for threads in [1usize, 2, 7, 64] {
-            let par = equivalent_distance_table_parallel(&topo, &routing, threads).unwrap();
+            let options = TableOptions { threads, ..Default::default() };
+            let par = equivalent_distance_table_with(&topo, &routing, options).unwrap();
             prop_assert_eq!(&serial, &par, "threads = {}", threads);
         }
     }

@@ -282,6 +282,11 @@ impl TopologyEpoch {
             }
         };
         let mut builder = TopologyBuilder::new(n, topo.hosts_per_switch()).allow_disconnected();
+        // CORRECTNESS: the surviving links keep their relative id order
+        // and a restored link goes after them. `repair_table` copies the
+        // entries of pairs whose route wires survived, and a copy equals a
+        // rebuild's bits only because those wires are solved in the same
+        // order in both epochs.
         for (l, link) in topo.links().iter().enumerate() {
             if keep(link.a, link.b) {
                 builder = builder.link_with_slowdown(link.a, link.b, topo.link_slowdown(l));

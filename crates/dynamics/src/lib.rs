@@ -12,8 +12,9 @@
 //! [`TopologyEpoch`] yields the next epoch (new topology, new
 //! fingerprint, connectivity *reported*, never asserted). After a fault,
 //! [`repair_table`] recomputes only the pairs whose minimal routes
-//! touched the changed links — through the same sparse LDLᵀ path as the
-//! full build, with a cross-epoch [`RepairMemo`] — and [`warm_remap`]
+//! touched the changed links — through the full build's own per-pair
+//! solver, so the repaired table is the one a rebuild would produce, bit
+//! for bit — and [`warm_remap`]
 //! re-runs the tabu search seeded from the pre-fault mapping so the
 //! scheduler recovers quality in a fraction of a cold search's budget.
 
@@ -21,7 +22,7 @@ pub mod fault;
 pub mod remap;
 pub mod repair;
 
-pub use commsched_distance::{RepairMemo, RouteKey};
+pub use commsched_distance::RouteKey;
 pub use fault::{FaultError, FaultEvent, FaultSchedule, TimedFault, TopologyEpoch};
 pub use remap::{warm_remap, RemapReport};
 pub use repair::{affected_pairs, repair_table, RepairReport};

@@ -80,7 +80,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultEvent, TopologyEpoch};
     use crate::repair::repair_table;
-    use commsched_distance::{equivalent_distance_table, RepairMemo, TableOptions};
+    use commsched_distance::{equivalent_distance_table, TableOptions};
     use commsched_routing::UpDownRouting;
     use commsched_search::Mapper;
     use commsched_topology::designed;
@@ -98,7 +98,6 @@ mod tests {
         // Kill an intra-ring link and repair the table.
         let epoch1 = epoch0.apply(&FaultEvent::LinkDown { a: 0, b: 1 }).unwrap();
         let r1 = UpDownRouting::new(&epoch1.topology, 0).unwrap();
-        let mut memo = RepairMemo::new();
         let (table1, _) = repair_table(
             &table0,
             &epoch0.topology,
@@ -106,7 +105,6 @@ mod tests {
             &epoch1.topology,
             &r1,
             TableOptions::default(),
-            &mut memo,
         )
         .unwrap();
         let params = TabuParams {

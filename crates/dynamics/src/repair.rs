@@ -1,7 +1,7 @@
 //! Affected-pair detection and the post-fault table repair wrapper.
 
 use commsched_distance::{
-    repair_distance_table, route_key, DistanceTable, RepairMemo, TableError, TableOptions,
+    repair_distance_table, route_key, DistanceTable, TableError, TableOptions,
 };
 use commsched_routing::Routing;
 use commsched_topology::{SwitchId, Topology};
@@ -97,8 +97,11 @@ fn common_wires_keep_slowdowns(old: &Topology, new: &Topology) -> bool {
 }
 
 /// Repair `prev` into the post-fault table: detect the affected pairs,
-/// re-solve exactly those through the sparse solver (reusing `memo`
-/// across epochs), and copy everything else forward.
+/// re-solve exactly those through the build's solver, and copy everything
+/// else forward. When `prev` is a build (or such a repair) of `old_topo`
+/// with the same exact solver and `new_topo` comes from
+/// [`TopologyEpoch::apply`](crate::TopologyEpoch::apply), the result is
+/// bit-identical to a build of `new_topo`.
 ///
 /// # Errors
 /// See [`TableError`].
@@ -109,11 +112,10 @@ pub fn repair_table(
     new_topo: &Topology,
     new_routing: &dyn Routing,
     options: TableOptions,
-    memo: &mut RepairMemo,
 ) -> Result<(DistanceTable, RepairReport), TableError> {
     let t0 = Instant::now();
     let affected = affected_pairs(old_topo, old_routing, new_topo, new_routing);
-    let out = repair_distance_table(prev, new_topo, new_routing, &affected, options, memo)?;
+    let out = repair_distance_table(prev, new_topo, new_routing, &affected, options)?;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let m = crate::metrics();
     m.pairs_recomputed.add(out.pairs_recomputed as u64);
@@ -146,7 +148,6 @@ mod tests {
         let epoch1 = epoch0.apply(&FaultEvent::LinkDown { a: 0, b: 1 }).unwrap();
         assert!(epoch1.connected);
         let r1 = UpDownRouting::new(&epoch1.topology, 0).unwrap();
-        let mut memo = RepairMemo::new();
         let (table, report) = repair_table(
             &prev,
             &epoch0.topology,
@@ -154,18 +155,10 @@ mod tests {
             &epoch1.topology,
             &r1,
             TableOptions::default(),
-            &mut memo,
         )
         .unwrap();
         let rebuilt = equivalent_distance_table(&epoch1.topology, &r1).unwrap();
-        for i in 0..24 {
-            for j in 0..24 {
-                assert!(
-                    (table.get(i, j) - rebuilt.get(i, j)).abs() < 1e-9,
-                    "({i}, {j})"
-                );
-            }
-        }
+        assert_eq!(table, rebuilt);
         assert!(report.pairs_recomputed > 0);
         assert!(report.pairs_recomputed < report.pairs_total);
         assert_eq!(report.pairs_total, 276);

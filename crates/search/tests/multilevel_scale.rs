@@ -19,7 +19,6 @@ fn table_with(seed: u64, n: usize, solver: SolverKind) -> DistanceTable {
         solver,
         threads: 0,
         approx_eps_micros: 50_000,
-        ..TableOptions::default()
     };
     equivalent_distance_table_with(&topo, &routing, options).unwrap()
 }

@@ -142,9 +142,10 @@ impl ServiceCore {
         let mut refreshed = 0usize;
         for (spec, tspec, stale) in &removed {
             if let TableSpec::Approx { .. } = tspec {
-                // Approximate tables carry no repair memo-compatible
-                // certificate across topologies; they are cheap to
-                // rebuild on demand under the successor fingerprint.
+                // An approximate table's `ApproxReport` certifies a whole
+                // build, and a repair solves its pairs exactly: a patched
+                // table would carry a report that no longer describes it.
+                // Drop it; the successor's is rebuilt on demand.
                 repair_lines.push(format!("repair {spec} {tspec} dropped"));
                 continue;
             }

@@ -56,7 +56,8 @@ impl ServiceCore {
 
     /// Rebuild the invalidated `(new fingerprint, spec)` cache entry by
     /// incrementally repairing the stale table instead of re-solving the
-    /// whole network, reusing the core's cross-epoch memo. Returns the
+    /// whole network: the entry gets the bits a build of the successor
+    /// would give it, for the cost of its affected pairs. Returns the
     /// repair report (`None` when a concurrent request built the entry
     /// first and the closure never ran).
     pub(super) fn refresh_entry(
@@ -74,7 +75,6 @@ impl ServiceCore {
         let key = (next.fingerprint, spec, TableSpec::Exact);
         self.cache.get_or_build(key, move || {
             let routing = spec.build(&topo).map_err(|e| e.to_string())?;
-            let mut memo = self.repair_memo.lock().expect("repair memo lock");
             let (table, rep) = repair_table(
                 &stale.table,
                 &old_topo,
@@ -82,7 +82,6 @@ impl ServiceCore {
                 &topo,
                 routing.as_ref(),
                 TableSpec::Exact.options(threads),
-                &mut memo,
             )
             .map_err(|e| e.to_string())?;
             *report_slot = Some(rep);

@@ -26,7 +26,6 @@ use crate::protocol::JobSpec;
 use crate::registry::TopologyRegistry;
 use crate::stats::ServiceStats;
 use capacity::CapacityLedger;
-use commsched_distance::RepairMemo;
 use epochs::EpochState;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -177,9 +176,6 @@ pub struct ServiceCore {
     /// Per-switch memory commitments of capacitated topologies (leaf
     /// lock: never held across resolve/WAL/queue operations).
     capacity: Mutex<CapacityLedger>,
-    /// Cross-epoch memo of compacted route circuits, shared by every
-    /// repair this core performs.
-    repair_memo: Mutex<RepairMemo>,
     /// Signals workers that work arrived or draining began.
     work_cv: Condvar,
     /// Signals drainers that a job left the queue/worker.
@@ -218,7 +214,6 @@ impl ServiceCore {
             }),
             epochs: Mutex::new(EpochState::default()),
             capacity: Mutex::new(CapacityLedger::default()),
-            repair_memo: Mutex::new(RepairMemo::new()),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             persist,

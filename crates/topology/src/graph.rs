@@ -548,6 +548,10 @@ impl Topology {
             });
         }
         let mut b = TopologyBuilder::new(self.num_switches(), self.hosts_per_switch);
+        // CORRECTNESS: the surviving links keep their relative id order.
+        // A distance-table repair copies the entries of pairs whose route
+        // wires survived, and a copy equals a rebuild's bits only because
+        // those wires are solved in the same order in both topologies.
         for (id, l) in self.links.iter().enumerate() {
             if id != failed {
                 b = b.link_with_slowdown(l.a, l.b, self.slowdowns[id]);
