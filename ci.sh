@@ -90,9 +90,11 @@ cargo test --release --offline -q -p commsched-search --test golden
 # still answers the pairs that test answered, the routing property test
 # that it answers them with the cost of their one route. A repaired table
 # is a rebuild's bits, which the fault-chain property test holds the
-# shipped build to as well.
-echo "==> golden distance-table bits, which path answered each pair, the row steps against route enumeration, and repair == rebuild over fault chains, release build"
-cargo test --release --offline -q -p commsched-distance --test golden --test tallies
+# shipped build to as well. The sparse == dense property tests run over
+# the compaction and the solve the shipped build runs, whose connectivity
+# check is a debug assertion on route circuits.
+echo "==> golden distance-table bits, which path answered each pair, sparse == dense, the row steps against route enumeration, and repair == rebuild over fault chains, release build"
+cargo test --release --offline -q -p commsched-distance --test golden --test tallies --test props
 cargo test --release --offline -q -p commsched-routing --test row
 cargo test --release --offline -q -p commsched-dynamics --test props
 

@@ -14,7 +14,8 @@
 //! O(N²) per iteration: tens of seconds at N = 1024).
 //!
 //! The table columns time both solver variants (dense Gaussian oracle vs
-//! the sparse LDLᵀ + memoization fast path) and both tabu modes (serial
+//! the sparse path: row scans, degree-≤ 2 elimination and an LDLᵀ on any
+//! irreducible core) and both tabu modes (serial
 //! restarts vs the pooled restarts), so the speedups of the fast pipeline
 //! stay visible as N grows. The dense oracle is cubic per pair and is
 //! skipped (`-`) above [`DENSE_MAX_SWITCHES`]. The pooled run re-asserts

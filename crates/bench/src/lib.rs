@@ -20,7 +20,7 @@ pub use comparators::{
 use commsched_core::{quality, Partition, ProcessMapping, Quality, Workload};
 use commsched_distance::{equivalent_distance_table_with, DistanceTable, TableOptions};
 use commsched_netsim::{paper_sweep, sweep, LoadSweep, SimConfig, SweepConfig};
-use commsched_routing::{Routing, UpDownRouting};
+use commsched_routing::UpDownRouting;
 use commsched_search::{TabuParams, TabuSearch, TabuTrace};
 use commsched_topology::{designed, random_regular, RandomTopologyConfig, Topology};
 use rand::rngs::StdRng;
@@ -188,11 +188,6 @@ pub fn print_sweep(label: &str, cc: f64, sweep: &LoadSweep, hosts_per_switch: us
         "  throughput = {:.4} flits/switch/cycle",
         sweep.throughput()
     );
-}
-
-/// The routing used by every experiment, exposed for the benches.
-pub fn routing_of(testbed: &Testbed) -> &dyn Routing {
-    &testbed.routing
 }
 
 #[cfg(test)]

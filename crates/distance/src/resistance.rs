@@ -9,7 +9,6 @@
 use crate::linalg::{solve, LinalgError, Matrix};
 use crate::sparse::SpdFactor;
 use commsched_topology::SwitchId;
-use std::collections::HashSet;
 
 /// Which linear solver backs the resistance computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -169,13 +168,17 @@ pub fn effective_resistance_weighted(
 /// Reusable per-worker scratch for repeated resistance computations.
 ///
 /// A table build calls the resistance solver once per switch pair; the
-/// node-compaction, dedup, connectivity and solver buffers in here
-/// survive across calls so the hot loop stops allocating per pair.
+/// node-compaction, adjacency, connectivity and solver buffers in here
+/// survive across calls so the hot loop stops allocating per pair. Some
+/// are indexed by switch id: they grow with the largest id seen.
 #[derive(Debug, Default)]
 pub struct Workspace {
+    /// The circuit's switch ids, ascending; a node is its index here.
     nodes: Vec<SwitchId>,
-    dedup: Vec<(usize, usize, f64)>,
-    seen: HashSet<(usize, usize)>,
+    /// `pos[switch]`: the node of `switch`, `usize::MAX` if absent.
+    pos: Vec<usize>,
+    /// One bit per endpoint switch while compacting, clear otherwise.
+    switch_bits: Vec<u64>,
     adj_g: Vec<Vec<(usize, f64)>>,
     alive: Vec<bool>,
     relabel: Vec<usize>,
@@ -193,90 +196,72 @@ impl Workspace {
         Self::default()
     }
 
-    /// Compact the node ids of `edges` into `self.nodes` (sorted,
-    /// deduplicated) and the edges into `self.dedup` (compact indices,
-    /// unordered endpoints, keep-first weight). Returns the node count.
+    /// Compact `edges` into a circuit: the endpoint ids into `self.nodes`
+    /// (ascending), and the edges, in their order, into the conductance
+    /// adjacency over node indices (unordered endpoints, keep-first
+    /// weight, self-loops dropped). Returns the node count.
     pub(crate) fn compact(&mut self, edges: &[(SwitchId, SwitchId, f64)]) -> usize {
+        for &s in &self.nodes {
+            self.pos[s] = usize::MAX;
+        }
         self.nodes.clear();
-        self.nodes
-            .extend(edges.iter().flat_map(|&(u, v, _)| [u, v]));
-        self.nodes.sort_unstable();
-        self.nodes.dedup();
-        self.dedup.clear();
-        // Keep-first dedup of unordered endpoint pairs. Route
-        // sub-networks are small, so a linear scan of the kept edges
-        // beats hashing; large ad-hoc edge lists fall back to the set.
-        let linear = edges.len() <= 32;
-        self.seen.clear();
-        for &(u, v, r) in edges {
-            let iu = self.nodes.binary_search(&u).expect("endpoint indexed");
-            let iv = self.nodes.binary_search(&v).expect("endpoint indexed");
-            if iu == iv {
-                continue;
-            }
-            let key = (iu.min(iv), iu.max(iv));
-            let fresh = if linear {
-                !self.dedup.iter().any(|&(a, b, _)| (a, b) == key)
-            } else {
-                self.seen.insert(key)
-            };
-            if fresh {
-                self.dedup.push((key.0, key.1, r));
+        let words = edges.iter().map(|&(u, v, _)| u.max(v) / 64 + 1).max();
+        let words = words.unwrap_or(0);
+        if self.switch_bits.len() < words {
+            self.switch_bits.resize(words, 0);
+            self.pos.resize(64 * words, usize::MAX);
+        }
+        for &(u, v, _) in edges {
+            self.switch_bits[u / 64] |= 1 << (u % 64);
+            self.switch_bits[v / 64] |= 1 << (v % 64);
+        }
+        // CORRECTNESS: words in order, low bit first, give each id once,
+        // ascending, as a sort did: elimination order, hence every bit.
+        for (w, word) in self.switch_bits[..words].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let s = w * 64 + bits.trailing_zeros() as usize;
+                self.pos[s] = self.nodes.len();
+                self.nodes.push(s);
+                bits &= bits - 1;
             }
         }
-        self.nodes.len()
-    }
-
-    /// Solve the compacted circuit for terminals `a`, `b` (original
-    /// switch ids).
-    ///
-    /// First eliminates every degree-≤2 non-terminal node exactly — the
-    /// dangling, series and parallel resistor laws, which are precisely
-    /// the first pivots a minimum-degree Cholesky would take. Minimal
-    /// up*/down* route sub-networks are near-paths, so the common case
-    /// collapses to a single equivalent conductance with no factorization
-    /// at all; an irreducible core (degree ≥ 3 everywhere) falls back to
-    /// the envelope LDLᵀ of [`SpdFactor`] on the grounded minor.
-    ///
-    /// # Errors
-    /// Same surface as the dense oracle: a missing terminal, disconnected
-    /// terminals, or [`LinalgError::Singular`] when some node floats in a
-    /// component apart from the terminals (the grounded Laplacian minor
-    /// is singular there, which is exactly how dense elimination fails).
-    pub(crate) fn solve_compacted(
-        &mut self,
-        a: SwitchId,
-        b: SwitchId,
-    ) -> Result<f64, ResistanceError> {
-        debug_assert_ne!(a, b, "callers short-circuit the zero diagonal");
         let k = self.nodes.len();
-        let ia = self
-            .nodes
-            .binary_search(&a)
-            .map_err(|_| ResistanceError::TerminalNotInNetwork(a))?;
-        let ib = self
-            .nodes
-            .binary_search(&b)
-            .map_err(|_| ResistanceError::TerminalNotInNetwork(b))?;
-
-        // Conductance adjacency; `dedup` merged duplicate links already,
-        // so each neighbour appears once per list.
         if self.adj_g.len() < k {
             self.adj_g.resize_with(k, Vec::new);
         }
         for l in &mut self.adj_g[..k] {
             l.clear();
         }
-        for &(u, v, r) in &self.dedup {
+        for &(u, v, r) in edges {
+            let (iu, iv) = (self.pos[u], self.pos[v]);
+            let (lo, hi) = (iu.min(iv), iu.max(iv));
+            // Keep-first: a repeated endpoint pair is one resistor.
+            if lo == hi || self.adj_g[lo].iter().any(|e| e.0 == hi) {
+                continue;
+            }
             let g = 1.0 / r;
-            self.adj_g[u].push((v, g));
-            self.adj_g[v].push((u, g));
+            self.adj_g[lo].push((hi, g));
+            self.adj_g[hi].push((lo, g));
         }
+        k
+    }
 
-        // Reachability from `a` in one DFS: an unreachable `b` gets the
-        // dedicated error; any other unreachable node means a floating
-        // component, which makes the grounded minor singular — report it
-        // the way the dense solver would.
+    /// The node of terminal `s` (an original switch id).
+    fn node(&self, s: SwitchId) -> Result<usize, ResistanceError> {
+        match self.pos.get(s) {
+            Some(&i) if i != usize::MAX => Ok(i),
+            _ => Err(ResistanceError::TerminalNotInNetwork(s)),
+        }
+    }
+
+    /// Reachability from `a` in one DFS over the compacted circuit: an
+    /// unreachable `b` gets the dedicated error; any other unreachable
+    /// node means a floating component, which makes the grounded minor
+    /// singular — reported the way the dense solver would.
+    pub(crate) fn check_reach(&mut self, a: SwitchId, b: SwitchId) -> Result<(), ResistanceError> {
+        let (ia, ib) = (self.node(a)?, self.node(b)?);
+        let k = self.nodes.len();
         self.visited.clear();
         self.visited.resize(k, false);
         self.stack.clear();
@@ -298,6 +283,32 @@ impl Workspace {
         if reached < k {
             return Err(ResistanceError::Solver(LinalgError::Singular));
         }
+        Ok(())
+    }
+
+    /// Solve the compacted circuit for terminals `a`, `b` (original
+    /// switch ids), which the caller knows [`Workspace::check_reach`]
+    /// passes (debug builds assert it).
+    ///
+    /// First eliminates every degree-≤2 non-terminal node exactly — the
+    /// dangling, series and parallel resistor laws, which are precisely
+    /// the first pivots a minimum-degree Cholesky would take. Minimal
+    /// up*/down* route sub-networks are near-paths, so the common case
+    /// collapses to a single equivalent conductance with no factorization
+    /// at all; an irreducible core (degree ≥ 3 everywhere) falls back to
+    /// the envelope LDLᵀ of [`SpdFactor`] on the grounded minor.
+    ///
+    /// # Errors
+    /// A missing terminal, or a failed factorization.
+    pub(crate) fn solve_compacted(
+        &mut self,
+        a: SwitchId,
+        b: SwitchId,
+    ) -> Result<f64, ResistanceError> {
+        debug_assert_ne!(a, b, "callers short-circuit the zero diagonal");
+        let (ia, ib) = (self.node(a)?, self.node(b)?);
+        debug_assert_eq!(self.check_reach(a, b), Ok(()), "route circuits never float");
+        let k = self.nodes.len();
 
         // Exact degree-≤2 elimination. Degrees never grow (eliminating a
         // node removes one incident edge from each neighbour and adds at
@@ -424,8 +435,10 @@ fn remove_neighbor(list: &mut Vec<(usize, f64)>, v: usize) {
 ///
 /// With [`SolverKind::DenseGaussian`] it delegates to the oracle
 /// unchanged; with [`SolverKind::SparseCholesky`] it reuses the buffers
-/// in `ws`, collapses degree-≤2 nodes by the exact resistor laws, and
-/// only factors an irreducible core (see `Workspace::solve_compacted`).
+/// in `ws`, checks that the circuit is connected, collapses degree-≤2
+/// nodes by the exact resistor laws, and only factors an irreducible core
+/// (see `Workspace::solve_compacted`). Duplicate edges keep the first
+/// listed resistance, as the oracle's do.
 /// The two paths agree to well below 1e-9 on every connected pair and
 /// report the same error surface.
 ///
@@ -449,6 +462,7 @@ pub fn effective_resistance_weighted_in(
         "resistances must be positive"
     );
     ws.compact(edges);
+    ws.check_reach(a, b)?;
     ws.solve_compacted(a, b)
 }
 
@@ -692,6 +706,44 @@ mod tests {
                 .unwrap(),
             2.0,
         );
+        // Ids over several 64-bit words of the switch bitset, listed out
+        // of order, then a circuit over lower ids only: no bit, position
+        // or adjacency of the wide one may survive into it.
+        let wide = [
+            (200, 3, 1.0),
+            (3, 70, 2.0),
+            (70, 150, 1.0),
+            (150, 200, 2.0),
+            (70, 200, 4.0),
+        ];
+        let mut sparse = |edges: &[(SwitchId, SwitchId, f64)], a, b| {
+            effective_resistance_weighted_in(&mut ws, edges, a, b, SolverKind::SparseCholesky)
+        };
+        for (a, b) in [(3, 150), (200, 70)] {
+            let dense = effective_resistance_weighted(&wide, a, b).unwrap();
+            assert!((sparse(&wide, a, b).unwrap() - dense).abs() < 1e-12);
+        }
+        assert_close(sparse(&[(1, 2, 1.0), (2, 3, 1.0)], 1, 3).unwrap(), 2.0);
+        assert_eq!(
+            sparse(&[(1, 2, 1.0)], 1, 70).unwrap_err(),
+            ResistanceError::TerminalNotInNetwork(70)
+        );
+        assert_eq!(
+            sparse(&[(1, 2, 1.0)], 200, 1).unwrap_err(),
+            ResistanceError::TerminalNotInNetwork(200)
+        );
+    }
+
+    #[test]
+    fn sparse_duplicate_keeps_first() {
+        // The 3 Ω link 1-2 is listed again, reversed, at 5 Ω. Keeping the
+        // first gives 1 + 3 Ω; merging both would give 1 + 3∥5 Ω.
+        let edges = [(0, 1, 1.0), (1, 2, 3.0), (2, 1, 5.0)];
+        let mut ws = Workspace::new();
+        for solver in [SolverKind::DenseGaussian, SolverKind::SparseCholesky] {
+            let r = effective_resistance_weighted_in(&mut ws, &edges, 0, 2, solver).unwrap();
+            assert_close(r, 4.0);
+        }
     }
 
     #[test]

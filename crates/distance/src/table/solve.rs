@@ -44,12 +44,13 @@ fn link_resistor(topo: &Topology, l: LinkId) -> (SwitchId, SwitchId, f64) {
     (link.a, link.b, f64::from(topo.link_slowdown(l)))
 }
 
-/// One worker's solver state: reusable scratch, the scan of the current
-/// source row and the link set of the current pair.
+/// One worker's solver state: every link as a resistor, scratch, the
+/// scan of the current source row and the link set of the current pair.
 pub(crate) struct PairSolver<'a> {
     topo: &'a Topology,
     routing: &'a dyn Routing,
     options: TableOptions,
+    resistors: Vec<(SwitchId, SwitchId, f64)>,
     ws: Workspace,
     approx: ApproxScratch,
     row: RouteRow,
@@ -66,6 +67,9 @@ impl<'a> PairSolver<'a> {
             topo,
             routing,
             options,
+            resistors: (0..topo.num_links())
+                .map(|l| link_resistor(topo, l))
+                .collect(),
             ws: Workspace::new(),
             approx: ApproxScratch::default(),
             row: RouteRow::new(),
@@ -138,9 +142,11 @@ impl<'a> PairSolver<'a> {
         // repair solves its pairs here too, which is what makes a repaired
         // table a rebuild's bits.
         self.edges.clear();
-        self.edges
-            .extend(links.iter().map(|&l| link_resistor(self.topo, l)));
+        self.edges.extend(links.iter().map(|&l| self.resistors[l]));
         self.ws.compact(&self.edges);
+        // CORRECTNESS: no connectivity check: every link of the union lies
+        // on a minimal route from `i` to `j`, so no node floats (debug
+        // builds run the check inside the solve and assert it passes).
         self.ws
             .solve_compacted(i, j)
             .map_err(|error| TableError::Resistance {

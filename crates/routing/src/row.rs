@@ -7,7 +7,7 @@
 //! A destination with one minimal route is then answered from the scan
 //! ([`RouteRow::unique_route_cost`]); only the others pay for
 //! [`Routing::row_links`](crate::Routing::row_links), the backward walk
-//! over the minimal-route DAG that collects and sorts a link list.
+//! over the minimal-route DAG that collects a link list, ascending by id.
 
 use commsched_topology::{LinkId, SwitchId, Topology};
 
@@ -31,7 +31,7 @@ pub(crate) fn link_costs(topo: &Topology) -> Vec<u32> {
 
 /// Reusable scratch of the two row steps. One value serves every row of
 /// every router it is handed to, of any size: a scan overwrites what the
-/// last one left, and the walk's stamps only ever grow.
+/// last one left, stamps only grow, and a walk clears its link bits.
 #[derive(Debug, Default)]
 pub struct RouteRow {
     per_switch: usize,
@@ -43,10 +43,11 @@ pub struct RouteRow {
     cost: Vec<u64>,
     /// BFS queue (never popped, read through a cursor).
     queue: Vec<usize>,
-    /// Walk stamps per state and per link, and the last stamp handed out.
+    /// Walk stamps per state, and the last stamp handed out.
     state_seen: Vec<u32>,
-    link_seen: Vec<u32>,
     mark: u32,
+    /// One bit per link crossed by the current walk, 64 links a word.
+    link_bits: Vec<u64>,
     stack: Vec<usize>,
 }
 
@@ -95,7 +96,7 @@ impl RouteRow {
         self.cost.resize(states, 0);
         // Stamps are never cleared: a walk's mark is one no walk had.
         self.state_seen.resize(states, 0);
-        self.link_seen.resize(g.link_cost.len(), 0);
+        self.link_bits.resize(g.link_cost.len().div_ceil(64), 0);
         self.queue.clear();
         self.dist_from[start] = 0;
         self.routes[start] = 1;
@@ -128,11 +129,11 @@ impl RouteRow {
     }
 
     /// The links on minimal routes from the scanned start state to `dst`,
-    /// sorted, into `out`: a walk backward from `dst`'s terminal states
-    /// over the transitions `p -> s` with `dist_from[p] + 1 ==
-    /// dist_from[s]`, which touches only states on minimal routes. Links
-    /// are deduplicated with a per-walk stamp (a link can be seen from
-    /// both phases of a state).
+    /// ascending by id, into `out`: a walk backward from `dst`'s terminal
+    /// states over the transitions `p -> s` with `dist_from[p] + 1 ==
+    /// dist_from[s]`, which touches only states on minimal routes. A
+    /// crossed link sets its bit (a link can be crossed from both phases
+    /// of a state), and the bits are read out once the walk is done.
     pub(crate) fn walk_back(&mut self, g: &StateGraph<'_>, dst: SwitchId, out: &mut Vec<LinkId>) {
         debug_assert_eq!(
             self.dist_from.len(),
@@ -142,7 +143,6 @@ impl RouteRow {
         out.clear();
         if self.mark == u32::MAX {
             self.state_seen.fill(0);
-            self.link_seen.fill(0);
             self.mark = 0;
         }
         self.mark += 1;
@@ -159,10 +159,7 @@ impl RouteRow {
             let ds = self.dist_from[s];
             for &(p, link) in &g.rev[s] {
                 if self.dist_from[p] != u32::MAX && self.dist_from[p] + 1 == ds {
-                    if self.link_seen[link] != mark {
-                        self.link_seen[link] = mark;
-                        out.push(link);
-                    }
+                    self.link_bits[link / 64] |= 1 << (link % 64);
                     if self.state_seen[p] != mark {
                         self.state_seen[p] = mark;
                         self.stack.push(p);
@@ -170,10 +167,16 @@ impl RouteRow {
                 }
             }
         }
-        // CORRECTNESS: the same walk and the same `sort_unstable` that
-        // always produced a row's lists, so a pair that goes on to the
-        // solver hands it the link-id order every recorded table bit was
-        // produced with.
-        out.sort_unstable();
+        // CORRECTNESS: words in order, each low bit first, list every
+        // crossed link once in ascending id, as a sort always did: a pair
+        // that goes on to the solver hands it the link-id order every
+        // recorded table bit was produced with.
+        for (w, word) in self.link_bits.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
     }
 }

@@ -16,6 +16,7 @@ use crate::row::{link_costs, StateGraph};
 use crate::{RouteRow, RouteState, Routing, RoutingError};
 use commsched_topology::{LinkId, SwitchId, Topology};
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// State index: two states per switch (phase bit in the LSB).
 #[inline]
@@ -31,9 +32,9 @@ fn state_of(id: usize) -> RouteState {
     }
 }
 
-/// The up*/down* router. Construction precomputes, for every destination,
-/// the remaining-distance table over the state graph, so that per-hop
-/// decisions and distance queries are O(degree) and O(1).
+/// The up*/down* router. The first distance query or per-hop decision
+/// fills every destination's remaining-distance table, which the row
+/// steps never read; after that those are O(1) and O(degree).
 #[derive(Debug, Clone)]
 pub struct UpDownRouting {
     num_switches: usize,
@@ -48,8 +49,8 @@ pub struct UpDownRouting {
     /// (the backward walk of `row_links`).
     rev: Vec<Vec<(usize, LinkId)>>,
     /// `dist_to[dst][state]`: minimal legal hops from `state` to switch
-    /// `dst` (any final phase); `u32::MAX` if unreachable.
-    dist_to: Vec<Vec<u32>>,
+    /// `dst` (any final phase); `u32::MAX` if unreachable. Lazy.
+    dist_to: OnceLock<Vec<Vec<u32>>>,
 }
 
 impl UpDownRouting {
@@ -90,28 +91,6 @@ impl UpDownRouting {
             }
         }
 
-        // Per-destination remaining distance via reverse BFS from both
-        // terminal states of the destination switch.
-        let mut dist_to = vec![vec![u32::MAX; 2 * n]; n];
-        let mut queue = VecDeque::new();
-        for dst in 0..n {
-            let dist = &mut dist_to[dst];
-            queue.clear();
-            for phase in [false, true] {
-                dist[sid(dst, phase)] = 0;
-                queue.push_back(sid(dst, phase));
-            }
-            while let Some(s) = queue.pop_front() {
-                let d = dist[s];
-                for &(p, _) in &rev[s] {
-                    if dist[p] == u32::MAX {
-                        dist[p] = d + 1;
-                        queue.push_back(p);
-                    }
-                }
-            }
-        }
-
         Ok(Self {
             num_switches: n,
             link_cost: link_costs(topo),
@@ -119,7 +98,34 @@ impl UpDownRouting {
             level,
             fwd,
             rev,
-            dist_to,
+            dist_to: OnceLock::new(),
+        })
+    }
+
+    /// The remaining-distance tables, filled by one reverse BFS per
+    /// destination from both of its terminal states on first use.
+    fn dist_to(&self) -> &[Vec<u32>] {
+        self.dist_to.get_or_init(|| {
+            let n = self.num_switches;
+            let mut dist_to = vec![vec![u32::MAX; 2 * n]; n];
+            let mut queue = VecDeque::new();
+            for (dst, dist) in dist_to.iter_mut().enumerate() {
+                queue.clear();
+                for phase in [false, true] {
+                    dist[sid(dst, phase)] = 0;
+                    queue.push_back(sid(dst, phase));
+                }
+                while let Some(s) = queue.pop_front() {
+                    let d = dist[s];
+                    for &(p, _) in &self.rev[s] {
+                        if dist[p] == u32::MAX {
+                            dist[p] = d + 1;
+                            queue.push_back(p);
+                        }
+                    }
+                }
+            }
+            dist_to
         })
     }
 
@@ -224,10 +230,11 @@ impl UpDownRouting {
     /// Mark in `through` (an `n × n` upper-triangle matrix) every ordered
     /// pair `(i, j)`, `i < j`, with a minimal route using the state-graph
     /// transition `s → t`: one reverse BFS gives the distance from every
-    /// start state to `s`, and the precomputed `dist_to` tables finish
-    /// the on-a-shortest-path test.
+    /// start state to `s`, and the `dist_to` tables finish the
+    /// on-a-shortest-path test.
     fn mark_pairs_through(&self, s: usize, t: usize, through: &mut [bool]) {
         let n = self.num_switches;
+        let dist_to = self.dist_to();
         let mut dist = vec![u32::MAX; 2 * n];
         dist[s] = 0;
         let mut queue = VecDeque::from([s]);
@@ -248,8 +255,8 @@ impl UpDownRouting {
                 if through[i * n + j] {
                     continue;
                 }
-                let total = self.dist_to[j][sid(i, false)];
-                let rem = self.dist_to[j][t];
+                let total = dist_to[j][sid(i, false)];
+                let rem = dist_to[j][t];
                 if total != u32::MAX && rem != u32::MAX && di + 1 + rem == total {
                     through[i * n + j] = true;
                 }
@@ -270,7 +277,7 @@ impl Routing for UpDownRouting {
     }
 
     fn route_distance(&self, src: SwitchId, dst: SwitchId) -> u32 {
-        self.dist_to[dst][sid(src, false)]
+        self.dist_to()[dst][sid(src, false)]
     }
 
     fn minimal_route_links(&self, src: SwitchId, dst: SwitchId) -> Vec<LinkId> {
@@ -298,7 +305,7 @@ impl Routing for UpDownRouting {
             }
         }
 
-        let remaining = &self.dist_to[dst];
+        let remaining = &self.dist_to()[dst];
         let mut links: Vec<LinkId> = Vec::new();
         for (transitions, &from) in self.fwd.iter().zip(&dist_from) {
             if from == u32::MAX {
@@ -332,7 +339,7 @@ impl Routing for UpDownRouting {
             return Vec::new();
         }
         let here = sid(state.node, state.descended);
-        let remaining = &self.dist_to[dst];
+        let remaining = &self.dist_to()[dst];
         let d = remaining[here];
         if d == u32::MAX {
             return Vec::new();
@@ -349,7 +356,7 @@ impl Routing for UpDownRouting {
             return Vec::new();
         }
         let here = sid(state.node, state.descended);
-        let remaining = &self.dist_to[dst];
+        let remaining = &self.dist_to()[dst];
         let d = remaining[here];
         if d == u32::MAX {
             return Vec::new();
@@ -498,7 +505,7 @@ mod tests {
                     d -= 1;
                     // Every advertised hop must sit exactly at distance d.
                     for s in &frontier {
-                        let rem = r.dist_to[dst][super::sid(s.node, s.descended)];
+                        let rem = r.dist_to()[dst][super::sid(s.node, s.descended)];
                         assert_eq!(rem, d);
                     }
                 }
@@ -542,9 +549,9 @@ mod tests {
                             assert_eq!(hop.descended, phase || !up);
                             // The destination stays reachable, one hop
                             // longer than the minimal route at least.
-                            let rem = r.dist_to[dst][super::sid(hop.node, hop.descended)];
+                            let rem = r.dist_to()[dst][super::sid(hop.node, hop.descended)];
                             assert_ne!(rem, u32::MAX);
-                            let here = r.dist_to[dst][super::sid(src, phase)];
+                            let here = r.dist_to()[dst][super::sid(src, phase)];
                             assert!(rem + 1 > here);
                         }
                     }
@@ -652,6 +659,59 @@ mod tests {
             }
         }
         assert!(fast_path_runs >= 10, "fast path barely exercised");
+    }
+
+    #[test]
+    fn row_steps_leave_dist_to_unfilled_and_it_fills_on_first_query() {
+        use commsched_topology::{random_regular, RandomTopologyConfig};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let n = 96;
+        let mut rng = StdRng::seed_from_u64(9627);
+        let t = random_regular(RandomTopologyConfig::paper(n), &mut rng).unwrap();
+        let r = UpDownRouting::new(&t, 5).unwrap();
+        let mut row = RouteRow::new();
+        let mut links = Vec::new();
+        for src in 0..n {
+            r.scan_row(src, &mut row);
+            for dst in (0..n).filter(|&dst| dst != src) {
+                r.row_links(dst, &mut row, &mut links);
+                assert!(!links.is_empty());
+            }
+        }
+        assert!(r.dist_to.get().is_none(), "a row step filled dist_to");
+
+        // An independent reverse BFS per destination over (switch, phase)
+        // states, from the topology and the up/down orientation alone: a
+        // state `(v, false)` is entered by an up move from `(u, false)`,
+        // `(v, true)` by a down move from `u` in either phase.
+        for dst in 0..n {
+            let mut dist = vec![[u32::MAX; 2]; n];
+            dist[dst] = [0, 0];
+            let mut queue = VecDeque::from([(dst, false), (dst, true)]);
+            while let Some((v, descended)) = queue.pop_front() {
+                let d = dist[v][usize::from(descended)];
+                for &(u, _) in t.neighbors(v) {
+                    let up = r.is_up_move(u, v);
+                    let from: &[bool] = match (descended, up) {
+                        (false, true) => &[false],
+                        (true, false) => &[false, true],
+                        _ => &[],
+                    };
+                    for &phase in from {
+                        if dist[u][usize::from(phase)] == u32::MAX {
+                            dist[u][usize::from(phase)] = d + 1;
+                            queue.push_back((u, phase));
+                        }
+                    }
+                }
+            }
+            for (src, d) in dist.iter().enumerate() {
+                assert_eq!(r.route_distance(src, dst), d[0], "{src}->{dst}");
+            }
+        }
+        assert!(r.dist_to.get().is_some());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The two row steps against route enumeration: for both routers and
 //! every ordered pair, [`RouteRow::unique_route_cost`] is `Some` exactly
 //! when one minimal route exists, and is then the slowdown sum along it;
-//! [`Routing::row_links`] is [`Routing::minimal_route_links`].
+//! [`Routing::row_links`] is [`Routing::minimal_route_links`], a strictly
+//! ascending list of link ids.
 //!
 //! One `RouteRow` serves the interleaved rows of routers over nets of
 //! different sizes, as a worker's scratch serves build after build: a
@@ -49,6 +50,7 @@ fn check_rows(nets: &[Routed<'_>], row: &mut RouteRow) {
                 });
                 assert_eq!(row.unique_route_cost(dst), cost, "{pair}");
                 routing.row_links(dst, row, &mut links);
+                assert!(links.windows(2).all(|w| w[0] < w[1]), "{pair}: {links:?}");
                 assert_eq!(links, routing.minimal_route_links(src, dst), "{pair}");
                 // The walk left the scan as it was.
                 assert_eq!(row.unique_route_cost(dst), cost, "{pair} after its walk");
@@ -76,6 +78,27 @@ fn designed_nets_share_one_row() {
         designed::paper_24_switch(),
     ];
     let routed: Vec<Routed<'_>> = nets.iter().flat_map(|t| routed(t, 0)).collect();
+    check_rows(&routed, &mut RouteRow::new());
+}
+
+/// Nets of more than 64 and more than 128 links, so that a walk's link
+/// bits span several words, sharing one row with a net of fewer.
+#[test]
+fn nets_over_several_link_words_share_one_row() {
+    let mut rng = StdRng::seed_from_u64(2764);
+    let nets: Vec<Topology> = [48, 96]
+        .into_iter()
+        .map(|n| {
+            let plain = random_regular(RandomTopologyConfig::paper(n), &mut rng).unwrap();
+            with_random_slowdowns(&plain, &mut rng)
+        })
+        .chain([designed::ring(9, 1)])
+        .collect();
+    assert_eq!(
+        nets.iter().map(Topology::num_links).collect::<Vec<_>>(),
+        [72, 144, 9]
+    );
+    let routed: Vec<Routed<'_>> = nets.iter().flat_map(|t| routed(t, 3)).collect();
     check_rows(&routed, &mut RouteRow::new());
 }
 
