@@ -10,10 +10,12 @@
 //! The table was recorded on the brute-force double loop of PR 19's
 //! `run_seed` (EXPERIMENTS.md "PR 20" has the parent commit), before the
 //! block scan, the cluster-pair memo and the live-entry tabu list
-//! replaced it. Regenerate a line only when the search is *meant* to
-//! take a different trajectory. In a debug build every iteration of every
-//! case also runs the lockstep reference inside `run_seed`; `ci.sh` runs
-//! this file in release too, where the digests are the only check.
+//! replaced it; the last four lines were recorded on that memoised block
+//! scan, before it could skip a row. Regenerate a line only when the
+//! search is *meant* to take a different trajectory. In a debug build
+//! every iteration of every case also runs the lockstep reference inside
+//! `run_seed`; `ci.sh` runs this file in release too, where the digests
+//! are the only check.
 
 use commsched_core::Partition;
 use commsched_distance::{equivalent_distance_table, DistanceTable};
@@ -27,7 +29,7 @@ use rand::SeedableRng;
 use std::fmt::Write;
 
 /// `(case, fnv1a-64 of its trajectory text)`.
-const GOLDEN: [(&str, &str); 21] = [
+const GOLDEN: [(&str, &str); 25] = [
     ("paper24-paper", "1ccc333e94e377e8"),
     ("paper24-scaled", "359f2c4109220574"),
     ("dumbbell-2x4", "1d0060a958b85a14"),
@@ -53,6 +55,13 @@ const GOLDEN: [(&str, &str); 21] = [
     ("random40x5-threads1", "0d2ca78683b0edc8"),
     ("random40x5-threads2", "0d2ca78683b0edc8"),
     ("multilevel-128-coarse32", "7ced083c342e6208"),
+    // The shapes where most rows of a block scan cannot hold its best:
+    // a `large_cold` job, its coarse level, the `scaling` binary's four
+    // clusters, and large unequal clusters under unequal weights.
+    ("multilevel-320x8", "22f37bffa6ac0051"),
+    ("random160x8", "240a72822ebe3f69"),
+    ("random128x4", "28947bfd35546c9b"),
+    ("random96-unequal-weighted", "8d340510fd2e344e"),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -300,18 +309,65 @@ fn thread_counts() {
     ]);
 }
 
-#[test]
-fn multilevel_pipeline() {
+/// The text a multilevel run is hashed as.
+fn multilevel(table: &DistanceTable, sizes: &[usize], seed: u64, max_coarse_n: usize) -> String {
     let params = MultilevelParams {
-        max_coarse_n: 32,
+        max_coarse_n,
         threads: 1,
         ..MultilevelParams::default()
     };
-    let (res, stats) = multilevel_map(&random_table(128), &[32; 4], 42, &params);
-    let text = format!(
+    let (res, stats) = multilevel_map(table, sizes, seed, &params);
+    format!(
         "{stats:?}\n{:?} {:016x}\n",
         res.partition.assignment(),
         res.fg.to_bits()
-    );
-    check_all(&[("multilevel-128-coarse32", text)]);
+    )
+}
+
+#[test]
+fn multilevel_pipeline() {
+    check_all(&[(
+        "multilevel-128-coarse32",
+        multilevel(&random_table(128), &[32; 4], 42, 32),
+    )]);
+}
+
+#[test]
+fn large_blocks() {
+    let default_coarse_n = MultilevelParams::default().max_coarse_n;
+    check_all(&[
+        // A `large_cold` job: its coarse level is 160 nodes in 8 clusters.
+        (
+            "multilevel-320x8",
+            multilevel(&random_table(320), &[40; 8], 320, default_coarse_n),
+        ),
+        (
+            "random160x8",
+            run(
+                &random_table(160),
+                &[20; 8],
+                serial(TabuParams::scaled(160)),
+                160,
+            ),
+        ),
+        (
+            "random128x4",
+            run(
+                &random_table(128),
+                &[32; 4],
+                serial(TabuParams::scaled(128)),
+                128,
+            ),
+        ),
+        (
+            "random96-unequal-weighted",
+            run_weighted(
+                &random_table(96),
+                &[8, 24, 40, 24],
+                &[20.0, 1.0, 0.5, 3.0],
+                serial(TabuParams::scaled(96)),
+                97,
+            ),
+        ),
+    ]);
 }
