@@ -78,9 +78,12 @@ cargo test --release --offline -q -p commsched-netsim --test golden
 # Same for the tabu search: its lockstep reference (the full scan,
 # recomputed every iteration in debug builds) is compiled out of the
 # build the daemon ships, where only the recorded trajectories can tell
-# that the memoised scan still applies the swaps the full one would.
-echo "==> golden search trajectories, release build"
+# that the memoised scan still applies the swaps the full one would. The
+# evaluator's unit tests hold the block scan, rows skipped and all, to
+# the ordered scan bit for bit; they run with optimisations on too.
+echo "==> golden search trajectories and the block scan against the ordered scan, release build"
 cargo test --release --offline -q -p commsched-search --test golden
+cargo test --release --offline -q -p commsched-core --lib
 
 # And for the distance table: `PairSink`'s unsynchronised stores and the
 # per-pair solver are what the shipped build runs, and the recorded bits

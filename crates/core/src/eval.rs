@@ -19,7 +19,11 @@
 //!   norm is paid only by a candidate within rounding reach of the best
 //!   allowed one so far. Ties go to the lowest `(delta_fg, a, b)` — what a
 //!   scan in `(a, b)` order with a strict `<` keeps — so the answer does
-//!   not depend on the order candidates are visited in.
+//!   not depend on the order candidates are visited in,
+//! * and most rows are never scored: with `far_sq[x] = max_y T²(x, y)`,
+//!   one pass over each cluster bounds every row's numerators from below;
+//!   the lowest-bound row goes first, and a row bounded above the cutoff
+//!   holds only candidates it drops (Kernighan–Lin's exit, made exact).
 //!
 //! Since swaps never change cluster *sizes*, the normalization of Eq. 2
 //! (intracluster pair count × quadratic average distance) is constant and
@@ -85,6 +89,8 @@ pub struct SwapEvaluator<'t> {
     members: Vec<SwitchId>,
     first: Vec<usize>,
     slot: Vec<usize>,
+    /// `far_sq[v] = max_u T²(v, u)`, each `T²` the `d * d` a scan computes.
+    far_sq: Vec<f64>,
     /// Current numerator `Σ_c w_c · F_{A_c}` of Eq. 2.
     intra_sum: f64,
     /// Constant denominator: `Σ_c w_c · pairs_c × mean_square`.
@@ -121,11 +127,13 @@ impl<'t> SwapEvaluator<'t> {
         assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
         let n = partition.num_switches();
         let m = partition.num_clusters();
-        let mut sums = vec![0.0; n * m];
+        let (mut sums, mut far_sq) = (vec![0.0; n * m], vec![0.0f64; n]);
         for v in 0..n {
             for u in 0..n {
                 if u != v {
-                    sums[partition.cluster_of(u) * n + v] += table.get_sq(v, u);
+                    let t = table.get_sq(v, u);
+                    sums[partition.cluster_of(u) * n + v] += t;
+                    far_sq[v] = far_sq[v].max(t);
                 }
             }
         }
@@ -165,6 +173,7 @@ impl<'t> SwapEvaluator<'t> {
             members,
             first,
             slot,
+            far_sq,
             intra_sum,
             norm: pairs * table.mean_square(),
         }
@@ -236,6 +245,8 @@ impl<'t> SwapEvaluator<'t> {
     /// not refuse — what a scan in ascending `(a, b)` order with a strict
     /// `<` keeps, whatever order this one visits them in. `is_tabu` is
     /// asked only of a swap that would otherwise be the allowed best.
+    /// Also returns the candidates scored: the row of `p` with the lowest
+    /// bound goes first, and a row whose bound cannot hold a best is skipped.
     ///
     /// # Panics
     /// Panics if `p == q` or either is not a cluster.
@@ -244,15 +255,47 @@ impl<'t> SwapEvaluator<'t> {
         p: usize,
         q: usize,
         mut is_tabu: impl FnMut(SwitchId, SwitchId) -> bool,
-    ) -> BlockBest {
+    ) -> (BlockBest, usize) {
         assert_ne!(p, q, "swap within a cluster");
         let w_both = self.weights[p] + self.weights[q];
         let (col_p, col_q, in_q) = (self.column(p), self.column(q), self.members(q));
-        let mut any: Option<ScoredSwap> = None;
-        let mut allowed: Option<ScoredSwap> = None;
+        // A numerator is `A_u + B_v − w·T²(u, v)`. Over `q`: the lowest `B_v =
+        // col_p[v] − col_q[v]` and `B_v − w·far_sq[v]`; over both, the scale.
+        let (mut low_b, mut low_b_far, mut scale) = (f64::INFINITY, f64::INFINITY, 0.0f64);
+        for &v in in_q {
+            let (b, far) = (col_p[v] - col_q[v], w_both * self.far_sq[v]);
+            (low_b, low_b_far) = (low_b.min(b), low_b_far.min(b - far));
+            scale = scale.max(col_p[v] + col_q[v] + far);
+        }
+        // The lowest numerator row `u` can hold; `A_u = col_q[u] − col_p[u]`.
+        let floor = |u: SwitchId| {
+            let far = w_both * self.far_sq[u];
+            col_q[u] - col_p[u] + (low_b - far).max(low_b_far)
+        };
+        let in_p = self.members(p);
+        let (mut lowest, mut low_floor) = (in_p[0], f64::INFINITY);
+        for &u in in_p {
+            if floor(u) < low_floor {
+                (lowest, low_floor) = (u, floor(u));
+            }
+            scale = scale.max(col_p[u] + col_q[u] + w_both * self.far_sq[u]);
+        }
+        let (mut any, mut allowed): (Option<ScoredSwap>, Option<ScoredSwap>) = (None, None);
         // No numerator above this can end at or below `allowed`'s delta.
-        let mut cutoff = f64::INFINITY;
-        for &u in self.members(p) {
+        let (mut cutoff, mut scored) = (f64::INFINITY, 0);
+        let rest = in_p.iter().copied().filter(|&u| u != lowest);
+        for u in std::iter::once(lowest).chain(rest) {
+            // CORRECTNESS: the `num > cutoff` skip below would drop every
+            // candidate of a skipped row here, so neither the skip nor the
+            // visit order moves a best. `T²(u, v) ≤ far_sq[u], far_sq[v]`
+            // (symmetric table), each the same `d * d`. The columns are
+            // non-negative (weights > 0, sums of squares), so the five terms
+            // of a numerator, and `floor`'s, sum to ≤ `2 · scale`: a 1e-9
+            // slack of it is far more than their rounding (a few 2⁻⁵³).
+            if floor(u) - 1e-9 * scale > cutoff {
+                continue;
+            }
+            scored += in_q.len();
             // One length for the three slices: one bounds check a candidate.
             let row = &self.table.row(u)[..col_p.len()];
             let (gain_u, own_u) = (col_q[u], col_p[u]);
@@ -288,10 +331,8 @@ impl<'t> SwapEvaluator<'t> {
                 }
             }
         }
-        BlockBest {
-            any: any.expect("a cluster has at least one switch"),
-            allowed,
-        }
+        let any = any.expect("a cluster has at least one switch");
+        (BlockBest { any, allowed }, scored)
     }
 
     /// Apply the swap of `a` and `b`, updating the cache in O(N).
@@ -417,10 +458,90 @@ mod tests {
     /// The swaps between clusters `p < q`, in `(a, b)` order.
     fn swaps_between(eval: &SwapEvaluator<'_>, (p, q): (usize, usize)) -> Vec<(usize, usize)> {
         let cluster = |v| eval.partition().cluster_of(v);
-        (0..24)
-            .flat_map(|a| (a + 1..24).map(move |b| (a, b)))
+        let n = eval.partition().num_switches();
+        (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
             .filter(|&(a, b)| (cluster(a).min(cluster(b)), cluster(a).max(cluster(b))) == (p, q))
             .collect()
+    }
+
+    /// What the block scan stands for: every swap in `(a, b)` order through
+    /// `delta_fg`, strict `<`.
+    fn ordered_scan(
+        eval: &SwapEvaluator<'_>,
+        swaps: &[(usize, usize)],
+        is_tabu: &dyn Fn(usize, usize) -> bool,
+    ) -> BlockBest {
+        let (mut any, mut allowed): (Option<ScoredSwap>, Option<ScoredSwap>) = (None, None);
+        for &(a, b) in swaps {
+            let delta = eval.delta_fg(a, b);
+            if any.is_none_or(|(d, _, _)| delta < d) {
+                any = Some((delta, a, b));
+            }
+            if !is_tabu(a, b) && allowed.is_none_or(|(d, _, _)| delta < d) {
+                allowed = Some((delta, a, b));
+            }
+        }
+        BlockBest {
+            any: any.expect("a cluster pair has a swap"),
+            allowed,
+        }
+    }
+
+    /// What `rounds` rounds of block scans came to.
+    #[derive(Debug, Default)]
+    struct Rounds {
+        /// Cluster pairs whose best was tied.
+        tied_bests: usize,
+        /// Rounds in which some scan skipped a row.
+        skipping: usize,
+    }
+
+    /// Over `rounds` steps of a small tabu walk (the best allowed swap
+    /// of all pairs, the last four swaps tabu), assert that every block
+    /// scan, in both orientations and under three tabu rules, is the
+    /// ordered scan bit for bit and scores at most its block.
+    fn check_block_scans(mut eval: SwapEvaluator<'_>, rounds: usize) -> Rounds {
+        let m = eval.partition().num_clusters();
+        let sizes = eval.partition().sizes();
+        let tabu_rules: [&dyn Fn(usize, usize) -> bool; 3] =
+            [&|_, _| false, &|a, b| (a + b) % 3 == 1, &|_, _| true];
+        let mut recent: Vec<(usize, usize)> = Vec::new();
+        let mut seen = Rounds::default();
+        for round in 0..rounds {
+            let mut skipped = false;
+            let mut step: Option<BlockBest> = None;
+            for p in 0..m {
+                for q in (p + 1)..m {
+                    let swaps = swaps_between(&eval, (p, q));
+                    for is_tabu in tabu_rules {
+                        let want = ordered_scan(&eval, &swaps, is_tabu);
+                        // Either orientation of the pair is the same set of swaps.
+                        for (r, s) in [(p, q), (q, p)] {
+                            let (found, scored) = eval.best_swaps_between(r, s, is_tabu);
+                            assert_eq!(found, want, "round {round}, pair {r}/{s}");
+                            assert!(scored <= sizes[r] * sizes[s]);
+                            skipped |= scored < sizes[r] * sizes[s];
+                        }
+                    }
+                    let best = ordered_scan(&eval, &swaps, &|_, _| false).any.0;
+                    let at_best = swaps.iter().filter(|&&(a, b)| eval.delta_fg(a, b) == best);
+                    seen.tied_bests += usize::from(at_best.count() > 1);
+                    let (found, _) = eval.best_swaps_between(p, q, |a, b| recent.contains(&(a, b)));
+                    step = Some(step.map_or(found, |s| s.merged(found)));
+                }
+            }
+            seen.skipping += usize::from(skipped);
+            let (_, a, b) = step
+                .and_then(|s| s.allowed)
+                .expect("four swaps cannot block all");
+            eval.apply_swap(a, b);
+            recent.push((a, b));
+            if recent.len() > 4 {
+                recent.remove(0);
+            }
+        }
+        seen
     }
 
     #[test]
@@ -431,44 +552,32 @@ mod tests {
         let (table, _) = setup();
         let mut rng = StdRng::seed_from_u64(8);
         let p = Partition::random(24, &[4, 8, 12], &mut rng).unwrap();
-        let mut eval = SwapEvaluator::with_weights(p, &table, vec![20.0, 0.5, 3.0]);
-        let tabu_rules: [&dyn Fn(usize, usize) -> bool; 3] =
-            [&|_, _| false, &|a, b| (a + b) % 3 == 1, &|_, _| true];
-        let mut tied_bests = 0;
-        for round in 0..60 {
-            for (p, q) in [(0, 1), (0, 2), (1, 2)] {
-                let swaps = swaps_between(&eval, (p, q));
-                for is_tabu in tabu_rules {
-                    // What the block scan stands for: every swap in (a, b)
-                    // order through `delta_fg`, strict `<`.
-                    let (mut any, mut allowed): (Option<ScoredSwap>, Option<ScoredSwap>) =
-                        (None, None);
-                    for &(a, b) in &swaps {
-                        let delta = eval.delta_fg(a, b);
-                        if any.is_none_or(|(d, _, _)| delta < d) {
-                            any = Some((delta, a, b));
-                        }
-                        if !is_tabu(a, b) && allowed.is_none_or(|(d, _, _)| delta < d) {
-                            allowed = Some((delta, a, b));
-                        }
-                    }
-                    // Either orientation of the pair is the same set of swaps.
-                    for (r, s) in [(p, q), (q, p)] {
-                        let found = eval.best_swaps_between(r, s, is_tabu);
-                        assert_eq!(Some(found.any), any, "round {round}, pair {r}/{s}");
-                        assert_eq!(found.allowed, allowed, "round {round}, pair {r}/{s}");
-                    }
-                }
-                let best = eval.best_swaps_between(p, q, |_, _| false).any.0;
-                let at_best = swaps.iter().filter(|&&(a, b)| eval.delta_fg(a, b) == best);
-                tied_bests += usize::from(at_best.count() > 1);
-            }
-            let (_, a, b) = eval.best_swaps_between(round % 2, 2, |_, _| false).any;
-            eval.apply_swap(a, b);
-        }
+        let eval = SwapEvaluator::with_weights(p, &table, vec![20.0, 0.5, 3.0]);
+        let seen = check_block_scans(eval, 60);
         assert!(
-            tied_bests > 0,
+            seen.tied_bests > 0,
             "no tied best in 180 scans: the tie rule went untested"
+        );
+    }
+
+    #[test]
+    fn a_block_scan_that_skips_rows_is_the_ordered_scan_bit_for_bit() {
+        // Large unequal clusters under unequal weights, on a random net:
+        // most rows of a scan cannot hold its best, and `w · far_sq`
+        // bounds them under four different pair weights.
+        use commsched_topology::{random_regular, RandomTopologyConfig};
+        let mut rng = StdRng::seed_from_u64(9_096);
+        let topo = random_regular(RandomTopologyConfig::paper(96), &mut rng).unwrap();
+        let routing = UpDownRouting::new(&topo, 0).unwrap();
+        let table = equivalent_distance_table(&topo, &routing).unwrap();
+        let p = Partition::random(96, &[8, 24, 40, 24], &mut rng).unwrap();
+        let eval = SwapEvaluator::with_weights(p, &table, vec![20.0, 1.0, 0.5, 3.0]);
+        let rounds = 40;
+        let seen = check_block_scans(eval, rounds);
+        assert!(
+            seen.skipping * 4 >= rounds * 3,
+            "rows skipped in {} of {rounds} rounds: the skip went untested",
+            seen.skipping
         );
     }
 

@@ -55,7 +55,8 @@ pub struct SearchResult {
     pub fg: f64,
     /// Work spent, in the method's own unit (cost proxy for the
     /// heuristic-comparison ablation): for the tabu search, candidate swaps
-    /// scored — a cluster pair whose bests are still known is not rescanned.
+    /// scored — a cluster pair whose bests are still known is not rescanned,
+    /// and a row of a rescanned pair that cannot hold its best is skipped.
     pub evaluations: u64,
 }
 

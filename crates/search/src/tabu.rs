@@ -20,8 +20,10 @@
 //! dropped, by one of two rules: (i) the last swap touched one of its
 //! clusters (2M − 3 of the M(M − 1)/2 pairs), or (ii) a tabu entry whose
 //! switches sit in it expired this iteration. The tabu list is its live
-//! entries, at most `tenure + 1`. Debug builds recompute the full scan
-//! every iteration and assert the same bests (`reference_scan`).
+//! entries, at most `tenure + 1`. A rescanned pair scores only the rows
+//! whose lower bound lets them hold a best, and `evaluations` counts the
+//! candidates scored. Debug builds recompute the full scan every
+//! iteration and assert the same bests (`reference_scan`).
 //!
 //! The per-iteration `F(P_i)` trace is recorded so the harness can
 //! regenerate Figure 1.
@@ -350,7 +352,6 @@ impl TabuSearch {
         let mut iterations = 0usize;
 
         let m = eval.partition().num_clusters();
-        let sizes = eval.partition().sizes();
         // The memo: `memo[slot(r, s)]` holds the bests of cluster pair
         // {r, s}, `None` once dropped (a diagonal cell is never read).
         let slot = |r: usize, s: usize| r.min(s) * m + r.max(s);
@@ -372,9 +373,12 @@ impl TabuSearch {
             for r in 0..m {
                 for s in (r + 1)..m {
                     let found = *memo[slot(r, s)].get_or_insert_with(|| {
-                        evaluations += (sizes[r] * sizes[s]) as u64;
+                        #[cfg(test)]
+                        tests::note_block(eval.partition(), r, s);
                         let is_tabu = |a, b| tabu.iter().any(|&(ta, tb, _)| (ta, tb) == (a, b));
-                        eval.best_swaps_between(r, s, is_tabu)
+                        let (found, scored) = eval.best_swaps_between(r, s, is_tabu);
+                        evaluations += scored as u64;
+                        found
                     });
                     best = Some(best.map_or(found, |b| b.merged(found)));
                 }
@@ -532,17 +536,43 @@ mod tests {
     use commsched_core::similarity_fg;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
+
+    /// What one scan of `run_seed` did.
+    #[derive(Debug, Clone, Copy)]
+    struct Scan {
+        /// Iteration of its seed.
+        iteration: usize,
+        /// Candidates scored.
+        scored: u64,
+        /// Candidates in the cluster pairs it rescanned: what a scan that
+        /// scores every candidate of a rescanned pair would score.
+        blocks: u64,
+        /// Tabu entries live before it.
+        live_tabu: usize,
+    }
 
     thread_local! {
-        /// `(iteration of its seed, candidates scored, tabu entries live
-        /// before it)` of every scan this thread ran (`threads: 1` runs
-        /// the restarts inline, on the test's thread).
-        static SCANS: RefCell<Vec<(usize, u64, usize)>> = const { RefCell::new(Vec::new()) };
+        /// Every scan this thread ran (`threads: 1` runs the restarts
+        /// inline, on the test's thread).
+        static SCANS: RefCell<Vec<Scan>> = const { RefCell::new(Vec::new()) };
+        /// Candidates in the pairs the running scan has rescanned so far.
+        static BLOCKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn note_block(clusters: &Partition, r: usize, s: usize) {
+        let sizes = clusters.sizes();
+        BLOCKS.with(|b| b.set(b.get() + (sizes[r] * sizes[s]) as u64));
     }
 
     pub(super) fn note_scan(iteration: usize, scored: u64, live_tabu: usize) {
-        SCANS.with(|s| s.borrow_mut().push((iteration, scored, live_tabu)));
+        let scan = Scan {
+            iteration,
+            scored,
+            blocks: BLOCKS.with(|b| b.replace(0)),
+            live_tabu,
+        };
+        SCANS.with(|s| s.borrow_mut().push(scan));
     }
 
     /// Run `params` (on this thread) and return what its scans logged.
@@ -551,9 +581,10 @@ mod tests {
         sizes: &[usize],
         params: TabuParams,
         rng_seed: u64,
-    ) -> (SearchResult, TabuTrace, Vec<(usize, u64, usize)>) {
+    ) -> (SearchResult, TabuTrace, Vec<Scan>) {
         assert_eq!(params.threads, 1, "the scan log is per thread");
         SCANS.with(|s| s.borrow_mut().clear());
+        BLOCKS.with(|b| b.set(0));
         let mut rng = StdRng::seed_from_u64(rng_seed);
         let (res, trace) = TabuSearch::new(params).search_traced(table, sizes, &mut rng);
         (res, trace, SCANS.with(|s| s.borrow().clone()))
@@ -572,10 +603,7 @@ mod tests {
         let all_pairs = (n * n - n * s) / 2;
         assert_eq!(all_pairs, 4032);
         let iterations = trace.events.iter().filter(|e| !e.is_seed_start).count() as u64;
-        assert_eq!(
-            scans.iter().map(|&(_, scored, _)| scored).sum::<u64>(),
-            res.evaluations
-        );
+        assert_eq!(scans.iter().map(|x| x.scored).sum::<u64>(), res.evaluations);
         // The full scan of every iteration (and a last one per restart)
         // would score `(iterations + restarts) × 4032`.
         assert!(
@@ -583,35 +611,80 @@ mod tests {
             "{} candidates scored in {iterations} iterations of {restarts} restarts",
             res.evaluations
         );
-        for &(iteration, scored, live_tabu) in &scans {
+        for scan in &scans {
+            let Scan {
+                iteration,
+                scored,
+                blocks,
+                live_tabu,
+            } = *scan;
+            assert!(scored <= blocks, "{scan:?}");
             if iteration == 0 {
-                assert_eq!(scored, all_pairs, "a restart's first scan is a full one");
+                assert_eq!(
+                    blocks, all_pairs,
+                    "a restart's first scan rescans every pair"
+                );
             } else {
                 // Rule (i) drops the 2M − 3 pairs of the two touched
                 // clusters, rule (ii) one per entry that expires.
                 assert!(
-                    scored <= (2 * m - 3 + live_tabu as u64) * s * s,
-                    "iteration {iteration}: {scored} scored with {live_tabu} tabu entries live"
+                    blocks <= (2 * m - 3 + live_tabu as u64) * s * s,
+                    "iteration {iteration}: {blocks} in rescanned pairs with {live_tabu} tabu entries live"
                 );
             }
         }
         assert!(
-            scans.iter().any(|&(_, _, live_tabu)| live_tabu > 0),
+            scans.iter().any(|x| x.live_tabu > 0),
             "no escape: rule (ii) idle"
         );
     }
 
     #[test]
     fn two_clusters_have_nothing_to_memo_and_lose_nothing() {
-        // One cluster pair, dropped by every swap: every scan is the full
-        // one, as before the memo.
+        // One cluster pair, dropped by every swap: every scan rescans the
+        // whole block, as before the memo, and scores at most all of it.
         let params = TabuParams {
             threads: 1,
             ..TabuParams::scaled(32)
         };
         let (res, _, scans) = logged_search(&random_table(32), &[16, 16], params, 32);
-        assert!(scans.iter().all(|&(_, scored, _)| scored == 16 * 16));
-        assert_eq!(res.evaluations, scans.len() as u64 * 16 * 16);
+        assert!(scans
+            .iter()
+            .all(|x| x.blocks == 16 * 16 && x.scored <= 16 * 16));
+        assert_eq!(res.evaluations, scans.iter().map(|x| x.scored).sum::<u64>());
+    }
+
+    /// Candidates scored over a whole search, and those in the pairs it
+    /// rescanned.
+    fn scored_of_blocks(table: &DistanceTable, sizes: &[usize], rng_seed: u64) -> (u64, u64) {
+        let params = TabuParams {
+            threads: 1,
+            ..TabuParams::scaled(table.n())
+        };
+        let (res, _, scans) = logged_search(table, sizes, params, rng_seed);
+        let blocks = scans.iter().map(|x| x.blocks).sum::<u64>();
+        (res.evaluations, blocks)
+    }
+
+    #[test]
+    fn a_block_scan_scores_a_fraction_of_its_rows() {
+        // The coarse level of a `large_cold` job: 160 nodes, 8 clusters
+        // of 20, the budget `multilevel_map` gives it.
+        let fine = random_table(320);
+        let hierarchy = crate::coarsen::build_hierarchy(&fine, &[40; 8], 256);
+        let (coarse, sizes) = hierarchy.coarsest().expect("320 nodes coarsen once");
+        assert_eq!((coarse.n(), sizes), (160, &[20; 8][..]));
+        let (scored, blocks) = scored_of_blocks(coarse, sizes, 320);
+        assert!(
+            scored * 100 <= 25 * blocks,
+            "coarse 160 x 8: {scored} of {blocks} scored"
+        );
+        // The `large_warm` shape.
+        let (scored, blocks) = scored_of_blocks(&random_table(96), &[12; 8], 96);
+        assert!(
+            scored * 100 <= 35 * blocks,
+            "flat 96 x 8: {scored} of {blocks} scored"
+        );
     }
 
     #[test]
@@ -627,7 +700,7 @@ mod tests {
             warm_start: None,
         };
         let (_, trace, scans) = logged_search(&rings_table(), &[6, 6, 6, 6], params, 13);
-        let most = scans.iter().map(|&(_, _, live)| live).max().unwrap();
+        let most = scans.iter().map(|x| x.live_tabu).max().unwrap();
         assert!((1..=4 + 1).contains(&most), "{most} tabu entries at once");
         let uphill = trace
             .events
