@@ -3,15 +3,19 @@
 //! [`TraceEvent`] of the run (`iteration`, `seed`, `fg.to_bits()`,
 //! `is_seed_start`), the final assignment and the final `fg.to_bits()` —
 //! so one swap chosen differently at any iteration of any restart, or one
-//! bit of one `F_G`, shows up as a mismatch. `evaluations` is *not*
-//! hashed: it counts the candidates a scan scores, which a faster scan
-//! changes by design.
+//! bit of one `F_G`, shows up as a mismatch. A trajectory does *not*
+//! hash `evaluations`: it counts the candidates a scan scores, which a
+//! faster scan changes by design.
 //!
 //! The table was recorded on the brute-force double loop of PR 19's
 //! `run_seed` (EXPERIMENTS.md "PR 20" has the parent commit), before the
 //! block scan, the cluster-pair memo and the live-entry tabu list
-//! replaced it; the last four lines were recorded on that memoised block
-//! scan, before it could skip a row. Regenerate a line only when the
+//! replaced it; the next four lines were recorded on that memoised block
+//! scan, before it could skip a row. The last three run
+//! [`map_partition`] as the daemon does, under one and two threads; the
+//! flat ones also hash the winning seed and `evaluations`. They were
+//! recorded while a flat plan still nested its restarts' pools inside
+//! its seeds' pool. Regenerate a line only when the
 //! search is *meant* to take a different trajectory. In a debug build
 //! every iteration of every case also runs the lockstep reference inside
 //! `run_seed`; `ci.sh` runs this file in release too, where the digests
@@ -21,7 +25,8 @@ use commsched_core::Partition;
 use commsched_distance::{equivalent_distance_table, DistanceTable};
 use commsched_routing::{ShortestPathRouting, UpDownRouting};
 use commsched_search::{
-    multilevel_map, MultilevelParams, SearchResult, TabuParams, TabuSearch, TabuTrace,
+    map_partition, MapPlan, MapStrategy, MultilevelParams, SearchResult, TabuParams, TabuSearch,
+    TabuTrace,
 };
 use commsched_topology::{designed, random_regular, RandomTopologyConfig, TopologyBuilder};
 use rand::rngs::StdRng;
@@ -29,7 +34,7 @@ use rand::SeedableRng;
 use std::fmt::Write;
 
 /// `(case, fnv1a-64 of its trajectory text)`.
-const GOLDEN: [(&str, &str); 25] = [
+const GOLDEN: [(&str, &str); 28] = [
     ("paper24-paper", "1ccc333e94e377e8"),
     ("paper24-scaled", "359f2c4109220574"),
     ("dumbbell-2x4", "1d0060a958b85a14"),
@@ -62,6 +67,11 @@ const GOLDEN: [(&str, &str); 25] = [
     ("random160x8", "240a72822ebe3f69"),
     ("random128x4", "28947bfd35546c9b"),
     ("random96-unequal-weighted", "8d340510fd2e344e"),
+    // Equal by construction: a plan's thread budget decides how wide its
+    // pools are, never what they compute.
+    ("multilevel-320x8-threads2", "22f37bffa6ac0051"),
+    ("flat96x8-seeds4-threads1", "d8c4cb988502b1eb"),
+    ("flat96x8-seeds4-threads2", "d8c4cb988502b1eb"),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -309,18 +319,48 @@ fn thread_counts() {
     ]);
 }
 
+/// The plan a daemon job of `strategy` runs under `threads`; a flat
+/// plan runs `seeds` independent tabu searches.
+fn plan(strategy: MapStrategy, n: usize, seeds: usize, threads: usize) -> MapPlan {
+    MapPlan {
+        strategy,
+        tabu: TabuParams::scaled(n),
+        seeds,
+        threads,
+        max_coarse_n: MultilevelParams::default().max_coarse_n,
+    }
+}
+
 /// The text a multilevel run is hashed as.
-fn multilevel(table: &DistanceTable, sizes: &[usize], seed: u64, max_coarse_n: usize) -> String {
-    let params = MultilevelParams {
+fn multilevel(
+    table: &DistanceTable,
+    sizes: &[usize],
+    seed: u64,
+    max_coarse_n: usize,
+    threads: usize,
+) -> String {
+    let plan = MapPlan {
         max_coarse_n,
-        threads: 1,
-        ..MultilevelParams::default()
+        ..plan(MapStrategy::Multilevel, table.n(), 1, threads)
     };
-    let (res, stats) = multilevel_map(table, sizes, seed, &params);
+    let (_, res, stats) = map_partition(table, sizes, seed, &plan);
     format!(
-        "{stats:?}\n{:?} {:016x}\n",
+        "{:?}\n{:?} {:016x}\n",
+        stats.expect("a multilevel plan reports its statistics"),
         res.partition.assignment(),
         res.fg.to_bits()
+    )
+}
+
+/// The text a flat multi-seed run is hashed as: the winning seed, the
+/// partition, its `F_G` bits and the candidates scored.
+fn flat(table: &DistanceTable, sizes: &[usize], seed: u64, plan: &MapPlan) -> String {
+    let (winner, res, _) = map_partition(table, sizes, seed, plan);
+    format!(
+        "{winner}\n{:?} {:016x} {}\n",
+        res.partition.assignment(),
+        res.fg.to_bits(),
+        res.evaluations
     )
 }
 
@@ -328,8 +368,28 @@ fn multilevel(table: &DistanceTable, sizes: &[usize], seed: u64, max_coarse_n: u
 fn multilevel_pipeline() {
     check_all(&[(
         "multilevel-128-coarse32",
-        multilevel(&random_table(128), &[32; 4], 42, 32),
+        multilevel(&random_table(128), &[32; 4], 42, 32, 1),
     )]);
+}
+
+#[test]
+fn thread_budgets() {
+    let t96 = random_table(96);
+    let flat96 = |threads| flat(&t96, &[12; 8], 96, &plan(MapStrategy::Flat, 96, 4, threads));
+    check_all(&[
+        ("flat96x8-seeds4-threads1", flat96(1)),
+        ("flat96x8-seeds4-threads2", flat96(2)),
+        (
+            "multilevel-320x8-threads2",
+            multilevel(
+                &random_table(320),
+                &[40; 8],
+                320,
+                MultilevelParams::default().max_coarse_n,
+                2,
+            ),
+        ),
+    ]);
 }
 
 #[test]
@@ -339,7 +399,7 @@ fn large_blocks() {
         // A `large_cold` job: its coarse level is 160 nodes in 8 clusters.
         (
             "multilevel-320x8",
-            multilevel(&random_table(320), &[40; 8], 320, default_coarse_n),
+            multilevel(&random_table(320), &[40; 8], 320, default_coarse_n, 1),
         ),
         (
             "random160x8",
