@@ -112,9 +112,11 @@ cargo test --release --offline -q -p commsched-distance --test restart_bits --te
 # And for the front end: the daemon that ships is the release build, and
 # the recorded transcript (every verb and refusal over both codecs, the
 # loop's own refusals, the routed requests) is what says its reply bytes
-# are the ones the docs and every client were written against.
-echo "==> recorded wire transcript, release build"
-cargo test --release --offline -q -p commsched-service --test transcript
+# are the ones the docs and every client were written against. The same
+# build must answer a SCHEDULE with the same bytes whatever threads each
+# job gets for its table and its search.
+echo "==> recorded wire transcript and results under two thread budgets, release build"
+cargo test --release --offline -q -p commsched-service --test transcript --test thread_budget
 
 echo "==> cargo build --release --examples"
 cargo build --release --examples

@@ -17,7 +17,7 @@ use commsched_bench::{
 };
 use commsched_core::{quality, Partition};
 use commsched_distance::hop_distance_table;
-use commsched_search::{Mapper, TabuParams, TabuSearch};
+use commsched_search::{resolve_threads, Mapper, TabuParams, TabuSearch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -183,7 +183,7 @@ fn ablate_root(testbed: &Testbed) {
     println!("# the root skews both the distance table and the traffic concentration");
     println!("# root  degree  OP_F_G      accepted(f/sw/cy at 0.5 f/host/cy)");
     let options = TableOptions {
-        threads: std::thread::available_parallelism().map_or(4, usize::from),
+        threads: resolve_threads(0),
         ..Default::default()
     };
     for root in [0usize, 5, 10, 15] {

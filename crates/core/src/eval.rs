@@ -127,27 +127,6 @@ impl<'t> SwapEvaluator<'t> {
         assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
         let n = partition.num_switches();
         let m = partition.num_clusters();
-        let (mut sums, mut far_sq) = (vec![0.0; n * m], vec![0.0f64; n]);
-        for v in 0..n {
-            for u in 0..n {
-                if u != v {
-                    let t = table.get_sq(v, u);
-                    sums[partition.cluster_of(u) * n + v] += t;
-                    far_sq[v] = far_sq[v].max(t);
-                }
-            }
-        }
-        // `intra_square_sum`'s (i < j) order: unit weights reproduce it
-        // bit for bit.
-        let mut intra_sum = 0.0;
-        for i in 0..n {
-            let ci = partition.cluster_of(i);
-            for j in (i + 1)..n {
-                if partition.cluster_of(j) == ci {
-                    intra_sum += weights[ci] * table.get_sq(i, j);
-                }
-            }
-        }
         let sizes = partition.sizes();
         let mut first = vec![0; m + 1];
         for c in 0..m {
@@ -159,11 +138,35 @@ impl<'t> SwapEvaluator<'t> {
             members[slot[v]] = v;
             next[partition.cluster_of(v)] += 1;
         }
+        let (mut sums, mut weighted) = (vec![0.0; n * m], vec![0.0; n * m]);
+        let (mut far_sq, mut acc, mut intra_sum) = (vec![0.0; n], vec![0.0; m], 0.0);
+        for v in 0..n {
+            let (row, own, mut far) = (table.row(v), partition.cluster_of(v), 0.0f64);
+            acc.fill(0.0);
+            // CORRECTNESS: each `S(v, c)` adds its `T²` in ascending `u`,
+            // from 0.0, as a scatter into `sums` in `(v, u)` order did.
+            for (u, (&d, &c)) in row.iter().zip(partition.assignment()).enumerate() {
+                if u != v {
+                    acc[c] += d * d;
+                    far = far.max(d * d);
+                }
+            }
+            far_sq[v] = far;
+            for (c, &s) in acc.iter().enumerate() {
+                (sums[c * n + v], weighted[c * n + v]) = (s, weights[c] * s);
+            }
+            // CORRECTNESS: the members were filled in ascending switch
+            // order, so these are the `j > v` of `v`'s cluster ascending:
+            // `intra_square_sum`'s (i < j) order, which unit weights
+            // reproduce bit for bit.
+            for &j in &members[slot[v] + 1..first[own + 1]] {
+                intra_sum += weights[own] * (row[j] * row[j]);
+            }
+        }
         let weighted_pairs = sizes.iter().zip(&weights);
         let pairs: f64 = weighted_pairs
             .map(|(&size, &w)| w * (size * (size - 1) / 2) as f64)
             .sum();
-        let weighted = (0..n * m).map(|i| weights[i / n] * sums[i]).collect();
         Self {
             table,
             partition,
@@ -360,7 +363,7 @@ impl<'t> SwapEvaluator<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quality::similarity_fg;
+    use crate::quality::{intra_square_sum, similarity_fg};
     use commsched_distance::equivalent_distance_table;
     use commsched_routing::UpDownRouting;
     use commsched_topology::designed;
@@ -579,6 +582,84 @@ mod tests {
             "rows skipped in {} of {rounds} rounds: the skip went untested",
             seen.skipping
         );
+    }
+
+    /// The constructor's definition: `S(v, c)` and `far_sq` by a scatter
+    /// over every `(v, u)`, `intra_sum` over every `(i < j)` of a cluster.
+    fn defined_sums(
+        p: &Partition,
+        table: &DistanceTable,
+        weights: &[f64],
+    ) -> (Vec<f64>, Vec<f64>, f64) {
+        let (n, m) = (p.num_switches(), p.num_clusters());
+        let (mut sums, mut far_sq) = (vec![0.0; n * m], vec![0.0f64; n]);
+        for v in 0..n {
+            for u in 0..n {
+                if u != v {
+                    let t = table.get_sq(v, u);
+                    sums[p.cluster_of(u) * n + v] += t;
+                    far_sq[v] = far_sq[v].max(t);
+                }
+            }
+        }
+        let mut intra_sum = 0.0;
+        for i in 0..n {
+            let ci = p.cluster_of(i);
+            for j in (i + 1)..n {
+                if p.cluster_of(j) == ci {
+                    intra_sum += weights[ci] * table.get_sq(i, j);
+                }
+            }
+        }
+        (sums, far_sq, intra_sum)
+    }
+
+    #[test]
+    fn the_one_pass_constructor_is_its_definition_bit_for_bit() {
+        use commsched_topology::{random_regular, RandomTopologyConfig};
+        let (paper24, _) = setup();
+        let mut rng = StdRng::seed_from_u64(9_096);
+        let topo = random_regular(RandomTopologyConfig::paper(96), &mut rng).unwrap();
+        let random96 =
+            equivalent_distance_table(&topo, &UpDownRouting::new(&topo, 0).unwrap()).unwrap();
+        let cases: [(&DistanceTable, &[usize], &[f64]); 2] = [
+            (&paper24, &[4, 8, 12], &[20.0, 0.5, 3.0]),
+            (&random96, &[8, 24, 40, 24], &[20.0, 1.0, 0.5, 3.0]),
+        ];
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (table, sizes, weights) in cases {
+            for draw in 0..8 {
+                let p = Partition::random(table.n(), sizes, &mut rng).unwrap();
+                let eval = SwapEvaluator::with_weights(p.clone(), table, weights.to_vec());
+                let (sums, far_sq, intra_sum) = defined_sums(&p, table, weights);
+                let at = format!("{sizes:?}, draw {draw}");
+                assert_eq!(bits(&eval.sums), bits(&sums), "sums, {at}");
+                assert_eq!(bits(&eval.far_sq), bits(&far_sq), "far_sq, {at}");
+                assert_eq!(
+                    eval.intra_sum.to_bits(),
+                    intra_sum.to_bits(),
+                    "intra_sum, {at}"
+                );
+                let weighted: Vec<f64> = (0..sums.len())
+                    .map(|i| weights[i / p.num_switches()] * sums[i])
+                    .collect();
+                assert_eq!(bits(&eval.weighted), bits(&weighted), "weighted, {at}");
+                let pairs: f64 = sizes
+                    .iter()
+                    .zip(weights)
+                    .map(|(&s, &w)| w * (s * (s - 1) / 2) as f64)
+                    .sum();
+                assert_eq!(
+                    eval.norm.to_bits(),
+                    (pairs * table.mean_square()).to_bits(),
+                    "norm, {at}"
+                );
+            }
+        }
+        // Unit weights: the numerator is `intra_square_sum`, bit for bit.
+        let p = Partition::random(96, &[12; 8], &mut rng).unwrap();
+        let unit = SwapEvaluator::new(p.clone(), &random96).intra_sum;
+        assert_eq!(unit.to_bits(), intra_square_sum(&p, &random96).to_bits());
     }
 
     #[test]

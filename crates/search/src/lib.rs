@@ -81,12 +81,15 @@ pub trait Mapper: Send + Sync {
 pub struct MapPlan {
     /// The paper's flat tabu search or the multilevel pipeline.
     pub strategy: MapStrategy,
-    /// Flat only: parameters of each tabu run.
+    /// Flat only: parameters of each tabu run; `threads` is overridden
+    /// by [`MapPlan::threads`].
     pub tabu: TabuParams,
-    /// Flat only: independent tabu runs (RNG seeds `seed..seed + seeds`);
-    /// the best one wins.
+    /// Flat only: independent tabu runs (RNG seeds `seed..seed + seeds`),
+    /// one after another; the best one wins.
     pub seeds: usize,
-    /// Worker threads of either pipeline (results do not depend on it).
+    /// The search's thread budget (0 = one per available CPU), spent at
+    /// one pool level: each flat run's restarts, or the multilevel coarse
+    /// restarts and refinement scans. Results do not depend on it.
     pub threads: usize,
     /// Multilevel only: coarsen until the graph fits this many nodes.
     pub max_coarse_n: usize,
@@ -109,9 +112,12 @@ pub fn map_partition(
 ) -> (u64, SearchResult, Option<MultilevelStats>) {
     match plan.strategy {
         MapStrategy::Flat => {
-            let mapper = TabuSearch::new(plan.tabu.clone());
+            let mapper = TabuSearch::new(TabuParams {
+                threads: plan.threads,
+                ..plan.tabu.clone()
+            });
             let (winning_seed, result) =
-                parallel_multi_seed(&mapper, table, sizes, seed, plan.seeds, plan.threads);
+                parallel_multi_seed(&mapper, table, sizes, seed, plan.seeds, 1);
             (winning_seed, result, None)
         }
         MapStrategy::Multilevel => {
@@ -181,5 +187,39 @@ pub(crate) mod testutil {
     /// The optimal dumbbell grouping.
     pub fn dumbbell_truth() -> commsched_core::Partition {
         commsched_core::Partition::new(vec![0, 0, 0, 0, 1, 1, 1, 1], 2).unwrap()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pool::tests::logged;
+    use crate::testutil::random_table;
+
+    #[test]
+    fn a_plan_spends_its_thread_budget_at_one_pool_level() {
+        // 40 switches coarsen under `max_coarse_n = 16`, so the multilevel
+        // plan runs refinement scans as well as coarse restarts.
+        let table = random_table(40);
+        for strategy in [MapStrategy::Flat, MapStrategy::Multilevel] {
+            let plan = |threads| MapPlan {
+                strategy,
+                tabu: TabuParams::scaled(40),
+                seeds: 3,
+                threads,
+                max_coarse_n: 16,
+            };
+            let (serial, starts) = logged(|| map_partition(&table, &[8; 5], 7, &plan(1)));
+            assert!(
+                !starts.is_empty() && starts.iter().all(|s| s.width == 1),
+                "{strategy} at one thread: {starts:?}"
+            );
+            let (wide, starts) = logged(|| map_partition(&table, &[8; 5], 7, &plan(2)));
+            assert!(
+                starts.iter().all(|s| !s.on_worker) && starts.iter().any(|s| s.width == 2),
+                "{strategy} at two threads: {starts:?}"
+            );
+            assert_eq!(serial, wide, "{strategy}");
+        }
     }
 }

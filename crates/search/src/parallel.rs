@@ -16,6 +16,10 @@ use rand::SeedableRng;
 /// [`pool::run_indexed`]); return the best result and its seed.
 ///
 /// Deterministic: the same inputs always return the same `(seed, result)`.
+/// One pool level: with `threads > 1` the mapper must not start a pool of
+/// its own wider than one (a [`crate::TabuSearch`] at `threads: 1`);
+/// debug builds assert it. [`crate::map_partition`] runs the seeds at
+/// width 1 and gives its budget to each seed's restarts instead.
 ///
 /// # Panics
 /// Panics if `seeds == 0` or a worker panics.
@@ -44,13 +48,21 @@ pub fn parallel_multi_seed<M: Mapper>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tabu::TabuSearch;
+    use crate::tabu::{TabuParams, TabuSearch};
     use crate::testutil::{dumbbell_table, dumbbell_truth};
+
+    /// A mapper that starts no pool of its own.
+    fn serial_tabu() -> TabuSearch {
+        TabuSearch::new(TabuParams {
+            threads: 1,
+            ..TabuParams::default()
+        })
+    }
 
     #[test]
     fn parallel_matches_quality_of_serial() {
         let table = dumbbell_table();
-        let mapper = TabuSearch::default();
+        let mapper = serial_tabu();
         let (_, par) = parallel_multi_seed(&mapper, &table, &[4, 4], 100, 8, 4);
         assert!(par.partition.same_grouping(&dumbbell_truth()));
     }
@@ -58,7 +70,7 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         let table = dumbbell_table();
-        let mapper = TabuSearch::default();
+        let mapper = serial_tabu();
         let (s1, r1) = parallel_multi_seed(&mapper, &table, &[4, 4], 7, 6, 1);
         let (s2, r2) = parallel_multi_seed(&mapper, &table, &[4, 4], 7, 6, 4);
         let (s3, r3) = parallel_multi_seed(&mapper, &table, &[4, 4], 7, 6, 16);

@@ -9,8 +9,14 @@
 //! into the output.
 
 use commsched_telemetry as telemetry;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+thread_local! {
+    /// Set on each worker [`run_indexed`] spawns, for its whole life.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Telemetry handles for the pool, resolved once per process.
 struct PoolMetrics {
@@ -53,20 +59,33 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// results.
 ///
 /// # Panics
-/// Panics if a worker panics.
+/// Panics if a worker panics. In debug builds, also if called from a
+/// worker of another pool with more than one worker to start.
 pub fn run_indexed<T, F>(tasks: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let threads = resolve_threads(threads).clamp(1, tasks.max(1));
+    #[cfg(test)]
+    let log = tests::note_pool(threads);
     let m = pool_metrics();
     m.tasks.add(tasks as u64);
     if threads <= 1 {
         return (0..tasks).map(f).collect();
     }
+    // INVARIANT (one pool level): a caller's thread budget is the width of
+    // one pool. A worker that started a wider-than-one pool of its own
+    // would run `threads` times the budget.
+    debug_assert!(
+        !IN_WORKER.with(Cell::get),
+        "one pool level: a pool of {threads} workers started inside a pool worker"
+    );
     let cursor = AtomicUsize::new(0);
     let worker = || {
+        IN_WORKER.with(|w| w.set(true));
+        #[cfg(test)]
+        tests::adopt(log.clone());
         let mut out: Vec<(usize, T)> = Vec::new();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -96,8 +115,78 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::sync::{Arc, Mutex};
+
+    /// A pool a [`logged`] call started.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct PoolStart {
+        /// Workers it ran on (1 = inline on the thread that started it).
+        pub width: usize,
+        /// Whether a worker of another pool started it.
+        pub on_worker: bool,
+    }
+
+    type Log = Option<Arc<Mutex<Vec<PoolStart>>>>;
+
+    thread_local! {
+        /// The log of the [`logged`] call this thread works for, if any: a
+        /// pool's workers adopt the log of the thread that started it.
+        static LOG: RefCell<Log> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn note_pool(width: usize) -> Log {
+        let log = LOG.with(|l| l.borrow().clone());
+        if let Some(log) = &log {
+            let on_worker = IN_WORKER.with(Cell::get);
+            log.lock().unwrap().push(PoolStart { width, on_worker });
+        }
+        log
+    }
+
+    pub(super) fn adopt(log: Log) {
+        LOG.with(|l| *l.borrow_mut() = log);
+    }
+
+    /// Run `f` on this thread; also return every pool it started, on
+    /// this thread or on any worker of its pools, in no set order.
+    pub(crate) fn logged<T>(f: impl FnOnce() -> T) -> (T, Vec<PoolStart>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        adopt(Some(Arc::clone(&log)));
+        let out = f();
+        adopt(None);
+        let starts = log.lock().unwrap().clone();
+        (out, starts)
+    }
+
+    #[test]
+    fn a_pool_started_by_a_worker_is_logged_as_such() {
+        let (_, starts) = logged(|| run_indexed(2, 2, |_| run_indexed(3, 1, |i| i)));
+        let on_worker = PoolStart {
+            width: 1,
+            on_worker: true,
+        };
+        let first = PoolStart {
+            width: 2,
+            on_worker: false,
+        };
+        assert_eq!(starts.len(), 3, "{starts:?}");
+        assert!(starts.contains(&first));
+        assert_eq!(starts.iter().filter(|&&s| s == on_worker).count(), 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "one pool level")]
+    fn a_wide_pool_inside_a_worker_panics() {
+        // This thread as a worker, so that the panic is the test's own
+        // (a real worker's reaches the test as "pool worker panicked").
+        IN_WORKER.with(|w| w.set(true));
+        let _ = run_indexed(1, 2, |i| i);
+        let _ = run_indexed(2, 2, |i| i);
+    }
 
     #[test]
     fn results_arrive_in_task_order() {

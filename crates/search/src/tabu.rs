@@ -81,6 +81,8 @@ pub struct TabuParams {
     /// Worker threads running the seed restarts (0 = one per available
     /// CPU). The restarts are independent and their merge is ordered by
     /// seed index, so every thread count returns identical results.
+    /// [`crate::map_partition`] and [`crate::multilevel_map`] set it to
+    /// their own budget; inside another pool's worker it must be 1.
     pub threads: usize,
     /// Optional previous mapping used as the first restart instead of a
     /// random start (warm-started remapping after a topology change).

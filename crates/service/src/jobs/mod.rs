@@ -122,7 +122,9 @@ pub struct ServiceCoreConfig {
     pub cache_capacity: usize,
     /// Independent tabu restarts per schedule job.
     pub search_seeds: usize,
-    /// Threads used *within* one job's search.
+    /// Threads used *within* one job's search, at one pool level
+    /// ([`commsched_search::MapPlan::threads`]); results do not depend on
+    /// it. Defaults to the CPU count, as `table_threads` does.
     pub search_threads: usize,
     /// Threads used to build one distance table.
     pub table_threads: usize,
@@ -130,13 +132,13 @@ pub struct ServiceCoreConfig {
 
 impl Default for ServiceCoreConfig {
     fn default() -> Self {
-        let hw = std::thread::available_parallelism().map_or(2, usize::from);
+        let cpus = commsched_search::resolve_threads(0);
         Self {
             queue_capacity: 16,
             cache_capacity: 8,
             search_seeds: 4,
-            search_threads: 1,
-            table_threads: hw,
+            search_threads: cpus,
+            table_threads: cpus,
         }
     }
 }
