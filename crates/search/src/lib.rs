@@ -17,7 +17,9 @@
 //!   too large for the flat search;
 //! * [`parallel`] — a deterministic multi-threaded multi-seed driver;
 //! * [`pool`] — the scoped work-stealing pool behind every parallel
-//!   driver (tabu restarts, multi-seed runs, refinement scans);
+//!   driver (tabu restarts, multi-seed runs, refinement scans),
+//!   re-exported from `commsched-telemetry`, where the simulator's load
+//!   sweeps share it;
 //! * [`exhaustive`] — exact enumeration of balanced partitions (feasible up
 //!   to 16 switches), the optimality oracle the tests compare against.
 //!
@@ -32,10 +34,10 @@ pub mod coarsen;
 pub mod exhaustive;
 pub mod multilevel;
 pub mod parallel;
-pub mod pool;
 pub mod tabu;
 
 pub use coarsen::{build_hierarchy, can_coarsen, coarsen_level, CoarseLevel, Hierarchy};
+pub use commsched_telemetry::pool;
 pub use exhaustive::{enumerate_partitions, ExhaustiveSearch};
 pub use multilevel::{multilevel_map, MapStrategy, MultilevelParams, MultilevelStats};
 pub use parallel::parallel_multi_seed;
@@ -190,10 +192,10 @@ pub(crate) mod testutil {
     }
 }
 
-#[cfg(test)]
+/// Debug builds only: the pool's start log is compiled out of release.
+#[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
-    use crate::pool::tests::logged;
     use crate::testutil::random_table;
 
     #[test]
@@ -209,12 +211,12 @@ mod tests {
                 threads,
                 max_coarse_n: 16,
             };
-            let (serial, starts) = logged(|| map_partition(&table, &[8; 5], 7, &plan(1)));
+            let (serial, starts) = pool::logged(|| map_partition(&table, &[8; 5], 7, &plan(1)));
             assert!(
                 !starts.is_empty() && starts.iter().all(|s| s.width == 1),
                 "{strategy} at one thread: {starts:?}"
             );
-            let (wide, starts) = logged(|| map_partition(&table, &[8; 5], 7, &plan(2)));
+            let (wide, starts) = pool::logged(|| map_partition(&table, &[8; 5], 7, &plan(2)));
             assert!(
                 starts.iter().all(|s| !s.on_worker) && starts.iter().any(|s| s.width == 2),
                 "{strategy} at two threads: {starts:?}"

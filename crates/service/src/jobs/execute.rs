@@ -9,7 +9,7 @@ use commsched_core::{quality, ProcessMapping, Workload};
 use commsched_distance::equivalent_distance_table_with_report;
 use commsched_dynamics::{repair_table, RepairReport, TopologyEpoch};
 use commsched_netsim::{paper_sweep, SimConfig, SweepConfig};
-use commsched_search::{map_partition, MapPlan, MultilevelParams, TabuParams};
+use commsched_search::{map_partition, resolve_threads, MapPlan, MultilevelParams, TabuParams};
 use commsched_topology::Topology;
 use std::sync::Arc;
 
@@ -94,6 +94,13 @@ impl ServiceCore {
         Ok(report)
     }
 
+    /// Workers for a SWEEP job's simulations: the thread budget shared by
+    /// the jobs running now (at least 1), so speculation uses idle CPUs only.
+    fn sweep_threads(&self) -> usize {
+        let running = self.state.lock().expect("queue lock").running;
+        (resolve_threads(self.config.search_threads) / running.max(1)).max(1)
+    }
+
     /// Run one job to completion, returning the `RESULT` payload lines.
     pub(super) fn execute(&self, spec: JobSpec) -> Result<Vec<String>, String> {
         let (clusters, seed) = match spec.kind {
@@ -168,6 +175,7 @@ impl ServiceCore {
             };
             let sweep_cfg = SweepConfig {
                 points,
+                threads: self.sweep_threads(),
                 ..Default::default()
             };
             let (sweep, sat) = paper_sweep(
@@ -199,7 +207,7 @@ impl ServiceCore {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{small_core, tiny_spec};
+    use super::super::testkit::{small_config, small_core, tiny_spec};
     use super::*;
     use crate::jobs::JobState;
     use crate::protocol::TopoRef;
@@ -290,6 +298,21 @@ mod tests {
         let lines = core.result_lines(id).unwrap();
         assert!(lines.iter().any(|l| l.starts_with("saturation ")));
         assert_eq!(lines.iter().filter(|l| l.starts_with("point ")).count(), 3);
+    }
+
+    #[test]
+    fn a_sweep_shares_the_budget_with_the_running_jobs() {
+        let core = ServiceCore::new(crate::ServiceCoreConfig {
+            search_threads: 2,
+            ..small_config(4)
+        });
+        let sweep_threads = |running| {
+            core.state.lock().unwrap().running = running;
+            core.sweep_threads()
+        };
+        assert_eq!(sweep_threads(1), 2);
+        assert_eq!(sweep_threads(2), 1);
+        assert_eq!(sweep_threads(3), 1);
     }
 
     #[test]

@@ -123,8 +123,11 @@ pub struct ServiceCoreConfig {
     /// Independent tabu restarts per schedule job.
     pub search_seeds: usize,
     /// Threads used *within* one job's search, at one pool level
-    /// ([`commsched_search::MapPlan::threads`]); results do not depend on
-    /// it. Defaults to the CPU count, as `table_threads` does.
+    /// ([`commsched_search::MapPlan::threads`]), and shared by a SWEEP
+    /// job's simulations with the other running jobs
+    /// ([`commsched_netsim::SweepConfig::threads`]: this ÷ jobs running
+    /// when the sweep starts, at least 1); results do not depend on it.
+    /// Defaults to the CPU count, as `table_threads` does.
     pub search_threads: usize,
     /// Threads used to build one distance table.
     pub table_threads: usize,
@@ -508,7 +511,7 @@ mod testkit {
         }
     }
 
-    fn small_config(queue_capacity: usize) -> ServiceCoreConfig {
+    pub fn small_config(queue_capacity: usize) -> ServiceCoreConfig {
         ServiceCoreConfig {
             queue_capacity,
             cache_capacity: 4,
