@@ -58,6 +58,7 @@ fn fig3_sweep_16(c: &mut Criterion) {
                 &clusters,
                 quick_sim(&t),
                 &reduced_rates(),
+                1,
             )
             .unwrap()
         })
@@ -86,6 +87,7 @@ fn fig5_sweep_24(c: &mut Criterion) {
                 &clusters,
                 quick_sim(&t),
                 &reduced_rates(),
+                1,
             )
             .unwrap()
         })
@@ -113,6 +115,7 @@ fn fig6_correlation(c: &mut Criterion) {
                 &t.host_clusters(p),
                 quick_sim(&t),
                 &rates,
+                1,
             )
             .unwrap()
         })

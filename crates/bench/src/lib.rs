@@ -163,6 +163,7 @@ impl Testbed {
             &clusters,
             self.sim_config(),
             rates,
+            1,
         )
         .expect("sweep")
     }

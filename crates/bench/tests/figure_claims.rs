@@ -70,8 +70,24 @@ fn fig3_op_beats_random() {
     assert!(q_op.cc > q_r.cc);
     let rates = [0.2, 0.5];
     let cfg = quick(&t);
-    let s_op = sweep(&t.topology, &t.routing, &t.host_clusters(&op), cfg, &rates).unwrap();
-    let s_r = sweep(&t.topology, &t.routing, &t.host_clusters(&rnd), cfg, &rates).unwrap();
+    let s_op = sweep(
+        &t.topology,
+        &t.routing,
+        &t.host_clusters(&op),
+        cfg,
+        &rates,
+        1,
+    )
+    .unwrap();
+    let s_r = sweep(
+        &t.topology,
+        &t.routing,
+        &t.host_clusters(&rnd),
+        cfg,
+        &rates,
+        1,
+    )
+    .unwrap();
     assert!(
         s_op.throughput() > 1.15 * s_r.throughput(),
         "OP {} vs random {}",
@@ -99,8 +115,24 @@ fn fig3_sign_holds_under_every_congestion_regime() {
     let rates = [0.1, 0.2, 0.5];
     let (mut off, mut aimd) = (f64::NAN, f64::NAN);
     for (name, cfg) in regime_configs(quick(&t)) {
-        let s_op = sweep(&t.topology, &t.routing, &t.host_clusters(&op), cfg, &rates).unwrap();
-        let s_r = sweep(&t.topology, &t.routing, &t.host_clusters(&rnd), cfg, &rates).unwrap();
+        let s_op = sweep(
+            &t.topology,
+            &t.routing,
+            &t.host_clusters(&op),
+            cfg,
+            &rates,
+            1,
+        )
+        .unwrap();
+        let s_r = sweep(
+            &t.topology,
+            &t.routing,
+            &t.host_clusters(&rnd),
+            cfg,
+            &rates,
+            1,
+        )
+        .unwrap();
         for p in s_op.points.iter().chain(s_r.points.iter()) {
             assert!(!p.stats.deadlocked, "{name}: up*/down* must not deadlock");
         }
@@ -145,8 +177,24 @@ fn fig5_gap_larger_on_designed_network() {
     let (rnd, _) = t.random_mapping(1);
     let rates = [0.15, 0.4];
     let cfg = quick(&t);
-    let s_op = sweep(&t.topology, &t.routing, &t.host_clusters(&op), cfg, &rates).unwrap();
-    let s_r = sweep(&t.topology, &t.routing, &t.host_clusters(&rnd), cfg, &rates).unwrap();
+    let s_op = sweep(
+        &t.topology,
+        &t.routing,
+        &t.host_clusters(&op),
+        cfg,
+        &rates,
+        1,
+    )
+    .unwrap();
+    let s_r = sweep(
+        &t.topology,
+        &t.routing,
+        &t.host_clusters(&rnd),
+        cfg,
+        &rates,
+        1,
+    )
+    .unwrap();
     let ratio = s_op.throughput() / s_r.throughput();
     assert!(ratio > 2.0, "expected a decisive gap, got {ratio:.2}x");
 }
@@ -176,6 +224,7 @@ fn fig6_correlation_by_regime() {
                 &t.host_clusters(p),
                 cfg,
                 &[low, high],
+                1,
             )
             .unwrap()
         })

@@ -57,6 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         random.mapping.host_clusters(),
         sim,
         &rates,
+        1,
     )?;
 
     println!("\nsaturation of the scheduled mapping: {sat:.3} flits/host/cycle");

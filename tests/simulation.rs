@@ -34,6 +34,7 @@ fn scheduled_mapping_outperforms_random_in_simulation() {
         op.mapping.host_clusters(),
         quick_cfg(),
         &rates,
+        1,
     )
     .unwrap();
     let rnd_sweep = sweep(
@@ -42,6 +43,7 @@ fn scheduled_mapping_outperforms_random_in_simulation() {
         random.mapping.host_clusters(),
         quick_cfg(),
         &rates,
+        1,
     )
     .unwrap();
 
@@ -68,6 +70,7 @@ fn latency_monotone_and_deadlock_free() {
         op.mapping.host_clusters(),
         quick_cfg(),
         &rates,
+        1,
     )
     .unwrap();
     for p in &s.points {
