@@ -35,10 +35,7 @@ pub mod resistance;
 pub mod sparse;
 pub mod table;
 
-pub use io::{
-    table_from_bytes_with_report, table_from_text, table_from_text_with_report,
-    table_to_bytes_with_report, table_to_text, table_to_text_with_report, TableParseError,
-};
+pub use io::{table_from_bytes, table_from_text, table_to_bytes, table_to_text, TableParseError};
 pub use linalg::{solve, LinalgError, Matrix};
 pub use repair::{repair_distance_table, route_key, RepairOutcome, RouteKey};
 pub use resistance::{
@@ -47,7 +44,7 @@ pub use resistance::{
 };
 pub use sparse::SpdFactor;
 pub use table::{
-    eps_to_micros, equivalent_distance_table, equivalent_distance_table_with,
+    equivalent_distance_table, equivalent_distance_table_with,
     equivalent_distance_table_with_report, hop_distance_table, ApproxReport, DistanceTable,
-    SharedDistanceTable, TableError, TableOptions, TableSpec, DEFAULT_APPROX_EPS_MICROS,
+    SharedDistanceTable, TableError, TableOptions, TableSpec,
 };

@@ -22,7 +22,6 @@
 //! topology is rebuilt without a link, so only endpoints are stable
 //! across epochs.
 
-use crate::resistance::SolverKind;
 use crate::table::{
     check_sizes, fan_out, DistanceTable, FirstFailure, PairSolver, PairTally, TableError,
     TableOptions,
@@ -103,8 +102,7 @@ fn group_rows(
 /// old value). When `prev` is a build (or such a repair) of the previous
 /// topology with the same exact solver, and `topo` lists the surviving
 /// links in their previous relative order, the result is bit-identical to
-/// a build of `topo`, for every `options.threads`. Under
-/// [`SolverKind::Approximate`] options a repaired pair is solved exactly.
+/// a build of `topo`, for every `options.threads`.
 ///
 /// # Errors
 /// See [`TableError`]; size mismatches between `prev`, `topo` and
@@ -124,15 +122,6 @@ pub fn repair_distance_table(
             topology: n,
         });
     }
-    // A repaired pair is exact: the approximate report covers whole
-    // builds, and a handful of patched pairs has none to carry it.
-    let options = match options.solver {
-        SolverKind::Approximate => TableOptions {
-            solver: SolverKind::SparseCholesky,
-            ..options
-        },
-        _ => options,
-    };
     let rows = group_rows(affected, n)?;
     let pairs_recomputed: usize = rows.iter().map(|(_, js)| js.len()).sum();
 
@@ -187,6 +176,7 @@ pub fn repair_distance_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resistance::SolverKind;
     use crate::table::{equivalent_distance_table, equivalent_distance_table_with};
     use commsched_routing::UpDownRouting;
     use commsched_topology::{designed, Topology, TopologyBuilder};

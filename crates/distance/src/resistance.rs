@@ -23,14 +23,6 @@ pub enum SolverKind {
     /// the default.
     #[default]
     SparseCholesky,
-    /// Certified-interval approximation for large networks: each pair is
-    /// bracketed by a Nash–Williams cut lower bound and a single-route
-    /// (Rayleigh) upper bound on its route sub-network; pairs whose
-    /// certified relative error exceeds `TableOptions::approx_eps_micros`
-    /// escalate to the exact [`SolverKind::SparseCholesky`] path, so the
-    /// reported error bound always holds. See
-    /// [`crate::equivalent_distance_table_with_report`].
-    Approximate,
 }
 
 /// Errors from the resistance computation.

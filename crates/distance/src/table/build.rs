@@ -4,7 +4,6 @@
 use super::solve::{PairSolver, PairTally};
 use super::spec::{ApproxReport, TableError, TableOptions};
 use super::DistanceTable;
-use crate::resistance::SolverKind;
 use commsched_routing::Routing;
 use commsched_telemetry as telemetry;
 use commsched_topology::{SwitchId, Topology};
@@ -24,9 +23,6 @@ struct BuildMetrics {
     series_path: telemetry::Counter,
     route_walks: telemetry::Counter,
     dense_solves: telemetry::Counter,
-    approx_pairs: telemetry::Counter,
-    approx_escalations: telemetry::Counter,
-    approx_err_max_micros: telemetry::Gauge,
 }
 
 fn build_metrics() -> &'static BuildMetrics {
@@ -62,18 +58,6 @@ fn build_metrics() -> &'static BuildMetrics {
                 "distance_dense_solves_total",
                 "Pairs solved by the dense Gaussian baseline",
             ),
-            approx_pairs: r.counter(
-                "distance_approx_pairs_total",
-                "Pairs answered from a certified resistance interval",
-            ),
-            approx_escalations: r.counter(
-                "distance_approx_escalations_total",
-                "Approximate-build pairs escalated to the exact solver",
-            ),
-            approx_err_max_micros: r.gauge(
-                "distance_approx_err_max_micros",
-                "Worst certified relative error of the last approximate build, millionths",
-            ),
         }
     })
 }
@@ -89,8 +73,6 @@ impl PairTally {
         m.series_path.add(self.series_path);
         m.route_walks.add(self.route_walks);
         m.dense_solves.add(self.dense_solves);
-        m.approx_pairs.add(self.approx_pairs);
-        m.approx_escalations.add(self.approx_escalations);
     }
 }
 
@@ -156,32 +138,6 @@ impl FirstFailure {
     }
 }
 
-/// Build the table of equivalent distances for `topo` under `routing`
-/// with explicit [`TableOptions`] (§3 of the paper): for each pair, the
-/// links on minimal legal routes form a resistor network whose effective
-/// resistance is the entry.
-///
-/// Workers pull source rows off a shared atomic counter (work stealing),
-/// since per-row cost varies with both the row's pair count and the
-/// route sub-network sizes. A claimed row `i` is scanned once (one BFS
-/// per source, which answers every pair with a single minimal route) and
-/// then resolves the pairs `(i, j)` for `j > i`, extracting a link set
-/// only for the pairs it has to solve. The per-pair
-/// computation is deterministic and independent of which worker runs it,
-/// so the result is bit-identical across thread counts.
-///
-/// # Errors
-/// See [`TableError`]. When several pairs fail, the error of the
-/// lexicographically lowest pair is returned (matching what a serial
-/// scan would hit first).
-pub fn equivalent_distance_table_with(
-    topo: &Topology,
-    routing: &dyn Routing,
-    options: TableOptions,
-) -> Result<DistanceTable, TableError> {
-    equivalent_distance_table_with_report(topo, routing, options).map(|(table, _)| table)
-}
-
 /// Shared write target for the build workers: the pair `{i, j}`, `j > i`,
 /// belongs to the worker that claimed row `i`, which writes both of its
 /// cells. Workers write straight into the final matrix — no per-worker
@@ -210,17 +166,29 @@ impl PairSink {
     }
 }
 
-/// [`equivalent_distance_table_with`] plus the approximation report:
-/// `Some` when `options.solver` is [`SolverKind::Approximate`] (even if
-/// every pair ended up exact), `None` for the exact solvers.
+/// Build the table of equivalent distances for `topo` under `routing`
+/// with explicit [`TableOptions`] (§3 of the paper): for each pair, the
+/// links on minimal legal routes form a resistor network whose effective
+/// resistance is the entry.
+///
+/// Workers pull source rows off a shared atomic counter (work stealing),
+/// since per-row cost varies with both the row's pair count and the
+/// route sub-network sizes. A claimed row `i` is scanned once (one BFS
+/// per source, which answers every pair with a single minimal route) and
+/// then resolves the pairs `(i, j)` for `j > i`, extracting a link set
+/// only for the pairs it has to solve. The per-pair
+/// computation is deterministic and independent of which worker runs it,
+/// so the result is bit-identical across thread counts.
 ///
 /// # Errors
-/// See [`TableError`].
-pub fn equivalent_distance_table_with_report(
+/// See [`TableError`]. When several pairs fail, the error of the
+/// lexicographically lowest pair is returned (matching what a serial
+/// scan would hit first).
+pub fn equivalent_distance_table_with(
     topo: &Topology,
     routing: &dyn Routing,
     options: TableOptions,
-) -> Result<(DistanceTable, Option<ApproxReport>), TableError> {
+) -> Result<DistanceTable, TableError> {
     check_sizes(topo, routing)?;
     let _span = telemetry::Span::enter("distance.build");
     let t0 = Instant::now();
@@ -262,18 +230,22 @@ pub fn equivalent_distance_table_with_report(
     let m = build_metrics();
     m.builds.inc();
     m.build_ms.record(t0.elapsed().as_millis() as u64);
-    let report = (options.solver == SolverKind::Approximate).then(|| {
-        m.approx_err_max_micros
-            .set((tally.approx_err_max * 1e6) as i64);
-        ApproxReport {
-            eps: options.approx_eps(),
-            err_max: tally.approx_err_max,
-            pairs_approximated: tally.approx_pairs,
-            pairs_escalated: tally.approx_escalations,
-        }
-    });
     failure.into_result()?;
-    Ok((DistanceTable { n, data }, report))
+    Ok(DistanceTable { n, data })
+}
+
+/// [`equivalent_distance_table_with`] and the report an approximate
+/// build made. Every build is exact, so the report is always `None`
+/// ([`ApproxReport`] has no values).
+///
+/// # Errors
+/// See [`TableError`].
+pub fn equivalent_distance_table_with_report(
+    topo: &Topology,
+    routing: &dyn Routing,
+    options: TableOptions,
+) -> Result<(DistanceTable, Option<ApproxReport>), TableError> {
+    equivalent_distance_table_with(topo, routing, options).map(|table| (table, None))
 }
 
 /// Build the table of equivalent distances with the default options
@@ -375,29 +347,6 @@ mod tests {
             equivalent_distance_table(&t, &r),
             Err(TableError::SizeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn approximate_build_is_thread_deterministic() {
-        let t = designed::paper_24_switch();
-        let r = UpDownRouting::new(&t, 0).unwrap();
-        let build = |threads| {
-            equivalent_distance_table_with_report(
-                &t,
-                &r,
-                TableOptions {
-                    threads,
-                    ..TableOptions::approximate(0.25)
-                },
-            )
-            .unwrap()
-        };
-        let (serial, serial_report) = build(1);
-        for threads in [2, 7, 64] {
-            let (par, report) = build(threads);
-            assert_eq!(serial, par, "threads = {threads}");
-            assert_eq!(serial_report, report, "threads = {threads}");
-        }
     }
 
     #[test]

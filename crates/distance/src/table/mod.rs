@@ -1,14 +1,12 @@
 //! The table of equivalent distances (the paper's `T_N`).
 //!
 //! `spec` says what a table is asked to be, `solve` resolves one pair
-//! (with `approx` certifying an interval for the approximate solver) and
-//! `build` fans the pairs of a whole table out over workers. The repair
+//! and `build` fans the pairs of a whole table out over workers. The repair
 //! path (`crate::repair`) drives the same `solve` and the same fan-out,
 //! so a repaired pair has the bits a rebuild gives it.
 //! `reference` exists in debug builds only: the list-based series-path
 //! test every resolved pair is checked against.
 
-mod approx;
 mod build;
 #[cfg(debug_assertions)]
 mod reference;
@@ -21,9 +19,7 @@ pub use build::{
     equivalent_distance_table_with_report,
 };
 pub(crate) use solve::{PairSolver, PairTally};
-pub use spec::{
-    eps_to_micros, ApproxReport, TableError, TableOptions, TableSpec, DEFAULT_APPROX_EPS_MICROS,
-};
+pub use spec::{ApproxReport, TableError, TableOptions, TableSpec};
 
 use commsched_routing::Routing;
 use commsched_topology::SwitchId;

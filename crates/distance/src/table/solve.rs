@@ -1,7 +1,6 @@
 //! Resolving one pair: the single place an equivalent distance is
 //! computed, under the full build and under the incremental repair.
 
-use super::approx::ApproxScratch;
 use super::spec::{TableError, TableOptions};
 use crate::resistance::{effective_resistance_weighted, SolverKind, Workspace};
 use commsched_routing::{RouteRow, Routing};
@@ -17,11 +16,6 @@ pub(crate) struct PairTally {
     pub(crate) series_path: u64,
     pub(crate) route_walks: u64,
     pub(crate) dense_solves: u64,
-    pub(crate) approx_pairs: u64,
-    pub(crate) approx_escalations: u64,
-    /// Worst certified relative error among the approximated pairs (not
-    /// a counter; merged by max).
-    pub(crate) approx_err_max: f64,
 }
 
 impl PairTally {
@@ -31,9 +25,6 @@ impl PairTally {
         self.series_path += other.series_path;
         self.route_walks += other.route_walks;
         self.dense_solves += other.dense_solves;
-        self.approx_pairs += other.approx_pairs;
-        self.approx_escalations += other.approx_escalations;
-        self.approx_err_max = self.approx_err_max.max(other.approx_err_max);
     }
 }
 
@@ -52,7 +43,6 @@ pub(crate) struct PairSolver<'a> {
     options: TableOptions,
     resistors: Vec<(SwitchId, SwitchId, f64)>,
     ws: Workspace,
-    approx: ApproxScratch,
     row: RouteRow,
     links: Vec<LinkId>,
     edges: Vec<(SwitchId, SwitchId, f64)>,
@@ -71,7 +61,6 @@ impl<'a> PairSolver<'a> {
                 .map(|l| link_resistor(topo, l))
                 .collect(),
             ws: Workspace::new(),
-            approx: ApproxScratch::default(),
             row: RouteRow::new(),
             links: Vec::new(),
             edges: Vec::new(),
@@ -117,23 +106,6 @@ impl<'a> PairSolver<'a> {
         }
         self.routing.row_links(j, &mut self.row, &mut self.links);
         self.tally.route_walks += 1;
-        let links = &self.links;
-        if self.options.solver == SolverKind::Approximate {
-            let eps = self.options.approx_eps();
-            if let Some((lo, hi)) = self.approx.pair_bounds(self.topo, links, i, j, eps) {
-                // The exact value is inside [lo, hi]; the midpoint's true
-                // relative error is therefore at most (hi - lo) / (2 lo).
-                let err = (hi - lo) / (2.0 * lo);
-                if err <= eps {
-                    self.tally.approx_pairs += 1;
-                    self.tally.approx_err_max = self.tally.approx_err_max.max(err);
-                    return Ok(0.5 * (lo + hi));
-                }
-            }
-            // Interval too wide (or degenerate sub-network): run the
-            // exact path below, which keeps the reported bound honest.
-            self.tally.approx_escalations += 1;
-        }
         // CORRECTNESS: edges enter `compact` in link-id order (the order
         // the router lists them in). `solve_compacted` eliminates nodes in
         // adjacency order, which follows edge order, so another order
@@ -142,7 +114,8 @@ impl<'a> PairSolver<'a> {
         // repair solves its pairs here too, which is what makes a repaired
         // table a rebuild's bits.
         self.edges.clear();
-        self.edges.extend(links.iter().map(|&l| self.resistors[l]));
+        self.edges
+            .extend(self.links.iter().map(|&l| self.resistors[l]));
         self.ws.compact(&self.edges);
         // CORRECTNESS: no connectivity check: every link of the union lies
         // on a minimal route from `i` to `j`, so no node floats (debug

@@ -4,14 +4,13 @@
 //! dense` is only a 1e-9 proptest and nothing else pins the bits.
 //!
 //! A *build* case hashes (FNV-1a 64) `n` and `to_bits()` of the upper
-//! triangle, plus the `ApproxReport` (`eps`, `err_max` bits and both
-//! counts) for the approximate solver. A *repair* case removes the first
+//! triangle. A *repair* case removes the first
 //! link whose removal keeps the net connected, repairs the pairs whose
 //! route wires changed, and hashes the repaired table's bits,
 //! `pairs_recomputed` and `max_delta.to_bits()`. Each case is computed
 //! for `threads ∈ {1, 2, 7}` and every cell must agree before the digest
-//! is compared; an exact repair must also equal a build of the faulted
-//! net bit for bit, and an approximate one must on every re-solved pair.
+//! is compared; a repair must also equal a build of the faulted net bit
+//! for bit.
 //!
 //! The build lines were recorded on the untouched `table.rs` /
 //! `repair.rs` of the commit before the build's and the repair's
@@ -23,8 +22,7 @@
 //! stores are what the daemon's build runs.
 
 use commsched_distance::{
-    equivalent_distance_table_with_report, repair_distance_table, ApproxReport, DistanceTable,
-    SolverKind, TableOptions,
+    equivalent_distance_table_with, repair_distance_table, DistanceTable, SolverKind, TableOptions,
 };
 use commsched_routing::Routing;
 use commsched_topology::{designed, SwitchId, Topology};
@@ -37,83 +35,57 @@ use nets::{
 };
 
 /// `(case, fnv1a-64 of its bits)`.
-const GOLDEN: [(&str, &str); 76] = [
+const GOLDEN: [(&str, &str); 50] = [
     ("paper24/updown/sparse", "1b218a6e605ff47d"),
     ("paper24/updown/sparse/repair", "2d5270766301216f"),
     ("paper24/updown/dense", "8cbd21e1dd242676"),
     ("paper24/updown/dense/repair", "4fbb43c46fb5780d"),
-    ("paper24/updown/approx", "ba012b1c173ebb00"),
-    ("paper24/updown/approx/repair", "2d5270766301216f"),
     ("paper24/shortest/sparse", "aeee85002588484c"),
     ("paper24/shortest/sparse/repair", "fcd1ad6dc38bada1"),
     ("paper24/shortest/dense", "ec97048324d7c197"),
     ("paper24/shortest/dense/repair", "a9ba14a119fc2f2e"),
-    ("paper24/shortest/approx", "d011a8121bcf25a9"),
-    ("paper24/shortest/approx/repair", "fcd1ad6dc38bada1"),
     ("ring8/updown/sparse", "4b1df2ebe659b185"),
     ("ring8/updown/sparse/repair", "01edfd0fefabc575"),
     ("ring8/updown/dense", "e2cfaf28d31629e5"),
     ("ring8/updown/dense/repair", "56a221db5601acb0"),
-    ("ring8/updown/approx", "51e9542bfa01cbd5"),
-    ("ring8/updown/approx/repair", "01edfd0fefabc575"),
     ("ring8/shortest/sparse", "85b6ba469bb63f7d"),
     ("ring8/shortest/sparse/repair", "152a1bb7b69aaf42"),
     ("ring8/shortest/dense", "a9aedfad5f895c91"),
     ("ring8/shortest/dense/repair", "bf519f57bad0c4e7"),
-    ("ring8/shortest/approx", "176115177199e788"),
-    ("ring8/shortest/approx/repair", "152a1bb7b69aaf42"),
     ("slowdowns12/updown/sparse", "b98dca8878212430"),
     ("slowdowns12/updown/sparse/repair", "5d4af8e7de75f30a"),
     ("slowdowns12/updown/dense", "2468111f8bfecea9"),
     ("slowdowns12/updown/dense/repair", "dad33cc979951813"),
-    ("slowdowns12/updown/approx", "59c3e764d4d82882"),
-    ("slowdowns12/updown/approx/repair", "ac7d5d5e2c2c22e2"),
     ("slowdowns12/shortest/sparse", "26f7018284bdf562"),
     ("slowdowns12/shortest/sparse/repair", "2ca01569ea6a8a10"),
     ("slowdowns12/shortest/dense", "4916165eb9d88293"),
     ("slowdowns12/shortest/dense/repair", "cd0f5571ec36b003"),
-    ("slowdowns12/shortest/approx", "2fad236516d0e992"),
-    ("slowdowns12/shortest/approx/repair", "af86da532edc53d7"),
     ("random16/updown/sparse", "42ce9d113336a6d6"),
     ("random16/updown/sparse/repair", "4741a912b185ec77"),
     ("random16/updown/dense", "cd76abb7efea52d4"),
     ("random16/updown/dense/repair", "3b145b70f3d4d250"),
-    ("random16/updown/approx", "b499399fa9968f45"),
-    ("random16/updown/approx/repair", "4741a912b185ec77"),
     ("random16/shortest/sparse", "893eb06d13864d6d"),
     ("random16/shortest/sparse/repair", "dc67f1332dc6e5d3"),
     ("random16/shortest/dense", "6353a9aee249341d"),
     ("random16/shortest/dense/repair", "fed695091a7ee088"),
-    ("random16/shortest/approx", "25f18c44a3e6947b"),
-    ("random16/shortest/approx/repair", "0006048ccee028e2"),
     ("random64/updown/sparse", "1c437bfe6be46068"),
     ("random64/updown/sparse/repair", "7b163fe0ebe0283f"),
     ("random64/updown/dense", "9e35e07b14c9fb22"),
     ("random64/updown/dense/repair", "7a2c078ce9304696"),
-    ("random64/updown/approx", "639881a6cbde76b6"),
-    ("random64/updown/approx/repair", "1b9f2dc0977d4211"),
     ("random64/shortest/sparse", "2831b59f4d4eb87a"),
     ("random64/shortest/sparse/repair", "6a73fb82644440ce"),
     ("random64/shortest/dense", "79aa08436de7dc2f"),
     ("random64/shortest/dense/repair", "25331b17d25b5c08"),
-    ("random64/shortest/approx", "a719312c3bf6828e"),
-    ("random64/shortest/approx/repair", "a32b51e988e29464"),
     ("random96/updown/sparse", "cb11a08186608019"),
     ("random96/updown/sparse/repair", "55925ebbce59c5b9"),
     ("random96/updown/dense", "63221a256af1c72b"),
     ("random96/updown/dense/repair", "13d4956b3fc8916b"),
-    ("random96/updown/approx", "970b3fdae6934296"),
-    ("random96/updown/approx/repair", "1bf064088df227f4"),
     ("random96/shortest/sparse", "6b953509d366625f"),
     ("random96/shortest/sparse/repair", "4349f8d753fcaa9e"),
     ("random96/shortest/dense", "a944ba99d6958421"),
     ("random96/shortest/dense/repair", "7d0a0c94b2673cfd"),
-    ("random96/shortest/approx", "358c750603714278"),
-    ("random96/shortest/approx/repair", "50f274c7d9e0bb1d"),
     ("random320/updown/sparse", "cfe8057f5e03d9b1"),
-    ("random320/updown/approx", "8ad28383955d0de7"),
     ("random320/shortest/sparse", "699d92c4d247ed09"),
-    ("random320/shortest/approx", "b255767764590d0b"),
 ];
 
 const THREADS: [usize; 3] = [1, 2, 7];
@@ -138,15 +110,6 @@ impl Fnv {
             for &d in &t.row(i)[i + 1..] {
                 self.word(d.to_bits());
             }
-        }
-    }
-
-    fn report(&mut self, r: Option<ApproxReport>) {
-        if let Some(r) = r {
-            self.word(r.eps.to_bits());
-            self.word(r.err_max.to_bits());
-            self.word(r.pairs_approximated);
-            self.word(r.pairs_escalated);
         }
     }
 }
@@ -182,35 +145,29 @@ fn check_all(cases: &[Case]) {
 }
 
 fn options(solver: SolverKind, threads: usize) -> TableOptions {
-    TableOptions {
-        solver,
-        threads,
-        ..TableOptions::approximate(0.05)
-    }
+    TableOptions { solver, threads }
 }
 
 /// Build under every thread count; all three cells must be the same
-/// table and the same report.
+/// table.
 fn build_case(name: String, topo: &Topology, routing: &dyn Routing, solver: SolverKind) -> Case {
     let build = |threads| {
-        equivalent_distance_table_with_report(topo, routing, options(solver, threads))
+        equivalent_distance_table_with(topo, routing, options(solver, threads))
             .unwrap_or_else(|e| panic!("{name}: {e}"))
     };
-    let (table, report) = build(1);
+    let table = build(1);
     for threads in THREADS {
-        let (t, r) = build(threads);
         assert!(
-            t == table && r == report,
+            build(threads) == table,
             "{name}: threads {threads} disagrees with the serial build"
         );
     }
     let mut h = Fnv::new();
     h.table(&table);
-    h.report(report);
     Case {
         digest: h.0,
         summary: format!(
-            "n {} total_square {:?} max {:?} report {report:?}",
+            "n {} total_square {:?} max {:?}",
             table.n(),
             table.total_square(),
             table.max_distance()
@@ -221,9 +178,7 @@ fn build_case(name: String, topo: &Topology, routing: &dyn Routing, solver: Solv
 
 /// Repair `prev` (the table of the net before the fault) into the table
 /// of `topo` / `routing`, under every thread count, and hold the repair
-/// to an exact build of `topo`: an exact repair must be that build bit
-/// for bit; an approximate one (whose copied pairs may be approximate)
-/// must match it on every re-solved pair, since a repair solves exactly.
+/// to a build of `topo` with the same solver, bit for bit.
 fn repair_case(
     name: String,
     prev: &DistanceTable,
@@ -243,25 +198,11 @@ fn repair_case(
             "{name}: threads {threads} disagrees with the serial repair"
         );
     }
-    let exact = match solver {
-        SolverKind::Approximate => SolverKind::SparseCholesky,
-        exact => exact,
-    };
-    let (rebuilt, _) =
-        equivalent_distance_table_with_report(topo, routing, options(exact, 1)).unwrap();
-    if solver == exact {
-        assert!(
-            serial.table == rebuilt,
-            "{name}: the repair is not a rebuild"
-        );
-    }
-    for &(i, j) in affected {
-        assert_eq!(
-            serial.table.get(i, j).to_bits(),
-            rebuilt.get(i, j).to_bits(),
-            "{name}: re-solved pair ({i}, {j})"
-        );
-    }
+    let rebuilt = equivalent_distance_table_with(topo, routing, options(solver, 1)).unwrap();
+    assert!(
+        serial.table == rebuilt,
+        "{name}: the repair is not a rebuild"
+    );
     let mut h = Fnv::new();
     h.table(&serial.table);
     h.word(serial.pairs_recomputed as u64);
@@ -276,7 +217,7 @@ fn repair_case(
     }
 }
 
-/// Every case of one network: both routings × the three solvers, build
+/// Every case of one network: both routings × the two solvers, build
 /// and (up to `DENSE_AND_REPAIR_MAX_N`) repair.
 fn check_net(net: &str, topo: &Topology) {
     let n = topo.num_switches();
@@ -293,9 +234,8 @@ fn check_net(net: &str, topo: &Topology) {
             let name = format!("{net}/{routing_name}/{solver_name}");
             cases.push(build_case(name.clone(), topo, &*routing, solver));
             if n <= DENSE_AND_REPAIR_MAX_N {
-                let (prev, _) =
-                    equivalent_distance_table_with_report(topo, &*routing, options(solver, 1))
-                        .unwrap();
+                let prev =
+                    equivalent_distance_table_with(topo, &*routing, options(solver, 1)).unwrap();
                 cases.push(repair_case(
                     format!("{name}/repair"),
                     &prev,

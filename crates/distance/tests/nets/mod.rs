@@ -12,13 +12,12 @@ use commsched_topology::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub const SOLVERS: [(&str, SolverKind); 3] = [
+pub const SOLVERS: [(&str, SolverKind); 2] = [
     ("sparse", SolverKind::SparseCholesky),
     ("dense", SolverKind::DenseGaussian),
-    ("approx", SolverKind::Approximate),
 ];
-/// The dense oracle is cubic per pair; above this only the sparse and the
-/// approximate solver are recorded, and no repair.
+/// The dense oracle is cubic per pair; above this only the sparse solver
+/// is recorded, and no repair.
 pub const DENSE_AND_REPAIR_MAX_N: usize = 96;
 
 /// Both routers of every case over `topo`, by the name its cases carry.

@@ -5,24 +5,21 @@
 //! restored table incrementally and every `F_G` is a sum over it, so a
 //! restored table must be the built one bit for bit. This file records,
 //! per case, the FNV-1a 64 digest of a table *after* one round trip
-//! through a codec — `n`, `to_bits()` of the upper triangle, and for the
-//! approximate solver the restored `ApproxReport` (`eps` and `err_max`
-//! bits, both counts) — and checks every codec in [`CODECS`] against the
-//! same line, and the round-tripped table against the built one with
-//! `==`.
+//! through a codec — `n` and `to_bits()` of the upper triangle — and
+//! checks every codec in [`CODECS`] against the same line, and the
+//! round-tripped table against the built one with `==`.
 //!
 //! The digests were recorded through the text codec (`table_to_text` →
 //! `table_from_text`) on the commit where that text was what a spill file
 //! held (EXPERIMENTS.md "PR 23" names it). The build cases are hashed the
-//! way `golden.rs` hashes them, so an exact-solver line here equals the
-//! `…/sparse` line there: the text format loses nothing. Regenerate a
+//! way `golden.rs` hashes them, so a line here equals the `…/sparse`
+//! line there: the text format loses nothing. Regenerate a
 //! line only when a table bit is *meant* to move; a codec is added by
 //! adding it to [`CODECS`], never by editing a digest.
 
 use commsched_distance::{
-    equivalent_distance_table_with_report, table_from_bytes_with_report,
-    table_from_text_with_report, table_to_bytes_with_report, table_to_text_with_report,
-    ApproxReport, DistanceTable, TableOptions,
+    equivalent_distance_table, table_from_bytes, table_from_text, table_to_bytes, table_to_text,
+    DistanceTable,
 };
 use commsched_routing::{Routing, ShortestPathRouting, UpDownRouting};
 use commsched_topology::{designed, random_regular, RandomTopologyConfig, Topology};
@@ -31,48 +28,32 @@ use rand::SeedableRng;
 use std::fmt::Write;
 
 /// `(case, fnv1a-64 of the round-tripped bits)`.
-const GOLDEN: [(&str, &str); 20] = [
+const GOLDEN: [(&str, &str); 10] = [
     ("paper24/updown/exact", "1b218a6e605ff47d"),
-    ("paper24/updown/approx", "ba012b1c173ebb00"),
     ("paper24/shortest/exact", "aeee85002588484c"),
-    ("paper24/shortest/approx", "d011a8121bcf25a9"),
     ("ring8/updown/exact", "4b1df2ebe659b185"),
-    ("ring8/updown/approx", "51e9542bfa01cbd5"),
     ("ring8/shortest/exact", "85b6ba469bb63f7d"),
-    ("ring8/shortest/approx", "176115177199e788"),
     ("random16/updown/exact", "42ce9d113336a6d6"),
-    ("random16/updown/approx", "b499399fa9968f45"),
     ("random16/shortest/exact", "893eb06d13864d6d"),
-    ("random16/shortest/approx", "25f18c44a3e6947b"),
     ("random64/updown/exact", "1c437bfe6be46068"),
-    ("random64/updown/approx", "639881a6cbde76b6"),
     ("random64/shortest/exact", "2831b59f4d4eb87a"),
-    ("random64/shortest/approx", "a719312c3bf6828e"),
     ("random96/updown/exact", "cb11a08186608019"),
-    ("random96/updown/approx", "970b3fdae6934296"),
     ("random96/shortest/exact", "6b953509d366625f"),
-    ("random96/shortest/approx", "358c750603714278"),
 ];
 
-/// One way a table and its report leave the process and come back.
-type Codec = fn(&DistanceTable, Option<&ApproxReport>) -> (DistanceTable, Option<ApproxReport>);
+/// One way a table leaves the process and comes back.
+type Codec = fn(&DistanceTable) -> DistanceTable;
 
 /// Every codec a table may be restored through. Each must reproduce
 /// every line of [`GOLDEN`].
 const CODECS: [(&str, Codec); 2] = [("text", text_round_trip), ("binary", binary_round_trip)];
 
-fn text_round_trip(
-    table: &DistanceTable,
-    report: Option<&ApproxReport>,
-) -> (DistanceTable, Option<ApproxReport>) {
-    table_from_text_with_report(&table_to_text_with_report(table, report)).expect("text parses")
+fn text_round_trip(table: &DistanceTable) -> DistanceTable {
+    table_from_text(&table_to_text(table)).expect("text parses")
 }
 
-fn binary_round_trip(
-    table: &DistanceTable,
-    report: Option<&ApproxReport>,
-) -> (DistanceTable, Option<ApproxReport>) {
-    table_from_bytes_with_report(&table_to_bytes_with_report(table, report)).expect("bytes parse")
+fn binary_round_trip(table: &DistanceTable) -> DistanceTable {
+    table_from_bytes(&table_to_bytes(table)).expect("bytes parse")
 }
 
 /// FNV-1a 64 over the little-endian bytes of every word fed to it.
@@ -97,20 +78,11 @@ impl Fnv {
             }
         }
     }
-
-    fn report(&mut self, r: Option<ApproxReport>) {
-        if let Some(r) = r {
-            self.word(r.eps.to_bits());
-            self.word(r.err_max.to_bits());
-            self.word(r.pairs_approximated);
-            self.word(r.pairs_escalated);
-        }
-    }
 }
 
-/// Both routings × the exact and the approximate (ε = 0.05) solver on
-/// one network, each through every codec; all mismatches of the network
-/// are reported at once (that is also how the table is recorded).
+/// Both routings on one network, each table through every codec; all
+/// mismatches of the network are reported at once (that is also how the
+/// table is recorded).
 fn check_net(net: &str, topo: &Topology) {
     let routings: [(&str, Box<dyn Routing>); 2] = [
         ("updown", Box::new(UpDownRouting::new(topo, 0).unwrap())),
@@ -119,39 +91,32 @@ fn check_net(net: &str, topo: &Topology) {
             Box::new(ShortestPathRouting::new(topo).unwrap()),
         ),
     ];
-    let solvers = [
-        ("exact", TableOptions::default()),
-        ("approx", TableOptions::approximate(0.05)),
-    ];
     let mut moved = String::new();
     for (routing_name, routing) in &routings {
-        for (solver_name, options) in solvers {
-            let name = format!("{net}/{routing_name}/{solver_name}");
-            let (built, report) = equivalent_distance_table_with_report(topo, &**routing, options)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let want = GOLDEN
-                .iter()
-                .find(|(case, _)| *case == name)
-                .map_or("<no line in GOLDEN>", |line| line.1);
-            for (codec_name, codec) in CODECS {
-                let (back, back_report) = codec(&built, report.as_ref());
-                assert!(
-                    back == built,
-                    "{name}: the {codec_name} round trip moved a table entry"
-                );
-                let mut h = Fnv::new();
-                h.table(&back);
-                h.report(back_report);
-                let got = format!("{:016x}", h.0);
-                if got != want {
-                    writeln!(
-                        moved,
-                        "(\"{name}\", \"{got}\"), // recorded {want}; via {codec_name}; n {} total_square {:?} report {back_report:?}",
-                        back.n(),
-                        back.total_square()
-                    )
-                    .unwrap();
-                }
+        let name = format!("{net}/{routing_name}/exact");
+        let built =
+            equivalent_distance_table(topo, &**routing).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let want = GOLDEN
+            .iter()
+            .find(|(case, _)| *case == name)
+            .map_or("<no line in GOLDEN>", |line| line.1);
+        for (codec_name, codec) in CODECS {
+            let back = codec(&built);
+            assert!(
+                back == built,
+                "{name}: the {codec_name} round trip moved a table entry"
+            );
+            let mut h = Fnv::new();
+            h.table(&back);
+            let got = format!("{:016x}", h.0);
+            if got != want {
+                writeln!(
+                    moved,
+                    "(\"{name}\", \"{got}\"), // recorded {want}; via {codec_name}; n {} total_square {:?}",
+                    back.n(),
+                    back.total_square()
+                )
+                .unwrap();
             }
         }
     }

@@ -1,21 +1,22 @@
 //! The binary table format against its oracle and against hostile bytes.
 //!
-//! *Cross-check:* a random table — subnormals, `f64::MAX`, `-0.0`, with
-//! and without an `ApproxReport` — comes back from the binary format bit
-//! for bit, and equal to what the text format restores.
+//! *Cross-check:* a random table — subnormals, `f64::MAX`, `-0.0` —
+//! comes back from the binary format bit for bit, and equal to what the
+//! text format restores.
 //!
 //! *Boundary:* a spill file is bytes from outside the program whose
 //! first field is a length. Valid encodings are mutated byte by byte,
-//! truncated, and given hostile sizes (2³², 2⁶⁴ − 1); whatever arrives,
-//! `table_from_bytes_with_report` does not panic, allocates nothing for
+//! truncated, given hostile sizes (2³², 2⁶⁴ − 1) and the tag-1 report
+//! of an old approximate table; whatever arrives, `table_from_bytes`
+//! does not panic, refuses every report tag but 0, allocates nothing for
 //! bytes it rejects, and for bytes it accepts allocates the table only
 //! (`8 n²` bytes ≤ twice the bytes supplied, plus `8 n` for the diagonal
 //! the format does not store) — and accepts nothing but the one encoding
 //! of what it returns.
 
 use commsched_distance::{
-    table_from_bytes_with_report, table_from_text_with_report, table_to_bytes_with_report,
-    table_to_text_with_report, ApproxReport, DistanceTable,
+    table_from_bytes, table_from_text, table_to_bytes, table_to_text, DistanceTable,
+    TableParseError,
 };
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -77,28 +78,12 @@ fn entry() -> impl Strategy<Value = f64> {
     .prop_map(|v| if v.is_finite() { v } else { 1.0 })
 }
 
-/// A symmetric table of up to 11 switches and, half the time, a report.
-fn table_and_report() -> impl Strategy<Value = (DistanceTable, Option<ApproxReport>)> {
-    (
-        0usize..12,
-        collection::vec(entry(), 55..56),
-        any::<bool>(),
-        (0u32..2_000_000, entry(), any::<u64>(), any::<u64>()),
-    )
-        .prop_map(
-            |(n, entries, with_report, (micros, err_max, approx, escalated))| {
-                let mut entries = entries.into_iter();
-                let table =
-                    DistanceTable::from_fn(n, |_, _| entries.next().expect("55 >= 11*10/2"));
-                let report = with_report.then_some(ApproxReport {
-                    eps: f64::from(micros) / 1e6,
-                    err_max,
-                    pairs_approximated: approx,
-                    pairs_escalated: escalated,
-                });
-                (table, report)
-            },
-        )
+/// A symmetric table of up to 11 switches.
+fn table() -> impl Strategy<Value = DistanceTable> {
+    (0usize..12, collection::vec(entry(), 55..56)).prop_map(|(n, entries)| {
+        let mut entries = entries.into_iter();
+        DistanceTable::from_fn(n, |_, _| entries.next().expect("55 >= 11*10/2"))
+    })
 }
 
 fn bits(table: &DistanceTable) -> Vec<u64> {
@@ -111,24 +96,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn binary_round_trip_is_bit_equal_and_agrees_with_text(case in table_and_report()) {
-        let (table, report) = case;
-        let bytes = table_to_bytes_with_report(&table, report.as_ref());
-        let (back, back_report) = table_from_bytes_with_report(&bytes).expect("own encoding");
+    fn binary_round_trip_is_bit_equal_and_agrees_with_text(table in table()) {
+        let back = table_from_bytes(&table_to_bytes(&table)).expect("own encoding");
         prop_assert_eq!(bits(&back), bits(&table));
-        let text = table_to_text_with_report(&table, report.as_ref());
-        let (text_back, text_report) = table_from_text_with_report(&text).expect("own text");
+        let text_back = table_from_text(&table_to_text(&table)).expect("own text");
         prop_assert_eq!(bits(&back), bits(&text_back));
-        prop_assert_eq!(back_report, text_report);
-        prop_assert_eq!(
-            back_report.map(|r| r.err_max.to_bits()),
-            report.map(|r| r.err_max.to_bits())
-        );
     }
 
     #[test]
     fn hostile_bytes_never_panic_or_allocate_by_a_claimed_length(
-        case in table_and_report(),
+        table in table(),
+        old_report in prop_oneof![
+            Just(None),
+            Just(None),
+            Just(None),
+            collection::vec(any::<u8>(), 28..29).prop_map(Some),
+        ],
         edits in collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 0..4),
         cut in prop_oneof![Just(None), Just(None), any::<usize>().prop_map(Some)],
         hostile_n in prop_oneof![
@@ -141,8 +124,13 @@ proptest! {
             (0u64..64).prop_map(Some),
         ],
     ) {
-        let (table, report) = case;
-        let mut bytes = table_to_bytes_with_report(&table, report.as_ref());
+        let mut bytes = table_to_bytes(&table);
+        // An old approximate table's encoding: tag 1, then its 28-byte
+        // report before the triangle.
+        if let Some(report) = old_report {
+            bytes[8] = 1;
+            bytes.splice(9..9, report);
+        }
         if let Some(n) = hostile_n {
             bytes[..8].copy_from_slice(&n.to_le_bytes());
         }
@@ -160,16 +148,19 @@ proptest! {
         if let Some(cut) = cut {
             bytes.truncate(cut % (bytes.len() + 1));
         }
-        let (decoded, largest) = watched(|| table_from_bytes_with_report(&bytes));
+        let (decoded, largest) = watched(|| table_from_bytes(&bytes));
+        if let Some(&tag) = bytes.get(8).filter(|&&tag| tag != 0) {
+            prop_assert_eq!(&decoded, &Err(TableParseError::BadReportTag { tag }));
+        }
         match decoded {
             Err(_) => prop_assert_eq!(largest, 0, "allocated for rejected bytes"),
-            Ok((back, back_report)) => {
+            Ok(back) => {
                 let n = back.n();
                 prop_assert_eq!(largest, 8 * n * n);
                 prop_assert!(largest <= 2 * bytes.len() + 8 * n);
                 // Accepted means canonical: these bytes are the encoding
                 // of what came out, so nothing was skipped or guessed.
-                prop_assert_eq!(table_to_bytes_with_report(&back, back_report.as_ref()), bytes);
+                prop_assert_eq!(table_to_bytes(&back), bytes);
             }
         }
     }

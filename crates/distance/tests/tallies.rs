@@ -5,10 +5,9 @@
 //! build, can only assert floors.
 //!
 //! `golden.rs` pins the bits of the table; `BUILD_TALLIES` pins, for the
-//! same 40 build cases at `threads = 1`, how each pair came by its bits:
-//! `[pairs, series_path, sparse solves, approx_pairs, approx_escalations]`,
-//! where the sparse solves are `route_walks − approx_pairs −
-//! dense_solves` (every walked pair is approximated, solved dense or
+//! same 26 build cases at `threads = 1`, how each pair came by its bits:
+//! `[pairs, series_path, sparse solves]`, where the sparse solves are
+//! `route_walks − dense_solves` (every walked pair is solved dense or
 //! solved sparse). A change to how the builder learns that a pair's route
 //! network is a series path must leave every row equal. Recorded on the
 //! commit before the row scan answered a pair with one minimal route
@@ -27,51 +26,34 @@ use std::fmt::Write;
 
 mod nets;
 
-/// `(case, [pairs, series_path, sparse solves, approx_pairs, approx_escalations])`.
-const BUILD_TALLIES: [(&str, [u64; 5]); 40] = [
-    ("paper24/updown/sparse", [276, 136, 140, 0, 0]),
-    ("paper24/updown/dense", [276, 0, 0, 0, 0]),
-    ("paper24/updown/approx", [276, 136, 136, 4, 136]),
-    ("paper24/shortest/sparse", [276, 148, 128, 0, 0]),
-    ("paper24/shortest/dense", [276, 0, 0, 0, 0]),
-    ("paper24/shortest/approx", [276, 148, 116, 12, 116]),
-    ("ring8/updown/sparse", [28, 27, 1, 0, 0]),
-    ("ring8/updown/dense", [28, 0, 0, 0, 0]),
-    ("ring8/updown/approx", [28, 27, 0, 1, 0]),
-    ("ring8/shortest/sparse", [28, 24, 4, 0, 0]),
-    ("ring8/shortest/dense", [28, 0, 0, 0, 0]),
-    ("ring8/shortest/approx", [28, 24, 0, 4, 0]),
-    ("slowdowns12/updown/sparse", [66, 57, 9, 0, 0]),
-    ("slowdowns12/updown/dense", [66, 0, 0, 0, 0]),
-    ("slowdowns12/updown/approx", [66, 57, 5, 4, 5]),
-    ("slowdowns12/shortest/sparse", [66, 39, 27, 0, 0]),
-    ("slowdowns12/shortest/dense", [66, 0, 0, 0, 0]),
-    ("slowdowns12/shortest/approx", [66, 39, 17, 10, 17]),
-    ("random16/updown/sparse", [120, 106, 14, 0, 0]),
-    ("random16/updown/dense", [120, 0, 0, 0, 0]),
-    ("random16/updown/approx", [120, 106, 8, 6, 8]),
-    ("random16/shortest/sparse", [120, 90, 30, 0, 0]),
-    ("random16/shortest/dense", [120, 0, 0, 0, 0]),
-    ("random16/shortest/approx", [120, 90, 10, 20, 10]),
-    ("random64/updown/sparse", [2016, 1632, 384, 0, 0]),
-    ("random64/updown/dense", [2016, 0, 0, 0, 0]),
-    ("random64/updown/approx", [2016, 1632, 343, 41, 343]),
-    ("random64/shortest/sparse", [2016, 1478, 538, 0, 0]),
-    ("random64/shortest/dense", [2016, 0, 0, 0, 0]),
-    ("random64/shortest/approx", [2016, 1478, 361, 177, 361]),
-    ("random96/updown/sparse", [4560, 4044, 516, 0, 0]),
-    ("random96/updown/dense", [4560, 0, 0, 0, 0]),
-    ("random96/updown/approx", [4560, 4044, 460, 56, 460]),
-    ("random96/shortest/sparse", [4560, 3352, 1208, 0, 0]),
-    ("random96/shortest/dense", [4560, 0, 0, 0, 0]),
-    ("random96/shortest/approx", [4560, 3352, 746, 462, 746]),
-    ("random320/updown/sparse", [51040, 43279, 7761, 0, 0]),
-    ("random320/updown/approx", [51040, 43279, 7434, 327, 7434]),
-    ("random320/shortest/sparse", [51040, 37208, 13832, 0, 0]),
-    (
-        "random320/shortest/approx",
-        [51040, 37208, 9333, 4499, 9333],
-    ),
+/// `(case, [pairs, series_path, sparse solves])`.
+const BUILD_TALLIES: [(&str, [u64; 3]); 26] = [
+    ("paper24/updown/sparse", [276, 136, 140]),
+    ("paper24/updown/dense", [276, 0, 0]),
+    ("paper24/shortest/sparse", [276, 148, 128]),
+    ("paper24/shortest/dense", [276, 0, 0]),
+    ("ring8/updown/sparse", [28, 27, 1]),
+    ("ring8/updown/dense", [28, 0, 0]),
+    ("ring8/shortest/sparse", [28, 24, 4]),
+    ("ring8/shortest/dense", [28, 0, 0]),
+    ("slowdowns12/updown/sparse", [66, 57, 9]),
+    ("slowdowns12/updown/dense", [66, 0, 0]),
+    ("slowdowns12/shortest/sparse", [66, 39, 27]),
+    ("slowdowns12/shortest/dense", [66, 0, 0]),
+    ("random16/updown/sparse", [120, 106, 14]),
+    ("random16/updown/dense", [120, 0, 0]),
+    ("random16/shortest/sparse", [120, 90, 30]),
+    ("random16/shortest/dense", [120, 0, 0]),
+    ("random64/updown/sparse", [2016, 1632, 384]),
+    ("random64/updown/dense", [2016, 0, 0]),
+    ("random64/shortest/sparse", [2016, 1478, 538]),
+    ("random64/shortest/dense", [2016, 0, 0]),
+    ("random96/updown/sparse", [4560, 4044, 516]),
+    ("random96/updown/dense", [4560, 0, 0]),
+    ("random96/shortest/sparse", [4560, 3352, 1208]),
+    ("random96/shortest/dense", [4560, 0, 0]),
+    ("random320/updown/sparse", [51040, 43279, 7761]),
+    ("random320/shortest/sparse", [51040, 37208, 13832]),
 ];
 
 fn cell(name: &str) -> u64 {
@@ -87,7 +69,7 @@ fn deltas<const K: usize>(names: [&str; K], f: impl FnOnce()) -> [u64; K] {
 }
 
 /// The tally row of every golden build case, in `golden.rs` order.
-fn build_tallies() -> Vec<(String, [u64; 5])> {
+fn build_tallies() -> Vec<(String, [u64; 3])> {
     let mut rows = Vec::new();
     for (net, topo) in nets::all() {
         for (routing_name, routing) in &nets::routed(&topo) {
@@ -97,19 +79,13 @@ fn build_tallies() -> Vec<(String, [u64; 5])> {
                 {
                     continue;
                 }
-                let options = TableOptions {
-                    solver,
-                    threads: 1,
-                    ..TableOptions::approximate(0.05)
-                };
-                let [pairs, series, walks, dense, approx, escalated] = deltas(
+                let options = TableOptions { solver, threads: 1 };
+                let [pairs, series, walks, dense] = deltas(
                     [
                         "distance_pairs_total",
                         "distance_series_path_total",
                         "distance_route_walks_total",
                         "distance_dense_solves_total",
-                        "distance_approx_pairs_total",
-                        "distance_approx_escalations_total",
                     ],
                     || {
                         equivalent_distance_table_with(&topo, &**routing, options).unwrap();
@@ -121,8 +97,8 @@ fn build_tallies() -> Vec<(String, [u64; 5])> {
                 // recorded rows: 7 761 walks for the 51 040 pairs of
                 // random320/updown, 128 for the 276 of paper24/shortest).
                 assert_eq!(walks, pairs - series, "{name}: walks");
-                let solves = walks - approx - dense;
-                rows.push((name, [pairs, series, solves, approx, escalated]));
+                let solves = walks - dense;
+                rows.push((name, [pairs, series, solves]));
             }
         }
     }

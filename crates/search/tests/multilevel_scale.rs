@@ -4,44 +4,32 @@
 //! and genuine coarsening on every tested size.
 
 use commsched_core::quality;
-use commsched_distance::{equivalent_distance_table_with, DistanceTable, SolverKind, TableOptions};
+use commsched_distance::{equivalent_distance_table_with, DistanceTable, TableOptions};
 use commsched_routing::UpDownRouting;
 use commsched_search::{multilevel_map, Mapper, MultilevelParams, TabuParams, TabuSearch};
 use commsched_topology::{random_regular, RandomTopologyConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn table_with(seed: u64, n: usize, solver: SolverKind) -> DistanceTable {
+fn table_for(seed: u64, n: usize) -> DistanceTable {
     let mut rng = StdRng::seed_from_u64(seed);
     let topo = random_regular(RandomTopologyConfig::paper(n), &mut rng).unwrap();
     let routing = UpDownRouting::new(&topo, 0).unwrap();
     let options = TableOptions {
-        solver,
         threads: 0,
-        approx_eps_micros: 50_000,
+        ..TableOptions::default()
     };
     equivalent_distance_table_with(&topo, &routing, options).unwrap()
-}
-
-fn table_for(seed: u64, n: usize) -> DistanceTable {
-    table_with(seed, n, SolverKind::default())
 }
 
 fn balanced_sizes(n: usize, clusters: usize) -> Vec<usize> {
     vec![n / clusters; clusters]
 }
 
-/// The last input maps on the `eps = 0.05` approximate table, as the
-/// daemon does at scale; every arm is scored on the exact one.
 #[test]
 fn multilevel_within_5_percent_of_flat_tabu() {
-    for (n, topo_seed, map_on_approx) in [
-        (64usize, 9_064u64, false),
-        (128, 9_128, false),
-        (128, 9_128, true),
-    ] {
+    for (n, topo_seed) in [(64usize, 9_064u64), (128, 9_128)] {
         let table = table_for(topo_seed, n);
-        let approx = map_on_approx.then(|| table_with(topo_seed, n, SolverKind::Approximate));
         let sizes = balanced_sizes(n, 4);
 
         let mut rng = StdRng::seed_from_u64(42);
@@ -51,11 +39,11 @@ fn multilevel_within_5_percent_of_flat_tabu() {
             max_coarse_n: 32,
             ..MultilevelParams::default()
         };
-        let (ml, stats) = multilevel_map(approx.as_ref().unwrap_or(&table), &sizes, 42, &params);
+        let (ml, stats) = multilevel_map(&table, &sizes, 42, &params);
         assert!(stats.levels >= 1, "N={n}: no coarsening happened");
         let ml_fg = quality(&ml.partition, &table).fg;
         eprintln!(
-            "N={n} approx={map_on_approx}: flat {:.6} multilevel {:.6} ratio {:.4} ({} levels, {} moves)",
+            "N={n}: flat {:.6} multilevel {:.6} ratio {:.4} ({} levels, {} moves)",
             flat.fg,
             ml_fg,
             ml_fg / flat.fg,
@@ -64,7 +52,7 @@ fn multilevel_within_5_percent_of_flat_tabu() {
         );
         assert!(
             ml_fg <= flat.fg * 1.05 + 1e-12,
-            "N={n} approx={map_on_approx}: multilevel F_G {ml_fg:.6} more than 5% above flat {:.6}",
+            "N={n}: multilevel F_G {ml_fg:.6} more than 5% above flat {:.6}",
             flat.fg
         );
     }

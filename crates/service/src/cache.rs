@@ -8,8 +8,8 @@
 //! condvar and then share the result — they count as hits, because they
 //! obtained the table without solving.
 
+use commsched_distance::SharedDistanceTable;
 pub use commsched_distance::TableSpec;
-use commsched_distance::{ApproxReport, SharedDistanceTable};
 use commsched_routing::Routing;
 pub use commsched_routing::RoutingSpec;
 use std::collections::HashMap;
@@ -24,9 +24,6 @@ pub struct RoutedTable {
     /// The table of equivalent distances under that routing, as a
     /// shareable handle so jobs can keep it past an LRU eviction.
     pub table: SharedDistanceTable,
-    /// The certified error report when the table was built by the
-    /// approximate solver (`None` for exact tables).
-    pub approx: Option<ApproxReport>,
 }
 
 type Key = (u64, RoutingSpec, TableSpec);
@@ -340,7 +337,6 @@ mod tests {
         RoutedTable {
             routing: Box::new(routing),
             table,
-            approx: None,
         }
     }
 

@@ -3,7 +3,6 @@
 //! fingerprint with its successor.
 
 use super::ServiceCore;
-use crate::cache::TableSpec;
 use crate::persist::state as pstate;
 use crate::protocol::{format_fingerprint, TopoRef};
 use commsched_dynamics::{FaultEvent, TopologyEpoch};
@@ -140,15 +139,7 @@ impl ServiceCore {
         let removed = self.cache.invalidate_topology(old_fp);
         let mut repair_lines = Vec::new();
         let mut refreshed = 0usize;
-        for (spec, tspec, stale) in &removed {
-            if let TableSpec::Approx { .. } = tspec {
-                // An approximate table's `ApproxReport` certifies a whole
-                // build, and a repair solves its pairs exactly: a patched
-                // table would carry a report that no longer describes it.
-                // Drop it; the successor's is rebuilt on demand.
-                repair_lines.push(format!("repair {spec} {tspec} dropped"));
-                continue;
-            }
+        for (spec, _, stale) in &removed {
             match self.refresh_entry(&old, &next, *spec, stale) {
                 Ok(Some(rep)) => {
                     refreshed += 1;
@@ -244,7 +235,6 @@ mod tests {
                 topo: TopoRef::Paper24,
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                approx_eps_micros: 0,
                 deadline_ms: None,
                 mem: 0,
                 kind: JobKind::Schedule {
@@ -317,7 +307,6 @@ mod tests {
                 topo: TopoRef::Registered(new_fp),
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                approx_eps_micros: 0,
                 deadline_ms: None,
                 mem: 0,
                 kind: JobKind::Schedule {
@@ -342,7 +331,6 @@ mod tests {
                 topo: TopoRef::Registered(fp),
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                approx_eps_micros: 0,
                 deadline_ms: None,
                 mem: 0,
                 kind: JobKind::Schedule {

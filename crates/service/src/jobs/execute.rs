@@ -6,7 +6,7 @@ use super::ServiceCore;
 use crate::cache::{RoutedTable, RoutingSpec, TableSpec};
 use crate::protocol::{JobKind, JobSpec};
 use commsched_core::{quality, ProcessMapping, Workload};
-use commsched_distance::equivalent_distance_table_with_report;
+use commsched_distance::equivalent_distance_table_with;
 use commsched_dynamics::{repair_table, RepairReport, TopologyEpoch};
 use commsched_netsim::{paper_sweep, SimConfig, SweepConfig};
 use commsched_search::{map_partition, resolve_threads, MapPlan, MultilevelParams, TabuParams};
@@ -14,18 +14,15 @@ use commsched_topology::Topology;
 use std::sync::Arc;
 
 impl ServiceCore {
-    /// The cached routing + distance table for a topology, under the
-    /// given solver spec (exact, or the certified approximation). A
-    /// build is only noted here: the table's spill file is written by
-    /// the worker after the job has settled, not between the build and
-    /// the search.
+    /// The cached routing + distance table for a topology. A build is
+    /// only noted here: the table's spill file is written by the worker
+    /// after the job has settled, not between the build and the search.
     fn routed_table(
         &self,
         topo: &Arc<Topology>,
         routing: RoutingSpec,
-        tspec: TableSpec,
     ) -> Result<Arc<RoutedTable>, String> {
-        let key = (topo.fingerprint(), routing, tspec);
+        let key = (topo.fingerprint(), routing, TableSpec::Exact);
         let topo_for_build = Arc::clone(topo);
         let threads = self.config.table_threads;
         // The flag is set inside the closure, which only the winning
@@ -35,17 +32,16 @@ impl ServiceCore {
         let built_flag = &mut built;
         let value = self.cache.get_or_build(key, move || {
             let routing_impl = routing.build(&topo_for_build).map_err(|e| e.to_string())?;
-            let (table, approx) = equivalent_distance_table_with_report(
+            let table = equivalent_distance_table_with(
                 &topo_for_build,
                 routing_impl.as_ref(),
-                tspec.options(threads),
+                TableSpec::Exact.options(threads),
             )
             .map_err(|e| e.to_string())?;
             *built_flag = true;
             Ok(RoutedTable {
                 routing: routing_impl,
                 table: table.into_shared(),
-                approx,
             })
         })?;
         if built {
@@ -88,7 +84,6 @@ impl ServiceCore {
             Ok(RoutedTable {
                 routing,
                 table: table.into_shared(),
-                approx: None,
             })
         })?;
         Ok(report)
@@ -113,11 +108,7 @@ impl ServiceCore {
             }
         };
         let topo = self.resolve_topology(spec.topo)?;
-        let tspec = TableSpec::from_eps_micros(spec.approx_eps_micros);
-        let routed = self.routed_table(&topo, spec.routing, tspec)?;
-        if let Some(rep) = &routed.approx {
-            self.stats.note_approx_err_max(rep.err_max);
-        }
+        let routed = self.routed_table(&topo, spec.routing)?;
         let workload = Workload::balanced(&topo, clusters).map_err(|e| e.to_string())?;
         let sizes = workload.switch_demands(topo.hosts_per_switch());
         let plan = MapPlan {
@@ -153,14 +144,6 @@ impl ServiceCore {
             lines.push(format!("ml_levels {}", stats.levels));
             lines.push(format!("ml_coarse_n {}", stats.coarse_n));
             lines.push(format!("ml_refine_moves {}", stats.refine_moves));
-        }
-        if let Some(rep) = &routed.approx {
-            lines.push(format!("approx_eps {:.6}", rep.eps));
-            lines.push(format!("approx_err_max {:.9e}", rep.err_max));
-            lines.push(format!(
-                "approx_pairs {} escalated {}",
-                rep.pairs_approximated, rep.pairs_escalated
-            ));
         }
         if let JobKind::Sweep { points, .. } = spec.kind {
             let mapping = ProcessMapping::place(&topo, &workload, &result.partition)

@@ -496,7 +496,6 @@ mod testkit {
             },
             routing: RoutingSpec::UpDown { root: 0 },
             strategy: MapStrategy::Flat,
-            approx_eps_micros: 0,
             deadline_ms: None,
             mem: 0,
             kind: JobKind::Schedule { clusters: 2, seed },

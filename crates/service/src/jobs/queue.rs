@@ -365,7 +365,6 @@ mod tests {
                 topo: TopoRef::Paper24,
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                approx_eps_micros: 0,
                 deadline_ms: None,
                 mem: 0,
                 kind: JobKind::Noop,

@@ -104,7 +104,7 @@ impl ServiceCore {
         // Restored tables are bit-exact (a spill file holds the table's
         // `f64::to_bits`), so post-restart faults still take the
         // incremental-repair path instead of a full rebuild.
-        for ((fp, spec, tspec), table, approx) in recovered.tables {
+        for ((fp, spec, tspec), table) in recovered.tables {
             // No job can name a fingerprint a fault has superseded.
             if recovered.successor.contains_key(&fp) {
                 continue;
@@ -118,7 +118,6 @@ impl ServiceCore {
                 Arc::new(RoutedTable {
                     routing,
                     table: table.into_shared(),
-                    approx,
                 }),
             );
             report.restored_tables += 1;
@@ -221,7 +220,6 @@ mod tests {
             topo: TopoRef::Paper24,
             routing: RoutingSpec::UpDown { root: 0 },
             strategy: MapStrategy::Flat,
-            approx_eps_micros: 0,
             deadline_ms: None,
             mem: 0,
             kind: JobKind::Noop,
@@ -304,7 +302,6 @@ mod tests {
             topo: TopoRef::Registered(fp),
             routing: RoutingSpec::UpDown { root: 0 },
             strategy: MapStrategy::Flat,
-            approx_eps_micros: 0,
             deadline_ms: None,
             mem: 0,
             kind: JobKind::Schedule { clusters: 4, seed },

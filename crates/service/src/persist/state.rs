@@ -37,7 +37,7 @@ use crate::jobs::{JobId, JobState};
 use crate::protocol::{
     format_fingerprint, format_job_spec, parse_fingerprint, parse_job_spec, JobSpec,
 };
-use commsched_distance::{table_to_bytes_with_report, ApproxReport, DistanceTable};
+use commsched_distance::{table_to_bytes, ApproxReport, DistanceTable};
 use commsched_topology::Topology;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -114,28 +114,23 @@ impl CacheRecord {
 
 /// `cache <fp> <spec> <tablespec>` + the table's bits (the upper
 /// triangle as `f64::to_bits`, so what a restart restores is what was
-/// built, with no float formatting or parsing on either side;
-/// approximate tables carry their certified error report in the body).
+/// built, with no float formatting or parsing on either side).
+/// `_report` has no values: every table is exact.
 pub fn record_cache(
     fp: u64,
     spec: RoutingSpec,
     table_spec: TableSpec,
     table: &DistanceTable,
-    report: Option<&ApproxReport>,
+    _report: Option<&ApproxReport>,
 ) -> CacheRecord {
     let mut out = format!("cache {} {spec} {table_spec}\n", format_fingerprint(fp)).into_bytes();
-    out.extend_from_slice(&table_to_bytes_with_report(table, report));
+    out.extend_from_slice(&table_to_bytes(table));
     CacheRecord(out)
 }
 
 /// One recovered cache entry: the `(fingerprint, routing, table-spec)`
-/// key, the table itself, and the approximate build's report when the
-/// spec is approximate.
-pub type RecoveredTable = (
-    (u64, RoutingSpec, TableSpec),
-    DistanceTable,
-    Option<ApproxReport>,
-);
+/// key and the table itself.
+pub type RecoveredTable = ((u64, RoutingSpec, TableSpec), DistanceTable);
 
 /// One job as reconstructed from the log.
 #[derive(Debug, Clone)]
@@ -170,8 +165,7 @@ pub struct RecoveredState {
     pub index: HashMap<u64, u64>,
     /// Cached tables in recency order (oldest first), as the spill
     /// store read them (`TableStore::load_into`; no record of the log
-    /// or the snapshot adds one). The report is present for approximate
-    /// tables.
+    /// or the snapshot adds one).
     pub tables: Vec<RecoveredTable>,
     /// `cache` records met in the log or the snapshot and skipped: an
     /// older daemon's in-log tables, which rebuild on first use.
@@ -308,7 +302,6 @@ mod tests {
             },
             routing: RoutingSpec::UpDown { root: 0 },
             strategy: MapStrategy::Flat,
-            approx_eps_micros: 0,
             deadline_ms: None,
             mem: 0,
             kind: JobKind::Schedule { clusters: 2, seed },

@@ -1,25 +1,26 @@
 //! The table spill store: one file per cached distance table.
 //!
 //! A table of equivalent distances is derived state — a pure function
-//! of (topology, routing, solver spec) — so it stays out of the WAL and
-//! the snapshot. Each cached table lives in `<state-dir>/tables/` under
-//! a name derived from its cache key, holding exactly one `cache`
-//! record ([`super::state::record_cache`]) in the WAL frame (see
+//! of (topology, routing) — so it stays out of the WAL and the
+//! snapshot. Each cached table lives in `<state-dir>/tables/` under a
+//! name derived from its cache key, holding exactly one `cache` record
+//! ([`super::state::record_cache`]) in the WAL frame (see
 //! [`super::wal`]): a UTF-8 head line naming the key, then the table's
-//! bits in the binary format of `commsched_distance::io` — `n`, the
-//! optional approximation report, and the upper triangle as
-//! `f64::to_bits`, so a restored table is the built one bit for bit and
-//! neither side formats or parses a float. It is the one frame whose
+//! bits in the binary format of `commsched_distance::io` — `n`, a zero
+//! report tag, and the upper triangle as `f64::to_bits`, so a restored
+//! table is the built one bit for bit and neither side formats or parses
+//! a float. It is the one frame whose
 //! payload is not all text, and this module reads it itself
 //! (`load_file`), not through the log's interpreter.
 //!
 //! Files are written tmp + rename, so a reader sees a whole file or
 //! none; whatever else is found there — a stray tmp file, a file whose
 //! bytes never reached the disk, a file in the text format of an older
-//! daemon, bytes an operator put there — fails a check and costs a
-//! rebuild, never an error: the file is bytes from outside the program,
-//! and every length in it is proved against the bytes present before
-//! anything is sized by it.
+//! daemon or holding an older daemon's approximate table, bytes an
+//! operator put there — fails a check and costs a rebuild, never an
+//! error: the file is bytes from outside the program, and every length
+//! in it is proved against the bytes present before anything is sized
+//! by it.
 //!
 //! Writes happen off the job's critical path: a worker spills after it
 //! has settled the job that built a table, so the directory may lag the
@@ -35,7 +36,7 @@ use super::state::{record_cache, RecoveredState, RecoveredTable};
 use super::wal;
 use crate::cache::{DistanceCache, RoutedTable, RoutingSpec, TableSpec};
 use crate::protocol::{format_fingerprint, parse_fingerprint};
-use commsched_distance::table_from_bytes_with_report;
+use commsched_distance::table_from_bytes;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
@@ -148,7 +149,7 @@ impl TableStore {
             Err(_) => report.errors += 1,
         }
         for (name, ((fp, routing, tspec), value)) in missing {
-            let record = record_cache(fp, routing, tspec, &value.table, value.approx.as_ref());
+            let record = record_cache(fp, routing, tspec, &value.table, None);
             match self.put(&name, record.as_bytes(), fsync) {
                 Ok(bytes) => {
                     report.spilled += 1;
@@ -219,8 +220,8 @@ fn load_file(path: &Path) -> Option<RecoveredTable> {
     if path.file_name()?.to_str()? != file_name(key) {
         return None;
     }
-    let (table, report) = table_from_bytes_with_report(&payload[head_len + 1..]).ok()?;
-    Some((key, table, report))
+    let table = table_from_bytes(&payload[head_len + 1..]).ok()?;
+    Some((key, table))
 }
 
 #[cfg(test)]
@@ -251,7 +252,6 @@ mod tests {
             let value = RoutedTable {
                 routing: Box::new(routing),
                 table: table.into_shared(),
-                approx: None,
             };
             cache.insert_ready(key(fp), Arc::new(value));
         }
@@ -283,12 +283,8 @@ mod tests {
             "0000000000c0ffee-updown_0-exact.tbl"
         );
         assert_eq!(
-            file_name((
-                1,
-                RoutingSpec::ShortestPath,
-                TableSpec::Approx { eps_micros: 50_000 }
-            )),
-            "0000000000000001-shortest-approx_50000.tbl"
+            file_name((1, RoutingSpec::ShortestPath, TableSpec::Exact)),
+            "0000000000000001-shortest-exact.tbl"
         );
     }
 
@@ -342,7 +338,7 @@ mod tests {
         let mut state = RecoveredState::default();
         assert_eq!(store.load_into(&mut state), 4);
         assert_eq!(state.tables.len(), 1);
-        let (got_key, table, _) = &state.tables[0];
+        let (got_key, table) = &state.tables[0];
         assert_eq!(*got_key, key(1));
         let (_, expected) = &cache.ready_entries()[0];
         for i in 0..5 {
@@ -357,38 +353,76 @@ mod tests {
     }
 
     #[test]
-    fn a_file_restores_its_table_spec_and_report_bit_exactly() {
+    fn a_file_restores_its_table_bit_exactly() {
         let dir = temp_dir("file");
         std::fs::create_dir_all(&dir).unwrap();
         let topo = designed::ring(5, 2);
         let routing = UpDownRouting::new(&topo, 0).unwrap();
         let table = equivalent_distance_table(&topo, &routing).unwrap();
-        let report = commsched_distance::ApproxReport {
-            eps: 0.05,
-            err_max: 0.01,
-            pairs_approximated: 6,
-            pairs_escalated: 4,
-        };
-        // An approximate entry and an exact entry for the same
-        // fingerprint + routing are distinct keys, hence distinct files.
-        let fp = topo.fingerprint();
-        let approx_key = (
-            fp,
-            RoutingSpec::UpDown { root: 0 },
-            TableSpec::Approx { eps_micros: 50_000 },
-        );
-        for (key, report) in [(key(fp), None), (approx_key, Some(report))] {
-            let record = record_cache(key.0, key.1, key.2, &table, report.as_ref());
-            let path = write_file(&dir, key, record.as_bytes());
-            let (got_key, got, got_report) = load_file(&path).expect("intact file");
-            assert_eq!(got_key, key);
-            assert_eq!(got_report, report);
-            for i in 0..topo.num_switches() {
-                for j in 0..topo.num_switches() {
-                    assert_eq!(got.get(i, j).to_bits(), table.get(i, j).to_bits());
-                }
+        let key = key(topo.fingerprint());
+        let record = record_cache(key.0, key.1, key.2, &table, None);
+        let path = write_file(&dir, key, record.as_bytes());
+        let (got_key, got) = load_file(&path).expect("intact file");
+        assert_eq!(got_key, key);
+        for i in 0..topo.num_switches() {
+            for j in 0..topo.num_switches() {
+                assert_eq!(got.get(i, j).to_bits(), table.get(i, j).to_bits());
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_stale_approximate_file_is_counted_and_deleted() {
+        let dir = temp_dir("approx");
+        let store = TableStore::open(&dir).unwrap();
+        let tables = dir.join(TABLES_DIR);
+        // What an older daemon spilled for an `approx-eps=0.05` job: the
+        // key's name and head, then a 2-switch table tagged 1, its report
+        // (eps micros, err_max, pairs approximated and escalated) before
+        // the triangle.
+        let name = "0000000000000001-updown_0-approx_50000.tbl";
+        let head = "cache 0000000000000001 updown:0 approx:50000\n";
+        let mut body = 2u64.to_le_bytes().to_vec();
+        body.push(1);
+        body.extend_from_slice(&50_000u32.to_le_bytes());
+        body.extend_from_slice(&0.01f64.to_bits().to_le_bytes());
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&0u64.to_le_bytes());
+        body.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
+        let mut frame = Vec::new();
+        wal::encode_frame(&mut frame, &[head.as_bytes(), &body].concat()).unwrap();
+        std::fs::write(tables.join(name), &frame).unwrap();
+        assert!(load_file(&tables.join(name)).is_none());
+        // Either half alone is refused as well: the body under an exact
+        // key's head fails the decoder on its tag.
+        let exact_head = "cache 0000000000000001 updown:0 exact\n";
+        let path = write_file(&tables, key(1), &[exact_head.as_bytes(), &body].concat());
+        assert!(load_file(&path).is_none());
+        std::fs::remove_file(path).unwrap();
+
+        let mut state = RecoveredState::default();
+        assert_eq!(store.load_into(&mut state), 1);
+        assert!(state.tables.is_empty());
+        let report = store.sync(&DistanceCache::new(8), false);
+        assert_eq!((report.spilled, report.errors), (0, 0));
+        assert!(names(&dir).is_empty());
+
+        // A restart on such a directory: one spill error, no table, and
+        // the file is gone.
+        std::fs::write(tables.join(name), &frame).unwrap();
+        let (core, recovered) = crate::ServiceCore::recover(
+            crate::ServiceCoreConfig::default(),
+            super::super::PersistOptions::new(&dir),
+        )
+        .unwrap();
+        assert_eq!(recovered.restored_tables, 0);
+        let metrics = core.stats.registry().render_prometheus();
+        assert!(
+            metrics.contains("service_table_spill_errors_total 1\n"),
+            "{metrics}"
+        );
+        assert!(names(&dir).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -401,7 +435,7 @@ mod tests {
         let table = equivalent_distance_table(&topo, &routing).unwrap();
         let k = key(topo.fingerprint());
         let head = format!("cache {} updown:0 exact\n", format_fingerprint(k.0));
-        let body = commsched_distance::table_to_bytes_with_report(&table, None);
+        let body = commsched_distance::table_to_bytes(&table);
         let with_head = |head: &str| [head.as_bytes(), &body[..]].concat();
         assert!(load_file(&write_file(&dir, k, &with_head(&head))).is_some());
 

@@ -338,7 +338,6 @@ mod tests {
                 topo: TopoRef::Paper24,
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                approx_eps_micros: 0,
                 deadline_ms: None,
                 mem: 0,
                 kind: JobKind::Schedule {
@@ -359,7 +358,6 @@ mod tests {
                 },
                 routing: RoutingSpec::ShortestPath,
                 strategy: MapStrategy::Flat,
-                approx_eps_micros: 0,
                 deadline_ms: None,
                 mem: 0,
                 kind: JobKind::Sweep {
@@ -483,7 +481,6 @@ mod tests {
                 topo: TopoRef::Paper24,
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                approx_eps_micros: 0,
                 deadline_ms: None,
                 mem: 0,
                 kind: JobKind::Noop,
@@ -496,7 +493,6 @@ mod tests {
             },
             routing: RoutingSpec::ShortestPath,
             strategy: MapStrategy::Flat,
-            approx_eps_micros: 0,
             deadline_ms: None,
             mem: 0,
             kind: JobKind::Noop,
@@ -537,7 +533,6 @@ mod tests {
                 topo: TopoRef::Paper24,
                 routing: RoutingSpec::UpDown { root: 3 },
                 strategy: MapStrategy::Flat,
-                approx_eps_micros: 0,
                 deadline_ms: None,
                 mem: 0,
                 kind: JobKind::Schedule {
@@ -549,7 +544,6 @@ mod tests {
                 topo: TopoRef::Registered(0xdead_beef_0123_4567),
                 routing: RoutingSpec::ShortestPath,
                 strategy: MapStrategy::Flat,
-                approx_eps_micros: 0,
                 deadline_ms: None,
                 mem: 0,
                 kind: JobKind::Sweep {
@@ -567,7 +561,6 @@ mod tests {
                 },
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                approx_eps_micros: 0,
                 deadline_ms: None,
                 mem: 0,
                 kind: JobKind::Schedule {

@@ -69,9 +69,6 @@ pub struct JobSpec {
     /// default) or the coarsen→map→refine pipeline
     /// (`strategy=multilevel`).
     pub strategy: commsched_search::MapStrategy,
-    /// Distance-table error budget from `approx-eps=<float>`, stored ×1e6
-    /// (0 = exact solver, the default).
-    pub approx_eps_micros: u32,
     /// Soft completion deadline in milliseconds from acceptance, from
     /// `deadline-ms=<u64>`; `None` (the default) means no deadline. The
     /// service reports attainment, it does not kill late jobs.
@@ -92,7 +89,6 @@ impl Default for JobSpec {
             topo: TopoRef::Paper24,
             routing: crate::cache::RoutingSpec::UpDown { root: 0 },
             strategy: commsched_search::MapStrategy::Flat,
-            approx_eps_micros: 0,
             deadline_ms: None,
             mem: 0,
             kind: JobKind::Noop,
@@ -174,13 +170,20 @@ impl TopoRef {
 
 impl JobSpec {
     /// The single door for a job off the wire — a `SUBMIT` line, an
-    /// `OP_REQ` frame, a batch entry: parse the argument words, then apply
-    /// the wire limits. ([`parse_job_spec`] is the log's door: no limits.)
+    /// `OP_REQ` frame, a batch entry: parse the argument words, refuse
+    /// an approximate table, then apply the wire limits.
+    /// ([`parse_job_spec`] is the log's door: no limits, and an
+    /// `approx-eps` an older daemon logged is ignored.)
     ///
     /// # Errors
-    /// The parse error, or `limit-exceeded: <what> <value> > <max>`.
+    /// The parse error, `unsupported: approx-eps <x> (tables are exact)`
+    /// for a non-zero `approx-eps`, or `limit-exceeded: <what> <value> >
+    /// <max>`.
     pub fn from_wire(words: &[&str]) -> Result<Self, String> {
-        let spec = parse_submit(words)?;
+        let (spec, approx_eps) = parse_submit(words)?;
+        if let Some(eps) = approx_eps {
+            return Err(format!("unsupported: approx-eps {eps} (tables are exact)"));
+        }
         spec.check_wire_limits()?;
         Ok(spec)
     }
@@ -239,30 +242,28 @@ pub(super) fn parse_topo_ref(value: &str) -> Result<TopoRef, String> {
     }
 }
 
-fn parse_approx_eps(value: &str) -> Result<u32, String> {
+/// `Some(value)` for the non-zero relative-error budget an approximate
+/// table was once built at, `None` for zero.
+fn parse_approx_eps(value: &str) -> Result<Option<&str>, String> {
     let eps: f64 = value
         .parse()
         .map_err(|_| format!("bad approx-eps '{value}'"))?;
     if !eps.is_finite() || eps < 0.0 {
         return Err(format!("bad approx-eps '{value}'"));
     }
-    Ok(commsched_distance::eps_to_micros(eps))
+    Ok((eps != 0.0).then_some(value))
 }
 
-fn format_approx_eps(micros: u32) -> String {
-    // micros/1e6 is exact in f64 and Rust prints the shortest digits
-    // that round-trip, so parse(format(x)) == x.
-    format!("{}", f64::from(micros) / 1e6)
-}
-
-fn parse_submit(words: &[&str]) -> Result<JobSpec, String> {
+/// The spec, and the non-zero `approx-eps` value it named, if any: the
+/// log's door ignores it, the wire's refuses it.
+fn parse_submit<'a>(words: &[&'a str]) -> Result<(JobSpec, Option<&'a str>), String> {
     let Some((&kind_word, kv)) = words.split_first() else {
         return Err("SUBMIT needs a job type".into());
     };
     let mut topo = None;
     let mut routing = crate::cache::RoutingSpec::UpDown { root: 0 };
     let mut strategy = commsched_search::MapStrategy::Flat;
-    let mut approx_eps_micros = 0u32;
+    let mut approx_eps = None;
     let mut clusters = 4usize;
     let mut seed = 42u64;
     let mut points = 9usize;
@@ -276,7 +277,7 @@ fn parse_submit(words: &[&str]) -> Result<JobSpec, String> {
             "topo" => topo = Some(parse_topo_ref(value)?),
             "routing" => routing = value.parse()?,
             "strategy" => strategy = value.parse()?,
-            "approx-eps" => approx_eps_micros = parse_approx_eps(value)?,
+            "approx-eps" => approx_eps = parse_approx_eps(value)?,
             "clusters" => {
                 clusters = value
                     .parse()
@@ -311,15 +312,15 @@ fn parse_submit(words: &[&str]) -> Result<JobSpec, String> {
         (None, JobKind::Noop) => TopoRef::Paper24,
         (None, _) => return Err("SUBMIT needs topo=...".into()),
     };
-    Ok(JobSpec {
+    let spec = JobSpec {
         topo,
         routing,
         strategy,
-        approx_eps_micros,
         deadline_ms,
         mem,
         kind,
-    })
+    };
+    Ok((spec, approx_eps))
 }
 
 /// Render a [`TopoRef`] the way `SUBMIT`'s `topo=` argument spells it
@@ -346,10 +347,9 @@ pub fn format_job_spec(spec: &JobSpec) -> String {
     let topo = format_topo_ref(&spec.topo);
     let routing = spec.routing;
     let strategy = spec.strategy;
-    let eps = format_approx_eps(spec.approx_eps_micros);
     let mut out = match spec.kind {
         JobKind::Schedule { clusters, seed } => format!(
-            "SCHEDULE topo={topo} routing={routing} strategy={strategy} approx-eps={eps} \
+            "SCHEDULE topo={topo} routing={routing} strategy={strategy} \
              clusters={clusters} seed={seed}"
         ),
         JobKind::Sweep {
@@ -357,7 +357,7 @@ pub fn format_job_spec(spec: &JobSpec) -> String {
             seed,
             points,
         } => format!(
-            "SWEEP topo={topo} routing={routing} strategy={strategy} approx-eps={eps} \
+            "SWEEP topo={topo} routing={routing} strategy={strategy} \
              clusters={clusters} seed={seed} points={points}"
         ),
         JobKind::Noop => format!("NOOP topo={topo} routing={routing}"),
@@ -375,10 +375,40 @@ pub fn format_job_spec(spec: &JobSpec) -> String {
 
 /// Parse the argument words of a `SUBMIT` request (the job-spec half of
 /// the line, without the `SUBMIT` verb). Inverse of [`format_job_spec`].
+/// A well-formed `approx-eps` key, which an older daemon wrote into every
+/// logged spec, is accepted and ignored: the job runs on the exact table.
 ///
 /// # Errors
 /// Returns a human-readable message on malformed input.
 pub fn parse_job_spec(text: &str) -> Result<JobSpec, String> {
     let words: Vec<&str> = text.split_whitespace().collect();
-    parse_submit(&words)
+    parse_submit(&words).map(|(spec, _)| spec)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn approx_eps_is_ignored_from_the_log_and_refused_from_the_wire() {
+        let wire = |text: &str| JobSpec::from_wire(&text.split_whitespace().collect::<Vec<_>>());
+        let plain = "SCHEDULE topo=paper24 strategy=multilevel clusters=4 seed=7";
+        let with = |eps: &str| plain.replace("clusters", &format!("approx-eps={eps} clusters"));
+        let spec = parse_job_spec(plain).unwrap();
+        // The log's door: an older daemon's record runs on the exact table.
+        assert_eq!(parse_job_spec(&with("0.05")), Ok(spec));
+        assert!(!format_job_spec(&spec).contains("approx-eps"));
+        // The wire's door: asking for an approximate table is refused,
+        // asking for none is not.
+        assert_eq!(
+            wire(&with("0.05")),
+            Err("unsupported: approx-eps 0.05 (tables are exact)".to_string())
+        );
+        assert_eq!(wire(&with("0")), Ok(spec));
+        for bad in ["-0.5", "nan", "inf", "five"] {
+            let want = Err(format!("bad approx-eps '{bad}'"));
+            assert_eq!(parse_job_spec(&with(bad)), want);
+            assert_eq!(wire(&with(bad)), want);
+        }
+    }
 }

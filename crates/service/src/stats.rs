@@ -45,9 +45,6 @@ pub struct ServiceStats {
     ml_levels: Gauge,
     /// Refinement swaps applied across all multilevel jobs.
     ml_refine_moves: Counter,
-    /// Largest certified approximation error observed in any table this
-    /// core built, in micro-units (×1e6).
-    approx_err_max_micros: Gauge,
     /// Time jobs spent queued before a worker picked them up.
     queue_wait_ms: Histo,
     /// Worker execution time.
@@ -130,10 +127,6 @@ impl ServiceStats {
             "service_ml_refine_moves_total",
             "Refinement swaps applied across all multilevel mapping jobs",
         );
-        let approx_err_max_micros = registry.gauge(
-            "service_approx_table_err_max_micros",
-            "Largest certified approximate-table relative error observed, x1e6",
-        );
         let queue_wait_ms = registry.histogram(
             "service_job_queue_wait_ms",
             "Milliseconds jobs spent queued before a worker picked them up",
@@ -162,7 +155,6 @@ impl ServiceStats {
             table_spill_errors,
             ml_levels,
             ml_refine_moves,
-            approx_err_max_micros,
             queue_wait_ms,
             run_ms,
             net,
@@ -326,20 +318,6 @@ impl ServiceStats {
         self.ml_refine_moves.get()
     }
 
-    /// Fold one table's certified max relative error into the running
-    /// maximum (kept in micro-units so the gauge stays integral).
-    pub fn note_approx_err_max(&self, err: f64) {
-        let micros = (err * 1e6).clamp(0.0, i64::MAX as f64) as i64;
-        if micros > self.approx_err_max_micros.get() {
-            self.approx_err_max_micros.set(micros);
-        }
-    }
-
-    /// Largest certified approximate-table error observed, ×1e6.
-    pub fn approx_err_max_micros(&self) -> i64 {
-        self.approx_err_max_micros.get()
-    }
-
     /// `key value` lines for the `STATS` response (the caller appends
     /// queue gauges and cache counters it owns).
     pub fn report_lines(&self) -> Vec<String> {
@@ -361,10 +339,6 @@ impl ServiceStats {
             format!("table_spill_errors {}", self.table_spill_errors()),
             format!("ml_levels {}", self.ml_levels()),
             format!("ml_refine_moves {}", self.ml_refine_moves()),
-            format!(
-                "approx_table_err_max_micros {}",
-                self.approx_err_max_micros()
-            ),
             format!("net_connections_open {}", self.net.connections_open.get()),
             format!("net_frames_rx {}", self.net.frames_rx.get()),
             format!("net_frames_tx {}", self.net.frames_tx.get()),
@@ -413,8 +387,6 @@ mod tests {
         s.note_table_recovery(3, 2, 11_000);
         s.note_multilevel(3, 17);
         s.note_multilevel(2, 5);
-        s.note_approx_err_max(0.04);
-        s.note_approx_err_max(0.01); // running max keeps the larger
 
         assert_eq!(s.submitted(), 2);
         assert_eq!(s.rejected(), 1);
@@ -434,7 +406,6 @@ mod tests {
         assert!(lines.contains(&"table_restore_nanos 11000".to_string()));
         assert_eq!(s.ml_levels(), 2);
         assert_eq!(s.ml_refine_moves(), 22);
-        assert_eq!(s.approx_err_max_micros(), 40_000);
     }
 
     #[test]
@@ -461,7 +432,6 @@ mod tests {
             "table_spill_errors",
             "ml_levels",
             "ml_refine_moves",
-            "approx_table_err_max_micros",
             "queue_wait_ms_count",
             "queue_wait_ms_p50",
             "run_ms_p90",

@@ -51,11 +51,11 @@ fn metrics_agree_with_stats_after_jobs_run() {
         let state = client.wait(job, Duration::from_millis(20)).expect("wait");
         assert_eq!(state, "done", "job on {topo} ended {state}");
     }
-    // One multilevel job on an approximate table exercises the scale
-    // pipeline's gauges (the network is too small to coarsen, so the
-    // level gauge stays 0 — the twin check below still runs).
+    // One multilevel job exercises the scale pipeline's gauges (the
+    // network is too small to coarsen, so the level gauge stays 0 — the
+    // twin check below still runs).
     let job = client
-        .submit_raw("SCHEDULE topo=ring:8:2 clusters=2 seed=3 strategy=multilevel approx-eps=0.25")
+        .submit_raw("SCHEDULE topo=ring:8:2 clusters=2 seed=3 strategy=multilevel")
         .expect("submit multilevel");
     let state = client.wait(job, Duration::from_millis(20)).expect("wait");
     assert_eq!(state, "done", "multilevel job ended {state}");
@@ -86,10 +86,6 @@ fn metrics_agree_with_stats_after_jobs_run() {
         ("topologies", "service_topologies"),
         ("ml_levels", "service_ml_levels"),
         ("ml_refine_moves", "service_ml_refine_moves_total"),
-        (
-            "approx_table_err_max_micros",
-            "service_approx_table_err_max_micros",
-        ),
         ("wal_bytes", "service_wal_bytes"),
         ("snapshot_nanos", "service_snapshot_nanos"),
         ("table_spills", "service_table_spills_total"),
@@ -108,12 +104,6 @@ fn metrics_agree_with_stats_after_jobs_run() {
     assert_eq!(samples["service_cache_misses_total"], 3.0);
     assert_eq!(samples["service_cache_hits_total"], 1.0);
 
-    // The approximate build registered its global distance counters.
-    assert!(
-        samples.contains_key("distance_approx_pairs_total"),
-        "missing approx counters in:\n{text}"
-    );
-    assert!(samples.contains_key("distance_approx_escalations_total"));
     // The multilevel run registered the search-side pipeline counters.
     assert_eq!(samples["ml_runs_total"], 1.0);
 

@@ -144,7 +144,6 @@ fn run_workload(dir: &Path, seed: u64) -> GroundTruth {
             RoutingSpec::ShortestPath
         },
         strategy: commsched_search::MapStrategy::Flat,
-        approx_eps_micros: 0,
         deadline_ms: None,
         mem: 0,
         kind: JobKind::Schedule {
@@ -880,5 +879,41 @@ fn legacy_in_log_cache_records_are_skipped_and_rebuilt() {
     );
     let (_, restored) = &core.cache.ready_entries()[0];
     assert_eq!(table_to_text(&restored.table), table_to_text(&table));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_logged_approx_eps_job_recovers_onto_the_exact_table() {
+    let dir = temp_dir("approx-eps");
+    std::fs::create_dir_all(&dir).unwrap();
+    // How a daemon that still built approximate tables logged a job
+    // that asked for one.
+    {
+        let mut wal = WalWriter::open(&dir.join(WAL_FILE)).expect("open wal");
+        let accept = "accept 1 SCHEDULE topo=ring:8:1 routing=updown:0 strategy=flat \
+                      approx-eps=0.05 clusters=2 seed=1";
+        wal.append(accept.as_bytes(), true).unwrap();
+    }
+    let (core, report) = durable_core(&dir);
+    assert_eq!(report.recovered_jobs, 1, "report: {report:?}");
+    let plain = core
+        .submit(JobSpec {
+            topo: TopoRef::Ring {
+                switches: 8,
+                hosts: 1,
+            },
+            kind: JobKind::Schedule {
+                clusters: 2,
+                seed: 1,
+            },
+            ..JobSpec::default()
+        })
+        .expect("submit");
+    drain_with_worker(&core);
+    let result = |id| core.result_lines(id).expect("done");
+    let fg = |lines: Vec<String>| lines.into_iter().find(|l| l.starts_with("fg "));
+    assert!(fg(result(1)).is_some());
+    assert_eq!(fg(result(1)), fg(result(plain)));
+    assert_eq!(result(1), result(plain));
     let _ = std::fs::remove_dir_all(&dir);
 }

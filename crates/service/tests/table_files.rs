@@ -9,7 +9,7 @@
 //! not store, and restores a table only under the key the file is named
 //! for.
 
-use commsched_distance::{ApproxReport, DistanceTable};
+use commsched_distance::DistanceTable;
 use commsched_service::cache::{RoutingSpec, TableSpec};
 use commsched_service::persist::state::record_cache;
 use commsched_service::persist::tables::{file_name, TableKey, TableStore, TABLES_DIR};
@@ -65,10 +65,7 @@ fn keys() -> impl Strategy<Value = TableKey> {
             Just(RoutingSpec::ShortestPath),
             (0usize..4).prop_map(|root| RoutingSpec::UpDown { root }),
         ],
-        prop_oneof![
-            Just(TableSpec::Exact),
-            (1u32..100_000).prop_map(|eps_micros| TableSpec::Approx { eps_micros }),
-        ],
+        Just(TableSpec::Exact),
     )
 }
 
@@ -94,13 +91,7 @@ proptest! {
         let dir = std::env::temp_dir().join(format!("commsched-table-files-{}", std::process::id()));
         let store = TableStore::open(&dir).expect("open store");
         let table = DistanceTable::from_fn(n, |i, j| ((seed >> ((i + j) % 48)) & 0xff) as f64 / 8.0);
-        let report = matches!(key.2, TableSpec::Approx { .. }).then_some(ApproxReport {
-            eps: 0.05,
-            err_max: 0.01,
-            pairs_approximated: seed,
-            pairs_escalated: 3,
-        });
-        let record = record_cache(key.0, key.1, key.2, &table, report.as_ref());
+        let record = record_cache(key.0, key.1, key.2, &table, None);
         let mut payload = record.as_bytes().to_vec();
         let mut header = Vec::new();
         encode_frame(&mut header, &payload).expect("frame");
@@ -138,7 +129,7 @@ proptest! {
         let largest = LARGEST.with(Cell::get);
 
         prop_assert_eq!(rejected as usize + state.tables.len(), 1);
-        let restored_n = state.tables.first().map_or(0, |(_, t, _)| t.n());
+        let restored_n = state.tables.first().map_or(0, |(_, t)| t.n());
         prop_assert!(
             largest <= 2 * file.len() + 8 * restored_n + BOOKKEEPING_BYTES,
             "{largest} bytes asked for a {} byte file", file.len()

@@ -388,6 +388,7 @@ fn verbs(handle: &ServerHandle, binary: bool) -> String {
     c.ask("SUBMIT SCHEDULE topo=paper24 clusters=four");
     c.ask("SUBMIT SCHEDULE topo=ring:1000000000:1");
     c.ask("SUBMIT SWEEP topo=paper24 points=65");
+    c.ask("SUBMIT SCHEDULE topo=paper24 approx-eps=0.05");
     c.ask("FAULT topo=ring:4097:1 kill=0:1");
     c.ask("FAULT topo=paper24");
     // A job that runs, and one that fails typed.
@@ -691,6 +692,8 @@ const LINE_VERBS: &str = r#"
 < ERR limit-exceeded: switches 1000000000 > 4096
 > SUBMIT SWEEP topo=paper24 points=65
 < ERR limit-exceeded: points 65 > 64
+> SUBMIT SCHEDULE topo=paper24 approx-eps=0.05
+< ERR unsupported: approx-eps 0.05 (tables are exact)
 > FAULT topo=ring:4097:1 kill=0:1
 < ERR limit-exceeded: switches 4097 > 4096
 > FAULT topo=paper24
@@ -840,7 +843,6 @@ const LINE_VERBS: &str = r#"
 < table_spill_errors
 < ml_levels
 < ml_refine_moves
-< approx_table_err_max_micros
 < net_connections_open
 < net_frames_rx
 < net_frames_tx
@@ -869,7 +871,6 @@ const LINE_VERBS: &str = r#"
 < net_idle_closed_total
 < net_pipeline_depth_sum
 < net_pipeline_depth_count
-< service_approx_table_err_max_micros
 < service_job_queue_wait_ms_sum
 < service_job_queue_wait_ms_count
 < service_job_run_ms_sum
@@ -945,6 +946,8 @@ const BINARY_VERBS: &str = r#"
 < [err] ERR limit-exceeded: switches 1000000000 > 4096
 > SUBMIT SWEEP topo=paper24 points=65
 < [err] ERR limit-exceeded: points 65 > 64
+> SUBMIT SCHEDULE topo=paper24 approx-eps=0.05
+< [err] ERR unsupported: approx-eps 0.05 (tables are exact)
 > FAULT topo=ring:4097:1 kill=0:1
 < [err] ERR limit-exceeded: switches 4097 > 4096
 > FAULT topo=paper24
@@ -1128,7 +1131,6 @@ const BINARY_VERBS: &str = r#"
 < table_spill_errors
 < ml_levels
 < ml_refine_moves
-< approx_table_err_max_micros
 < net_connections_open
 < net_frames_rx
 < net_frames_tx
@@ -1157,7 +1159,6 @@ const BINARY_VERBS: &str = r#"
 < net_idle_closed_total
 < net_pipeline_depth_sum
 < net_pipeline_depth_count
-< service_approx_table_err_max_micros
 < service_job_queue_wait_ms_sum
 < service_job_queue_wait_ms_count
 < service_job_run_ms_sum
@@ -1235,7 +1236,6 @@ const LINE_ROUTED: &str = r#"
 < table_spill_errors
 < ml_levels
 < ml_refine_moves
-< approx_table_err_max_micros
 < net_connections_open
 < net_frames_rx
 < net_frames_tx
@@ -1324,7 +1324,6 @@ const BINARY_ROUTED: &str = r#"
 < table_spill_errors
 < ml_levels
 < ml_refine_moves
-< approx_table_err_max_micros
 < net_connections_open
 < net_frames_rx
 < net_frames_tx

@@ -8,7 +8,6 @@ use crate::SchedulerOptions;
 use commsched_cluster::{ClusterConfig, ReplMode};
 use commsched_netsim::{SimConfig, SweepConfig};
 use commsched_scenarios::MigrationPolicy;
-use commsched_search::MapStrategy;
 use commsched_service::loadgen::{LoadgenConfig, WireMode};
 use commsched_service::protocol::parse_fingerprint;
 use commsched_service::{
@@ -150,7 +149,6 @@ pub(super) const USAGE_BLOCKS: [&str; 12] = [
                      [--weights w1,w2,...] [--server HOST:PORT]
                      [--trace-out FILE.jsonl]
                      [--strategy flat|multilevel] [--max-coarse-n N]
-                     [--approx-eps E]
 ",
     "  commsched simulate <topology flags> [--clusters M] [--seed S] [--rate R]
                      [--compare-random] [--vcs V] [--adaptive]
@@ -168,7 +166,7 @@ pub(super) const USAGE_BLOCKS: [&str; 12] = [
 ",
     "  commsched submit   --server HOST:PORT [--type schedule|sweep]
                      <topology flags> [--clusters M] [--seed S] [--points P]
-                     [--strategy flat|multilevel] [--approx-eps E]
+                     [--strategy flat|multilevel]
 ",
     "  commsched cluster  --node-id K --members 0=H:P,1=H:P,... [--state-dir DIR]
                      [--repl sync|async] [--repl-listen HOST:PORT]
@@ -207,7 +205,7 @@ const DEFAULTS: &str = "\
 DEFAULTS: --kind random --switches 16 --degree 3 --hosts 4 --topo-seed 2000
           --clusters 4 --seed 42 --rate 0.1 --vcs 1 --congestion off
           --addr 127.0.0.1:7477
-          --strategy flat --max-coarse-n 256 --approx-eps 0 (exact table)
+          --strategy flat --max-coarse-n 256
           --state-dir commsched-state --fsync on-ack --max-conns 10240
           loadgen: --connections 16 --rate 1000 --batch 1 --duration 5
           scenario: --kind paper24 --arrivals poisson:50 --duration 10
@@ -327,20 +325,6 @@ fn remote_job(
     })
 }
 
-/// `--strategy` and `--approx-eps` (a fraction, stored in millionths so
-/// the spec stays integral end to end): the scale knobs a job spec
-/// carries. `--max-coarse-n` has no wire key and stays with `schedule`.
-fn scale(
-    args: &mut Args,
-    strategy: &mut MapStrategy,
-    approx_eps_micros: &mut u32,
-) -> Result<(), String> {
-    args.value("--strategy", strategy)?;
-    args.set("--approx-eps", approx_eps_micros, |v| {
-        real(v, |eps| eps >= 0.0, "a finite fraction >= 0").map(commsched_distance::eps_to_micros)
-    })
-}
-
 /// The four simulator flags `simulate` and `sweep` share.
 fn sim_flags(args: &mut Args) -> Result<SimConfig, String> {
     let mut sim = SimConfig::default();
@@ -398,11 +382,11 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
             let instance = instance(args)?;
             if let Some(server) = args.opt("--server")? {
                 let mut spec = JobSpec::default();
-                scale(args, &mut spec.strategy, &mut spec.approx_eps_micros)?;
+                args.value("--strategy", &mut spec.strategy)?;
                 return Ok(remote_job(server, instance, None, spec, true));
             }
             let mut options = SchedulerOptions::default();
-            scale(args, &mut options.strategy, &mut options.approx_eps_micros)?;
+            args.value("--strategy", &mut options.strategy)?;
             args.value("--max-coarse-n", &mut options.max_coarse_n)?;
             let weights = |v: &str| v.split(',').map(str::parse).collect::<Result<_, _>>();
             Command::Schedule(Schedule {
@@ -479,7 +463,7 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
             args.value("--type", &mut kind)?;
             let instance = instance(args)?;
             let mut spec = JobSpec::default();
-            scale(args, &mut spec.strategy, &mut spec.approx_eps_micros)?;
+            args.value("--strategy", &mut spec.strategy)?;
             let points = match kind.as_str() {
                 "schedule" => None,
                 "sweep" => {

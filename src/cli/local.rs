@@ -80,14 +80,6 @@ pub(super) fn schedule(cmd: &Schedule) -> Result<String, String> {
                 )
                 .expect("write to string");
             }
-            if let Some(rep) = sched.approx_report() {
-                writeln!(
-                    out,
-                    "approx table: eps = {}  err_max = {:.3e}  pairs = {}  escalated = {}",
-                    rep.eps, rep.err_max, rep.pairs_approximated, rep.pairs_escalated
-                )
-                .expect("write to string");
-            }
         }
         Some(ws) => {
             if ws.len() != wl.clusters.len() {

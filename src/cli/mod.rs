@@ -82,8 +82,7 @@ pub struct Schedule {
     pub instance: Instance,
     /// Optional per-application traffic weights.
     pub weights: Option<Vec<f64>>,
-    /// Mapping strategy, multilevel coarsening target, and the
-    /// approximate-table error budget.
+    /// Mapping strategy and multilevel coarsening target.
     pub options: SchedulerOptions,
     /// Write a JSONL span trace of the run to this path.
     pub trace_out: Option<String>,

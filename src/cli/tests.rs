@@ -68,7 +68,6 @@ fn parse_schedule_with_weights() {
             assert_eq!(trace_out, None);
             assert_eq!(options.strategy, MapStrategy::Flat);
             assert_eq!(options.max_coarse_n, 256);
-            assert_eq!(options.approx_eps_micros, 0);
         }
         other => panic!("wrong parse: {other:?}"),
     }
@@ -78,26 +77,30 @@ fn parse_schedule_with_weights() {
 fn parse_scale_flags_round_trip() {
     match parsed(
         "schedule --kind ring --switches 16 --strategy multilevel \
-         --max-coarse-n 8 --approx-eps 0.05",
+         --max-coarse-n 8",
     ) {
         Command::Schedule(Schedule { options, .. }) => {
             assert_eq!(options.strategy, MapStrategy::Multilevel);
             assert_eq!(options.max_coarse_n, 8);
-            assert_eq!(options.approx_eps_micros, 50_000);
         }
         other => panic!("wrong parse: {other:?}"),
     }
-    // Submit forwards the same flags.
-    match parsed("submit --server h:1 --kind paper24 --strategy multilevel --approx-eps 0.1") {
+    // Submit forwards the same flag.
+    match parsed("submit --server h:1 --kind paper24 --strategy multilevel") {
         Command::RemoteJob(RemoteJob { job, .. }) => {
             assert_eq!(job.strategy, MapStrategy::Multilevel);
-            assert_eq!(job.approx_eps_micros, 100_000);
         }
         other => panic!("wrong parse: {other:?}"),
     }
     assert!(parse(&argv("schedule --strategy hierarchical")).is_err());
-    assert!(parse(&argv("schedule --approx-eps -0.5")).is_err());
-    assert!(parse(&argv("schedule --approx-eps nan")).is_err());
+    // Every table is exact: the approximation budget is no flag.
+    for line in [
+        "schedule --approx-eps 0.05",
+        "submit --server h:1 --kind paper24 --approx-eps 0.05",
+    ] {
+        let err = parse(&argv(line)).unwrap_err();
+        assert!(err.starts_with("unknown flag --approx-eps for"), "{err}");
+    }
 }
 
 #[test]
@@ -174,7 +177,6 @@ fn parse_server_subcommands() {
             network: Network::Named(TopoRef::Paper24),
             job: JobSpec {
                 strategy: MapStrategy::Flat,
-                approx_eps_micros: 0,
                 kind: JobKind::Sweep {
                     clusters: 4,
                     seed: 42,
@@ -471,15 +473,11 @@ fn run_weighted_schedule() {
 fn run_multilevel_schedule_locally() {
     let out = run(&parsed(
         "schedule --kind ring --switches 8 --clusters 4 --strategy multilevel \
-         --max-coarse-n 4 --approx-eps 0.1",
+         --max-coarse-n 4",
     ))
     .unwrap();
     assert!(out.contains("strategy: multilevel"), "missing ml: {out}");
     assert!(out.contains("levels = 1"), "missing levels: {out}");
-    assert!(
-        out.contains("approx table: eps = 0.1"),
-        "missing eps: {out}"
-    );
 }
 
 #[test]
@@ -781,7 +779,8 @@ fn remote_jobs_are_the_jobs_the_terse_spelling_named() {
         ),
         (
             "submit --server h:1 --type sweep --kind paper24 --points 3 \
-             --strategy multilevel --approx-eps 0.05",
+             --strategy multilevel",
+            // As an older daemon logged it: the key is ignored.
             "SWEEP topo=paper24 clusters=4 seed=42 points=3 strategy=multilevel approx-eps=0.05",
         ),
     ] {

@@ -7,9 +7,7 @@
 //! partition and realizes it as a process-to-processor mapping.
 
 use commsched_core::{quality, Partition, ProcessMapping, Quality, Workload, WorkloadError};
-use commsched_distance::{
-    equivalent_distance_table_with_report, ApproxReport, DistanceTable, TableError, TableSpec,
-};
+use commsched_distance::{equivalent_distance_table_with, DistanceTable, TableError, TableSpec};
 use commsched_routing::{Routing, RoutingError};
 use commsched_search::{
     map_partition, resolve_threads, MapPlan, MapStrategy, MultilevelParams, MultilevelStats,
@@ -22,8 +20,8 @@ use commsched_topology::Topology;
 /// job specs carry.
 pub use commsched_routing::RoutingSpec as RoutingKind;
 
-/// Scale knobs: which mapping strategy runs and whether the distance
-/// table is built with the certified-interval approximate solver.
+/// Scale knobs: which mapping strategy runs, and how far the multilevel
+/// one coarsens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerOptions {
     /// Flat tabu (the paper's method) or the coarsen→map→refine
@@ -31,9 +29,6 @@ pub struct SchedulerOptions {
     pub strategy: MapStrategy,
     /// Multilevel only: coarsen until the graph fits this many nodes.
     pub max_coarse_n: usize,
-    /// Approximate-table relative error budget in millionths
-    /// (`50_000` = 5%); `0` builds the exact table.
-    pub approx_eps_micros: u32,
 }
 
 impl Default for SchedulerOptions {
@@ -41,7 +36,6 @@ impl Default for SchedulerOptions {
         Self {
             strategy: MapStrategy::Flat,
             max_coarse_n: MultilevelParams::default().max_coarse_n,
-            approx_eps_micros: 0,
         }
     }
 }
@@ -117,7 +111,6 @@ pub struct Scheduler {
     topology: Topology,
     routing: Box<dyn Routing>,
     table: DistanceTable,
-    approx: Option<ApproxReport>,
     options: SchedulerOptions,
     plan: MapPlan,
 }
@@ -132,8 +125,8 @@ impl Scheduler {
         Self::with_options(topology, routing_kind, SchedulerOptions::default())
     }
 
-    /// Build the scheduler with explicit scale knobs: mapping strategy
-    /// and (optionally) the certified-interval approximate table solver.
+    /// Build the scheduler with explicit scale knobs: the mapping
+    /// strategy and its coarsening limit.
     ///
     /// # Errors
     /// See [`ScheduleError`].
@@ -144,10 +137,10 @@ impl Scheduler {
     ) -> Result<Self, ScheduleError> {
         let routing = routing_kind.build(&topology)?;
         let threads = resolve_threads(0);
-        let (table, approx) = equivalent_distance_table_with_report(
+        let table = equivalent_distance_table_with(
             &topology,
             routing.as_ref(),
-            TableSpec::from_eps_micros(options.approx_eps_micros).options(threads),
+            TableSpec::Exact.options(threads),
         )?;
         let plan = MapPlan {
             strategy: options.strategy,
@@ -160,7 +153,6 @@ impl Scheduler {
             topology,
             routing,
             table,
-            approx,
             options,
             plan,
         })
@@ -193,12 +185,6 @@ impl Scheduler {
     /// The table of equivalent distances.
     pub fn table(&self) -> &DistanceTable {
         &self.table
-    }
-
-    /// The certified error report of the approximate table build, when
-    /// [`SchedulerOptions::approx_eps_micros`] was non-zero.
-    pub fn approx_report(&self) -> Option<&ApproxReport> {
-        self.approx.as_ref()
     }
 
     /// The scale knobs this scheduler was built with.
@@ -380,7 +366,6 @@ mod tests {
         let options = SchedulerOptions {
             strategy: MapStrategy::Multilevel,
             max_coarse_n: 4,
-            ..SchedulerOptions::default()
         };
         let sched = Scheduler::with_options(topo, RoutingKind::ShortestPath, options).unwrap();
         let workload = Workload::balanced(sched.topology(), 4).unwrap();
@@ -395,38 +380,6 @@ mod tests {
         let b = sched.schedule(&workload, 2).unwrap();
         assert_eq!(a.partition, b.partition);
         assert_eq!(a.quality.fg.to_bits(), b.quality.fg.to_bits());
-    }
-
-    #[test]
-    fn approximate_table_carries_a_certified_report() {
-        let topo = designed::paper_24_switch();
-        let options = SchedulerOptions {
-            approx_eps_micros: 100_000, // 10%
-            ..SchedulerOptions::default()
-        };
-        let approx =
-            Scheduler::with_options(topo.clone(), RoutingKind::UpDown { root: 0 }, options)
-                .unwrap();
-        let report = approx.approx_report().expect("approximate build reports");
-        assert!(report.err_max <= 0.1 + 1e-12, "err {}", report.err_max);
-        assert!(report.pairs_approximated + report.pairs_escalated > 0);
-        // Exact build never reports.
-        let exact = Scheduler::new(topo, RoutingKind::UpDown { root: 0 }).unwrap();
-        assert!(exact.approx_report().is_none());
-        // Every approximate entry sits within the certified bound of the
-        // exact oracle table.
-        let n = exact.table().n();
-        for a in 0..n {
-            for b in 0..n {
-                let (e, x) = (exact.table().get(a, b), approx.table().get(a, b));
-                if e > 0.0 {
-                    assert!(
-                        ((x - e) / e).abs() <= report.err_max + 1e-12,
-                        "pair ({a},{b}): approx {x} vs exact {e}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
