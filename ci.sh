@@ -72,8 +72,12 @@ cargo build --release
 # references (debug_assertions) are compiled out exactly there: outside
 # the benchmark smoke's four base-router pins nothing else checks the
 # Duato, misroute, PFC, ECN and kill/restore digests with optimisations on.
-echo "==> golden simulator digests, release build"
+# The unit tests run there too: the counted-work tests, which read the
+# parked set against its definition, are the parked set's only check
+# once the reference that recomputes it every cycle is compiled out.
+echo "==> golden simulator digests and unit tests, release build"
 cargo test --release --offline -q -p commsched-netsim --test golden
+cargo test --release --offline -q -p commsched-netsim --lib
 
 # Same for the tabu search: its lockstep reference (the full scan,
 # recomputed every iteration in debug builds) is compiled out of the

@@ -199,11 +199,6 @@ impl ReplicationHub {
         self.nonce
     }
 
-    /// Records currently in the replication log.
-    pub fn log_len(&self) -> usize {
-        self.state.lock().expect("hub state").log.len()
-    }
-
     /// Stop accepting and streaming; follower connections die and the
     /// listener thread joins.
     pub fn shutdown(&self) {

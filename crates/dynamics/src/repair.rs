@@ -20,17 +20,6 @@ pub struct RepairReport {
     pub max_delta: f64,
 }
 
-impl RepairReport {
-    /// Fraction of pairs that had to be recomputed, in `[0, 1]`.
-    pub fn recompute_fraction(&self) -> f64 {
-        if self.pairs_total == 0 {
-            0.0
-        } else {
-            self.pairs_recomputed as f64 / self.pairs_total as f64
-        }
-    }
-}
-
 /// The pairs whose minimal-route link sets differ between two epochs'
 /// routings, compared as **physical wires** (sorted endpoint/slowdown
 /// triples, [`route_key`]) so link-id renumbering between epochs cannot

@@ -33,11 +33,6 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    /// Read + write interest.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 }
 
 /// One readiness notification.

@@ -11,16 +11,12 @@ pub(super) const SENDS: Option<bool> = Some(true);
 impl Simulator<'_> {
     /// Whether VC `id` has a flit available to send this cycle.
     pub(super) fn has_source(&self, id: VcId) -> bool {
-        let phys = id / self.vcs_per_phys;
-        match self.phys[phys].kind {
-            ChannelKind::Inject { host } => {
-                self.inject_vc[host] == Some(id)
-                    && self.vcs[id].owner == self.queues[host].front().copied()
-                    && self.vcs[id].owner.is_some()
-            }
-            _ => self.vcs[id]
-                .feeder
-                .is_some_and(|ic| self.vcs[ic].buf.is_some()),
+        let vc = &self.vcs[id];
+        match self.phys[vc.phys as usize].kind {
+            // CORRECTNESS: set with the head message's claim, cleared when
+            // its tail leaves: a VC the queue head owns (lockstep scan).
+            ChannelKind::Inject { host, .. } => self.inject_vc[host] == Some(id),
+            _ => vc.feeder.is_some_and(|ic| self.vcs[ic].buf.is_some()),
         }
     }
 
@@ -29,10 +25,11 @@ impl Simulator<'_> {
     /// test: credit-style, it accepts a flit iff its head departs in the
     /// same cycle, so its answer is its onward VC's.
     fn sends_or_defers(&self, id: VcId) -> Result<bool, VcId> {
-        let ch = &self.phys[id / self.vcs_per_phys];
+        let ch = &self.phys[self.phys_of(id)];
         // A slowed-down link only transfers on its duty cycles; a dead
         // link never does (its flits stall where they are).
-        if !self.has_source(id) || ch.dead || !self.cycle.is_multiple_of(ch.period) {
+        let duty = ch.period == 1 || self.cycle.is_multiple_of(ch.period);
+        if !self.has_source(id) || ch.dead || !duty {
             return Ok(false);
         }
         if matches!(ch.kind, ChannelKind::Deliver { .. }) {
@@ -65,6 +62,7 @@ impl Simulator<'_> {
             #[cfg(test)]
             {
                 self.work.vcs_examined += 1;
+                self.examined[end] += 1;
             }
             match self.sends_or_defers(end) {
                 Ok(sends) => break sends,
@@ -85,9 +83,12 @@ impl Simulator<'_> {
     /// channel (round-robin preference), then revoke the sends that
     /// relied on a revoked drain.
     fn arbitrate(&mut self, scan: &[VcId]) {
-        let v = self.vcs_per_phys;
-        for contenders in scan.chunk_by(|a, b| a / v == b / v) {
-            let (ch, verdict) = (&mut self.phys[contenders[0] / v], &mut self.verdict);
+        let (v, vcs) = (self.vcs_per_phys, &self.vcs);
+        for contenders in scan.chunk_by(|&a, &b| vcs[a].phys == vcs[b].phys) {
+            let p = vcs[contenders[0]].phys as usize;
+            let (ch, verdict) = (&mut self.phys[p], &mut self.verdict);
+            // Index of a VC within its channel.
+            let index = |id: VcId| id - p * v;
             let ready = || {
                 contenders
                     .iter()
@@ -99,10 +100,11 @@ impl Simulator<'_> {
             }
             // The first ready VC at or after the rr pointer, else the first.
             let keep = ready()
-                .find(|id| id % v >= ch.rr)
+                .find(|&id| index(id) >= ch.rr)
                 .or_else(|| ready().next());
             let keep = keep.expect("two are ready");
-            ch.rr = (keep % v + 1) % v;
+            let next = index(keep) + 1;
+            ch.rr = if next == v { 0 } else { next };
             for &id in contenders {
                 if id != keep && verdict[id] == SENDS {
                     verdict[id] = Some(false);
@@ -128,17 +130,22 @@ impl Simulator<'_> {
 
     /// Phase 3: move flits. Returns whether any flit moved.
     pub(super) fn transfer(&mut self) -> bool {
-        // CORRECTNESS: has a source ⇒ owned (`has_source` needs `owner`
-        // on an injection VC and `feeder` elsewhere, which is set with
-        // `owner` and cleared before it), so the owned VCs are the only
-        // ones that can move a flit.
+        // CORRECTNESS: has a source ⇒ owned (`has_source` needs
+        // `inject_vc` or `feeder`, each set with `owner` and cleared
+        // before it), and a parked VC is full with no onward VC or a
+        // parked one, so it never sends, wins an arbitration or starts a
+        // revocation: owned ∖ parked are the VCs that can move a flit.
         let mut scan = std::mem::take(&mut self.scan);
         scan.clear();
-        scan.extend(self.visits.owned.iter());
+        let visits = &self.visits;
+        scan.extend(visits.owned.difference(&visits.parked));
         #[cfg(test)]
         {
+            let ids = 0..self.vcs.len();
             self.work.owned_vc_cycles +=
                 self.vcs.iter().filter(|c| c.owner.is_some()).count() as u64;
+            self.work.parked_vc_cycles +=
+                ids.filter(|&id| self.parked_by_definition(id)).count() as u64;
         }
         for &id in &scan {
             if self.verdict[id].is_none() {
@@ -172,10 +179,10 @@ impl Simulator<'_> {
     /// into the VC's downstream buffer or sink.
     fn move_flit(&mut self, id: VcId) {
         let len = self.cfg.msg_len as u32;
-        let phys = id / self.vcs_per_phys;
+        let phys = self.phys_of(id);
         self.channel_flits[phys] += 1;
         let (msg, idx) = match self.phys[phys].kind {
-            ChannelKind::Inject { host } => {
+            ChannelKind::Inject { host, .. } => {
                 let msg = self.vcs[id].owner.expect("inject source checked");
                 let idx = self.next_flit[host];
                 self.next_flit[host] += 1;
@@ -252,8 +259,11 @@ impl Simulator<'_> {
             }
         }
         if idx == 0 {
-            let s = self.phys[phys].kind.input_of(self.topo.hosts_per_switch());
+            let s = self.phys[phys].kind.input_of();
             self.header_arrived(s.expect("a delivered flit returned above"), id);
+        }
+        if self.vcs[id].occupancy() >= self.cfg.buffer_flits as u32 {
+            self.filled(id);
         }
         if self.pfc || self.ecn {
             let occ = self.vcs[id].occupancy();

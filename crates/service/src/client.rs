@@ -238,12 +238,6 @@ impl Client {
         Self::over(stream, policy, retries)
     }
 
-    /// Replace the retry policy (e.g. to make an existing client
-    /// patient before a planned failover).
-    pub fn set_retry(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
     /// `MOVED` redirects this client has followed.
     pub fn redirects_followed(&self) -> u64 {
         self.redirects

@@ -44,16 +44,6 @@ impl Curve {
     pub fn base_latency(&self) -> Option<f64> {
         self.points.first().map(|p| p.latency)
     }
-
-    /// Accepted-traffic series (one value per simulation point).
-    pub fn accepted_series(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.accepted).collect()
-    }
-
-    /// Latency series (one value per simulation point).
-    pub fn latency_series(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.latency).collect()
-    }
 }
 
 /// Index of the saturation point: the first point where accepted traffic

@@ -158,14 +158,6 @@ impl Scheduler {
         })
     }
 
-    /// Override the tabu parameters (paper defaults: 10 seeds, 20
-    /// iterations, 3 local-minimum repeats). Their `threads` gives way to
-    /// the scheduler's thread budget, the CPU count.
-    pub fn with_tabu_params(mut self, params: TabuParams) -> Self {
-        self.plan.tabu = params;
-        self
-    }
-
     /// Set the number of independent search restarts run in parallel.
     pub fn with_search_seeds(mut self, seeds: usize) -> Self {
         self.plan.seeds = seeds.max(1);
