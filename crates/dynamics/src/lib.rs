@@ -22,7 +22,6 @@ pub mod fault;
 pub mod remap;
 pub mod repair;
 
-pub use commsched_distance::RouteKey;
 pub use fault::{FaultError, FaultEvent, FaultSchedule, TimedFault, TopologyEpoch};
 pub use remap::{warm_remap, RemapReport};
 pub use repair::{affected_pairs, repair_table, RepairReport};

@@ -235,8 +235,6 @@ mod tests {
                 topo: TopoRef::Paper24,
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                deadline_ms: None,
-                mem: 0,
                 kind: JobKind::Schedule {
                     clusters: 4,
                     seed: 1,
@@ -307,8 +305,6 @@ mod tests {
                 topo: TopoRef::Registered(new_fp),
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                deadline_ms: None,
-                mem: 0,
                 kind: JobKind::Schedule {
                     clusters: 4,
                     seed: 2,
@@ -331,8 +327,6 @@ mod tests {
                 topo: TopoRef::Registered(fp),
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                deadline_ms: None,
-                mem: 0,
                 kind: JobKind::Schedule {
                     clusters: 4,
                     seed: 3,

@@ -9,12 +9,10 @@
 //! This file holds the core's types and the plumbing every part
 //! shares (construction, the WAL critical section, snapshots,
 //! replication, reports); its behaviour lives in one module per seam:
-//! `queue` (admission, cancel, drain, the worker loop), `capacity`
-//! (the switch-memory ledger), `epochs` (topology resolution and
-//! `FAULT`), `recovery` (startup replay and snapshot records) and
-//! `execute` (table building and the job body).
+//! `queue` (admission, cancel, drain, the worker loop), `epochs`
+//! (topology resolution and `FAULT`), `recovery` (startup replay and
+//! snapshot records) and `execute` (table building and the job body).
 
-mod capacity;
 mod epochs;
 mod execute;
 mod queue;
@@ -25,7 +23,6 @@ use crate::persist::{wal::WalWriter, Persistence, ReplicationSink, WalTap};
 use crate::protocol::JobSpec;
 use crate::registry::TopologyRegistry;
 use crate::stats::ServiceStats;
-use capacity::CapacityLedger;
 use epochs::EpochState;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,10 +69,6 @@ pub enum SubmitError {
     /// The accept record could not be durably logged; the job was not
     /// enqueued (the acknowledgement would have been a lie).
     Persist(String),
-    /// The job's memory demand does not fit on any switch of its
-    /// (capacitated) topology given what admitted jobs already hold.
-    /// Rejected at admission — capacity is never over-committed.
-    Capacity(String),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -84,7 +77,6 @@ impl std::fmt::Display for SubmitError {
             SubmitError::QueueFull => f.write_str("queue-full"),
             SubmitError::ShuttingDown => f.write_str("shutting-down"),
             SubmitError::Persist(e) => write!(f, "persist: {e}"),
-            SubmitError::Capacity(e) => write!(f, "capacity: {e}"),
         }
     }
 }
@@ -178,9 +170,6 @@ pub struct ServiceCore {
     state: Mutex<QueueState>,
     /// Stale-fingerprint chains and per-fingerprint epoch indices.
     epochs: Mutex<EpochState>,
-    /// Per-switch memory commitments of capacitated topologies (leaf
-    /// lock: never held across resolve/WAL/queue operations).
-    capacity: Mutex<CapacityLedger>,
     /// Signals workers that work arrived or draining began.
     work_cv: Condvar,
     /// Signals drainers that a job left the queue/worker.
@@ -218,7 +207,6 @@ impl ServiceCore {
                 reserved: 0,
             }),
             epochs: Mutex::new(EpochState::default()),
-            capacity: Mutex::new(CapacityLedger::default()),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             persist,
@@ -496,17 +484,7 @@ mod testkit {
             },
             routing: RoutingSpec::UpDown { root: 0 },
             strategy: MapStrategy::Flat,
-            deadline_ms: None,
-            mem: 0,
             kind: JobKind::Schedule { clusters: 2, seed },
-        }
-    }
-
-    pub fn capped_spec(fp: u64, mem: u64) -> JobSpec {
-        JobSpec {
-            topo: TopoRef::Registered(fp),
-            mem,
-            ..JobSpec::default()
         }
     }
 

@@ -25,9 +25,8 @@ impl ServiceCore {
     /// # Errors
     /// [`SubmitError::QueueFull`] under backpressure,
     /// [`SubmitError::ShuttingDown`] while draining,
-    /// [`SubmitError::Capacity`] when the job's memory demand fits on no
-    /// switch of its capacitated topology, [`SubmitError::Persist`] when
-    /// the accept record could not be logged.
+    /// [`SubmitError::Persist`] when the accept record could not be
+    /// logged.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
         self.submit_batch(&[spec])
             .pop()
@@ -39,16 +38,14 @@ impl ServiceCore {
     /// point of batching: on a durable core every accept record of the
     /// batch shares ONE WAL critical section, one `write(2)` and (under
     /// an fsync-on-ack policy) one `fsync` — the dominant per-submit
-    /// cost at high rates. Admission (capacity, drain) is still per job,
-    /// so a batch that straddles the capacity limit gets a `queue-full`
-    /// tail instead of an all-or-nothing bounce. An in-memory core runs
-    /// the same phases; its log step writes nothing.
+    /// cost at high rates. Admission (the queue bound, drain) is still
+    /// per job, so a batch that straddles the queue bound gets a
+    /// `queue-full` tail instead of an all-or-nothing bounce. It is the
+    /// daemon's only admission rule: a job is placed on switches by its
+    /// search, never online. An in-memory core runs the same phases; its
+    /// log step writes nothing.
     pub fn submit_batch(&self, specs: &[JobSpec]) -> Vec<Result<JobId, SubmitError>> {
-        // Phase 1: capacity admission per spec, before any ids exist and
-        // with no lock held. A claim taken here is released again on
-        // any later rejection.
-        let claims: Vec<_> = specs.iter().map(|s| self.claim_capacity(s)).collect();
-        // Phase 2: admission + id reservation for every job under one
+        // Phase 1: admission + id reservation for every job under one
         // brief queue lock (`out[i]` corresponds to `specs[i]`). The
         // reservation holds the queue slot while the accept records are
         // written without the lock, so backpressure stays exact.
@@ -56,14 +53,7 @@ impl ServiceCore {
         let mut accepted: Vec<(usize, JobId)> = Vec::new();
         {
             let mut state = self.state.lock().expect("queue lock");
-            for (i, claim) in claims.into_iter().enumerate() {
-                let claim = match claim {
-                    Ok(c) => c,
-                    Err(e) => {
-                        out.push(Err(e));
-                        continue;
-                    }
-                };
+            for i in 0..specs.len() {
                 let rejection = if !state.accepting {
                     Some(SubmitError::ShuttingDown)
                 } else if state.pending.len() + state.reserved >= self.config.queue_capacity {
@@ -73,14 +63,12 @@ impl ServiceCore {
                 };
                 if let Some(e) = rejection {
                     self.stats.note_rejected();
-                    self.unclaim(claim);
                     out.push(Err(e));
                     continue;
                 }
                 let id = state.next_id;
                 state.next_id += 1;
                 state.reserved += 1;
-                self.bind_claim(id, claim);
                 accepted.push((i, id));
                 out.push(Ok(id));
             }
@@ -88,7 +76,7 @@ impl ServiceCore {
         if accepted.is_empty() {
             return out;
         }
-        // Phases 3+4 under the WAL lock: the durable accept records (one
+        // Phases 2+3 under the WAL lock: the durable accept records (one
         // buffered append, one policy fsync for the whole batch) and the
         // in-memory enqueue are one atomic step as far as a concurrent
         // snapshot is concerned, so an acknowledged job can never fall
@@ -137,13 +125,12 @@ impl ServiceCore {
             let _ = log.append(&cancels);
             Some(failure)
         });
-        for &(i, id) in &accepted {
+        for &(i, _) in &accepted {
             match &withdrawn {
                 None => self.stats.note_submitted(),
                 Some(e) => {
                     out[i] = Err(e.clone());
                     self.stats.note_rejected();
-                    self.release_capacity(id);
                 }
             }
         }
@@ -203,7 +190,6 @@ impl ServiceCore {
             let _ = log.append(&[pstate::record_cancel(id)]);
             Ok(())
         })?;
-        self.release_capacity(id);
         self.repl_barrier();
         Ok(())
     }
@@ -316,9 +302,6 @@ impl ServiceCore {
         // promoted follower must never re-run a job whose completion a
         // client already observed via STATUS.
         self.repl_barrier();
-        // The job no longer occupies its switch; later admissions may
-        // reuse the memory.
-        self.release_capacity(id);
     }
 }
 
@@ -365,8 +348,6 @@ mod tests {
                 topo: TopoRef::Paper24,
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                deadline_ms: None,
-                mem: 0,
                 kind: JobKind::Noop,
             })
             .collect();

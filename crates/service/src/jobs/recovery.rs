@@ -4,7 +4,7 @@
 use super::{JobId, JobRecord, JobState, ServiceCore, ServiceCoreConfig};
 use crate::cache::RoutedTable;
 use crate::persist::{state as pstate, PersistError, PersistOptions, Persistence, RecoveryReport};
-use crate::protocol::{JobSpec, TopoRef};
+use crate::protocol::TopoRef;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -127,30 +127,6 @@ impl ServiceCore {
         // One file per restored table and nothing else: whatever was
         // rejected above is deleted here.
         core.spill_tables();
-        // Re-derive the capacity ledger from the recovered unfinished
-        // jobs: placement is deterministic (least-committed switch,
-        // lowest index first) and jobs replay in ascending id order, so
-        // the post-restart commitments equal the pre-crash ones for the
-        // same admitted set — no separate WAL record kind needed. A
-        // job that no longer fits (e.g. its topology was retargeted to
-        // a smaller epoch) stays admitted: accepted work is never
-        // dropped, the ledger just saturates.
-        let requeued: Vec<(JobId, JobSpec)> = {
-            let state = core.state.lock().expect("queue lock");
-            let mut jobs: Vec<(JobId, JobSpec)> = state
-                .jobs
-                .iter()
-                .filter(|(_, rec)| rec.state == JobState::Queued && rec.spec.mem > 0)
-                .map(|(&id, rec)| (id, rec.spec))
-                .collect();
-            jobs.sort_unstable_by_key(|&(id, _)| id);
-            jobs
-        };
-        for (id, spec) in requeued {
-            if let Ok(claim) = core.claim_capacity(&spec) {
-                core.bind_claim(id, claim);
-            }
-        }
         core.write_snapshot(core.persist.as_ref().expect("persistence set"))?;
         Ok((core, report))
     }
@@ -208,7 +184,7 @@ mod tests {
     use super::super::testkit::{durable_core, temp_dir, tiny_spec};
     use super::*;
     use crate::cache::RoutingSpec;
-    use crate::protocol::{format_fingerprint, JobKind};
+    use crate::protocol::{format_fingerprint, JobKind, JobSpec};
     use commsched_dynamics::FaultEvent;
     use commsched_search::MapStrategy;
     use commsched_topology::designed;
@@ -220,8 +196,6 @@ mod tests {
             topo: TopoRef::Paper24,
             routing: RoutingSpec::UpDown { root: 0 },
             strategy: MapStrategy::Flat,
-            deadline_ms: None,
-            mem: 0,
             kind: JobKind::Noop,
         };
         {
@@ -302,8 +276,6 @@ mod tests {
             topo: TopoRef::Registered(fp),
             routing: RoutingSpec::UpDown { root: 0 },
             strategy: MapStrategy::Flat,
-            deadline_ms: None,
-            mem: 0,
             kind: JobKind::Schedule { clusters: 4, seed },
         };
         // Session 1: register paper24, warm its cache, drain.

@@ -71,21 +71,6 @@ pub struct LoadgenConfig {
     /// A connection at its cap is skipped until an ack frees a slot,
     /// turning the generator closed-loop at the cap.
     pub max_in_flight: usize,
-    /// Optional relative deadline attached to every job as
-    /// `deadline-ms=` (the daemon records it; scenario tooling scores
-    /// attainment against it).
-    pub deadline_ms: Option<u64>,
-}
-
-impl LoadgenConfig {
-    /// The `SUBMIT` argument string actually sent: `spec`, plus the
-    /// deadline key when one is configured.
-    pub fn effective_spec(&self) -> String {
-        match self.deadline_ms {
-            Some(ms) => format!("{} deadline-ms={ms}", self.spec),
-            None => self.spec.clone(),
-        }
-    }
 }
 
 impl Default for LoadgenConfig {
@@ -98,7 +83,6 @@ impl Default for LoadgenConfig {
             mode: WireMode::Line,
             spec: "NOOP".to_string(),
             max_in_flight: 0,
-            deadline_ms: None,
         }
     }
 }
@@ -328,7 +312,7 @@ pub fn run<A: ToSocketAddrs>(addr: A, config: &LoadgenConfig) -> Result<LoadgenR
     }
 
     // Pre-encode the request once; it is identical every time.
-    let spec = config.effective_spec();
+    let spec = &config.spec;
     let request: Vec<u8> = match config.mode {
         WireMode::Line => {
             let one = format!("SUBMIT {spec}\n");
@@ -600,7 +584,6 @@ mod tests {
                 duration: Duration::from_millis(400),
                 mode: WireMode::Line,
                 spec: "NOOP".to_string(),
-                deadline_ms: None,
                 max_in_flight: 0,
             },
         )
@@ -625,7 +608,6 @@ mod tests {
                 duration: Duration::from_millis(400),
                 mode: WireMode::Binary,
                 spec: "NOOP".to_string(),
-                deadline_ms: None,
                 max_in_flight: 0,
             },
         )

@@ -302,8 +302,6 @@ mod tests {
             },
             routing: RoutingSpec::UpDown { root: 0 },
             strategy: MapStrategy::Flat,
-            deadline_ms: None,
-            mem: 0,
             kind: JobKind::Schedule { clusters: 2, seed },
         }
     }

@@ -338,8 +338,6 @@ mod tests {
                 topo: TopoRef::Paper24,
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                deadline_ms: None,
-                mem: 0,
                 kind: JobKind::Schedule {
                     clusters: 4,
                     seed: 42
@@ -358,8 +356,6 @@ mod tests {
                 },
                 routing: RoutingSpec::ShortestPath,
                 strategy: MapStrategy::Flat,
-                deadline_ms: None,
-                mem: 0,
                 kind: JobKind::Sweep {
                     clusters: 2,
                     seed: 7,
@@ -481,8 +477,6 @@ mod tests {
                 topo: TopoRef::Paper24,
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                deadline_ms: None,
-                mem: 0,
                 kind: JobKind::Noop,
             }))
         );
@@ -493,8 +487,6 @@ mod tests {
             },
             routing: RoutingSpec::ShortestPath,
             strategy: MapStrategy::Flat,
-            deadline_ms: None,
-            mem: 0,
             kind: JobKind::Noop,
         };
         let text = format_job_spec(&spec);
@@ -533,8 +525,6 @@ mod tests {
                 topo: TopoRef::Paper24,
                 routing: RoutingSpec::UpDown { root: 3 },
                 strategy: MapStrategy::Flat,
-                deadline_ms: None,
-                mem: 0,
                 kind: JobKind::Schedule {
                     clusters: 4,
                     seed: 42,
@@ -544,8 +534,6 @@ mod tests {
                 topo: TopoRef::Registered(0xdead_beef_0123_4567),
                 routing: RoutingSpec::ShortestPath,
                 strategy: MapStrategy::Flat,
-                deadline_ms: None,
-                mem: 0,
                 kind: JobKind::Sweep {
                     clusters: 2,
                     seed: 7,
@@ -561,8 +549,6 @@ mod tests {
                 },
                 routing: RoutingSpec::UpDown { root: 0 },
                 strategy: MapStrategy::Flat,
-                deadline_ms: None,
-                mem: 0,
                 kind: JobKind::Schedule {
                     clusters: 8,
                     seed: 0,
@@ -578,56 +564,6 @@ mod tests {
                 Ok(Request::Submit(spec))
             );
         }
-    }
-
-    #[test]
-    fn parses_deadline_and_mem_keys() {
-        let r = parse_request("SUBMIT NOOP deadline-ms=250 mem=4096").unwrap();
-        match r {
-            Request::Submit(spec) => {
-                assert_eq!(spec.deadline_ms, Some(250));
-                assert_eq!(spec.mem, 4096);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        // The keys ride along on every job kind and round-trip through
-        // the WAL spelling.
-        let spec = JobSpec {
-            deadline_ms: Some(1500),
-            mem: 1 << 20,
-            kind: JobKind::Schedule {
-                clusters: 4,
-                seed: 42,
-            },
-            ..JobSpec::default()
-        };
-        let text = format_job_spec(&spec);
-        assert!(text.contains("deadline-ms=1500"), "spelling was '{text}'");
-        assert!(text.contains("mem=1048576"), "spelling was '{text}'");
-        assert_eq!(parse_job_spec(&text), Ok(spec), "spelling was '{text}'");
-        // NOOP keeps the keys too (the loadgen submits NOOPs).
-        let noop = JobSpec {
-            deadline_ms: Some(30),
-            mem: 64,
-            ..JobSpec::default()
-        };
-        let text = format_job_spec(&noop);
-        assert_eq!(parse_job_spec(&text), Ok(noop), "spelling was '{text}'");
-        // Unset keys are not spelled at all: the WAL shape of old jobs
-        // is unchanged.
-        let plain = format_job_spec(&JobSpec::default());
-        assert!(!plain.contains("deadline-ms"), "spelling was '{plain}'");
-        assert!(!plain.contains("mem="), "spelling was '{plain}'");
-    }
-
-    #[test]
-    fn rejects_bad_deadline_and_mem_values() {
-        let err = parse_request("SUBMIT NOOP deadline-ms=soon").unwrap_err();
-        assert_eq!(err, "bad deadline-ms 'soon'");
-        let err = parse_request("SUBMIT NOOP deadline-ms=-1").unwrap_err();
-        assert_eq!(err, "bad deadline-ms '-1'");
-        let err = parse_request("SUBMIT NOOP mem=lots").unwrap_err();
-        assert_eq!(err, "bad mem 'lots'");
     }
 
     #[test]

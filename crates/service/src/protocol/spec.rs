@@ -69,14 +69,6 @@ pub struct JobSpec {
     /// default) or the coarsen→map→refine pipeline
     /// (`strategy=multilevel`).
     pub strategy: commsched_search::MapStrategy,
-    /// Soft completion deadline in milliseconds from acceptance, from
-    /// `deadline-ms=<u64>`; `None` (the default) means no deadline. The
-    /// service reports attainment, it does not kill late jobs.
-    pub deadline_ms: Option<u64>,
-    /// Aggregate memory demand in bytes, from `mem=<u64>`. Admission
-    /// charges it against the topology's per-switch memory capacities;
-    /// 0 (the default) bypasses capacity accounting entirely.
-    pub mem: u64,
     /// The computation.
     pub kind: JobKind,
 }
@@ -89,8 +81,6 @@ impl Default for JobSpec {
             topo: TopoRef::Paper24,
             routing: crate::cache::RoutingSpec::UpDown { root: 0 },
             strategy: commsched_search::MapStrategy::Flat,
-            deadline_ms: None,
-            mem: 0,
             kind: JobKind::Noop,
         }
     }
@@ -171,18 +161,18 @@ impl TopoRef {
 impl JobSpec {
     /// The single door for a job off the wire — a `SUBMIT` line, an
     /// `OP_REQ` frame, a batch entry: parse the argument words, refuse
-    /// an approximate table, then apply the wire limits.
-    /// ([`parse_job_spec`] is the log's door: no limits, and an
-    /// `approx-eps` an older daemon logged is ignored.)
+    /// a retired key that asks for something, then apply the wire
+    /// limits. ([`parse_job_spec`] is the log's door: no limits, and a
+    /// retired key an older daemon logged is ignored.)
     ///
     /// # Errors
-    /// The parse error, `unsupported: approx-eps <x> (tables are exact)`
-    /// for a non-zero `approx-eps`, or `limit-exceeded: <what> <value> >
-    /// <max>`.
+    /// The parse error; `unsupported: <key> <value> (<why>)` for a
+    /// non-zero `approx-eps` or `mem`, or any `deadline-ms`; or
+    /// `limit-exceeded: <what> <value> > <max>`.
     pub fn from_wire(words: &[&str]) -> Result<Self, String> {
-        let (spec, approx_eps) = parse_submit(words)?;
-        if let Some(eps) = approx_eps {
-            return Err(format!("unsupported: approx-eps {eps} (tables are exact)"));
+        let (spec, refusal) = parse_submit(words)?;
+        if let Some(refusal) = refusal {
+            return Err(refusal);
         }
         spec.check_wire_limits()?;
         Ok(spec)
@@ -242,33 +232,39 @@ pub(super) fn parse_topo_ref(value: &str) -> Result<TopoRef, String> {
     }
 }
 
-/// `Some(value)` for the non-zero relative-error budget an approximate
-/// table was once built at, `None` for zero.
-fn parse_approx_eps(value: &str) -> Result<Option<&str>, String> {
-    let eps: f64 = value
-        .parse()
-        .map_err(|_| format!("bad approx-eps '{value}'"))?;
-    if !eps.is_finite() || eps < 0.0 {
-        return Err(format!("bad approx-eps '{value}'"));
+/// Why the wire refuses a well-formed value of a retired key, or `None`
+/// when the value asks for nothing: an approximate table (a non-zero
+/// `approx-eps`), a deadline (any `deadline-ms`) or a memory charge (a
+/// non-zero `mem`).
+fn retired_key_refusal(key: &str, value: &str) -> Result<Option<&'static str>, String> {
+    let bad = || format!("bad {key} '{value}'");
+    if key == "approx-eps" {
+        let eps: f64 = value.parse().map_err(|_| bad())?;
+        if !eps.is_finite() || eps < 0.0 {
+            return Err(bad());
+        }
+        return Ok((eps != 0.0).then_some("tables are exact"));
     }
-    Ok((eps != 0.0).then_some(value))
+    let n: u64 = value.parse().map_err(|_| bad())?;
+    let asks = key == "deadline-ms" || n != 0;
+    Ok(asks.then_some("the daemon does no online placement"))
 }
 
-/// The spec, and the non-zero `approx-eps` value it named, if any: the
-/// log's door ignores it, the wire's refuses it.
-fn parse_submit<'a>(words: &[&'a str]) -> Result<(JobSpec, Option<&'a str>), String> {
+/// The spec, and the `unsupported:` refusal of the first retired key it
+/// named with a value that asks for something: the log's door ignores
+/// it, the wire's returns it. Older daemons logged all three retired
+/// keys.
+fn parse_submit(words: &[&str]) -> Result<(JobSpec, Option<String>), String> {
     let Some((&kind_word, kv)) = words.split_first() else {
         return Err("SUBMIT needs a job type".into());
     };
     let mut topo = None;
     let mut routing = crate::cache::RoutingSpec::UpDown { root: 0 };
     let mut strategy = commsched_search::MapStrategy::Flat;
-    let mut approx_eps = None;
+    let mut refusal = None;
     let mut clusters = 4usize;
     let mut seed = 42u64;
     let mut points = 9usize;
-    let mut deadline_ms: Option<u64> = None;
-    let mut mem = 0u64;
     for &word in kv {
         let Some((key, value)) = word.split_once('=') else {
             return Err(format!("expected key=value, got '{word}'"));
@@ -277,7 +273,6 @@ fn parse_submit<'a>(words: &[&'a str]) -> Result<(JobSpec, Option<&'a str>), Str
             "topo" => topo = Some(parse_topo_ref(value)?),
             "routing" => routing = value.parse()?,
             "strategy" => strategy = value.parse()?,
-            "approx-eps" => approx_eps = parse_approx_eps(value)?,
             "clusters" => {
                 clusters = value
                     .parse()
@@ -285,14 +280,13 @@ fn parse_submit<'a>(words: &[&'a str]) -> Result<(JobSpec, Option<&'a str>), Str
             }
             "seed" => seed = value.parse().map_err(|_| format!("bad seed '{value}'"))?,
             "points" => points = value.parse().map_err(|_| format!("bad points '{value}'"))?,
-            "deadline-ms" => {
-                deadline_ms = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad deadline-ms '{value}'"))?,
-                );
+            "approx-eps" | "deadline-ms" | "mem" => {
+                if let Some(why) = retired_key_refusal(key, value)? {
+                    if refusal.is_none() {
+                        refusal = Some(format!("unsupported: {key} {value} ({why})"));
+                    }
+                }
             }
-            "mem" => mem = value.parse().map_err(|_| format!("bad mem '{value}'"))?,
             other => return Err(format!("unknown key '{other}'")),
         }
     }
@@ -316,11 +310,9 @@ fn parse_submit<'a>(words: &[&'a str]) -> Result<(JobSpec, Option<&'a str>), Str
         topo,
         routing,
         strategy,
-        deadline_ms,
-        mem,
         kind,
     };
-    Ok((spec, approx_eps))
+    Ok((spec, refusal))
 }
 
 /// Render a [`TopoRef`] the way `SUBMIT`'s `topo=` argument spells it
@@ -347,7 +339,7 @@ pub fn format_job_spec(spec: &JobSpec) -> String {
     let topo = format_topo_ref(&spec.topo);
     let routing = spec.routing;
     let strategy = spec.strategy;
-    let mut out = match spec.kind {
+    match spec.kind {
         JobKind::Schedule { clusters, seed } => format!(
             "SCHEDULE topo={topo} routing={routing} strategy={strategy} \
              clusters={clusters} seed={seed}"
@@ -361,22 +353,15 @@ pub fn format_job_spec(spec: &JobSpec) -> String {
              clusters={clusters} seed={seed} points={points}"
         ),
         JobKind::Noop => format!("NOOP topo={topo} routing={routing}"),
-    };
-    // Spelled only when set so existing WAL records and tooling that
-    // compare spellings byte-for-byte keep their pre-deadline shape.
-    if let Some(ms) = spec.deadline_ms {
-        out.push_str(&format!(" deadline-ms={ms}"));
     }
-    if spec.mem != 0 {
-        out.push_str(&format!(" mem={}", spec.mem));
-    }
-    out
 }
 
 /// Parse the argument words of a `SUBMIT` request (the job-spec half of
 /// the line, without the `SUBMIT` verb). Inverse of [`format_job_spec`].
-/// A well-formed `approx-eps` key, which an older daemon wrote into every
-/// logged spec, is accepted and ignored: the job runs on the exact table.
+/// A well-formed retired key an older daemon logged (`approx-eps`, which
+/// it wrote into every spec, `deadline-ms`, `mem`) is accepted and
+/// ignored: the job runs on the exact table, admitted by the queue bound
+/// alone.
 ///
 /// # Errors
 /// Returns a human-readable message on malformed input.
@@ -390,25 +375,57 @@ mod tests {
     use super::*;
 
     #[test]
-    fn approx_eps_is_ignored_from_the_log_and_refused_from_the_wire() {
+    fn retired_keys_are_ignored_from_the_log_and_refused_from_the_wire() {
         let wire = |text: &str| JobSpec::from_wire(&text.split_whitespace().collect::<Vec<_>>());
         let plain = "SCHEDULE topo=paper24 strategy=multilevel clusters=4 seed=7";
-        let with = |eps: &str| plain.replace("clusters", &format!("approx-eps={eps} clusters"));
+        let with = |keys: &str| plain.replace("clusters", &format!("{keys} clusters"));
         let spec = parse_job_spec(plain).unwrap();
-        // The log's door: an older daemon's record runs on the exact table.
-        assert_eq!(parse_job_spec(&with("0.05")), Ok(spec));
-        assert!(!format_job_spec(&spec).contains("approx-eps"));
-        // The wire's door: asking for an approximate table is refused,
-        // asking for none is not.
-        assert_eq!(
-            wire(&with("0.05")),
-            Err("unsupported: approx-eps 0.05 (tables are exact)".to_string())
-        );
-        assert_eq!(wire(&with("0")), Ok(spec));
-        for bad in ["-0.5", "nan", "inf", "five"] {
-            let want = Err(format!("bad approx-eps '{bad}'"));
-            assert_eq!(parse_job_spec(&with(bad)), want);
-            assert_eq!(wire(&with(bad)), want);
+        let placement = "the daemon does no online placement";
+        // Keys that ask for something, and the wire's refusal of each:
+        // the first such key a spec names is the one refused.
+        for (keys, refusal) in [
+            (
+                "approx-eps=0.05",
+                "approx-eps 0.05 (tables are exact)".into(),
+            ),
+            (
+                "deadline-ms=60000",
+                format!("deadline-ms 60000 ({placement})"),
+            ),
+            ("deadline-ms=0", format!("deadline-ms 0 ({placement})")),
+            ("mem=1", format!("mem 1 ({placement})")),
+            (
+                "approx-eps=0 mem=0 deadline-ms=5 mem=9",
+                format!("deadline-ms 5 ({placement})"),
+            ),
+        ] {
+            // The log's door: an older daemon's record runs as the same
+            // job, on the exact table, admitted by the queue bound alone.
+            assert_eq!(parse_job_spec(&with(keys)), Ok(spec), "{keys}");
+            assert_eq!(
+                wire(&with(keys)),
+                Err(format!("unsupported: {refusal}")),
+                "{keys}"
+            );
+        }
+        // Asking for nothing is not refused, and nothing is spelled back.
+        assert_eq!(wire(&with("approx-eps=0 mem=0")), Ok(spec));
+        for key in ["approx-eps", "deadline-ms", "mem="] {
+            assert!(!format_job_spec(&spec).contains(key));
+        }
+        for (key, bad) in [
+            ("approx-eps", "-0.5"),
+            ("approx-eps", "nan"),
+            ("approx-eps", "inf"),
+            ("approx-eps", "five"),
+            ("deadline-ms", "soon"),
+            ("deadline-ms", "-1"),
+            ("mem", "lots"),
+            ("mem", "-4"),
+        ] {
+            let want = Err(format!("bad {key} '{bad}'"));
+            assert_eq!(parse_job_spec(&with(&format!("{key}={bad}"))), want);
+            assert_eq!(wire(&with(&format!("{key}={bad}"))), want);
         }
     }
 }

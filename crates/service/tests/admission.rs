@@ -8,9 +8,8 @@
 //! log append.
 
 use commsched_service::{
-    JobId, JobSpec, JobState, PersistOptions, ServiceCore, ServiceCoreConfig, SubmitError, TopoRef,
+    JobId, JobSpec, JobState, PersistOptions, ServiceCore, ServiceCoreConfig, SubmitError,
 };
-use commsched_topology::TopologyBuilder;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 
@@ -37,19 +36,9 @@ fn durable_core(dir: &Path, queue_capacity: usize) -> ServiceCore {
         .0
 }
 
-/// A NOOP job charging `mem` bytes on the capacitated test topology
-/// (`mem = 0`: exempt from capacity admission).
-fn noop(fp: u64, mem: u64) -> JobSpec {
-    JobSpec {
-        topo: TopoRef::Registered(fp),
-        mem,
-        ..JobSpec::default()
-    }
-}
-
 enum Op {
-    /// Submit these specs: one `submit` each, or one `submit_batch`.
-    Submit(Vec<u64>),
+    /// Submit this many NOOPs: one `submit` each, or one `submit_batch`.
+    Submit(usize),
     Cancel(JobId),
     Drain,
 }
@@ -76,73 +65,35 @@ fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "queue-full tail",
             queue_capacity: 3,
-            ops: vec![Op::Submit(vec![0; 5])],
+            ops: vec![Op::Submit(5)],
             expect: vec![Ok(1), Ok(2), Ok(3), Err("queue-full"), Err("queue-full")],
             queued: vec![1, 2, 3],
         },
         Scenario {
             name: "ids unique and ascending across calls",
             queue_capacity: 16,
-            ops: vec![
-                Op::Submit(vec![0; 3]),
-                Op::Cancel(2),
-                Op::Submit(vec![0; 3]),
-            ],
+            ops: vec![Op::Submit(3), Op::Cancel(2), Op::Submit(3)],
             expect: (1..=6).map(Ok).collect(),
             queued: vec![1, 3, 4, 5, 6],
         },
         Scenario {
             name: "shutting-down after drain",
             queue_capacity: 4,
-            ops: vec![
-                Op::Submit(vec![0]),
-                Op::Cancel(1),
-                Op::Drain,
-                Op::Submit(vec![0; 2]),
-            ],
+            ops: vec![Op::Submit(1), Op::Cancel(1), Op::Drain, Op::Submit(2)],
             expect: vec![Ok(1), Err("shutting-down"), Err("shutting-down")],
             queued: vec![],
-        },
-        Scenario {
-            // Two 100-byte switches. Jobs 1 and 2 take 60 bytes on
-            // switch 0 and 1; the 40-byte job still fits switch 0 but
-            // bounces off the full queue, the 101-byte job fits nowhere.
-            // Once job 1 is cancelled a 100-byte job fits switch 0 only
-            // if the bounced job's 40 bytes were given back.
-            name: "capacity claim released on every rejection",
-            queue_capacity: 2,
-            ops: vec![
-                Op::Submit(vec![60, 60, 40, 101]),
-                Op::Cancel(1),
-                Op::Submit(vec![100]),
-            ],
-            expect: vec![
-                Ok(1),
-                Ok(2),
-                Err("queue-full"),
-                Err("capacity: no switch fits 101 bytes"),
-                Ok(3),
-            ],
-            queued: vec![2, 3],
         },
     ]
 }
 
-/// Run a scenario's script on `core`, registering the capacitated
-/// topology first. `batched` picks the entry point.
+/// Run a scenario's script on `core`. `batched` picks the entry point.
 fn run(core: &ServiceCore, scenario: &Scenario, batched: bool) -> Vec<Outcome> {
-    let topo = TopologyBuilder::new(2, 1)
-        .link(0, 1)
-        .uniform_mem_capacity(100)
-        .build()
-        .expect("capacitated topology");
-    let fp = core.register_topology(topo).0;
     scenario
         .ops
         .iter()
         .map(|op| match op {
-            Op::Submit(mems) => {
-                let specs: Vec<JobSpec> = mems.iter().map(|&m| noop(fp, m)).collect();
+            Op::Submit(n) => {
+                let specs = vec![JobSpec::default(); *n];
                 Outcome::Submitted(if batched {
                     core.submit_batch(&specs)
                 } else {

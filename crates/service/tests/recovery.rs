@@ -144,8 +144,6 @@ fn run_workload(dir: &Path, seed: u64) -> GroundTruth {
             RoutingSpec::ShortestPath
         },
         strategy: commsched_search::MapStrategy::Flat,
-        deadline_ms: None,
-        mem: 0,
         kind: JobKind::Schedule {
             clusters: 2,
             seed: rng.gen_range(0_u64..100),
@@ -883,19 +881,23 @@ fn legacy_in_log_cache_records_are_skipped_and_rebuilt() {
 }
 
 #[test]
-fn a_logged_approx_eps_job_recovers_onto_the_exact_table() {
-    let dir = temp_dir("approx-eps");
+fn logged_retired_keys_recover_onto_the_same_job() {
+    let dir = temp_dir("retired-keys");
     std::fs::create_dir_all(&dir).unwrap();
-    // How a daemon that still built approximate tables logged a job
-    // that asked for one.
+    // How older daemons logged a job: one that still built approximate
+    // tables, and one that admitted by deadline and switch memory.
     {
         let mut wal = WalWriter::open(&dir.join(WAL_FILE)).expect("open wal");
-        let accept = "accept 1 SCHEDULE topo=ring:8:1 routing=updown:0 strategy=flat \
-                      approx-eps=0.05 clusters=2 seed=1";
-        wal.append(accept.as_bytes(), true).unwrap();
+        for (id, keys) in [(1, "approx-eps=0.05"), (2, "deadline-ms=60000 mem=1")] {
+            let accept = format!(
+                "accept {id} SCHEDULE topo=ring:8:1 routing=updown:0 strategy=flat \
+                 {keys} clusters=2 seed=1"
+            );
+            wal.append(accept.as_bytes(), true).unwrap();
+        }
     }
     let (core, report) = durable_core(&dir);
-    assert_eq!(report.recovered_jobs, 1, "report: {report:?}");
+    assert_eq!(report.recovered_jobs, 2, "report: {report:?}");
     let plain = core
         .submit(JobSpec {
             topo: TopoRef::Ring {
@@ -912,8 +914,10 @@ fn a_logged_approx_eps_job_recovers_onto_the_exact_table() {
     drain_with_worker(&core);
     let result = |id| core.result_lines(id).expect("done");
     let fg = |lines: Vec<String>| lines.into_iter().find(|l| l.starts_with("fg "));
-    assert!(fg(result(1)).is_some());
-    assert_eq!(fg(result(1)), fg(result(plain)));
-    assert_eq!(result(1), result(plain));
+    for id in [1, 2] {
+        assert!(fg(result(id)).is_some());
+        assert_eq!(fg(result(id)), fg(result(plain)));
+        assert_eq!(result(id), result(plain));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

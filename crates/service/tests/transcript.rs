@@ -425,6 +425,7 @@ fn verbs(handle: &ServerHandle, binary: bool) -> String {
     // the script puts there.
     let pin = Pin::paper24_table(handle);
     c.ask("SUBMIT SCHEDULE topo=paper24 clusters=4 seed=42 deadline-ms=60000 mem=1");
+    c.ask("SUBMIT SCHEDULE topo=paper24 clusters=4 seed=42 mem=0");
     wait_until(handle, 5, |s| s == JobState::Running);
     c.ask("STATUS 5");
     c.ask("RESULT 5");
@@ -774,6 +775,8 @@ const LINE_VERBS: &str = r#"
 > RESULT 4
 < ERR job-failed: stale-epoch: 01d666d79b24f9e0 superseded by b98db819ac4205a0
 > SUBMIT SCHEDULE topo=paper24 clusters=4 seed=42 deadline-ms=60000 mem=1
+< ERR unsupported: deadline-ms 60000 (the daemon does no online placement)
+> SUBMIT SCHEDULE topo=paper24 clusters=4 seed=42 mem=0
 < OK 5
 > STATUS 5
 < OK running
@@ -1037,6 +1040,8 @@ const BINARY_VERBS: &str = r#"
 > RESULT 4
 < [err] ERR job-failed: stale-epoch: 01d666d79b24f9e0 superseded by b98db819ac4205a0
 > SUBMIT SCHEDULE topo=paper24 clusters=4 seed=42 deadline-ms=60000 mem=1
+< [err] ERR unsupported: deadline-ms 60000 (the daemon does no online placement)
+> SUBMIT SCHEDULE topo=paper24 clusters=4 seed=42 mem=0
 < [ok] OK 5
 > STATUS 5
 < [ok] OK running
@@ -1077,8 +1082,8 @@ const BINARY_VERBS: &str = r#"
 < ok 11
 < err expected key=value, got 'kind'
 < err limit-exceeded: points 65 > 64
+< err unsupported: deadline-ms 5 (the daemon does no online placement)
 < ok 12
-< err queue-full
 > BATCH []
 < [batch-ack] 0
 > BATCH cut short

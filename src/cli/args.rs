@@ -175,14 +175,12 @@ pub(super) const USAGE_BLOCKS: [&str; 12] = [
 ",
     "  commsched loadgen  --server HOST:PORT [--connections N] [--rate JOBS_PER_S]
                      [--batch N] [--duration SECS] [--mode line|binary]
-                     [--spec 'NOOP'] [--max-in-flight N] [--deadline-ms MS]
-                     [--out FILE.json]
+                     [--spec 'NOOP'] [--max-in-flight N] [--out FILE.json]
 ",
     "  commsched scenario [<topology flags>] [--arrivals poisson:RATE|trace:FILE]
                      [--duration SECS] [--seed S]
                      [--migration off|threshold:X] [--baseline]
-                     [--server HOST:PORT] [--threads N] [--beta B]
-                     [--dump-trace FILE.jsonl]
+                     [--threads N] [--beta B] [--dump-trace FILE.jsonl]
 ",
     "  commsched status   --server HOST:PORT --job ID
 ",
@@ -504,7 +502,6 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
             args.set("--mode", &mut config.mode, WireMode::parse)?;
             args.value("--spec", &mut config.spec)?;
             args.value("--max-in-flight", &mut config.max_in_flight)?;
-            config.deadline_ms = args.opt("--deadline-ms")?;
             Command::Loadgen {
                 server,
                 config,
@@ -521,7 +518,6 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
                 seed: 42,
                 migration: MigrationPolicy::Off,
                 baseline: args.switch("--baseline"),
-                server: args.opt("--server")?,
                 threads: 1,
                 beta: 3.0,
                 dump_trace: args.opt("--dump-trace")?,

@@ -2,7 +2,7 @@
 //! everything solved in this process.
 
 use super::args::real;
-use super::{remote, Instance, Network, Scenario, Schedule, Simulate, Sweep};
+use super::{Instance, Network, Scenario, Schedule, Simulate, Sweep};
 use crate::{RoutingKind, ScheduleOutcome, Scheduler, SchedulerOptions};
 use commsched_core::{weighted_similarity_fg, Workload};
 use commsched_netsim::{paper_sweep, simulate as run_sim, CongestionMode, SweepConfig};
@@ -288,15 +288,6 @@ pub(super) fn scenario(scenario: &Scenario) -> Result<String, String> {
         .expect("write to string");
     } else {
         writeln!(out, "{report}").expect("write to string");
-    }
-    if let Some(server) = &scenario.server {
-        let acked = remote::mirror(server, &trace)?;
-        writeln!(
-            out,
-            "daemon mirror: {acked}/{} jobs done on {server}",
-            trace.len()
-        )
-        .expect("write to string");
     }
     Ok(out)
 }

@@ -16,8 +16,8 @@
 //!   flags only a local run takes, the usage blocks, and [`parse`];
 //! * `local` — everything solved in this process;
 //! * `remote` — everything said to a daemon: the one path a remote job
-//!   takes (`schedule --server`, `sweep --server`, `submit`), the other
-//!   client subcommands, the scenario mirror;
+//!   takes (`schedule --server`, `sweep --server`, `submit`) and the
+//!   other client subcommands;
 //! * `daemon` — `serve` and `cluster`;
 //! * this file — [`Command`] and [`run`].
 
@@ -127,8 +127,6 @@ pub struct Scenario {
     pub migration: MigrationPolicy,
     /// Also run the static-mapping baseline and print the delta.
     pub baseline: bool,
-    /// Mirror the trace to a live daemon as real submissions.
-    pub server: Option<String>,
     /// Tabu worker threads (any value gives identical results).
     pub threads: usize,
     /// Communication slowdown weight β in the speed model.

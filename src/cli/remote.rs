@@ -4,7 +4,6 @@
 //! reaches it as a [`TopoRef`], a file being uploaded first.
 
 use super::{Faults, Network, RemoteJob};
-use commsched_scenarios::JobArrival;
 use commsched_service::loadgen::{self, LoadgenConfig};
 use commsched_service::protocol::{format_fault, format_job_spec};
 use commsched_service::{Client, JobSpec, TopoRef};
@@ -88,36 +87,4 @@ pub(super) fn loadgen(
             .map_err(|e| format!("cannot write '{path}': {e}"))?;
     }
     Ok(format!("{json}\n"))
-}
-
-/// Mirror a scenario trace to a live daemon: every arrival becomes a
-/// real `NOOP` submission carrying its memory demand and (relative)
-/// deadline, batched over one connection, then awaited. Returns how
-/// many ran to `done`.
-pub(super) fn mirror(server: &str, trace: &[JobArrival]) -> Result<u64, String> {
-    let mut client = connect(server)?;
-    let specs: Vec<String> = trace
-        .iter()
-        .map(|a| {
-            format_job_spec(&JobSpec {
-                deadline_ms: a
-                    .deadline_us
-                    .map(|d| d.saturating_sub(a.t_us).div_ceil(1000).max(1)),
-                mem: a.total_mem(),
-                ..JobSpec::default()
-            })
-        })
-        .collect();
-    let acks = client.submit_batch(&specs).map_err(|e| e.to_string())?;
-    let mut done = 0u64;
-    for ack in acks {
-        let id = ack.map_err(|e| format!("daemon rejected mirrored job: {e}"))?;
-        let state = client
-            .wait(id, Duration::from_millis(5))
-            .map_err(|e| e.to_string())?;
-        if state == "done" {
-            done += 1;
-        }
-    }
-    Ok(done)
 }

@@ -161,7 +161,6 @@ fn parse_server_subcommands() {
                 mode: commsched_service::loadgen::WireMode::Binary,
                 spec: "NOOP".into(),
                 max_in_flight: 32,
-                deadline_ms: None,
             },
             out: Some("/tmp/lg.json".into()),
         }
@@ -311,7 +310,6 @@ fn parse_scenario_subcommand() {
             seed: 7,
             migration: MigrationPolicy::Threshold(0.1),
             baseline: true,
-            server: None,
             threads: 2,
             beta: 3.0,
             dump_trace: None,
@@ -349,7 +347,6 @@ fn run_scenario_replays_a_trace_file() {
         seed: 1,
         migration: MigrationPolicy::Threshold(0.1),
         baseline: true,
-        server: None,
         threads: 1,
         beta: 3.0,
         dump_trace: None,
@@ -360,18 +357,6 @@ fn run_scenario_replays_a_trace_file() {
     assert!(out.contains("compare attainment="), "{out}");
     assert!(out.contains("deadline total=1 met=1"), "{out}");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn parse_loadgen_deadline_flag() {
-    match parsed("loadgen --server h:1 --deadline-ms 250") {
-        Command::Loadgen { config, .. } => {
-            assert_eq!(config.deadline_ms, Some(250));
-            assert_eq!(config.effective_spec(), "NOOP deadline-ms=250");
-        }
-        other => panic!("wrong parse: {other:?}"),
-    }
-    assert!(parse(&argv("loadgen --server h:1 --deadline-ms soon")).is_err());
 }
 
 #[test]
@@ -663,6 +648,8 @@ schedule --kind file --input p --hosts 2 => --hosts
 serve --no-persist --fsync never => --fsync
 submit --server h:1 --points 3 => --points
 loadgen --server h:1 --duration -1 => --duration
+loadgen --server h:1 --deadline-ms 250 => unknown flag --deadline-ms
+scenario --server h:1 => unknown flag --server
 simulate --rate --adaptive => --rate
 ";
 

@@ -129,7 +129,6 @@ fn facade_and_daemon_map_identically() {
             routing,
             strategy,
             kind: JobKind::Schedule { clusters, seed },
-            ..JobSpec::default()
         };
         (topo, routing, strategy, core.submit(spec).unwrap())
     });
