@@ -3,7 +3,7 @@
 
 use commsched_distance::{equivalent_distance_table, equivalent_distance_table_with, TableOptions};
 use commsched_dynamics::{repair_table, warm_remap, FaultEvent, FaultSchedule, TopologyEpoch};
-use commsched_routing::UpDownRouting;
+use commsched_routing::{Routing, RoutingError, ShortestPathRouting, UpDownRouting};
 use commsched_search::{TabuParams, TabuSearch};
 use commsched_topology::{random_regular, RandomTopologyConfig, Topology};
 use proptest::prelude::*;
@@ -16,40 +16,51 @@ fn random_topology(switches: usize, seed: u64) -> Topology {
     random_regular(RandomTopologyConfig::paper(switches), &mut rng).unwrap()
 }
 
+/// Up*/down* rooted at switch 0, or unconstrained shortest-path routing.
+fn route(topo: &Topology, updown: bool) -> Result<Box<dyn Routing>, RoutingError> {
+    Ok(if updown {
+        Box::new(UpDownRouting::new(topo, 0)?)
+    } else {
+        Box::new(ShortestPathRouting::new(topo)?)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For random topologies and random 1–3-event fault schedules, every
-    /// repair of the chain is bit-identical to a from-scratch rebuild of
-    /// its epoch, and across thread counts {1, 2, 7}.
+    /// For random topologies, random 1–3-event fault schedules and both
+    /// routers (up*/down* rooted at 0, shortest-path), every repair of the
+    /// chain is bit-identical to a from-scratch rebuild of its epoch, and
+    /// across thread counts {1, 2, 7}.
     #[test]
     fn repair_chain_equals_rebuild(
         topo_seed in any::<u64>(),
         fault_seed in any::<u64>(),
         sw_idx in 0usize..3,
         count in 1usize..=3,
+        updown in any::<bool>(),
     ) {
         let switches = [12usize, 16, 20][sw_idx];
         let topo = random_topology(switches, topo_seed);
         let schedule = FaultSchedule::random(&topo, fault_seed, count, 1_000);
         let mut epoch = TopologyEpoch::initial(Arc::new(topo));
-        let mut routing = UpDownRouting::new(&epoch.topology, 0).unwrap();
-        let mut table = equivalent_distance_table(&epoch.topology, &routing).unwrap();
+        let mut routing = route(&epoch.topology, updown).unwrap();
+        let mut table = equivalent_distance_table(&epoch.topology, &*routing).unwrap();
         for tf in &schedule.events {
             let next = epoch.apply(&tf.event).unwrap();
             if !next.connected {
-                // A partitioned epoch is reported, not repaired: up*/down*
-                // routing (and hence the table) needs a connected network.
-                prop_assert!(UpDownRouting::new(&next.topology, 0).is_err());
+                // A partitioned epoch is reported, not repaired: either
+                // router (and hence the table) needs a connected network.
+                prop_assert!(route(&next.topology, updown).is_err());
                 break;
             }
-            let next_routing = UpDownRouting::new(&next.topology, 0).unwrap();
+            let next_routing = route(&next.topology, updown).unwrap();
             let (repaired, report) = repair_table(
                 &table,
                 &epoch.topology,
-                &routing,
+                &*routing,
                 &next.topology,
-                &next_routing,
+                &*next_routing,
                 TableOptions::default(),
             )
             .unwrap();
@@ -58,16 +69,16 @@ proptest! {
                 let (again, _) = repair_table(
                     &table,
                     &epoch.topology,
-                    &routing,
+                    &*routing,
                     &next.topology,
-                    &next_routing,
+                    &*next_routing,
                     TableOptions { threads, ..Default::default() },
                 )
                 .unwrap();
                 prop_assert_eq!(&again, &repaired, "threads = {}", threads);
             }
             // Exactness against a from-scratch rebuild of this epoch.
-            let rebuilt = equivalent_distance_table(&next.topology, &next_routing).unwrap();
+            let rebuilt = equivalent_distance_table(&next.topology, &*next_routing).unwrap();
             prop_assert_eq!(&repaired, &rebuilt, "epoch {}", next.index);
             prop_assert!(report.pairs_recomputed <= report.pairs_total);
             epoch = next;
