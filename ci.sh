@@ -96,11 +96,13 @@ cargo test --release --offline -q -p commsched-core --lib
 # compiled out exactly there: the recorded tallies say that the scan
 # still answers the pairs that test answered, the routing property test
 # that it answers them with the cost of their one route. A repaired table
-# is a rebuild's bits, which the fault-chain property test holds the
-# shipped build to as well. The sparse == dense property tests run over
+# is a rebuild's bits: an up*/down* repair re-solves the pairs the
+# transition diff names and copies the rest, any other repair is a
+# rebuild, and the fault-chain property test holds the shipped build to
+# both, under both routers. The sparse == dense property tests run over
 # the compaction and the solve the shipped build runs, whose connectivity
 # check is a debug assertion on route circuits.
-echo "==> golden distance-table bits, which path answered each pair, sparse == dense, the row steps against route enumeration, and repair == rebuild over fault chains, release build"
+echo "==> golden distance-table bits, which path answered each pair, sparse == dense, the row steps against route enumeration, and repair == rebuild over fault chains under both routers, release build"
 cargo test --release --offline -q -p commsched-distance --test golden --test tallies --test props
 cargo test --release --offline -q -p commsched-routing --test row
 cargo test --release --offline -q -p commsched-dynamics --test props

@@ -1,53 +1,22 @@
 //! Incremental repair of a table of equivalent distances after a
 //! topology change.
 //!
-//! When a link fails (or is restored) only the pairs whose minimal-route
-//! link sets touch the changed region get new equivalent distances —
-//! everything else is unchanged, because each pair's resistance depends
-//! *only* on its own route sub-network. [`repair_distance_table`] exploits
-//! that: the caller supplies the affected pairs (computed by comparing
-//! route link sets across epochs, see `commsched-dynamics`), the repair
-//! re-solves exactly those pairs through the build's own per-pair solver
-//! and row fan-out, and copies every other entry forward from the
-//! previous table.
-//!
-//! An exact repair is therefore **bit-identical to a rebuild** of the new
-//! topology: a re-solved pair runs the rebuild's code on the rebuild's
-//! input, and a copied pair's value was computed from the same wires in
-//! the same order as the rebuild would compute it (the `CORRECTNESS:`
-//! note at the copy says why).
-//!
-//! Route sets are compared across epochs as wires ([`route_key`]),
-//! **never** by `LinkId` — link ids are renumbered compactly when a
-//! topology is rebuilt without a link, so only endpoints are stable
-//! across epochs.
+//! A pair's resistance depends *only* on its own route sub-network, so
+//! after a link fails (or is restored) only the pairs whose minimal-route
+//! wires changed get new distances. [`repair_distance_table`] re-solves
+//! the pairs the caller names through the build's own per-pair solver and
+//! row fan-out and copies every other entry forward, which makes an exact
+//! repair **bit-identical to a rebuild** of the new topology (the
+//! `CORRECTNESS:` note at the copy says why). Wires, not `LinkId`s, are
+//! what is stable across epochs: link ids are renumbered compactly when a
+//! topology is rebuilt without a link.
 
 use crate::table::{
     check_sizes, fan_out, DistanceTable, FirstFailure, PairSolver, PairTally, TableError,
     TableOptions,
 };
 use commsched_routing::Routing;
-use commsched_topology::{LinkId, SwitchId, Topology};
-
-/// A route link set canonicalized to survive link-id renumbering:
-/// `(a, b, slowdown)` triples with `a < b`, sorted lexicographically.
-pub type RouteKey = Vec<(SwitchId, SwitchId, u32)>;
-
-/// Canonical cross-epoch key of a minimal-route link set: the links as
-/// sorted endpoint/slowdown triples. Two epochs' route sets compare equal
-/// under this key exactly when they use the same physical wires, however
-/// the link ids were renumbered in between.
-pub fn route_key(topo: &Topology, links: &[LinkId]) -> RouteKey {
-    let mut key: RouteKey = links
-        .iter()
-        .map(|&l| {
-            let link = topo.link(l);
-            (link.a, link.b, topo.link_slowdown(l))
-        })
-        .collect();
-    key.sort_unstable();
-    key
-}
+use commsched_topology::{SwitchId, Topology};
 
 /// What one incremental repair did.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,7 +66,7 @@ fn group_rows(
 /// re-solving only `affected` pairs and copying every other entry.
 ///
 /// The caller guarantees that every pair whose minimal-route link set
-/// changed (as physical wires — see [`route_key`]) is listed in
+/// changed (as physical wires, see the module doc) is listed in
 /// `affected`; extra pairs are harmless (their recomputation returns the
 /// old value). When `prev` is a build (or such a repair) of the previous
 /// topology with the same exact solver, and `topo` lists the surviving
@@ -179,7 +148,22 @@ mod tests {
     use crate::resistance::SolverKind;
     use crate::table::{equivalent_distance_table, equivalent_distance_table_with};
     use commsched_routing::UpDownRouting;
-    use commsched_topology::{designed, Topology, TopologyBuilder};
+    use commsched_topology::{designed, LinkId, Topology, TopologyBuilder};
+
+    /// A route link set as sorted `(a, b, slowdown)` wires: equal across
+    /// epochs exactly when the same physical wires are used, however the
+    /// link ids were renumbered in between.
+    fn route_key(topo: &Topology, links: &[LinkId]) -> Vec<(SwitchId, SwitchId, u32)> {
+        let mut key: Vec<_> = links
+            .iter()
+            .map(|&l| {
+                let link = topo.link(l);
+                (link.a, link.b, topo.link_slowdown(l))
+            })
+            .collect();
+        key.sort_unstable();
+        key
+    }
 
     /// Rebuild `topo` without the link between `a` and `b`, keeping the
     /// switch count (unlike `Topology::without_link`, disconnection is

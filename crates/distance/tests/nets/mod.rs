@@ -4,10 +4,10 @@
 
 #![allow(dead_code)] // each of the two uses its part
 
-use commsched_distance::{route_key, SolverKind};
+use commsched_distance::SolverKind;
 use commsched_routing::{Routing, ShortestPathRouting, UpDownRouting};
 use commsched_topology::{
-    designed, random_regular, RandomTopologyConfig, SwitchId, Topology, TopologyBuilder,
+    designed, random_regular, LinkId, RandomTopologyConfig, SwitchId, Topology, TopologyBuilder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,6 +83,21 @@ pub fn first_survivable_fault(topo: &Topology) -> Topology {
     (0..topo.num_links())
         .find_map(|l| topo.without_link(l).ok())
         .expect("some link is not a bridge")
+}
+
+/// A route link set as sorted `(a, b, slowdown)` wires: equal across
+/// epochs exactly when the same physical wires are used, however the
+/// link ids were renumbered in between.
+fn route_key(topo: &Topology, links: &[LinkId]) -> Vec<(SwitchId, SwitchId, u32)> {
+    let mut key: Vec<_> = links
+        .iter()
+        .map(|&l| {
+            let link = topo.link(l);
+            (link.a, link.b, topo.link_slowdown(l))
+        })
+        .collect();
+    key.sort_unstable();
+    key
 }
 
 /// Pairs whose minimal-route link sets differ, as physical wires,

@@ -12,7 +12,8 @@
 //! [`TopologyEpoch`] yields the next epoch (new topology, new
 //! fingerprint, connectivity *reported*, never asserted). After a fault,
 //! [`repair_table`] recomputes only the pairs whose minimal routes
-//! touched the changed links — through the full build's own per-pair
+//! touched the changed links (or rebuilds, when the up*/down* transition
+//! diff cannot name them) — through the full build's own per-pair
 //! solver, so the repaired table is the one a rebuild would produce, bit
 //! for bit — and [`warm_remap`]
 //! re-runs the tabu search seeded from the pre-fault mapping so the
@@ -24,7 +25,7 @@ pub mod repair;
 
 pub use fault::{FaultError, FaultEvent, FaultSchedule, TimedFault, TopologyEpoch};
 pub use remap::{warm_remap, RemapReport};
-pub use repair::{affected_pairs, repair_table, RepairReport};
+pub use repair::{repair_table, RepairReport};
 
 use commsched_telemetry as telemetry;
 use std::sync::OnceLock;

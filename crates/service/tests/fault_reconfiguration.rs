@@ -1,23 +1,16 @@
 //! End-to-end dynamic-reconfiguration test: a `FAULT` against a cached
 //! topology bumps its epoch, invalidates exactly that topology's cache
-//! entry (repair-refreshing it under the successor fingerprint), fails
-//! later jobs against the stale epoch with a typed error instead of
-//! hanging them, and leaves unrelated topologies untouched.
+//! entries (repair-refreshing them under the successor fingerprint — a
+//! shortest-path entry by a rebuild), fails later jobs against the stale
+//! epoch with a typed error instead of hanging them, and leaves unrelated
+//! topologies untouched.
 
-use commsched_service::{Client, Server, ServerConfig, ServiceCoreConfig};
+use commsched_service::{Client, Server, ServerConfig, ServerHandle, ServiceCoreConfig};
 use commsched_topology::designed;
 use std::time::Duration;
 
-fn value_of<'a>(lines: &'a [String], key: &str) -> &'a str {
-    lines
-        .iter()
-        .find_map(|l| l.strip_prefix(&format!("{key} ")))
-        .unwrap_or_else(|| panic!("missing '{key}' in {lines:?}"))
-}
-
-#[test]
-fn fault_invalidates_one_entry_and_stale_jobs_fail_typed() {
-    let handle = Server::bind(
+fn server() -> ServerHandle {
+    Server::bind(
         "127.0.0.1:0",
         ServerConfig {
             workers: 2,
@@ -31,23 +24,42 @@ fn fault_invalidates_one_entry_and_stale_jobs_fail_typed() {
             ..ServerConfig::default()
         },
     )
-    .expect("bind ephemeral port");
+    .expect("bind ephemeral port")
+}
+
+/// Run `args` to completion and return its `RESULT` payload.
+fn run(client: &mut Client, args: &str) -> Vec<String> {
+    let job = client.submit_raw(args).expect("submit");
+    let state = client.wait(job, Duration::from_millis(10)).expect("wait");
+    assert_eq!(state, "done", "{args} ended {state}");
+    client.result(job).expect("result")
+}
+
+fn value_of<'a>(lines: &'a [String], key: &str) -> &'a str {
+    lines
+        .iter()
+        .find_map(|l| l.strip_prefix(&format!("{key} ")))
+        .unwrap_or_else(|| panic!("missing '{key}' in {lines:?}"))
+}
+
+#[test]
+fn fault_invalidates_one_entry_and_stale_jobs_fail_typed() {
+    let handle = server();
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // Warm the cache with two topologies: the paper network (uploaded,
-    // so we hold its fingerprint) and a builtin ring.
+    // so we hold its fingerprint) under both routers, and a builtin ring.
     let fp = client
         .add_topology(&designed::paper_24_switch())
         .expect("upload");
     for args in [
         format!("SCHEDULE topo=fp:{fp:016x} clusters=4 seed=1"),
+        format!("SCHEDULE topo=fp:{fp:016x} clusters=4 seed=1 routing=shortest"),
         "SCHEDULE topo=ring:8:4 clusters=2 seed=1".to_string(),
     ] {
-        let job = client.submit_raw(&args).expect("submit");
-        let state = client.wait(job, Duration::from_millis(10)).expect("wait");
-        assert_eq!(state, "done", "warmup job ended {state}");
+        run(&mut client, &args);
     }
-    assert_eq!(client.stat_u64("cache_entries").unwrap(), Some(2));
+    assert_eq!(client.stat_u64("cache_entries").unwrap(), Some(3));
     let misses_before = client.stat_u64("cache_misses").unwrap().unwrap();
     let hits_before = client.stat_u64("cache_hits").unwrap().unwrap();
 
@@ -59,12 +71,14 @@ fn fault_invalidates_one_entry_and_stale_jobs_fail_typed() {
     assert_eq!(value_of(&report, "epoch"), "1");
     assert_eq!(value_of(&report, "previous"), format!("{fp:016x}"));
     assert_eq!(value_of(&report, "connected"), "true");
-    // Exactly the faulted topology's entry was invalidated and then
-    // repair-refreshed under the successor fingerprint; the ring's entry
-    // survived, so the cache is back at two entries after one extra
-    // (repair, not full-solve) miss and no new hits.
-    assert_eq!(value_of(&report, "invalidated"), "1");
-    assert_eq!(value_of(&report, "refreshed"), "1");
+    // Exactly the faulted topology's two entries were invalidated and
+    // then repair-refreshed under the successor fingerprint; the ring's
+    // entry survived, so the cache is back at three entries after two
+    // extra (repair) misses and no new hits. The up*/down* entry re-solves
+    // some pairs; the shortest-path entry has no transition diff to name
+    // them, so its repair is a rebuild of all 276.
+    assert_eq!(value_of(&report, "invalidated"), "2");
+    assert_eq!(value_of(&report, "refreshed"), "2");
     let new_fp = value_of(&report, "topology").to_string();
     assert_ne!(new_fp, format!("{fp:016x}"));
     assert!(
@@ -73,10 +87,16 @@ fn fault_invalidates_one_entry_and_stale_jobs_fail_typed() {
             .any(|l| l.starts_with("repair updown:0 pairs ")),
         "no repair line in {report:?}"
     );
-    assert_eq!(client.stat_u64("cache_entries").unwrap(), Some(2));
+    assert!(
+        report
+            .iter()
+            .any(|l| l.starts_with("repair shortest pairs 276/276 ")),
+        "no shortest-path rebuild line in {report:?}"
+    );
+    assert_eq!(client.stat_u64("cache_entries").unwrap(), Some(3));
     assert_eq!(
         client.stat_u64("cache_misses").unwrap(),
-        Some(misses_before + 1)
+        Some(misses_before + 2)
     );
     assert_eq!(client.stat_u64("cache_hits").unwrap(), Some(hits_before));
 
@@ -110,12 +130,33 @@ fn fault_invalidates_one_entry_and_stale_jobs_fail_typed() {
     );
     assert_eq!(
         client.stat_u64("cache_misses").unwrap(),
-        Some(misses_before + 1)
+        Some(misses_before + 2)
     );
     assert_eq!(
         client.stat_u64("cache_hits").unwrap(),
         Some(hits_before + 1)
     );
+
+    // The rebuilt shortest-path entry serves the successor (a hit) and
+    // maps it exactly as a fresh daemon's cold build of the same net.
+    let shortest = format!("SCHEDULE topo=fp:{new_fp} clusters=4 seed=3 routing=shortest");
+    let repaired = run(&mut client, &shortest);
+    assert_eq!(
+        client.stat_u64("cache_hits").unwrap(),
+        Some(hits_before + 2)
+    );
+    let fresh = server();
+    let mut cold = Client::connect(fresh.addr()).expect("connect");
+    let paper = designed::paper_24_switch();
+    let faulted = paper
+        .without_link(paper.link_between(0, 1).unwrap())
+        .unwrap();
+    let cold_fp = cold.add_topology(&faulted).expect("upload successor");
+    assert_eq!(format!("{cold_fp:016x}"), new_fp);
+    let rebuilt = run(&mut cold, &shortest);
+    assert_eq!(value_of(&repaired, "fg"), value_of(&rebuilt, "fg"));
+    assert!(cold.shutdown().expect("shutdown").starts_with("drained"));
+    fresh.join();
 
     // Faulting the stale epoch is itself a typed error.
     let err = client
