@@ -101,11 +101,12 @@ cargo test --release --offline -q -p commsched-core --lib
 # rebuild, and the fault-chain property test holds the shipped build to
 # both, under both routers. The sparse == dense property tests run over
 # the compaction and the solve the shipped build runs, whose connectivity
-# check is a debug assertion on route circuits.
-echo "==> golden distance-table bits, which path answered each pair, sparse == dense, the row steps against route enumeration, and repair == rebuild over fault chains under both routers, release build"
+# check is a debug assertion on route circuits. One link fault at N = 128
+# is repaired locally and remapped warm by the shipped build too.
+echo "==> golden distance-table bits, which path answered each pair, sparse == dense, the row steps against route enumeration, repair == rebuild over fault chains under both routers, and a warm remap after a fault, release build"
 cargo test --release --offline -q -p commsched-distance --test golden --test tallies --test props
 cargo test --release --offline -q -p commsched-routing --test row
-cargo test --release --offline -q -p commsched-dynamics --test props
+cargo test --release --offline -q -p commsched-search --test warm_remap
 
 # And for what a restart restores: the table spill files hold the
 # table's bits, and the release build is the one that encodes and decodes

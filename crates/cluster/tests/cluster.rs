@@ -108,7 +108,9 @@ fn requests_route_to_the_owning_shard_and_clients_follow() {
     assert!(moved >= 2, "node 0 issued {moved} redirects");
 
     // NOOPs name no topology, so they never bounce: both shards take a
-    // concurrent paced burst and end it clean.
+    // concurrent paced burst and lose nothing. The open burst can outrun a
+    // node's bounded job queue; a refusal is then the queue bound doing
+    // its job, so `queue-full` is the one error class allowed.
     let burst = &LoadgenConfig {
         connections: 2,
         batch: 8,
@@ -122,7 +124,13 @@ fn requests_route_to_the_owning_shard_and_clients_follow() {
         runs.map(|run| run.join().expect("loadgen thread").expect("loadgen run"))
     });
     for (shard, r) in reports.iter().enumerate() {
-        assert_eq!(r.errors, 0, "shard {shard}: {}", r.to_json());
+        assert_eq!(
+            r.errors,
+            r.errors_queue_full,
+            "shard {shard}: {}",
+            r.to_json()
+        );
+        assert_eq!(r.errors_moved, 0, "shard {shard}: {}", r.to_json());
         assert_eq!(r.in_flight_lost, 0, "shard {shard}: {}", r.to_json());
         assert!(r.jobs_acked > 0, "shard {shard} acked nothing");
     }

@@ -37,7 +37,7 @@ pub mod table;
 
 pub use io::{table_from_bytes, table_from_text, table_to_bytes, table_to_text, TableParseError};
 pub use linalg::{solve, LinalgError, Matrix};
-pub use repair::{repair_distance_table, RepairOutcome};
+pub use repair::{repair_distance_table, repair_table, RepairOutcome};
 pub use resistance::{
     effective_resistance, effective_resistance_weighted, effective_resistance_weighted_in,
     ResistanceError, SolverKind, Workspace,

@@ -1,14 +1,20 @@
-//! Property tests for the resistance model and the linear solver.
+//! Property tests for the resistance model and the linear solver, and
+//! for incremental repair: a repair is a from-scratch rebuild, bit for
+//! bit, across random topologies, fault schedules and thread counts.
 
 use commsched_distance::{
-    effective_resistance, equivalent_distance_table, equivalent_distance_table_with, solve, Matrix,
-    SolverKind, TableOptions,
+    effective_resistance, equivalent_distance_table, equivalent_distance_table_with, repair_table,
+    solve, Matrix, SolverKind, TableOptions,
 };
-use commsched_routing::{ShortestPathRouting, UpDownRouting};
-use commsched_topology::{random_regular, RandomTopologyConfig, Topology, TopologyBuilder};
+use commsched_routing::{Routing, RoutingError, ShortestPathRouting, UpDownRouting};
+use commsched_topology::{
+    designed, random_regular, FaultEvent, RandomTopologyConfig, SwitchId, Topology,
+    TopologyBuilder, TopologyEpoch,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Random labelled tree on `n` nodes via a random attachment sequence.
 fn random_tree(n: usize, seed: u64) -> Vec<(usize, usize)> {
@@ -186,4 +192,218 @@ fn parallel_resistor_law() {
         let r = effective_resistance(&edges, 0, 1).unwrap();
         assert!((r - 2.0 / k as f64).abs() < 1e-9, "k={k}: {r}");
     }
+}
+
+/// A fault event scheduled at a point in simulated time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TimedFault {
+    /// When the event fires.
+    at: u64,
+    /// What happens.
+    event: FaultEvent,
+}
+
+/// A deterministic, seed-driven sequence of timed faults.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct FaultSchedule {
+    /// Events sorted by firing time.
+    events: Vec<TimedFault>,
+}
+
+impl FaultSchedule {
+    /// Draw `count` events over `[0, horizon)` for `topo`, deterministic
+    /// in `seed`.
+    ///
+    /// The generator tracks the link population as it goes: a `LinkDown`
+    /// always names a currently-present link, a `LinkUp` restores a
+    /// previously failed one (with its original slowdown), and a
+    /// `SwitchDown` targets a switch that still has links. Disconnecting
+    /// the network is allowed — downstream layers report partitions, they
+    /// do not assert on them.
+    fn random(topo: &Topology, seed: u64, count: usize, horizon: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Live wires as canonical endpoint triples, plus the graveyard of
+        // failed wires a LinkUp can resurrect.
+        let mut up: Vec<(SwitchId, SwitchId, u32)> = topo
+            .links()
+            .iter()
+            .enumerate()
+            .map(|(l, link)| (link.a, link.b, topo.link_slowdown(l)))
+            .collect();
+        let mut down: Vec<(SwitchId, SwitchId, u32)> = Vec::new();
+        let mut times: Vec<u64> = (0..count)
+            .map(|_| rng.gen_range(0..horizon.max(1)))
+            .collect();
+        times.sort_unstable();
+        let mut events = Vec::with_capacity(count);
+        for at in times {
+            let roll: f64 = rng.gen_range(0.0..1.0);
+            let event = if roll < 0.25 && !down.is_empty() {
+                let k = rng.gen_range(0..down.len());
+                let (a, b, slowdown) = down.swap_remove(k);
+                up.push((a, b, slowdown));
+                FaultEvent::LinkUp { a, b, slowdown }
+            } else if roll < 0.85 || up.len() <= 1 {
+                if up.is_empty() {
+                    continue;
+                }
+                let k = rng.gen_range(0..up.len());
+                let (a, b, slowdown) = up.swap_remove(k);
+                down.push((a, b, slowdown));
+                FaultEvent::LinkDown { a, b }
+            } else {
+                let switches: Vec<SwitchId> = (0..topo.num_switches())
+                    .filter(|&s| up.iter().any(|&(a, b, _)| a == s || b == s))
+                    .collect();
+                if switches.is_empty() {
+                    continue;
+                }
+                let s = switches[rng.gen_range(0..switches.len())];
+                let (lost, kept): (Vec<_>, Vec<_>) =
+                    up.iter().partition(|&&(a, b, _)| a == s || b == s);
+                up = kept;
+                down.extend(lost);
+                FaultEvent::SwitchDown { switch: s }
+            };
+            events.push(TimedFault { at, event });
+        }
+        Self { events }
+    }
+
+    fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+}
+
+/// Up*/down* rooted at switch 0, or unconstrained shortest-path routing.
+fn route(topo: &Topology, updown: bool) -> Result<Box<dyn Routing>, RoutingError> {
+    Ok(if updown {
+        Box::new(UpDownRouting::new(topo, 0)?)
+    } else {
+        Box::new(ShortestPathRouting::new(topo)?)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// For random topologies, random 1–3-event fault schedules and both
+    /// routers (up*/down* rooted at 0, shortest-path), every repair of the
+    /// chain is bit-identical to a from-scratch rebuild of its epoch, and
+    /// across thread counts {1, 2, 7}.
+    #[test]
+    fn repair_chain_equals_rebuild(
+        topo_seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+        sw_idx in 0usize..3,
+        count in 1usize..=3,
+        updown in any::<bool>(),
+    ) {
+        let switches = [12usize, 16, 20][sw_idx];
+        let topo = random_topology(switches, topo_seed);
+        let schedule = FaultSchedule::random(&topo, fault_seed, count, 1_000);
+        let mut epoch = TopologyEpoch::initial(Arc::new(topo));
+        let mut routing = route(&epoch.topology, updown).unwrap();
+        let mut table = equivalent_distance_table(&epoch.topology, &*routing).unwrap();
+        for tf in &schedule.events {
+            let next = epoch.apply(&tf.event).unwrap();
+            if !next.connected {
+                // A partitioned epoch is reported, not repaired: either
+                // router (and hence the table) needs a connected network.
+                prop_assert!(route(&next.topology, updown).is_err());
+                break;
+            }
+            let next_routing = route(&next.topology, updown).unwrap();
+            let report = repair_table(
+                &table,
+                &epoch.topology,
+                &*routing,
+                &next.topology,
+                &*next_routing,
+                TableOptions::default(),
+            )
+            .unwrap();
+            // Thread-count bit-identity.
+            for threads in [2usize, 7] {
+                let again = repair_table(
+                    &table,
+                    &epoch.topology,
+                    &*routing,
+                    &next.topology,
+                    &*next_routing,
+                    TableOptions { threads, ..Default::default() },
+                )
+                .unwrap();
+                prop_assert_eq!(&again.table, &report.table, "threads = {}", threads);
+            }
+            // Exactness against a from-scratch rebuild of this epoch.
+            let rebuilt = equivalent_distance_table(&next.topology, &*next_routing).unwrap();
+            prop_assert_eq!(&report.table, &rebuilt, "epoch {}", next.index);
+            prop_assert!(report.pairs_recomputed <= report.pairs_total);
+            epoch = next;
+            routing = next_routing;
+            table = report.table;
+        }
+    }
+
+    /// Repair agrees with the dense-oracle rebuild too, closing the loop
+    /// against the original solver.
+    #[test]
+    fn repair_agrees_with_dense_oracle(topo_seed in any::<u64>()) {
+        use commsched_distance::SolverKind;
+        let topo = random_topology(12, topo_seed);
+        let schedule = FaultSchedule::random(&topo, topo_seed ^ 0x5eed, 1, 100);
+        prop_assume!(!schedule.is_empty());
+        let epoch0 = TopologyEpoch::initial(Arc::new(topo));
+        let epoch1 = epoch0.apply(&schedule.events[0].event).unwrap();
+        prop_assume!(epoch1.connected);
+        let r0 = UpDownRouting::new(&epoch0.topology, 0).unwrap();
+        let r1 = UpDownRouting::new(&epoch1.topology, 0).unwrap();
+        let prev = equivalent_distance_table(&epoch0.topology, &r0).unwrap();
+        let repaired = repair_table(
+            &prev,
+            &epoch0.topology,
+            &r0,
+            &epoch1.topology,
+            &r1,
+            TableOptions::default(),
+        )
+        .unwrap()
+        .table;
+        let dense = equivalent_distance_table_with(
+            &epoch1.topology,
+            &r1,
+            TableOptions { solver: SolverKind::DenseGaussian, ..Default::default() },
+        )
+        .unwrap();
+        for i in 0..12 {
+            for j in 0..12 {
+                prop_assert!((repaired.get(i, j) - dense.get(i, j)).abs() < 1e-9);
+            }
+        }
+    }
+}
+
+#[test]
+fn random_schedules_are_deterministic_and_applicable() {
+    let topo = designed::paper_24_switch();
+    let s1 = FaultSchedule::random(&topo, 7, 5, 1000);
+    let s2 = FaultSchedule::random(&topo, 7, 5, 1000);
+    assert_eq!(s1, s2, "same seed, same schedule");
+    let s3 = FaultSchedule::random(&topo, 8, 5, 1000);
+    assert_ne!(s1, s3, "different seed, different schedule");
+    assert!(s1.len() <= 5);
+    // Times are sorted and the whole schedule applies cleanly.
+    let mut last = 0;
+    let mut epoch = TopologyEpoch::initial(Arc::new(topo));
+    for tf in &s1.events {
+        assert!(tf.at >= last);
+        last = tf.at;
+        epoch = epoch.apply(&tf.event).unwrap();
+    }
+    assert_eq!(epoch.index, s1.len() as u64);
 }

@@ -25,7 +25,7 @@
 //! ## Migration
 //!
 //! Under [`MigrationPolicy::Threshold`], every arrival and departure
-//! triggers a warm-started remap ([`commsched_dynamics::warm_remap`]):
+//! triggers a warm-started remap ([`commsched_search::warm_remap`]):
 //! the current job→switch clustering (plus one idle cluster) seeds the
 //! tabu search, and the proposal is accepted iff the relative `F_G` gain
 //! clears the cost bar
@@ -43,9 +43,8 @@ use crate::report::SloReport;
 use crate::trace::JobArrival;
 use commsched_core::Partition;
 use commsched_distance::{equivalent_distance_table, DistanceTable};
-use commsched_dynamics::warm_remap;
 use commsched_routing::UpDownRouting;
-use commsched_search::{TabuParams, TabuSearch};
+use commsched_search::{warm_remap, TabuParams, TabuSearch};
 use commsched_topology::Topology;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -16,6 +16,8 @@
 //! * [`multilevel`] / [`coarsen`] — coarsen → map → refine, for networks
 //!   too large for the flat search;
 //! * [`parallel`] — a deterministic multi-threaded multi-seed driver;
+//! * [`remap`] — a warm-started remap after a fault, seeded from the
+//!   pre-fault mapping;
 //! * [`pool`] — the scoped work-stealing pool behind every parallel
 //!   driver (tabu restarts, multi-seed runs, refinement scans),
 //!   re-exported from `commsched-telemetry`, where the simulator's load
@@ -34,6 +36,7 @@ pub mod coarsen;
 pub mod exhaustive;
 pub mod multilevel;
 pub mod parallel;
+pub mod remap;
 pub mod tabu;
 
 pub use coarsen::{build_hierarchy, can_coarsen, coarsen_level, CoarseLevel, Hierarchy};
@@ -42,6 +45,7 @@ pub use exhaustive::{enumerate_partitions, ExhaustiveSearch};
 pub use multilevel::{multilevel_map, MapStrategy, MultilevelParams, MultilevelStats};
 pub use parallel::parallel_multi_seed;
 pub use pool::{resolve_threads, run_indexed};
+pub use remap::{warm_remap, RemapReport};
 pub use tabu::{TabuParams, TabuSearch, TabuTrace, TraceEvent};
 
 use commsched_core::Partition;

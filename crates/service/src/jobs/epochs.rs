@@ -5,8 +5,8 @@
 use super::ServiceCore;
 use crate::persist::state as pstate;
 use crate::protocol::{format_fingerprint, TopoRef};
-use commsched_dynamics::{FaultEvent, TopologyEpoch};
-use commsched_topology::Topology;
+use commsched_telemetry as telemetry;
+use commsched_topology::{FaultEvent, Topology, TopologyEpoch};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -115,6 +115,12 @@ impl ServiceCore {
         let next = epoch
             .apply(event)
             .map_err(|e| format!("fault-rejected: {e}"))?;
+        telemetry::global()
+            .counter(
+                "dynamics_faults_injected_total",
+                "Fault events applied to a topology epoch",
+            )
+            .inc();
         // Durability before repairs start: a crash mid-repair must still
         // recover the successor network and the epoch bump, so replayed
         // jobs retarget correctly (the repaired tables just rebuild).
@@ -141,12 +147,9 @@ impl ServiceCore {
         let mut refreshed = 0usize;
         for (spec, _, stale) in &removed {
             match self.refresh_entry(&old, &next, *spec, stale) {
-                Ok(Some(rep)) => {
+                Ok(Some(report)) => {
                     refreshed += 1;
-                    repair_lines.push(format!(
-                        "repair {spec} pairs {}/{} wall_ms {:.3} max_delta {:.6e}",
-                        rep.pairs_recomputed, rep.pairs_total, rep.wall_ms, rep.max_delta
-                    ));
+                    repair_lines.push(format!("repair {spec} {report}"));
                 }
                 Ok(None) => {
                     // A concurrent builder made the entry (and spilled it).

@@ -6,12 +6,12 @@ use super::ServiceCore;
 use crate::cache::{RoutedTable, RoutingSpec, TableSpec};
 use crate::protocol::{JobKind, JobSpec};
 use commsched_core::{quality, ProcessMapping, Workload};
-use commsched_distance::equivalent_distance_table_with;
-use commsched_dynamics::{repair_table, RepairReport, TopologyEpoch};
+use commsched_distance::{equivalent_distance_table_with, repair_table};
 use commsched_netsim::{paper_sweep, SimConfig, SweepConfig};
 use commsched_search::{map_partition, resolve_threads, MapPlan, MultilevelParams, TabuParams};
-use commsched_topology::Topology;
+use commsched_topology::{Topology, TopologyEpoch};
 use std::sync::Arc;
+use std::time::Instant;
 
 impl ServiceCore {
     /// The cached routing + distance table for a topology. A build is
@@ -54,15 +54,16 @@ impl ServiceCore {
     /// incrementally repairing the stale table instead of re-solving the
     /// whole network: the entry gets the bits a build of the successor
     /// would give it, for the cost of its affected pairs. Returns the
-    /// repair report (`None` when a concurrent request built the entry
-    /// first and the closure never ran).
+    /// repair's `pairs … wall_ms … max_delta …` report (`None` when a
+    /// concurrent request built the entry first and the closure never
+    /// ran).
     pub(super) fn refresh_entry(
         &self,
         old_topo: &Arc<Topology>,
         next: &TopologyEpoch,
         spec: RoutingSpec,
         stale: &Arc<RoutedTable>,
-    ) -> Result<Option<RepairReport>, String> {
+    ) -> Result<Option<String>, String> {
         let topo = Arc::clone(&next.topology);
         let old_topo = Arc::clone(old_topo);
         let threads = self.config.table_threads;
@@ -71,7 +72,8 @@ impl ServiceCore {
         let key = (next.fingerprint, spec, TableSpec::Exact);
         self.cache.get_or_build(key, move || {
             let routing = spec.build(&topo).map_err(|e| e.to_string())?;
-            let (table, rep) = repair_table(
+            let t0 = Instant::now();
+            let out = repair_table(
                 &stale.table,
                 &old_topo,
                 stale.routing.as_ref(),
@@ -80,10 +82,16 @@ impl ServiceCore {
                 TableSpec::Exact.options(threads),
             )
             .map_err(|e| e.to_string())?;
-            *report_slot = Some(rep);
+            *report_slot = Some(format!(
+                "pairs {}/{} wall_ms {:.3} max_delta {:.6e}",
+                out.pairs_recomputed,
+                out.pairs_total,
+                t0.elapsed().as_secs_f64() * 1e3,
+                out.max_delta
+            ));
             Ok(RoutedTable {
                 routing,
-                table: table.into_shared(),
+                table: out.table.into_shared(),
             })
         })?;
         Ok(report)

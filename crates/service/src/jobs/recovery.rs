@@ -185,9 +185,8 @@ mod tests {
     use super::*;
     use crate::cache::RoutingSpec;
     use crate::protocol::{format_fingerprint, JobKind, JobSpec};
-    use commsched_dynamics::FaultEvent;
     use commsched_search::MapStrategy;
-    use commsched_topology::designed;
+    use commsched_topology::{designed, FaultEvent};
 
     #[test]
     fn durable_batch_submit_survives_restart() {

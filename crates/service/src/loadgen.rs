@@ -101,6 +101,9 @@ pub struct LoadgenReport {
     pub errors: u64,
     /// Errors that were `busy` rejections (connection cap shed us).
     pub errors_busy: u64,
+    /// Errors that were `queue-full` refusals: the node's job queue was
+    /// at its bound, so the job was never accepted.
+    pub errors_queue_full: u64,
     /// Errors that were cluster `MOVED` redirects (the generator does
     /// not follow them; a redirect means the target was the wrong shard
     /// owner and the job never ran).
@@ -136,7 +139,7 @@ impl LoadgenReport {
         format!(
             concat!(
                 "{{\"connections\":{},\"jobs_sent\":{},\"jobs_acked\":{},",
-                "\"errors\":{},\"errors_busy\":{},\"errors_moved\":{},",
+                "\"errors\":{},\"errors_busy\":{},\"errors_queue_full\":{},\"errors_moved\":{},",
                 "\"errors_io\":{},\"in_flight_lost\":{},\"elapsed_secs\":{},",
                 "\"jobs_per_sec\":{},\"p50_ms\":{},\"p99_ms\":{},\"p999_ms\":{}}}"
             ),
@@ -145,6 +148,7 @@ impl LoadgenReport {
             self.jobs_acked,
             self.errors,
             self.errors_busy,
+            self.errors_queue_full,
             self.errors_moved,
             self.errors_io,
             self.in_flight_lost,
@@ -162,11 +166,13 @@ impl LoadgenReport {
 enum ErrClass {
     /// `ERR busy ...` / binary `busy` payload: shed at the connection cap.
     Busy,
+    /// `ERR queue-full`: the job queue was at its bound.
+    QueueFull,
     /// `MOVED <shard> <addr>`: the node does not own the key's shard.
     Moved,
     /// The connection died with requests still unacknowledged.
     Io,
-    /// Any other `ERR` (parse errors, `queue-full`, ...).
+    /// Any other `ERR` (parse errors, ...).
     Other,
 }
 
@@ -175,6 +181,7 @@ enum ErrClass {
 struct ErrCounts {
     total: u64,
     busy: u64,
+    queue_full: u64,
     moved: u64,
     io: u64,
 }
@@ -184,6 +191,7 @@ impl ErrCounts {
         self.total += jobs;
         match class {
             ErrClass::Busy => self.busy += jobs,
+            ErrClass::QueueFull => self.queue_full += jobs,
             ErrClass::Moved => self.moved += jobs,
             ErrClass::Io => self.io += jobs,
             ErrClass::Other => {}
@@ -197,6 +205,8 @@ fn classify(reason: &str) -> ErrClass {
         ErrClass::Moved
     } else if is_busy(reason) {
         ErrClass::Busy
+    } else if reason.starts_with("queue-full") {
+        ErrClass::QueueFull
     } else {
         ErrClass::Other
     }
@@ -480,6 +490,7 @@ pub fn run<A: ToSocketAddrs>(addr: A, config: &LoadgenConfig) -> Result<LoadgenR
         jobs_acked,
         errors: errors.total,
         errors_busy: errors.busy,
+        errors_queue_full: errors.queue_full,
         errors_moved: errors.moved,
         errors_io: errors.io,
         in_flight_lost,
@@ -643,8 +654,14 @@ mod tests {
         let t = tally_of(3, Ok(refused));
         assert_eq!(t.jobs_acked, 0);
         assert_eq!(
-            (t.errors.total, t.errors.moved, t.errors.busy, t.errors.io),
-            (3, 1, 1, 0)
+            (
+                t.errors.total,
+                t.errors.queue_full,
+                t.errors.moved,
+                t.errors.busy,
+                t.errors.io
+            ),
+            (3, 1, 1, 1, 0)
         );
         assert_eq!(t.samples_us.len(), 1, "one latency sample per request");
         // Mixed: each job is counted once, on the side it fell.
@@ -671,6 +688,10 @@ mod tests {
         assert_eq!((t.jobs_acked, t.errors.total, t.errors.moved), (0, 4, 4));
         let t = tally_of(1, Ok(Reply::Err("busy max-connections".to_string())));
         assert_eq!((t.errors.total, t.errors.busy), (1, 1));
+        let t = tally_of(1, Ok(Reply::Err("queue-full".to_string())));
+        assert_eq!((t.errors.total, t.errors.queue_full), (1, 1));
+        let t = tally_of(1, Ok(Reply::Err("unknown-verb".to_string())));
+        assert_eq!((t.errors.total, t.errors.queue_full), (1, 0));
         // A reply nobody is waiting for is not counted at all.
         let mut t = tally_of(1, Ok(Reply::Ok("1".to_string())));
         t.ack(None, Ok(Reply::Err("late".to_string())));
@@ -683,8 +704,9 @@ mod tests {
             connections: 8,
             jobs_sent: 100,
             jobs_acked: 99,
-            errors: 3,
+            errors: 4,
             errors_busy: 1,
+            errors_queue_full: 1,
             errors_moved: 1,
             errors_io: 1,
             in_flight_lost: 0,
@@ -698,8 +720,9 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"jobs_per_sec\":66.000"));
         assert!(json.contains("\"p999_ms\":5.000"));
-        assert!(json.contains("\"errors\":3"));
+        assert!(json.contains("\"errors\":4"));
         assert!(json.contains("\"errors_busy\":1"));
+        assert!(json.contains("\"errors_queue_full\":1"));
         assert!(json.contains("\"errors_moved\":1"));
         assert!(json.contains("\"errors_io\":1"));
     }

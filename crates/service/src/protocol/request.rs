@@ -47,7 +47,7 @@ pub enum Request {
         /// The network the event applies to.
         topo: TopoRef,
         /// The reconfiguration event.
-        event: commsched_dynamics::FaultEvent,
+        event: commsched_topology::FaultEvent,
     },
     /// Capability probe: what protocols/extensions this server speaks.
     Caps,
@@ -113,7 +113,7 @@ fn parse_endpoints(value: &str, with_slowdown: bool) -> Result<(usize, usize, u3
 }
 
 fn parse_fault(words: &[&str]) -> Result<Request, String> {
-    use commsched_dynamics::FaultEvent;
+    use commsched_topology::FaultEvent;
     let mut topo = None;
     let mut event = None;
     let mut set_event = |e: FaultEvent| -> Result<(), String> {
@@ -398,7 +398,7 @@ mod tests {
 
     #[test]
     fn parses_fault_events() {
-        use commsched_dynamics::FaultEvent;
+        use commsched_topology::FaultEvent;
         assert_eq!(
             parse_request("FAULT topo=paper24 kill=0:1"),
             Ok(Request::Fault {

@@ -16,7 +16,6 @@
 //! the cache.
 
 use commsched_distance::table_to_text;
-use commsched_dynamics::FaultEvent;
 use commsched_service::cache::{RoutingSpec, TableSpec};
 use commsched_service::persist::state::record_topo;
 use commsched_service::persist::tables::{file_name, TABLES_DIR};
@@ -27,6 +26,7 @@ use commsched_service::{
     Client, JobKind, JobSpec, JobState, PersistOptions, Server, ServiceCore, ServiceCoreConfig,
     TopoRef,
 };
+use commsched_topology::FaultEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;

@@ -547,20 +547,36 @@ impl Topology {
                 num_switches: self.links.len(),
             });
         }
+        self.rebuild(|id| id != failed, None).build()
+    }
+
+    /// A builder for this topology's successor: the links `keep` accepts,
+    /// then `extra`, then every memory capacity. The one way a changed
+    /// network is rebuilt, for [`Topology::without_link`] and
+    /// [`TopologyEpoch::apply`](crate::TopologyEpoch::apply) alike.
+    pub(crate) fn rebuild(
+        &self,
+        keep: impl Fn(LinkId) -> bool,
+        extra: Option<(SwitchId, SwitchId, u32)>,
+    ) -> TopologyBuilder {
         let mut b = TopologyBuilder::new(self.num_switches(), self.hosts_per_switch);
-        // CORRECTNESS: the surviving links keep their relative id order.
-        // A distance-table repair copies the entries of pairs whose route
-        // wires survived, and a copy equals a rebuild's bits only because
-        // those wires are solved in the same order in both topologies.
+        // CORRECTNESS: the surviving links keep their relative id order
+        // and an added link goes after them. A distance-table repair
+        // copies the entries of pairs whose route wires survived, and a
+        // copy equals a rebuild's bits only because those wires are
+        // solved in the same order in both topologies.
         for (id, l) in self.links.iter().enumerate() {
-            if id != failed {
+            if keep(id) {
                 b = b.link_with_slowdown(l.a, l.b, self.slowdowns[id]);
             }
+        }
+        if let Some((u, v, slowdown)) = extra {
+            b = b.link_with_slowdown(u, v, slowdown);
         }
         for (s, &c) in self.mem_capacities.iter().enumerate() {
             b = b.mem_capacity(s, c);
         }
-        b.build()
+        b
     }
 }
 

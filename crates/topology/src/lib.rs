@@ -17,6 +17,11 @@
 //! * [`designed`] — regular/designed topologies, including the
 //!   four-rings-of-six network of Figure 4.
 //!
+//! The networks lose and regain links at run time: [`fault`] applies a
+//! [`FaultEvent`] to a [`TopologyEpoch`], yielding the successor network
+//! with its fingerprint and connectivity (a partition is reported, never
+//! asserted).
+//!
 //! # Example
 //!
 //! ```
@@ -29,10 +34,12 @@
 //! ```
 
 pub mod designed;
+pub mod fault;
 pub mod graph;
 pub mod io;
 pub mod random;
 
+pub use fault::{FaultError, FaultEvent, TopologyEpoch};
 pub use graph::{Link, LinkId, SwitchId, Topology, TopologyBuilder, TopologyError};
 pub use io::{from_text, to_text};
 pub use random::{random_regular, RandomTopologyConfig};

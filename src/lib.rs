@@ -18,12 +18,11 @@
 //!
 //! | Module (re-export) | Crate | Implements |
 //! |---|---|---|
-//! | [`topology`] | `commsched-topology` | switch graphs, random irregular and designed topologies (§5.1) |
+//! | [`topology`] | `commsched-topology` | switch graphs, random irregular and designed topologies (§5.1); link and switch faults as a chain of epochs |
 //! | [`routing`] | `commsched-routing` | up*/down* and shortest-path routing (§2); `RoutingSpec` (= [`RoutingKind`]) names and builds one |
-//! | [`distance`] | `commsched-distance` | table of equivalent distances — resistive model (§3) |
+//! | [`distance`] | `commsched-distance` | table of equivalent distances — resistive model (§3); its repair after a fault |
 //! | [`core`] | `commsched-core` | partitions, quality functions `F_G`, `D_G`, `Cc` (§4.1) |
-//! | [`search`] | `commsched-search` | tabu search, multilevel pipeline, the one `map_partition` entry point (§4.2); the comparison heuristics live in `commsched-bench` |
-//! | [`dynamics`] | `commsched-dynamics` | fault injection, incremental table repair, warm remapping |
+//! | [`search`] | `commsched-search` | tabu search, multilevel pipeline, the one `map_partition` entry point (§4.2), a warm remap after a fault; the comparison heuristics live in `commsched-bench` |
 //! | [`netsim`] | `commsched-netsim` | flit-level wormhole simulator (§5) |
 //! | [`stats`] | `commsched-stats` | correlation/statistics for the evaluation (§5.2) |
 //! | [`service`] | `commsched-service` | scheduling daemon: topology registry, distance-table cache, job queue |
@@ -56,7 +55,6 @@ pub use scheduler::{RoutingKind, ScheduleError, ScheduleOutcome, Scheduler, Sche
 
 pub use commsched_core as core;
 pub use commsched_distance as distance;
-pub use commsched_dynamics as dynamics;
 pub use commsched_netsim as netsim;
 pub use commsched_routing as routing;
 pub use commsched_search as search;
