@@ -65,6 +65,21 @@ BIG=$(find src crates -name '*.rs' \( -path 'src/*' -o -path '*/src/*' \) -exec 
     | awk '$2 != "total" && $1 > 1000')
 [ -z "$BIG" ] || { echo "size guard: over 1000 lines:"; echo "$BIG"; exit 1; }
 
+# A crate declares only what it uses: every `[dependencies]` entry must
+# be named (as `dep_name`) somewhere under that crate's src/. A
+# dependency only tests use belongs in `[dev-dependencies]`.
+echo "==> dependency guard (every [dependencies] entry is named under its crate's src/)"
+UNUSED=""
+for manifest in Cargo.toml crates/*/Cargo.toml crates/compat/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]"); next }
+                      on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        name=$(echo "$dep" | tr - _)
+        grep -rqw "$name" "$dir/src" || UNUSED="$UNUSED $dir -> $dep;"
+    done
+done
+[ -z "$UNUSED" ] || { echo "dependency guard: declared but never named:$UNUSED"; exit 1; }
+
 echo "==> cargo build --release"
 cargo build --release
 

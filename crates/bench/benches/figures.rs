@@ -4,11 +4,11 @@
 //! cost of each experiment and guard against performance regressions in the
 //! pipeline).
 
+use commsched_bench::stats::pearson;
 use commsched_bench::Testbed;
 use commsched_core::Partition;
 use commsched_netsim::{sweep, SimConfig};
 use commsched_search::{TabuParams, TabuSearch};
-use commsched_stats::pearson;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

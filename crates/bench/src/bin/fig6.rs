@@ -12,8 +12,8 @@
 //!   --extra additionally checks a second random 16-switch and a 20-switch
 //!   network (the §5.2 "other network examples" claim).
 
+use commsched_bench::stats::pearson;
 use commsched_bench::Testbed;
-use commsched_stats::pearson;
 
 fn correlation_experiment(testbed: &Testbed, num_random: u64) {
     let (op, q_op, _) = testbed.tabu_mapping();
@@ -53,9 +53,9 @@ fn correlation_experiment(testbed: &Testbed, num_random: u64) {
             .collect();
         let r_acc = pearson(&ccs, &accepted)
             .map(|r| format!("{r:>8.3}"))
-            .unwrap_or_else(|_| "     n/a".into());
+            .unwrap_or_else(|| "     n/a".into());
         let r_lat = neg_latency
-            .and_then(|nl| pearson(&ccs, &nl).ok())
+            .and_then(|nl| pearson(&ccs, &nl))
             .map(|r| format!("{r:>8.3}"))
             .unwrap_or_else(|| "     n/a".into());
         println!("  S{:<5} {r_acc}          {r_lat}", k + 1);
@@ -63,8 +63,8 @@ fn correlation_experiment(testbed: &Testbed, num_random: u64) {
     // Throughput-level correlation (one number per network).
     let throughput: Vec<f64> = sweeps.iter().map(|s| s.throughput()).collect();
     match pearson(&ccs, &throughput) {
-        Ok(r) => println!("# r(Cc, saturation throughput) = {r:.3}"),
-        Err(_) => println!("# r(Cc, saturation throughput) = n/a"),
+        Some(r) => println!("# r(Cc, saturation throughput) = {r:.3}"),
+        None => println!("# r(Cc, saturation throughput) = n/a"),
     }
     println!();
 }

@@ -10,8 +10,8 @@
 //!
 //! Usage: `robustness [num_instances] [num_random]` (defaults 5 and 4).
 
+use commsched_bench::stats::{mean, stddev};
 use commsched_bench::Testbed;
-use commsched_stats::{mean, stddev};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -8,9 +8,11 @@
 //! `ablations` sweeps the design choices the paper leaves open. This
 //! library holds the experiment fixtures (the paper-scale networks), the
 //! common measurement plumbing so binaries and criterion benches agree on
-//! the setup, and the [`comparators`] the tabu search is measured against.
+//! the setup, the [`comparators`] the tabu search is measured against, and
+//! the [`stats`] the figures report.
 
 pub mod comparators;
+pub mod stats;
 
 pub use comparators::{
     AStarSearch, AgglomerativeClustering, GeneticParams, GeneticSearch, GeneticSimulatedAnnealing,

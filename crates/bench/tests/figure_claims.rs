@@ -2,10 +2,10 @@
 //! (reduced simulation budgets; the full-budget numbers live in the
 //! `fig*` binaries and EXPERIMENTS.md).
 
+use commsched_bench::stats::pearson;
 use commsched_bench::Testbed;
 use commsched_core::Partition;
 use commsched_netsim::{regime_configs, sweep, SimConfig};
-use commsched_stats::pearson;
 use commsched_topology::designed;
 
 fn quick(testbed: &Testbed) -> SimConfig {

@@ -1,7 +1,9 @@
 //! Property tests for the search heuristics: every mapper returns a valid
 //! partition of the requested shape with an exactly consistent objective
-//! value, and exact methods agree with each other.
+//! value, and exact methods agree with each other. Also the figures'
+//! statistics: Pearson's bounds and affine invariance, mean and stddev.
 
+use commsched_bench::stats::{mean, pearson, stddev};
 use commsched_bench::{
     AStarSearch, AgglomerativeClustering, GeneticSearch, GeneticSimulatedAnnealing, KernighanLin,
     RandomSampling, SimulatedAnnealing, SteepestDescent,
@@ -99,5 +101,56 @@ proptest! {
             let res = mapper.search(&table, &sizes, &mut rng);
             prop_assert_eq!(res.partition.sizes(), sizes.clone(), "{}", mapper.name());
         }
+    }
+}
+
+fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(-1e6f64..1e6, len)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The correlation coefficient lives in [-1, 1].
+    #[test]
+    fn pearson_bounded(
+        xs in finite_vec(2..40),
+        ys in finite_vec(2..40),
+    ) {
+        let n = xs.len().min(ys.len());
+        if let Some(r) = pearson(&xs[..n], &ys[..n]) {
+            prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "r = {r}");
+        }
+    }
+
+    /// Pearson is invariant under positive affine transforms and flips
+    /// sign under negation.
+    #[test]
+    fn pearson_affine_invariance(
+        xs in finite_vec(3..30),
+        ys in finite_vec(3..30),
+        a in 0.1f64..10.0,
+        b in -100.0f64..100.0,
+    ) {
+        let n = xs.len().min(ys.len());
+        let (xs, ys) = (&xs[..n], &ys[..n]);
+        if let Some(r) = pearson(xs, ys) {
+            let xs2: Vec<f64> = xs.iter().map(|x| a * x + b).collect();
+            let r2 = pearson(&xs2, ys).unwrap();
+            prop_assert!((r - r2).abs() < 1e-6);
+            let xs3: Vec<f64> = xs.iter().map(|x| -x).collect();
+            let r3 = pearson(&xs3, ys).unwrap();
+            prop_assert!((r + r3).abs() < 1e-6);
+        }
+    }
+
+    /// The mean lies between min and max; stddev is non-negative.
+    #[test]
+    fn mean_and_stddev_sanity(xs in finite_vec(1..50)) {
+        let m = mean(&xs).unwrap();
+        let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
+        prop_assert!(stddev(&xs).unwrap() >= 0.0);
     }
 }

@@ -10,17 +10,31 @@ use commsched_service::{Client, RetryPolicy};
 use commsched_topology::designed;
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Reserve a free localhost port and release it for the node to bind.
-/// (The tiny race against another process is acceptable in tests.)
+/// A localhost address for a node to bind. The port is drawn below the
+/// kernel's ephemeral range, so no socket's automatic port can take it
+/// between this probe and the node's bind; the pid and a counter spread
+/// concurrent tests over that range, and a bind probes each candidate.
 fn free_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    drop(listener);
-    addr
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    // The range's lower bound (read only); 32768 where it cannot be read.
+    let ephemeral_lo = std::fs::read_to_string("/proc/sys/net/ipv4/ip_local_port_range")
+        .ok()
+        .and_then(|range| range.split_whitespace().next()?.parse::<u32>().ok())
+        .unwrap_or(32768)
+        .clamp(2048, 65535);
+    let span = ephemeral_lo - 1024;
+    let start = std::process::id().wrapping_mul(7919);
+    for _ in 0..span {
+        let port = 1024 + start.wrapping_add(NEXT.fetch_add(1, Ordering::Relaxed)) % span;
+        if let Ok(listener) = TcpListener::bind(("127.0.0.1", port as u16)) {
+            return listener.local_addr().expect("local addr").to_string();
+        }
+    }
+    panic!("no free port below {ephemeral_lo}");
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -172,7 +186,7 @@ fn sync_replication_promotes_with_every_acked_job_visible() {
 
     // Give the follower a beat to connect, then run acked traffic.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while progress.connects.load(std::sync::atomic::Ordering::Relaxed) == 0 {
+    while progress.connects.load(Ordering::Relaxed) == 0 {
         assert!(Instant::now() < deadline, "follower never connected");
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -226,7 +240,7 @@ fn sync_replication_promotes_with_every_acked_job_visible() {
     // Sync mode: by the time those acks returned, the follower had
     // applied the records behind them. Finish records written after
     // the last ack may still be in flight, so poll the lag to zero.
-    let applied = progress.applied.load(std::sync::atomic::Ordering::Relaxed);
+    let applied = progress.applied.load(Ordering::Relaxed);
     assert!(
         applied >= acked.len() as u64,
         "follower applied {applied} records for {} acked jobs",

@@ -15,8 +15,8 @@
 //!   explores;
 //! * [`Workload`] / [`ProcessMapping`] — the process-level view and the
 //!   paper's divisibility assumptions, checked;
-//! * [`weighted`] — the future-work generalizations (per-application
-//!   weights, arbitrary communication matrices).
+//! * [`weighted`] — the future-work generalization: per-application
+//!   traffic weights.
 //!
 //! # Example
 //!
@@ -48,4 +48,4 @@ pub use quality::{
     cluster_dissimilarity, cluster_similarity, clustering_coefficient, dissimilarity_dg,
     intra_square_sum, quality, similarity_fg, Quality,
 };
-pub use weighted::{traffic_cost, weighted_similarity_fg, CommMatrix};
+pub use weighted::weighted_similarity_fg;

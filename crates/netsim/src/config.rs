@@ -2,6 +2,22 @@
 
 use crate::congestion::CongestionMode;
 
+/// PFC XOFF threshold: an input VC asserts pause when its buffer
+/// occupancy reaches this many flits ([`CongestionMode::Pfc`] only).
+pub const PFC_XOFF: usize = 3;
+
+/// PFC XON threshold: a paused VC releases pause when its occupancy
+/// drains to this many flits or fewer (below [`PFC_XOFF`]: hysteresis).
+pub const PFC_XON: usize = 1;
+
+/// ECN marking threshold: a flit enqueued into a switch input buffer
+/// whose occupancy then reaches this many flits marks its message (ECN
+/// modes only; at most [`PFC_XOFF`]).
+pub const ECN_THRESHOLD: usize = 2;
+
+// Hysteresis, and `validate`'s one buffer check covering every threshold.
+const _: () = assert!(PFC_XON < PFC_XOFF && ECN_THRESHOLD <= PFC_XOFF);
+
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -36,16 +52,6 @@ pub struct SimConfig {
     /// Congestion-response regime (marking, pausing, source windows).
     /// `Off` reproduces the paper's open-loop behaviour bit for bit.
     pub congestion: CongestionMode,
-    /// PFC XOFF threshold: an input VC asserts pause when its buffer
-    /// occupancy reaches this many flits ([`CongestionMode::Pfc`] only).
-    pub pfc_xoff: usize,
-    /// PFC XON threshold: a paused VC releases pause when its occupancy
-    /// drains to this many flits or fewer. Must be below `pfc_xoff`.
-    pub pfc_xon: usize,
-    /// ECN marking threshold: a flit enqueued into a switch input buffer
-    /// whose occupancy then reaches this many flits marks its message
-    /// (ECN modes only).
-    pub ecn_threshold: usize,
     /// Adaptive misrouting: a header blocked on every minimal hop may
     /// take a non-minimal hop that stays legal under the supplied
     /// router's predicate (up*/down* never goes up after down, so such
@@ -71,9 +77,6 @@ impl Default for SimConfig {
             virtual_channels: 1,
             fully_adaptive: false,
             congestion: CongestionMode::default(),
-            pfc_xoff: 3,
-            pfc_xon: 1,
-            ecn_threshold: 2,
             adaptive_misroute: false,
             max_misroutes: 4,
         }
@@ -122,18 +125,10 @@ impl SimConfig {
         if self.virtual_channels > 16 {
             return Err("virtual_channels implausibly large (max 16)");
         }
-        if self.congestion.uses_pfc() {
-            if self.pfc_xoff == 0 || self.pfc_xoff > self.buffer_flits {
-                return Err("pfc_xoff must be in 1..=buffer_flits");
-            }
-            if self.pfc_xon >= self.pfc_xoff {
-                return Err("pfc_xon must be below pfc_xoff (hysteresis)");
-            }
-        }
-        if self.congestion.uses_ecn()
-            && (self.ecn_threshold == 0 || self.ecn_threshold > self.buffer_flits)
-        {
-            return Err("ecn_threshold must be in 1..=buffer_flits");
+        // Every threshold is at most PFC_XOFF, so a buffer that can reach
+        // the pause threshold can reach the marking threshold too.
+        if self.congestion != CongestionMode::Off && self.buffer_flits < PFC_XOFF {
+            return Err("a congestion regime needs buffer_flits >= PFC_XOFF");
         }
         if self.adaptive_misroute && self.max_misroutes == 0 {
             return Err("adaptive_misroute needs max_misroutes >= 1");
@@ -216,43 +211,28 @@ mod tests {
 
     #[test]
     fn congestion_thresholds_validated() {
-        // PFC needs hysteresis inside the buffer.
-        let pfc = SimConfig {
-            congestion: CongestionMode::Pfc,
-            ..Default::default()
-        };
-        assert_eq!(pfc.validate(), Ok(()));
-        assert!(SimConfig { pfc_xoff: 0, ..pfc }.validate().is_err());
-        assert!(SimConfig { pfc_xoff: 9, ..pfc }.validate().is_err());
-        assert!(SimConfig { pfc_xon: 3, ..pfc }.validate().is_err());
-        // The same thresholds are ignored when PFC is off.
-        assert_eq!(
-            SimConfig {
-                pfc_xon: 3,
-                ..Default::default()
-            }
-            .validate(),
-            Ok(())
-        );
-        // ECN threshold must fit the buffer.
-        for mode in [CongestionMode::EcnAimd, CongestionMode::EcnDctcp] {
-            let ecn = SimConfig {
+        // A congestion regime needs a buffer that reaches every
+        // threshold; open loop reads none of them.
+        for mode in CongestionMode::ALL {
+            let fits = SimConfig {
                 congestion: mode,
+                buffer_flits: PFC_XOFF,
                 ..Default::default()
             };
-            assert_eq!(ecn.validate(), Ok(()));
-            assert!(SimConfig {
-                ecn_threshold: 0,
-                ..ecn
+            assert_eq!(fits.validate(), Ok(()), "{mode}");
+            let short = SimConfig {
+                buffer_flits: PFC_XOFF - 1,
+                ..fits
+            };
+            if mode == CongestionMode::Off {
+                assert_eq!(short.validate(), Ok(()));
+            } else {
+                assert_eq!(
+                    short.validate(),
+                    Err("a congestion regime needs buffer_flits >= PFC_XOFF"),
+                    "{mode}"
+                );
             }
-            .validate()
-            .is_err());
-            assert!(SimConfig {
-                ecn_threshold: 5,
-                ..ecn
-            }
-            .validate()
-            .is_err());
         }
         // Misrouting needs a positive hop budget.
         assert!(SimConfig {

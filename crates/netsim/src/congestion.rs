@@ -23,11 +23,11 @@ pub enum CongestionMode {
     #[default]
     Off,
     /// Link-level only: per-input-VC XOFF/XON pause with hysteresis
-    /// ([`SimConfig::pfc_xoff`] / [`SimConfig::pfc_xon`]); sources stay
-    /// open-loop.
+    /// ([`PFC_XOFF`](crate::config::PFC_XOFF) /
+    /// [`PFC_XON`](crate::config::PFC_XON)); sources stay open-loop.
     Pfc,
-    /// ECN marking at [`SimConfig::ecn_threshold`] echoed to the source,
-    /// driving an [`Aimd`] window.
+    /// ECN marking at [`ECN_THRESHOLD`](crate::config::ECN_THRESHOLD)
+    /// echoed to the source, driving an [`Aimd`] window.
     EcnAimd,
     /// ECN marking echoed to the source, driving a [`Dctcp`]
     /// ECN-fraction window.

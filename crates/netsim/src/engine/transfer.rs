@@ -2,6 +2,7 @@
 //! one flit per physical link, PFC pause and ECN marking on enqueue.
 
 use super::{Buf, ChannelKind, Simulator, VcId};
+use crate::config::{ECN_THRESHOLD, PFC_XOFF, PFC_XON};
 
 /// The verdict of a VC that moves a flit into its buffer this cycle
 /// (`Some(false)`: it does not; `None`: not examined — every VC between
@@ -216,10 +217,7 @@ impl Simulator<'_> {
                     self.vcs[id].feeder = None;
                 }
                 // XON: the drain may release the feeder's pause.
-                if self.pfc
-                    && self.vcs[ic].paused
-                    && self.vcs[ic].occupancy() <= self.cfg.pfc_xon as u32
-                {
+                if self.pfc && self.vcs[ic].paused && self.vcs[ic].occupancy() <= PFC_XON as u32 {
                     self.vcs[ic].paused = false;
                     self.paused_now -= 1;
                 }
@@ -268,17 +266,14 @@ impl Simulator<'_> {
         if self.pfc || self.ecn {
             let occ = self.vcs[id].occupancy();
             // XOFF: the buffer filled to the pause threshold.
-            if self.pfc && !self.vcs[id].paused && occ >= self.cfg.pfc_xoff as u32 {
+            if self.pfc && !self.vcs[id].paused && occ >= PFC_XOFF as u32 {
                 self.vcs[id].paused = true;
                 self.totals.pfc_pauses += 1;
                 self.paused_now += 1;
             }
             // ECN: the flit met a congested queue; mark its
             // message once (the CE bit is idempotent).
-            if self.ecn
-                && occ >= self.cfg.ecn_threshold as u32
-                && !self.messages[msg as usize].marked
-            {
+            if self.ecn && occ >= ECN_THRESHOLD as u32 && !self.messages[msg as usize].marked {
                 self.messages[msg as usize].marked = true;
                 self.totals.ecn_marks += 1;
             }
@@ -411,8 +406,8 @@ mod tests {
 
     #[test]
     fn congestion_off_ignores_thresholds_and_reports_zero() {
-        // With the regime off, the PFC/ECN knobs are inert: stats are
-        // bit-identical whatever their values, and the congestion
+        // With the regime off, the congestion knobs are inert: stats are
+        // bit-identical whatever the misroute budget, and the congestion
         // counters stay zero — the open-loop engine is unchanged.
         let topo = designed::ring(6, 2);
         let routing = updown(&topo);
@@ -430,9 +425,6 @@ mod tests {
             &routing,
             &clusters,
             SimConfig {
-                pfc_xoff: 2,
-                pfc_xon: 0,
-                ecn_threshold: 1,
                 max_misroutes: 9,
                 ..base
             },

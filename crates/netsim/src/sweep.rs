@@ -11,7 +11,6 @@ use crate::engine::{simulate, Phase, SimError, Simulator};
 use crate::stats::SimStats;
 use crate::traffic::TrafficPattern;
 use commsched_routing::Routing;
-use commsched_stats::{Curve, CurvePoint};
 use commsched_telemetry::pool::{resolve_threads, run_indexed};
 use commsched_topology::Topology;
 
@@ -64,21 +63,6 @@ pub struct LoadSweep {
 }
 
 impl LoadSweep {
-    /// Convert to a [`Curve`] in the paper's units (flits per switch per
-    /// cycle on the traffic axis, network latency in cycles).
-    pub fn curve(&self) -> Curve {
-        Curve::new(
-            self.points
-                .iter()
-                .map(|p| CurvePoint {
-                    offered: p.rate,
-                    accepted: p.stats.accepted_flits_per_switch_cycle,
-                    latency: p.stats.avg_network_latency,
-                })
-                .collect(),
-        )
-    }
-
     /// The throughput the paper reports: maximum accepted traffic over the
     /// sweep, in flits per switch per cycle.
     pub fn throughput(&self) -> f64 {
@@ -338,11 +322,9 @@ mod tests {
         .unwrap();
         assert_eq!(sw.points.len(), 5);
         assert!(sat > 0.0);
-        let curve = sw.curve();
-        assert_eq!(curve.points.len(), 5);
         // Latency grows (weakly) with load up to saturation.
         assert!(
-            curve.points.last().unwrap().latency >= curve.points[0].latency,
+            sw.points[4].stats.avg_network_latency >= sw.points[0].stats.avg_network_latency,
             "latency should not shrink with load"
         );
         assert!(sw.throughput() > 0.0);

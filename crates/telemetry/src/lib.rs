@@ -11,10 +11,9 @@
 //!
 //! * [`metrics`] — a [`Registry`] of named [`Counter`]s (sharded across
 //!   cache-line-padded atomic cells), [`Gauge`]s, and log-bucketed
-//!   [`Histo`]grams whose bucket layout is
-//!   [`commsched_stats::LogBuckets`]. Every handle is a cheap `Arc`
-//!   clone; a *disabled* metric costs exactly one relaxed atomic load on
-//!   the hot path.
+//!   [`Histo`]grams (one zero bucket plus four linear sub-buckets per
+//!   power of two). Every handle is a cheap `Arc` clone; a *disabled*
+//!   metric costs exactly one relaxed atomic load on the hot path.
 //! * [`trace`] — lightweight span/event tracing into per-thread ring
 //!   buffers, exported as JSON lines ([`trace::export_jsonl`]). Tracing
 //!   is off by default; a disarmed span is one relaxed load.
@@ -31,6 +30,7 @@
 //! (one [`Registry`] per daemon core) create private registries so tests
 //! never share counters.
 
+mod buckets;
 pub mod metrics;
 pub mod pool;
 pub mod trace;

@@ -8,7 +8,7 @@
 //! metric costs a single relaxed atomic load per operation — the
 //! invariant the instrumented solver kernels rely on.
 
-use commsched_stats::LogBuckets;
+use crate::buckets::LogBuckets;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -118,10 +118,10 @@ struct HistoCell {
 /// A log-bucketed histogram over non-negative integer samples
 /// (durations in the unit the metric name declares, sizes, …).
 ///
-/// The bucket layout is [`commsched_stats::LogBuckets`]: one zero
-/// bucket plus four linear sub-buckets per power of two, so a bucket
-/// midpoint is within ~12.5 % of any sample it absorbed — enough for
-/// latency quantiles without per-sample storage.
+/// The bucket layout is one zero bucket plus four linear sub-buckets
+/// per power of two, so a bucket midpoint is within ~12.5 % of any
+/// sample it absorbed — enough for latency quantiles without
+/// per-sample storage.
 #[derive(Clone)]
 pub struct Histo(Arc<HistoCell>);
 
@@ -149,8 +149,8 @@ impl Histo {
     }
 
     /// Approximate `q`-quantile from bucket midpoints (`None` when
-    /// empty). Same midpoint convention as
-    /// [`commsched_stats::Histogram::approx_quantile`].
+    /// empty): the midpoint of the bucket that holds the
+    /// `ceil(q · count)`-th sample.
     pub fn approx_quantile(&self, q: f64) -> Option<f64> {
         let total = self.count();
         if total == 0 {

@@ -24,7 +24,6 @@
 //! | [`core`] | `commsched-core` | partitions, quality functions `F_G`, `D_G`, `Cc` (§4.1) |
 //! | [`search`] | `commsched-search` | tabu search, multilevel pipeline, the one `map_partition` entry point (§4.2), a warm remap after a fault; the comparison heuristics live in `commsched-bench` |
 //! | [`netsim`] | `commsched-netsim` | flit-level wormhole simulator (§5) |
-//! | [`stats`] | `commsched-stats` | correlation/statistics for the evaluation (§5.2) |
 //! | [`service`] | `commsched-service` | scheduling daemon: topology registry, distance-table cache, job queue |
 //!
 //! ## Quickstart
@@ -59,5 +58,4 @@ pub use commsched_netsim as netsim;
 pub use commsched_routing as routing;
 pub use commsched_search as search;
 pub use commsched_service as service;
-pub use commsched_stats as stats;
 pub use commsched_topology as topology;

@@ -10,16 +10,32 @@ use commsched_service::{Client, RetryPolicy};
 use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// A localhost address for a node to bind. The port is drawn below the
+/// kernel's ephemeral range, so no socket's automatic port can take it
+/// between this probe and the node's bind; the pid and a counter spread
+/// concurrent tests over that range, and a bind probes each candidate.
 fn free_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    drop(listener);
-    addr
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    // The range's lower bound (read only); 32768 where it cannot be read.
+    let ephemeral_lo = std::fs::read_to_string("/proc/sys/net/ipv4/ip_local_port_range")
+        .ok()
+        .and_then(|range| range.split_whitespace().next()?.parse::<u32>().ok())
+        .unwrap_or(32768)
+        .clamp(2048, 65535);
+    let span = ephemeral_lo - 1024;
+    let start = std::process::id().wrapping_mul(7919);
+    for _ in 0..span {
+        let port = 1024 + start.wrapping_add(NEXT.fetch_add(1, Ordering::Relaxed)) % span;
+        if let Ok(listener) = TcpListener::bind(("127.0.0.1", port as u16)) {
+            return listener.local_addr().expect("local addr").to_string();
+        }
+    }
+    panic!("no free port below {ephemeral_lo}");
 }
 
 /// Spawn a `commsched cluster` node with its stdout pumped into a
