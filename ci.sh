@@ -99,10 +99,13 @@ cargo test --release --offline -q -p commsched-netsim --lib
 # build the daemon ships, where only the recorded trajectories can tell
 # that the memoised scan still applies the swaps the full one would. The
 # evaluator's unit tests hold the block scan, rows skipped and all, to
-# the ordered scan bit for bit; they run with optimisations on too.
-echo "==> golden search trajectories and the block scan against the ordered scan, release build"
+# the ordered scan bit for bit, and a pair's bounds to its numerators;
+# the search's unit tests count the pairs it bounds and scans and the
+# candidates it scores. Both run with optimisations on too.
+echo "==> golden search trajectories, the block scan against the ordered scan and the counted scan work, release build"
 cargo test --release --offline -q -p commsched-search --test golden
 cargo test --release --offline -q -p commsched-core --lib
+cargo test --release --offline -q -p commsched-search --lib
 
 # And for the distance table: `PairSink`'s unsynchronised stores and the
 # per-pair solver are what the shipped build runs, and the recorded bits

@@ -41,7 +41,7 @@ pub mod partition;
 pub mod quality;
 pub mod weighted;
 
-pub use eval::{BlockBest, SwapEvaluator};
+pub use eval::{far_squares, BlockBest, PairBounds, SwapEvaluator};
 pub use mapping::{LogicalCluster, ProcessMapping, Workload, WorkloadError};
 pub use partition::{ClusterId, Partition, PartitionError};
 pub use quality::{

@@ -62,7 +62,9 @@ pub struct SearchResult {
     /// Work spent, in the method's own unit (cost proxy for the
     /// heuristic-comparison ablation): for the tabu search, candidate swaps
     /// scored — a cluster pair whose bests are still known is not rescanned,
-    /// and a row of a rescanned pair that cannot hold its best is skipped.
+    /// a dropped pair whose bound cannot beat the allowed best already
+    /// known is not scanned, and a row of a scanned pair that cannot hold
+    /// its best is skipped. A bound pass scores no candidate.
     pub evaluations: u64,
 }
 
