@@ -1,20 +1,10 @@
 #![warn(missing_docs)]
 
-//! A sharded, WAL-replicated scheduler cluster.
+//! A WAL-replicated scheduler cluster: one primary plus warm standbys.
 //!
-//! Three pieces turn the single-node daemon in `commsched-service`
-//! into a cluster:
+//! Two pieces turn the single-node daemon in `commsched-service` into a
+//! cluster:
 //!
-//! * [`ring`] — a consistent-hash ring (multi-probe, virtual nodes)
-//!   over topology fingerprints. It decides which shard owns each
-//!   registered topology, its distance-cache entries, and the jobs
-//!   that name it.
-//! * [`node::RingRouter`] — the
-//!   [`commsched_service::ClusterHooks`] implementation every node
-//!   installs: requests whose key another shard owns are answered
-//!   with `MOVED <shard> <addr>` (line protocol) or an `OP_MOVED`
-//!   frame (binary), which [`commsched_service::Client`] follows
-//!   transparently.
 //! * [`hub`] / [`follower`] — primary→follower WAL replication. The
 //!   hub taps the primary's WAL under its lock (stream order =
 //!   commit order), followers persist the stream and ack; in `sync`
@@ -22,22 +12,22 @@
 //!   SIGKILLed primary loses no acked job: the follower promotes via
 //!   the standard crash-recovery path
 //!   ([`commsched_service::ServiceCore::recover`]) and takes over the
-//!   shard's address ([`node::follow_and_promote`]).
+//!   primary's client address ([`node::follow_and_promote`]).
+//! * [`node`] — node assembly: [`node::start_primary`] and
+//!   [`node::follow_and_promote`] over a [`node::ClusterConfig`], whose
+//!   [`node::ClusterConfig::info`] is what `CLUSTER` and `STATS` report.
 //!
 //! The `commsched cluster` CLI arm front-ends [`node`]; the member
-//! table is static (`--members shard=addr,...`), which keeps the
-//! failure model honest: no membership consensus, just shard routing
-//! plus one warm standby per shard.
+//! table is static and names one shard (`--members shard=addr`), which
+//! keeps the failure model honest: no membership consensus, one
+//! primary and its standbys.
 
 pub mod follower;
 pub mod hub;
 pub mod node;
-pub mod ring;
 
 pub use follower::{FollowExit, FollowerConfig, FollowerProgress};
 pub use hub::{ReplMode, ReplicationHub};
 pub use node::{
     follow_and_promote, parse_members, start_primary, ClusterConfig, ClusterNode, Member,
-    RingRouter,
 };
-pub use ring::{HashRing, DEFAULT_VNODES, PROBES};

@@ -1,29 +1,20 @@
-//! Cluster node assembly: a [`RingRouter`] deciding which shard owns
-//! each request, a primary that serves its shard and replicates its
-//! WAL, and a follower that streams that WAL and promotes itself when
-//! the primary dies.
+//! Cluster node assembly: a primary that serves the shard and replicates
+//! its WAL, and a follower that streams that WAL and promotes itself
+//! when the primary dies.
 //!
-//! Sharding model: the static member table maps shard ids to client
-//! addresses; shard `k`'s registry entries and distance-cache keys are
-//! exactly the topology fingerprints the hash ring assigns to `k`.
-//! Requests naming a *registered* fingerprint route by the ring; the
-//! built-in topologies (`paper24`, `ring:*`, `random:*`) are
-//! constructible on any node and stay local, and job ids are
-//! shard-local, so `STATUS`/`RESULT`/`CANCEL` go to the shard that
-//! acked the submit (which the redirect-following client talks to
-//! already).
+//! A cluster serves one shard. The static member table names it and the
+//! client address of the node serving it, and every node of the cluster
+//! (the primary and its warm standbys) starts with that one-entry table.
+//! A promoted standby binds the same address, so a client that
+//! reconnects finds it there.
 
 use crate::follower::{run_follower, FollowExit, FollowerConfig, FollowerProgress};
 use crate::hub::{ReplMode, ReplicationHub};
-use crate::ring::{HashRing, DEFAULT_VNODES};
 use commsched_net::NetConfig;
 use commsched_service::persist::PersistOptions;
-use commsched_service::protocol::TopoRef;
 use commsched_service::{
-    ClusterHooks, RecoveryReport, RouteDecision, Server, ServerHandle, ServiceCore,
-    ServiceCoreConfig,
+    ClusterInfo, RecoveryReport, Server, ServerHandle, ServiceCore, ServiceCoreConfig,
 };
-use commsched_telemetry::metrics::{Counter, Registry};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,16 +24,18 @@ use std::time::{Duration, Instant};
 /// of the node serving it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Member {
-    /// Shard id (feeds the hash ring).
+    /// Shard id.
     pub shard: u32,
     /// `host:port` clients connect to.
     pub addr: String,
 }
 
-/// Parse a member table: `shard=addr,shard=addr,...`.
+/// Parse a member table: `shard=addr`, the one shard the cluster serves
+/// and the address its primary binds.
 ///
 /// # Errors
-/// Malformed entries or duplicate shard ids.
+/// A malformed entry, an empty table, or a second entry: a cluster is
+/// one primary plus warm standbys, with no second shard to route to.
 pub fn parse_members(s: &str) -> Result<Vec<Member>, String> {
     let mut members = Vec::new();
     for part in s.split(',').filter(|p| !p.is_empty()) {
@@ -52,8 +45,11 @@ pub fn parse_members(s: &str) -> Result<Vec<Member>, String> {
         let shard: u32 = shard
             .parse()
             .map_err(|_| format!("bad shard id in '{part}'"))?;
-        if members.iter().any(|m: &Member| m.shard == shard) {
-            return Err(format!("duplicate shard {shard} in member table"));
+        if !members.is_empty() {
+            return Err(format!(
+                "member '{part}' names a second shard: a cluster serves one shard \
+                 (a primary plus standbys), so its table has one entry"
+            ));
         }
         members.push(Member {
             shard,
@@ -70,12 +66,10 @@ pub fn parse_members(s: &str) -> Result<Vec<Member>, String> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// The shard this node serves (primary) or stands by for
-    /// (follower). Must appear in `members`.
+    /// (follower). Must be the shard `members` names.
     pub node_id: u32,
-    /// The static member table, identical on every node.
+    /// The static member table, identical on every node: one entry.
     pub members: Vec<Member>,
-    /// Virtual points per shard on the hash ring.
-    pub vnodes: usize,
     /// Replication strictness for this node's WAL stream.
     pub repl: ReplMode,
     /// Primary: address to accept followers on (`None` = do not
@@ -100,7 +94,6 @@ impl ClusterConfig {
         Self {
             node_id,
             members,
-            vnodes: DEFAULT_VNODES,
             repl: ReplMode::Sync,
             repl_listen: None,
             follow: None,
@@ -111,110 +104,36 @@ impl ClusterConfig {
         }
     }
 
+    /// The member this node serves or stands by for: the table's one
+    /// entry, which must name `node_id`.
     fn self_member(&self) -> Result<&Member, String> {
-        self.members
-            .iter()
-            .find(|m| m.shard == self.node_id)
-            .ok_or_else(|| format!("node id {} not in member table", self.node_id))
-    }
-}
-
-/// The routing hooks a cluster node installs into its front end:
-/// consult the hash ring for every request that names a registered
-/// topology fingerprint, answer `MOVED` for keys another shard owns.
-pub struct RingRouter {
-    ring: HashRing,
-    members: Vec<Member>,
-    self_shard: u32,
-    role: &'static str,
-    repl: ReplMode,
-    moved: Counter,
-}
-
-impl RingRouter {
-    /// Build the router for `self_shard` over the member table.
-    /// `role` is reported by `CLUSTER` (`primary` / `promoted`).
-    pub fn new(
-        members: Vec<Member>,
-        self_shard: u32,
-        vnodes: usize,
-        role: &'static str,
-        repl: ReplMode,
-        registry: &Registry,
-    ) -> Self {
-        let shards: Vec<u32> = members.iter().map(|m| m.shard).collect();
-        Self {
-            ring: HashRing::new(&shards, vnodes),
-            members,
-            self_shard,
-            role,
-            repl,
-            moved: registry.counter(
-                "cluster_moved_total",
-                "Requests redirected to their owning shard",
-            ),
+        match self.members.as_slice() {
+            [member] if member.shard == self.node_id => Ok(member),
+            [_] | [] => Err(format!("node id {} not in member table", self.node_id)),
+            _ => Err("a cluster serves one shard: its member table has one entry".into()),
         }
     }
 
-    /// The ring this router consults.
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
-    fn decide(&self, fp: u64) -> RouteDecision {
-        match self.ring.owner(fp) {
-            Some(shard) if shard == self.self_shard => RouteDecision::Local,
-            Some(shard) => {
-                let addr = self
-                    .members
-                    .iter()
-                    .find(|m| m.shard == shard)
-                    .map(|m| m.addr.clone())
-                    .unwrap_or_default();
-                self.moved.inc();
-                RouteDecision::Moved { shard, addr }
-            }
-            None => RouteDecision::Local,
-        }
-    }
-}
-
-impl ClusterHooks for RingRouter {
-    fn route(&self, topo: TopoRef) -> RouteDecision {
-        match topo {
-            // Built-ins are constructible anywhere and pinned local so
-            // single-node workloads (and NOOP load tests) never bounce.
-            TopoRef::Registered(fp) => self.decide(fp),
-            TopoRef::Paper24 | TopoRef::Ring { .. } | TopoRef::Random { .. } => {
-                RouteDecision::Local
-            }
-        }
-    }
-
-    fn cluster_lines(&self) -> Vec<String> {
-        let mut lines = vec![
-            format!("node {}", self.self_shard),
-            format!("role {}", self.role),
+    /// What `CLUSTER` and `STATS` report about a node of this config in
+    /// `role` (`primary` / `promoted`). None of it changes after bind.
+    pub fn info(&self, role: &str) -> ClusterInfo {
+        let mut cluster_lines = vec![
+            format!("node {}", self.node_id),
+            format!("role {role}"),
             format!("repl {}", self.repl.as_str()),
             format!("shards {}", self.members.len()),
         ];
         for m in &self.members {
-            let tag = if m.shard == self.self_shard {
-                " self"
-            } else {
-                ""
-            };
-            lines.push(format!("member {} {}{tag}", m.shard, m.addr));
+            let tag = if m.shard == self.node_id { " self" } else { "" };
+            cluster_lines.push(format!("member {} {}{tag}", m.shard, m.addr));
         }
-        lines
-    }
-
-    fn stats_lines(&self) -> Vec<String> {
-        vec![
-            format!("cluster_shard {}", self.self_shard),
-            format!("cluster_members {}", self.members.len()),
-            format!("cluster_moved {}", self.moved.get()),
-        ]
+        ClusterInfo {
+            cluster_lines,
+            stats_lines: vec![
+                format!("cluster_shard {}", self.node_id),
+                format!("cluster_members {}", self.members.len()),
+            ],
+        }
     }
 }
 
@@ -270,7 +189,8 @@ impl ClusterNode {
 /// address for this shard.
 ///
 /// # Errors
-/// Recovery, bind, or replication-setup failures.
+/// A member table that does not name this node's shard alone, or
+/// recovery, bind, or replication-setup failures.
 pub fn start_primary(config: &ClusterConfig) -> Result<ClusterNode, String> {
     let member = config.self_member()?.clone();
     start_as(config, &member.addr, "primary")
@@ -299,15 +219,7 @@ fn start_as(
         None => None,
     };
 
-    let router: Arc<dyn ClusterHooks> = Arc::new(RingRouter::new(
-        config.members.clone(),
-        config.node_id,
-        config.vnodes,
-        role,
-        config.repl,
-        core.stats.registry(),
-    ));
-
+    let info = config.info(role);
     let deadline = Instant::now() + Duration::from_secs(10);
     let handle = loop {
         match Server::bind_with_core(
@@ -315,7 +227,7 @@ fn start_as(
             config.workers,
             config.net,
             Arc::clone(&core),
-            Some(Arc::clone(&router)),
+            Some(info.clone()),
         ) {
             Ok(h) => break h,
             Err(e) if Instant::now() < deadline => {
@@ -369,44 +281,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn member_table_parses_and_rejects_garbage() {
-        let members = parse_members("0=127.0.0.1:7478,1=127.0.0.1:7479").unwrap();
-        assert_eq!(members.len(), 2);
-        assert_eq!(members[1].shard, 1);
-        assert_eq!(members[1].addr, "127.0.0.1:7479");
+    fn member_table_parses_one_shard_and_rejects_garbage() {
+        let members = parse_members("1=127.0.0.1:7479").unwrap();
+        let want = Member {
+            shard: 1,
+            addr: "127.0.0.1:7479".to_string(),
+        };
+        assert_eq!(members, [want]);
         assert!(parse_members("").is_err());
         assert!(parse_members("x=1:2").is_err());
-        assert!(parse_members("0=a,0=b").is_err());
         assert!(parse_members("7478").is_err());
+        for table in ["0=a,1=b", "0=a,0=b"] {
+            let err = parse_members(table).unwrap_err();
+            assert!(err.contains("second shard"), "{table}: {err}");
+        }
     }
 
     #[test]
-    fn router_keeps_builtins_local_and_reports_members() {
-        let members = parse_members("0=127.0.0.1:7478,1=127.0.0.1:7479").unwrap();
-        let registry = Registry::new();
-        let router = RingRouter::new(members, 0, 64, "primary", ReplMode::Sync, &registry);
-        assert_eq!(
-            router.route(TopoRef::Paper24),
-            RouteDecision::Local,
-            "builtins must never bounce"
-        );
-        // Registered fingerprints split between the two shards; a key
-        // owned by shard 1 must carry shard 1's address.
-        let mut saw_moved = false;
-        for fp in 0..256u64 {
-            match router.route(TopoRef::Registered(fp)) {
-                RouteDecision::Local => {}
-                RouteDecision::Moved { shard, addr } => {
-                    assert_eq!(shard, 1);
-                    assert_eq!(addr, "127.0.0.1:7479");
-                    saw_moved = true;
-                }
-            }
-        }
-        assert!(saw_moved, "some keys must belong to the other shard");
-        let lines = router.cluster_lines();
-        assert!(lines.contains(&"node 0".to_string()));
-        assert!(lines.contains(&"member 0 127.0.0.1:7478 self".to_string()));
-        assert!(lines.contains(&"member 1 127.0.0.1:7479".to_string()));
+    fn info_reports_the_node_and_its_one_member() {
+        let members = parse_members("0=127.0.0.1:7478").unwrap();
+        let info = ClusterConfig::new(0, members, "unused").info("primary");
+        let cluster = [
+            "node 0",
+            "role primary",
+            "repl sync",
+            "shards 1",
+            "member 0 127.0.0.1:7478 self",
+        ];
+        assert_eq!(info.cluster_lines, cluster);
+        assert_eq!(info.stats_lines, ["cluster_shard 0", "cluster_members 1"]);
+    }
+
+    #[test]
+    fn a_table_that_does_not_name_this_shard_alone_does_not_start() {
+        let member = |shard| Member {
+            shard,
+            addr: "127.0.0.1:1".to_string(),
+        };
+        let other = ClusterConfig::new(0, vec![member(1)], "unused");
+        let err = start_primary(&other).err().expect("another shard");
+        assert!(err.contains("not in member table"), "{err}");
+        let two = ClusterConfig::new(0, vec![member(0), member(1)], "unused");
+        let err = start_primary(&two).err().expect("two shards");
+        assert!(err.contains("one shard"), "{err}");
     }
 }

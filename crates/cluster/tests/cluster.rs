@@ -1,10 +1,8 @@
-//! In-process cluster integration: MOVED routing with transparent
-//! client redirects across two primaries, and sync WAL replication
-//! with follower promotion after the primary goes away.
+//! In-process cluster integration: a primary serves uploads, jobs and a
+//! NOOP burst itself, and sync WAL replication promotes a follower after
+//! the primary goes away.
 
-use commsched_cluster::{
-    follow_and_promote, ClusterConfig, FollowerProgress, HashRing, Member, ReplMode, DEFAULT_VNODES,
-};
+use commsched_cluster::{follow_and_promote, ClusterConfig, FollowerProgress, Member, ReplMode};
 use commsched_service::loadgen::{self, LoadgenConfig, WireMode};
 use commsched_service::{Client, RetryPolicy};
 use commsched_topology::designed;
@@ -44,88 +42,41 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn requests_route_to_the_owning_shard_and_clients_follow() {
-    let addr0 = free_addr();
-    let addr1 = free_addr();
-    let members = vec![
-        Member {
-            shard: 0,
-            addr: addr0.clone(),
-        },
-        Member {
-            shard: 1,
-            addr: addr1.clone(),
-        },
-    ];
-    let dir0 = temp_dir("route-0");
-    let dir1 = temp_dir("route-1");
-    let node0 =
-        commsched_cluster::start_primary(&ClusterConfig::new(0, members.clone(), &dir0)).unwrap();
-    let node1 =
-        commsched_cluster::start_primary(&ClusterConfig::new(1, members.clone(), &dir1)).unwrap();
+fn a_primary_serves_uploads_jobs_and_a_burst_itself() {
+    let addr = free_addr();
+    let members = vec![Member {
+        shard: 0,
+        addr: addr.clone(),
+    }];
+    let dir = temp_dir("serve");
+    let node = commsched_cluster::start_primary(&ClusterConfig::new(0, members, &dir)).unwrap();
 
-    // Pick a topology the ring assigns to shard 1, so a client talking
-    // to node 0 must be redirected.
-    let ring = HashRing::new(&[0, 1], DEFAULT_VNODES);
-    // Even switch counts only: clusters=2 must split the host count
-    // evenly along switch boundaries.
-    let (topo, fp) = (2..16)
-        .map(|k| {
-            let t = designed::ring(2 * k, 2);
-            let fp = t.fingerprint();
-            (t, fp)
-        })
-        .find(|(_, fp)| ring.owner(*fp) == Some(1))
-        .expect("some ring topology must hash to shard 1");
-
-    let mut client = Client::connect_with_retry(&addr0, RetryPolicy::default()).unwrap();
+    let mut client = Client::connect_with_retry(&addr, RetryPolicy::default()).unwrap();
     let lines = client.cluster().unwrap().expect("cluster node");
-    assert!(lines.contains(&"node 0".to_string()), "lines: {lines:?}");
-    assert!(lines.contains(&format!("member 1 {addr1}")));
-
-    // The upload itself is redirected to the owner after the first
-    // node sees the fingerprint.
-    let got_fp = client.add_topology(&topo).unwrap();
-    assert_eq!(got_fp, fp);
+    for line in ["node 0", "role primary", "shards 1"] {
+        assert!(lines.contains(&line.to_string()), "lines: {lines:?}");
+    }
     assert!(
-        client.redirects_followed() >= 1,
-        "the ADDTOPO for a shard-1 topology through node 0 must redirect"
-    );
-    assert_eq!(
-        client.server_addr(),
-        addr1,
-        "client must now sit on the owner"
+        lines.contains(&format!("member 0 {addr} self")),
+        "lines: {lines:?}"
     );
 
-    // A submit naming the registered fingerprint works from either
-    // entry point; through node 0 it is redirected again.
-    let mut via0 = Client::connect_with_retry(&addr0, RetryPolicy::default()).unwrap();
-    let job = via0
+    // An upload is registered where it lands, and a submit naming its
+    // fingerprint runs there. Even switch counts only: clusters=2 must
+    // split the host count evenly along switch boundaries.
+    let topo = designed::ring(8, 2);
+    let fp = client.add_topology(&topo).unwrap();
+    assert_eq!(fp, topo.fingerprint());
+    let job = client
         .submit_raw(&format!("SCHEDULE topo=fp:{fp:016x} clusters=2 seed=7"))
         .unwrap();
-    assert!(via0.redirects_followed() >= 1);
-    let state = via0.wait(job, Duration::from_millis(20)).unwrap();
-    assert_eq!(state, "done");
-    assert!(!via0.result(job).unwrap().is_empty());
+    assert_eq!(client.wait(job, Duration::from_millis(20)).unwrap(), "done");
+    assert!(!client.result(job).unwrap().is_empty());
 
-    // Built-ins never bounce: node 0 serves paper24 locally.
-    let mut local = Client::connect_with_retry(&addr0, RetryPolicy::default()).unwrap();
-    let job = local
-        .submit_raw("SCHEDULE topo=paper24 clusters=4 seed=1")
-        .unwrap();
-    assert_eq!(local.redirects_followed(), 0);
-    assert_eq!(local.wait(job, Duration::from_millis(20)).unwrap(), "done");
-
-    // The owner's stats count the redirects it issued... on node 0.
-    let mut c0 = Client::connect(&addr0).unwrap();
-    let moved = c0.stat_u64("cluster_moved").unwrap().unwrap_or(0);
-    assert!(moved >= 2, "node 0 issued {moved} redirects");
-
-    // NOOPs name no topology, so they never bounce: both shards take a
-    // concurrent paced burst and lose nothing. The open burst can outrun a
+    // A paced NOOP burst loses nothing. The open burst can outrun the
     // node's bounded job queue; a refusal is then the queue bound doing
     // its job, so `queue-full` is the one error class allowed.
-    let burst = &LoadgenConfig {
+    let burst = LoadgenConfig {
         connections: 2,
         batch: 8,
         duration: Duration::from_millis(300),
@@ -133,26 +84,13 @@ fn requests_route_to_the_owning_shard_and_clients_follow() {
         max_in_flight: 64,
         ..LoadgenConfig::default()
     };
-    let reports = std::thread::scope(|s| {
-        let runs = [&addr0, &addr1].map(|addr| s.spawn(move || loadgen::run(addr, burst)));
-        runs.map(|run| run.join().expect("loadgen thread").expect("loadgen run"))
-    });
-    for (shard, r) in reports.iter().enumerate() {
-        assert_eq!(
-            r.errors,
-            r.errors_queue_full,
-            "shard {shard}: {}",
-            r.to_json()
-        );
-        assert_eq!(r.errors_moved, 0, "shard {shard}: {}", r.to_json());
-        assert_eq!(r.in_flight_lost, 0, "shard {shard}: {}", r.to_json());
-        assert!(r.jobs_acked > 0, "shard {shard} acked nothing");
-    }
+    let r = loadgen::run(&addr, &burst).expect("loadgen run");
+    assert_eq!(r.errors, r.errors_queue_full, "{}", r.to_json());
+    assert_eq!(r.in_flight_lost, 0, "{}", r.to_json());
+    assert!(r.jobs_acked > 0, "acked nothing: {}", r.to_json());
 
-    node0.shutdown();
-    node1.shutdown();
-    let _ = std::fs::remove_dir_all(&dir0);
-    let _ = std::fs::remove_dir_all(&dir1);
+    node.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

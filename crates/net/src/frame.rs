@@ -47,12 +47,6 @@ pub const OP_ERR: u8 = 0x82;
 /// `0:u8 id:u64` for an accepted job or `1:u8 len:u32 msg` for a
 /// rejected one, in submission order.
 pub const OP_BATCH_ACK: u8 = 0x83;
-/// Response: cluster redirect. Payload is the text after `MOVED ` on
-/// the line protocol: `<shard> <addr>` naming the owning shard and the
-/// address to retry against. Typed (rather than riding on `OP_ERR`) so
-/// pipelined clients can follow redirects without string-sniffing
-/// error payloads.
-pub const OP_MOVED: u8 = 0x84;
 
 /// Default cap on a frame payload (opcode excluded): 4 MiB.
 pub const DEFAULT_MAX_FRAME_PAYLOAD: usize = 4 << 20;

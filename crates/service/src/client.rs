@@ -36,8 +36,8 @@ fn write_full(stream: &mut TcpStream, mut buf: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// The same SplitMix64 finalizer the cluster hash ring uses; here it
-/// derives retry jitter without threading an RNG through the client.
+/// The SplitMix64 finalizer: derives retry jitter without threading an
+/// RNG through the client.
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -101,10 +101,6 @@ impl RetryPolicy {
     }
 }
 
-/// Hops a single request may follow through `MOVED` redirects before
-/// the client declares the cluster's routing inconsistent.
-const MAX_REDIRECT_HOPS: u32 = 4;
-
 /// A socket and the decoder of what comes back on it.
 struct Wire {
     stream: TcpStream,
@@ -157,11 +153,10 @@ impl Wire {
 /// One connection to a running daemon.
 pub struct Client {
     wire: Wire,
-    /// Address of the server currently connected, for reconnects after
-    /// a retryable failure (the `MOVED` target replaces it on redirect).
+    /// Address of the server connected, for reconnects after a
+    /// retryable failure.
     addr: String,
     retry: RetryPolicy,
-    redirects: u64,
     retries: u64,
 }
 
@@ -174,15 +169,6 @@ pub enum ClientError {
     Server(String),
     /// The server answered something the client cannot interpret.
     Protocol(String),
-    /// A cluster node redirected to the shard owner (`MOVED` reply).
-    /// The client follows these transparently; it surfaces only when
-    /// the redirect budget is exhausted mid-request.
-    Moved {
-        /// Shard index the key hashed to.
-        shard: u32,
-        /// Address of the node owning that shard.
-        addr: String,
-    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -191,7 +177,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Io(e) => write!(f, "io: {e}"),
             ClientError::Server(m) => write!(f, "server: {m}"),
             ClientError::Protocol(m) => write!(f, "protocol: {m}"),
-            ClientError::Moved { shard, addr } => write!(f, "moved: shard {shard} at {addr}"),
         }
     }
 }
@@ -220,7 +205,6 @@ impl Client {
             addr: stream.peer_addr()?.to_string(),
             wire: Wire::lines(stream),
             retry,
-            redirects: 0,
             retries,
         })
     }
@@ -238,20 +222,9 @@ impl Client {
         Self::over(stream, policy, retries)
     }
 
-    /// `MOVED` redirects this client has followed.
-    pub fn redirects_followed(&self) -> u64 {
-        self.redirects
-    }
-
     /// Retries (busy/refused) this client has spent.
     pub fn retries_used(&self) -> u64 {
         self.retries
-    }
-
-    /// Address of the server this client currently talks to (changes
-    /// when a redirect is followed).
-    pub fn server_addr(&self) -> &str {
-        &self.addr
     }
 
     /// One connection attempt. Requests are written whole and each waits
@@ -288,12 +261,12 @@ impl Client {
         }
     }
 
-    /// Drop the current connection and dial `addr` (retrying refusals
-    /// per the policy — a promoting follower needs a beat to bind).
-    fn reconnect(&mut self, addr: &str) -> Result<(), ClientError> {
+    /// Drop the current connection and dial the server again (retrying
+    /// refusals per the policy — a promoting follower needs a beat to
+    /// bind).
+    fn reconnect(&mut self) -> Result<(), ClientError> {
         let policy = self.retry;
-        let stream = Self::open_stream(addr, &policy, &mut self.retries)?;
-        self.addr = stream.peer_addr()?.to_string();
+        let stream = Self::open_stream(&self.addr, &policy, &mut self.retries)?;
         self.wire = Wire::lines(stream);
         Ok(())
     }
@@ -313,14 +286,12 @@ impl Client {
     fn refusal(reply: Reply) -> ClientError {
         match reply {
             Reply::Err(reason) => ClientError::Server(reason),
-            Reply::Moved { shard, addr } => ClientError::Moved { shard, addr },
             other => ClientError::Protocol(format!("unexpected reply {other:?}")),
         }
     }
 
-    /// Send one request and read its first reply line, following `MOVED`
-    /// redirects transparently and retrying retryable failures under the
-    /// client's [`RetryPolicy`]. Every verb goes through here, block
+    /// Send one request and read its first reply line, retrying
+    /// retryable failures under the client's [`RetryPolicy`]. Every verb goes through here, block
     /// verbs for their header. `request` is the request's text without
     /// the final newline — for an upload its head line and body, which
     /// leave in one write: sent line by line, every upload would stall
@@ -329,7 +300,6 @@ impl Client {
         let mut wire = Vec::with_capacity(request.len() + 1);
         wire.extend_from_slice(request.as_bytes());
         wire.push(b'\n');
-        let mut hops = 0u32;
         let mut attempt = 0u32;
         loop {
             let outcome = write_full(&mut self.wire.stream, &wire)
@@ -341,22 +311,13 @@ impl Client {
                 });
             match outcome {
                 Ok(text) => return Ok(text),
-                Err(ClientError::Moved { shard, addr }) => {
-                    hops += 1;
-                    if hops > MAX_REDIRECT_HOPS {
-                        return Err(ClientError::Moved { shard, addr });
-                    }
-                    self.redirects += 1;
-                    self.reconnect(&addr)?;
-                }
                 Err(e) if attempt + 1 < self.retry.max_attempts && Self::retryable(&e) => {
                     attempt += 1;
                     self.retries += 1;
                     std::thread::sleep(self.retry.backoff(attempt));
                     // `busy` closed the socket server-side; a fresh
                     // connection is needed either way.
-                    let addr = self.addr.clone();
-                    self.reconnect(&addr)?;
+                    self.reconnect()?;
                 }
                 Err(e) => return Err(e),
             }
@@ -385,10 +346,8 @@ impl Client {
         self.transact("PING").map(drop)
     }
 
-    /// Upload a topology; returns its fingerprint. In a cluster the
-    /// first node may answer `MOVED` after seeing the whole upload (the
-    /// fingerprint decides the owner); the client re-uploads to the
-    /// owner transparently, and waits out `busy` like any other verb.
+    /// Upload a topology; returns its fingerprint. Waits out `busy` like
+    /// any other verb.
     ///
     /// # Errors
     /// See [`ClientError`].

@@ -56,5 +56,5 @@ pub use persist::{
 };
 pub use protocol::{JobKind, JobSpec, Request, TopoRef};
 pub use registry::TopologyRegistry;
-pub use server::{ClusterHooks, RouteDecision, Server, ServerConfig, ServerHandle};
+pub use server::{ClusterInfo, Server, ServerConfig, ServerHandle};
 pub use stats::ServiceStats;

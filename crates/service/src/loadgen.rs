@@ -16,7 +16,7 @@
 //! per job; `binary` sends the framed protocol — `OP_REQ` at batch 1,
 //! `OP_SUBMIT_BATCH` carrying the whole batch in one frame otherwise.
 
-use crate::protocol::{is_busy, parse_moved_entry, Reply};
+use crate::protocol::{is_busy, Reply};
 use commsched_net::frame::{self, BatchOutcome};
 use commsched_net::poller::{Event, Interest, Poller};
 use commsched_net::sys::raise_nofile_limit;
@@ -104,10 +104,6 @@ pub struct LoadgenReport {
     /// Errors that were `queue-full` refusals: the node's job queue was
     /// at its bound, so the job was never accepted.
     pub errors_queue_full: u64,
-    /// Errors that were cluster `MOVED` redirects (the generator does
-    /// not follow them; a redirect means the target was the wrong shard
-    /// owner and the job never ran).
-    pub errors_moved: u64,
     /// Jobs written to a connection that died before acknowledging
     /// them. Before this class existed such jobs vanished from the
     /// report entirely.
@@ -139,7 +135,7 @@ impl LoadgenReport {
         format!(
             concat!(
                 "{{\"connections\":{},\"jobs_sent\":{},\"jobs_acked\":{},",
-                "\"errors\":{},\"errors_busy\":{},\"errors_queue_full\":{},\"errors_moved\":{},",
+                "\"errors\":{},\"errors_busy\":{},\"errors_queue_full\":{},",
                 "\"errors_io\":{},\"in_flight_lost\":{},\"elapsed_secs\":{},",
                 "\"jobs_per_sec\":{},\"p50_ms\":{},\"p99_ms\":{},\"p999_ms\":{}}}"
             ),
@@ -149,7 +145,6 @@ impl LoadgenReport {
             self.errors,
             self.errors_busy,
             self.errors_queue_full,
-            self.errors_moved,
             self.errors_io,
             self.in_flight_lost,
             num(self.elapsed_secs),
@@ -168,8 +163,6 @@ enum ErrClass {
     Busy,
     /// `ERR queue-full`: the job queue was at its bound.
     QueueFull,
-    /// `MOVED <shard> <addr>`: the node does not own the key's shard.
-    Moved,
     /// The connection died with requests still unacknowledged.
     Io,
     /// Any other `ERR` (parse errors, ...).
@@ -182,7 +175,6 @@ struct ErrCounts {
     total: u64,
     busy: u64,
     queue_full: u64,
-    moved: u64,
     io: u64,
 }
 
@@ -192,7 +184,6 @@ impl ErrCounts {
         match class {
             ErrClass::Busy => self.busy += jobs,
             ErrClass::QueueFull => self.queue_full += jobs,
-            ErrClass::Moved => self.moved += jobs,
             ErrClass::Io => self.io += jobs,
             ErrClass::Other => {}
         }
@@ -201,9 +192,7 @@ impl ErrCounts {
 
 /// The class of a refusal reason: a reply's, or a batch entry's.
 fn classify(reason: &str) -> ErrClass {
-    if parse_moved_entry(reason).is_some() {
-        ErrClass::Moved
-    } else if is_busy(reason) {
+    if is_busy(reason) {
         ErrClass::Busy
     } else if reason.starts_with("queue-full") {
         ErrClass::QueueFull
@@ -236,7 +225,6 @@ impl Tally {
             .push(now.duration_since(sent_at).as_micros() as u64);
         match reply {
             Ok(Reply::Ok(_) | Reply::Block { .. }) => self.jobs_acked += jobs,
-            Ok(Reply::Moved { .. }) => self.errors.count(ErrClass::Moved, jobs),
             Ok(Reply::Err(reason)) | Err(reason) => self.errors.count(classify(&reason), jobs),
             Ok(Reply::BatchAck(outcomes)) => {
                 for outcome in &outcomes {
@@ -491,7 +479,6 @@ pub fn run<A: ToSocketAddrs>(addr: A, config: &LoadgenConfig) -> Result<LoadgenR
         errors: errors.total,
         errors_busy: errors.busy,
         errors_queue_full: errors.queue_full,
-        errors_moved: errors.moved,
         errors_io: errors.io,
         in_flight_lost,
         elapsed_secs: elapsed,
@@ -648,7 +635,7 @@ mod tests {
         // Every entry rejected: nothing is acknowledged.
         let refused = Reply::BatchAck(vec![
             BatchOutcome::Err("queue-full".to_string()),
-            BatchOutcome::Err("moved 1 127.0.0.1:7480".to_string()),
+            BatchOutcome::Err("unknown-topology".to_string()),
             BatchOutcome::Err("busy max-connections".to_string()),
         ]);
         let t = tally_of(3, Ok(refused));
@@ -657,11 +644,10 @@ mod tests {
             (
                 t.errors.total,
                 t.errors.queue_full,
-                t.errors.moved,
                 t.errors.busy,
                 t.errors.io
             ),
-            (3, 1, 1, 1, 0)
+            (3, 1, 1, 0)
         );
         assert_eq!(t.samples_us.len(), 1, "one latency sample per request");
         // Mixed: each job is counted once, on the side it fell.
@@ -680,12 +666,11 @@ mod tests {
     fn other_replies_speak_for_the_whole_request() {
         let t = tally_of(1, Ok(Reply::Ok("17".to_string())));
         assert_eq!((t.jobs_acked, t.errors.total), (1, 0));
-        let moved = Reply::Moved {
-            shard: 1,
-            addr: "127.0.0.1:7480".to_string(),
-        };
-        let t = tally_of(4, Ok(moved));
-        assert_eq!((t.jobs_acked, t.errors.total, t.errors.moved), (0, 4, 4));
+        let t = tally_of(4, Ok(Reply::Err("unknown-topology".to_string())));
+        assert_eq!(
+            (t.jobs_acked, t.errors.total, t.errors.queue_full),
+            (0, 4, 0)
+        );
         let t = tally_of(1, Ok(Reply::Err("busy max-connections".to_string())));
         assert_eq!((t.errors.total, t.errors.busy), (1, 1));
         let t = tally_of(1, Ok(Reply::Err("queue-full".to_string())));
@@ -707,7 +692,6 @@ mod tests {
             errors: 4,
             errors_busy: 1,
             errors_queue_full: 1,
-            errors_moved: 1,
             errors_io: 1,
             in_flight_lost: 0,
             elapsed_secs: 1.5,
@@ -723,7 +707,6 @@ mod tests {
         assert!(json.contains("\"errors\":4"));
         assert!(json.contains("\"errors_busy\":1"));
         assert!(json.contains("\"errors_queue_full\":1"));
-        assert!(json.contains("\"errors_moved\":1"));
         assert!(json.contains("\"errors_io\":1"));
     }
 }

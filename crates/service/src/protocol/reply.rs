@@ -1,11 +1,11 @@
 //! What the daemon can answer: [`Reply`], spelled into either codec by
 //! [`Reply::encode`] and read back by [`Reply::from_head`] /
 //! [`Reply::from_frame`]. Nothing else in the crate knows that a refusal
-//! opens with `ERR` or a redirect with `MOVED`.
+//! opens with `ERR`.
 
 use commsched_net::frame::{
     decode_batch_ack, encode_batch_ack, encode_frame_with, BatchOutcome, Frame, OP_BATCH_ACK,
-    OP_ERR, OP_MOVED, OP_OK,
+    OP_ERR, OP_OK,
 };
 use commsched_net::Message;
 
@@ -24,13 +24,6 @@ pub enum Reply {
     /// `ERR <reason>`: refused or failed; the connection stays usable
     /// unless the reason says otherwise.
     Err(String),
-    /// `MOVED <shard> <addr>`: another shard of the cluster owns the key.
-    Moved {
-        /// The owning shard id.
-        shard: u32,
-        /// The owning node's client address.
-        addr: String,
-    },
     /// Per-job outcomes of an `OP_SUBMIT_BATCH`, in submission order.
     BatchAck(Vec<BatchOutcome>),
 }
@@ -57,9 +50,6 @@ impl Reply {
                 encode_frame_with(out, OP_OK, |out| self.write_text(out))
             }
             Reply::Err(_) => encode_frame_with(out, OP_ERR, |out| self.write_text(out)),
-            Reply::Moved { shard, addr } => encode_frame_with(out, OP_MOVED, |out| {
-                out.extend_from_slice(format!("{shard} {addr}").as_bytes())
-            }),
             Reply::BatchAck(outcomes) => encode_frame_with(out, OP_BATCH_ACK, |out| {
                 out.extend_from_slice(&encode_batch_ack(outcomes))
             }),
@@ -86,9 +76,6 @@ impl Reply {
                 out.extend_from_slice(b"ERR ");
                 out.extend_from_slice(reason.as_bytes());
             }
-            Reply::Moved { shard, addr } => {
-                out.extend_from_slice(format_moved(*shard, addr).as_bytes());
-            }
             Reply::BatchAck(outcomes) => {
                 for (i, outcome) in outcomes.iter().enumerate() {
                     if i > 0 {
@@ -108,21 +95,17 @@ impl Reply {
         }
     }
 
-    /// Read the first line of a line-codec reply: `Ok`, `Err` or `Moved`.
+    /// Read the first line of a line-codec reply: `Ok` or `Err`.
     /// Whether payload lines follow an `Ok` is the asker's knowledge
     /// (`RESULT` answers a block, `STATUS` does not).
     ///
     /// # Errors
-    /// The line opens with none of `OK`, `ERR`, `MOVED`, or is a
-    /// malformed redirect.
+    /// The line opens with neither `OK` nor `ERR`.
     pub fn from_head(line: &str) -> Result<Self, String> {
         if let Some(rest) = line.strip_prefix("OK") {
             Ok(Reply::Ok(rest.trim_start().to_string()))
         } else if let Some(rest) = line.strip_prefix("ERR") {
             Ok(Reply::Err(rest.trim_start().to_string()))
-        } else if line.starts_with("MOVED") {
-            let (shard, addr) = parse_moved(line).ok_or(format!("bad redirect '{line}'"))?;
-            Ok(Reply::Moved { shard, addr })
         } else {
             Err(format!("unexpected reply '{line}'"))
         }
@@ -154,11 +137,6 @@ impl Reply {
                 let reason = text.strip_prefix("ERR").unwrap_or(&text).trim_start();
                 Ok(Reply::Err(reason.to_string()))
             }
-            OP_MOVED => {
-                let text = text();
-                let (shard, addr) = parse_moved(&text).ok_or(format!("bad redirect '{text}'"))?;
-                Ok(Reply::Moved { shard, addr })
-            }
             OP_BATCH_ACK => decode_batch_ack(&frame.payload).map(Reply::BatchAck),
             other => Err(format!("unexpected reply opcode {other:#04x}")),
         }
@@ -182,35 +160,6 @@ pub fn is_busy(reason: &str) -> bool {
     reason.starts_with("busy")
 }
 
-/// Render a cluster redirect reply line: `MOVED <shard> <addr>`.
-pub fn format_moved(shard: u32, addr: &str) -> String {
-    format!("MOVED {shard} {addr}")
-}
-
-/// Parse the payload of a `MOVED` reply (the words after the `MOVED`
-/// keyword, or a whole `MOVED <shard> <addr>` line). Returns the owning
-/// shard and the address to retry against.
-pub fn parse_moved(text: &str) -> Option<(u32, String)> {
-    let rest = text.strip_prefix("MOVED").unwrap_or(text);
-    let mut words = rest.split_whitespace();
-    let shard = words.next()?.parse().ok()?;
-    let addr = words.next()?.to_string();
-    words.next().is_none().then_some((shard, addr))
-}
-
-/// Render the rejection reason of a *batch entry* whose key another
-/// shard owns: `moved <shard> <addr>`. A batch is acknowledged as a
-/// whole, so a redirect inside it is a per-entry outcome, not a reply.
-pub fn format_moved_entry(shard: u32, addr: &str) -> String {
-    format!("moved {shard} {addr}")
-}
-
-/// Parse a batch entry's rejection reason as a redirect; `None` for any
-/// other reason. Inverse of [`format_moved_entry`].
-pub fn parse_moved_entry(reason: &str) -> Option<(u32, String)> {
-    parse_moved(reason.strip_prefix("moved ")?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,14 +178,10 @@ mod tests {
             },
             Reply::Err("queue-full".to_string()),
             Reply::Err("unknown request 'FROB'".to_string()),
-            Reply::Moved {
-                shard: 3,
-                addr: "127.0.0.1:7480".to_string(),
-            },
             Reply::BatchAck(vec![
                 BatchOutcome::Ok(42),
                 BatchOutcome::Err("queue-full".to_string()),
-                BatchOutcome::Err(format_moved_entry(1, "[::1]:9000")),
+                BatchOutcome::Err("busy max-connections".to_string()),
             ]),
             Reply::BatchAck(Vec::new()),
         ]
@@ -321,10 +266,10 @@ mod tests {
     fn unreadable_replies_are_errors_not_panics() {
         assert!(Reply::from_head("").is_err());
         assert!(Reply::from_head("HELLO").is_err());
-        assert!(Reply::from_head("MOVED x addr").is_err());
         for (opcode, payload) in [
             (0x01, &b"PING"[..]),
-            (OP_MOVED, b"nonsense"),
+            // The retired cluster-redirect opcode: no reply carries it.
+            (0x84, b"1 127.0.0.1:7480"),
             (OP_BATCH_ACK, b"\xff\xff\xff\xff"),
             (OP_BATCH_ACK, b""),
         ] {
@@ -337,18 +282,8 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_entrys_redirect_round_trips() {
-        let reason = format_moved_entry(3, "127.0.0.1:7480");
-        assert_eq!(reason, "moved 3 127.0.0.1:7480");
-        assert_eq!(
-            parse_moved_entry(&reason),
-            Some((3, "127.0.0.1:7480".to_string()))
-        );
-        // Not a redirect: other reasons, and the reply-level spelling.
-        assert_eq!(parse_moved_entry("queue-full"), None);
-        assert_eq!(parse_moved_entry("moved"), None);
-        assert_eq!(parse_moved_entry("moved x addr"), None);
-        assert_eq!(parse_moved_entry("MOVED 3 127.0.0.1:7480"), None);
-        assert!(is_busy("busy max-connections") && !is_busy("queue-full"));
+    fn busy_names_the_connection_cap_alone() {
+        assert!(is_busy("busy max-connections"));
+        assert!(!is_busy("queue-full"));
     }
 }

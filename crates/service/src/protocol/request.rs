@@ -51,8 +51,8 @@ pub enum Request {
     },
     /// Capability probe: what protocols/extensions this server speaks.
     Caps,
-    /// Cluster topology probe: shard id, role, and the member table of
-    /// the ring this node belongs to (a single-line `OK standalone` for
+    /// Cluster probe: shard id, role, and the member table of the
+    /// cluster this node belongs to (a single-line `OK standalone` for
     /// non-clustered daemons).
     Cluster,
     /// Service counters and histograms.
@@ -65,21 +65,6 @@ pub enum Request {
     Shutdown,
     /// Close this connection.
     Quit,
-}
-
-impl Request {
-    /// The topology key that decides which shard of a cluster serves
-    /// this request; `None` for node-local requests (job ids are
-    /// shard-local, so clients query the shard that acked). An upload's
-    /// key exists only once its text is parsed and a batch has one per
-    /// entry: the dispatcher routes those itself.
-    pub fn routed_by(&self) -> Option<TopoRef> {
-        match self {
-            Request::Submit(spec) => Some(spec.topo),
-            Request::Fault { topo, .. } => Some(*topo),
-            _ => None,
-        }
-    }
 }
 
 /// Render the argument words of a `FAULT` request from its network and
@@ -494,22 +479,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_cluster_request_and_moved_replies() {
+    fn parses_cluster_request() {
         assert_eq!(parse_request("CLUSTER"), Ok(Request::Cluster));
         assert!(parse_request("CLUSTER nodes").is_err());
-        assert_eq!(format_moved(3, "127.0.0.1:7480"), "MOVED 3 127.0.0.1:7480");
-        assert_eq!(
-            parse_moved("MOVED 3 127.0.0.1:7480"),
-            Some((3, "127.0.0.1:7480".to_string()))
-        );
-        // The frame payload form omits the keyword.
-        assert_eq!(
-            parse_moved("0 [::1]:9000"),
-            Some((0, "[::1]:9000".to_string()))
-        );
-        assert_eq!(parse_moved("MOVED"), None);
-        assert_eq!(parse_moved("MOVED x addr"), None);
-        assert_eq!(parse_moved("MOVED 1 addr trailing"), None);
     }
 
     #[test]

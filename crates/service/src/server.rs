@@ -11,7 +11,7 @@
 //! [`Reply::encode`] spells that in the codec the request arrived in.
 
 use crate::jobs::{ServiceCore, ServiceCoreConfig};
-use crate::protocol::{self, Assembler, Fed, JobSpec, Reply, Request, TopoRef};
+use crate::protocol::{self, Assembler, Fed, JobSpec, Reply, Request};
 use commsched_net::frame::{self, BatchOutcome};
 use commsched_net::{Action, Handler, Message, NetConfig};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -19,38 +19,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Where a request should be served, as decided by [`ClusterHooks`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RouteDecision {
-    /// This node owns the key (or the request is node-local); serve it.
-    Local,
-    /// Another shard owns the key; answer `MOVED <shard> <addr>`.
-    Moved {
-        /// The owning shard id.
-        shard: u32,
-        /// The owning node's client address.
-        addr: String,
-    },
-}
-
-/// Cluster integration points for the front end. A standalone daemon
-/// has none of this (every decision is [`RouteDecision::Local`]); a
-/// cluster node installs hooks that consult its hash ring.
-pub trait ClusterHooks: Send + Sync {
-    /// Which node serves the topology key a request names: the key of
-    /// [`Request::routed_by`], an upload's `Registered(fingerprint)` once
-    /// its text is parsed, a batch's keys entry by entry. Requests
-    /// without a key (PING, STATS, STATUS, ...) are never routed — job
-    /// ids are shard-local, so clients query the shard that acked.
-    fn route(&self, topo: TopoRef) -> RouteDecision;
-
-    /// Body lines of the `CLUSTER` response: node id, role, and the
-    /// member table.
-    fn cluster_lines(&self) -> Vec<String>;
-
-    /// Extra `key value` lines appended to `STATS` (per-shard routing
-    /// counters, replication lag).
-    fn stats_lines(&self) -> Vec<String>;
+/// What a cluster node reports about itself, fixed when it binds: the
+/// body lines of `CLUSTER` (node id, role, the member table) and the
+/// extra `key value` lines appended to `STATS`. A standalone daemon has
+/// none, and answers `CLUSTER` with `OK standalone`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClusterInfo {
+    /// Body lines of the `CLUSTER` response.
+    pub cluster_lines: Vec<String>,
+    /// Lines appended to `STATS`.
+    pub stats_lines: Vec<String>,
 }
 
 /// Daemon sizing: the core's knobs plus the worker-thread count and
@@ -92,8 +70,8 @@ impl Server {
 
     /// Bind with an externally constructed core — e.g. one recovered
     /// from a state directory by [`ServiceCore::recover`] — explicit
-    /// event-loop limits and, on a cluster node, the routing hooks
-    /// consulted before every request is served.
+    /// event-loop limits and, on a cluster node, what `CLUSTER` and
+    /// `STATS` report about it.
     ///
     /// # Errors
     /// Propagates the bind failure.
@@ -102,7 +80,7 @@ impl Server {
         workers: usize,
         net: NetConfig,
         core: Arc<ServiceCore>,
-        hooks: Option<Arc<dyn ClusterHooks>>,
+        cluster: Option<ClusterInfo>,
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -121,7 +99,7 @@ impl Server {
                 let mut handler = ServiceHandler {
                     core: Arc::clone(&core),
                     stop: Arc::clone(&stop),
-                    hooks,
+                    cluster,
                     max_upload_bytes: net.max_frame_payload,
                 };
                 // Poller failures are unrecoverable for the front end;
@@ -201,32 +179,17 @@ impl ServerHandle {
 struct ServiceHandler {
     core: Arc<ServiceCore>,
     stop: Arc<AtomicBool>,
-    hooks: Option<Arc<dyn ClusterHooks>>,
+    cluster: Option<ClusterInfo>,
     /// Cap on the text one line-mode `ADDTOPO` may accumulate: the
     /// frame payload limit that already bounds a binary upload.
     max_upload_bytes: usize,
 }
 
 impl ServiceHandler {
-    /// The redirect for a key another shard owns; `None` when this node
-    /// serves it (always, on a standalone daemon).
-    fn moved(&self, topo: TopoRef) -> Option<(u32, String)> {
-        match self.hooks.as_ref()?.route(topo) {
-            RouteDecision::Local => None,
-            RouteDecision::Moved { shard, addr } => Some((shard, addr)),
-        }
-    }
-
     /// Answer one request: the reply (none for `QUIT`) and what becomes
     /// of the connection.
     fn apply(&self, request: Request) -> (Option<Reply>, Action) {
         let core = &self.core;
-        // Cluster routing first: a request whose topology key another
-        // shard owns is answered `MOVED <shard> <addr>` without
-        // touching this core at all.
-        if let Some((shard, addr)) = request.routed_by().and_then(|topo| self.moved(topo)) {
-            return (Some(Reply::Moved { shard, addr }), Action::Continue);
-        }
         let ok = |result: Result<String, String>| match result {
             Ok(text) => Reply::Ok(text),
             Err(reason) => Reply::Err(reason),
@@ -243,24 +206,18 @@ impl ServiceHandler {
             Request::Caps => Reply::Ok(format!(
                 "caps proto=line+binary version={} batch-submit=1 pipeline=1{}",
                 frame::PROTO_VERSION,
-                if self.hooks.is_some() {
+                if self.cluster.is_some() {
                     " cluster=1"
                 } else {
                     ""
                 }
             )),
-            Request::Cluster => match &self.hooks {
-                Some(hooks) => block("cluster", Ok(hooks.cluster_lines())),
+            Request::Cluster => match &self.cluster {
+                Some(info) => block("cluster", Ok(info.cluster_lines.clone())),
                 None => Reply::Ok("standalone".to_string()),
             },
-            // Uploads belong to the owning shard: any node accepts the
-            // bytes, but the key exists only once they are parsed, and
-            // only the owner registers them.
             Request::AddTopo { text } => match commsched_topology::from_text(&text) {
-                Ok(topo) => match self.moved(TopoRef::Registered(topo.fingerprint())) {
-                    Some((shard, addr)) => Reply::Moved { shard, addr },
-                    None => Reply::Ok(protocol::format_fingerprint(core.register_topology(topo).0)),
-                },
+                Ok(topo) => Reply::Ok(protocol::format_fingerprint(core.register_topology(topo).0)),
                 Err(e) => Reply::Err(e.to_string()),
             },
             Request::Submit(spec) => ok(core
@@ -277,8 +234,8 @@ impl ServiceHandler {
             Request::Fault { topo, event } => block("fault", core.fault(topo, &event)),
             Request::Stats => {
                 let mut lines = core.stats_lines();
-                if let Some(hooks) = &self.hooks {
-                    lines.extend(hooks.stats_lines());
+                if let Some(info) = &self.cluster {
+                    lines.extend(info.stats_lines.iter().cloned());
                 }
                 block("stats", Ok(lines))
             }
@@ -304,21 +261,9 @@ impl ServiceHandler {
         (Some(reply), Action::Continue)
     }
 
-    /// Admit a batch: entries that did not parse keep their reason, an
-    /// entry whose key another shard owns is answered with its redirect
-    /// and never enqueued, and the rest reach the core's
-    /// single-WAL-section batch path together.
+    /// Admit a batch: entries that did not parse keep their reason, and
+    /// the rest reach the core's single-WAL-section batch path together.
     fn submit_batch(&self, entries: Vec<Result<JobSpec, String>>) -> Vec<BatchOutcome> {
-        let entries: Vec<Result<JobSpec, String>> = entries
-            .into_iter()
-            .map(|entry| {
-                let spec = entry?;
-                match self.moved(spec.topo) {
-                    Some((shard, addr)) => Err(protocol::format_moved_entry(shard, &addr)),
-                    None => Ok(spec),
-                }
-            })
-            .collect();
         let valid: Vec<JobSpec> = entries.iter().flatten().copied().collect();
         let mut submitted = self.core.submit_batch(&valid).into_iter();
         entries

@@ -6,8 +6,8 @@
 //! batch frame (accepted / malformed / over-limit / `queue-full`
 //! entries), the event loop's own refusals (oversized frame, bad
 //! preamble, empty frame, over-long line, idle timeout, connection cap),
-//! `QUIT`, `SHUTDOWN`, and the routed requests again under cluster hooks
-//! that own nothing. A change to the request path that is not meant to
+//! `QUIT`, `SHUTDOWN`, and what a cluster node adds (`CAPS`, `CLUSTER`
+//! and `STATS` lines). A change to the request path that is not meant to
 //! move a wire byte must pass this file unedited, in debug and with
 //! `--release`.
 //!
@@ -24,8 +24,7 @@ use commsched_net::frame;
 use commsched_net::NetConfig;
 use commsched_service::server::ServerHandle;
 use commsched_service::{
-    ClusterHooks, JobState, RouteDecision, RoutingSpec, Server, ServiceCore, ServiceCoreConfig,
-    TableSpec, TopoRef,
+    ClusterInfo, JobState, RoutingSpec, Server, ServiceCore, ServiceCoreConfig, TableSpec,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -52,33 +51,17 @@ fn net_config() -> NetConfig {
     }
 }
 
-fn spawn(net: NetConfig, hooks: Option<Arc<dyn ClusterHooks>>) -> ServerHandle {
+fn spawn(net: NetConfig, cluster: Option<ClusterInfo>) -> ServerHandle {
     let core = Arc::new(ServiceCore::new(core_config()));
-    Server::bind_with_core("127.0.0.1:0", 1, net, core, hooks).expect("bind ephemeral port")
+    Server::bind_with_core("127.0.0.1:0", 1, net, core, cluster).expect("bind ephemeral port")
 }
 
-/// Cluster hooks of a node that owns no shard: every routed key belongs
-/// to shard 7 at a fixed address.
-struct OwnsNothing;
-
-fn elsewhere() -> RouteDecision {
-    RouteDecision::Moved {
-        shard: 7,
-        addr: "10.0.0.7:7477".to_string(),
-    }
-}
-
-impl ClusterHooks for OwnsNothing {
-    fn route(&self, _topo: TopoRef) -> RouteDecision {
-        elsewhere()
-    }
-
-    fn cluster_lines(&self) -> Vec<String> {
-        vec!["node 0".to_string(), "member 7 10.0.0.7:7477".to_string()]
-    }
-
-    fn stats_lines(&self) -> Vec<String> {
-        vec!["cluster_shard 0".to_string()]
+/// What a cluster node reports about itself; the front end prints the
+/// lines as given.
+fn cluster_info() -> ClusterInfo {
+    ClusterInfo {
+        cluster_lines: vec!["node 0".to_string(), "member 7 10.0.0.7:7477".to_string()],
+        stats_lines: vec!["cluster_shard 0".to_string()],
     }
 }
 
@@ -227,7 +210,6 @@ impl Conn {
         let name = match *opcode {
             frame::OP_OK => "[ok]",
             frame::OP_ERR => "[err]",
-            frame::OP_MOVED => "[moved]",
             frame::OP_BATCH_ACK => "[batch-ack]",
             _ => "[?]",
         };
@@ -502,26 +484,13 @@ fn verbs(handle: &ServerHandle, binary: bool) -> String {
     c.log
 }
 
-/// The routed requests on a node that owns nothing.
-fn routed(handle: &ServerHandle, binary: bool) -> String {
+/// What a cluster node answers beyond a standalone daemon.
+fn cluster_node(handle: &ServerHandle, binary: bool) -> String {
     let mut c = Conn::open(handle, binary);
     c.ask("PING");
     c.ask("CAPS");
     c.ask("CLUSTER");
     c.ask("STATS");
-    c.ask("SUBMIT NOOP");
-    c.ask("SUBMIT SCHEDULE topo=fp:0123456789abcdef");
-    c.ask("SUBMIT SCHEDULE topo=paper24 clusters=four");
-    c.ask("SUBMIT SWEEP topo=paper24 points=65");
-    c.ask("FAULT topo=paper24 kill=0:1");
-    c.ask("FAULT topo=paper24");
-    c.ask(&format!("ADDTOPO 7\n{RING4}"));
-    c.ask("ADDTOPO 2\nQUIT\nPING");
-    c.ask("ADDTOPO 0");
-    c.ask("STATUS 1");
-    if binary {
-        c.ask_batch(&["NOOP", "GIBBERISH kind", "SWEEP topo=paper24 points=65"]);
-    }
     c.ask("SHUTDOWN");
     c.closed();
     c.log
@@ -544,16 +513,16 @@ fn binary_codec_transcript() {
 }
 
 #[test]
-fn routed_requests_on_a_node_that_owns_nothing() {
-    for (binary, want) in [(false, LINE_ROUTED), (true, BINARY_ROUTED)] {
-        let handle = spawn(net_config(), Some(Arc::new(OwnsNothing)));
-        let got = routed(&handle, binary);
+fn a_cluster_node_reports_its_info() {
+    for (binary, want) in [(false, LINE_CLUSTER), (true, BINARY_CLUSTER)] {
+        let handle = spawn(net_config(), Some(cluster_info()));
+        let got = cluster_node(&handle, binary);
         handle.join();
         check(
             if binary {
-                "binary routed"
+                "binary cluster"
             } else {
-                "line routed"
+                "line cluster"
             },
             &got,
             want,
@@ -1204,7 +1173,7 @@ const BINARY_VERBS: &str = r#"
 < [ok] OK drained 7
 < (closed)
 "#;
-const LINE_ROUTED: &str = r#"
+const LINE_CLUSTER: &str = r#"
 > PING
 < OK pong
 > CAPS
@@ -1259,40 +1228,11 @@ const LINE_ROUTED: &str = r#"
 < net_pipeline_depth_p90
 < cluster_shard
 < .
-> SUBMIT NOOP
-< MOVED 7 10.0.0.7:7477
-> SUBMIT SCHEDULE topo=fp:0123456789abcdef
-< MOVED 7 10.0.0.7:7477
-> SUBMIT SCHEDULE topo=paper24 clusters=four
-< ERR bad clusters 'four'
-> SUBMIT SWEEP topo=paper24 points=65
-< ERR limit-exceeded: points 65 > 64
-> FAULT topo=paper24 kill=0:1
-< MOVED 7 10.0.0.7:7477
-> FAULT topo=paper24
-< ERR FAULT needs kill=a:b, restore=a:b[:slowdown], or switch=s
-> ADDTOPO 7
-> # commsched topology v1
-> switches 4
-> hosts_per_switch 1
-> link 0 1
-> link 1 2
-> link 2 3
-> link 0 3
-< MOVED 7 10.0.0.7:7477
-> ADDTOPO 2
-> QUIT
-> PING
-< ERR line 1: unrecognized 'QUIT'
-> ADDTOPO 0
-< ERR missing 'switches' directive
-> STATUS 1
-< ERR unknown-job
 > SHUTDOWN
 < OK drained 0
 < (closed)
 "#;
-const BINARY_ROUTED: &str = r#"
+const BINARY_CLUSTER: &str = r#"
 > PING
 < [ok] OK pong
 > CAPS
@@ -1347,40 +1287,6 @@ const BINARY_ROUTED: &str = r#"
 < net_pipeline_depth_p90
 < cluster_shard
 < .
-> SUBMIT NOOP
-< [moved] 7 10.0.0.7:7477
-> SUBMIT SCHEDULE topo=fp:0123456789abcdef
-< [moved] 7 10.0.0.7:7477
-> SUBMIT SCHEDULE topo=paper24 clusters=four
-< [err] ERR bad clusters 'four'
-> SUBMIT SWEEP topo=paper24 points=65
-< [err] ERR limit-exceeded: points 65 > 64
-> FAULT topo=paper24 kill=0:1
-< [moved] 7 10.0.0.7:7477
-> FAULT topo=paper24
-< [err] ERR FAULT needs kill=a:b, restore=a:b[:slowdown], or switch=s
-> ADDTOPO 7
-> # commsched topology v1
-> switches 4
-> hosts_per_switch 1
-> link 0 1
-> link 1 2
-> link 2 3
-> link 0 3
-< [moved] 7 10.0.0.7:7477
-> ADDTOPO 2
-> QUIT
-> PING
-< [err] ERR line 1: unrecognized 'QUIT'
-> ADDTOPO 0
-< [err] ERR missing 'switches' directive
-> STATUS 1
-< [err] ERR unknown-job
-> BATCH [NOOP | GIBBERISH kind | SWEEP topo=paper24 points=65]
-< [batch-ack] 3
-< err moved 7 10.0.0.7:7477
-< err expected key=value, got 'kind'
-< err limit-exceeded: points 65 > 64
 > SHUTDOWN
 < [ok] OK drained 0
 < (closed)

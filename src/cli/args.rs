@@ -168,10 +168,10 @@ pub(super) const USAGE_BLOCKS: [&str; 12] = [
                      <topology flags> [--clusters M] [--seed S] [--points P]
                      [--strategy flat|multilevel]
 ",
-    "  commsched cluster  --node-id K --members 0=H:P,1=H:P,... [--state-dir DIR]
+    "  commsched cluster  --node-id K --members K=H:P [--state-dir DIR]
                      [--repl sync|async] [--repl-listen HOST:PORT]
                      [--follow HOST:PORT] [--workers N] [--queue-cap N]
-                     [--cache-cap N] [--vnodes N]
+                     [--cache-cap N]
 ",
     "  commsched loadgen  --server HOST:PORT [--connections N] [--rate JOBS_PER_S]
                      [--batch N] [--duration SECS] [--mode line|binary]
@@ -478,7 +478,7 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
             let node_id = args.require("--node-id")?;
             let members = args
                 .take("--members", commsched_cluster::parse_members)?
-                .ok_or("cluster needs --members shard=addr,...")?;
+                .ok_or("cluster needs --members shard=addr")?;
             let mut config = ClusterConfig::new(node_id, members, "commsched-cluster-state");
             args.value("--state-dir", &mut config.state_dir)?;
             args.set("--repl", &mut config.repl, ReplMode::parse)?;
@@ -486,7 +486,6 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
             config.follow = args.opt("--follow")?;
             args.value("--workers", &mut config.workers)?;
             core_flags(args, &mut config.core)?;
-            args.value("--vnodes", &mut config.vnodes)?;
             Command::Cluster(config)
         }
         "loadgen" => {

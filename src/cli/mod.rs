@@ -224,7 +224,7 @@ pub enum Command {
     },
     /// Run the scheduling daemon until a client sends `SHUTDOWN`.
     Serve(Serve),
-    /// Run one node of a sharded scheduler cluster.
+    /// Run one node of a scheduler cluster: the primary or a warm standby.
     Cluster(ClusterConfig),
 }
 

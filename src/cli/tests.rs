@@ -220,19 +220,18 @@ fn parse_server_subcommands() {
 fn parse_cluster_subcommand() {
     assert_eq!(
         parsed(
-            "cluster --node-id 1 --members 0=127.0.0.1:7478,1=127.0.0.1:7479 \
+            "cluster --node-id 1 --members 1=127.0.0.1:7479 \
              --state-dir /tmp/cs-node1 --repl async --repl-listen 127.0.0.1:7500 \
-             --workers 3 --vnodes 64"
+             --workers 3"
         ),
         Command::Cluster(ClusterConfig {
             repl: commsched_cluster::ReplMode::Async,
             repl_listen: Some("127.0.0.1:7500".into()),
             follow: None,
             workers: 3,
-            vnodes: 64,
             ..ClusterConfig::new(
                 1,
-                commsched_cluster::parse_members("0=127.0.0.1:7478,1=127.0.0.1:7479").unwrap(),
+                commsched_cluster::parse_members("1=127.0.0.1:7479").unwrap(),
                 "/tmp/cs-node1"
             )
         })
@@ -249,10 +248,13 @@ fn parse_cluster_subcommand() {
     }
     assert!(parse(&argv("cluster --members 0=h:1")).is_err(), "node id");
     assert!(parse(&argv("cluster --node-id 0")).is_err(), "members");
-    assert!(
-        parse(&argv("cluster --node-id 0 --members 0=h:1,0=h:2")).is_err(),
-        "duplicate shard"
-    );
+    // A cluster serves one shard: a second entry is refused, whatever
+    // its id.
+    for members in ["0=h:1,1=h:2", "0=h:1,0=h:2"] {
+        let err =
+            parse(&argv(&format!("cluster --node-id 0 --members {members}"))).expect_err(members);
+        assert!(err.contains("second shard"), "{members}: {err}");
+    }
     assert!(
         parse(&argv("cluster --node-id 0 --members 0=h:1 --repl maybe")).is_err(),
         "repl mode"
