@@ -31,9 +31,11 @@
 //!   scans the rest with the bounds it has
 //!   ([`SwapEvaluator::best_swaps_between_with`]).
 //!
-//! `far_sq` is a property of the table alone: [`far_squares`] computes it
-//! once, and [`SwapEvaluator::with_far_sq`] shares it between the
-//! evaluators of one table (the tabu search's restarts).
+//! `far_sq` is a property of the table alone, and only the bound pass and
+//! the scan read it: [`far_squares`] computes it once, and a caller that
+//! scans passes it in (the tabu search computes one per search and its
+//! restarts share it). Evaluators that only call `delta_fg` and
+//! `apply_swap` never pay for it.
 //!
 //! Since swaps never change cluster *sizes*, the normalization of Eq. 2
 //! (intracluster pair count × quadratic average distance) is constant and
@@ -42,7 +44,6 @@
 use crate::partition::Partition;
 use commsched_distance::DistanceTable;
 use commsched_topology::SwitchId;
-use std::borrow::Cow;
 use std::hint::select_unpredictable;
 
 /// A scored candidate swap `(delta_fg, a, b)`, `a < b`.
@@ -80,7 +81,8 @@ impl BlockBest {
 }
 
 /// `far_sq[v] = max_{u ≠ v} T²(v, u)` of `table`, each `T²` the `d * d` a
-/// block scan computes: what [`SwapEvaluator::with_far_sq`] takes.
+/// block scan computes: what [`SwapEvaluator::block_bounds`] and the
+/// scans take.
 pub fn far_squares(table: &DistanceTable) -> Vec<f64> {
     (0..table.n())
         .map(|v| {
@@ -179,10 +181,6 @@ pub struct SwapEvaluator<'t> {
     members: Vec<SwitchId>,
     first: Vec<usize>,
     slot: Vec<usize>,
-    /// `far_sq[v] = max_u T²(v, u)`, each `T²` the `d * d` a scan computes
-    /// ([`far_squares`]): the evaluator's own, or one shared by the
-    /// evaluators of one table.
-    far_sq: Cow<'t, [f64]>,
     /// Current numerator `Σ_c w_c · F_{A_c}` of Eq. 2.
     intra_sum: f64,
     /// Constant denominator: `Σ_c w_c · pairs_c × mean_square`.
@@ -206,33 +204,6 @@ impl<'t> SwapEvaluator<'t> {
     /// # Panics
     /// Panics on size mismatches or non-positive weights.
     pub fn with_weights(partition: Partition, table: &'t DistanceTable, weights: Vec<f64>) -> Self {
-        let far_sq = Cow::Owned(far_squares(table));
-        Self::build(partition, table, weights, far_sq)
-    }
-
-    /// [`SwapEvaluator::with_weights`] over a `far_sq` already computed by
-    /// [`far_squares`] for `table`: the evaluators of one table share it
-    /// instead of recomputing it.
-    ///
-    /// # Panics
-    /// Panics on size mismatches or non-positive weights.
-    pub fn with_far_sq(
-        partition: Partition,
-        table: &'t DistanceTable,
-        weights: Vec<f64>,
-        far_sq: &'t [f64],
-    ) -> Self {
-        assert_eq!(far_sq.len(), table.n(), "far_sq/table size mismatch");
-        debug_assert!(far_sq == far_squares(table), "far_sq of another table");
-        Self::build(partition, table, weights, Cow::Borrowed(far_sq))
-    }
-
-    fn build(
-        partition: Partition,
-        table: &'t DistanceTable,
-        weights: Vec<f64>,
-        far_sq: Cow<'t, [f64]>,
-    ) -> Self {
         assert_eq!(
             partition.num_switches(),
             table.n(),
@@ -294,7 +265,6 @@ impl<'t> SwapEvaluator<'t> {
             members,
             first,
             slot,
-            far_sq,
             intra_sum,
             norm: pairs * table.mean_square(),
         }
@@ -392,12 +362,15 @@ impl<'t> SwapEvaluator<'t> {
     /// numerator of each row of `p`, the row with the lowest, and the
     /// scale of the terms, for [`SwapEvaluator::best_swaps_between_with`]
     /// and [`PairBounds::excludes`]. Two passes over the members, no
-    /// candidate scored.
+    /// candidate scored. `far_sq` is [`far_squares`] of the evaluator's
+    /// table.
     ///
     /// # Panics
-    /// Panics if `p == q` or either is not a cluster.
-    pub fn block_bounds(&self, p: usize, q: usize) -> PairBounds {
+    /// Panics if `p == q`, either is not a cluster, or `far_sq` is not one
+    /// entry per switch.
+    pub fn block_bounds(&self, p: usize, q: usize, far_sq: &[f64]) -> PairBounds {
         assert_ne!(p, q, "swap within a cluster");
+        assert_eq!(far_sq.len(), self.table.n(), "far_sq/table size mismatch");
         let w_both = self.weights[p] + self.weights[q];
         let (col_p, col_q) = (self.column(p), self.column(q));
         // A numerator is `A_u + B_v − w·T²(u, v)`. Over `q`: the lowest `B_v =
@@ -408,7 +381,7 @@ impl<'t> SwapEvaluator<'t> {
         // zero does not matter.
         let (mut low_b, mut low_b_far, mut scale) = (f64::INFINITY, f64::INFINITY, 0.0);
         for &v in self.members(q) {
-            let (b, far) = (col_p[v] - col_q[v], w_both * self.far_sq[v]);
+            let (b, far) = (col_p[v] - col_q[v], w_both * far_sq[v]);
             let (reach, both) = (b - far, col_p[v] + col_q[v] + far);
             if b < low_b {
                 low_b = b;
@@ -431,7 +404,7 @@ impl<'t> SwapEvaluator<'t> {
             floor: f64::INFINITY,
         };
         for &u in in_p {
-            let far = w_both * self.far_sq[u];
+            let far = w_both * far_sq[u];
             let floor = bounds.row_floor(col_p[u], col_q[u], far);
             if floor < bounds.floor {
                 (bounds.lowest, bounds.floor) = (u, floor);
@@ -452,27 +425,35 @@ impl<'t> SwapEvaluator<'t> {
     /// asked only of a swap that would otherwise be the allowed best.
     /// Also returns the candidates scored: the row of `p` with the lowest
     /// bound goes first, and a row whose bound cannot hold a best is skipped.
+    /// `far_sq` is [`far_squares`] of the evaluator's table.
     ///
     /// # Panics
-    /// Panics if `p == q` or either is not a cluster.
+    /// Panics if `p == q`, either is not a cluster, or `far_sq` is not one
+    /// entry per switch.
     pub fn best_swaps_between(
         &self,
         p: usize,
         q: usize,
+        far_sq: &[f64],
         is_tabu: impl FnMut(SwitchId, SwitchId) -> bool,
     ) -> (BlockBest, usize) {
-        self.best_swaps_between_with(&self.block_bounds(p, q), is_tabu)
+        self.best_swaps_between_with(&self.block_bounds(p, q, far_sq), far_sq, is_tabu)
     }
 
     /// [`SwapEvaluator::best_swaps_between`] of the pair `bounds` was taken
     /// over, reusing that bound pass: `bounds` must come from
-    /// [`SwapEvaluator::block_bounds`] with no swap applied since that
-    /// changed column `p` or `q` of `S`.
+    /// [`SwapEvaluator::block_bounds`], over the same `far_sq`, with no
+    /// swap applied since that changed column `p` or `q` of `S`.
+    ///
+    /// # Panics
+    /// Panics if `far_sq` is not one entry per switch.
     pub fn best_swaps_between_with(
         &self,
         bounds: &PairBounds,
+        far_sq: &[f64],
         mut is_tabu: impl FnMut(SwitchId, SwitchId) -> bool,
     ) -> (BlockBest, usize) {
+        assert_eq!(far_sq.len(), self.table.n(), "far_sq/table size mismatch");
         let (p, q) = bounds.pair();
         let w_both = self.weights[p] + self.weights[q];
         let (col_p, col_q, in_q) = (self.column(p), self.column(q), self.members(q));
@@ -487,7 +468,7 @@ impl<'t> SwapEvaluator<'t> {
             // visit order moves a best. `T²(u, v) ≤ far_sq[u], far_sq[v]`
             // (symmetric table), each the same `d * d`; `above` holds the
             // slack for rounding.
-            let floor = bounds.row_floor(col_p[u], col_q[u], w_both * self.far_sq[u]);
+            let floor = bounds.row_floor(col_p[u], col_q[u], w_both * far_sq[u]);
             if bounds.above(floor, cutoff) {
                 continue;
             }
@@ -693,6 +674,7 @@ mod tests {
         let sizes = eval.partition().sizes();
         let tabu_rules: [&dyn Fn(usize, usize) -> bool; 3] =
             [&|_, _| false, &|a, b| (a + b) % 3 == 1, &|_, _| true];
+        let far_sq = far_squares(eval.table);
         let mut recent: Vec<(usize, usize)> = Vec::new();
         let mut seen = Rounds::default();
         for round in 0..rounds {
@@ -705,7 +687,7 @@ mod tests {
                         let want = ordered_scan(&eval, &swaps, is_tabu);
                         // Either orientation of the pair is the same set of swaps.
                         for (r, s) in [(p, q), (q, p)] {
-                            let (found, scored) = eval.best_swaps_between(r, s, is_tabu);
+                            let (found, scored) = eval.best_swaps_between(r, s, &far_sq, is_tabu);
                             assert_eq!(found, want, "round {round}, pair {r}/{s}");
                             assert!(scored <= sizes[r] * sizes[s]);
                             skipped |= scored < sizes[r] * sizes[s];
@@ -714,7 +696,8 @@ mod tests {
                     let best = ordered_scan(&eval, &swaps, &|_, _| false).any.0;
                     let at_best = swaps.iter().filter(|&&(a, b)| eval.delta_fg(a, b) == best);
                     seen.tied_bests += usize::from(at_best.count() > 1);
-                    let (found, _) = eval.best_swaps_between(p, q, |a, b| recent.contains(&(a, b)));
+                    let is_tabu = |a, b| recent.contains(&(a, b));
+                    let (found, _) = eval.best_swaps_between(p, q, &far_sq, is_tabu);
                     step = Some(step.map_or(found, |s| s.merged(found)));
                 }
             }
@@ -785,13 +768,13 @@ mod tests {
         for draw in 0..6 {
             let p = Partition::random(96, &[8, 24, 40, 24], &mut rng).unwrap();
             let weights = vec![20.0, 1.0, 0.5, 3.0];
-            let eval = SwapEvaluator::with_far_sq(p, &table, weights, &far_sq);
+            let eval = SwapEvaluator::with_weights(p, &table, weights);
             let m = eval.partition().num_clusters();
             let pairs: Vec<(usize, usize)> = (0..m)
                 .flat_map(|r| (0..m).filter(move |&s| s != r).map(move |s| (r, s)))
                 .collect();
             for &(r, s) in &pairs {
-                let bounds = eval.block_bounds(r, s);
+                let bounds = eval.block_bounds(r, s, &far_sq);
                 assert_eq!(bounds.pair(), (r, s));
                 let swaps = swaps_between(&eval, (r.min(s), r.max(s)));
                 for &(a, b) in &swaps {
@@ -800,8 +783,8 @@ mod tests {
                     assert!(!bounds.excludes(num), "draw {draw}, {r}/{s}: ({a}, {b})");
                 }
                 for is_tabu in tabu_rules {
-                    let given = eval.best_swaps_between_with(&bounds, is_tabu);
-                    assert_eq!(given, eval.best_swaps_between(r, s, is_tabu));
+                    let given = eval.best_swaps_between_with(&bounds, &far_sq, is_tabu);
+                    assert_eq!(given, eval.best_swaps_between(r, s, &far_sq, is_tabu));
                 }
                 // Against the allowed best of every other pair: a pair the
                 // bounds exclude holds only swaps that lose to it.
@@ -828,8 +811,9 @@ mod tests {
         );
     }
 
-    /// The constructor's definition: `S(v, c)` and `far_sq` by a scatter
-    /// over every `(v, u)`, `intra_sum` over every `(i < j)` of a cluster.
+    /// The constructor's definition, and `far_squares`': `S(v, c)` and
+    /// `far_sq` by a scatter over every `(v, u)`, `intra_sum` over every
+    /// `(i < j)` of a cluster.
     fn defined_sums(
         p: &Partition,
         table: &DistanceTable,
@@ -878,7 +862,7 @@ mod tests {
                 let (sums, far_sq, intra_sum) = defined_sums(&p, table, weights);
                 let at = format!("{sizes:?}, draw {draw}");
                 assert_eq!(bits(&eval.sums), bits(&sums), "sums, {at}");
-                assert_eq!(bits(&eval.far_sq), bits(&far_sq), "far_sq, {at}");
+                assert_eq!(bits(&far_squares(table)), bits(&far_sq), "far_sq, {at}");
                 assert_eq!(
                     eval.intra_sum.to_bits(),
                     intra_sum.to_bits(),

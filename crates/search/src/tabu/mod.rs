@@ -36,7 +36,8 @@
 //!
 //! `far_sq`, the row maxima of `T²` every bound is made of, is a property
 //! of the table: [`TabuSearch::search_weighted`] computes it once
-//! ([`commsched_core::far_squares`]) and its restarts share it.
+//! ([`commsched_core::far_squares`]) and passes it to every restart's
+//! bound passes and scans.
 //!
 //! The per-iteration `F(P_i)` trace is recorded so the harness can
 //! regenerate Figure 1.
@@ -286,7 +287,8 @@ impl TabuSearch {
                 let mut local_iter = 0usize;
                 let start = starts[seed_idx].clone();
                 let (seed_best, seed_evals) = self.run_seed(
-                    SwapEvaluator::with_far_sq(start, table, weights.to_vec(), &far_sq),
+                    SwapEvaluator::with_weights(start, table, weights.to_vec()),
+                    &far_sq,
                     seed_idx,
                     &mut local_iter,
                     &mut trace,
@@ -342,10 +344,12 @@ impl TabuSearch {
     }
 
     /// Run one seed; returns the best local minimum `(value, partition)`
-    /// and the evaluation count.
+    /// and the evaluation count. `far_sq` is `far_squares` of `eval`'s
+    /// table.
     fn run_seed(
         &self,
         mut eval: SwapEvaluator<'_>,
+        far_sq: &[f64],
         seed_idx: usize,
         global_iter: &mut usize,
         trace: &mut TabuTrace,
@@ -403,7 +407,7 @@ impl TabuSearch {
                         unknown.push(*bounds[slot(r, s)].get_or_insert_with(|| {
                             #[cfg(test)]
                             tests::note_bounds(eval.partition(), r, s);
-                            eval.block_bounds(r, s)
+                            eval.block_bounds(r, s, far_sq)
                         }));
                     }
                 }
@@ -428,7 +432,7 @@ impl TabuSearch {
                 #[cfg(test)]
                 tests::note_block(eval.partition(), r, s);
                 let is_tabu = |a, b| tabu.iter().any(|&(ta, tb, _)| (ta, tb) == (a, b));
-                let (found, scored) = eval.best_swaps_between_with(pair, is_tabu);
+                let (found, scored) = eval.best_swaps_between_with(pair, far_sq, is_tabu);
                 evaluations += scored as u64;
                 memo[slot(r, s)] = Some(found);
                 best = Some(best.map_or(found, |b| b.merged(found)));
