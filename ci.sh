@@ -67,15 +67,23 @@ BIG=$(find src crates -name '*.rs' \( -path 'src/*' -o -path '*/src/*' \) -exec 
 
 # A crate declares only what it uses: every `[dependencies]` entry must
 # be named (as `dep_name`) somewhere under that crate's src/. A
-# dependency only tests use belongs in `[dev-dependencies]`.
-echo "==> dependency guard (every [dependencies] entry is named under its crate's src/)"
+# dependency only tests use belongs in `[dev-dependencies]`, and every
+# entry there must be named under the crate's src/, tests/, benches/ or
+# examples/.
+echo "==> dependency guard (every [dependencies] entry is named under its crate's src/, every [dev-dependencies] entry under src/ tests/ benches/ examples/)"
 UNUSED=""
 for manifest in Cargo.toml crates/*/Cargo.toml crates/compat/*/Cargo.toml; do
     dir=$(dirname "$manifest")
-    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]"); next }
-                      on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
-        name=$(echo "$dep" | tr - _)
-        grep -rqw "$name" "$dir/src" || UNUSED="$UNUSED $dir -> $dep;"
+    for section in dependencies dev-dependencies; do
+        where="$dir/src"
+        [ "$section" = dependencies ] \
+            || where=$(for sub in src tests benches examples; do [ ! -d "$dir/$sub" ] || echo "$dir/$sub"; done)
+        for dep in $(awk -v want="[$section]" '/^\[/ { on = ($0 == want); next }
+                          on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+            name=$(echo "$dep" | tr - _)
+            # shellcheck disable=SC2086 # one word per directory
+            grep -rqw "$name" $where || UNUSED="$UNUSED $dir -> $dep ($section);"
+        done
     done
 done
 [ -z "$UNUSED" ] || { echo "dependency guard: declared but never named:$UNUSED"; exit 1; }

@@ -13,15 +13,11 @@
 //!   graph-partitioning comparator;
 //! * [`descent`] — steepest descent and random sampling baselines.
 //!
-//! All of the above implement [`commsched_search::Mapper`]. [`compute`] is
-//! the other half of §1's "ideal scheduler": the computation-aware
-//! baselines the paper cites (OLB, UDA, min-min, max-min over an ETC
-//! matrix) and the blended objective of the future-work experiments.
+//! All of the above implement [`commsched_search::Mapper`].
 
 pub mod anneal;
 pub mod astar;
 pub mod clustering;
-pub mod compute;
 pub mod descent;
 pub mod genetic;
 pub mod kernighan_lin;
