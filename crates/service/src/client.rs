@@ -291,8 +291,8 @@ impl Client {
     }
 
     /// Send one request and read its first reply line, retrying
-    /// retryable failures under the client's [`RetryPolicy`]. Every verb goes through here, block
-    /// verbs for their header. `request` is the request's text without
+    /// retryable failures under the client's [`RetryPolicy`]. Every verb
+    /// goes through here, block verbs for their header. `request` is the request's text without
     /// the final newline — for an upload its head line and body, which
     /// leave in one write: sent line by line, every upload would stall
     /// on the server's delayed ACK.

@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 /// body lines of `CLUSTER` (node id, role, the member table) and the
 /// extra `key value` lines appended to `STATS`. A standalone daemon has
 /// none, and answers `CLUSTER` with `OK standalone`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterInfo {
     /// Body lines of the `CLUSTER` response.
     pub cluster_lines: Vec<String>,
