@@ -921,3 +921,70 @@ fn logged_retired_keys_recover_onto_the_same_job() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A network with switch memory capacities, as a daemon's log holds it
+/// (the text after `topo\n`), and the fingerprint it registers under.
+/// Both were recorded when the scenario engine, the capacities' last
+/// reader, was deleted: dropping the capacities from `Topology` would
+/// change this fingerprint, and the log below must still replay.
+const CAPACITATED_TOPO: &str = "\
+# commsched topology v1
+switches 6
+hosts_per_switch 1
+link 0 1
+link 1 2
+link 2 3
+link 3 4
+link 4 5
+link 0 5
+mem_per_switch 4096
+";
+const CAPACITATED_FP: &str = "68c974ff935e7497";
+
+#[test]
+fn a_capacitated_networks_queued_job_recovers_under_its_fingerprint() {
+    let dir = temp_dir("capacities");
+    // Session 1: register the network, queue a SCHEDULE by fingerprint,
+    // and crash with the job still queued.
+    {
+        let (core, _) = durable_core(&dir);
+        let topo = commsched_topology::from_text(CAPACITATED_TOPO).expect("parse");
+        let (fp, fresh) = core.register_topology(topo);
+        assert!(fresh);
+        assert_eq!(format_fingerprint(fp), CAPACITATED_FP);
+        assert_eq!(core.submit(schedule_on(fp, 2, 1)), Ok(1));
+        assert_eq!(core.status(1), Some(JobState::Queued));
+    }
+    // Session 2: the restart registers the network under the same
+    // fingerprint and runs the job it had queued.
+    let (core, report) = durable_core(&dir);
+    assert_eq!(report.recovered_topologies, 1, "report: {report:?}");
+    assert_eq!(report.recovered_jobs, 1, "report: {report:?}");
+    drain_with_worker(&core);
+    assert_eq!(core.status(1), Some(JobState::Done));
+    let lines = core.result_lines(1).expect("done");
+    assert!(
+        lines.iter().any(|l| l.starts_with("partition ")),
+        "lines: {lines:?}"
+    );
+    drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The same log written byte for byte, as an older daemon left it.
+    std::fs::create_dir_all(&dir).unwrap();
+    {
+        let mut wal = WalWriter::open(&dir.join(WAL_FILE)).expect("open wal");
+        let topo = format!("topo\n{CAPACITATED_TOPO}");
+        wal.append(topo.as_bytes(), true).unwrap();
+        let accept = format!(
+            "accept 1 SCHEDULE topo=fp:{CAPACITATED_FP} routing=updown:0 strategy=flat \
+             clusters=2 seed=1"
+        );
+        wal.append(accept.as_bytes(), true).unwrap();
+    }
+    let (core, report) = durable_core(&dir);
+    assert_eq!(report.recovered_jobs, 1, "report: {report:?}");
+    drain_with_worker(&core);
+    assert_eq!(core.result_lines(1), Ok(lines));
+    let _ = std::fs::remove_dir_all(&dir);
+}
