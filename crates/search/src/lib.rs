@@ -16,8 +16,6 @@
 //! * [`multilevel`] / [`coarsen`] — coarsen → map → refine, for networks
 //!   too large for the flat search;
 //! * [`parallel`] — a deterministic multi-threaded multi-seed driver;
-//! * [`remap`] — a warm-started remap after a fault, seeded from the
-//!   pre-fault mapping;
 //! * [`pool`] — the scoped work-stealing pool behind every parallel
 //!   driver (tabu restarts, multi-seed runs, refinement scans),
 //!   re-exported from `commsched-telemetry`, where the simulator's load
@@ -26,9 +24,8 @@
 //!   to 16 switches), the optimality oracle the tests compare against.
 //!
 //! The comparators the paper measures tabu against (A*, annealing,
-//! genetic, Kernighan–Lin, clustering, descent) and the computation-side
-//! baselines (OLB, min-min, max-min) live in `commsched-bench`, next to
-//! the figures and the example that use them. All methods implement the
+//! genetic, Kernighan–Lin, clustering, descent) live in `commsched-bench`,
+//! next to the figures that use them. All methods implement the
 //! [`Mapper`] trait: given a distance table and cluster sizes, produce the
 //! lowest-`F_G` partition they can find.
 
@@ -36,7 +33,6 @@ pub mod coarsen;
 pub mod exhaustive;
 pub mod multilevel;
 pub mod parallel;
-pub mod remap;
 pub mod tabu;
 
 pub use coarsen::{build_hierarchy, can_coarsen, coarsen_level, CoarseLevel, Hierarchy};
@@ -45,7 +41,6 @@ pub use exhaustive::{enumerate_partitions, ExhaustiveSearch};
 pub use multilevel::{multilevel_map, MapStrategy, MultilevelParams, MultilevelStats};
 pub use parallel::parallel_multi_seed;
 pub use pool::{resolve_threads, run_indexed};
-pub use remap::{warm_remap, RemapReport};
 pub use tabu::{TabuParams, TabuSearch, TabuTrace, TraceEvent};
 
 use commsched_core::Partition;

@@ -98,9 +98,6 @@ pub struct TabuParams {
     /// [`crate::map_partition`] and [`crate::multilevel_map`] set it to
     /// their own budget; inside another pool's worker it must be 1.
     pub threads: usize,
-    /// Optional previous mapping used as the first restart instead of a
-    /// random start (warm-started remapping after a topology change).
-    pub warm_start: Option<Partition>,
 }
 
 impl Default for TabuParams {
@@ -111,7 +108,6 @@ impl Default for TabuParams {
             local_min_repeats: 3,
             tenure: 4,
             threads: 0,
-            warm_start: None,
         }
     }
 }
@@ -129,16 +125,6 @@ impl TabuParams {
             max_iterations: (3 * n).max(20),
             ..Self::default()
         }
-    }
-
-    /// Seed the first restart from a previous mapping instead of a random
-    /// start. The warm start consumes no randomness, so the remaining
-    /// `seeds - 1` restarts draw exactly the partitions a cold run's first
-    /// `seeds - 1` seeds would draw.
-    #[must_use]
-    pub fn warm_start(mut self, prev: Partition) -> Self {
-        self.warm_start = Some(prev);
-        self
     }
 }
 
@@ -236,7 +222,7 @@ impl TabuSearch {
     ///
     /// # Panics
     /// Panics on invalid sizes, a weight-count mismatch, non-positive
-    /// weights, or `params.seeds == 0` with no warm start (nothing to run).
+    /// weights, or `params.seeds == 0` (nothing to run).
     pub fn search_weighted(
         &self,
         table: &DistanceTable,
@@ -250,33 +236,18 @@ impl TabuSearch {
             "invalid cluster sizes {sizes:?} for {n} switches"
         );
         assert!(
-            self.params.seeds > 0 || self.params.warm_start.is_some(),
-            "TabuParams::seeds is 0 and there is no warm start: no restart to run"
+            self.params.seeds > 0,
+            "TabuParams::seeds is 0: no restart to run"
         );
         let _span = telemetry::Span::enter("tabu.search");
         // The seed runs themselves consume no randomness, so drawing every
-        // start here preserves the exact RNG stream of a serial loop. A warm
-        // start replaces the first restart and draws nothing from `rng`.
-        let mut starts: Vec<Partition> = Vec::with_capacity(self.params.seeds.max(1));
-        if let Some(warm) = &self.params.warm_start {
-            assert_eq!(
-                warm.num_switches(),
-                n,
-                "warm-start partition has the wrong switch count"
-            );
-            assert_eq!(
-                warm.sizes(),
-                sizes,
-                "warm-start partition has the wrong cluster sizes"
-            );
-            starts.push(warm.clone());
-        }
-        while starts.len() < self.params.seeds {
-            starts.push(
+        // start here preserves the exact RNG stream of a serial loop.
+        let starts: Vec<Partition> = (0..self.params.seeds)
+            .map(|_| {
                 Partition::random(n, sizes, rng)
-                    .expect("validated sizes always produce a partition"),
-            );
-        }
+                    .expect("validated sizes always produce a partition")
+            })
+            .collect();
 
         type SeedOutcome = ((f64, Partition), u64, TabuTrace, usize);
         // A property of the table: computed once, shared by every restart.

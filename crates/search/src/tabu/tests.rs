@@ -184,7 +184,6 @@ fn the_tabu_list_holds_its_live_entries_only() {
         local_min_repeats: 3,
         tenure: 4,
         threads: 1,
-        warm_start: None,
     };
     let (_, trace, scans) = logged_search(&rings_table(), &[6, 6, 6, 6], params, 13);
     let most = scans.iter().map(|x| x.live_tabu).max().unwrap();
@@ -201,7 +200,7 @@ fn the_tabu_list_holds_its_live_entries_only() {
 
 #[test]
 #[should_panic(expected = "TabuParams::seeds is 0")]
-fn zero_seeds_without_a_warm_start_panics_up_front() {
+fn zero_seeds_panics_up_front() {
     let params = TabuParams {
         seeds: 0,
         ..TabuParams::default()
@@ -321,7 +320,6 @@ fn uphill_moves_are_tabu_guarded() {
         local_min_repeats: 3,
         tenure: 4,
         threads: 2,
-        warm_start: None,
     };
     let mut rng = StdRng::seed_from_u64(13);
     let (res, trace) = TabuSearch::new(params).search_traced(&table, &[6, 6, 6, 6], &mut rng);
@@ -384,65 +382,6 @@ fn weighted_search_with_uniform_weights_matches_unweighted() {
     let u = TabuSearch::new(params).search(&table, &[4, 4], &mut rng);
     assert_eq!(w.partition, u.partition);
     assert!((w.fg - u.fg).abs() < 1e-9);
-}
-
-#[test]
-fn warm_start_replaces_first_restart_only() {
-    let table = rings_table();
-    let sizes = [6usize, 6, 6, 6];
-    let truth = commsched_core::Partition::from_clusters(
-        &commsched_topology::designed::ring_of_rings_clusters(4, 6),
-    )
-    .unwrap();
-    let cold_params = TabuParams {
-        seeds: 4,
-        ..TabuParams::default()
-    };
-    let mut rng = StdRng::seed_from_u64(23);
-    let (_, cold_trace) =
-        TabuSearch::new(cold_params.clone()).search_traced(&table, &sizes, &mut rng);
-    let warm_params = cold_params.warm_start(truth.clone());
-    let mut rng = StdRng::seed_from_u64(23);
-    let (warm_res, warm_trace) =
-        TabuSearch::new(warm_params).search_traced(&table, &sizes, &mut rng);
-    let warm_starts: Vec<f64> = warm_trace.seed_starts().map(|e| e.fg).collect();
-    let cold_starts: Vec<f64> = cold_trace.seed_starts().map(|e| e.fg).collect();
-    assert_eq!(warm_starts.len(), 4);
-    // Restart 0 begins at the warm mapping's F_G ...
-    let warm_fg = similarity_fg(&truth, &table);
-    assert!((warm_starts[0] - warm_fg).abs() < 1e-12);
-    // ... and the remaining restarts consume the same RNG stream a
-    // cold run's first three seeds would (bitwise).
-    assert_eq!(&warm_starts[1..], &cold_starts[..3]);
-    // Seeding from the optimum can never end worse than it.
-    assert!(warm_res.fg <= warm_fg + 1e-12);
-}
-
-#[test]
-fn warm_start_alone_needs_no_rng_draws() {
-    let table = dumbbell_table();
-    let params = TabuParams {
-        seeds: 1,
-        ..TabuParams::default()
-    }
-    .warm_start(dumbbell_truth());
-    let mut rng = StdRng::seed_from_u64(0);
-    let before = rng.next_u64();
-    let mut rng = StdRng::seed_from_u64(0);
-    let res = TabuSearch::new(params).search(&table, &[4, 4], &mut rng);
-    assert!(res.partition.same_grouping(&dumbbell_truth()));
-    // The stream was untouched: the next draw is the first draw.
-    assert_eq!(rng.next_u64(), before);
-}
-
-#[test]
-#[should_panic(expected = "warm-start partition has the wrong cluster sizes")]
-fn warm_start_size_mismatch_panics() {
-    let table = dumbbell_table();
-    let params = TabuParams::default().warm_start(dumbbell_truth());
-    let mut rng = StdRng::seed_from_u64(1);
-    // The warm partition is (4, 4); asking for (2, 6) must panic.
-    let _ = TabuSearch::new(params).search_traced(&table, &[2, 6], &mut rng);
 }
 
 #[test]

@@ -132,11 +132,11 @@ impl TopologyBuilder {
         }
     }
 
-    /// Give every switch the same memory capacity in bytes (jobs placed on
-    /// a switch charge their per-task memory demand against it). Without
-    /// any capacity call the topology is *uncapacitated*: admission treats
-    /// every switch as unlimited and the fingerprint is unchanged from
-    /// earlier releases.
+    /// Give every switch the same memory capacity in bytes. Capacities
+    /// are part of the text form and the fingerprint, and a fault's
+    /// rebuild keeps them; no scheduler in the workspace reads them.
+    /// Without any capacity call the topology is *uncapacitated* and its
+    /// fingerprint is unchanged from earlier releases.
     pub fn uniform_mem_capacity(mut self, bytes: u64) -> Self {
         self.uniform_mem = Some(bytes);
         self
@@ -339,8 +339,7 @@ impl Topology {
         self.slowdowns.iter().all(|&s| s == 1)
     }
 
-    /// Whether any switch carries an explicit memory capacity. An
-    /// uncapacitated topology admits any memory demand.
+    /// Whether any switch carries an explicit memory capacity.
     pub fn has_mem_capacities(&self) -> bool {
         !self.mem_capacities.is_empty()
     }

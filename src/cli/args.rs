@@ -1,13 +1,10 @@
 //! What a command line means: the consuming argument list every
 //! subcommand takes its flags from, the usage blocks, and [`parse`].
 
-use super::{
-    Command, Faults, Instance, Network, RemoteJob, Scenario, Schedule, Serve, Simulate, Sweep,
-};
+use super::{Command, Faults, Instance, Network, RemoteJob, Schedule, Serve, Simulate, Sweep};
 use crate::SchedulerOptions;
 use commsched_cluster::{ClusterConfig, ReplMode};
 use commsched_netsim::{SimConfig, SweepConfig};
-use commsched_scenarios::MigrationPolicy;
 use commsched_service::loadgen::{LoadgenConfig, WireMode};
 use commsched_service::protocol::parse_fingerprint;
 use commsched_service::{
@@ -142,7 +139,7 @@ impl Args {
 
 /// One usage block per subcommand, in the order `help` lists them; the
 /// second word of a block is the subcommand's name.
-pub(super) const USAGE_BLOCKS: [&str; 12] = [
+pub(super) const USAGE_BLOCKS: [&str; 11] = [
     "  commsched topology <topology flags> [--save FILE]
 ",
     "  commsched schedule <topology flags> [--clusters M] [--seed S]
@@ -177,11 +174,6 @@ pub(super) const USAGE_BLOCKS: [&str; 12] = [
                      [--batch N] [--duration SECS] [--mode line|binary]
                      [--spec 'NOOP'] [--max-in-flight N] [--out FILE.json]
 ",
-    "  commsched scenario [<topology flags>] [--arrivals poisson:RATE|trace:FILE]
-                     [--duration SECS] [--seed S]
-                     [--migration off|threshold:X] [--baseline]
-                     [--threads N] [--beta B] [--dump-trace FILE.jsonl]
-",
     "  commsched status   --server HOST:PORT --job ID
 ",
     "  commsched metrics  --server HOST:PORT
@@ -206,8 +198,6 @@ DEFAULTS: --kind random --switches 16 --degree 3 --hosts 4 --topo-seed 2000
           --strategy flat --max-coarse-n 256
           --state-dir commsched-state --fsync on-ack --max-conns 10240
           loadgen: --connections 16 --rate 1000 --batch 1 --duration 5
-          scenario: --kind paper24 --arrivals poisson:50 --duration 10
-                    --migration off --threads 1 --beta 3
 ";
 
 /// The usage text: the block of subcommand `sub` when it names one
@@ -241,8 +231,8 @@ const NETWORK_FLAGS: [&str; 6] = [
 
 /// `--kind` and the shape flags that kind reads. A shape flag the kind
 /// does not read is refused, never ignored.
-fn network(args: &mut Args, default_kind: &str) -> Result<Network, String> {
-    let mut kind = default_kind.to_string();
+fn network(args: &mut Args) -> Result<Network, String> {
+    let mut kind = "random".to_string();
     args.value("--kind", &mut kind)?;
     let RandomTopologyConfig {
         mut switches,
@@ -283,7 +273,7 @@ fn network(args: &mut Args, default_kind: &str) -> Result<Network, String> {
 /// `<topology flags> --clusters M --seed S`: what gets mapped.
 fn instance(args: &mut Args) -> Result<Instance, String> {
     let mut instance = Instance {
-        network: network(args, "random")?,
+        network: network(args)?,
         clusters: 4,
         seed: 42,
     };
@@ -339,14 +329,6 @@ fn core_flags(args: &mut Args, core: &mut ServiceCoreConfig) -> Result<(), Strin
     args.value("--cache-cap", &mut core.cache_capacity)
 }
 
-/// Parse a finite number that satisfies `ok`; `need` words the refusal.
-pub(super) fn real(v: &str, ok: impl Fn(f64) -> bool, need: &str) -> Result<f64, String> {
-    v.parse()
-        .ok()
-        .filter(|&x: &f64| x.is_finite() && ok(x))
-        .ok_or_else(|| format!("need {need}"))
-}
-
 /// Parse an argument list (without the program name).
 ///
 /// # Errors
@@ -373,7 +355,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
 pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
     Ok(match args.sub.as_str() {
         "topology" => Command::Topology {
-            network: network(args, "random")?,
+            network: network(args)?,
             save: args.opt("--save")?,
         },
         "schedule" => {
@@ -507,36 +489,6 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
                 out: args.opt("--out")?,
             }
         }
-        "scenario" => {
-            // An online scenario defaults to the paper's network unless
-            // topology flags say otherwise.
-            let mut scenario = Scenario {
-                network: network(args, "paper24")?,
-                arrivals: "poisson:50".to_string(),
-                duration_secs: 10.0,
-                seed: 42,
-                migration: MigrationPolicy::Off,
-                baseline: args.switch("--baseline"),
-                threads: 1,
-                beta: 3.0,
-                dump_trace: args.opt("--dump-trace")?,
-            };
-            args.value("--arrivals", &mut scenario.arrivals)?;
-            args.set("--duration", &mut scenario.duration_secs, |v| {
-                real(v, |d| d > 0.0, "seconds > 0")
-            })?;
-            args.value("--seed", &mut scenario.seed)?;
-            args.set(
-                "--migration",
-                &mut scenario.migration,
-                MigrationPolicy::parse,
-            )?;
-            args.value("--threads", &mut scenario.threads)?;
-            args.set("--beta", &mut scenario.beta, |v| {
-                real(v, |b| b >= 0.0, "a finite weight >= 0")
-            })?;
-            Command::Scenario(scenario)
-        }
         "status" => Command::Status {
             server: args.require("--server")?,
             job: args.require("--job")?,
@@ -552,7 +504,7 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
                     args.refuse(&NETWORK_FLAGS, "with --fp")?;
                     Network::Named(TopoRef::Registered(fp))
                 }
-                None => network(args, "random")?,
+                None => network(args)?,
             };
             // Each flag with the wire key that carries it.
             let mut events = Vec::new();

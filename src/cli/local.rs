@@ -1,13 +1,10 @@
-//! Local arms: `topology`, `schedule`, `simulate`, `sweep`, `scenario` —
-//! everything solved in this process.
+//! Local arms: `topology`, `schedule`, `simulate`, `sweep` — everything
+//! solved in this process.
 
-use super::args::real;
-use super::{Instance, Network, Scenario, Schedule, Simulate, Sweep};
+use super::{Instance, Network, Schedule, Simulate, Sweep};
 use crate::{RoutingKind, ScheduleOutcome, Scheduler, SchedulerOptions};
 use commsched_core::{weighted_similarity_fg, Workload};
 use commsched_netsim::{paper_sweep, simulate as run_sim, CongestionMode, SweepConfig};
-use commsched_scenarios::{JobArrival, MigrationPolicy, ScenarioConfig};
-use commsched_topology::Topology;
 use std::fmt::Write as _;
 
 pub(super) fn topology(network: &Network, save: Option<&str>) -> Result<String, String> {
@@ -214,80 +211,6 @@ pub(super) fn sweep(cmd: &Sweep) -> Result<String, String> {
             fmt_latency(p.stats.network_latency())
         )
         .expect("write to string");
-    }
-    Ok(out)
-}
-
-/// Materialize a scenario arrival stream from its CLI spelling:
-/// `poisson:RATE` generates the skewed synthetic mix sized to the
-/// topology; `trace:FILE` replays a JSONL file.
-fn scenario_trace(scenario: &Scenario, topo: &Topology) -> Result<Vec<JobArrival>, String> {
-    let arrivals = &scenario.arrivals;
-    if let Some(rate) = arrivals.strip_prefix("poisson:") {
-        let rate = real(rate, |r| r > 0.0, "jobs/s > 0")
-            .map_err(|e| format!("bad poisson rate '{rate}': {e}"))?;
-        let shape = commsched_scenarios::WorkloadShape::skewed(
-            topo.num_switches(),
-            topo.hosts_per_switch(),
-        );
-        let duration_us = (scenario.duration_secs * 1e6) as u64;
-        return Ok(commsched_scenarios::poisson_trace(
-            rate,
-            duration_us,
-            scenario.seed,
-            &shape,
-        ));
-    }
-    if let Some(path) = arrivals.strip_prefix("trace:") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-        return commsched_scenarios::parse_trace(&text).map_err(|e| e.to_string());
-    }
-    Err(format!(
-        "bad --arrivals '{arrivals}' (expected poisson:RATE | trace:FILE)"
-    ))
-}
-
-pub(super) fn scenario(scenario: &Scenario) -> Result<String, String> {
-    let mut out = String::new();
-    let topo = scenario.network.build()?;
-    let trace = scenario_trace(scenario, &topo)?;
-    if let Some(path) = &scenario.dump_trace {
-        std::fs::write(path, commsched_scenarios::format_trace(&trace))
-            .map_err(|e| format!("cannot write '{path}': {e}"))?;
-        writeln!(out, "trace: {} arrivals written to {path}", trace.len())
-            .expect("write to string");
-    }
-    let mut cfg = ScenarioConfig::new(topo);
-    cfg.migration = scenario.migration;
-    cfg.seed = scenario.seed;
-    cfg.threads = scenario.threads;
-    cfg.beta = scenario.beta;
-    let report = commsched_scenarios::run_scenario(&cfg, &trace).map_err(|e| e.to_string())?;
-    if scenario.baseline {
-        let mut base_cfg = cfg.clone();
-        base_cfg.migration = MigrationPolicy::Off;
-        let base =
-            commsched_scenarios::run_scenario(&base_cfg, &trace).map_err(|e| e.to_string())?;
-        writeln!(out, "--- baseline (static mapping) ---").expect("write to string");
-        writeln!(out, "{base}").expect("write to string");
-        writeln!(out, "--- scenario ({}) ---", cfg.migration).expect("write to string");
-        writeln!(out, "{report}").expect("write to string");
-        writeln!(
-            out,
-            "compare attainment={:.2}% vs baseline {:.2}% ({:+.2} pp)  \
-             p99={}us vs {}us  makespan={}us vs {}us",
-            report.deadline_attainment() * 100.0,
-            base.deadline_attainment() * 100.0,
-            (report.deadline_attainment() - base.deadline_attainment()) * 100.0,
-            report.response_p99_us,
-            base.response_p99_us,
-            report.makespan_us,
-            base.makespan_us,
-        )
-        .expect("write to string");
-    } else {
-        writeln!(out, "{report}").expect("write to string");
     }
     Ok(out)
 }

@@ -1,8 +1,8 @@
-//! Command-line interface plumbing for the `commsched` binary: twelve
+//! Command-line interface plumbing for the `commsched` binary: eleven
 //! subcommands, listed with their flags by [`usage`] (`commsched help`).
-//! Five solve in this process (`topology`, `schedule`, `simulate`,
-//! `sweep`, `scenario`), two become a daemon (`serve`, `cluster`), five
-//! talk to one (`submit`, `status`, `metrics`, `faults`, `loadgen`).
+//! Four solve in this process (`topology`, `schedule`, `simulate`,
+//! `sweep`), two become a daemon (`serve`, `cluster`), five talk to one
+//! (`submit`, `status`, `metrics`, `faults`, `loadgen`).
 //! `schedule` and `sweep` accept `--server host:port` to route through a
 //! running daemon (and its distance-table cache) instead of solving
 //! locally, and `--trace-out file.jsonl` to record a kernel-level span
@@ -31,7 +31,6 @@ pub use args::{parse, usage};
 use crate::SchedulerOptions;
 use commsched_cluster::ClusterConfig;
 use commsched_netsim::SimConfig;
-use commsched_scenarios::MigrationPolicy;
 use commsched_service::loadgen::LoadgenConfig;
 use commsched_service::{JobSpec, PersistOptions, ServerConfig, TopoRef};
 use commsched_topology::Topology;
@@ -112,29 +111,6 @@ pub struct Sweep {
     pub trace_out: Option<String>,
 }
 
-/// `scenario`: an online workload replayed through the scenario engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
-    /// Network the scenario runs on.
-    pub network: Network,
-    /// Arrival source: `poisson:RATE` (jobs/s) or `trace:FILE`.
-    pub arrivals: String,
-    /// Virtual seconds of arrivals to generate (poisson source).
-    pub duration_secs: f64,
-    /// Master seed (arrival stream and all remap seeds).
-    pub seed: u64,
-    /// Migration policy: `off` or `threshold:X`.
-    pub migration: MigrationPolicy,
-    /// Also run the static-mapping baseline and print the delta.
-    pub baseline: bool,
-    /// Tabu worker threads (any value gives identical results).
-    pub threads: usize,
-    /// Communication slowdown weight β in the speed model.
-    pub beta: f64,
-    /// Write the (generated) trace as JSONL to this path.
-    pub dump_trace: Option<String>,
-}
-
 /// A job for a daemon: what `schedule --server`, `sweep --server` and
 /// `submit` all parse to.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,8 +171,6 @@ pub enum Command {
     Simulate(Simulate),
     /// Run the paper's S1..S9 sweep.
     Sweep(Sweep),
-    /// Run an online-workload scenario and print its SLO report.
-    Scenario(Scenario),
     /// Send a job to a daemon.
     RemoteJob(RemoteJob),
     /// Query a daemon job's state.
@@ -270,7 +244,6 @@ fn run_inner(cmd: &Command) -> Result<String, String> {
         Command::Schedule(cmd) => local::schedule(cmd),
         Command::Simulate(cmd) => local::simulate(cmd),
         Command::Sweep(cmd) => local::sweep(cmd),
-        Command::Scenario(cmd) => local::scenario(cmd),
         Command::RemoteJob(cmd) => remote::job(cmd),
         Command::Status { server, job } => remote::status(server, *job),
         Command::Metrics { server } => remote::metrics(server),

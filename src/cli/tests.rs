@@ -299,69 +299,6 @@ fn parse_faults_subcommand() {
 }
 
 #[test]
-fn parse_scenario_subcommand() {
-    assert_eq!(
-        parsed(
-            "scenario --arrivals poisson:50 --duration 30 --seed 7 \
-             --migration threshold:0.1 --baseline --threads 2"
-        ),
-        Command::Scenario(Scenario {
-            network: Network::Named(TopoRef::Paper24),
-            arrivals: "poisson:50".into(),
-            duration_secs: 30.0,
-            seed: 7,
-            migration: MigrationPolicy::Threshold(0.1),
-            baseline: true,
-            threads: 2,
-            beta: 3.0,
-            dump_trace: None,
-        })
-    );
-    // Topology flags override the paper24 default.
-    match parsed("scenario --kind ring --switches 8 --hosts 1") {
-        Command::Scenario(scenario) => {
-            assert_eq!(scenario.network, ring(8, 1));
-            assert_eq!(scenario.migration, MigrationPolicy::Off);
-            assert!(!scenario.baseline);
-        }
-        other => panic!("wrong parse: {other:?}"),
-    }
-    assert!(parse(&argv("scenario --migration sometimes")).is_err());
-    assert!(parse(&argv("scenario --migration threshold:-1")).is_err());
-    assert!(parse(&argv("scenario --duration 0")).is_err());
-    assert!(parse(&argv("scenario --beta -2")).is_err());
-}
-
-#[test]
-fn run_scenario_replays_a_trace_file() {
-    let dir = scratch("scn");
-    let path = dir.join("trace.jsonl");
-    std::fs::write(
-        &path,
-        "{\"t_us\":0,\"base_us\":10000,\"mem\":[64,64],\"edges\":[[0,1,4096]],\"deadline_us\":90000}\n\
-         {\"t_us\":5,\"base_us\":10000,\"mem\":[64],\"edges\":[]}\n",
-    )
-    .unwrap();
-    let out = run(&Command::Scenario(Scenario {
-        network: ring(6, 1),
-        arrivals: format!("trace:{}", path.display()),
-        duration_secs: 1.0,
-        seed: 1,
-        migration: MigrationPolicy::Threshold(0.1),
-        baseline: true,
-        threads: 1,
-        beta: 3.0,
-        dump_trace: None,
-    }))
-    .unwrap();
-    assert!(out.contains("slo policy=threshold:0.1"), "{out}");
-    assert!(out.contains("baseline (static mapping)"), "{out}");
-    assert!(out.contains("compare attainment="), "{out}");
-    assert!(out.contains("deadline total=1 met=1"), "{out}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn parse_rejects_garbage() {
     assert!(parse(&argv("frobnicate")).is_err());
     assert!(parse(&argv("schedule --switches nope")).is_err());
@@ -624,8 +561,9 @@ fn weighted_schedule_unweighted_matches_plain_fg() {
 }
 
 /// Command lines that were once accepted with the named flag silently
-/// dropped (or, for `status`, a flag it does not have parsed), each with
-/// what its refusal must say.
+/// dropped (or, for `status`, a flag it does not have parsed), or that
+/// name a retired flag or subcommand, each with what its refusal must
+/// say.
 const REFUSED: &str = "\
 schedule --kind paper24 --clusers 8 --seeed 7 => --clusers
 simulate --kind paper24 --server h:1 --strategy multilevel --points 3 => --server
@@ -633,7 +571,6 @@ sweep --kind paper24 --server h:1 --points 3 --strategy multilevel => --points
 sweep --kind paper24 --server h:1 --strategy multilevel => --strategy
 schedule --kind paper24 --server h:1 --trace-out f => --trace-out is local-only
 sweep --kind ring --server h:1 --vcs 2 => --vcs is local-only
-scenario --switches 8 --hosts 1 => --switches does not apply to --kind paper24
 faults --server h:1 --fp 00c0ffee00c0ffee --kind ring --switches 6 --kill 0:1 => --kind
 faults --server h:1 --fp 00c0ffee00c0ffee --hosts 2 --kill 0:1 => --hosts
 faults --server h:1 --fp c0ffee --kill 0:1 => --fp
@@ -651,7 +588,7 @@ serve --no-persist --fsync never => --fsync
 submit --server h:1 --points 3 => --points
 loadgen --server h:1 --duration -1 => --duration
 loadgen --server h:1 --deadline-ms 250 => unknown flag --deadline-ms
-scenario --server h:1 => unknown flag --server
+scenario --arrivals poisson:50 => unknown subcommand 'scenario'
 simulate --rate --adaptive => --rate
 ";
 
@@ -677,7 +614,6 @@ serve => ; --no-persist
 submit => --server h:1 ; --server h:1 --type sweep
 cluster => --node-id 0 --members 0=h:1
 loadgen => --server h:1
-scenario =>
 status => --server h:1 --job 1
 metrics => --server h:1
 faults => --server h:1 --kill 0:1 ; --server h:1 --fp 00c0ffee00c0ffee --kill 0:1

@@ -22,7 +22,7 @@
 //! | [`routing`] | `commsched-routing` | up*/down* and shortest-path routing (§2); `RoutingSpec` (= [`RoutingKind`]) names and builds one |
 //! | [`distance`] | `commsched-distance` | table of equivalent distances — resistive model (§3); its repair after a fault |
 //! | [`core`] | `commsched-core` | partitions, quality functions `F_G`, `D_G`, `Cc` (§4.1) |
-//! | [`search`] | `commsched-search` | tabu search, multilevel pipeline, the one `map_partition` entry point (§4.2), a warm remap after a fault; the comparison heuristics live in `commsched-bench` |
+//! | [`search`] | `commsched-search` | tabu search, multilevel pipeline, the one `map_partition` entry point (§4.2); the comparison heuristics live in `commsched-bench` |
 //! | [`netsim`] | `commsched-netsim` | flit-level wormhole simulator (§5) |
 //! | [`service`] | `commsched-service` | scheduling daemon: topology registry, distance-table cache, job queue |
 //!
