@@ -153,6 +153,13 @@ cargo test --release --offline -q -p commsched-service --test transcript --test 
 echo "==> cargo build --release --examples"
 cargo build --release --examples
 
+# The examples check what they print with `assert!`s that nothing else
+# runs; all three take under a second together.
+echo "==> run the examples, release build"
+for EX in quickstart campus_now link_failure; do
+    ./target/release/examples/"$EX" >/dev/null || { echo "example $EX failed"; exit 1; }
+done
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

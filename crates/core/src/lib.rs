@@ -10,13 +10,10 @@
 //!   [`dissimilarity_dg`] (Eq. 5), and the [`clustering_coefficient`]
 //!   `Cc = D_G / F_G` that measures the intracluster/intercluster
 //!   bandwidth relationship of a mapping;
-//! * [`SwapEvaluator`] — O(1) evaluation of (optionally per-cluster
-//!   weighted) `F_G` changes under the pairwise swaps the tabu search
-//!   explores;
+//! * [`SwapEvaluator`] — O(1) evaluation of `F_G` changes under the
+//!   pairwise swaps the tabu search explores;
 //! * [`Workload`] / [`ProcessMapping`] — the process-level view and the
-//!   paper's divisibility assumptions, checked;
-//! * [`weighted`] — the future-work generalization: per-application
-//!   traffic weights.
+//!   paper's divisibility assumptions, checked.
 //!
 //! # Example
 //!
@@ -39,7 +36,6 @@ pub mod eval;
 pub mod mapping;
 pub mod partition;
 pub mod quality;
-pub mod weighted;
 
 pub use eval::{far_squares, BlockBest, PairBounds, SwapEvaluator};
 pub use mapping::{LogicalCluster, ProcessMapping, Workload, WorkloadError};
@@ -48,4 +44,3 @@ pub use quality::{
     cluster_dissimilarity, cluster_similarity, clustering_coefficient, dissimilarity_dg,
     intra_square_sum, quality, similarity_fg, Quality,
 };
-pub use weighted::weighted_similarity_fg;

@@ -10,11 +10,11 @@ impl Simulator<'_> {
     /// are functions of the pattern and the rate, not of the cycle.
     pub(super) fn set_injection_rate(&mut self, rate: f64) {
         self.cfg.injection_rate = rate;
-        let base = rate / self.cfg.msg_len as f64;
+        let p = (rate / self.cfg.msg_len as f64).min(1.0);
         let anywhere = self.cfg.intercluster_fraction != 0.0;
         self.sources = (0..self.pattern.num_hosts())
             .filter(|&host| anywhere || self.pattern.has_peer(host))
-            .map(|host| (host, (base * self.pattern.rate_multiplier(host)).min(1.0)))
+            .map(|host| (host, p))
             .filter(|&(_, p)| p > 0.0)
             .collect();
     }

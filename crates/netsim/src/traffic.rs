@@ -26,9 +26,7 @@ pub enum DestinationPolicy {
 }
 
 /// The traffic pattern: which logical cluster each workstation's process
-/// belongs to, plus the in-cluster destination policy and optional
-/// per-workstation rate multipliers (future-work: unequal communication
-/// requirements).
+/// belongs to, plus the in-cluster destination policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficPattern {
     /// Cluster labels of the processes on each workstation (one entry per
@@ -38,8 +36,6 @@ pub struct TrafficPattern {
     /// processes of a cluster appear several times).
     members: Vec<Vec<usize>>,
     policy: DestinationPolicy,
-    /// Per-host multiplier applied to the configured injection rate.
-    rate_multiplier: Vec<f64>,
 }
 
 impl TrafficPattern {
@@ -93,38 +89,11 @@ impl TrafficPattern {
                 members[c].push(h);
             }
         }
-        let hosts = host_procs.len();
         Self {
             host_procs,
             members,
             policy,
-            rate_multiplier: vec![1.0; hosts],
         }
-    }
-
-    /// Set per-workstation injection-rate multipliers (1.0 = the
-    /// configured base rate). Models applications with unequal
-    /// communication requirements.
-    ///
-    /// # Panics
-    /// Panics on a length mismatch or negative multipliers.
-    pub fn with_rate_multipliers(mut self, multipliers: Vec<f64>) -> Self {
-        assert_eq!(
-            multipliers.len(),
-            self.host_procs.len(),
-            "one multiplier per host"
-        );
-        assert!(
-            multipliers.iter().all(|&m| m >= 0.0 && m.is_finite()),
-            "multipliers must be non-negative and finite"
-        );
-        self.rate_multiplier = multipliers;
-        self
-    }
-
-    /// The injection-rate multiplier of a workstation.
-    pub fn rate_multiplier(&self, host: usize) -> f64 {
-        self.rate_multiplier[host]
     }
 
     /// Number of workstations.
@@ -403,27 +372,6 @@ mod tests {
     #[should_panic(expected = "at least one process")]
     fn multi_process_empty_host_panics() {
         let _ = TrafficPattern::multi_process(vec![vec![0], vec![]], DestinationPolicy::Uniform);
-    }
-
-    #[test]
-    fn rate_multipliers_default_to_one() {
-        let p = TrafficPattern::new(vec![0, 0, 1, 1]);
-        assert_eq!(p.rate_multiplier(0), 1.0);
-        let p = p.with_rate_multipliers(vec![2.0, 2.0, 0.5, 0.5]);
-        assert_eq!(p.rate_multiplier(0), 2.0);
-        assert_eq!(p.rate_multiplier(3), 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "one multiplier per host")]
-    fn wrong_multiplier_count_panics() {
-        let _ = TrafficPattern::new(vec![0, 0]).with_rate_multipliers(vec![1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_multiplier_panics() {
-        let _ = TrafficPattern::new(vec![0, 0]).with_rate_multipliers(vec![1.0, -1.0]);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! same bests (`reference_scan`).
 //!
 //! `far_sq`, the row maxima of `T²` every bound is made of, is a property
-//! of the table: [`TabuSearch::search_weighted`] computes it once
+//! of the table: [`TabuSearch::search_traced`] computes it once
 //! ([`commsched_core::far_squares`]) and passes it to every restart's
 //! bound passes and scans.
 //!
@@ -197,21 +197,6 @@ impl TabuSearch {
 
     /// Run the search and also return the iteration trace (Figure 1).
     ///
-    /// # Panics
-    /// Panics if `sizes` is not a valid cluster-size vector for the table.
-    pub fn search_traced(
-        &self,
-        table: &DistanceTable,
-        sizes: &[usize],
-        rng: &mut dyn RngCore,
-    ) -> (SearchResult, TabuTrace) {
-        self.search_weighted(table, sizes, &vec![1.0; sizes.len()], rng)
-    }
-
-    /// Run the search against the weighted similarity function (per-
-    /// application traffic weights — the paper's future-work setting;
-    /// unit weights are the paper's `F_G`).
-    ///
     /// The restarts run on the crate's scoped worker pool
     /// ([`crate::pool::run_indexed`]; `params.threads` workers, 0 = one
     /// per CPU). All starting partitions are drawn from `rng` up front —
@@ -221,13 +206,11 @@ impl TabuSearch {
     /// thread count.
     ///
     /// # Panics
-    /// Panics on invalid sizes, a weight-count mismatch, non-positive
-    /// weights, or `params.seeds == 0` (nothing to run).
-    pub fn search_weighted(
+    /// Panics on invalid sizes or `params.seeds == 0` (nothing to run).
+    pub fn search_traced(
         &self,
         table: &DistanceTable,
         sizes: &[usize],
-        weights: &[f64],
         rng: &mut dyn RngCore,
     ) -> (SearchResult, TabuTrace) {
         let n = table.n();
@@ -258,7 +241,7 @@ impl TabuSearch {
                 let mut local_iter = 0usize;
                 let start = starts[seed_idx].clone();
                 let (seed_best, seed_evals) = self.run_seed(
-                    SwapEvaluator::with_weights(start, table, weights.to_vec()),
+                    SwapEvaluator::new(start, table),
                     &far_sq,
                     seed_idx,
                     &mut local_iter,

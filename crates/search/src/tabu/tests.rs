@@ -351,40 +351,6 @@ fn parallel_restarts_match_serial_exactly() {
 }
 
 #[test]
-fn weighted_search_places_heavy_app_tightest() {
-    use commsched_core::{cluster_similarity, weighted_similarity_fg};
-    let table = rings_table();
-    // Application 0 has 20x the traffic of the others.
-    let weights = [20.0, 1.0, 1.0, 1.0];
-    let params = TabuParams::scaled(24);
-    let mut rng = StdRng::seed_from_u64(3);
-    let (res, _) =
-        TabuSearch::new(params).search_weighted(&table, &[6, 6, 6, 6], &weights, &mut rng);
-    // Consistency with the direct weighted formula.
-    let direct = weighted_similarity_fg(&res.partition, &table, &weights);
-    assert!((res.fg - direct).abs() < 1e-9);
-    // The heavy application's cluster must be the tightest one (or tied).
-    let clusters = res.partition.clusters();
-    let cost0 = cluster_similarity(&clusters[0], &table);
-    for members in &clusters[1..] {
-        assert!(cost0 <= cluster_similarity(members, &table) + 1e-9);
-    }
-}
-
-#[test]
-fn weighted_search_with_uniform_weights_matches_unweighted() {
-    let table = dumbbell_table();
-    let params = TabuParams::default();
-    let mut rng = StdRng::seed_from_u64(9);
-    let (w, _) =
-        TabuSearch::new(params.clone()).search_weighted(&table, &[4, 4], &[2.0, 2.0], &mut rng);
-    let mut rng = StdRng::seed_from_u64(9);
-    let u = TabuSearch::new(params).search(&table, &[4, 4], &mut rng);
-    assert_eq!(w.partition, u.partition);
-    assert!((w.fg - u.fg).abs() < 1e-9);
-}
-
-#[test]
 fn tabu_map_convenience() {
     let table = dumbbell_table();
     let res = tabu_map(&table, &[4, 4], 42);

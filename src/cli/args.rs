@@ -19,7 +19,7 @@ use std::time::Duration;
 /// so the `--server` form of the subcommand never takes them and
 /// [`Args::finish`] explains instead of calling them unknown.
 const LOCAL_ONLY: [(&str, &str); 3] = [
-    ("schedule", "--weights --max-coarse-n --trace-out"),
+    ("schedule", "--max-coarse-n --trace-out"),
     (
         "sweep",
         "--vcs --adaptive --congestion --misroute --trace-out",
@@ -143,8 +143,7 @@ pub(super) const USAGE_BLOCKS: [&str; 11] = [
     "  commsched topology <topology flags> [--save FILE]
 ",
     "  commsched schedule <topology flags> [--clusters M] [--seed S]
-                     [--weights w1,w2,...] [--server HOST:PORT]
-                     [--trace-out FILE.jsonl]
+                     [--server HOST:PORT] [--trace-out FILE.jsonl]
                      [--strategy flat|multilevel] [--max-coarse-n N]
 ",
     "  commsched simulate <topology flags> [--clusters M] [--seed S] [--rate R]
@@ -368,10 +367,8 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
             let mut options = SchedulerOptions::default();
             args.value("--strategy", &mut options.strategy)?;
             args.value("--max-coarse-n", &mut options.max_coarse_n)?;
-            let weights = |v: &str| v.split(',').map(str::parse).collect::<Result<_, _>>();
             Command::Schedule(Schedule {
                 instance,
-                weights: args.take("--weights", weights)?,
                 options,
                 trace_out: args.opt("--trace-out")?,
             })

@@ -3,7 +3,7 @@
 
 use super::{Instance, Network, Schedule, Simulate, Sweep};
 use crate::{RoutingKind, ScheduleOutcome, Scheduler, SchedulerOptions};
-use commsched_core::{weighted_similarity_fg, Workload};
+use commsched_core::Workload;
 use commsched_netsim::{paper_sweep, simulate as run_sim, CongestionMode, SweepConfig};
 use std::fmt::Write as _;
 
@@ -59,40 +59,21 @@ pub(super) fn schedule(cmd: &Schedule) -> Result<String, String> {
     let mut out = String::new();
     let seed = cmd.instance.seed;
     let (sched, wl) = pipeline(&cmd.instance, cmd.options)?;
-    match &cmd.weights {
-        None => {
-            let o = sched.schedule(&wl, seed).map_err(|e| e.to_string())?;
-            writeln!(out, "partition: {}", o.partition).expect("write to string");
-            writeln!(
-                out,
-                "F_G = {:.6}  D_G = {:.6}  Cc = {:.3}",
-                o.quality.fg, o.quality.dg, o.quality.cc
-            )
-            .expect("write to string");
-            if let Some(ml) = &o.ml {
-                writeln!(
-                    out,
-                    "strategy: multilevel  levels = {}  coarse_n = {}  refine_moves = {}",
-                    ml.levels, ml.coarse_n, ml.refine_moves
-                )
-                .expect("write to string");
-            }
-        }
-        Some(ws) => {
-            if ws.len() != wl.clusters.len() {
-                return Err("need one weight per cluster".into());
-            }
-            let o = sched
-                .schedule_weighted(&wl, ws, seed)
-                .map_err(|e| e.to_string())?;
-            writeln!(out, "partition: {}", o.partition).expect("write to string");
-            writeln!(
-                out,
-                "weighted F_G = {:.6}",
-                weighted_similarity_fg(&o.partition, sched.table(), ws)
-            )
-            .expect("write to string");
-        }
+    let o = sched.schedule(&wl, seed).map_err(|e| e.to_string())?;
+    writeln!(out, "partition: {}", o.partition).expect("write to string");
+    writeln!(
+        out,
+        "F_G = {:.6}  D_G = {:.6}  Cc = {:.3}",
+        o.quality.fg, o.quality.dg, o.quality.cc
+    )
+    .expect("write to string");
+    if let Some(ml) = &o.ml {
+        writeln!(
+            out,
+            "strategy: multilevel  levels = {}  coarse_n = {}  refine_moves = {}",
+            ml.levels, ml.coarse_n, ml.refine_moves
+        )
+        .expect("write to string");
     }
     Ok(out)
 }

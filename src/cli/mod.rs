@@ -79,8 +79,6 @@ pub struct Instance {
 pub struct Schedule {
     /// What to map.
     pub instance: Instance,
-    /// Optional per-application traffic weights.
-    pub weights: Option<Vec<f64>>,
     /// Mapping strategy and multilevel coarsening target.
     pub options: SchedulerOptions,
     /// Write a JSONL span trace of the run to this path.

@@ -51,20 +51,18 @@ fn parse_topology_defaults() {
 }
 
 #[test]
-fn parse_schedule_with_weights() {
-    let cmd = parsed("schedule --kind paper24 --clusters 4 --seed 7 --weights 10,1,1,1");
+fn parse_local_schedule() {
+    let cmd = parsed("schedule --kind paper24 --clusters 4 --seed 7");
     match cmd {
         // A local `Schedule` has no server by construction.
         Command::Schedule(Schedule {
             instance,
-            weights,
             options,
             trace_out,
         }) => {
             assert_eq!(instance.network, Network::Named(TopoRef::Paper24));
             assert_eq!(instance.clusters, 4);
             assert_eq!(instance.seed, 7);
-            assert_eq!(weights, Some(vec![10.0, 1.0, 1.0, 1.0]));
             assert_eq!(trace_out, None);
             assert_eq!(options.strategy, MapStrategy::Flat);
             assert_eq!(options.max_coarse_n, 256);
@@ -385,15 +383,6 @@ fn run_schedule_paper24() {
 }
 
 #[test]
-fn run_weighted_schedule() {
-    let out = run(&parsed(
-        "schedule --kind ring --switches 8 --clusters 2 --weights 5,1",
-    ))
-    .unwrap();
-    assert!(out.contains("weighted F_G ="));
-}
-
-#[test]
 fn run_multilevel_schedule_locally() {
     let out = run(&parsed(
         "schedule --kind ring --switches 8 --clusters 4 --strategy multilevel \
@@ -402,15 +391,6 @@ fn run_multilevel_schedule_locally() {
     .unwrap();
     assert!(out.contains("strategy: multilevel"), "missing ml: {out}");
     assert!(out.contains("levels = 1"), "missing levels: {out}");
-}
-
-#[test]
-fn weight_count_mismatch_errors() {
-    let err = run(&parsed(
-        "schedule --kind ring --switches 8 --clusters 2 --weights 1,2,3",
-    ))
-    .unwrap_err();
-    assert!(err.contains("one weight per cluster"));
 }
 
 #[test]
@@ -425,15 +405,8 @@ fn schedule_through_server_round_trips() {
     .unwrap();
     assert!(out.contains("partition "), "missing partition in: {out}");
     assert!(out.contains("cc "), "missing cc in: {out}");
-    // Weighted jobs are a local-only feature: a command that is both
-    // weighted and remote does not exist, so the refusal is `parse`'s.
-    let err = parse(&argv(&format!(
-        "schedule --kind paper24 --seed 1 --weights 1,1,1,1 --server {addr}"
-    )))
-    .unwrap_err();
-    assert!(err.contains("--weights"));
-    // So is a coarsening bound: the daemon has no wire key for it, so
-    // the CLI refuses rather than drop it.
+    // A coarsening bound is local-only: the daemon has no wire key for
+    // it, so the CLI refuses rather than drop it.
     let err = parse(&argv(&format!(
         "schedule --kind paper24 --seed 1 --server {addr} --strategy multilevel --max-coarse-n 8"
     )))
@@ -514,7 +487,6 @@ fn trace_out_writes_jsonl() {
             clusters: 2,
             seed: 5,
         },
-        weights: None,
         options: SchedulerOptions::default(),
         trace_out: Some(path_str.clone()),
     }))
@@ -532,32 +504,6 @@ fn trace_out_writes_jsonl() {
         assert!(line.starts_with('{') && line.ends_with('}'), "bad: {line}");
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn weighted_schedule_unweighted_matches_plain_fg() {
-    // Uniform weights reduce the weighted objective to F_G, so the
-    // weighted CLI path must report the same number the plain path
-    // would.
-    let out = run(&parsed(
-        "schedule --kind ring --switches 8 --clusters 2 --weights 1,1",
-    ))
-    .unwrap();
-    let weighted: f64 = out
-        .lines()
-        .find_map(|l| l.strip_prefix("weighted F_G = "))
-        .unwrap()
-        .parse()
-        .unwrap();
-    let plain = run(&parsed("schedule --kind ring --switches 8 --clusters 2")).unwrap();
-    let fg: f64 = plain
-        .lines()
-        .find_map(|l| l.strip_prefix("F_G = "))
-        .map(|rest| rest.split_whitespace().next().unwrap())
-        .unwrap()
-        .parse()
-        .unwrap();
-    assert!((weighted - fg).abs() < 1e-9, "{weighted} != {fg}");
 }
 
 /// Command lines that were once accepted with the named flag silently
@@ -589,6 +535,7 @@ submit --server h:1 --points 3 => --points
 loadgen --server h:1 --duration -1 => --duration
 loadgen --server h:1 --deadline-ms 250 => unknown flag --deadline-ms
 scenario --arrivals poisson:50 => unknown subcommand 'scenario'
+schedule --kind ring --switches 8 --clusters 2 --weights 1,1 => unknown flag --weights
 simulate --rate --adaptive => --rate
 ";
 

@@ -47,7 +47,6 @@
 //! ```
 
 pub mod cli;
-pub mod estimate;
 pub mod scheduler;
 
 pub use scheduler::{RoutingKind, ScheduleError, ScheduleOutcome, Scheduler, SchedulerOptions};

@@ -11,7 +11,7 @@ use commsched_distance::{equivalent_distance_table_with, DistanceTable, TableErr
 use commsched_routing::{Routing, RoutingError};
 use commsched_search::{
     map_partition, resolve_threads, MapPlan, MapStrategy, MultilevelParams, MultilevelStats,
-    TabuParams, TabuSearch,
+    TabuParams,
 };
 use commsched_topology::Topology;
 
@@ -49,13 +49,6 @@ pub enum ScheduleError {
     Table(TableError),
     /// The workload does not fit the topology.
     Workload(WorkloadError),
-    /// Weighted scheduling got a bad weight vector.
-    BadWeights {
-        /// Weights supplied.
-        got: usize,
-        /// Applications in the workload.
-        expected: usize,
-    },
 }
 
 impl std::fmt::Display for ScheduleError {
@@ -64,9 +57,6 @@ impl std::fmt::Display for ScheduleError {
             ScheduleError::Routing(e) => write!(f, "routing: {e}"),
             ScheduleError::Table(e) => write!(f, "distance table: {e}"),
             ScheduleError::Workload(e) => write!(f, "workload: {e}"),
-            ScheduleError::BadWeights { got, expected } => {
-                write!(f, "need {expected} positive weights, got {got}")
-            }
         }
     }
 }
@@ -225,40 +215,6 @@ impl Scheduler {
         })
     }
 
-    /// Schedule `workload` against the *weighted* similarity function:
-    /// one traffic weight per application (the future-work setting of
-    /// unequal communication requirements). Weights can come from
-    /// [`crate::estimate::estimate_app_weights`].
-    ///
-    /// # Errors
-    /// See [`ScheduleError`]; requires one strictly positive weight per
-    /// application ([`ScheduleError::BadWeights`] otherwise).
-    pub fn schedule_weighted(
-        &self,
-        workload: &Workload,
-        weights: &[f64],
-        seed: u64,
-    ) -> Result<ScheduleOutcome, ScheduleError> {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        workload.validate(&self.topology)?;
-        if weights.len() != workload.clusters.len() || weights.iter().any(|&w| w <= 0.0) {
-            return Err(ScheduleError::BadWeights {
-                got: weights.len(),
-                expected: workload.clusters.len(),
-            });
-        }
-        let sizes = workload.switch_demands(self.topology.hosts_per_switch());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (result, _) = TabuSearch::new(self.plan.tabu.clone()).search_weighted(
-            &self.table,
-            &sizes,
-            weights,
-            &mut rng,
-        );
-        self.outcome(workload, result.partition, seed, None)
-    }
-
     /// The paper's baseline: place `workload` on a uniformly random
     /// partition (the `R_i` mappings of Figures 3 and 5).
     ///
@@ -372,22 +328,5 @@ mod tests {
         let b = sched.schedule(&workload, 2).unwrap();
         assert_eq!(a.partition, b.partition);
         assert_eq!(a.quality.fg.to_bits(), b.quality.fg.to_bits());
-    }
-
-    #[test]
-    fn weighted_schedule_validates_and_runs() {
-        let topo = designed::paper_24_switch();
-        let sched = Scheduler::new(topo, RoutingKind::default()).unwrap();
-        let workload = Workload::balanced(sched.topology(), 4).unwrap();
-        let outcome = sched
-            .schedule_weighted(&workload, &[10.0, 1.0, 1.0, 1.0], 2)
-            .unwrap();
-        assert_eq!(outcome.mapping.num_hosts(), 96);
-        // Wrong weight count rejected.
-        assert!(sched.schedule_weighted(&workload, &[1.0], 2).is_err());
-        // Non-positive weights rejected.
-        assert!(sched
-            .schedule_weighted(&workload, &[1.0, 1.0, 0.0, 1.0], 2)
-            .is_err());
     }
 }

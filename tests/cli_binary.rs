@@ -91,23 +91,6 @@ fn save_load_roundtrip_through_binary() {
 }
 
 #[test]
-fn schedule_rejects_bad_weights() {
-    let (_, stderr, ok) = run(&[
-        "schedule",
-        "--kind",
-        "ring",
-        "--switches",
-        "8",
-        "--clusters",
-        "2",
-        "--weights",
-        "1,2,3",
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("one weight per cluster"), "{stderr}");
-}
-
-#[test]
 fn misspelled_flag_is_refused_with_its_subcommands_usage() {
     let out = Command::new(env!("CARGO_BIN_EXE_commsched"))
         .args(["schedule", "--kind", "paper24", "--clusers", "8"])
