@@ -10,20 +10,23 @@ impl Simulator<'_> {
     /// are functions of the pattern and the rate, not of the cycle.
     pub(super) fn set_injection_rate(&mut self, rate: f64) {
         self.cfg.injection_rate = rate;
-        let p = (rate / self.cfg.msg_len as f64).min(1.0);
+        self.draw_p = (rate / self.cfg.msg_len as f64).min(1.0);
         let anywhere = self.cfg.intercluster_fraction != 0.0;
-        self.sources = (0..self.pattern.num_hosts())
-            .filter(|&host| anywhere || self.pattern.has_peer(host))
-            .map(|host| (host, p))
-            .filter(|&(_, p)| p > 0.0)
-            .collect();
+        self.sources = if self.draw_p > 0.0 {
+            (0..self.pattern.num_hosts())
+                .filter(|&host| anywhere || self.pattern.has_peer(host))
+                .collect()
+        } else {
+            Vec::new()
+        };
     }
 
     /// Phase 1: Bernoulli message generation — one draw per source per
     /// cycle, in host order (the RNG stream fixes both).
     pub(super) fn generate(&mut self) {
+        let p = self.draw_p;
         for i in 0..self.sources.len() {
-            let (host, p) = self.sources[i];
+            let host = self.sources[i];
             if self.rng.gen::<f64>() >= p {
                 continue;
             }

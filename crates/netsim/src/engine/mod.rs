@@ -72,7 +72,7 @@ mod window;
 
 pub use stall::StallReport;
 use window::Counters;
-pub(crate) use window::Phase;
+pub(crate) use window::{count_sweep_probes, Phase};
 
 use crate::config::SimConfig;
 use crate::congestion::CongestionControl;
@@ -273,9 +273,11 @@ pub struct Simulator<'a> {
     inject_base: PhysId,
     deliver_base: PhysId,
     messages: Vec<Message>,
-    /// Hosts that draw in `generate`, in host order, each with its
-    /// per-cycle probability at the current `cfg.injection_rate`.
-    sources: Vec<(usize, f64)>,
+    /// Hosts that draw in `generate`, in host order.
+    sources: Vec<usize>,
+    /// Each source's per-cycle probability of generating a message at
+    /// the current `cfg.injection_rate`.
+    draw_p: f64,
     /// Pending messages per host (head is streaming).
     queues: Vec<VecDeque<MsgId>>,
     /// Next flit index of the streaming (head) message per host.
@@ -429,6 +431,7 @@ impl<'a> Simulator<'a> {
             deliver_base,
             messages: Vec::new(),
             sources: Vec::new(),
+            draw_p: 0.0,
             queues: vec![VecDeque::new(); num_hosts],
             next_flit: vec![0; num_hosts],
             inject_vc: vec![None; num_hosts],
@@ -505,6 +508,13 @@ impl<'a> Simulator<'a> {
             .iter()
             .sum();
         injected - self.totals.delivered_flits
+    }
+
+    /// Flits forwarded so far over the busiest directed switch-to-switch
+    /// channel (0 on a network without links).
+    pub(crate) fn busiest_link_flits(&self) -> u64 {
+        let links = &self.channel_flits[..self.inject_base];
+        links.iter().copied().max().unwrap_or(0)
     }
 
     /// Kill the link between switches `a` and `b` mid-run: both of its
