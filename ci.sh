@@ -97,8 +97,11 @@ cargo build --release
 # Duato, misroute, PFC, ECN and kill/restore digests with optimisations on.
 # The unit tests run there too: the counted-work tests, which read the
 # parked set against its definition, are the parked set's only check
-# once the reference that recomputes it every cycle is compiled out.
-echo "==> golden simulator digests and unit tests, release build"
+# once the reference that recomputes it every cycle is compiled out, and
+# the saturation search's probe-schedule tests (`sweep::tests`: the
+# serial answer's bits under every predictor, the rounds of the golden
+# sweep nets) run on the optimised probes the daemon runs.
+echo "==> golden simulator digests, unit and probe-schedule tests, release build"
 cargo test --release --offline -q -p commsched-netsim --test golden
 cargo test --release --offline -q -p commsched-netsim --lib
 
