@@ -279,26 +279,26 @@ fi
 stop_daemon "$SERVE_PID"
 echo "loadgen smoke: ok"
 
-echo "==> cluster failover smoke (primary + standby -> submit -> SIGKILL primary -> promoted node serves)"
-# Reserve a concrete port for the member address: the standby re-binds
-# the same address after promotion, so it cannot be kernel-assigned.
+echo "==> cluster failover smoke (serve --repl-listen + serve --follow -> submit -> SIGKILL primary -> promoted standby serves)"
+# Reserve a concrete client address: the standby binds the same address
+# after promotion, so it cannot be kernel-assigned.
 ./target/release/commsched serve --addr 127.0.0.1:0 --workers 1 --no-persist \
     >"$SMOKE_DIR/reserve.log" 2>&1 &
 RESERVE_PID=$!
 CLUSTER_ADDR=$(wait_for_daemon "$SMOKE_DIR/reserve.log") || CLUSTER_ADDR=""
 stop_daemon "$RESERVE_PID"
 [ -n "$CLUSTER_ADDR" ] || { echo "cluster smoke: could not reserve a port"; exit 1; }
-./target/release/commsched cluster --node-id 0 --members "0=$CLUSTER_ADDR" \
-    --state-dir "$SMOKE_DIR/cluster-primary" --repl sync --repl-listen 127.0.0.1:0 \
+./target/release/commsched serve --addr "$CLUSTER_ADDR" \
+    --state-dir "$SMOKE_DIR/cluster-primary" --repl-listen 127.0.0.1:0 \
     >"$SMOKE_DIR/cluster1.log" 2>&1 &
 PRIMARY_PID=$!
-# The replication line is printed before the `primary listening on` one.
-wait_for_daemon "$SMOKE_DIR/cluster1.log" 'primary listening on ' >/dev/null \
+# The replication line is printed before the client listening line.
+wait_for_daemon "$SMOKE_DIR/cluster1.log" >/dev/null \
     && REPL_ADDR=$(sed -n 's/^replication listening on //p' "$SMOKE_DIR/cluster1.log") \
     && [ -n "$REPL_ADDR" ] \
     || { echo "cluster smoke: primary never came up"; cat "$SMOKE_DIR/cluster1.log"; exit 1; }
-./target/release/commsched cluster --node-id 0 --members "0=$CLUSTER_ADDR" \
-    --state-dir "$SMOKE_DIR/cluster-standby" --repl sync --follow "$REPL_ADDR" \
+./target/release/commsched serve --addr "$CLUSTER_ADDR" \
+    --state-dir "$SMOKE_DIR/cluster-standby" --follow "$REPL_ADDR" \
     >"$SMOKE_DIR/cluster2.log" 2>&1 &
 STANDBY_PID=$!
 wait_for_log "$SMOKE_DIR/cluster2.log" ' following ' >/dev/null \
@@ -308,7 +308,8 @@ for _ in 1 2 3; do
         || { echo "cluster smoke: submit to primary failed"; exit 1; }
 done
 stop_daemon "$PRIMARY_PID"
-wait_for_daemon "$SMOKE_DIR/cluster2.log" 'promoted, listening on ' >/dev/null \
+# A standby prints its client listening line only once promoted.
+wait_for_daemon "$SMOKE_DIR/cluster2.log" >/dev/null \
     || { echo "cluster smoke: standby never promoted"; cat "$SMOKE_DIR/cluster2.log"; exit 1; }
 # Acked-means-replicated: every job submitted to the dead primary must
 # be visible on the promoted node.

@@ -5,8 +5,8 @@
 //! The follower is deliberately *not* a running service core: it is a
 //! disk pipe. Records arrive in the primary's commit order (the hub
 //! taps the WAL under its lock), are appended verbatim to the local
-//! WAL — fsynced before acking in `sync` mode, so the primary's
-//! acked-means-replicated guarantee rests on real durability — and
+//! WAL — fsynced before acking, so the primary's acked-means-replicated
+//! guarantee rests on real durability — and
 //! only at promotion does [`commsched_service::ServiceCore::recover`]
 //! replay them into a live core, reusing the exact crash-recovery path
 //! the service already trusts.
@@ -17,7 +17,6 @@
 //! local record positions are meaningless — the follower wipes its
 //! state directory's WAL and snapshot and resyncs from record 0.
 
-use crate::hub::ReplMode;
 use commsched_service::persist::wal::fnv1a;
 use commsched_service::persist::{PersistOptions, Persistence, SNAPSHOT_FILE};
 use std::io::{Read, Write};
@@ -48,9 +47,6 @@ pub struct FollowerConfig {
     pub primary: String,
     /// Local state directory the stream is persisted into.
     pub state_dir: PathBuf,
-    /// Replication strictness — `sync` fsyncs every batch before
-    /// acking it.
-    pub mode: ReplMode,
     /// Consecutive failed connect attempts before declaring the
     /// primary dead.
     pub max_reconnects: u32,
@@ -59,13 +55,12 @@ pub struct FollowerConfig {
 }
 
 impl FollowerConfig {
-    /// Defaults: sync mode, 5 reconnects 200ms apart (a ~1s detection
+    /// Defaults: 5 reconnects 200ms apart (a ~1s detection
     /// window on top of TCP's own failure latency).
     pub fn new(primary: impl Into<String>, state_dir: impl Into<PathBuf>) -> Self {
         Self {
             primary: primary.into(),
             state_dir: state_dir.into(),
-            mode: ReplMode::Sync,
             max_reconnects: 5,
             reconnect_delay: Duration::from_millis(200),
         }
@@ -213,7 +208,6 @@ fn follow_once(
     }
     progress.connects.fetch_add(1, Ordering::Relaxed);
 
-    let sync = config.mode == ReplMode::Sync;
     let mut applied = have as u64;
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 64 * 1024];
@@ -238,12 +232,11 @@ fn follow_once(
         if records.is_empty() {
             continue;
         }
-        // One append_all per network batch: one write(2) and (in sync
-        // mode) one fsync cover however many records arrived together,
-        // which is what keeps sync replication from being fsync-bound
-        // per record.
+        // One append_all per network batch: one write(2) and one fsync
+        // cover however many records arrived together, which is what
+        // keeps replication from being fsync-bound per record.
         persist
-            .with_wal(|wal| wal.append_all(records.iter().map(Vec::as_slice), sync))
+            .with_wal(|wal| wal.append_all(records.iter().map(Vec::as_slice), true))
             .map_err(|e| format!("append follower wal: {e}"))?;
         applied += records.len() as u64;
         progress.applied.store(applied, Ordering::Relaxed);

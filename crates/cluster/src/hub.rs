@@ -29,10 +29,10 @@
 //! was re-seeded from a compacted snapshot, so positions from an
 //! earlier incarnation do not line up).
 //!
-//! The ack stream is what [`ReplicationHub::barrier`] waits on in
-//! `sync` mode: an acknowledgement leaves the service only after every
-//! connected follower has applied (and fsynced) the records behind it
-//! — acked means replicated. With no follower connected the barrier
+//! The ack stream is what [`ReplicationHub::barrier`] waits on: an
+//! acknowledgement leaves the service only after every connected
+//! follower has applied (and fsynced) the records behind it — acked
+//! means replicated. With no follower connected the barrier
 //! degrades to local durability and counts the event, trading
 //! consistency for availability rather than freezing the primary.
 
@@ -48,48 +48,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// When a job acknowledgement may leave a cluster primary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplMode {
-    /// Acks wait for every connected follower to apply and fsync the
-    /// records behind them (zero accepted-job loss on failover).
-    #[default]
-    Sync,
-    /// Acks return on local durability; followers catch up in the
-    /// background (bounded loss window on failover).
-    Async,
-}
-
-impl ReplMode {
-    /// Parse `sync` / `async`.
-    ///
-    /// # Errors
-    /// Anything else.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "sync" => Ok(Self::Sync),
-            "async" => Ok(Self::Async),
-            other => Err(format!("unknown replication mode '{other}' (sync|async)")),
-        }
-    }
-
-    /// The protocol spelling (`sync` / `async`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Sync => "sync",
-            Self::Async => "async",
-        }
-    }
-}
-
-/// How long a `sync` barrier waits for follower acks before degrading.
+/// How long a barrier waits for follower acks before degrading.
 /// A stalled follower must not freeze the primary forever; the event
 /// is counted and surfaced in `STATS`.
 const BARRIER_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One follower's replication progress.
 struct FollowerSlot {
-    /// Records this follower has applied (and fsynced, in sync mode).
+    /// Records this follower has applied and fsynced.
     acked: usize,
 }
 
@@ -103,7 +69,7 @@ struct HubState {
     next_follower: u64,
 }
 
-/// The replication hub a cluster primary installs as its
+/// The replication hub a primary installs as its
 /// [`ReplicationSink`].
 pub struct ReplicationHub {
     state: Mutex<HubState>,
@@ -112,7 +78,6 @@ pub struct ReplicationHub {
     /// Signalled when a follower's ack advances or a follower leaves
     /// (barriers wait here).
     acked_cv: Condvar,
-    mode: ReplMode,
     /// This incarnation's stream identity.
     nonce: u64,
     listen_addr: SocketAddr,
@@ -132,11 +97,7 @@ impl ReplicationHub {
     ///
     /// # Errors
     /// Propagates the bind failure.
-    pub fn bind<A: ToSocketAddrs>(
-        addr: A,
-        mode: ReplMode,
-        registry: &Registry,
-    ) -> std::io::Result<Arc<Self>> {
+    pub fn bind<A: ToSocketAddrs>(addr: A, registry: &Registry) -> std::io::Result<Arc<Self>> {
         let listener = TcpListener::bind(addr)?;
         let listen_addr = listener.local_addr()?;
         let nonce = {
@@ -154,7 +115,6 @@ impl ReplicationHub {
             }),
             grew: Condvar::new(),
             acked_cv: Condvar::new(),
-            mode,
             nonce,
             listen_addr,
             stop: AtomicBool::new(false),
@@ -177,7 +137,7 @@ impl ReplicationHub {
             ),
             degraded_total: registry.counter(
                 "cluster_repl_degraded_total",
-                "Sync barriers that proceeded without a caught-up follower",
+                "Barriers that proceeded without a caught-up follower",
             ),
         });
         let accept_hub = Arc::clone(&hub);
@@ -431,36 +391,33 @@ impl WalTap for ReplicationHub {
 }
 
 impl ReplicationSink for ReplicationHub {
-    /// Gate an acknowledgement. `sync`: wait until every connected
-    /// follower has applied everything published so far (followers that
-    /// disconnect mid-wait leave the wait set). `async`: record the
-    /// instantaneous lag and return.
+    /// Gate an acknowledgement: wait until every connected follower has
+    /// applied everything published so far (followers that disconnect
+    /// mid-wait leave the wait set).
     fn barrier(&self) {
         let begin = Instant::now();
+        let deadline = begin + BARRIER_TIMEOUT;
         let mut st = self.state.lock().expect("hub state");
         let target = st.log.len();
-        if self.mode == ReplMode::Sync {
-            let deadline = begin + BARRIER_TIMEOUT;
-            let mut degraded = st.followers.is_empty();
-            while st.followers.values().any(|f| f.acked < target) {
-                let now = Instant::now();
-                if now >= deadline {
-                    degraded = true;
-                    break;
-                }
-                let (next, _) = self
-                    .acked_cv
-                    .wait_timeout(st, deadline - now)
-                    .expect("hub state");
-                st = next;
-                if st.followers.is_empty() {
-                    degraded = true;
-                    break;
-                }
+        let mut degraded = st.followers.is_empty();
+        while st.followers.values().any(|f| f.acked < target) {
+            let now = Instant::now();
+            if now >= deadline {
+                degraded = true;
+                break;
             }
-            if degraded {
-                self.degraded_total.inc();
+            let (next, _) = self
+                .acked_cv
+                .wait_timeout(st, deadline - now)
+                .expect("hub state");
+            st = next;
+            if st.followers.is_empty() {
+                degraded = true;
+                break;
             }
+        }
+        if degraded {
+            self.degraded_total.inc();
         }
         drop(st);
         self.barrier_us
@@ -472,7 +429,6 @@ impl ReplicationSink for ReplicationHub {
         let min_acked = st.followers.values().map(|f| f.acked).min();
         let lag = min_acked.map_or(0, |a| st.log.len().saturating_sub(a));
         vec![
-            format!("repl_mode {}", self.mode.as_str()),
             format!("repl_followers {}", st.followers.len()),
             format!("repl_log_records {}", st.log.len()),
             format!("repl_lag_records {lag}"),

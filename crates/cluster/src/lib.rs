@@ -1,33 +1,28 @@
 #![warn(missing_docs)]
 
-//! A WAL-replicated scheduler cluster: one primary plus warm standbys.
+//! Every daemon's start path, and WAL replication: one primary plus
+//! warm standbys.
 //!
-//! Two pieces turn the single-node daemon in `commsched-service` into a
-//! cluster:
-//!
+//! * [`node`] — node assembly: [`node::start`] starts a standalone node
+//!   or a replicating primary, [`node::follow_and_promote`] a standby,
+//!   both from one [`node::ClusterConfig`]. `commsched serve`
+//!   front-ends both.
 //! * [`hub`] / [`follower`] — primary→follower WAL replication. The
-//!   hub taps the primary's WAL under its lock (stream order =
-//!   commit order), followers persist the stream and ack; in `sync`
-//!   mode every client acknowledgement waits on those acks, so a
-//!   SIGKILLed primary loses no acked job: the follower promotes via
-//!   the standard crash-recovery path
-//!   ([`commsched_service::ServiceCore::recover`]) and takes over the
-//!   primary's client address ([`node::follow_and_promote`]).
-//! * [`node`] — node assembly: [`node::start_primary`] and
-//!   [`node::follow_and_promote`] over a [`node::ClusterConfig`], whose
-//!   [`node::ClusterConfig::info`] is what `CLUSTER` and `STATS` report.
+//!   hub taps the primary's WAL under its lock (stream order = commit
+//!   order), followers persist the stream and ack, and every client
+//!   acknowledgement waits on those acks, so a SIGKILLed primary loses
+//!   no acked job: the follower promotes via the standard
+//!   crash-recovery path ([`commsched_service::ServiceCore::recover`])
+//!   and takes over the primary's client address.
 //!
-//! The `commsched cluster` CLI arm front-ends [`node`]; the member
-//! table is static and names one shard (`--members shard=addr`), which
-//! keeps the failure model honest: no membership consensus, one
-//! primary and its standbys.
+//! There is no membership consensus: a standby is told its primary's
+//! replication address, and the promoted node binds the client address
+//! it was started with.
 
 pub mod follower;
 pub mod hub;
 pub mod node;
 
 pub use follower::{FollowExit, FollowerConfig, FollowerProgress};
-pub use hub::{ReplMode, ReplicationHub};
-pub use node::{
-    follow_and_promote, parse_members, start_primary, ClusterConfig, ClusterNode, Member,
-};
+pub use hub::ReplicationHub;
+pub use node::{follow_and_promote, start, ClusterConfig, ClusterNode};

@@ -1,15 +1,13 @@
 //! What a command line means: the consuming argument list every
 //! subcommand takes its flags from, the usage blocks, and [`parse`].
 
-use super::{Command, Faults, Instance, Network, RemoteJob, Schedule, Serve, Simulate, Sweep};
+use super::{Command, Faults, Instance, Network, RemoteJob, Schedule, Simulate, Sweep};
 use crate::SchedulerOptions;
-use commsched_cluster::{ClusterConfig, ReplMode};
+use commsched_cluster::ClusterConfig;
 use commsched_netsim::{SimConfig, SweepConfig};
 use commsched_service::loadgen::{LoadgenConfig, WireMode};
 use commsched_service::protocol::parse_fingerprint;
-use commsched_service::{
-    FsyncPolicy, JobKind, JobSpec, PersistOptions, ServerConfig, ServiceCoreConfig, TopoRef,
-};
+use commsched_service::{FsyncPolicy, JobKind, JobSpec, PersistOptions, ServerConfig, TopoRef};
 use commsched_topology::RandomTopologyConfig;
 use std::fmt::Display;
 use std::str::FromStr;
@@ -139,7 +137,7 @@ impl Args {
 
 /// One usage block per subcommand, in the order `help` lists them; the
 /// second word of a block is the subcommand's name.
-pub(super) const USAGE_BLOCKS: [&str; 11] = [
+pub(super) const USAGE_BLOCKS: [&str; 10] = [
     "  commsched topology <topology flags> [--save FILE]
 ",
     "  commsched schedule <topology flags> [--clusters M] [--seed S]
@@ -159,15 +157,11 @@ pub(super) const USAGE_BLOCKS: [&str; 11] = [
                      [--cache-cap N] [--state-dir DIR] [--no-persist]
                      [--fsync always|on-ack|never] [--max-conns N]
                      [--idle-timeout SECS]
+                     [--repl-listen HOST:PORT] [--follow HOST:PORT]
 ",
     "  commsched submit   --server HOST:PORT [--type schedule|sweep]
                      <topology flags> [--clusters M] [--seed S] [--points P]
                      [--strategy flat|multilevel]
-",
-    "  commsched cluster  --node-id K --members K=H:P [--state-dir DIR]
-                     [--repl sync|async] [--repl-listen HOST:PORT]
-                     [--follow HOST:PORT] [--workers N] [--queue-cap N]
-                     [--cache-cap N]
 ",
     "  commsched loadgen  --server HOST:PORT [--connections N] [--rate JOBS_PER_S]
                      [--batch N] [--duration SECS] [--mode line|binary]
@@ -322,12 +316,6 @@ fn sim_flags(args: &mut Args) -> Result<SimConfig, String> {
     Ok(sim)
 }
 
-/// `--queue-cap` and `--cache-cap`: the core sizing both daemons expose.
-fn core_flags(args: &mut Args, core: &mut ServiceCoreConfig) -> Result<(), String> {
-    args.value("--queue-cap", &mut core.queue_capacity)?;
-    args.value("--cache-cap", &mut core.cache_capacity)
-}
-
 /// Parse an argument list (without the program name).
 ///
 /// # Errors
@@ -404,18 +392,20 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
         "serve" => {
             let mut addr = "127.0.0.1:7477".to_string();
             args.value("--addr", &mut addr)?;
-            let mut config = ServerConfig::default();
-            args.value("--workers", &mut config.workers)?;
-            core_flags(args, &mut config.core)?;
-            args.value("--max-conns", &mut config.net.max_connections)?;
+            let mut server = ServerConfig::default();
+            args.value("--workers", &mut server.workers)?;
+            args.value("--queue-cap", &mut server.core.queue_capacity)?;
+            args.value("--cache-cap", &mut server.core.cache_capacity)?;
+            args.value("--max-conns", &mut server.net.max_connections)?;
             // 0 spells "never".
-            args.set("--idle-timeout", &mut config.net.idle_timeout, |v| {
+            args.set("--idle-timeout", &mut server.net.idle_timeout, |v| {
                 v.parse()
                     .map(|secs| Some(Duration::from_secs(secs)).filter(|_| secs > 0))
             })?;
-            let persist = if args.switch("--no-persist") {
-                args.refuse(&["--state-dir", "--fsync"], "with --no-persist")?;
-                None
+            let durable = ["--state-dir", "--fsync", "--repl-listen", "--follow"];
+            let (persist, repl_listen, follow) = if args.switch("--no-persist") {
+                args.refuse(&durable, "with --no-persist")?;
+                (None, None, None)
             } else {
                 let mut state_dir = "commsched-state".to_string();
                 args.value("--state-dir", &mut state_dir)?;
@@ -426,12 +416,19 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
                     "never" => Ok(FsyncPolicy::Never),
                     _ => Err("need always|on-ack|never"),
                 })?;
-                Some(PersistOptions::new(state_dir).fsync(fsync))
+                let persist = PersistOptions::new(state_dir).fsync(fsync);
+                (
+                    Some(persist),
+                    args.opt("--repl-listen")?,
+                    args.opt("--follow")?,
+                )
             };
-            Command::Serve(Serve {
+            Command::Serve(ClusterConfig {
                 addr,
-                config,
+                server,
                 persist,
+                repl_listen,
+                follow,
             })
         }
         "submit" => {
@@ -452,20 +449,6 @@ pub(super) fn parse_subcommand(args: &mut Args) -> Result<Command, String> {
             };
             args.refuse(&["--points"], &format!("to --type {kind}"))?;
             remote_job(server, instance, points, spec, false)
-        }
-        "cluster" => {
-            let node_id = args.require("--node-id")?;
-            let members = args
-                .take("--members", commsched_cluster::parse_members)?
-                .ok_or("cluster needs --members shard=addr")?;
-            let mut config = ClusterConfig::new(node_id, members, "commsched-cluster-state");
-            args.value("--state-dir", &mut config.state_dir)?;
-            args.set("--repl", &mut config.repl, ReplMode::parse)?;
-            config.repl_listen = args.opt("--repl-listen")?;
-            config.follow = args.opt("--follow")?;
-            args.value("--workers", &mut config.workers)?;
-            core_flags(args, &mut config.core)?;
-            Command::Cluster(config)
         }
         "loadgen" => {
             let server = args.require("--server")?;

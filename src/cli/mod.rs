@@ -1,8 +1,8 @@
-//! Command-line interface plumbing for the `commsched` binary: eleven
+//! Command-line interface plumbing for the `commsched` binary: ten
 //! subcommands, listed with their flags by [`usage`] (`commsched help`).
 //! Four solve in this process (`topology`, `schedule`, `simulate`,
-//! `sweep`), two become a daemon (`serve`, `cluster`), five talk to one
-//! (`submit`, `status`, `metrics`, `faults`, `loadgen`).
+//! `sweep`), one becomes a daemon (`serve`), five talk to one (`submit`,
+//! `status`, `metrics`, `faults`, `loadgen`).
 //! `schedule` and `sweep` accept `--server host:port` to route through a
 //! running daemon (and its distance-table cache) instead of solving
 //! locally, and `--trace-out file.jsonl` to record a kernel-level span
@@ -18,7 +18,7 @@
 //! * `remote` — everything said to a daemon: the one path a remote job
 //!   takes (`schedule --server`, `sweep --server`, `submit`) and the
 //!   other client subcommands;
-//! * `daemon` — `serve` and `cluster`;
+//! * `daemon` — `serve`;
 //! * this file — [`Command`] and [`run`].
 
 mod args;
@@ -32,7 +32,7 @@ use crate::SchedulerOptions;
 use commsched_cluster::ClusterConfig;
 use commsched_netsim::SimConfig;
 use commsched_service::loadgen::LoadgenConfig;
-use commsched_service::{JobSpec, PersistOptions, ServerConfig, TopoRef};
+use commsched_service::{JobSpec, TopoRef};
 use commsched_topology::Topology;
 use std::fmt::Write as _;
 
@@ -138,18 +138,6 @@ pub struct Faults {
     pub event: String,
 }
 
-/// `serve`: the scheduling daemon.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Serve {
-    /// Listen address (`host:port`; port 0 picks an ephemeral one).
-    pub addr: String,
-    /// Workers, queue and cache sizing, connection limits.
-    pub config: ServerConfig,
-    /// Where the snapshot + write-ahead log live and how the log is
-    /// synced; `None` (`--no-persist`) runs fully in memory.
-    pub persist: Option<PersistOptions>,
-}
-
 /// A parsed CLI invocation. Where a library struct already lists a
 /// subcommand's knobs, that struct is what the command holds.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,10 +182,9 @@ pub enum Command {
         /// Optional path to also write the JSON report to.
         out: Option<String>,
     },
-    /// Run the scheduling daemon until a client sends `SHUTDOWN`.
-    Serve(Serve),
-    /// Run one node of a scheduler cluster: the primary or a warm standby.
-    Cluster(ClusterConfig),
+    /// Run the scheduling daemon until a client sends `SHUTDOWN`:
+    /// standalone, a replicating primary, or a warm standby.
+    Serve(ClusterConfig),
 }
 
 /// Execute a parsed command; returns the text to print.
@@ -251,8 +238,7 @@ fn run_inner(cmd: &Command) -> Result<String, String> {
             config,
             out,
         } => remote::loadgen(server, config, out.as_deref()),
-        Command::Serve(cmd) => daemon::serve(cmd),
-        Command::Cluster(config) => daemon::cluster(config),
+        Command::Serve(config) => daemon::serve(config),
     }
 }
 

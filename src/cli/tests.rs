@@ -4,7 +4,7 @@
 use super::*;
 use commsched_netsim::CongestionMode;
 use commsched_search::MapStrategy;
-use commsched_service::{Client, JobKind, Server};
+use commsched_service::{Client, FsyncPolicy, JobKind, PersistOptions, Server, ServerConfig};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -105,13 +105,13 @@ fn parse_scale_flags_round_trip() {
 fn parse_server_subcommands() {
     assert_eq!(
         parsed("serve --addr 127.0.0.1:0 --workers 3"),
-        Command::Serve(Serve {
+        Command::Serve(ClusterConfig {
             addr: "127.0.0.1:0".into(),
-            config: ServerConfig {
+            server: ServerConfig {
                 workers: 3,
                 ..ServerConfig::default()
             },
-            persist: Some(PersistOptions::new("commsched-state")),
+            ..serve_defaults()
         })
     );
     // The documented defaults are the library's.
@@ -123,21 +123,18 @@ fn parse_server_subcommands() {
     config.net.idle_timeout = Some(Duration::from_secs(30));
     assert_eq!(
         parsed("serve --state-dir /tmp/cs-state --fsync never --max-conns 64 --idle-timeout 30"),
-        Command::Serve(Serve {
-            addr: "127.0.0.1:7477".into(),
-            config,
-            persist: Some(
-                PersistOptions::new("/tmp/cs-state").fsync(commsched_service::FsyncPolicy::Never)
-            ),
+        Command::Serve(ClusterConfig {
+            server: config,
+            persist: Some(PersistOptions::new("/tmp/cs-state").fsync(FsyncPolicy::Never)),
+            ..serve_defaults()
         })
     );
     // An in-memory daemon has no state directory to name or sync.
     assert_eq!(
         parsed("serve --no-persist --idle-timeout 0"),
-        Command::Serve(Serve {
-            addr: "127.0.0.1:7477".into(),
-            config: ServerConfig::default(),
+        Command::Serve(ClusterConfig {
             persist: None,
+            ..serve_defaults()
         })
     );
     let err = parse(&argv("serve --state-dir /tmp/cs-state --no-persist")).unwrap_err();
@@ -214,48 +211,46 @@ fn parse_server_subcommands() {
     }
 }
 
+/// What a bare `serve` parses to.
+fn serve_defaults() -> ClusterConfig {
+    ClusterConfig {
+        addr: "127.0.0.1:7477".into(),
+        server: ServerConfig::default(),
+        persist: Some(PersistOptions::new("commsched-state")),
+        repl_listen: None,
+        follow: None,
+    }
+}
+
 #[test]
-fn parse_cluster_subcommand() {
+fn parse_replicating_serve() {
+    // A durable daemon replicates its WAL to followers...
+    let mut server = ServerConfig {
+        workers: 3,
+        ..ServerConfig::default()
+    };
+    server.net.max_connections = 64;
     assert_eq!(
         parsed(
-            "cluster --node-id 1 --members 1=127.0.0.1:7479 \
-             --state-dir /tmp/cs-node1 --repl async --repl-listen 127.0.0.1:7500 \
-             --workers 3"
+            "serve --addr 127.0.0.1:7479 --state-dir /tmp/cs-node1 \
+             --repl-listen 127.0.0.1:7500 --workers 3 --max-conns 64"
         ),
-        Command::Cluster(ClusterConfig {
-            repl: commsched_cluster::ReplMode::Async,
+        Command::Serve(ClusterConfig {
+            addr: "127.0.0.1:7479".into(),
+            server,
+            persist: Some(PersistOptions::new("/tmp/cs-node1")),
             repl_listen: Some("127.0.0.1:7500".into()),
             follow: None,
-            workers: 3,
-            ..ClusterConfig::new(
-                1,
-                commsched_cluster::parse_members("1=127.0.0.1:7479").unwrap(),
-                "/tmp/cs-node1"
-            )
         })
     );
-    // A follower names the primary's replication stream.
-    match parsed("cluster --node-id 0 --members 0=127.0.0.1:7478 --follow 127.0.0.1:7500") {
-        Command::Cluster(config) => {
-            assert_eq!(config.repl, commsched_cluster::ReplMode::Sync);
-            assert_eq!(config.follow, Some("127.0.0.1:7500".into()));
-            assert_eq!(config.core.queue_capacity, 16);
-            assert_eq!(config.core.cache_capacity, 8);
-        }
-        other => panic!("wrong parse: {other:?}"),
-    }
-    assert!(parse(&argv("cluster --members 0=h:1")).is_err(), "node id");
-    assert!(parse(&argv("cluster --node-id 0")).is_err(), "members");
-    // A cluster serves one shard: a second entry is refused, whatever
-    // its id.
-    for members in ["0=h:1,1=h:2", "0=h:1,0=h:2"] {
-        let err =
-            parse(&argv(&format!("cluster --node-id 0 --members {members}"))).expect_err(members);
-        assert!(err.contains("second shard"), "{members}: {err}");
-    }
-    assert!(
-        parse(&argv("cluster --node-id 0 --members 0=h:1 --repl maybe")).is_err(),
-        "repl mode"
+    // ...or stands by, streaming the primary's replication address.
+    assert_eq!(
+        parsed("serve --follow 127.0.0.1:7500 --fsync always"),
+        Command::Serve(ClusterConfig {
+            persist: Some(PersistOptions::new("commsched-state").fsync(FsyncPolicy::Always)),
+            follow: Some("127.0.0.1:7500".into()),
+            ..serve_defaults()
+        })
     );
 }
 
@@ -526,7 +521,6 @@ status --server h:1 --job 1 --seed x => unknown flag --seed
 topology --kind paper24 --adaptive => --adaptive
 serve --seed 1 => --seed
 metrics --server h:1 --job 3 => --job
-cluster --node-id 0 --members 0=h:1 --max-conns 9 => --max-conns
 schedule --kind paper24 --switches 9 => --switches
 schedule --kind ring --degree 3 => --degree
 schedule --kind file --input p --hosts 2 => --hosts
@@ -535,6 +529,10 @@ submit --server h:1 --points 3 => --points
 loadgen --server h:1 --duration -1 => --duration
 loadgen --server h:1 --deadline-ms 250 => unknown flag --deadline-ms
 scenario --arrivals poisson:50 => unknown subcommand 'scenario'
+cluster --node-id 0 --members 0=h:1 => unknown subcommand 'cluster'
+serve --repl sync => unknown flag --repl
+serve --no-persist --follow h:1 => --follow
+serve --no-persist --repl-listen h:1 => --repl-listen
 schedule --kind ring --switches 8 --clusters 2 --weights 1,1 => unknown flag --weights
 simulate --rate --adaptive => --rate
 ";
@@ -557,9 +555,8 @@ topology =>
 schedule => ; --server h:1
 simulate =>
 sweep => ; --server h:1
-serve => ; --no-persist
+serve => ; --no-persist ; --repl-listen h:1 ; --follow h:1
 submit => --server h:1 ; --server h:1 --type sweep
-cluster => --node-id 0 --members 0=h:1
 loadgen => --server h:1
 status => --server h:1 --job 1
 metrics => --server h:1
@@ -603,22 +600,7 @@ fn usage_blocks_list_exactly_the_flags_their_parsers_take() {
 
 #[test]
 fn defaults_are_the_library_structs_own() {
-    assert_eq!(
-        parsed("serve"),
-        Command::Serve(Serve {
-            addr: "127.0.0.1:7477".into(),
-            config: ServerConfig::default(),
-            persist: Some(PersistOptions::new("commsched-state")),
-        })
-    );
-    assert_eq!(
-        parsed("cluster --node-id 0 --members 0=h:1"),
-        Command::Cluster(ClusterConfig::new(
-            0,
-            commsched_cluster::parse_members("0=h:1").unwrap(),
-            "commsched-cluster-state"
-        ))
-    );
+    assert_eq!(parsed("serve"), Command::Serve(serve_defaults()));
     assert_eq!(
         parsed("loadgen --server h:1"),
         Command::Loadgen {

@@ -100,6 +100,6 @@ fn misspelled_flag_is_refused_with_its_subcommands_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--clusers"), "{stderr}");
     assert!(stderr.contains("commsched schedule"), "{stderr}");
-    assert!(!stderr.contains("commsched cluster"), "{stderr}");
+    assert!(!stderr.contains("commsched serve"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing was scheduled first");
 }

@@ -38,11 +38,11 @@ fn free_addr() -> String {
     panic!("no free port below {ephemeral_lo}");
 }
 
-/// Spawn a `commsched cluster` node with its stdout pumped into a
+/// Spawn a `commsched serve` node with its stdout pumped into a
 /// channel, line by line.
 fn spawn_node(args: &[String]) -> (Child, Receiver<String>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_commsched"))
-        .arg("cluster")
+        .arg("serve")
         .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
@@ -90,21 +90,16 @@ fn failover_policy() -> RetryPolicy {
 #[test]
 fn sigkill_mid_stream_promotes_without_losing_acked_jobs() {
     let client_addr = free_addr();
-    let members = format!("0={client_addr}");
     let base = std::env::temp_dir().join(format!("commsched-failover-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let dir_primary = base.join("primary");
     let dir_standby = base.join("standby");
 
     let (mut primary, primary_out) = spawn_node(&[
-        "--node-id".into(),
-        "0".into(),
-        "--members".into(),
-        members.clone(),
+        "--addr".into(),
+        client_addr.clone(),
         "--state-dir".into(),
         dir_primary.to_str().unwrap().into(),
-        "--repl".into(),
-        "sync".into(),
         "--repl-listen".into(),
         "127.0.0.1:0".into(),
     ]);
@@ -120,19 +115,15 @@ fn sigkill_mid_stream_promotes_without_losing_acked_jobs() {
         .to_string();
     await_line(
         &primary_out,
-        "primary listening on ",
+        "commsched-service listening on ",
         Duration::from_secs(10),
     );
 
     let (mut standby, standby_out) = spawn_node(&[
-        "--node-id".into(),
-        "0".into(),
-        "--members".into(),
-        members.clone(),
+        "--addr".into(),
+        client_addr.clone(),
         "--state-dir".into(),
         dir_standby.to_str().unwrap().into(),
-        "--repl".into(),
-        "sync".into(),
         "--follow".into(),
         repl_addr,
     ]);
@@ -140,7 +131,7 @@ fn sigkill_mid_stream_promotes_without_losing_acked_jobs() {
 
     // Live traffic: one writer thread submitting NOOPs, reconnecting
     // (with backoff) whenever its connection dies. Every id it records
-    // was acked to it — under repl=sync, acked means replicated.
+    // was acked to it, and acked means replicated.
     let acked = Arc::new(Mutex::new(Vec::<u64>::new()));
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
@@ -177,7 +168,7 @@ fn sigkill_mid_stream_promotes_without_losing_acked_jobs() {
 
     await_line(
         &standby_out,
-        "promoted, listening on ",
+        "commsched-service listening on ",
         Duration::from_secs(30),
     );
 
