@@ -230,13 +230,6 @@ impl ProcessMapping {
     pub fn partition(&self) -> &Partition {
         &self.partition
     }
-
-    /// All workstations whose processes belong to `cluster`.
-    pub fn hosts_in_cluster(&self, cluster: ClusterId) -> Vec<usize> {
-        (0..self.num_hosts())
-            .filter(|&h| self.host_cluster[h] == cluster)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +305,7 @@ mod tests {
             let s = m.switch_of_host(h);
             assert_eq!(m.cluster_of_host(h), p.cluster_of(s));
         }
-        assert_eq!(m.hosts_in_cluster(0), (0..8).collect::<Vec<_>>());
+        assert_eq!(m.host_clusters(), [[0; 8], [1; 8]].concat());
     }
 
     #[test]
@@ -335,7 +328,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let p = Partition::random(4, &[1, 3], &mut rng).unwrap();
         let m = ProcessMapping::place(&t, &wl, &p).unwrap();
-        assert_eq!(m.hosts_in_cluster(0).len(), 4);
-        assert_eq!(m.hosts_in_cluster(1).len(), 12);
+        let in_cluster = |c| m.host_clusters().iter().filter(|&&h| h == c).count();
+        assert_eq!((in_cluster(0), in_cluster(1)), (4, 12));
     }
 }

@@ -20,15 +20,6 @@ impl Matrix {
         }
     }
 
-    /// Build from a row-major vector.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "shape mismatch");
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -170,7 +161,11 @@ mod tests {
     #[test]
     fn solve_2x2() {
         // [2 1; 1 3] x = [5; 10] -> x = [1; 3]
-        let a = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
+        let a = Matrix {
+            rows: 2,
+            cols: 2,
+            data: vec![2.0, 1.0, 1.0, 3.0],
+        };
         let x = solve(a, vec![5.0, 10.0]).unwrap();
         assert_close(x[0], 1.0);
         assert_close(x[1], 3.0);
@@ -179,7 +174,11 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // Zero on the diagonal forces a row swap.
-        let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
+        let a = Matrix {
+            rows: 2,
+            cols: 2,
+            data: vec![0.0, 1.0, 1.0, 0.0],
+        };
         let x = solve(a, vec![2.0, 3.0]).unwrap();
         assert_close(x[0], 3.0);
         assert_close(x[1], 2.0);
@@ -187,7 +186,11 @@ mod tests {
 
     #[test]
     fn singular_detected() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
+        let a = Matrix {
+            rows: 2,
+            cols: 2,
+            data: vec![1.0, 2.0, 2.0, 4.0],
+        };
         assert_eq!(solve(a, vec![1.0, 2.0]), Err(LinalgError::Singular));
     }
 
@@ -220,7 +223,11 @@ mod tests {
 
     #[test]
     fn mul_vec_basic() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let a = Matrix {
+            rows: 2,
+            cols: 3,
+            data: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        };
         assert_eq!(a.mul_vec(&[1.0, 1.0, 1.0]), vec![6.0, 15.0]);
     }
 }

@@ -90,12 +90,6 @@ impl SimConfig {
         self
     }
 
-    /// This configuration with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Validate the configuration.
     ///
     /// # Errors
@@ -148,9 +142,8 @@ mod tests {
 
     #[test]
     fn builders_set_fields() {
-        let c = SimConfig::default().with_rate(0.4).with_seed(9);
+        let c = SimConfig::default().with_rate(0.4);
         assert_eq!(c.injection_rate, 0.4);
-        assert_eq!(c.seed, 9);
     }
 
     #[test]

@@ -728,8 +728,8 @@ mod tests {
             measure_cycles: 2_000,
             ..Default::default()
         };
-        let a = simulate(&topo, &routing, &clusters, cfg.with_seed(1)).unwrap();
-        let b = simulate(&topo, &routing, &clusters, cfg.with_seed(2)).unwrap();
+        let a = simulate(&topo, &routing, &clusters, SimConfig { seed: 1, ..cfg }).unwrap();
+        let b = simulate(&topo, &routing, &clusters, SimConfig { seed: 2, ..cfg }).unwrap();
         assert_ne!(a.delivered_flits, b.delivered_flits);
     }
 

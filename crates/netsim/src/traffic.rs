@@ -107,11 +107,6 @@ impl TrafficPattern {
         self.host_procs[host][0]
     }
 
-    /// Clusters of every process on a workstation.
-    pub fn clusters_of(&self, host: usize) -> &[usize] {
-        &self.host_procs[host]
-    }
-
     /// Whether any of `host`'s processes has a peer on another
     /// workstation.
     pub fn has_peer(&self, host: usize) -> bool {
@@ -325,7 +320,7 @@ mod tests {
             assert!(d < 3);
         }
         assert!(p.has_peer(0));
-        assert_eq!(p.clusters_of(0), &[0, 1]);
+        assert_eq!(p.host_procs[0], [0, 1]);
     }
 
     #[test]

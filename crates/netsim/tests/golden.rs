@@ -131,8 +131,9 @@ fn daemon_sim() -> SimConfig {
 }
 
 /// Everything a `paper_sweep` reports, as text, once it has read the same
-/// at `threads` 1, 2 and 3 (the bisection's widths: the midpoint alone,
-/// plus the next one below, plus the next one above).
+/// at `threads` 1, 2 and 3 (the saturation search's widths: 1 runs the
+/// serial probe sequence, 2 the needed probe plus a predicted next one,
+/// 3 the needed probe plus the next one under both of its outcomes).
 fn sweep_text(topo: &Topology, hosts: &[usize], sim: SimConfig, cfg: SweepConfig) -> String {
     let routing = UpDownRouting::new(topo, 0).unwrap();
     let texts = [1, 2, 3].map(|threads| {

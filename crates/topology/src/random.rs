@@ -153,47 +153,6 @@ fn try_pairing(
     }
 }
 
-/// Draw a random connected *irregular* topology where each switch's degree
-/// is sampled uniformly from `[min_degree, max_degree]` (clamped so the stub
-/// count is even). Used by the extended evaluation for "other network
-/// examples".
-///
-/// # Errors
-/// See [`RandomTopologyError`].
-pub fn random_irregular<R: Rng + ?Sized>(
-    switches: usize,
-    min_degree: usize,
-    max_degree: usize,
-    hosts_per_switch: usize,
-    rng: &mut R,
-) -> Result<Topology, RandomTopologyError> {
-    if switches == 0 || max_degree >= switches || min_degree > max_degree || min_degree == 0 {
-        return Err(RandomTopologyError::DegreeTooLarge {
-            switches,
-            degree: max_degree,
-        });
-    }
-    const MAX_ATTEMPTS: usize = 10_000;
-    let mut stubs: Vec<usize> = Vec::new();
-    for _ in 0..MAX_ATTEMPTS {
-        stubs.clear();
-        for s in 0..switches {
-            let d = rng.gen_range(min_degree..=max_degree);
-            stubs.extend(std::iter::repeat_n(s, d));
-        }
-        if !stubs.len().is_multiple_of(2) {
-            // Add one stub to a random low-degree switch to even the count.
-            let extra = rng.gen_range(0..switches);
-            stubs.push(extra);
-        }
-        stubs.shuffle(rng);
-        if let Some(topo) = try_pairing(&stubs, switches, hosts_per_switch, max_degree + 1)? {
-            return Ok(topo);
-        }
-    }
-    Err(RandomTopologyError::AttemptsExhausted(MAX_ATTEMPTS))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,28 +249,5 @@ mod tests {
         .unwrap();
         assert_eq!(t.num_links(), 6);
         assert_eq!(t.diameter(), Some(1));
-    }
-
-    #[test]
-    fn irregular_degrees_within_bounds() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let t = random_irregular(20, 2, 4, 4, &mut rng).unwrap();
-        assert!(t.is_connected());
-        for s in 0..20 {
-            // One switch may have picked up the evening-out extra stub.
-            assert!(
-                t.degree(s) >= 2 && t.degree(s) <= 5,
-                "degree {}",
-                t.degree(s)
-            );
-        }
-    }
-
-    #[test]
-    fn irregular_rejects_bad_params() {
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(random_irregular(4, 0, 2, 1, &mut rng).is_err());
-        assert!(random_irregular(4, 3, 2, 1, &mut rng).is_err());
-        assert!(random_irregular(4, 2, 4, 1, &mut rng).is_err());
     }
 }
