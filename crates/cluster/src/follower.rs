@@ -21,7 +21,7 @@ use commsched_service::persist::wal::fnv1a;
 use commsched_service::persist::{PersistOptions, Persistence, SNAPSHOT_FILE};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,32 +40,11 @@ pub enum FollowExit {
     Stopped,
 }
 
-/// Follower knobs.
-#[derive(Debug, Clone)]
-pub struct FollowerConfig {
-    /// The primary's replication listener (`host:port`).
-    pub primary: String,
-    /// Local state directory the stream is persisted into.
-    pub state_dir: PathBuf,
-    /// Consecutive failed connect attempts before declaring the
-    /// primary dead.
-    pub max_reconnects: u32,
-    /// Pause between reconnect attempts.
-    pub reconnect_delay: Duration,
-}
-
-impl FollowerConfig {
-    /// Defaults: 5 reconnects 200ms apart (a ~1s detection
-    /// window on top of TCP's own failure latency).
-    pub fn new(primary: impl Into<String>, state_dir: impl Into<PathBuf>) -> Self {
-        Self {
-            primary: primary.into(),
-            state_dir: state_dir.into(),
-            max_reconnects: 5,
-            reconnect_delay: Duration::from_millis(200),
-        }
-    }
-}
+/// Consecutive failed connect attempts before the primary is declared
+/// dead, and the pause between them: a ~1 s detection window on top of
+/// TCP's own failure latency.
+const MAX_RECONNECTS: u32 = 5;
+const RECONNECT_DELAY: Duration = Duration::from_millis(200);
 
 /// Shared progress counters, readable while [`run_follower`] runs.
 #[derive(Debug, Default)]
@@ -123,33 +102,35 @@ fn take_frames(buf: &mut Vec<u8>) -> Result<Vec<Vec<u8>>, String> {
     Ok(out)
 }
 
-/// Stream the primary's records into `config.state_dir` until the
-/// primary dies or `stop` is raised. Progress is visible through
+/// Stream the records of the primary replicating on `primary`
+/// (`host:port`) into `state_dir` until the primary dies or `stop` is
+/// raised. Progress is visible through
 /// `progress` (pass a fresh [`FollowerProgress`]).
 ///
 /// # Errors
 /// Local filesystem failures (the one thing a follower cannot retry
 /// around).
 pub fn run_follower(
-    config: &FollowerConfig,
+    primary: &str,
+    state_dir: &Path,
     stop: &AtomicBool,
     progress: &Arc<FollowerProgress>,
 ) -> Result<FollowExit, String> {
-    std::fs::create_dir_all(&config.state_dir)
-        .map_err(|e| format!("state dir {}: {e}", config.state_dir.display()))?;
+    std::fs::create_dir_all(state_dir)
+        .map_err(|e| format!("state dir {}: {e}", state_dir.display()))?;
     let mut failures = 0u32;
     loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(FollowExit::Stopped);
         }
-        match follow_once(config, stop, progress) {
+        match follow_once(primary, state_dir, stop, progress) {
             Ok(FollowExit::Stopped) => return Ok(FollowExit::Stopped),
             Ok(FollowExit::PrimaryDead) | Err(_) => {
                 failures += 1;
-                if failures >= config.max_reconnects {
+                if failures >= MAX_RECONNECTS {
                     return Ok(FollowExit::PrimaryDead);
                 }
-                std::thread::sleep(config.reconnect_delay);
+                std::thread::sleep(RECONNECT_DELAY);
             }
         }
     }
@@ -159,11 +140,12 @@ pub fn run_follower(
 /// refused connects and mid-stream EOF alike — the caller counts
 /// consecutive failures.
 fn follow_once(
-    config: &FollowerConfig,
+    primary: &str,
+    state_dir: &Path,
     stop: &AtomicBool,
     progress: &Arc<FollowerProgress>,
 ) -> Result<FollowExit, String> {
-    let Ok(mut stream) = TcpStream::connect(&config.primary) else {
+    let Ok(mut stream) = TcpStream::connect(primary) else {
         return Ok(FollowExit::PrimaryDead);
     };
     let _ = stream.set_nodelay(true);
@@ -173,14 +155,14 @@ fn follow_once(
     // stream verbatim, so replaying it (cheap: text records) recounts
     // exactly what we have. Done per-connect to survive process
     // restarts without a separate (and desyncable) counter file.
-    let persist = Persistence::open(PersistOptions::new(&config.state_dir))
+    let persist = Persistence::open(PersistOptions::new(state_dir))
         .map_err(|e| format!("open follower state: {e}"))?;
     let mut have = persist
         .replay_wal()
         .map_err(|e| format!("replay follower wal: {e}"))?
         .records
         .len();
-    let stored_nonce = load_nonce(&config.state_dir);
+    let stored_nonce = load_nonce(state_dir);
 
     let hello = format!("REPL FOLLOW {stored_nonce:016x} {have}\n");
     if stream.write_all(hello.as_bytes()).is_err() {
@@ -197,8 +179,8 @@ fn follow_once(
         persist
             .with_wal(|wal| wal.truncate())
             .map_err(|e| format!("truncate follower wal: {e}"))?;
-        let _ = std::fs::remove_file(config.state_dir.join(SNAPSHOT_FILE));
-        store_nonce(&config.state_dir, nonce).map_err(|e| format!("store nonce: {e}"))?;
+        let _ = std::fs::remove_file(state_dir.join(SNAPSHOT_FILE));
+        store_nonce(state_dir, nonce).map_err(|e| format!("store nonce: {e}"))?;
         have = 0;
     }
     if start != have {

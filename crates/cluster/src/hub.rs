@@ -154,11 +154,6 @@ impl ReplicationHub {
         self.listen_addr
     }
 
-    /// This incarnation's stream nonce.
-    pub fn nonce(&self) -> u64 {
-        self.nonce
-    }
-
     /// Stop accepting and streaming; follower connections die and the
     /// listener thread joins.
     pub fn shutdown(&self) {

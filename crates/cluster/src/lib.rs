@@ -23,6 +23,6 @@ pub mod follower;
 pub mod hub;
 pub mod node;
 
-pub use follower::{FollowExit, FollowerConfig, FollowerProgress};
+pub use follower::FollowerProgress;
 pub use hub::ReplicationHub;
 pub use node::{follow_and_promote, start, ClusterConfig, ClusterNode};

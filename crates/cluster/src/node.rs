@@ -7,7 +7,7 @@
 //! a client that reconnects finds it there. Replication is WAL shipping,
 //! so both a primary and a standby need a state directory.
 
-use crate::follower::{run_follower, FollowExit, FollowerConfig, FollowerProgress};
+use crate::follower::{run_follower, FollowExit, FollowerProgress};
 use crate::hub::ReplicationHub;
 use commsched_service::persist::PersistOptions;
 use commsched_service::{
@@ -51,19 +51,9 @@ impl ClusterNode {
         self.handle.addr()
     }
 
-    /// The service core (stats, registry, direct submits in tests).
-    pub fn core(&self) -> &Arc<ServiceCore> {
-        self.handle.core()
-    }
-
     /// The replication hub, when this node replicates.
     pub fn hub(&self) -> Option<&Arc<ReplicationHub>> {
         self.hub.as_ref()
-    }
-
-    /// Whether the front end has stopped serving.
-    pub fn is_stopped(&self) -> bool {
-        self.handle.is_stopped()
     }
 
     /// Drain and stop: jobs finish, the hub stops streaming.
@@ -168,14 +158,13 @@ pub fn follow_and_promote(
 ) -> Result<Option<ClusterNode>, String> {
     let primary = config
         .follow
-        .clone()
+        .as_deref()
         .ok_or("a standby needs the primary's replication address")?;
     let persist = config
         .persist
         .as_ref()
         .ok_or("a standby needs a state directory")?;
-    let fc = FollowerConfig::new(primary, persist.state_dir());
-    match run_follower(&fc, stop, progress)? {
+    match run_follower(primary, persist.state_dir(), stop, progress)? {
         FollowExit::Stopped => Ok(None),
         FollowExit::PrimaryDead if stop.load(Ordering::SeqCst) => Ok(None),
         FollowExit::PrimaryDead => start_as(config, true).map(Some),

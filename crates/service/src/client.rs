@@ -495,8 +495,7 @@ impl Client {
     }
 
     /// The server's cluster description: `Ok(None)` for a standalone
-    /// daemon, `Ok(Some(lines))` (node id, role, member table) for a
-    /// cluster node.
+    /// daemon, `Ok(Some(lines))` (its role) for a cluster node.
     ///
     /// # Errors
     /// See [`ClientError`].

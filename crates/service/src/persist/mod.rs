@@ -47,8 +47,8 @@ pub use wal::WalTap;
 /// fault) *after* releasing the WAL lock, so implementations may block
 /// on follower acknowledgements without stalling concurrent appends.
 pub trait ReplicationSink: wal::WalTap {
-    /// Block until every record published so far is replicated per the
-    /// configured policy. A no-op for asynchronous replication.
+    /// Block until every record published so far is replicated (or the
+    /// implementation gives up waiting and counts it).
     fn barrier(&self);
 
     /// `key value` lines describing replication state, appended to the

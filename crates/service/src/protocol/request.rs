@@ -51,9 +51,8 @@ pub enum Request {
     },
     /// Capability probe: what protocols/extensions this server speaks.
     Caps,
-    /// Cluster probe: shard id, role, and the member table of the
-    /// cluster this node belongs to (a single-line `OK standalone` for
-    /// non-clustered daemons).
+    /// Cluster probe: this node's role in its cluster (a single-line
+    /// `OK standalone` for non-clustered daemons).
     Cluster,
     /// Service counters and histograms.
     Stats,

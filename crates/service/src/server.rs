@@ -20,8 +20,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// What a cluster node reports about itself, fixed when it binds: the
-/// body lines of `CLUSTER` (node id, role, the member table) and the
-/// extra `key value` lines appended to `STATS`. A standalone daemon has
+/// body lines of `CLUSTER` (its role) and any extra `key value` lines
+/// appended to `STATS`. A standalone daemon has
 /// none, and answers `CLUSTER` with `OK standalone`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterInfo {
