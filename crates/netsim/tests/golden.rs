@@ -18,6 +18,11 @@
 //! the bracket, and one under PFC whose probes end stuck. Every sweep
 //! line, `paper24-sweep` included, now runs at `threads` 1, 2 and 3
 //! against its one digest.
+//!
+//! The three `*-intracluster` lines were recorded on the engine that
+//! still drew intercluster destinations, as the intracluster twins of
+//! the slowed-link and stuck-PFC cases: each places its applications so
+//! that their own traffic crosses the slowed links.
 
 use commsched_netsim::{
     paper_sweep, regime_configs, CongestionMode, SimConfig, Simulator, SweepConfig, TrafficPattern,
@@ -30,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// `(case, fnv1a-64 of its report text)`.
-const GOLDEN: [(&str, &str); 21] = [
+const GOLDEN: [(&str, &str); 24] = [
     // `paper24` of benchmark/baseline/netsim-digests.txt: the same
     // inputs, the same text, so tier-1 and the benchmark pin one value.
     ("paper24-sweep", "395d9fef222b9742"),
@@ -45,6 +50,8 @@ const GOLDEN: [(&str, &str); 21] = [
     ("misroute-budget-4", "e4c3fd77205e1778"),
     ("slow-link-intercluster", "f6232c92c1ce38a5"),
     ("duato-slow-link-intercluster", "725476d9b7642ffb"),
+    ("slow-link-intracluster", "62081d6e7e32ffc7"),
+    ("duato-slow-link-intracluster", "0820160b770f861e"),
     ("kill-stall-restore", "43c17ceba6e30b47"),
     ("kill-stall-restore-pfc", "5a372d033c404c28"),
     ("kill-stall-restore-duato", "59a6f1170cdb8cef"),
@@ -54,6 +61,7 @@ const GOLDEN: [(&str, &str); 21] = [
     ("sweep-paper16-seed163", "0a71b1178849ce5c"),
     ("sweep-paper16-max-rate-cap", "68ed49ff8e9c4fd6"),
     ("sweep-pfc-stuck-probes", "fd5c570038b8168b"),
+    ("sweep-pfc-stuck-probes-intracluster", "2b09116ac63c1ab6"),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -187,11 +195,11 @@ fn a_max_rate_cap_ends_the_bracket() {
     check("sweep-paper16-max-rate-cap", &text);
 }
 
-#[test]
-fn a_pfc_sweep_whose_probes_end_stuck() {
-    // A ring cut at 3-4 and closed by a link that carries a flit every
-    // eighth cycle: with a 6-cycle watchdog, a lone message waiting on it
-    // reads as stuck, so all but the lightest probes end that way.
+/// A ring cut at 3-4 and closed by a link that carries a flit every
+/// eighth cycle: with a 6-cycle watchdog, a lone message waiting on it
+/// reads as stuck, so all but the lightest probes of a PFC sweep end
+/// that way. Returns the sweep's text.
+fn pfc_stuck_sweep(case: &str, hosts: &[usize], sim: SimConfig) -> String {
     let topo = TopologyBuilder::new(8, 2)
         .links([(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 0)])
         .link_with_slowdown(3, 4, 8)
@@ -202,12 +210,37 @@ fn a_pfc_sweep_whose_probes_end_stuck() {
         measure_cycles: 1_500,
         congestion: CongestionMode::Pfc,
         deadlock_threshold: 6,
-        intercluster_fraction: 0.3,
-        ..daemon_sim()
+        ..sim
     };
-    let text = sweep_text(&topo, &small_clusters(), sim, SweepConfig::default());
+    let text = sweep_text(&topo, hosts, sim, SweepConfig::default());
     assert!(text.contains("deadlocked: true"), "{text}");
-    check("sweep-pfc-stuck-probes", &text);
+    check(case, &text);
+    text
+}
+
+#[test]
+fn a_pfc_sweep_whose_probes_end_stuck() {
+    let _ = pfc_stuck_sweep(
+        "sweep-pfc-stuck-probes",
+        &small_clusters(),
+        SimConfig {
+            intercluster_fraction: 0.3,
+            ..daemon_sim()
+        },
+    );
+}
+
+#[test]
+fn a_pfc_sweep_of_intracluster_traffic_whose_probes_end_stuck() {
+    // Two applications on alternate switches: each one's own traffic
+    // runs round the ring, the slowed link included.
+    let hosts: Vec<usize> = (0..16).map(|h| (h / 2) % 2).collect();
+    let text = pfc_stuck_sweep("sweep-pfc-stuck-probes-intracluster", &hosts, daemon_sim());
+    let mut paused = text.split("stall_paused_flits: ").skip(1);
+    assert!(
+        paused.any(|t| !t.starts_with('0')),
+        "no probe stalled behind a pause: {text}"
+    );
 }
 
 #[test]
@@ -267,8 +300,10 @@ fn misroute_budgets_under_overload() {
     }
 }
 
-#[test]
-fn slowed_links_with_intercluster_traffic() {
+/// A ring of four with two slowed links, under the base router and
+/// under Duato's protocol, checked as `slow-link-{suffix}` and
+/// `duato-slow-link-{suffix}`.
+fn slowed_links(suffix: &str, clusters: Vec<usize>, cfg: SimConfig) {
     let topo = TopologyBuilder::new(4, 2)
         .link(0, 1)
         .link_with_slowdown(1, 2, 3)
@@ -276,18 +311,12 @@ fn slowed_links_with_intercluster_traffic() {
         .link_with_slowdown(3, 0, 2)
         .build()
         .unwrap();
-    let cfg = SimConfig {
-        injection_rate: 0.3,
-        intercluster_fraction: 0.3,
-        ..small_cfg()
-    };
-    let clusters = vec![0, 0, 0, 0, 1, 1, 1, 1];
     check(
-        "slow-link-intercluster",
+        &format!("slow-link-{suffix}"),
         &run_text(&topo, clusters.clone(), cfg),
     );
     check(
-        "duato-slow-link-intercluster",
+        &format!("duato-slow-link-{suffix}"),
         &run_text(
             &topo,
             clusters,
@@ -297,6 +326,33 @@ fn slowed_links_with_intercluster_traffic() {
                 ..cfg
             },
         ),
+    );
+}
+
+#[test]
+fn slowed_links_with_intracluster_traffic() {
+    // Each application holds the two ends of a slowed link (3-0 and
+    // 1-2), so its own traffic crosses it.
+    slowed_links(
+        "intracluster",
+        vec![0, 0, 1, 1, 1, 1, 0, 0],
+        SimConfig {
+            injection_rate: 0.3,
+            ..small_cfg()
+        },
+    );
+}
+
+#[test]
+fn slowed_links_with_intercluster_traffic() {
+    slowed_links(
+        "intercluster",
+        vec![0, 0, 0, 0, 1, 1, 1, 1],
+        SimConfig {
+            injection_rate: 0.3,
+            intercluster_fraction: 0.3,
+            ..small_cfg()
+        },
     );
 }
 
