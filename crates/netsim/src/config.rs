@@ -35,9 +35,6 @@ pub struct SimConfig {
     pub measure_cycles: u64,
     /// RNG seed (message generation and destination sampling).
     pub seed: u64,
-    /// Extension (future work): fraction of traffic sent outside the own
-    /// logical cluster (0.0 in all paper experiments).
-    pub intercluster_fraction: f64,
     /// Cycles without any flit movement (while messages are in flight)
     /// after which the run is declared deadlocked.
     pub deadlock_threshold: u64,
@@ -72,7 +69,6 @@ impl Default for SimConfig {
             warmup_cycles: 2_000,
             measure_cycles: 8_000,
             seed: 0xC0FFEE,
-            intercluster_fraction: 0.0,
             deadlock_threshold: 20_000,
             virtual_channels: 1,
             fully_adaptive: false,
@@ -103,9 +99,6 @@ impl SimConfig {
         }
         if !(0.0..=f64::from(u16::MAX)).contains(&self.injection_rate) {
             return Err("injection_rate must be non-negative and finite");
-        }
-        if !(0.0..=1.0).contains(&self.intercluster_fraction) {
-            return Err("intercluster_fraction must be in [0, 1]");
         }
         if self.measure_cycles == 0 {
             return Err("measure_cycles must be positive");
@@ -162,12 +155,6 @@ mod tests {
         .is_err());
         assert!(SimConfig {
             injection_rate: -0.1,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(SimConfig {
-            intercluster_fraction: 1.5,
             ..Default::default()
         }
         .validate()

@@ -8,11 +8,8 @@ use std::ops::Range;
 
 impl Simulator<'_> {
     /// First free VC of `out_phys` among indices `vcs`; `None` if all
-    /// busy or the channel is dead.
+    /// busy.
     pub(super) fn free_vc(&self, out_phys: PhysId, vcs: Range<usize>) -> Option<VcId> {
-        if self.phys[out_phys].dead {
-            return None;
-        }
         vcs.map(|v| self.vc_id(out_phys, v))
             .find(|&id| self.vcs[id].owner.is_none())
     }
@@ -24,10 +21,10 @@ impl Simulator<'_> {
         self.claim_injection_vcs();
         // CORRECTNESS: a skipped switch visit grants nothing. What
         // `free_vc` answers for a header waiting at `s` changes only when
-        // a VC of an output channel of `s` is released or a link at `s`
-        // is killed or restored, and a header's candidate set only when
-        // it is granted; each of those, and a header's arrival, sets
-        // `woken[s]` (one flag read per switch is all a quiet cycle costs).
+        // a VC of an output channel of `s` is released, and a header's
+        // candidate set only when it is granted; each of those, and a
+        // header's arrival, sets `woken[s]` (one flag read per switch is
+        // all a quiet cycle costs).
         // A pause or a slow link's duty cycle never enters `free_vc`.
         for s in 0..self.visits.woken.len() {
             if std::mem::take(&mut self.visits.woken[s]) {

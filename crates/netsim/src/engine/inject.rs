@@ -11,10 +11,9 @@ impl Simulator<'_> {
     pub(super) fn set_injection_rate(&mut self, rate: f64) {
         self.cfg.injection_rate = rate;
         self.draw_p = (rate / self.cfg.msg_len as f64).min(1.0);
-        let anywhere = self.cfg.intercluster_fraction != 0.0;
         self.sources = if self.draw_p > 0.0 {
             (0..self.pattern.num_hosts())
-                .filter(|&host| anywhere || self.pattern.has_peer(host))
+                .filter(|&host| self.pattern.has_peer(host))
                 .collect()
         } else {
             Vec::new()
@@ -30,10 +29,7 @@ impl Simulator<'_> {
             if self.rng.gen::<f64>() >= p {
                 continue;
             }
-            let Some(dst) =
-                self.pattern
-                    .destination(host, self.cfg.intercluster_fraction, &mut self.rng)
-            else {
+            let Some(dst) = self.pattern.destination(host, &mut self.rng) else {
                 continue;
             };
             let id = self.messages.len() as MsgId;
@@ -160,40 +156,6 @@ mod tests {
             let b = simulate(&topo, &routing, &clusters, cfg).unwrap();
             assert_eq!(a, b, "{name}: repeat run diverged");
         }
-    }
-
-    #[test]
-    fn multi_process_time_sharing_runs_clean() {
-        // Relaxed one-process-per-processor: every workstation of a 2-ring
-        // campus runs one process of each application, so all traffic is
-        // intracluster yet spans the whole machine.
-        use crate::traffic::DestinationPolicy;
-        let topo = designed::ring_of_rings(2, 4, 2); // 8 switches, 16 hosts
-        let routing = updown(&topo);
-        let shared: Vec<Vec<usize>> = (0..16).map(|_| vec![0, 1]).collect();
-        let pattern = TrafficPattern::multi_process(shared, DestinationPolicy::Uniform);
-        let cfg = SimConfig {
-            injection_rate: 0.1,
-            warmup_cycles: 500,
-            measure_cycles: 3_000,
-            seed: 50,
-            ..Default::default()
-        };
-        let mut sim = Simulator::new(&topo, &routing, pattern, cfg).unwrap();
-        let shared_stats = sim.run();
-        assert!(!shared_stats.deadlocked);
-        assert!(shared_stats.delivered_messages > 0);
-
-        // Dedicated placement (one app per ring) keeps traffic local and
-        // must show lower latency at the same offered load.
-        let dedicated: Vec<usize> = (0..16).map(|h| (h / 2) / 4).collect();
-        let ded_stats = simulate(&topo, &routing, &dedicated, cfg).unwrap();
-        assert!(
-            ded_stats.avg_network_latency < shared_stats.avg_network_latency,
-            "dedicated {} vs shared {}",
-            ded_stats.avg_network_latency,
-            shared_stats.avg_network_latency
-        );
     }
 
     #[test]

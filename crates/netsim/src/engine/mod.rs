@@ -109,13 +109,6 @@ pub enum SimError {
         /// Switches in the router.
         routing: usize,
     },
-    /// A link-kill/restore named a pair of switches with no link.
-    NoSuchLink {
-        /// One endpoint.
-        a: SwitchId,
-        /// The other endpoint.
-        b: SwitchId,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -127,9 +120,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::RoutingMismatch { topology, routing } => {
                 write!(f, "topology has {topology} switches, routing {routing}")
-            }
-            SimError::NoSuchLink { a, b } => {
-                write!(f, "no link between switches {a} and {b}")
             }
         }
     }
@@ -232,16 +222,13 @@ impl VirtualChannel {
 }
 
 /// One physical channel: its kind, the round-robin arbitration pointer
-/// over its VCs, its slowdown period (a flit may cross only on cycles
-/// divisible by `period`; 1 = full speed), and whether a mid-run fault
-/// has killed it (a dead channel transmits nothing and is never granted
-/// to a new header — flits are stalled, never dropped).
+/// over its VCs and its slowdown period (a flit may cross only on cycles
+/// divisible by `period`; 1 = full speed).
 #[derive(Debug, Clone)]
 struct PhysChannel {
     kind: ChannelKind,
     rr: usize,
     period: u64,
-    dead: bool,
 }
 
 impl PhysChannel {
@@ -250,7 +237,6 @@ impl PhysChannel {
             kind,
             rr: 0,
             period,
-            dead: false,
         }
     }
 }
@@ -517,46 +503,6 @@ impl<'a> Simulator<'a> {
         links.iter().copied().max().unwrap_or(0)
     }
 
-    /// Kill the link between switches `a` and `b` mid-run: both of its
-    /// directed channels stop transmitting and are never granted to new
-    /// headers. Flits already buffered past the wire continue; flits that
-    /// would cross it stall in place (the wormhole chain behind them
-    /// stalls too, so delivered traffic degrades — no flit is dropped,
-    /// and [`Simulator::restore_link`] lets the stalled traffic resume).
-    ///
-    /// Idempotent per link. The routing is *not* recomputed: headers
-    /// keep proposing the dead hop and skip it, which models the window
-    /// between a hardware fault and the reconfiguration that installs
-    /// new routing tables.
-    ///
-    /// # Errors
-    /// [`SimError::NoSuchLink`] when no link joins `a` and `b`.
-    pub fn kill_link(&mut self, a: SwitchId, b: SwitchId) -> Result<(), SimError> {
-        self.set_link_dead(a, b, true)
-    }
-
-    /// Bring a killed link back; stalled wormholes resume where they
-    /// stopped.
-    ///
-    /// # Errors
-    /// [`SimError::NoSuchLink`] when no link joins `a` and `b`.
-    pub fn restore_link(&mut self, a: SwitchId, b: SwitchId) -> Result<(), SimError> {
-        self.set_link_dead(a, b, false)
-    }
-
-    fn set_link_dead(&mut self, a: SwitchId, b: SwitchId, dead: bool) -> Result<(), SimError> {
-        let link = self
-            .topo
-            .link_between(a.min(b), a.max(b))
-            .ok_or(SimError::NoSuchLink { a, b })?;
-        self.phys[2 * link].dead = dead;
-        self.phys[2 * link + 1].dead = dead;
-        // A link event changes what the headers at its two ends may claim.
-        self.visits.woken[a] = true;
-        self.visits.woken[b] = true;
-        Ok(())
-    }
-
     /// The current simulated cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -578,9 +524,8 @@ impl<'a> Simulator<'a> {
     }
 
     /// Advance `cycles` cycles; returns `true` if the deadlock watchdog
-    /// fired. Public so callers can step the simulator manually around
-    /// mid-run events ([`Simulator::kill_link`]) instead of using the
-    /// one-shot [`Simulator::run`] windows.
+    /// fired. Public so callers can step the simulator manually instead
+    /// of using the one-shot [`Simulator::run`] windows.
     pub fn advance(&mut self, cycles: u64) -> bool {
         let end = self.cycle + cycles;
         while self.cycle < end {
@@ -712,7 +657,7 @@ mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::{assert_drains_conserved, tiny, updown};
+    use super::testutil::{tiny, updown};
     use super::*;
     use commsched_routing::UpDownRouting;
     use commsched_topology::designed;
@@ -779,77 +724,6 @@ mod tests {
         );
         let injected = sim.host_injected_flits();
         assert!(injected.iter().all(|&f| f > 0));
-    }
-
-    #[test]
-    fn mid_run_link_kill_degrades_delivered_traffic() {
-        // Ring of 6, two clusters of three switches: intracluster traffic
-        // crosses the intra-cluster ring links. Killing one mid-run stalls
-        // the wormholes that need it and lowers the delivered rate.
-        let topo = designed::ring(6, 2);
-        let routing = updown(&topo);
-        let clusters: Vec<usize> = (0..12).map(|h| h / 6).collect();
-        let pattern = TrafficPattern::new(clusters);
-        let cfg = SimConfig {
-            injection_rate: 0.3,
-            warmup_cycles: 0,
-            measure_cycles: 1_000,
-            seed: 40,
-            ..Default::default()
-        };
-        let mut sim = Simulator::new(&topo, &routing, pattern, cfg).unwrap();
-        sim.advance(4_000);
-        let healthy = sim.delivered_flits();
-        assert!(healthy > 0);
-        sim.kill_link(1, 2).unwrap();
-        sim.advance(4_000);
-        let degraded = sim.delivered_flits() - healthy;
-        assert!(
-            (degraded as f64) < 0.9 * healthy as f64,
-            "delivered {degraded} flits after the kill vs {healthy} before"
-        );
-        // Stalled messages hold resources but nothing was dropped.
-        assert!(sim.in_flight());
-        assert_eq!(sim.cycle(), 8_000);
-    }
-
-    #[test]
-    fn killing_a_missing_link_is_a_typed_error() {
-        let topo = designed::ring(5, 1);
-        let routing = updown(&topo);
-        let pattern = TrafficPattern::new(vec![0; 5]);
-        let mut sim = Simulator::new(&topo, &routing, pattern, SimConfig::default()).unwrap();
-        assert_eq!(
-            sim.kill_link(0, 2).unwrap_err(),
-            SimError::NoSuchLink { a: 0, b: 2 }
-        );
-        assert_eq!(
-            sim.restore_link(4, 1).unwrap_err(),
-            SimError::NoSuchLink { a: 4, b: 1 }
-        );
-    }
-
-    #[test]
-    fn kill_then_restore_conserves_every_flit() {
-        let topo = designed::ring(4, 2);
-        let routing = updown(&topo);
-        let clusters = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let pattern = TrafficPattern::new(clusters);
-        let cfg = SimConfig {
-            injection_rate: 0.3,
-            warmup_cycles: 0,
-            measure_cycles: 1_000,
-            seed: 41,
-            ..Default::default()
-        };
-        let mut sim = Simulator::new(&topo, &routing, pattern, cfg).unwrap();
-        sim.advance(1_000);
-        sim.kill_link(0, 1).unwrap();
-        sim.advance(1_000);
-        sim.restore_link(0, 1).unwrap();
-        // A dead window stalls flits, it never loses them, so
-        // conservation must close exactly.
-        assert_drains_conserved(&mut sim, 8_000, "after restore");
     }
 
     #[test]

@@ -27,10 +27,9 @@ impl Simulator<'_> {
     /// same cycle, so its answer is its onward VC's.
     fn sends_or_defers(&self, id: VcId) -> Result<bool, VcId> {
         let ch = &self.phys[self.phys_of(id)];
-        // A slowed-down link only transfers on its duty cycles; a dead
-        // link never does (its flits stall where they are).
+        // A slowed-down link only transfers on its duty cycles.
         let duty = ch.period == 1 || self.cycle.is_multiple_of(ch.period);
-        if !self.has_source(id) || ch.dead || !duty {
+        if !self.has_source(id) || !duty {
             return Ok(false);
         }
         if matches!(ch.kind, ChannelKind::Deliver { .. }) {

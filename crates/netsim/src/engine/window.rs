@@ -187,7 +187,7 @@ impl Simulator<'_> {
         self.max_queue = self.longest_queue();
         let (w, watchdog_fired) = self.window(Phase::Measure, |sim| sim.advance(cycles));
         // A watchdog fire is a deadlock only if the stall chains resolve
-        // to a routing cycle (not a fault or a pause).
+        // to a routing cycle (not a pause).
         let stall = if watchdog_fired {
             self.stall_report()
         } else {
@@ -221,7 +221,7 @@ impl Simulator<'_> {
             pfc_pause_cycles: w.pfc_pause_cycles,
             misroutes: w.misroutes,
             stalled_flits: stall.stalled_flits,
-            stall_dead_link_flits: stall.dead_link_flits,
+            stall_dead_link_flits: 0,
             stall_paused_flits: stall.paused_flits,
         }
     }

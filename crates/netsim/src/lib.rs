@@ -54,4 +54,4 @@ pub use stats::SimStats;
 pub use sweep::{
     find_saturation_rate, paper_sweep, sweep, sweep_rates, LoadSweep, SweepConfig, SweepPoint,
 };
-pub use traffic::{DestinationPolicy, TrafficPattern};
+pub use traffic::TrafficPattern;

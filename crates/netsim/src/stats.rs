@@ -27,9 +27,9 @@ pub struct SimStats {
     /// Largest source-queue length observed (diverges past saturation).
     pub max_source_queue: usize,
     /// Whether the run stalled in a true routing deadlock (a cycle of
-    /// flits each waiting on the next). Stalls caused by killed links or
-    /// flow-control pause are *not* deadlocks: they are reported through
-    /// the `stall_*` fields instead, with this flag false.
+    /// flits each waiting on the next). A stall caused by a flow-control
+    /// pause is *not* a deadlock: it is reported through the `stall_*`
+    /// fields instead, with this flag false.
     pub deadlocked: bool,
     /// Messages first marked ECN during the window (ECN modes).
     pub ecn_marks: u64,
@@ -42,8 +42,9 @@ pub struct SimStats {
     /// Flits sitting in network buffers when the progress watchdog fired
     /// (0 if it never fired).
     pub stalled_flits: u64,
-    /// Of the stalled flits, those blocked (transitively) on a killed
-    /// link.
+    /// Always 0: the simulator no longer kills links mid-run. Kept only
+    /// because the pinned golden and benchmark digests hash this
+    /// struct's `Debug` text.
     pub stall_dead_link_flits: u64,
     /// Of the stalled flits, those blocked (transitively) on a
     /// flow-control pause.

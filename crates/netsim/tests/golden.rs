@@ -5,24 +5,24 @@
 //! misroute class, every congestion regime, slowed links and the stall
 //! classifier — shows up as a mismatch.
 //!
-//! The table was recorded on the engine as it stood before it was split
-//! into `engine/` (EXPERIMENTS.md "PR 17" has the command and the parent
-//! commit's output), 17 lines then: `duato-2vc-deterministic` went with
-//! the output-selection option, whose two values gave one digest.
-//! Regenerate a line only when the simulator is *meant* to change its
-//! statistics.
+//! The `regime-*`, `duato-*`, `base-*` and `misroute-*` lines were
+//! recorded on the engine as it stood before it was split into `engine/`
+//! (EXPERIMENTS.md "PR 17" has the command and the parent commit's
+//! output). Regenerate a line only when the simulator is *meant* to
+//! change its statistics.
 //!
-//! The `sweep-*` lines were recorded on the serial `paper_sweep`, before
-//! a sweep ran its simulations on a thread budget: three 16-switch nets
-//! under the daemon's `SimConfig`, one sweep whose `max_rate` cap ends
-//! the bracket, and one under PFC whose probes end stuck. Every sweep
-//! line, `paper24-sweep` included, now runs at `threads` 1, 2 and 3
-//! against its one digest.
+//! The `sweep-paper16-*` lines were recorded on the serial `paper_sweep`,
+//! before a sweep ran its simulations on a thread budget: three 16-switch
+//! nets under the daemon's `SimConfig` and one sweep whose `max_rate` cap
+//! ends the bracket. Every sweep line, `paper24-sweep` included, runs at
+//! `threads` 1, 2 and 3 against its one digest.
 //!
 //! The three `*-intracluster` lines were recorded on the engine that
 //! still drew intercluster destinations, as the intracluster twins of
-//! the slowed-link and stuck-PFC cases: each places its applications so
-//! that their own traffic crosses the slowed links.
+//! the slowed-link and stuck-PFC cases that used them: each places its
+//! applications so that their own traffic crosses the slowed links.
+//! Those cases went with intercluster traffic, and the
+//! `kill-stall-restore-*` cases with mid-run link kills.
 
 use commsched_netsim::{
     paper_sweep, regime_configs, CongestionMode, SimConfig, Simulator, SweepConfig, TrafficPattern,
@@ -35,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// `(case, fnv1a-64 of its report text)`.
-const GOLDEN: [(&str, &str); 24] = [
+const GOLDEN: [(&str, &str); 17] = [
     // `paper24` of benchmark/baseline/netsim-digests.txt: the same
     // inputs, the same text, so tier-1 and the benchmark pin one value.
     ("paper24-sweep", "395d9fef222b9742"),
@@ -48,19 +48,12 @@ const GOLDEN: [(&str, &str); 24] = [
     ("base-3vc", "fa807f0bc2ea90d3"),
     ("misroute-budget-1", "797925043efcd235"),
     ("misroute-budget-4", "e4c3fd77205e1778"),
-    ("slow-link-intercluster", "f6232c92c1ce38a5"),
-    ("duato-slow-link-intercluster", "725476d9b7642ffb"),
     ("slow-link-intracluster", "62081d6e7e32ffc7"),
     ("duato-slow-link-intracluster", "0820160b770f861e"),
-    ("kill-stall-restore", "43c17ceba6e30b47"),
-    ("kill-stall-restore-pfc", "5a372d033c404c28"),
-    ("kill-stall-restore-duato", "59a6f1170cdb8cef"),
-    ("kill-stall-restore-misroute", "db044e96602a1942"),
     ("sweep-paper16-seed161", "951c896fc0421d03"),
     ("sweep-paper16-seed162", "79d6ecb786afde97"),
     ("sweep-paper16-seed163", "0a71b1178849ce5c"),
     ("sweep-paper16-max-rate-cap", "68ed49ff8e9c4fd6"),
-    ("sweep-pfc-stuck-probes", "fd5c570038b8168b"),
     ("sweep-pfc-stuck-probes-intracluster", "2b09116ac63c1ab6"),
 ];
 
@@ -195,11 +188,13 @@ fn a_max_rate_cap_ends_the_bracket() {
     check("sweep-paper16-max-rate-cap", &text);
 }
 
-/// A ring cut at 3-4 and closed by a link that carries a flit every
-/// eighth cycle: with a 6-cycle watchdog, a lone message waiting on it
-/// reads as stuck, so all but the lightest probes of a PFC sweep end
-/// that way. Returns the sweep's text.
-fn pfc_stuck_sweep(case: &str, hosts: &[usize], sim: SimConfig) -> String {
+#[test]
+fn a_pfc_sweep_of_intracluster_traffic_whose_probes_end_stuck() {
+    // A ring cut at 3-4 and closed by a link that carries a flit every
+    // eighth cycle: with a 6-cycle watchdog, a lone message waiting on it
+    // reads as stuck, so all but the lightest probes end that way. Two
+    // applications on alternate switches: each one's own traffic runs
+    // round the ring, the slowed link included.
     let topo = TopologyBuilder::new(8, 2)
         .links([(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 0)])
         .link_with_slowdown(3, 4, 8)
@@ -210,37 +205,17 @@ fn pfc_stuck_sweep(case: &str, hosts: &[usize], sim: SimConfig) -> String {
         measure_cycles: 1_500,
         congestion: CongestionMode::Pfc,
         deadlock_threshold: 6,
-        ..sim
+        ..daemon_sim()
     };
-    let text = sweep_text(&topo, hosts, sim, SweepConfig::default());
-    assert!(text.contains("deadlocked: true"), "{text}");
-    check(case, &text);
-    text
-}
-
-#[test]
-fn a_pfc_sweep_whose_probes_end_stuck() {
-    let _ = pfc_stuck_sweep(
-        "sweep-pfc-stuck-probes",
-        &small_clusters(),
-        SimConfig {
-            intercluster_fraction: 0.3,
-            ..daemon_sim()
-        },
-    );
-}
-
-#[test]
-fn a_pfc_sweep_of_intracluster_traffic_whose_probes_end_stuck() {
-    // Two applications on alternate switches: each one's own traffic
-    // runs round the ring, the slowed link included.
     let hosts: Vec<usize> = (0..16).map(|h| (h / 2) % 2).collect();
-    let text = pfc_stuck_sweep("sweep-pfc-stuck-probes-intracluster", &hosts, daemon_sim());
+    let text = sweep_text(&topo, &hosts, sim, SweepConfig::default());
+    assert!(text.contains("deadlocked: true"), "{text}");
     let mut paused = text.split("stall_paused_flits: ").skip(1);
     assert!(
         paused.any(|t| !t.starts_with('0')),
         "no probe stalled behind a pause: {text}"
     );
+    check("sweep-pfc-stuck-probes-intracluster", &text);
 }
 
 #[test]
@@ -300,10 +275,8 @@ fn misroute_budgets_under_overload() {
     }
 }
 
-/// A ring of four with two slowed links, under the base router and
-/// under Duato's protocol, checked as `slow-link-{suffix}` and
-/// `duato-slow-link-{suffix}`.
-fn slowed_links(suffix: &str, clusters: Vec<usize>, cfg: SimConfig) {
+#[test]
+fn slowed_links_with_intracluster_traffic() {
     let topo = TopologyBuilder::new(4, 2)
         .link(0, 1)
         .link_with_slowdown(1, 2, 3)
@@ -311,12 +284,19 @@ fn slowed_links(suffix: &str, clusters: Vec<usize>, cfg: SimConfig) {
         .link_with_slowdown(3, 0, 2)
         .build()
         .unwrap();
+    let cfg = SimConfig {
+        injection_rate: 0.3,
+        ..small_cfg()
+    };
+    // Each application holds the two ends of a slowed link (3-0 and
+    // 1-2), so its own traffic crosses it.
+    let clusters = vec![0, 0, 1, 1, 1, 1, 0, 0];
     check(
-        &format!("slow-link-{suffix}"),
+        "slow-link-intracluster",
         &run_text(&topo, clusters.clone(), cfg),
     );
     check(
-        &format!("duato-slow-link-{suffix}"),
+        "duato-slow-link-intracluster",
         &run_text(
             &topo,
             clusters,
@@ -327,115 +307,4 @@ fn slowed_links(suffix: &str, clusters: Vec<usize>, cfg: SimConfig) {
             },
         ),
     );
-}
-
-#[test]
-fn slowed_links_with_intracluster_traffic() {
-    // Each application holds the two ends of a slowed link (3-0 and
-    // 1-2), so its own traffic crosses it.
-    slowed_links(
-        "intracluster",
-        vec![0, 0, 1, 1, 1, 1, 0, 0],
-        SimConfig {
-            injection_rate: 0.3,
-            ..small_cfg()
-        },
-    );
-}
-
-#[test]
-fn slowed_links_with_intercluster_traffic() {
-    slowed_links(
-        "intercluster",
-        vec![0, 0, 0, 0, 1, 1, 1, 1],
-        SimConfig {
-            injection_rate: 0.3,
-            intercluster_fraction: 0.3,
-            ..small_cfg()
-        },
-    );
-}
-
-/// Cut a network in two, step until the watchdog fires, classify the
-/// stall, restore, drain, and check nothing was lost.
-fn kill_stall_restore(case: &str, cfg: SimConfig) {
-    // Two triangles joined by the bridge 2-3, one application on all
-    // twelve workstations: once the bridge dies every source queue
-    // sooner or later heads a message that needs it, so all traffic
-    // stops — behind headers that still have other (occupied) output
-    // candidates inside their triangle.
-    let topo = TopologyBuilder::new(6, 2)
-        .links([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
-        .build()
-        .unwrap();
-    let routing = UpDownRouting::new(&topo, 0).unwrap();
-    let cfg = SimConfig {
-        injection_rate: 0.5,
-        deadlock_threshold: 300,
-        seed: 0xFA17,
-        ..cfg
-    };
-    let mut sim = Simulator::new(&topo, &routing, TrafficPattern::new(vec![0; 12]), cfg).unwrap();
-    assert!(!sim.advance(1_000), "{case}: healthy phase stalled");
-    sim.kill_link(2, 3).unwrap();
-    let mut fired = false;
-    for _ in 0..100 {
-        if sim.advance(100) {
-            fired = true;
-            break;
-        }
-    }
-    assert!(fired, "{case}: the watchdog never fired on a cut network");
-    let stall = sim.stall_report();
-    assert!(
-        !stall.routing_deadlock,
-        "{case}: fault stall called a deadlock"
-    );
-    assert!(stall.dead_link_flits > 0, "{case}: {stall:?}");
-    let fired_at = sim.cycle();
-    sim.restore_link(2, 3).unwrap();
-    assert!(!sim.drain(200_000), "{case}: drain hit the watchdog");
-    assert!(!sim.in_flight(), "{case}: drained");
-    assert_eq!(sim.delivered_messages(), sim.generated_messages());
-    assert_eq!(
-        sim.delivered_flits(),
-        sim.generated_messages() * cfg.msg_len as u64
-    );
-    assert_eq!(
-        sim.host_injected_flits().iter().sum::<u64>(),
-        sim.delivered_flits()
-    );
-    check(
-        case,
-        &format!(
-            "{stall:?} fired_at={fired_at} end={} generated={} delivered={} {:?} {:?}",
-            sim.cycle(),
-            sim.generated_messages(),
-            sim.delivered_flits(),
-            sim.host_injected_flits(),
-            sim.link_flit_counts()
-        ),
-    );
-}
-
-#[test]
-fn kill_stall_restore_drain_conserves() {
-    let base = SimConfig::default();
-    kill_stall_restore("kill-stall-restore", base);
-    let pfc = SimConfig {
-        congestion: CongestionMode::Pfc,
-        ..base
-    };
-    kill_stall_restore("kill-stall-restore-pfc", pfc);
-    let duato = SimConfig {
-        virtual_channels: 2,
-        fully_adaptive: true,
-        ..base
-    };
-    kill_stall_restore("kill-stall-restore-duato", duato);
-    let misroute = SimConfig {
-        adaptive_misroute: true,
-        ..base
-    };
-    kill_stall_restore("kill-stall-restore-misroute", misroute);
 }

@@ -124,8 +124,8 @@ pub(super) fn simulate(cmd: &Simulate) -> Result<String, String> {
     if stats.stalled_flits > 0 {
         writeln!(
             out,
-            "stalled: {} flits ({} behind dead links, {} flow-control paused)",
-            stats.stalled_flits, stats.stall_dead_link_flits, stats.stall_paused_flits
+            "stalled: {} flits ({} flow-control paused)",
+            stats.stalled_flits, stats.stall_paused_flits
         )
         .expect("write to string");
     }
