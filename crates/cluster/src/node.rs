@@ -123,7 +123,6 @@ fn start_as(config: &ClusterConfig, promoted: bool) -> Result<ClusterNode, Strin
     };
     let info = role.map(|role| ClusterInfo {
         cluster_lines: vec![format!("role {role}")],
-        stats_lines: Vec::new(),
     });
     let patience = Duration::from_secs(if promoted { 10 } else { 0 });
     let deadline = Instant::now() + patience;

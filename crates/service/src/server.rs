@@ -20,15 +20,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// What a cluster node reports about itself, fixed when it binds: the
-/// body lines of `CLUSTER` (its role) and any extra `key value` lines
-/// appended to `STATS`. A standalone daemon has
-/// none, and answers `CLUSTER` with `OK standalone`.
+/// body lines of `CLUSTER` (its role). A standalone daemon has none, and
+/// answers `CLUSTER` with `OK standalone`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterInfo {
     /// Body lines of the `CLUSTER` response.
     pub cluster_lines: Vec<String>,
-    /// Lines appended to `STATS`.
-    pub stats_lines: Vec<String>,
 }
 
 /// Daemon sizing: the core's knobs plus the worker-thread count and
@@ -140,12 +137,6 @@ impl ServerHandle {
         &self.core
     }
 
-    /// Whether a `SHUTDOWN` request (or [`ServerHandle::shutdown`]) has
-    /// stopped the event loop.
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
     /// Block until the event loop exits (i.e. until some client sends
     /// `SHUTDOWN`), then drain and join everything.
     pub fn join(mut self) {
@@ -232,13 +223,7 @@ impl ServiceHandler {
             Request::Result { job } => block("result", core.result_lines(job)),
             Request::Cancel { job } => ok(core.cancel(job).map(|()| "cancelled".to_string())),
             Request::Fault { topo, event } => block("fault", core.fault(topo, &event)),
-            Request::Stats => {
-                let mut lines = core.stats_lines();
-                if let Some(info) = &self.cluster {
-                    lines.extend(info.stats_lines.iter().cloned());
-                }
-                block("stats", Ok(lines))
-            }
+            Request::Stats => block("stats", Ok(core.stats_lines())),
             Request::Snapshot => ok(core
                 .snapshot_now()
                 .map(|bytes| format!("snapshot {bytes}"))

@@ -61,7 +61,6 @@ fn spawn(net: NetConfig, cluster: Option<ClusterInfo>) -> ServerHandle {
 fn cluster_info() -> ClusterInfo {
     ClusterInfo {
         cluster_lines: vec!["node 0".to_string(), "member 7 10.0.0.7:7477".to_string()],
-        stats_lines: vec!["cluster_shard 0".to_string()],
     }
 }
 
@@ -1226,7 +1225,6 @@ const LINE_CLUSTER: &str = r#"
 < net_pipeline_depth_count
 < net_pipeline_depth_p50
 < net_pipeline_depth_p90
-< cluster_shard
 < .
 > SHUTDOWN
 < OK drained 0
@@ -1285,7 +1283,6 @@ const BINARY_CLUSTER: &str = r#"
 < net_pipeline_depth_count
 < net_pipeline_depth_p50
 < net_pipeline_depth_p90
-< cluster_shard
 < .
 > SHUTDOWN
 < [ok] OK drained 0
