@@ -280,18 +280,37 @@ stop_daemon "$SERVE_PID"
 echo "loadgen smoke: ok"
 
 echo "==> cluster failover smoke (serve --repl-listen + serve --follow -> submit -> SIGKILL primary -> promoted standby serves)"
-# Reserve a concrete client address: the standby binds the same address
-# after promotion, so it cannot be kernel-assigned.
-./target/release/commsched serve --addr 127.0.0.1:0 --workers 1 --no-persist \
-    >"$SMOKE_DIR/reserve.log" 2>&1 &
-RESERVE_PID=$!
-CLUSTER_ADDR=$(wait_for_daemon "$SMOKE_DIR/reserve.log") || CLUSTER_ADDR=""
-stop_daemon "$RESERVE_PID"
-[ -n "$CLUSTER_ADDR" ] || { echo "cluster smoke: could not reserve a port"; exit 1; }
-./target/release/commsched serve --addr "$CLUSTER_ADDR" \
-    --state-dir "$SMOKE_DIR/cluster-primary" --repl-listen 127.0.0.1:0 \
-    >"$SMOKE_DIR/cluster1.log" 2>&1 &
-PRIMARY_PID=$!
+# The standby binds the primary's client address after promotion, so it
+# cannot be kernel-assigned. Draw it below the kernel's ephemeral range
+# (32768 where the range cannot be read), where no automatic port can
+# take it in between; a port another process holds fails the primary's
+# bind, and the next one is tried.
+EPHEMERAL_LO=$(awk '{ print $1 }' /proc/sys/net/ipv4/ip_local_port_range 2>/dev/null) \
+    || EPHEMERAL_LO=32768
+[ "${EPHEMERAL_LO:-0}" -ge 2048 ] || EPHEMERAL_LO=32768
+CLUSTER_ADDR=""
+for TRY in $(seq 1 20); do
+    ADDR_TRY="127.0.0.1:$((1024 + ($$ * 7919 + TRY) % (EPHEMERAL_LO - 1024)))"
+    rm -rf "$SMOKE_DIR/cluster-primary"
+    ./target/release/commsched serve --addr "$ADDR_TRY" \
+        --state-dir "$SMOKE_DIR/cluster-primary" --repl-listen 127.0.0.1:0 \
+        >"$SMOKE_DIR/cluster1.log" 2>&1 &
+    PRIMARY_PID=$!
+    # Wait for the client listening line while the primary lives.
+    for _ in $(seq 1 300); do
+        if grep -q 'commsched-service listening on ' "$SMOKE_DIR/cluster1.log"; then
+            CLUSTER_ADDR=$ADDR_TRY
+            break
+        fi
+        kill -0 "$PRIMARY_PID" 2>/dev/null || break
+        sleep 0.1
+    done
+    [ -z "$CLUSTER_ADDR" ] || break
+    stop_daemon "$PRIMARY_PID"
+    grep -q "bind $ADDR_TRY" "$SMOKE_DIR/cluster1.log" \
+        || { echo "cluster smoke: primary never came up"; cat "$SMOKE_DIR/cluster1.log"; exit 1; }
+done
+[ -n "$CLUSTER_ADDR" ] || { echo "cluster smoke: no free port below $EPHEMERAL_LO"; exit 1; }
 # The replication line is printed before the client listening line.
 wait_for_daemon "$SMOKE_DIR/cluster1.log" >/dev/null \
     && REPL_ADDR=$(sed -n 's/^replication listening on //p' "$SMOKE_DIR/cluster1.log") \
